@@ -89,12 +89,10 @@ class ScenarioConfig:
     field_prime: int | None = None
     curve_profile: str | None = None
     curve_inline: CurveParams | None = None
-    ticks_per_epoch: int = 4
     renewal_enabled: bool = True
     leave_policy: str = "abort"
     events: tuple[dict, ...] = ()
     adversary: AdversaryConfig = dc_field(default_factory=AdversaryConfig)
-    redact_secrets: bool = False
 
     def curve_params(self) -> CurveParams | None:
         if self.field_mode == "no-curve":
@@ -129,12 +127,22 @@ def expand_tree(tree: dict) -> list[tuple[int, int]]:
 
 
 def _parse_tree(data, where: str) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object with a 'children' list")
-    _take(data, where, {"children": False})
-    children = data.get("children", [])
-    _require(isinstance(children, list), where, "'children' must be a list")
-    return {"children": [_parse_tree(c, f"{where}.children[{i}]") for i, c in enumerate(children)]}
+    """Validate the nested tree spec and copy it to plain dicts, parents
+    before children and in document order, so the first error reported is
+    the first in the file. Iterative: any depth parses."""
+    root: dict = {}
+    pending = [(data, where, root)]
+    while pending:
+        node, w, out = pending.pop()
+        if not isinstance(node, dict):
+            raise ConfigError(f"{w}: expected an object with a 'children' list")
+        _take(node, w, {"children": False})
+        children = node.get("children", [])
+        _require(isinstance(children, list), w, "'children' must be a list")
+        out["children"] = [{} for _ in children]
+        kids = zip(children, [f"{w}.children[{i}]" for i in range(len(children))], out["children"])
+        pending.extend(reversed(list(kids)))
+    return root
 
 
 def parse_curve_inline(data: dict, where: str) -> CurveParams:
@@ -226,13 +234,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
             "secret": True,
             "eval_mode": False,
             "epochs": True,
-            "ticks_per_epoch": False,
             "renewal_enabled": False,
             "seed": True,
             "leave_policy": False,
             "events": False,
             "adversary": False,
-            "redact_secrets": False,
         },
     )
     version = _int(data["schema_version"], f"{source}.schema_version")
@@ -306,7 +312,6 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         secret=_decimal(data["secret"], f"{source}.secret"),
         eval_mode=eval_mode,
         epochs=epochs,
-        ticks_per_epoch=_int(data.get("ticks_per_epoch", 4), f"{source}.ticks_per_epoch", minimum=1),
         renewal_enabled=bool(data.get("renewal_enabled", True)),
         seed=_decimal(data["seed"], f"{source}.seed"),
         leave_policy=data.get("leave_policy", "abort"),
@@ -314,7 +319,6 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         adversary=_parse_adversary(
             data.get("adversary", {}), f"{source}.adversary", user_ids, id_to_parent, epochs
         ),
-        redact_secrets=bool(data.get("redact_secrets", False)),
     )
 
     _require(config.leave_policy in LEAVE_POLICIES, f"{source}.leave_policy", f"must be one of {LEAVE_POLICIES}")
@@ -373,11 +377,9 @@ def serialize_scenario(config: ScenarioConfig) -> dict:
         "secret": str(config.secret),
         "eval_mode": config.eval_mode,
         "epochs": config.epochs,
-        "ticks_per_epoch": config.ticks_per_epoch,
         "renewal_enabled": config.renewal_enabled,
         "seed": str(config.seed),
         "leave_policy": config.leave_policy,
-        "redact_secrets": config.redact_secrets,
         "adversary": {
             "strategy": config.adversary.strategy,
             "budget": config.adversary.budget,

@@ -17,7 +17,7 @@ is independent of subtree processing order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .algebra import FieldElement, poly_eval, sample_polynomial
@@ -45,22 +45,6 @@ class MixedAccused(HierShareError):
 
 ACCUSED_COMPROMISED = "accused-compromised"
 CLAIMERS_COMPROMISED = "claimers-compromised"
-
-
-@dataclass
-class EpochClock:
-    """Per-subtree epoch counters plus the global scenario tick.
-
-    Messages sent within an epoch are delivered within it (the network
-    enforces that); each subtree's epoch advances by exactly one per
-    committed renewal.
-    """
-
-    epochs: dict[int, int] = field(default_factory=dict)
-    tick: int = 0
-
-    def advance(self, subtree_root: int) -> None:
-        self.epochs[subtree_root] = self.epochs.get(subtree_root, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -162,14 +146,27 @@ def verify_renewal(
     return lhs == rhs
 
 
+def accepts_renewal(
+    bundle: RenewalBundle, share: ShareRecord, curve: CurveParams
+) -> bool:
+    """A child's check of its bundle: one commitment per nonzero
+    coefficient of the group's dealt degree (threshold - 1), and a delta
+    that matches them. A longer commitment vector would verify a
+    degree-raising polynomial and break the group's reconstruction."""
+    return len(bundle.commitments) == share.threshold - 1 and verify_renewal(
+        bundle, share.eval_point, curve
+    )
+
+
 def apply_renewal(
     share: ShareRecord, bundle: RenewalBundle, curve: CurveParams | None = None
 ) -> ShareRecord:
     """Fold a verified renewal delta into a share; the epoch advances by
     one and the evaluation point is untouched.
 
-    Passing the curve re-checks the bundle and raises UnverifiedBundle on a
-    bad one; in no-curve mode there is nothing to verify.
+    Passing the curve checks the bundle (``accepts_renewal``) and raises
+    UnverifiedBundle on a bad one; callers that already checked it, and
+    no-curve mode, pass none.
     """
     if bundle.recipient != share.owner:
         raise ValueError(
@@ -179,7 +176,7 @@ def apply_renewal(
         raise EpochSkew(
             f"bundle epoch {bundle.epoch} does not follow share epoch {share.epoch}"
         )
-    if curve is not None and not verify_renewal(bundle, share.eval_point, curve):
+    if curve is not None and not accepts_renewal(bundle, share, curve):
         raise UnverifiedBundle(
             f"bundle from {bundle.sender} to {bundle.recipient} fails verification"
         )
@@ -232,6 +229,13 @@ class RenewalOutcome:
     discarded: tuple[int, ...]
 
 
+def subtree_roots(tree: HierarchyTree, shares: dict[int, ShareRecord]) -> list[int]:
+    """The 2-leveled subtrees that renew: the server and every active user
+    with at least one dealt active child, in id order."""
+    roots = [ROOT_ID] + [u for u in tree.active_users() if tree.active_children(u)]
+    return [r for r in roots if any(c in shares for c in tree.active_children(r))]
+
+
 MessageHook = Callable[[str, int, tuple[int, ...], object, bool], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
@@ -263,8 +267,7 @@ def renewal_round(
     One sealed delta per dealt child plus, in curve mode, one commitment
     multicast per subtree root; the returned count is exactly that.
     """
-    roots = [ROOT_ID] + [u for u in tree.active_users() if tree.active_children(u)]
-    roots = [r for r in roots if any(c in shares for c in tree.active_children(r))]
+    roots = subtree_roots(tree, shares)
     if subtree_order is not None:
         ordering = [r for r in subtree_order if r in roots]
         if sorted(ordering) != sorted(roots):
@@ -305,11 +308,7 @@ def renewal_round(
                     "renewal-delta", root, (bundle.recipient,), bundle, True
                 )
             rec = shares[bundle.recipient]
-            ok = (
-                verify_renewal(bundle, rec.eval_point, tree.curve)
-                if tree.curve is not None
-                else True
-            )
+            ok = tree.curve is None or accepts_renewal(bundle, rec, tree.curve)
             delivered.append((rec, bundle, ok))
 
         refused = [rec.owner for rec, _, ok in delivered if not ok]
@@ -321,7 +320,7 @@ def renewal_round(
                     on_message("claim", child, (ROOT_ID,), (child, root, epoch), False)
             continue
         for rec, bundle, _ in delivered:
-            new_shares[rec.owner] = apply_renewal(rec, bundle, tree.curve)
+            new_shares[rec.owner] = apply_renewal(rec, bundle)
         advanced.append(root)
 
     if on_message is not None:

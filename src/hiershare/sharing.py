@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .algebra import (
     FieldElement,
@@ -263,17 +263,15 @@ def recover_group_secret(
         uid for uid in participating if uid in shares and uid in active
     }
     failures: list[InsufficientShares] = []
-    memo: dict[int, FieldElement | None] = {}
-
-    def group_value(gid: int) -> FieldElement | None:
-        if gid in memo:
-            return memo[gid]
-        kids = [c for c in tree.active_children(gid) if c in participants]
+    values: dict[int, FieldElement | None] = {}
+    for gid, kids in _groups_children_first(tree, shares, parent_id, participants):
         available: list[tuple[ShareRecord, FieldElement]] = []
         for kid in kids:
-            contribution = contribution_of(kid)
-            if contribution is not None:
-                available.append((shares[kid], contribution))
+            rec = shares[kid]
+            if not rec.split:
+                available.append((rec, rec.value))
+            elif values[kid] is not None:
+                available.append((rec, rec.value + values[kid]))
         epochs = {rec.epoch for rec, _ in available}
         if len(epochs) > 1:
             raise StaleEpoch(
@@ -285,26 +283,35 @@ def recover_group_secret(
         need = thresholds.pop() if thresholds else 1
         if len(available) < need:
             failures.append(InsufficientShares(gid, len(available), need))
-            memo[gid] = None
-            return None
+            values[gid] = None
+            continue
         quorum = sorted(available, key=lambda pair: pair[0].owner)[:need]
-        value = lagrange_at_zero([(rec.eval_point, c) for rec, c in quorum])
-        memo[gid] = value
-        return value
-
-    def contribution_of(uid: int) -> FieldElement | None:
-        rec = shares[uid]
-        if not rec.split:
-            return rec.value
-        below = group_value(uid)
-        if below is None:
-            return None
-        return rec.value + below
-
-    secret = group_value(parent_id)
+        values[gid] = lagrange_at_zero([(rec.eval_point, c) for rec, c in quorum])
+    secret = values[parent_id]
     if secret is None:
         raise failures[0]
     return secret
+
+
+def _groups_children_first(
+    tree: HierarchyTree,
+    shares: Mapping[int, ShareRecord],
+    top: int,
+    eligible: Collection[int],
+) -> list[tuple[int, list[int]]]:
+    """(group parent, its active children in ``eligible``) for ``top`` and
+    for every split member below it, children before parents: the order a
+    left-to-right recursive climb finishes groups in. Iterative, so tree
+    depth is not bounded by the interpreter's stack."""
+    order: list[tuple[int, list[int]]] = []
+    pending = [top]
+    while pending:
+        gid = pending.pop()
+        kids = [c for c in tree.active_children(gid) if c in eligible]
+        order.append((gid, kids))
+        pending.extend(kid for kid in kids if shares[kid].split)
+    order.reverse()
+    return order
 
 
 def reconstruct(
@@ -365,25 +372,17 @@ def minimal_reconstructing_set(
 ) -> list[int]:
     """A cheapest participant set that reconstructs the secret: per group,
     the threshold-many children with the smallest subtree quorum cost.
-    Deterministic (ties break by id); used by adversary targeting."""
-
-    def cost(uid: int) -> tuple[int, list[int]]:
-        rec = shares[uid]
-        total, chosen = 1, [uid]
-        if rec.split:
-            sub = quorum_cost(uid)
-            total += sub[0]
-            chosen += sub[1]
-        return total, chosen
-
-    def quorum_cost(gid: int) -> tuple[int, list[int]]:
-        kids = [c for c in tree.active_children(gid) if c in shares]
+    Deterministic (ties break by id)."""
+    quorum: dict[int, tuple[int, list[int]]] = {}
+    for gid, kids in _groups_children_first(tree, shares, ROOT_ID, shares):
+        priced = []
+        for kid in kids:
+            sub_total, sub_chosen = quorum[kid] if shares[kid].split else (0, [])
+            priced.append((1 + sub_total, [kid] + sub_chosen))
+        priced.sort()
         need = shares[kids[0]].threshold
-        priced = sorted((cost(c) for c in kids), key=lambda t: (t[0], t[1]))
-        total, chosen = 0, []
-        for sub_total, sub_chosen in priced[:need]:
-            total += sub_total
-            chosen += sub_chosen
-        return total, chosen
-
-    return sorted(quorum_cost(ROOT_ID)[1])
+        quorum[gid] = (
+            sum(total for total, _ in priced[:need]),
+            [uid for _, chosen in priced[:need] for uid in chosen],
+        )
+    return sorted(quorum[ROOT_ID][1])

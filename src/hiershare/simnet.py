@@ -2,9 +2,12 @@
 
 Messages travel as addressed envelopes: sealed payloads reach only their
 addressee (the secure channel is axiomatic), broadcasts and commitment
-multicasts are public. Delivery is reliable and always lands within the
-sending epoch, which is what the per-subtree synchronization assumption
-demands of the transport.
+multicasts are public. Delivery is reliable and immediate: ``World.send``
+hands each envelope to the adversary's view in the same call, so every
+message lands within its sending epoch, which is what the per-subtree
+synchronization assumption demands of the transport. ``World.envelopes``
+is the current epoch's scratch log; the epoch's report row counts its
+``messages`` from it and empties it.
 
 The adversary hops between hosts at epoch boundaries, holding at most its
 per-epoch budget of nodes at a time. On an occupied node it reads all
@@ -23,6 +26,7 @@ is a pure function of (scenario, seed).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .config import ScenarioConfig, expand_tree
@@ -30,10 +34,10 @@ from .errors import InvariantViolation
 from .hierarchy import ROOT_ID, HierarchyTree, RoundState
 from .proactive import (
     ClaimRecord,
-    EpochClock,
     RenewalBundle,
     file_claim,
     renewal_round,
+    subtree_roots,
 )
 from .sharing import (
     DealerState,
@@ -43,26 +47,8 @@ from .sharing import (
     StaleEpoch,
     distribute,
     knowledge_closure,
-    minimal_reconstructing_set,
     reconstruct,
 )
-
-# Phase offsets inside an epoch: request, deliver, renew, resolve.
-PHASE_REQUEST = 0
-PHASE_DELIVER = 1
-PHASE_RENEW = 2
-PHASE_RESOLVE = 3
-_KIND_PHASE = {
-    "reqm": PHASE_REQUEST,
-    "round-key": PHASE_REQUEST,
-    "leave": PHASE_REQUEST,
-    "share": PHASE_DELIVER,
-    "renewal-delta": PHASE_RENEW,
-    "commitments": PHASE_RENEW,
-    "claim": PHASE_RESOLVE,
-}
-
-MESSAGE_KINDS = tuple(sorted(_KIND_PHASE))
 
 # Toy-curve rounds collide often (9 usable x-coordinates, two of them on
 # x = 0), so the retry budget is generous; each retry is one fresh round.
@@ -71,17 +57,15 @@ _DEAL_ATTEMPTS = 128
 
 @dataclass(frozen=True)
 class Envelope:
-    """One addressed message; sealed payloads are opaque to everyone but
-    the recipients (unless a recipient is currently compromised)."""
+    """One addressed message of the current epoch; sealed payloads are
+    opaque to everyone but the recipients (unless a recipient is currently
+    compromised)."""
 
     kind: str
     sender: int
     recipients: tuple[int, ...]
     payload: object
     sealed: bool
-    epoch: int
-    sent_tick: int
-    delivered_tick: int
 
 
 @dataclass
@@ -223,7 +207,8 @@ class SimReport:
 
 
 class World:
-    """The whole simulation: tree, dealer, shares, adversary, clock, log."""
+    """The whole simulation: tree, dealer, shares, adversary, the current
+    epoch's envelopes, and the report."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -233,11 +218,9 @@ class World:
         self.tree = HierarchyTree(self.curve, self.field)
         self.dealer = DealerState(secret=self.field.element(config.secret))
         self.shares: dict[int, ShareRecord] = {}
-        self.clock = EpochClock()
         self.epoch = 0
         self.round_id = 0
         self.envelopes: list[Envelope] = []
-        self.message_counts: dict[str, int] = {}
         self.report = SimReport(scenario=config.name, seed=config.seed)
         adv = config.adversary
         self.adversary = AdversaryState(
@@ -256,31 +239,10 @@ class World:
 
     # -- messaging ----------------------------------------------------------
 
-    def _tick(self, kind: str) -> int:
-        per = self.config.ticks_per_epoch
-        return self.epoch * per + min(_KIND_PHASE[kind], per - 1)
-
     def send(self, kind: str, sender: int, recipients: tuple[int, ...], payload, sealed: bool) -> None:
-        tick = self._tick(kind)
-        envelope = Envelope(
-            kind=kind,
-            sender=sender,
-            recipients=recipients,
-            payload=payload,
-            sealed=sealed,
-            epoch=self.epoch,
-            sent_tick=tick,
-            delivered_tick=tick,
-        )
+        envelope = Envelope(kind, sender, recipients, payload, sealed)
         self.envelopes.append(envelope)
-        self.message_counts[kind] = self.message_counts.get(kind, 0) + 1
-        self.clock.tick = max(self.clock.tick, tick)
         adversary_observe(self.adversary, envelope)
-
-    def _drain_counts(self) -> dict[str, int]:
-        counts = self.message_counts
-        self.message_counts = {}
-        return counts
 
     # -- dealing ------------------------------------------------------------
 
@@ -338,19 +300,10 @@ class World:
                 continue
             self.shares = shares
             self.round_id = round_state.round_id
-            self.clock = EpochClock(
-                epochs={gid: 0 for gid in self._subtree_roots()}, tick=self.clock.tick
-            )
             for record in [shares[uid] for uid in sorted(shares)]:
                 self.send("share", ROOT_ID, (record.owner,), record, True)
             return
         raise last_error
-
-    def _subtree_roots(self) -> list[int]:
-        roots = [ROOT_ID] + [
-            uid for uid in self.tree.active_users() if self.tree.active_children(uid)
-        ]
-        return [r for r in roots if any(c in self.shares for c in self.tree.active_children(r))]
 
     # -- epoch stepping -------------------------------------------------------
 
@@ -403,7 +356,7 @@ class World:
 
         verdicts = []
         claims = []
-        if self.config.renewal_enabled and self._subtree_roots():
+        if self.config.renewal_enabled and subtree_roots(self.tree, self.shares):
             outcome = renewal_round(
                 self.tree, self.shares, self.epoch, self.rng,
                 perturb=perturb, extra_claims=false_claims,
@@ -412,18 +365,23 @@ class World:
             self.shares = outcome.shares
             claims = list(outcome.claims)
             verdicts = list(outcome.verdicts)
-            for gid in outcome.advanced:
-                self.clock.advance(gid)
 
         self._steal_state()
         cleansed = self._cleanse(verdicts)
         self._check_invariants()
+        return self._write_row(len(claims), verdicts, cleansed, notes)
 
+    def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str]) -> dict:
+        """Append the epoch's report row; its ``messages`` are counted from
+        the epoch's envelopes, which it then drains."""
+        messages = Counter(env.kind for env in self.envelopes)
+        self.envelopes = []
         row = {
             "epoch": self.epoch,
-            "messages": dict(sorted(self._drain_counts().items())),
+            "messages": dict(sorted(messages.items())),
+            "messages_total": sum(messages.values()),
             "compromised": sorted(self.adversary.occupied),
-            "claims": len(claims),
+            "claims": claims,
             "verdicts": [
                 {
                     "accused": v.accused,
@@ -437,9 +395,8 @@ class World:
             "adversary_can_reconstruct": self.adversary_can_reconstruct(),
             "herzberg_all_pairs": self._herzberg_count(),
             "secret_intact": self._secret_intact(),
-            "events": notes,
+            "events": events,
         }
-        row["messages_total"] = sum(row["messages"].values())
         self.report.rows.append(row)
         return row
 
@@ -486,14 +443,6 @@ class World:
     # -- invariants ------------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        per = self.config.ticks_per_epoch
-        for env in self.envelopes:
-            if not (env.epoch * per <= env.delivered_tick < (env.epoch + 1) * per):
-                raise InvariantViolation(
-                    "within-epoch-delivery",
-                    f"envelope {env.kind} delivered at tick {env.delivered_tick} "
-                    f"outside epoch {env.epoch}",
-                )
         owners = [rec.owner for rec in self.shares.values()]
         if len(owners) != len(set(owners)):
             raise InvariantViolation("single-share-per-user")
@@ -513,8 +462,6 @@ class World:
                 raise InvariantViolation(
                     "no-oracle-leakage", "share of a never-compromised node"
                 )
-            if not isinstance(stolen.record, ShareRecord):
-                raise InvariantViolation("no-oracle-leakage", "non-share payload")
 
     # -- orchestration -----------------------------------------------------------
 
@@ -533,20 +480,7 @@ class World:
         self.deal(mid_round_leaves=mid_round)
         self._steal_state()
         self._check_invariants()
-        row = {
-            "epoch": 0,
-            "messages": dict(sorted(self._drain_counts().items())),
-            "compromised": sorted(self.adversary.occupied),
-            "claims": 0,
-            "verdicts": [],
-            "cleansed": [],
-            "adversary_can_reconstruct": self.adversary_can_reconstruct(),
-            "herzberg_all_pairs": self._herzberg_count(),
-            "secret_intact": self._secret_intact(),
-            "events": [f"deal:round={self.round_id}"],
-        }
-        row["messages_total"] = sum(row["messages"].values())
-        self.report.rows.append(row)
+        self._write_row(0, [], [], [f"deal:round={self.round_id}"])
 
     def finalize(self) -> dict:
         """Final reconstruction check and adversary outcome."""
@@ -576,9 +510,3 @@ class World:
             self.step_epoch()
         self.finalize()
         return self.report
-
-
-def adversary_target_minimal_coalition(world: World) -> tuple[int, ...]:
-    """Deterministic target list covering a cheapest reconstructing set;
-    what a knowledgeable adversary would walk with renewal disabled."""
-    return tuple(minimal_reconstructing_set(world.tree, world.shares))

@@ -3,14 +3,14 @@
 A snapshot embeds the scenario, the RNG state, and every piece of world
 state a continuation needs, so a resumed run produces a report identical
 to an uninterrupted one. Snapshots are only taken (and only accepted)
-at epoch boundaries.
+at epoch boundaries, where the per-epoch envelope scratch log is empty,
+so no envelope is stored.
 
-When the scenario marks secrets redacted, registration tokens are stored
-XOR-masked with a SHA-256 keystream derived from the scenario seed and
-the snapshot epoch. That is reversible obfuscation against casual
-disclosure, not encryption (the file is self-decrypting by design so the
-round trip stays exact); a round's server scalar is never persisted at
-all, since it dies when its round completes.
+A snapshot holds every secret in the clear: the dealer secret, the
+dealing polynomials, the retained parts, every share and every
+registration token. Protect the file like the secret itself. Only a
+round's server scalar is never persisted, since it dies when its round
+completes.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .config import parse_scenario, serialize_scenario
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
-from .proactive import EpochClock
 from .sharing import DealerState, Polynomial, ShareRecord
 from .simnet import AdversaryState, SimReport, StolenShare, World
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class VersionMismatch(HierShareError):
@@ -40,13 +39,6 @@ class CorruptSnapshot(HierShareError):
 
 class ResumeRefused(HierShareError):
     """Snapshot is not at an epoch boundary."""
-
-
-def _mask(value: int, seed: int, salt: int, label: str) -> int:
-    stream = int.from_bytes(
-        hashlib.sha256(f"{seed}:{salt}:{label}".encode()).digest(), "big"
-    )
-    return value ^ stream
 
 
 def _point_out(point: CurvePoint | None) -> list[str] | None:
@@ -90,19 +82,8 @@ def _record_in(data: dict, world: World) -> ShareRecord:
 
 
 def world_to_dict(world: World) -> dict:
-    """Serializable epoch-boundary state; excludes the per-epoch envelope
-    scratch log (those messages were already invariant-checked)."""
-    config = world.config
-    redact = config.redact_secrets
-    salt = world.epoch
-
-    def token_out(uid: int, token: int | None) -> str | None:
-        if token is None:
-            return None
-        if redact:
-            return str(_mask(token, config.seed, salt, f"token:{uid}"))
-        return str(token)
-
+    """Serializable epoch-boundary state; the per-epoch envelope scratch
+    log is empty there and is not stored."""
     nodes = []
     for uid in sorted(world.tree.nodes):
         node = world.tree.nodes[uid]
@@ -111,7 +92,7 @@ def world_to_dict(world: World) -> dict:
                 "id": node.id,
                 "parent": node.parent,
                 "children": list(node.children),
-                "reg_token": token_out(uid, node.reg_token),
+                "reg_token": None if node.reg_token is None else str(node.reg_token),
                 "group_key": _point_out(node.group_key),
                 "round_key": _point_out(node.round_key),
                 "active": node.active,
@@ -124,10 +105,9 @@ def world_to_dict(world: World) -> dict:
     return {
         "snapshot_version": SNAPSHOT_VERSION,
         "phase": "epoch-boundary",
-        "redacted": redact,
         "epoch": world.epoch,
         "round_id": world.round_id,
-        "scenario": serialize_scenario(config),
+        "scenario": serialize_scenario(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
         "tree": {
             "nodes": nodes,
@@ -151,7 +131,6 @@ def world_to_dict(world: World) -> dict:
             },
         },
         "shares": {str(uid): _record_out(rec) for uid, rec in sorted(world.shares.items())},
-        "clock": {"epochs": {str(k): v for k, v in sorted(world.clock.epochs.items())}, "tick": world.clock.tick},
         "adversary": {
             "occupied": sorted(adv.occupied),
             "compromise_epochs": {str(k): v for k, v in sorted(adv.compromise_epochs.items())},
@@ -160,7 +139,7 @@ def world_to_dict(world: World) -> dict:
                 for _key, s in sorted(adv.stolen_shares.items())
             ],
             "stolen_tokens": {
-                str(uid): token_out(uid, tok) for uid, tok in sorted(adv.stolen_tokens.items())
+                str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
             },
             "observed_commitments": adv.observed_commitments,
             "cursor": adv.cursor,
@@ -178,18 +157,6 @@ def world_from_dict(data: dict) -> World:
     world.epoch = data["epoch"]
     world.round_id = data["round_id"]
     world.envelopes = []
-    world.message_counts = {}
-
-    redact = data.get("redacted", False)
-    salt = data["epoch"]
-
-    def token_in(uid, raw):
-        if raw is None:
-            return None
-        value = int(raw)
-        if redact:
-            return _mask(value, config.seed, salt, f"token:{uid}")
-        return value
 
     rng_version, rng_internal, rng_gauss = data["rng_state"]
     world.rng = random.Random()
@@ -202,7 +169,7 @@ def world_from_dict(data: dict) -> World:
             id=uid,
             parent=node_data["parent"],
             children=list(node_data["children"]),
-            reg_token=token_in(uid, node_data["reg_token"]),
+            reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
             group_key=_point_in(node_data["group_key"], world),
             round_key=_point_in(node_data["round_key"], world),
             active=node_data["active"],
@@ -233,10 +200,6 @@ def world_from_dict(data: dict) -> World:
     world.shares = {
         int(uid): _record_in(rec, world) for uid, rec in data["shares"].items()
     }
-    world.clock = EpochClock(
-        epochs={int(k): v for k, v in data["clock"]["epochs"].items()},
-        tick=data["clock"]["tick"],
-    )
 
     adv_data = data["adversary"]
     adversary = AdversaryState(
@@ -256,7 +219,7 @@ def world_from_dict(data: dict) -> World:
             round_id=item["round_id"], epoch=item["epoch"], record=record
         )
     adversary.stolen_tokens = {
-        int(uid): token_in(int(uid), tok) for uid, tok in adv_data["stolen_tokens"].items()
+        int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
     }
     adversary.observed_commitments = adv_data["observed_commitments"]
     adversary.cursor = adv_data["cursor"]

@@ -227,6 +227,22 @@ class TestSnapshots:
         with pytest.raises(VersionMismatch):
             load_world(path)
 
+    def test_format_1_snapshot_refused(self, tmp_path):
+        import hashlib
+
+        world = World(load_bundled_scenario("figure2-leave"))
+        world.initial_deal()
+        path = tmp_path / "w.snapshot"
+        save_world(world, path)
+        data = json.loads(path.read_text())
+        # Format 1 also stored a tick clock and a redaction flag.
+        data["body"].update(snapshot_version=1, redacted=False)
+        canonical = json.dumps(data["body"], sort_keys=True, separators=(",", ":"))
+        data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path.write_text(json.dumps(data))
+        with pytest.raises(VersionMismatch):
+            load_world(path)
+
     def test_mid_epoch_snapshot_refused(self, tmp_path):
         import hashlib
 
@@ -241,21 +257,3 @@ class TestSnapshots:
         path.write_text(json.dumps(data))
         with pytest.raises(ResumeRefused):
             load_world(path)
-
-    def test_redacted_tokens_not_in_plaintext(self, tmp_path):
-        from dataclasses import replace
-
-        config = replace(load_bundled_scenario("demo-7user"), redact_secrets=True)
-        world = World(config)
-        world.initial_deal()
-        path = tmp_path / "w.snapshot"
-        save_world(world, path)
-        stored = {
-            node["id"]: node["reg_token"]
-            for node in json.loads(path.read_text())["body"]["tree"]["nodes"]
-        }
-        for uid, node in world.tree.nodes.items():
-            assert int(stored[uid]) != node.reg_token
-        restored = load_world(path)
-        for uid, node in world.tree.nodes.items():
-            assert restored.tree.nodes[uid].reg_token == node.reg_token

@@ -50,6 +50,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="color"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("removed", ["ticks_per_epoch", "redact_secrets"])
+    def test_removed_fields_are_unknown(self, removed):
+        with pytest.raises(ConfigError, match=f"unknown field.*{removed}"):
+            parse_scenario(base_scenario(**{removed: 4}))
+
+    def test_first_bad_tree_node_in_document_order_named(self):
+        tree = {"children": [{"children": [{"color": 1}]}, {"shade": 2}]}
+        with pytest.raises(ConfigError, match=r"tree\.children\[0\]\.children\[0\]: .*color"):
+            parse_scenario(base_scenario(tree=tree))
+
     def test_decimal_strings_accepted_and_required_form(self):
         config = parse_scenario(base_scenario(secret="17"))
         assert config.secret == 17

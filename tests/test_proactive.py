@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 from conftest import deal, make_tree, tf
 
+from hiershare.algebra import poly_eval, sample_polynomial
 from hiershare.curve import scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import (
     ACCUSED_COMPROMISED,
     CLAIMERS_COMPROMISED,
     ClaimRecord,
-    EpochClock,
     EpochSkew,
     MixedAccused,
     NoChildren,
@@ -269,6 +269,37 @@ class TestRenewalRound:
         assert outcome.shares[1].epoch == 1
         assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
 
+    def test_degree_raising_renewal_refused(self):
+        """A parent swaps each delta for the value of a zero-free degree-3
+        polynomial and multicasts that polynomial's honest commitments to a
+        threshold-2 group. Every delta matches its commitments, but the
+        group's degree would rise and reconstruction would go wrong, so
+        every child refuses and claims."""
+        from hiershare.curve import STANDARD_CURVE
+
+        rng = random.Random(11)
+        tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
+        secret = tree.field.element(1234567)
+        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        assert {rec.threshold for rec in shares.values()} == {2}
+        raised = sample_polynomial(random.Random(5), 3, tree.field.zero)
+        commitments = tuple(
+            scalar_mul(c, tree.curve.base_point) for c in raised.coefficients[1:]
+        )
+
+        def raise_degree(bundle):
+            point = shares[bundle.recipient].eval_point
+            return replace(
+                bundle, delta=poly_eval(raised, point), commitments=commitments
+            )
+
+        outcome = renewal_round(tree, shares, 1, rng, perturb=raise_degree)
+        assert outcome.discarded == (ROOT_ID,)
+        assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
+        assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
+        assert all(rec.epoch == 0 for rec in outcome.shares.values())
+        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
+
     def test_false_claims_below_bound_blame_claimers(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(1, 2)
@@ -346,12 +377,3 @@ class TestStalenessAcrossEpochs:
                                 counts[c] += 1
         assert len(set(counts.values())) == 1
         assert counts[secret.value] > 0
-
-
-class TestEpochClock:
-    def test_advance_per_subtree(self):
-        clock = EpochClock()
-        clock.advance(ROOT_ID)
-        clock.advance(ROOT_ID)
-        clock.advance(4)
-        assert clock.epochs == {ROOT_ID: 2, 4: 1}

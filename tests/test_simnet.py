@@ -1,9 +1,15 @@
 """World stepping, adversary strategies, and report determinism."""
 
 import json
+from dataclasses import replace
 
+import pytest
+
+from hiershare.algebra import FieldParams
 from hiershare.config import parse_scenario
-from hiershare.simnet import World
+from hiershare.errors import InvariantViolation
+from hiershare.sharing import minimal_reconstructing_set
+from hiershare.simnet import StolenShare, World
 
 
 def spec_dict(nested):
@@ -71,7 +77,6 @@ class TestHonestRuns:
         world = World(scenario(epochs=3))
         world.run()
         assert {rec.epoch for rec in world.shares.values()} == {3}
-        assert set(world.clock.epochs.values()) == {3}
 
 
 class TestDeterminism:
@@ -89,13 +94,20 @@ class TestDeterminism:
             r.value for r in w2.shares.values()
         ]
 
-    def test_envelopes_delivered_within_epoch(self):
+    def test_run_leaves_no_envelopes(self):
         world = World(scenario(epochs=4))
         world.run()
-        per = world.config.ticks_per_epoch
-        assert world.envelopes
-        for env in world.envelopes:
-            assert env.epoch * per <= env.delivered_tick < (env.epoch + 1) * per
+        assert world.envelopes == []
+
+    def test_row_counts_and_drains_the_epochs_envelopes(self):
+        world = World(scenario(epochs=4))
+        world.initial_deal()
+        world.send("claim", 1, (0,), None, False)
+        row = world.step_epoch()
+        # The extra claim plus three sealed renewal deltas.
+        assert row["messages"] == {"claim": 1, "renewal-delta": 3}
+        assert row["messages_total"] == 4
+        assert world.envelopes == []
 
 
 class TestAdversaryObservation:
@@ -336,3 +348,70 @@ class TestEvents:
         # Finished: dealt to pre-leave membership, then deactivated.
         assert 3 in world.shares
         assert not world.tree.nodes[3].active
+
+
+class TestDeepTrees:
+    def test_600_deep_chain_runs_and_reconstructs(self):
+        depth = 600
+        tree = {"children": []}
+        for _ in range(depth):
+            tree = {"children": [tree]}
+        world = World(scenario(tree=tree, epochs=2))
+        report = world.run()
+        assert report.final["reconstruction_correct"] is True
+        assert all(row["secret_intact"] for row in report.rows)
+        assert minimal_reconstructing_set(world.tree, world.shares) == list(
+            range(1, depth + 1)
+        )
+
+
+class TestInvariants:
+    """Each rule of ``World._check_invariants`` fails on the one piece of
+    corrupted state it guards."""
+
+    def dealt_world(self, **overrides):
+        world = World(scenario(**overrides))
+        world.initial_deal()
+        world._check_invariants()
+        return world
+
+    def violated(self, world):
+        with pytest.raises(InvariantViolation) as info:
+            world._check_invariants()
+        return info.value
+
+    def test_single_share_per_user(self):
+        world = self.dealt_world()
+        world.shares[2] = world.shares[1]
+        assert self.violated(world).invariant == "single-share-per-user"
+
+    def test_single_field_modulus(self):
+        world = self.dealt_world()
+        world.shares[1] = replace(world.shares[1], value=FieldParams(1013).element(1))
+        assert self.violated(world).invariant == "single-field-modulus"
+
+    def test_group_key_x_distinct(self):
+        world = self.dealt_world(
+            field_mode="curve-order", curve="toy", field_prime=None,
+            eval_mode="round-key", secret="3",
+        )
+        keys = world.tree.server_group_keys
+        keys[2] = keys[1]
+        assert self.violated(world).invariant == "group-key-x-distinct"
+
+    def test_no_oracle_leakage_tokens(self):
+        world = self.dealt_world()
+        world.adversary.stolen_tokens[1] = world.tree.nodes[1].reg_token
+        violation = self.violated(world)
+        assert violation.invariant == "no-oracle-leakage"
+        assert "token" in violation.detail
+
+    def test_no_oracle_leakage_shares(self):
+        world = self.dealt_world()
+        record = world.shares[1]
+        world.adversary.stolen_shares[(record.round_id, record.epoch, 1)] = StolenShare(
+            round_id=record.round_id, epoch=record.epoch, record=record
+        )
+        violation = self.violated(world)
+        assert violation.invariant == "no-oracle-leakage"
+        assert "share" in violation.detail
