@@ -3,7 +3,8 @@
 The server sits at the root (level 0) and every user hangs below it; a
 child's level is its parent's plus one. Registration-token delivery is out
 of band by definition (it never crosses the simulated network), so
-``register`` writes the token straight into node and server state.
+``register`` writes the token straight into the node. The group key is
+stored once, on the node; the server reads it there.
 
 The tree is a single mutable state owned by the simulation loop; all
 mutations happen on one logical thread.
@@ -12,7 +13,7 @@ mutations happen on one logical thread.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import FieldParams
 from .curve import CurveParams, CurvePoint, OffCurve, scalar_mul
@@ -23,7 +24,7 @@ ROOT_ID = 0
 
 
 class ParentInactive(HierShareError):
-    """Registration under a missing or inactive parent."""
+    """Registration or rejoin under a missing or inactive parent."""
 
 
 class TreeFull(HierShareError):
@@ -52,17 +53,21 @@ class PositionOccupied(HierShareError):
 
 @dataclass
 class HierarchyNode:
-    """One user slot: identity, secret token, keys, and tree links."""
+    """One user slot: identity, secret token, keys, and parent link. A
+    slot is vacant (its member left) while its token is None."""
 
     id: int
     parent: int
-    children: list[int] = field(default_factory=list)
     reg_token: int | None = None
     group_key: CurvePoint | None = None
     round_key: CurvePoint | None = None
-    active: bool = True
-    departed: bool = False
     deactivated_by: int | None = None
+
+    @property
+    def active(self) -> bool:
+        """A node is inactive exactly while a leave (its own or an
+        ancestor's) blocks it."""
+        return self.deactivated_by is None
 
 
 @dataclass
@@ -85,8 +90,8 @@ class HierarchyTree:
         self.curve = curve
         self.field = field_params
         self.nodes: dict[int, HierarchyNode] = {}
-        # The server's own copy of each member's group key; dropped on leave.
-        self.server_group_keys: dict[int, CurvePoint] = {}
+        # Children of every node (the root included), in id order.
+        self.children: dict[int, list[int]] = {ROOT_ID: []}
         self._next_id = 1
         self._round_count = 0
 
@@ -122,9 +127,10 @@ class HierarchyTree:
         return depth
 
     def children_of(self, node_id: int) -> list[int]:
-        if node_id == ROOT_ID:
-            return sorted(n.id for n in self.nodes.values() if n.parent == ROOT_ID)
-        return list(self.node(node_id).children)
+        try:
+            return list(self.children[node_id])
+        except KeyError:
+            raise UnknownUser(f"no user {node_id}") from None
 
     def active_children(self, node_id: int) -> list[int]:
         return [c for c in self.children_of(node_id) if self.nodes[c].active]
@@ -134,12 +140,10 @@ class HierarchyTree:
 
     def subtree(self, user_id: int) -> list[int]:
         """The node and all its descendants, in BFS order."""
+        self.node(user_id)
         out = [user_id]
-        queue = list(self.node(user_id).children)
-        while queue:
-            current = queue.pop(0)
-            out.append(current)
-            queue.extend(self.node(current).children)
+        for current in out:
+            out.extend(self.children[current])
         return out
 
     def levels(self) -> dict[int, list[int]]:
@@ -150,7 +154,7 @@ class HierarchyTree:
         return grouped
 
     def used_x_coordinates(self) -> set[int]:
-        return {key.x for key in self.server_group_keys.values()}
+        return {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
 
     # -- token sampling ---------------------------------------------------
 
@@ -173,22 +177,23 @@ class HierarchyTree:
 
     # -- membership operations --------------------------------------------
 
+    def insert(self, node: HierarchyNode) -> None:
+        """Add a node below its (already present) parent; nodes must arrive
+        in id order, so every child list stays sorted."""
+        self.nodes[node.id] = node
+        self.children[node.id] = []
+        self.children[node.parent].append(node.id)
+
     def register(self, parent: int, rng: random.Random) -> HierarchyNode:
-        """Join under ``parent``: fresh id, fresh secret token, group key
-        stored by both the node and the server."""
-        if parent != ROOT_ID:
-            node = self.node(parent)
-            if not node.active:
-                raise ParentInactive(f"parent {parent} is inactive")
+        """Join under ``parent``: fresh id, fresh secret token, and the
+        group key the node and the server both know."""
+        if not self.is_active(parent):
+            raise ParentInactive(f"parent {parent} is inactive")
         token, key = self._sample_token(rng)
         user_id = self._next_id
         self._next_id += 1
         fresh = HierarchyNode(id=user_id, parent=parent, reg_token=token, group_key=key)
-        self.nodes[user_id] = fresh
-        if parent != ROOT_ID:
-            self.nodes[parent].children.append(user_id)
-        if key is not None:
-            self.server_group_keys[user_id] = key
+        self.insert(fresh)
         return fresh
 
     def leave(self, user_id: int) -> set[int]:
@@ -201,31 +206,25 @@ class HierarchyTree:
         for uid in self.subtree(user_id):
             node = self.nodes[uid]
             if node.active:
-                node.active = False
                 node.deactivated_by = user_id
                 node.round_key = None
                 deactivated.add(uid)
-        leaver.departed = True
         leaver.reg_token = None
         leaver.group_key = None
-        self.server_group_keys.pop(user_id, None)
         return deactivated
 
     def rejoin(self, position: int, rng: random.Random) -> int:
         """Fill a vacated slot with a fresh member; the subtree that was
-        blocked by that leave becomes active again."""
+        blocked by that leave becomes active again. Like registration, it
+        needs an active parent."""
         slot = self.node(position)
-        if not slot.departed:
+        if slot.reg_token is not None:
             raise PositionOccupied(f"slot {position} is not vacant")
-        token, key = self._sample_token(rng)
-        slot.reg_token = token
-        slot.group_key = key
-        slot.departed = False
-        if key is not None:
-            self.server_group_keys[position] = key
+        if not self.is_active(slot.parent):
+            raise ParentInactive(f"parent {slot.parent} is inactive")
+        slot.reg_token, slot.group_key = self._sample_token(rng)
         for node in self.nodes.values():
             if node.deactivated_by == position:
-                node.active = True
                 node.deactivated_by = None
         return position
 

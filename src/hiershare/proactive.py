@@ -224,15 +224,12 @@ class RenewalOutcome:
     shares: dict[int, ShareRecord]
     claims: tuple[ClaimRecord, ...]
     verdicts: tuple[Verdict, ...]
-    message_count: int
-    advanced: tuple[int, ...]
-    discarded: tuple[int, ...]
 
 
 def subtree_roots(tree: HierarchyTree, shares: dict[int, ShareRecord]) -> list[int]:
     """The 2-leveled subtrees that renew: the server and every active user
     with at least one dealt active child, in id order."""
-    roots = [ROOT_ID] + [u for u in tree.active_users() if tree.active_children(u)]
+    roots = [ROOT_ID] + tree.active_users()
     return [r for r in roots if any(c in shares for c in tree.active_children(r))]
 
 
@@ -264,8 +261,8 @@ def renewal_round(
     are returned for the caller to act on (cleansing is the simulation's
     job, since it owns the adversary).
 
-    One sealed delta per dealt child plus, in curve mode, one commitment
-    multicast per subtree root; the returned count is exactly that.
+    Traffic goes through ``on_message``: one sealed delta per dealt child
+    plus, in curve mode, one commitment multicast per subtree root.
     """
     roots = subtree_roots(tree, shares)
     if subtree_order is not None:
@@ -277,9 +274,6 @@ def renewal_round(
     entropy = rng.getrandbits(64)
     new_shares = dict(shares)
     claims: list[ClaimRecord] = list(extra_claims)
-    messages = 0
-    advanced: list[int] = []
-    discarded: list[int] = []
 
     for root in roots:
         kids = [c for c in tree.active_children(root) if c in shares]
@@ -291,18 +285,13 @@ def renewal_round(
         subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
         bundles = generate_renewal(tree, shares, root, group_epochs.pop(), subtree_rng)
 
-        if tree.curve is not None:
-            messages += 1
-            if on_message is not None:
-                on_message(
-                    "commitments", root, tuple(kids), bundles[0].commitments, False
-                )
+        if tree.curve is not None and on_message is not None:
+            on_message("commitments", root, tuple(kids), bundles[0].commitments, False)
 
         delivered: list[tuple[ShareRecord, RenewalBundle, bool]] = []
         for bundle in bundles:
             if perturb is not None:
                 bundle = perturb(bundle)
-            messages += 1
             if on_message is not None:
                 on_message(
                     "renewal-delta", root, (bundle.recipient,), bundle, True
@@ -313,7 +302,6 @@ def renewal_round(
 
         refused = [rec.owner for rec, _, ok in delivered if not ok]
         if refused:
-            discarded.append(root)
             claims.extend(file_claim(tree, child, root, epoch) for child in refused)
             if on_message is not None:
                 for child in refused:
@@ -321,7 +309,6 @@ def renewal_round(
             continue
         for rec, bundle, _ in delivered:
             new_shares[rec.owner] = apply_renewal(rec, bundle)
-        advanced.append(root)
 
     if on_message is not None:
         for claim in extra_claims:
@@ -345,7 +332,4 @@ def renewal_round(
         shares=new_shares,
         claims=tuple(claims),
         verdicts=tuple(verdicts),
-        message_count=messages,
-        advanced=tuple(advanced),
-        discarded=tuple(discarded),
     )

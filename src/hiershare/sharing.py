@@ -127,17 +127,18 @@ class ShareRecord:
 
 @dataclass
 class DealerState:
-    """Server-side dealing state: the secret, per-group polynomials, and the
-    retained halves of internal nodes' evaluations.
+    """Server-side dealing state: the secret and one polynomial per group,
+    keyed by the group's parent (the root's has the secret as its free
+    coefficient).
 
-    Retained parts never leave the server except indirectly, through the
-    shares dealt to the owning node's children.
+    The free coefficient of an internal node's polynomial is the part of
+    that node's evaluation the server retains; it never leaves the server
+    except indirectly, through the shares dealt to the node's children. A
+    group's threshold is its polynomial's degree plus one.
     """
 
     secret: FieldElement
-    threshold_root: int | None = None
     polynomials: dict[int, Polynomial] = field(default_factory=dict)
-    retained: dict[int, FieldElement] = field(default_factory=dict)
 
 
 def assign_eval_points(
@@ -198,20 +199,15 @@ def distribute(
     if not level1:
         raise InactiveSubtree("no active level-1 users")
     for uid in tree.active_users():
-        node = tree.nodes[uid]
-        if node.children and not tree.active_children(uid):
+        if tree.children[uid] and not tree.active_children(uid):
             raise InactiveSubtree(
                 f"internal node {uid} has no active children; a leave blocked the round"
             )
 
     points = assign_eval_points(tree, eval_mode)
 
-    dealer.threshold_root = compute_threshold(tf, len(level1))
-    dealer.polynomials = {
-        ROOT_ID: sample_polynomial(rng, dealer.threshold_root - 1, dealer.secret)
-    }
-    dealer.retained = {}
-    group_threshold: dict[int, int] = {ROOT_ID: dealer.threshold_root}
+    root_degree = compute_threshold(tf, len(level1)) - 1
+    dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret)}
 
     shares: dict[int, ShareRecord] = {}
     by_level = tree.levels()
@@ -223,11 +219,8 @@ def distribute(
             kids = tree.active_children(uid)
             if kids:
                 kept, retained = split(evaluation, rng)
-                dealer.retained[uid] = retained
-                threshold = compute_threshold(tf, len(kids))
-                group_threshold[uid] = threshold
                 dealer.polynomials[uid] = sample_polynomial(
-                    rng, threshold - 1, retained
+                    rng, compute_threshold(tf, len(kids)) - 1, retained
                 )
             else:
                 kept = evaluation
@@ -235,7 +228,7 @@ def distribute(
                 owner=uid,
                 eval_point=points[uid],
                 value=kept,
-                threshold=group_threshold[node.parent],
+                threshold=parent_poly.degree + 1,
                 round_id=round_state.round_id,
                 epoch=0,
                 split=bool(kids),
@@ -299,15 +292,15 @@ def _groups_children_first(
     top: int,
     eligible: Collection[int],
 ) -> list[tuple[int, list[int]]]:
-    """(group parent, its active children in ``eligible``) for ``top`` and
-    for every split member below it, children before parents: the order a
+    """(group parent, its children in ``eligible``) for ``top`` and for
+    every split member below it, children before parents: the order a
     left-to-right recursive climb finishes groups in. Iterative, so tree
     depth is not bounded by the interpreter's stack."""
     order: list[tuple[int, list[int]]] = []
     pending = [top]
     while pending:
         gid = pending.pop()
-        kids = [c for c in tree.active_children(gid) if c in eligible]
+        kids = [c for c in tree.children_of(gid) if c in eligible]
         order.append((gid, kids))
         pending.extend(kid for kid in kids if shares[kid].split)
     order.reverse()
@@ -329,10 +322,12 @@ def knowledge_closure(
 ) -> bool:
     """Whether a coalition can derive the root secret from its shares alone.
 
-    Fixpoint over the derivation rules: a group's retained value becomes
-    known once threshold-many child contributions are known; an internal
-    member's contribution becomes known once both its kept part and its
-    retained value are known. No server-retained values are assumed.
+    One children-first pass over the coalition's groups: a group's value
+    (its parent's retained part, or the secret at the root) is known once
+    threshold-many of its coalition children contribute, where an unsplit
+    child contributes its share and a split child contributes once its own
+    group is known. Members count even if they have left since their share
+    was taken. No server-retained values are assumed.
     """
     if not coalition:
         return False
@@ -340,31 +335,14 @@ def knowledge_closure(
     if len(epochs) > 1:
         raise MixedEpochs(f"coalition spans epochs {sorted(epochs)}")
 
-    members = set(coalition)
-    group_known: set[int] = set()
-    candidates = {tree.node(uid).parent for uid in members} | {ROOT_ID}
-
-    def contribution_known(uid: int) -> bool:
-        rec = coalition.get(uid)
-        if rec is None:
-            return False
-        return (not rec.split) or uid in group_known
-
-    changed = True
-    while changed:
-        changed = False
-        for gid in sorted(candidates):
-            if gid in group_known:
-                continue
-            kids = [uid for uid in members if tree.node(uid).parent == gid]
-            known = [uid for uid in kids if contribution_known(uid)]
-            if not known:
-                continue
-            need = coalition[known[0]].threshold
-            if len(known) >= need:
-                group_known.add(gid)
-                changed = True
-    return ROOT_ID in group_known
+    known: set[int] = set()
+    for gid, kids in _groups_children_first(tree, coalition, ROOT_ID, coalition):
+        contributors = [
+            kid for kid in kids if not coalition[kid].split or kid in known
+        ]
+        if contributors and len(contributors) >= coalition[contributors[0]].threshold:
+            known.add(gid)
+    return ROOT_ID in known
 
 
 def minimal_reconstructing_set(
@@ -373,8 +351,9 @@ def minimal_reconstructing_set(
     """A cheapest participant set that reconstructs the secret: per group,
     the threshold-many children with the smallest subtree quorum cost.
     Deterministic (ties break by id)."""
+    holders = {uid for uid in shares if tree.is_active(uid)}
     quorum: dict[int, tuple[int, list[int]]] = {}
-    for gid, kids in _groups_children_first(tree, shares, ROOT_ID, shares):
+    for gid, kids in _groups_children_first(tree, shares, ROOT_ID, holders):
         priced = []
         for kid in kids:
             sub_total, sub_chosen = quorum[kid] if shares[kid].split else (0, [])

@@ -69,22 +69,13 @@ class Envelope:
 
 
 @dataclass
-class StolenShare:
-    """A share value copied off a compromised host, tagged with the round
-    and epoch it was valid for."""
-
-    round_id: int
-    epoch: int
-    record: ShareRecord
-
-
-@dataclass
 class AdversaryState:
     """Mobile adversary: strategy, occupation, and accumulated knowledge.
 
     Stolen knowledge persists across cleanses (what was copied stays
     copied); tokens and shares may only ever belong to nodes that were
-    compromised at some point, which the run asserts every epoch.
+    compromised at some point, which the run asserts every epoch. Stolen
+    shares are keyed by (round, epoch, owner) of the record.
     """
 
     strategy: str
@@ -93,7 +84,7 @@ class AdversaryState:
     script: tuple[dict, ...] = ()
     occupied: set[int] = field(default_factory=set)
     compromise_epochs: dict[int, int] = field(default_factory=dict)
-    stolen_shares: dict[tuple[int, int, int], StolenShare] = field(default_factory=dict)
+    stolen_shares: dict[tuple[int, int, int], ShareRecord] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
     observed_commitments: int = 0
     cursor: int = 0
@@ -101,6 +92,10 @@ class AdversaryState:
     @property
     def ever_compromised(self) -> set[int]:
         return set(self.compromise_epochs)
+
+
+def steal_share(adv: AdversaryState, record: ShareRecord) -> None:
+    adv.stolen_shares[(record.round_id, record.epoch, record.owner)] = record
 
 
 def adversary_observe(adv: AdversaryState, envelope: Envelope) -> None:
@@ -111,11 +106,7 @@ def adversary_observe(adv: AdversaryState, envelope: Envelope) -> None:
         for recipient in envelope.recipients:
             if recipient in adv.occupied:
                 if envelope.kind == "share" and isinstance(envelope.payload, ShareRecord):
-                    record = envelope.payload
-                    key = (record.round_id, record.epoch, record.owner)
-                    adv.stolen_shares[key] = StolenShare(
-                        round_id=record.round_id, epoch=record.epoch, record=record
-                    )
+                    steal_share(adv, envelope.payload)
     elif envelope.kind == "commitments":
         adv.observed_commitments += 1
 
@@ -335,10 +326,8 @@ class World:
         """Whether any single-(round, epoch) slice of the stolen shares
         reaches the secret via the knowledge closure."""
         slices: dict[tuple[int, int], dict[int, ShareRecord]] = {}
-        for stolen in self.adversary.stolen_shares.values():
-            slices.setdefault((stolen.round_id, stolen.epoch), {})[
-                stolen.record.owner
-            ] = stolen.record
+        for (round_id, epoch, owner), record in self.adversary.stolen_shares.items():
+            slices.setdefault((round_id, epoch), {})[owner] = record
         return any(
             knowledge_closure(self.tree, members)
             for _key, members in sorted(slices.items())
@@ -422,10 +411,7 @@ class World:
                 self.adversary.stolen_tokens[uid] = node.reg_token
             record = self.shares.get(uid)
             if record is not None:
-                key = (record.round_id, record.epoch, uid)
-                self.adversary.stolen_shares[key] = StolenShare(
-                    round_id=record.round_id, epoch=record.epoch, record=record
-                )
+                steal_share(self.adversary, record)
 
     def _cleanse(self, verdicts) -> list[int]:
         cleansed = []
@@ -449,7 +435,7 @@ class World:
         for rec in self.shares.values():
             if rec.value.params != self.field or rec.eval_point.params != self.field:
                 raise InvariantViolation("single-field-modulus")
-        xs = [key.x for key in self.tree.server_group_keys.values()]
+        xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
         if len(xs) != len(set(xs)):
             raise InvariantViolation("group-key-x-distinct")
         ever = self.adversary.ever_compromised
@@ -457,8 +443,8 @@ class World:
             raise InvariantViolation(
                 "no-oracle-leakage", "token of a never-compromised node"
             )
-        for stolen in self.adversary.stolen_shares.values():
-            if stolen.record.owner not in ever:
+        for _round, _epoch, owner in self.adversary.stolen_shares:
+            if owner not in ever:
                 raise InvariantViolation(
                     "no-oracle-leakage", "share of a never-compromised node"
                 )

@@ -6,10 +6,15 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch envelope scratch log is empty,
 so no envelope is stored.
 
+Format 3 stores each fact once. Child lists are rebuilt from the parent
+links on load, a node's activity from its ``deactivated_by``, and the
+server's retained parts are the free coefficients of the dealing
+polynomials.
+
 A snapshot holds every secret in the clear: the dealer secret, the
-dealing polynomials, the retained parts, every share and every
-registration token. Protect the file like the secret itself. Only a
-round's server scalar is never persisted, since it dies when its round
+dealing polynomials (and with them the retained parts), every share and
+every registration token. Protect the file like the secret itself. Only
+a round's server scalar is never persisted, since it dies when its round
 completes.
 """
 
@@ -24,9 +29,9 @@ from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import DealerState, Polynomial, ShareRecord
-from .simnet import AdversaryState, SimReport, StolenShare, World
+from .simnet import AdversaryState, SimReport, World, steal_share
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 class VersionMismatch(HierShareError):
@@ -91,12 +96,9 @@ def world_to_dict(world: World) -> dict:
             {
                 "id": node.id,
                 "parent": node.parent,
-                "children": list(node.children),
                 "reg_token": None if node.reg_token is None else str(node.reg_token),
                 "group_key": _point_out(node.group_key),
                 "round_key": _point_out(node.round_key),
-                "active": node.active,
-                "departed": node.departed,
                 "deactivated_by": node.deactivated_by,
             }
         )
@@ -111,23 +113,14 @@ def world_to_dict(world: World) -> dict:
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
         "tree": {
             "nodes": nodes,
-            "server_group_keys": {
-                str(uid): _point_out(key)
-                for uid, key in sorted(world.tree.server_group_keys.items())
-            },
             "next_id": world.tree._next_id,
             "round_count": world.tree._round_count,
         },
         "dealer": {
             "secret": str(world.dealer.secret.value),
-            "threshold_root": world.dealer.threshold_root,
             "polynomials": {
                 str(gid): [str(c.value) for c in poly.coefficients]
                 for gid, poly in sorted(world.dealer.polynomials.items())
-            },
-            "retained": {
-                str(uid): str(value.value)
-                for uid, value in sorted(world.dealer.retained.items())
             },
         },
         "shares": {str(uid): _record_out(rec) for uid, rec in sorted(world.shares.items())},
@@ -135,8 +128,7 @@ def world_to_dict(world: World) -> dict:
             "occupied": sorted(adv.occupied),
             "compromise_epochs": {str(k): v for k, v in sorted(adv.compromise_epochs.items())},
             "stolen_shares": [
-                {"round_id": s.round_id, "epoch": s.epoch, "record": _record_out(s.record)}
-                for _key, s in sorted(adv.stolen_shares.items())
+                _record_out(rec) for _key, rec in sorted(adv.stolen_shares.items())
             ],
             "stolen_tokens": {
                 str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
@@ -163,37 +155,26 @@ def world_from_dict(data: dict) -> World:
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
     tree = HierarchyTree(world.curve, world.field)
-    for node_data in data["tree"]["nodes"]:
-        uid = node_data["id"]
-        tree.nodes[uid] = HierarchyNode(
-            id=uid,
-            parent=node_data["parent"],
-            children=list(node_data["children"]),
-            reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
-            group_key=_point_in(node_data["group_key"], world),
-            round_key=_point_in(node_data["round_key"], world),
-            active=node_data["active"],
-            departed=node_data["departed"],
-            deactivated_by=node_data["deactivated_by"],
+    for node_data in sorted(data["tree"]["nodes"], key=lambda n: n["id"]):
+        tree.insert(
+            HierarchyNode(
+                id=node_data["id"],
+                parent=node_data["parent"],
+                reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
+                group_key=_point_in(node_data["group_key"], world),
+                round_key=_point_in(node_data["round_key"], world),
+                deactivated_by=node_data["deactivated_by"],
+            )
         )
-    tree.server_group_keys = {
-        int(uid): _point_in(key, world)
-        for uid, key in data["tree"]["server_group_keys"].items()
-    }
     tree._next_id = data["tree"]["next_id"]
     tree._round_count = data["tree"]["round_count"]
     world.tree = tree
 
     dealer_data = data["dealer"]
     dealer = DealerState(secret=world.field.element(int(dealer_data["secret"])))
-    dealer.threshold_root = dealer_data["threshold_root"]
     dealer.polynomials = {
         int(gid): Polynomial(tuple(world.field.element(int(c)) for c in coeffs))
         for gid, coeffs in dealer_data["polynomials"].items()
-    }
-    dealer.retained = {
-        int(uid): world.field.element(int(v))
-        for uid, v in dealer_data["retained"].items()
     }
     world.dealer = dealer
 
@@ -213,11 +194,7 @@ def world_from_dict(data: dict) -> World:
         int(k): v for k, v in adv_data["compromise_epochs"].items()
     }
     for item in adv_data["stolen_shares"]:
-        record = _record_in(item["record"], world)
-        key = (item["round_id"], item["epoch"], record.owner)
-        adversary.stolen_shares[key] = StolenShare(
-            round_id=item["round_id"], epoch=item["epoch"], record=record
-        )
+        steal_share(adversary, _record_in(item, world))
     adversary.stolen_tokens = {
         int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
     }

@@ -58,7 +58,9 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
     dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
 
     groups = [(ROOT_ID, dealer.secret)] + [
-        (uid, dealer.retained[uid]) for uid in sorted(dealer.retained)
+        (uid, dealer.polynomials[uid].free_coefficient)
+        for uid in sorted(dealer.polynomials)
+        if uid != ROOT_ID
     ]
     checked_quorums = 0
     checked_subquorums = 0

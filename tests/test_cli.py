@@ -113,6 +113,34 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "reconstruction-correct" in capsys.readouterr().err
 
+    def test_rejoin_under_departed_parent_exits_two(self, tmp_path, capsys):
+        scenario = {
+            "schema_version": 1,
+            "name": "orphan-rejoin",
+            "field_mode": "no-curve",
+            "field_prime": "1009",
+            "tf": {"num": 2, "den": 3},
+            # 1 -> {3 -> {5}, 4}, 2
+            "tree": {"children": [
+                {"children": [{"children": [{}]}, {}]}, {},
+            ]},
+            "secret": "4",
+            "epochs": 3,
+            "seed": "1",
+            "events": [
+                {"epoch": 1, "kind": "leave", "user": 3},
+                {"epoch": 2, "kind": "leave", "user": 1},
+                {"epoch": 3, "kind": "rejoin", "user": 3},
+                {"epoch": 3, "kind": "redeal"},
+            ],
+        }
+        path = tmp_path / "orphan.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: parent 1 is inactive" in err
+        assert "Traceback" not in err
+
     def test_scripted_corruptor_exits_zero_with_verdicts(self, tmp_path):
         scenario = {
             "schema_version": 1,
@@ -228,20 +256,27 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
+        """Formats 1 and 2 are both refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
         world.initial_deal()
         path = tmp_path / "w.snapshot"
         save_world(world, path)
-        data = json.loads(path.read_text())
-        # Format 1 also stored a tick clock and a redaction flag.
-        data["body"].update(snapshot_version=1, redacted=False)
-        canonical = json.dumps(data["body"], sort_keys=True, separators=(",", ":"))
-        data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-        path.write_text(json.dumps(data))
-        with pytest.raises(VersionMismatch):
-            load_world(path)
+        current = json.loads(path.read_text())["body"]
+        # Format 1 also stored a tick clock and a redaction flag; format 2
+        # stored copies (child lists, server group keys, retained parts).
+        old_fields = {
+            1: {"redacted": False},
+            2: {"tree": dict(current["tree"], server_group_keys={})},
+        }
+        for version, extra in old_fields.items():
+            body = dict(current, snapshot_version=version, **extra)
+            canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+            checksum = hashlib.sha256(canonical.encode()).hexdigest()
+            path.write_text(json.dumps({"checksum": checksum, "body": body}))
+            with pytest.raises(VersionMismatch):
+                load_world(path)
 
     def test_mid_epoch_snapshot_refused(self, tmp_path):
         import hashlib

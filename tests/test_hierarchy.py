@@ -191,9 +191,9 @@ class TestLeaveAndRejoin:
     def test_server_drops_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
         toy_tree.register(ROOT_ID, rng)
-        assert node.id in toy_tree.server_group_keys
+        assert node.group_key is not None
         toy_tree.leave(node.id)
-        assert node.id not in toy_tree.server_group_keys
+        assert node.group_key is None
 
     def test_unknown_and_double_leave(self, toy_tree, rng):
         with pytest.raises(UnknownUser):
@@ -233,6 +233,21 @@ class TestLeaveAndRejoin:
         toy_tree.rejoin(mid.id, rng)
         assert toy_tree.nodes[leaf.id].active
 
+    def test_rejoin_under_inactive_parent_refused(self, rng):
+        # 1 -> {3 -> {5}, 4}, 2: 3 leaves, then its parent 1 leaves.
+        tree = HierarchyTree.without_curve(1009)
+        for parent in (ROOT_ID, ROOT_ID, 1, 1, 3):
+            tree.register(parent, rng)
+        tree.leave(3)
+        tree.leave(1)
+        with pytest.raises(ParentInactive):
+            tree.rejoin(3, rng)
+        assert tree.nodes[3].reg_token is None
+        assert not tree.nodes[5].active
+        tree.rejoin(1, rng)
+        tree.rejoin(3, rng)
+        assert tree.active_users() == [1, 2, 3, 4, 5]
+
 
 class TestInvariants:
     def test_levels_follow_parent_links(self, toy_tree, rng):
@@ -264,5 +279,5 @@ class TestInvariants:
             elif departed:
                 uid = departed.pop(rng.randrange(len(departed)))
                 tree.rejoin(uid, rng)
-            xs = [key.x for key in tree.server_group_keys.values()]
+            xs = [n.group_key.x for n in tree.nodes.values() if n.group_key is not None]
             assert len(xs) == len(set(xs))

@@ -213,12 +213,12 @@ class TestRenewalRound:
         tree, _dealer, shares, secret = toy_dealt_tree(
             rng, [[[], []], [[], []]], tf(1, 2), secret_value=3
         )
-        outcome = renewal_round(tree, shares, 1, rng)
+        sent = []
+        outcome = renewal_round(tree, shares, 1, rng, on_message=lambda *m: sent.append(m))
         # 6 users -> 6 sealed deltas; 3 subtree roots -> 3 multicasts.
-        assert outcome.message_count == 6 + 3
+        assert len(sent) == 6 + 3
         assert outcome.verdicts == ()
         assert outcome.claims == ()
-        assert sorted(outcome.advanced) == [ROOT_ID, 1, 2]
         assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
         assert all(rec.epoch == 1 for rec in outcome.shares.values())
 
@@ -237,13 +237,18 @@ class TestRenewalRound:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[[], []], [[], []]], tf(1, 2)
         )
-        straight = renewal_round(tree, dict(shares), 1, random.Random(31))
+        straight_sent, shuffled_sent = [], []
+        straight = renewal_round(
+            tree, dict(shares), 1, random.Random(31),
+            on_message=lambda *m: straight_sent.append(m),
+        )
         shuffled = renewal_round(
             tree, dict(shares), 1, random.Random(31),
             subtree_order=[2, ROOT_ID, 1],
+            on_message=lambda *m: shuffled_sent.append(m),
         )
         assert straight.shares == shuffled.shares
-        assert straight.message_count == shuffled.message_count
+        assert len(straight_sent) == len(shuffled_sent)
 
     def test_corrupting_parent_detected_and_discarded(self, rng):
         tree, _dealer, shares, secret = toy_dealt_tree(
@@ -256,7 +261,6 @@ class TestRenewalRound:
             return bundle
 
         outcome = renewal_round(tree, shares, 1, rng, perturb=corrupt_node_one)
-        assert outcome.discarded == (1,)
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
         # 3 honest children, n=3, k=1: 3 >= 2 claims convict the parent.
@@ -294,7 +298,6 @@ class TestRenewalRound:
             )
 
         outcome = renewal_round(tree, shares, 1, rng, perturb=raise_degree)
-        assert outcome.discarded == (ROOT_ID,)
         assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
         assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
@@ -316,8 +319,9 @@ class TestRenewalRound:
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = tree.field.element(400)
         _dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        outcome = renewal_round(tree, shares, 1, rng)
-        assert outcome.message_count == len(shares)
+        sent = []
+        outcome = renewal_round(tree, shares, 1, rng, on_message=lambda *m: sent.append(m))
+        assert [m[0] for m in sent] == ["renewal-delta"] * len(shares)
         assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import deal, make_tree, random_tree_spec, tf
 
 from hiershare.algebra import poly_eval
+from hiershare.hierarchy import ROOT_ID
 from hiershare.sharing import (
     EVAL_USER_ID,
     DealerState,
@@ -81,7 +82,7 @@ class TestDistribute:
         tree = make_tree([[]], rng, curve=toy)
         secret = tree.field.element(11)
         dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        assert dealer.threshold_root == 1
+        assert dealer.polynomials[ROOT_ID].degree + 1 == 1
         record = shares[1]
         assert not record.split
         assert record.value == secret
@@ -92,12 +93,12 @@ class TestDistribute:
         secret = tree.field.element(13)
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         assert reconstruct(tree, shares, list(shares)) == secret
-        assert dealer.threshold_root == compute_threshold(tf(1, 2), 2)
+        assert dealer.polynomials[ROOT_ID].degree + 1 == compute_threshold(tf(1, 2), 2)
 
     def test_threshold_root_counts_level_one_users(self, rng):
         tree = make_tree([[], [], [], []], rng, prime=1009)
         dealer, _state, _shares = deal(tree, tree.field.element(5), tf(1, 2), rng)
-        assert dealer.threshold_root == 2
+        assert dealer.polynomials[ROOT_ID].degree + 1 == 2
 
     def test_every_user_holds_exactly_one_share(self, rng):
         tree = make_tree([[[], []], [[]], []], rng, prime=1009)
@@ -122,7 +123,7 @@ class TestDistribute:
             if rec.split:
                 parent = tree.nodes[uid].parent
                 whole = poly_eval(dealer.polynomials[parent], rec.eval_point)
-                assert rec.value + dealer.retained[uid] == whole
+                assert rec.value + dealer.polynomials[uid].free_coefficient == whole
 
     def test_no_active_level_one_users(self, rng):
         tree = make_tree([[]], rng, prime=1009)
@@ -202,7 +203,7 @@ class TestReconstruct:
         secret = tree.field.element(321)
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         value = recover_group_secret(tree, shares, list(shares), 1)
-        assert value == dealer.retained[1]
+        assert value == dealer.polynomials[1].free_coefficient
 
     def test_inactive_participants_ignored(self, rng):
         tree = make_tree([[], [], []], rng, prime=1009)
@@ -224,7 +225,7 @@ class TestGroupThresholdExactness:
         group = tree.active_children(1)
         need = shares[group[0]].threshold
         assert need == 2
-        retained = dealer.retained[1]
+        retained = dealer.polynomials[1].free_coefficient
 
         evaluations = {
             uid: poly_eval(dealer.polynomials[1], shares[uid].eval_point)
@@ -292,6 +293,69 @@ class TestKnowledgeClosure:
             except InsufficientShares:
                 recovered = False
             assert knowledge_closure(tree, coalition) == recovered
+
+
+def fixpoint_closure(tree, coalition):
+    """Reference closure: derive group values until nothing changes. A
+    member counts under its parent whether or not it is still active."""
+    known = set()
+    changed = True
+    while changed:
+        changed = False
+        for gid in sorted({tree.node(uid).parent for uid in coalition} | {ROOT_ID}):
+            if gid in known:
+                continue
+            contributors = [
+                uid for uid in sorted(coalition)
+                if tree.node(uid).parent == gid
+                and (not coalition[uid].split or uid in known)
+            ]
+            if contributors and len(contributors) >= coalition[contributors[0]].threshold:
+                known.add(gid)
+                changed = True
+    return ROOT_ID in known
+
+
+class TestKnowledgeClosureAgainstFixpoint:
+    def test_random_coalitions_after_a_leave(self):
+        rng = random.Random(2024)
+        reconstructing = 0
+        for _ in range(40):
+            tree = make_tree(random_tree_spec(rng, max_depth=4, max_fanout=4), rng, prime=1009)
+            secret = tree.field.element(rng.randrange(1009))
+            _dealer, _state, shares = deal(tree, secret, tf(rng.randint(1, 3), 3), rng)
+            # Members stolen before a leave still count for the coalition.
+            tree.leave(rng.choice(sorted(shares)))
+            users = sorted(shares)
+            for _ in range(25):
+                keep = rng.random()
+                coalition = {u: shares[u] for u in users if rng.random() < keep}
+                expected = fixpoint_closure(tree, coalition)
+                reconstructing += expected
+                assert knowledge_closure(tree, coalition) is expected
+        assert reconstructing > 0
+
+    def test_deep_chain_is_linear_in_tree_queries(self):
+        depth = 200
+        spec = []
+        for _ in range(depth - 1):
+            spec = [spec]
+        tree = make_tree([spec], random.Random(3), prime=1009)
+        _dealer, _state, shares = deal(tree, tree.field.element(9), tf(1, 1), random.Random(4))
+        calls = 0
+
+        def counted(method):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return method(*args)
+
+            return wrapper
+
+        tree.children_of = counted(tree.children_of)
+        tree.node = counted(tree.node)
+        assert knowledge_closure(tree, dict(shares)) is True
+        assert calls <= 3 * depth
 
 
 class TestMinimalReconstructingSet:

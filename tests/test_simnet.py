@@ -9,7 +9,7 @@ from hiershare.algebra import FieldParams
 from hiershare.config import parse_scenario
 from hiershare.errors import InvariantViolation
 from hiershare.sharing import minimal_reconstructing_set
-from hiershare.simnet import StolenShare, World
+from hiershare.simnet import World
 
 
 def spec_dict(nested):
@@ -126,7 +126,7 @@ class TestAdversaryObservation:
         )
         world = World(cfg)
         world.initial_deal()
-        stolen_owners = {s.record.owner for s in world.adversary.stolen_shares.values()}
+        stolen_owners = {rec.owner for rec in world.adversary.stolen_shares.values()}
         assert stolen_owners == {2}
 
     def test_commitments_visible_but_no_coefficients(self):
@@ -395,8 +395,8 @@ class TestInvariants:
             field_mode="curve-order", curve="toy", field_prime=None,
             eval_mode="round-key", secret="3",
         )
-        keys = world.tree.server_group_keys
-        keys[2] = keys[1]
+        nodes = world.tree.nodes
+        nodes[2].group_key = nodes[1].group_key
         assert self.violated(world).invariant == "group-key-x-distinct"
 
     def test_no_oracle_leakage_tokens(self):
@@ -409,9 +409,7 @@ class TestInvariants:
     def test_no_oracle_leakage_shares(self):
         world = self.dealt_world()
         record = world.shares[1]
-        world.adversary.stolen_shares[(record.round_id, record.epoch, 1)] = StolenShare(
-            round_id=record.round_id, epoch=record.epoch, record=record
-        )
+        world.adversary.stolen_shares[(record.round_id, record.epoch, 1)] = record
         violation = self.violated(world)
         assert violation.invariant == "no-oracle-leakage"
         assert "share" in violation.detail
