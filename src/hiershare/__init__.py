@@ -2,7 +2,7 @@
 renewal, curve-commitment tamper detection, and a deterministic mobile
 adversary simulator."""
 
-from .algebra import FieldElement, FieldParams, Polynomial
+from .algebra import FieldParams, Polynomial
 from .curve import PROFILES, STANDARD_CURVE, TOY_CURVE, CurveParams, CurvePoint
 from .errors import HierShareError, InvariantViolation
 from .hierarchy import ROOT_ID, HierarchyTree
@@ -13,7 +13,6 @@ from .simnet import SimReport, World
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement",
     "FieldParams",
     "Polynomial",
     "CurveParams",

@@ -4,8 +4,9 @@ All share and renewal math lives in a single prime field: the order of the
 curve's base-point subgroup in curve mode, or a standalone small prime in
 "no-curve" test mode (which enables exhaustive secrecy checks).
 
-Values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+Field values are plain ints in [0, p); every function takes the modulus p
+explicitly and returns reduced values. All operations are pure functions,
+so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .errors import HierShareError
 
 class ZeroInverse(HierShareError):
     """Multiplicative inverse of zero requested."""
-
-
-class FieldMismatch(HierShareError):
-    """Operands belong to different prime fields."""
 
 
 class DuplicateAbscissa(HierShareError):
@@ -89,7 +86,8 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """The prime field all shares and renewal values live in."""
+    """The prime field all shares and renewal values live in. Field values
+    themselves are plain ints in [0, modulus)."""
 
     modulus: int
 
@@ -99,165 +97,85 @@ class FieldParams:
         if not is_prime(self.modulus):
             raise ValueError(f"field modulus {self.modulus} is not prime")
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.modulus, self)
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def random_element(self, rng: random.Random) -> "FieldElement":
-        return FieldElement(rng.randrange(self.modulus), self)
-
-    def random_nonzero(self, rng: random.Random) -> "FieldElement":
-        return FieldElement(rng.randrange(1, self.modulus), self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An integer in [0, modulus), closed under modular arithmetic."""
-
-    value: int
-    params: FieldParams
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.params.modulus:
-            raise ValueError(
-                f"{self.value} outside field range [0, {self.params.modulus})"
-            )
-
-    def _check_field(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.params != self.params:
-            raise FieldMismatch(
-                f"operands in different fields: "
-                f"{self.params.modulus} vs {other.params.modulus}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check_field(other)
-        return FieldElement((self.value + other.value) % self.params.modulus, self.params)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check_field(other)
-        return FieldElement((self.value - other.value) % self.params.modulus, self.params)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check_field(other)
-        return FieldElement((self.value * other.value) % self.params.modulus, self.params)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.params.modulus, self.params)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        return FieldElement(pow(self.value, exponent, self.params.modulus), self.params)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check_field(other)
-        return self * field_inverse(other)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
-def field_inverse(a: FieldElement) -> FieldElement:
+def field_inverse(a: int, p: int) -> int:
     """Multiplicative inverse via Fermat: a^(p-2) mod p. Raises on zero."""
-    if a.value == 0:
+    if a % p == 0:
         raise ZeroInverse("zero has no multiplicative inverse")
-    p = a.params.modulus
-    return FieldElement(pow(a.value, p - 2, p), a.params)
+    return pow(a, p - 2, p)
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficients in ascending powers: coefficients[h] multiplies x^h."""
 
-    coefficients: tuple[FieldElement, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("polynomial needs at least one coefficient")
-        params = self.coefficients[0].params
-        for c in self.coefficients[1:]:
-            if c.params != params:
-                raise FieldMismatch("polynomial coefficients span different fields")
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
     @property
-    def field(self) -> FieldParams:
-        return self.coefficients[0].params
-
-    @property
-    def free_coefficient(self) -> FieldElement:
+    def free_coefficient(self) -> int:
         return self.coefficients[0]
 
 
-def poly_eval(q: Polynomial, x: FieldElement) -> FieldElement:
-    """Horner evaluation of q at x; poly_eval(q, 0) is the free coefficient."""
-    if x.params != q.field:
-        raise FieldMismatch("evaluation point not in the polynomial's field")
-    acc = q.field.zero
+def poly_eval(q: Polynomial, x: int, p: int) -> int:
+    """Horner evaluation of q at x mod p; poly_eval(q, 0, p) is the free
+    coefficient."""
+    acc = 0
     for coeff in reversed(q.coefficients):
-        acc = acc * x + coeff
+        acc = (acc * x + coeff) % p
     return acc
 
 
-def sample_polynomial(
-    rng: random.Random, degree: int, free_coeff: FieldElement
-) -> Polynomial:
-    """Random polynomial with the given free coefficient and exact degree.
+def sample_polynomial(rng: random.Random, degree: int, free: int, p: int) -> Polynomial:
+    """Random polynomial mod p with the given free coefficient and exact
+    degree.
 
     A zero leading coefficient would silently lower the effective threshold,
     so for degree >= 1 the top coefficient is resampled until nonzero.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
-    field = free_coeff.params
-    coeffs = [free_coeff]
-    coeffs.extend(field.random_element(rng) for _ in range(degree))
+    coeffs = [free]
+    coeffs.extend(rng.randrange(p) for _ in range(degree))
     if degree >= 1:
-        while coeffs[-1].value == 0:
-            coeffs[-1] = field.random_element(rng)
+        while coeffs[-1] == 0:
+            coeffs[-1] = rng.randrange(p)
     return Polynomial(tuple(coeffs))
 
 
-def lagrange_at_zero(
-    points: Sequence[tuple[FieldElement, FieldElement]]
-) -> FieldElement:
-    """Free coefficient of the unique polynomial through the given points.
+def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
+    """Free coefficient mod p of the unique polynomial through the given
+    points.
 
-    All abscissas must be distinct and nonzero (a zero abscissa would be the
-    secret itself).
+    All abscissas must be distinct and nonzero mod p (a zero abscissa would
+    be the secret itself). The terms y_i * num_i / den_i are summed as one
+    running fraction, so the whole interpolation costs one inversion.
     """
     if not points:
         raise ValueError("interpolation needs at least one point")
-    field = points[0][0].params
     seen: set[int] = set()
-    for x, y in points:
-        if x.params != field or y.params != field:
-            raise FieldMismatch("interpolation points span different fields")
-        if x.value == 0:
+    for x, _ in points:
+        x %= p
+        if x == 0:
             raise ZeroAbscissa("x = 0 is forbidden as an evaluation point")
-        if x.value in seen:
-            raise DuplicateAbscissa(f"abscissa {x.value} appears twice")
-        seen.add(x.value)
+        if x in seen:
+            raise DuplicateAbscissa(f"abscissa {x} appears twice")
+        seen.add(x)
 
-    total = field.zero
+    total_num, total_den = 0, 1
     for i, (x_i, y_i) in enumerate(points):
-        num = field.one
-        den = field.one
+        num, den = y_i, 1
         for j, (x_j, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * x_j
-            den = den * (x_j - x_i)
-        total = total + y_i * num * field_inverse(den)
-    return total
+            if i != j:
+                num = num * x_j % p
+                den = den * (x_j - x_i) % p
+        total_num = (total_num * den + num * total_den) % p
+        total_den = total_den * den % p
+    return total_num * field_inverse(total_den, p) % p

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FieldElement, FieldMismatch, FieldParams, is_prime
+from .algebra import FieldParams, is_prime
 from .errors import HierShareError
 
 
@@ -101,32 +101,22 @@ def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return CurvePoint(P.curve, x3, y3)
 
 
-def scalar_mul(s: int | FieldElement, P: CurvePoint) -> CurvePoint:
+def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
     """s-fold group sum by double-and-add; 0*P is the identity.
 
-    Accepts a plain integer or a FieldElement over the subgroup order.
     Nonnegative integers are multiplied as-is (so order*G genuinely walks
     the whole subgroup rather than being reduced away); negative ones use
     the group inverse.
     """
-    if isinstance(s, FieldElement):
-        if s.params.modulus != P.curve.order:
-            raise FieldMismatch(
-                f"scalar lives mod {s.params.modulus}, "
-                f"curve subgroup order is {P.curve.order}"
-            )
-        k = s.value
-    else:
-        k = int(s)
-    if k < 0:
-        return scalar_mul(-k, -P)
+    if s < 0:
+        return scalar_mul(-s, -P)
     result = P.curve.identity()
     addend = P
-    while k:
-        if k & 1:
+    while s:
+        if s & 1:
             result = point_add(result, addend)
         addend = point_add(addend, addend)
-        k >>= 1
+        s >>= 1
     return result
 
 

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .algebra import FieldElement, poly_eval, sample_polynomial
+from .algebra import poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, scalar_mul
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
@@ -33,10 +33,6 @@ class NoChildren(HierShareError):
 
 class EpochSkew(HierShareError):
     """A bundle's epoch does not directly follow the share's epoch."""
-
-
-class UnverifiedBundle(HierShareError):
-    """apply_renewal was handed a bundle that fails verification."""
 
 
 class MixedAccused(HierShareError):
@@ -60,7 +56,7 @@ class RenewalBundle:
     sender: int
     recipient: int
     epoch: int
-    delta: FieldElement
+    delta: int
     commitments: tuple[CurvePoint, ...]
 
 
@@ -110,7 +106,8 @@ def generate_renewal(
         raise ValueError(f"inconsistent thresholds under {root_id}")
     degree = thresholds.pop() - 1
 
-    delta_poly = sample_polynomial(rng, degree, tree.field.zero)
+    p = tree.field.modulus
+    delta_poly = sample_polynomial(rng, degree, 0, p)
     if tree.curve is not None:
         commitments = tuple(
             scalar_mul(coeff, tree.curve.base_point)
@@ -123,7 +120,7 @@ def generate_renewal(
             sender=root_id,
             recipient=rec.owner,
             epoch=epoch + 1,
-            delta=poly_eval(delta_poly, rec.eval_point),
+            delta=poly_eval(delta_poly, rec.eval_point, p),
             commitments=commitments,
         )
         for rec in records
@@ -131,7 +128,7 @@ def generate_renewal(
 
 
 def verify_renewal(
-    bundle: RenewalBundle, eval_point: FieldElement, curve: CurveParams
+    bundle: RenewalBundle, eval_point: int, curve: CurveParams
 ) -> bool:
     """Check delta*G against the committed polynomial evaluated in the group.
 
@@ -142,7 +139,7 @@ def verify_renewal(
     lhs = scalar_mul(bundle.delta, curve.base_point)
     rhs = curve.identity()
     for h, commitment in enumerate(bundle.commitments, start=1):
-        rhs = rhs + scalar_mul((eval_point**h).value, commitment)
+        rhs = rhs + scalar_mul(pow(eval_point, h, curve.order), commitment)
     return lhs == rhs
 
 
@@ -158,16 +155,10 @@ def accepts_renewal(
     )
 
 
-def apply_renewal(
-    share: ShareRecord, bundle: RenewalBundle, curve: CurveParams | None = None
-) -> ShareRecord:
-    """Fold a verified renewal delta into a share; the epoch advances by
-    one and the evaluation point is untouched.
-
-    Passing the curve checks the bundle (``accepts_renewal``) and raises
-    UnverifiedBundle on a bad one; callers that already checked it, and
-    no-curve mode, pass none.
-    """
+def apply_renewal(share: ShareRecord, bundle: RenewalBundle, p: int) -> ShareRecord:
+    """Fold a renewal delta into a share mod p; the epoch advances by one
+    and the evaluation point is untouched. The caller has already checked
+    the bundle (``accepts_renewal``) in curve mode."""
     if bundle.recipient != share.owner:
         raise ValueError(
             f"bundle addressed to {bundle.recipient}, share owned by {share.owner}"
@@ -176,11 +167,7 @@ def apply_renewal(
         raise EpochSkew(
             f"bundle epoch {bundle.epoch} does not follow share epoch {share.epoch}"
         )
-    if curve is not None and not accepts_renewal(bundle, share, curve):
-        raise UnverifiedBundle(
-            f"bundle from {bundle.sender} to {bundle.recipient} fails verification"
-        )
-    return replace(share, value=share.value + bundle.delta, epoch=bundle.epoch)
+    return replace(share, value=(share.value + bundle.delta) % p, epoch=bundle.epoch)
 
 
 def file_claim(
@@ -263,8 +250,14 @@ def renewal_round(
 
     Traffic goes through ``on_message``: one sealed delta per dealt child
     plus, in curve mode, one commitment multicast per subtree root.
+
+    With no subtree to renew the round is empty: the shares come back
+    unchanged with no claims (``extra_claims`` included), no traffic, and
+    nothing drawn from ``rng``.
     """
     roots = subtree_roots(tree, shares)
+    if not roots:
+        return RenewalOutcome(shares=dict(shares), claims=(), verdicts=())
     if subtree_order is not None:
         ordering = [r for r in subtree_order if r in roots]
         if sorted(ordering) != sorted(roots):
@@ -308,7 +301,7 @@ def renewal_round(
                     on_message("claim", child, (ROOT_ID,), (child, root, epoch), False)
             continue
         for rec, bundle, _ in delivered:
-            new_shares[rec.owner] = apply_renewal(rec, bundle)
+            new_shares[rec.owner] = apply_renewal(rec, bundle, tree.field.modulus)
 
     if on_message is not None:
         for claim in extra_claims:

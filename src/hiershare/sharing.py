@@ -20,13 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping
 
-from .algebra import (
-    FieldElement,
-    Polynomial,
-    lagrange_at_zero,
-    poly_eval,
-    sample_polynomial,
-)
+from .algebra import Polynomial, lagrange_at_zero, poly_eval, sample_polynomial
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree, RoundState
 
@@ -92,17 +86,17 @@ def compute_threshold(tf: ThresholdFactor, n: int) -> int:
     return -(-tf.numerator * n // tf.denominator)
 
 
-def split(value: FieldElement, rng: random.Random) -> tuple[FieldElement, FieldElement]:
-    """Decompose a field value into two nonzero parts that sum back to it.
+def split(value: int, p: int, rng: random.Random) -> tuple[int, int]:
+    """Decompose a field value into two nonzero parts that sum back to it
+    mod p.
 
     The first part is uniform over the nonzero elements whose complement is
     also nonzero; resampling always terminates for modulus > 2.
     """
-    fp = value.params
     while True:
-        first = fp.random_nonzero(rng)
-        second = value - first
-        if second.value != 0:
+        first = rng.randrange(1, p)
+        second = (value - first) % p
+        if second != 0:
             return first, second
 
 
@@ -117,8 +111,8 @@ class ShareRecord:
     """
 
     owner: int
-    eval_point: FieldElement
-    value: FieldElement
+    eval_point: int
+    value: int
     threshold: int
     round_id: int
     epoch: int = 0
@@ -137,13 +131,13 @@ class DealerState:
     group's threshold is its polynomial's degree plus one.
     """
 
-    secret: FieldElement
+    secret: int
     polynomials: dict[int, Polynomial] = field(default_factory=dict)
 
 
 def assign_eval_points(
     tree: HierarchyTree, mode: str = EVAL_ROUND_KEY
-) -> dict[int, FieldElement]:
+) -> dict[int, int]:
     """Evaluation point per active user.
 
     Round-key mode uses the x-coordinate of the user's round key reduced
@@ -152,7 +146,7 @@ def assign_eval_points(
     raise EvalPointCollision: in round-key mode a fresh round fixes it, in
     user-id mode it is a configuration error.
     """
-    points: dict[int, FieldElement] = {}
+    points: dict[int, int] = {}
     for uid in tree.active_users():
         if mode == EVAL_ROUND_KEY:
             key = tree.nodes[uid].round_key
@@ -165,13 +159,13 @@ def assign_eval_points(
             raise ValueError(f"unknown eval-point mode {mode!r}")
         if raw == 0:
             raise EvalPointCollision(f"user {uid} drew evaluation point zero")
-        points[uid] = tree.field.element(raw)
+        points[uid] = raw
 
     for parent in [ROOT_ID] + tree.active_users():
         group = tree.active_children(parent)
         seen: dict[int, int] = {}
         for uid in group:
-            x = points[uid].value
+            x = points[uid]
             if x in seen:
                 raise EvalPointCollision(
                     f"siblings {seen[x]} and {uid} share evaluation point {x}"
@@ -205,9 +199,10 @@ def distribute(
             )
 
     points = assign_eval_points(tree, eval_mode)
+    p = tree.field.modulus
 
     root_degree = compute_threshold(tf, len(level1)) - 1
-    dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret)}
+    dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
     shares: dict[int, ShareRecord] = {}
     by_level = tree.levels()
@@ -215,12 +210,12 @@ def distribute(
         for uid in by_level[level]:
             node = tree.nodes[uid]
             parent_poly = dealer.polynomials[node.parent]
-            evaluation = poly_eval(parent_poly, points[uid])
+            evaluation = poly_eval(parent_poly, points[uid], p)
             kids = tree.active_children(uid)
             if kids:
-                kept, retained = split(evaluation, rng)
+                kept, retained = split(evaluation, p, rng)
                 dealer.polynomials[uid] = sample_polynomial(
-                    rng, compute_threshold(tf, len(kids)) - 1, retained
+                    rng, compute_threshold(tf, len(kids)) - 1, retained, p
                 )
             else:
                 kept = evaluation
@@ -241,7 +236,7 @@ def recover_group_secret(
     shares: Mapping[int, ShareRecord],
     participating: Iterable[int],
     parent_id: int,
-) -> FieldElement:
+) -> int:
     """Recover the value jointly held by ``parent_id``'s children: the
     parent's retained part, or the original secret when parent_id is the
     root.
@@ -255,16 +250,17 @@ def recover_group_secret(
     participants = {
         uid for uid in participating if uid in shares and uid in active
     }
+    p = tree.field.modulus
     failures: list[InsufficientShares] = []
-    values: dict[int, FieldElement | None] = {}
+    values: dict[int, int | None] = {}
     for gid, kids in _groups_children_first(tree, shares, parent_id, participants):
-        available: list[tuple[ShareRecord, FieldElement]] = []
+        available: list[tuple[ShareRecord, int]] = []
         for kid in kids:
             rec = shares[kid]
             if not rec.split:
                 available.append((rec, rec.value))
             elif values[kid] is not None:
-                available.append((rec, rec.value + values[kid]))
+                available.append((rec, (rec.value + values[kid]) % p))
         epochs = {rec.epoch for rec, _ in available}
         if len(epochs) > 1:
             raise StaleEpoch(
@@ -279,7 +275,7 @@ def recover_group_secret(
             values[gid] = None
             continue
         quorum = sorted(available, key=lambda pair: pair[0].owner)[:need]
-        values[gid] = lagrange_at_zero([(rec.eval_point, c) for rec, c in quorum])
+        values[gid] = lagrange_at_zero([(rec.eval_point, c) for rec, c in quorum], p)
     secret = values[parent_id]
     if secret is None:
         raise failures[0]
@@ -311,7 +307,7 @@ def reconstruct(
     tree: HierarchyTree,
     shares: Mapping[int, ShareRecord],
     participating: Iterable[int],
-) -> FieldElement:
+) -> int:
     """Bottom-up reconstruction of the root secret from the given
     participants' shares."""
     return recover_group_secret(tree, shares, participating, ROOT_ID)

@@ -32,13 +32,7 @@ from dataclasses import dataclass, field, replace
 from .config import ScenarioConfig, expand_tree
 from .errors import InvariantViolation
 from .hierarchy import ROOT_ID, HierarchyTree, RoundState
-from .proactive import (
-    ClaimRecord,
-    RenewalBundle,
-    file_claim,
-    renewal_round,
-    subtree_roots,
-)
+from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
 from .sharing import (
     DealerState,
     EvalPointCollision,
@@ -171,8 +165,7 @@ def adversary_act(
             return bundle
         if bundle.sender not in adv.occupied:
             return bundle
-        one = bundle.delta.params.one
-        return replace(bundle, delta=bundle.delta + one)
+        return replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
 
     return (perturb if tampered_pairs else None), claims
 
@@ -207,7 +200,7 @@ class World:
         self.field = config.field_params()
         self.rng = random.Random(config.seed)
         self.tree = HierarchyTree(self.curve, self.field)
-        self.dealer = DealerState(secret=self.field.element(config.secret))
+        self.dealer = DealerState(secret=config.secret % self.field.modulus)
         self.shares: dict[int, ShareRecord] = {}
         self.epoch = 0
         self.round_id = 0
@@ -345,7 +338,7 @@ class World:
 
         verdicts = []
         claims = []
-        if self.config.renewal_enabled and subtree_roots(self.tree, self.shares):
+        if self.config.renewal_enabled:
             outcome = renewal_round(
                 self.tree, self.shares, self.epoch, self.rng,
                 perturb=perturb, extra_claims=false_claims,
@@ -383,7 +376,7 @@ class World:
             "cleansed": cleansed,
             "adversary_can_reconstruct": self.adversary_can_reconstruct(),
             "herzberg_all_pairs": self._herzberg_count(),
-            "secret_intact": self._secret_intact(),
+            "secret_intact": self._reconstruct_all()[0],
             "events": events,
         }
         self.report.rows.append(row)
@@ -395,12 +388,15 @@ class World:
         n = len(self.tree.active_users()) + 1
         return n * (n - 1)
 
-    def _secret_intact(self) -> bool:
+    def _reconstruct_all(self) -> tuple[bool, str]:
+        """Whether every active share-holder together recovers the dealer's
+        secret, and the reason when their shares fall short."""
         participants = [uid for uid in self.tree.active_users() if uid in self.shares]
         try:
-            return reconstruct(self.tree, self.shares, participants) == self.dealer.secret
-        except (InsufficientShares, StaleEpoch):
-            return False
+            value = reconstruct(self.tree, self.shares, participants)
+        except (InsufficientShares, StaleEpoch) as exc:
+            return False, str(exc)
+        return value == self.dealer.secret, ""
 
     def _steal_state(self) -> None:
         for uid in sorted(self.adversary.occupied):
@@ -432,9 +428,12 @@ class World:
         owners = [rec.owner for rec in self.shares.values()]
         if len(owners) != len(set(owners)):
             raise InvariantViolation("single-share-per-user")
+        p = self.field.modulus
         for rec in self.shares.values():
-            if rec.value.params != self.field or rec.eval_point.params != self.field:
-                raise InvariantViolation("single-field-modulus")
+            if not (0 <= rec.value < p and 0 < rec.eval_point < p):
+                raise InvariantViolation(
+                    "single-field-modulus", f"share of {rec.owner} outside the field"
+                )
         xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
         if len(xs) != len(set(xs)):
             raise InvariantViolation("group-key-x-distinct")
@@ -470,16 +469,7 @@ class World:
 
     def finalize(self) -> dict:
         """Final reconstruction check and adversary outcome."""
-        participants = [
-            uid for uid in self.tree.active_users() if uid in self.shares
-        ]
-        correct = False
-        note = ""
-        try:
-            value = reconstruct(self.tree, self.shares, participants)
-            correct = value == self.dealer.secret
-        except (InsufficientShares, StaleEpoch) as exc:
-            note = str(exc)
+        correct, note = self._reconstruct_all()
         self.report.final = {
             "reconstruction_correct": correct,
             "secret_recovered_by_adversary": self.adversary_can_reconstruct(),

@@ -65,8 +65,8 @@ def _point_in(data, world: World) -> CurvePoint | None:
 def _record_out(rec: ShareRecord) -> dict:
     return {
         "owner": rec.owner,
-        "eval_point": str(rec.eval_point.value),
-        "value": str(rec.value.value),
+        "eval_point": str(rec.eval_point),
+        "value": str(rec.value),
         "threshold": rec.threshold,
         "round_id": rec.round_id,
         "epoch": rec.epoch,
@@ -74,11 +74,15 @@ def _record_out(rec: ShareRecord) -> dict:
     }
 
 
+def _field_in(text: str, world: World) -> int:
+    return int(text) % world.field.modulus
+
+
 def _record_in(data: dict, world: World) -> ShareRecord:
     return ShareRecord(
         owner=data["owner"],
-        eval_point=world.field.element(int(data["eval_point"])),
-        value=world.field.element(int(data["value"])),
+        eval_point=_field_in(data["eval_point"], world),
+        value=_field_in(data["value"], world),
         threshold=data["threshold"],
         round_id=data["round_id"],
         epoch=data["epoch"],
@@ -117,9 +121,9 @@ def world_to_dict(world: World) -> dict:
             "round_count": world.tree._round_count,
         },
         "dealer": {
-            "secret": str(world.dealer.secret.value),
+            "secret": str(world.dealer.secret),
             "polynomials": {
-                str(gid): [str(c.value) for c in poly.coefficients]
+                str(gid): [str(c) for c in poly.coefficients]
                 for gid, poly in sorted(world.dealer.polynomials.items())
             },
         },
@@ -171,9 +175,9 @@ def world_from_dict(data: dict) -> World:
     world.tree = tree
 
     dealer_data = data["dealer"]
-    dealer = DealerState(secret=world.field.element(int(dealer_data["secret"])))
+    dealer = DealerState(secret=_field_in(dealer_data["secret"], world))
     dealer.polynomials = {
-        int(gid): Polynomial(tuple(world.field.element(int(c)) for c in coeffs))
+        int(gid): Polynomial(tuple(_field_in(c, world) for c in coeffs))
         for gid, coeffs in dealer_data["polynomials"].items()
     }
     world.dealer = dealer

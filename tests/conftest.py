@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from hiershare.algebra import FieldParams
 from hiershare.curve import TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.sharing import (
@@ -18,16 +17,6 @@ from hiershare.sharing import (
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
-
-
-@pytest.fixture
-def f19():
-    return FieldParams(19)
-
-
-@pytest.fixture
-def f31():
-    return FieldParams(31)
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ def test_criterion_1_round_trip_200_random_hierarchies():
         rng = random.Random(10_000 + i)
         spec = random_tree_spec(rng, max_depth=4, max_fanout=6)
         tree = make_tree(spec, rng, prime=1009)
-        secret = tree.field.element(rng.randrange(1009))
+        secret = rng.randrange(1009)
         _dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
         assert reconstruct(tree, shares, list(shares)) == secret
     elapsed = time.perf_counter() - started
@@ -54,7 +54,7 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
     tree = make_tree(
         [[[], [], [], []], [[], []], [[], [], []]], rng, prime=31
     )
-    secret = tree.field.element(17)
+    secret = 17
     dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
 
     groups = [(ROOT_ID, dealer.secret)] + [
@@ -69,11 +69,11 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
         need = shares[kids[0]].threshold
         poly = dealer.polynomials[gid]
         evaluations = {
-            uid: poly_eval(poly, shares[uid].eval_point) for uid in kids
+            uid: poly_eval(poly, shares[uid].eval_point, 31) for uid in kids
         }
         for quorum in combinations(kids, need):
             pts = [(shares[u].eval_point, evaluations[u]) for u in quorum]
-            assert lagrange_at_zero(pts) == group_value
+            assert lagrange_at_zero(pts, 31) == group_value
             checked_quorums += 1
         degree = need - 1
         for size in range(1, need):
@@ -86,9 +86,9 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
                         rest //= 31
                     ok = all(
                         sum(
-                            c * shares[u].eval_point.value ** h
+                            c * shares[u].eval_point ** h
                             for h, c in enumerate(coeffs)
-                        ) % 31 == evaluations[u].value
+                        ) % 31 == evaluations[u]
                         for u in subq
                     )
                     if ok:
@@ -106,20 +106,25 @@ def test_criterion_3_storage_and_field_size():
     rng = random.Random(3)
     toy_tree = make_tree([[[], []], [[], []]], rng, curve=TOY_CURVE)
     _dealer, _state, toy_shares = deal(
-        toy_tree, toy_tree.field.element(5), tf(1, 2), rng
+        toy_tree, 5, tf(1, 2), rng
     )
     flat_tree = make_tree([[[], [], []], [[]], []], rng, prime=1009)
     dealer, _state, flat_shares = deal(
-        flat_tree, flat_tree.field.element(5), tf(2, 3), rng
+        flat_tree, 5, tf(2, 3), rng
     )
     for tree, shares in ((toy_tree, toy_shares), (flat_tree, flat_shares)):
         assert sorted(shares) == tree.active_users()
         owners = [rec.owner for rec in shares.values()]
         assert len(owners) == len(set(owners))
+        p = tree.field.modulus
         for rec in shares.values():
-            assert rec.value.params is tree.field
-            assert rec.eval_point.params is tree.field
-    assert all(p.field is flat_tree.field for p in dealer.polynomials.values())
+            assert 0 <= rec.value < p
+            assert 0 < rec.eval_point < p
+    assert all(
+        0 <= c < flat_tree.field.modulus
+        for poly in dealer.polynomials.values()
+        for c in poly.coefficients
+    )
     note("criterion 3 PASS: one share per user, one field modulus at every level")
 
 
@@ -128,7 +133,7 @@ def test_criterion_4_renewal_invariance_20_epochs_50_seeds():
         rng = random.Random(40_000 + seed)
         spec = random_tree_spec(rng, max_depth=3, max_fanout=4)
         tree = make_tree(spec, rng, prime=1009)
-        secret = tree.field.element(rng.randrange(1009))
+        secret = rng.randrange(1009)
         _dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         for epoch in range(1, 21):
             outcome = renewal_round(tree, shares, epoch, rng)
@@ -139,7 +144,6 @@ def test_criterion_4_renewal_invariance_20_epochs_50_seeds():
 
 
 def test_criterion_5_detection_complete_and_sound():
-    fp = TOY_CURVE.scalar_field()
     G = TOY_CURVE.base_point
 
     # Completeness: every polynomial with zero free coefficient and degree
@@ -157,21 +161,18 @@ def test_criterion_5_detection_complete_and_sound():
                 continue  # exact-degree sampling never emits these
             commitments = tuple(scalar_mul(c, G) for c in coeffs)
             for j in range(1, 19):
-                point = fp.element(j)
-                delta = fp.element(
-                    sum(c * j**h for h, c in enumerate(coeffs, start=1)) % 19
-                )
+                delta = sum(c * j**h for h, c in enumerate(coeffs, start=1)) % 19
                 bundle = RenewalBundle(
                     sender=0, recipient=1, epoch=1,
                     delta=delta, commitments=commitments,
                 )
-                assert verify_renewal(bundle, point, TOY_CURVE) is True
+                assert verify_renewal(bundle, j, TOY_CURVE) is True
                 checked += 1
 
     # Soundness: 1000 random tamperings of delta or commitments all fail.
     rng = random.Random(5)
     tree = make_tree([[], [], [], []], rng, curve=TOY_CURVE)
-    _dealer, _state, shares = deal(tree, tree.field.element(6), tf(1, 1), rng)
+    _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
     bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
     failures = 0
     for _ in range(1000):
@@ -180,8 +181,8 @@ def test_criterion_5_detection_complete_and_sound():
         from dataclasses import replace
 
         if rng.random() < 0.5:
-            offset = tree.field.element(rng.randrange(1, 19))
-            bad = replace(bundle, delta=bundle.delta + offset)
+            offset = rng.randrange(1, 19)
+            bad = replace(bundle, delta=(bundle.delta + offset) % 19)
         else:
             idx = rng.randrange(len(bundle.commitments))
             shift = scalar_mul(rng.randrange(1, 19), G)

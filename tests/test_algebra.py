@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiershare import algebra
 from hiershare.algebra import (
     DuplicateAbscissa,
-    FieldMismatch,
     FieldParams,
     Polynomial,
     ZeroAbscissa,
@@ -31,10 +31,6 @@ class TestFieldParams:
         with pytest.raises(ValueError):
             FieldParams(2)
 
-    def test_element_reduces(self, f19):
-        assert f19.element(40).value == 2
-        assert f19.element(-1).value == 18
-
 
 class TestIsPrime:
     def test_small(self):
@@ -53,117 +49,117 @@ class TestIsPrime:
 
 
 class TestFieldArithmetic:
-    def test_inverse_examples(self, f19, f31):
-        assert field_inverse(f19.element(2)).value == 10
-        assert field_inverse(f19.element(1)).value == 1
-        assert field_inverse(f31.element(7)).value == 9
+    def test_inverse_examples(self):
+        assert field_inverse(2, 19) == 10
+        assert field_inverse(1, 19) == 1
+        assert field_inverse(7, 31) == 9
 
-    def test_inverse_exhaustive_f19(self, f19):
+    def test_inverse_exhaustive_f19(self):
         for a in range(1, 19):
-            elem = f19.element(a)
-            assert (field_inverse(elem) * elem).value == 1
+            assert field_inverse(a, 19) * a % 19 == 1
 
-    def test_zero_inverse(self, f19):
+    def test_zero_inverse(self):
         with pytest.raises(ZeroInverse):
-            field_inverse(f19.zero)
-
-    def test_mismatched_fields(self, f19, f31):
-        with pytest.raises(FieldMismatch):
-            f19.element(1) + f31.element(1)
-
-    def test_negation_and_division(self, f19):
-        a = f19.element(5)
-        assert (a + (-a)).value == 0
-        assert (a / a).value == 1
-
-    def test_pow(self, f31):
-        assert (f31.element(3) ** 4).value == 81 % 31
+            field_inverse(0, 19)
+        with pytest.raises(ZeroInverse):
+            field_inverse(19, 19)
 
 
 class TestPolyEval:
-    def test_direct_substitution(self, f19):
-        q = Polynomial((f19.element(5), f19.element(3)))
-        assert poly_eval(q, f19.element(2)).value == 11
+    def test_direct_substitution(self):
+        q = Polynomial((5, 3))
+        assert poly_eval(q, 2, 19) == 11
 
-    def test_wraparound(self, f19):
-        q = Polynomial((f19.element(5), f19.element(3)))
-        assert poly_eval(q, f19.element(7)).value == 7
+    def test_wraparound(self):
+        q = Polynomial((5, 3))
+        assert poly_eval(q, 7, 19) == 7
 
-    def test_zero_gives_free_coefficient(self, f19, rng):
+    def test_zero_gives_free_coefficient(self, rng):
         for degree in range(6):
-            q = sample_polynomial(rng, degree, f19.element(rng.randrange(19)))
-            assert poly_eval(q, f19.zero) == q.free_coefficient
-
-    def test_field_mismatch(self, f19, f31):
-        q = Polynomial((f19.element(5),))
-        with pytest.raises(FieldMismatch):
-            poly_eval(q, f31.element(1))
+            q = sample_polynomial(rng, degree, rng.randrange(19), 19)
+            assert poly_eval(q, 0, 19) == q.free_coefficient
 
 
 class TestSamplePolynomial:
-    def test_degree_zero_is_constant(self, f19, rng):
-        q = sample_polynomial(rng, 0, f19.element(7))
+    def test_degree_zero_is_constant(self, rng):
+        q = sample_polynomial(rng, 0, 7, 19)
         assert q.degree == 0
-        assert q.free_coefficient.value == 7
+        assert q.free_coefficient == 7
 
-    def test_free_coefficient_kept(self, f31, rng):
-        q = sample_polynomial(rng, 2, f31.element(5))
-        assert q.free_coefficient.value == 5
+    def test_free_coefficient_kept(self, rng):
+        q = sample_polynomial(rng, 2, 5, 31)
+        assert q.free_coefficient == 5
         assert q.degree == 2
 
-    def test_deterministic_under_seed(self, f31):
-        a = sample_polynomial(random.Random(99), 2, f31.element(4))
-        b = sample_polynomial(random.Random(99), 2, f31.element(4))
+    def test_deterministic_under_seed(self):
+        a = sample_polynomial(random.Random(99), 2, 4, 31)
+        b = sample_polynomial(random.Random(99), 2, 4, 31)
         assert a == b
 
-    def test_leading_coefficient_never_zero(self, f19):
+    def test_leading_coefficient_never_zero(self):
         rng = random.Random(3)
         for _ in range(300):
-            q = sample_polynomial(rng, 3, f19.element(rng.randrange(19)))
-            assert q.coefficients[-1].value != 0
+            q = sample_polynomial(rng, 3, rng.randrange(19), 19)
+            assert all(0 <= c < 19 for c in q.coefficients)
+            assert q.coefficients[-1] != 0
 
-    def test_negative_degree(self, f19, rng):
+    def test_negative_degree(self, rng):
         with pytest.raises(ValueError):
-            sample_polynomial(rng, -1, f19.zero)
+            sample_polynomial(rng, -1, 0, 19)
 
 
 class TestLagrangeAtZero:
-    def test_two_points_on_line(self, f19):
-        pts = [(f19.element(1), f19.element(8)), (f19.element(2), f19.element(11))]
-        assert lagrange_at_zero(pts).value == 5
+    def test_two_points_on_line(self):
+        assert lagrange_at_zero([(1, 8), (2, 11)], 19) == 5
 
-    def test_single_point(self, f19):
-        assert lagrange_at_zero([(f19.element(4), f19.element(9))]).value == 9
+    def test_single_point(self):
+        assert lagrange_at_zero([(4, 9)], 19) == 9
 
-    def test_duplicate_abscissa(self, f19):
-        pts = [(f19.element(1), f19.element(8)), (f19.element(1), f19.element(9))]
+    def test_duplicate_abscissa(self):
         with pytest.raises(DuplicateAbscissa):
-            lagrange_at_zero(pts)
+            lagrange_at_zero([(1, 8), (1, 9)], 19)
 
-    def test_zero_abscissa(self, f19):
+    def test_zero_abscissa(self):
         with pytest.raises(ZeroAbscissa):
-            lagrange_at_zero([(f19.element(0), f19.element(8))])
+            lagrange_at_zero([(0, 8)], 19)
 
-    def test_round_trip_exhaustive_small_degrees(self, f19, rng):
+    def test_abscissa_checks_reduce_mod_p(self):
+        p = 19
+        with pytest.raises(ZeroAbscissa):
+            lagrange_at_zero([(p, 5)], p)
+        with pytest.raises(DuplicateAbscissa):
+            lagrange_at_zero([(3, 1), (3 + p, 2)], p)
+
+    def test_one_inversion_per_interpolation(self, monkeypatch):
+        calls = []
+
+        def counting_inverse(a, p):
+            calls.append(a)
+            return field_inverse(a, p)
+
+        monkeypatch.setattr(algebra, "field_inverse", counting_inverse)
+        q = sample_polynomial(random.Random(8), 4, 12, 31)
+        pts = [(x, poly_eval(q, x, 31)) for x in (2, 5, 9, 17, 30)]
+        assert lagrange_at_zero(pts, 31) == 12
+        assert len(calls) == 1
+
+    def test_round_trip_exhaustive_small_degrees(self, rng):
         # Every abscissa set of size k+1 over F_19 for k <= 3.
         for k in range(4):
             for xs in combinations(range(1, 19), k + 1):
-                q = sample_polynomial(rng, k, f19.element(rng.randrange(19)))
-                pts = [
-                    (f19.element(x), poly_eval(q, f19.element(x))) for x in xs
-                ]
-                assert lagrange_at_zero(pts) == q.free_coefficient
+                q = sample_polynomial(rng, k, rng.randrange(19), 19)
+                pts = [(x, poly_eval(q, x, 19)) for x in xs]
+                assert lagrange_at_zero(pts, 19) == q.free_coefficient
 
     @pytest.mark.parametrize("modulus", [19, 31])
     def test_round_trip_sampled_up_to_degree_8(self, modulus):
-        fp = FieldParams(modulus)
         rng = random.Random(modulus)
         for _ in range(200):
             k = rng.randrange(9)
-            q = sample_polynomial(rng, k, fp.element(rng.randrange(modulus)))
+            q = sample_polynomial(rng, k, rng.randrange(modulus), modulus)
             xs = rng.sample(range(1, modulus), k + 1)
-            pts = [(fp.element(x), poly_eval(q, fp.element(x))) for x in xs]
-            assert lagrange_at_zero(pts) == q.free_coefficient
+            pts = [(x, poly_eval(q, x, modulus)) for x in xs]
+            assert lagrange_at_zero(pts, modulus) == q.free_coefficient
 
 
 @given(
@@ -173,12 +169,11 @@ class TestLagrangeAtZero:
 )
 @settings(max_examples=60, deadline=None)
 def test_interpolation_round_trip_property(degree, seed, free):
-    fp = FieldParams(31)
     rng = random.Random(seed)
-    q = sample_polynomial(rng, degree, fp.element(free))
+    q = sample_polynomial(rng, degree, free, 31)
     xs = rng.sample(range(1, 31), degree + 1)
-    pts = [(fp.element(x), poly_eval(q, fp.element(x))) for x in xs]
-    assert lagrange_at_zero(pts).value == free
+    pts = [(x, poly_eval(q, x, 31)) for x in xs]
+    assert lagrange_at_zero(pts, 31) == free
 
 
 def test_perfect_secrecy_flat_distribution_f31():

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from hiershare.algebra import FieldMismatch, FieldParams
 from hiershare.curve import (
     STANDARD_CURVE,
     CurveParams,
@@ -139,14 +138,6 @@ class TestScalarMul:
         for k in range(1, 24):
             running = naive_add(toy, running, (toy.gx, toy.gy))
             assert as_tuple(scalar_mul(k, toy.base_point)) == running
-
-    def test_field_element_scalar(self, toy):
-        fp = toy.scalar_field()
-        assert scalar_mul(fp.element(7), toy.base_point) == scalar_mul(7, toy.base_point)
-
-    def test_field_element_wrong_modulus(self, toy):
-        with pytest.raises(FieldMismatch):
-            scalar_mul(FieldParams(31).element(3), toy.base_point)
 
     def test_negative_scalar(self, toy):
         G = toy.base_point

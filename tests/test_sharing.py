@@ -58,29 +58,28 @@ class TestThresholdFactor:
 
 
 class TestSplit:
-    def test_parts_sum_and_are_nonzero(self, f19, rng):
-        value = f19.element(10)
+    def test_parts_sum_and_are_nonzero(self, rng):
         for _ in range(100):
-            a, b = split(value, rng)
-            assert (a + b) == value
-            assert a.value != 0 and b.value != 0
+            a, b = split(10, 19, rng)
+            assert (a + b) % 19 == 10
+            assert 0 < a < 19 and 0 < b < 19
 
-    def test_zero_splits_into_negatives(self, f19, rng):
-        a, b = split(f19.zero, rng)
-        assert (a + b).value == 0
-        assert a.value != 0 and b.value != 0
-        assert b == -a
+    def test_zero_splits_into_negatives(self, rng):
+        a, b = split(0, 19, rng)
+        assert (a + b) % 19 == 0
+        assert a != 0 and b != 0
+        assert b == -a % 19
 
-    def test_deterministic_under_seed(self, f19):
-        first = split(f19.element(7), random.Random(5))
-        second = split(f19.element(7), random.Random(5))
+    def test_deterministic_under_seed(self):
+        first = split(7, 19, random.Random(5))
+        second = split(7, 19, random.Random(5))
         assert first == second
 
 
 class TestDistribute:
     def test_single_child_unanimity_share_is_secret(self, toy, rng):
         tree = make_tree([[]], rng, curve=toy)
-        secret = tree.field.element(11)
+        secret = 11
         dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         assert dealer.polynomials[ROOT_ID].degree + 1 == 1
         record = shares[1]
@@ -90,44 +89,46 @@ class TestDistribute:
 
     def test_three_level_toy_curve_round_trip(self, toy, rng):
         tree = make_tree([[[], []], [[], []]], rng, curve=toy)
-        secret = tree.field.element(13)
+        secret = 13
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         assert reconstruct(tree, shares, list(shares)) == secret
         assert dealer.polynomials[ROOT_ID].degree + 1 == compute_threshold(tf(1, 2), 2)
 
     def test_threshold_root_counts_level_one_users(self, rng):
         tree = make_tree([[], [], [], []], rng, prime=1009)
-        dealer, _state, _shares = deal(tree, tree.field.element(5), tf(1, 2), rng)
+        dealer, _state, _shares = deal(tree, 5, tf(1, 2), rng)
         assert dealer.polynomials[ROOT_ID].degree + 1 == 2
 
     def test_every_user_holds_exactly_one_share(self, rng):
         tree = make_tree([[[], []], [[]], []], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, tree.field.element(3), tf(2, 3), rng)
+        _dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
         assert sorted(shares) == tree.active_users()
         owners = [rec.owner for rec in shares.values()]
         assert len(owners) == len(set(owners))
 
     def test_single_field_modulus_everywhere(self, rng):
         tree = make_tree([[[], []], [[]]], rng, prime=1009)
-        dealer, _state, shares = deal(tree, tree.field.element(3), tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
+        p = tree.field.modulus
         for rec in shares.values():
-            assert rec.value.params is tree.field
-            assert rec.eval_point.params is tree.field
+            assert 0 <= rec.value < p
+            assert 0 < rec.eval_point < p
         for poly in dealer.polynomials.values():
-            assert poly.field is tree.field
+            assert all(0 <= c < p for c in poly.coefficients)
 
     def test_split_conservation(self, rng):
         tree = make_tree([[[], [], []], [[], []]], rng, prime=1009)
-        dealer, _state, shares = deal(tree, tree.field.element(77), tf(1, 2), rng)
+        dealer, _state, shares = deal(tree, 77, tf(1, 2), rng)
         for uid, rec in shares.items():
             if rec.split:
                 parent = tree.nodes[uid].parent
-                whole = poly_eval(dealer.polynomials[parent], rec.eval_point)
-                assert rec.value + dealer.polynomials[uid].free_coefficient == whole
+                whole = poly_eval(dealer.polynomials[parent], rec.eval_point, 1009)
+                retained = dealer.polynomials[uid].free_coefficient
+                assert (rec.value + retained) % 1009 == whole
 
     def test_no_active_level_one_users(self, rng):
         tree = make_tree([[]], rng, prime=1009)
-        dealer = DealerState(secret=tree.field.element(1))
+        dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         tree.leave(1)  # the round outlives the membership
         with pytest.raises(InactiveSubtree):
@@ -136,14 +137,14 @@ class TestDistribute:
     def test_internal_node_without_active_children_blocks(self, rng):
         tree = make_tree([[[]], []], rng, prime=1009)
         tree.leave(3)  # node 1's only child
-        dealer = DealerState(secret=tree.field.element(1))
+        dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(InactiveSubtree):
             distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_zero_eval_point_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(19)], rng, prime=19)
-        dealer = DealerState(secret=tree.field.element(1))
+        dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
             distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
@@ -151,7 +152,7 @@ class TestDistribute:
     def test_sibling_eval_collision_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(21)], rng, prime=19)
         tree.leave(19)  # avoid the zero point; 20 = 1 mod 19 still collides
-        dealer = DealerState(secret=tree.field.element(1))
+        dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
             distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
@@ -164,13 +165,13 @@ class TestReconstruct:
         for i in range(30):
             spec = random_tree_spec(rng, max_depth=3, max_fanout=4)
             tree = make_tree(spec, rng, prime=1009)
-            secret = tree.field.element(rng.randrange(1009))
+            secret = rng.randrange(1009)
             _dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
             assert reconstruct(tree, shares, list(shares)) == secret
 
     def test_minimal_quorum_recovers(self, rng):
         tree = make_tree([[[], [], []], [[], [], []], []], rng, prime=1009)
-        secret = tree.field.element(500)
+        secret = 500
         _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         participants = minimal_reconstructing_set(tree, shares)
         assert reconstruct(tree, shares, participants) == secret
@@ -178,7 +179,7 @@ class TestReconstruct:
 
     def test_below_threshold_group_fails(self, rng):
         tree = make_tree([[[], []], [[], []]], rng, prime=1009)
-        secret = tree.field.element(9)
+        secret = 9
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         # Unanimity everywhere: dropping one leaf starves its group.
         participants = [uid for uid in shares if uid != 3]
@@ -192,7 +193,7 @@ class TestReconstruct:
         from dataclasses import replace
 
         tree = make_tree([[], []], rng, prime=1009)
-        secret = tree.field.element(4)
+        secret = 4
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         shares[2] = replace(shares[2], epoch=1)
         with pytest.raises(StaleEpoch):
@@ -200,14 +201,14 @@ class TestReconstruct:
 
     def test_internal_node_recovery_library_call(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
-        secret = tree.field.element(321)
+        secret = 321
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         value = recover_group_secret(tree, shares, list(shares), 1)
         assert value == dealer.polynomials[1].free_coefficient
 
     def test_inactive_participants_ignored(self, rng):
         tree = make_tree([[], [], []], rng, prime=1009)
-        secret = tree.field.element(8)
+        secret = 8
         _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         tree.leave(3)
         # 3 is named as participating but cannot take part.
@@ -220,7 +221,7 @@ class TestGroupThresholdExactness:
         retained value; one-short subsets leave all 31 candidates equally
         consistent (exhaustive polynomial enumeration)."""
         tree = make_tree([[[], [], [], []]], rng, prime=31)
-        secret = tree.field.element(17)
+        secret = 17
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         group = tree.active_children(1)
         need = shares[group[0]].threshold
@@ -228,22 +229,22 @@ class TestGroupThresholdExactness:
         retained = dealer.polynomials[1].free_coefficient
 
         evaluations = {
-            uid: poly_eval(dealer.polynomials[1], shares[uid].eval_point)
+            uid: poly_eval(dealer.polynomials[1], shares[uid].eval_point, 31)
             for uid in group
         }
         for quorum in combinations(group, need):
             pts = [(shares[uid].eval_point, evaluations[uid]) for uid in quorum]
             from hiershare.algebra import lagrange_at_zero
 
-            assert lagrange_at_zero(pts) == retained
+            assert lagrange_at_zero(pts, 31) == retained
 
         for subq in combinations(group, need - 1):
             counts = {c: 0 for c in range(31)}
             for a0 in range(31):
                 for a1 in range(31):
                     ok = all(
-                        (a0 + a1 * shares[uid].eval_point.value) % 31
-                        == evaluations[uid].value
+                        (a0 + a1 * shares[uid].eval_point) % 31
+                        == evaluations[uid]
                         for uid in subq
                     )
                     if ok:
@@ -255,12 +256,12 @@ class TestGroupThresholdExactness:
 class TestKnowledgeClosure:
     def test_full_coalition_reconstructs(self, rng):
         tree = make_tree([[[], []], [[], []]], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, tree.field.element(6), tf(1, 2), rng)
+        _dealer, _state, shares = deal(tree, 6, tf(1, 2), rng)
         assert knowledge_closure(tree, dict(shares)) is True
 
     def test_below_threshold_coalition_fails(self, rng):
         tree = make_tree([[[], [], []]], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, tree.field.element(6), tf(1, 1), rng)
+        _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
         coalition = {2: shares[2], 3: shares[3]}  # 2 of 3, threshold 3
         assert knowledge_closure(tree, coalition) is False
 
@@ -272,7 +273,7 @@ class TestKnowledgeClosure:
         from dataclasses import replace
 
         tree = make_tree([[], []], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, tree.field.element(6), tf(1, 1), rng)
+        _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
         coalition = {1: shares[1], 2: replace(shares[2], epoch=3)}
         with pytest.raises(MixedEpochs):
             knowledge_closure(tree, coalition)
@@ -282,7 +283,7 @@ class TestKnowledgeClosure:
         exactly the coalition's data."""
         rng = random.Random(404)
         tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
-        secret = tree.field.element(123)
+        secret = 123
         _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         users = list(shares)
         for _ in range(200):
@@ -322,7 +323,7 @@ class TestKnowledgeClosureAgainstFixpoint:
         reconstructing = 0
         for _ in range(40):
             tree = make_tree(random_tree_spec(rng, max_depth=4, max_fanout=4), rng, prime=1009)
-            secret = tree.field.element(rng.randrange(1009))
+            secret = rng.randrange(1009)
             _dealer, _state, shares = deal(tree, secret, tf(rng.randint(1, 3), 3), rng)
             # Members stolen before a leave still count for the coalition.
             tree.leave(rng.choice(sorted(shares)))
@@ -341,7 +342,7 @@ class TestKnowledgeClosureAgainstFixpoint:
         for _ in range(depth - 1):
             spec = [spec]
         tree = make_tree([spec], random.Random(3), prime=1009)
-        _dealer, _state, shares = deal(tree, tree.field.element(9), tf(1, 1), random.Random(4))
+        _dealer, _state, shares = deal(tree, 9, tf(1, 1), random.Random(4))
         calls = 0
 
         def counted(method):
@@ -361,7 +362,7 @@ class TestKnowledgeClosureAgainstFixpoint:
 class TestMinimalReconstructingSet:
     def test_is_deterministic_and_sufficient(self, rng):
         tree = make_tree([[[], [], []], [[], []], []], rng, prime=1009)
-        secret = tree.field.element(55)
+        secret = 55
         _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         first = minimal_reconstructing_set(tree, shares)
         second = minimal_reconstructing_set(tree, shares)

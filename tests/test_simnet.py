@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import pytest
 
-from hiershare.algebra import FieldParams
 from hiershare.config import parse_scenario
 from hiershare.errors import InvariantViolation
 from hiershare.sharing import minimal_reconstructing_set
@@ -387,7 +386,11 @@ class TestInvariants:
 
     def test_single_field_modulus(self):
         world = self.dealt_world()
-        world.shares[1] = replace(world.shares[1], value=FieldParams(1013).element(1))
+        p = world.field.modulus
+        honest = world.shares[1]
+        world.shares[1] = replace(honest, value=p)
+        assert self.violated(world).invariant == "single-field-modulus"
+        world.shares[1] = replace(honest, eval_point=p)
         assert self.violated(world).invariant == "single-field-modulus"
 
     def test_group_key_x_distinct(self):

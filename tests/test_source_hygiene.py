@@ -1,0 +1,70 @@
+"""Source hygiene of the package, checked with the standard library's
+``ast`` (no linter is needed): every name a module imports is used there,
+and every name ``hiershare.__all__`` exports exists.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hiershare
+
+PACKAGE = Path(hiershare.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import in the module -> its line."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, including those inside string annotations
+    and the strings listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in imported_names(tree).items()
+        if name not in used
+    )
+    assert unused == []
+
+
+def test_all_entries_resolve():
+    missing = [name for name in hiershare.__all__ if not hasattr(hiershare, name)]
+    assert missing == []
