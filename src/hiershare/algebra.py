@@ -99,10 +99,11 @@ class FieldParams:
 
 
 def field_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse via Fermat: a^(p-2) mod p. Raises on zero."""
+    """Multiplicative inverse mod the prime p (extended Euclid through
+    ``pow(a, -1, p)``, the same value as Fermat's a^(p-2)). Raises on zero."""
     if a % p == 0:
         raise ZeroInverse("zero has no multiplicative inverse")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 @dataclass(frozen=True)

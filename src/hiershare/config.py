@@ -85,8 +85,8 @@ class ScenarioConfig:
     eval_mode: str
     epochs: int
     seed: int
+    field: FieldParams
     schema_version: int = SCHEMA_VERSION
-    field_prime: int | None = None
     curve_profile: str | None = None
     curve_inline: CurveParams | None = None
     renewal_enabled: bool = True
@@ -100,12 +100,6 @@ class ScenarioConfig:
         if self.curve_inline is not None:
             return self.curve_inline
         return PROFILES[self.curve_profile]
-
-    def field_params(self) -> FieldParams:
-        curve = self.curve_params()
-        if curve is None:
-            return FieldParams(self.field_prime)
-        return curve.scalar_field()
 
 
 def expand_tree(tree: dict) -> list[tuple[int, int]]:
@@ -251,13 +245,13 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
 
     curve_profile = None
     curve_inline = None
-    field_prime = None
+    field = None
     if field_mode == "no-curve":
         _require("curve" not in data, f"{source}.curve", "not allowed in no-curve mode")
         _require("field_prime" in data, f"{source}.field_prime", "required in no-curve mode")
         field_prime = _decimal(data["field_prime"], f"{source}.field_prime")
         try:
-            FieldParams(field_prime)
+            field = FieldParams(field_prime)
         except ValueError as exc:
             raise ConfigError(f"{source}.field_prime: {exc}") from None
     else:
@@ -300,36 +294,42 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         "round-key eval points need a curve",
     )
     epochs = _int(data["epochs"], f"{source}.epochs", minimum=0)
+    secret = _decimal(data["secret"], f"{source}.secret")
+    seed = _decimal(data["seed"], f"{source}.seed")
+    events = _parse_events(data.get("events", []), f"{source}.events", user_ids, epochs)
+    adversary = _parse_adversary(
+        data.get("adversary", {}), f"{source}.adversary", user_ids, id_to_parent, epochs
+    )
+    leave_policy = data.get("leave_policy", "abort")
+    _require(leave_policy in LEAVE_POLICIES, f"{source}.leave_policy", f"must be one of {LEAVE_POLICIES}")
+
+    if field_mode == "curve-order":
+        curve = curve_inline if curve_inline is not None else PROFILES[curve_profile]
+        report = validate_curve(curve)
+        _require(report.ok, f"{source}.curve", "; ".join(report.failures) or "invalid")
+        field = FieldParams(curve.order)
 
     config = ScenarioConfig(
         name=name,
         field_mode=field_mode,
-        field_prime=field_prime,
+        field=field,
         curve_profile=curve_profile,
         curve_inline=curve_inline,
         tf=tf,
         tree=tree,
-        secret=_decimal(data["secret"], f"{source}.secret"),
+        secret=secret,
         eval_mode=eval_mode,
         epochs=epochs,
         renewal_enabled=bool(data.get("renewal_enabled", True)),
-        seed=_decimal(data["seed"], f"{source}.seed"),
-        leave_policy=data.get("leave_policy", "abort"),
-        events=_parse_events(data.get("events", []), f"{source}.events", user_ids, epochs),
-        adversary=_parse_adversary(
-            data.get("adversary", {}), f"{source}.adversary", user_ids, id_to_parent, epochs
-        ),
+        seed=seed,
+        leave_policy=leave_policy,
+        events=events,
+        adversary=adversary,
     )
 
-    _require(config.leave_policy in LEAVE_POLICIES, f"{source}.leave_policy", f"must be one of {LEAVE_POLICIES}")
-
-    curve = config.curve_params()
-    if curve is not None:
-        report = validate_curve(curve)
-        _require(report.ok, f"{source}.curve", "; ".join(report.failures) or "invalid")
-    modulus = config.field_params().modulus
+    modulus = field.modulus
     _require(
-        0 <= config.secret < modulus,
+        0 <= secret < modulus,
         f"{source}.secret",
         f"must lie in [0, {modulus})",
     )
@@ -390,7 +390,7 @@ def serialize_scenario(config: ScenarioConfig) -> dict:
     if config.events:
         data["events"] = [dict(e) for e in config.events]
     if config.field_mode == "no-curve":
-        data["field_prime"] = str(config.field_prime)
+        data["field_prime"] = str(config.field.modulus)
     elif config.curve_inline is not None:
         c = config.curve_inline
         data["curve"] = {

@@ -1,18 +1,25 @@
 """Short-Weierstrass elliptic-curve group over a prime field.
 
 Supplies the group behind user keys, round keys, and renewal commitments.
-Affine coordinates with an explicit identity point; scalar multiplication by
-double-and-add. Written for simulation fidelity at desk scale, deliberately
-not side-channel hardened or projective-optimized.
+Points are affine with an explicit identity, and every ``CurvePoint`` is
+checked against the curve equation when it is built. Multiplications run
+inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
+and convert back to affine once, for the result: multiples of the base
+point read a table of its multiples, other points use double-and-add, and
+``multi_scalar_mul`` sums several multiples with one shared doubling chain
+(Straus). Written for simulation fidelity at desk scale, deliberately not
+side-channel hardened.
 
 Points and parameters are immutable; all operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .algebra import FieldParams, is_prime
+from .algebra import is_prime
 from .errors import HierShareError
 
 
@@ -42,10 +49,6 @@ class CurveParams:
 
     def identity(self) -> "CurvePoint":
         return CurvePoint(self, None, None)
-
-    def scalar_field(self) -> FieldParams:
-        """The field shares live in: integers mod the base point's order."""
-        return FieldParams(self.order)
 
 
 @dataclass(frozen=True)
@@ -101,23 +104,145 @@ def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return CurvePoint(P.curve, x3, y3)
 
 
+# Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); any Z = 0
+# is the identity. Affine points inside the multiplications are (x, y)
+# tuples, or None for the identity.
+_JACOBIAN_IDENTITY = (1, 1, 0)
+
+# The base-point table holds d * 16^i * G for every 4-bit digit d > 0 and
+# every digit position i of a scalar below 2^order.bit_length(): 64 rows of
+# 15 points on secp256k1.
+_WINDOW_BITS = 4
+
+
+def _double(P: tuple[int, int, int], a: int, p: int) -> tuple[int, int, int]:
+    """2P for any curve coefficient a. A point with Y = 0 (order 2) and the
+    identity both come out with Z = 0."""
+    X, Y, Z = P
+    YY = Y * Y % p
+    S = 4 * X * YY % p
+    ZZ = Z * Z % p
+    M = (3 * X * X + a * ZZ * ZZ) % p
+    X3 = (M * M - 2 * S) % p
+    return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
+
+
+def _add_affine(
+    P: tuple[int, int, int], x2: int, y2: int, a: int, p: int
+) -> tuple[int, int, int]:
+    """P + (x2, y2) for a Jacobian P and an affine, non-identity second
+    point, doubling when they are equal."""
+    X1, Y1, Z1 = P
+    if Z1 == 0:
+        return x2, y2, 1
+    Z1Z1 = Z1 * Z1 % p
+    H = (x2 * Z1Z1 - X1) % p
+    R = (y2 * Z1 * Z1Z1 - Y1) % p
+    if H == 0:
+        return _double(P, a, p) if R == 0 else _JACOBIAN_IDENTITY
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X1 * HH % p
+    X3 = (R * R - HHH - 2 * V) % p
+    return X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p
+
+
+def _to_affine(P: tuple[int, int, int], p: int) -> tuple[int, int] | None:
+    X, Y, Z = P
+    if Z == 0:
+        return None
+    z_inv = pow(Z, -1, p)
+    zz_inv = z_inv * z_inv % p
+    return X * zz_inv % p, Y * zz_inv * z_inv % p
+
+
+@functools.lru_cache(maxsize=8)
+def _base_table(curve: CurveParams) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+    """Row i holds d * 16^i * G for d = 1..15, built by the group law alone
+    (the order is read only for its bit length, never used to reduce)."""
+    rows = []
+    base = (curve.gx, curve.gy)  # 16^i * G
+    for _ in range((curve.order.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS):
+        row: list[tuple[int, int] | None] = []
+        acc = _JACOBIAN_IDENTITY
+        for _multiple in range(1 << _WINDOW_BITS):
+            if base is not None:
+                acc = _add_affine(acc, *base, curve.a, curve.p)
+            row.append(_to_affine(acc, curve.p))
+        base = row.pop()  # 16 * base heads the next row
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _mul_base(s: int, curve: CurveParams) -> tuple[int, int, int]:
+    """s * G for 0 <= s < 16^len(table): one mixed addition per nonzero
+    digit, no doublings."""
+    acc = _JACOBIAN_IDENTITY
+    mask = (1 << _WINDOW_BITS) - 1
+    for row in _base_table(curve):
+        if not s:
+            break
+        digit = s & mask
+        s >>= _WINDOW_BITS
+        if digit and row[digit - 1] is not None:
+            acc = _add_affine(acc, *row[digit - 1], curve.a, curve.p)
+    return acc
+
+
+def _straus(terms: list[tuple[int, int, int]], curve: CurveParams) -> tuple[int, int, int]:
+    """Σ s_i * (x_i, y_i) for nonnegative s_i and affine non-identity
+    points: one doubling per bit of the widest scalar, shared by all
+    terms, and one mixed addition per set bit."""
+    acc = _JACOBIAN_IDENTITY
+    a, p = curve.a, curve.p
+    for bit in reversed(range(max((s.bit_length() for s, _, _ in terms), default=0))):
+        acc = _double(acc, a, p)
+        for s, x, y in terms:
+            if s >> bit & 1:
+                acc = _add_affine(acc, x, y, a, p)
+    return acc
+
+
+def _result(curve: CurveParams, P: tuple[int, int, int]) -> "CurvePoint":
+    affine = _to_affine(P, curve.p)
+    if affine is None:
+        return curve.identity()
+    return CurvePoint(curve, *affine)
+
+
 def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
-    """s-fold group sum by double-and-add; 0*P is the identity.
+    """s-fold group sum; 0*P is the identity. The result is the only
+    ``CurvePoint`` built.
 
     Nonnegative integers are multiplied as-is (so order*G genuinely walks
     the whole subgroup rather than being reduced away); negative ones use
-    the group inverse.
+    the group inverse, (-s)*P = -(s*P).
     """
-    if s < 0:
-        return scalar_mul(-s, -P)
-    result = P.curve.identity()
-    addend = P
-    while s:
-        if s & 1:
-            result = point_add(result, addend)
-        addend = point_add(addend, addend)
-        s >>= 1
-    return result
+    curve = P.curve
+    if P.is_identity or s == 0:
+        return curve.identity()
+    k = abs(s)
+    is_base = (P.x, P.y) == (curve.gx, curve.gy)
+    if is_base and k.bit_length() <= _WINDOW_BITS * len(_base_table(curve)):
+        X, Y, Z = _mul_base(k, curve)
+    else:
+        X, Y, Z = _straus([(k, P.x, P.y)], curve)
+    return _result(curve, (X, Y if s > 0 else -Y, Z))
+
+
+def multi_scalar_mul(
+    pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams
+) -> CurvePoint:
+    """Σ s_i * P_i over (scalar, point) pairs in one Straus pass; zero
+    scalars and identity points add nothing, negative scalars use the group
+    inverse. Every point must lie on ``curve``."""
+    terms = []
+    for s, P in pairs:
+        if P.curve != curve:
+            raise OffCurve("points on different curves")
+        if s and not P.is_identity:
+            terms.append((abs(s), P.x, P.y if s > 0 else -P.y % curve.p))
+    return _result(curve, _straus(terms, curve))
 
 
 @dataclass

@@ -97,7 +97,7 @@ class HierarchyTree:
 
     @classmethod
     def for_curve(cls, curve: CurveParams) -> "HierarchyTree":
-        return cls(curve, curve.scalar_field())
+        return cls(curve, FieldParams(curve.order))
 
     @classmethod
     def without_curve(cls, prime: int) -> "HierarchyTree":

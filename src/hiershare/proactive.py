@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .algebra import poly_eval, sample_polynomial
-from .curve import CurveParams, CurvePoint, scalar_mul
+from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
 from .sharing import ShareRecord, StaleEpoch
@@ -137,9 +137,13 @@ def verify_renewal(
     smuggled nonzero free coefficient, shifts the left side off the right.
     """
     lhs = scalar_mul(bundle.delta, curve.base_point)
-    rhs = curve.identity()
-    for h, commitment in enumerate(bundle.commitments, start=1):
-        rhs = rhs + scalar_mul(pow(eval_point, h, curve.order), commitment)
+    rhs = multi_scalar_mul(
+        (
+            (pow(eval_point, h, curve.order), commitment)
+            for h, commitment in enumerate(bundle.commitments, start=1)
+        ),
+        curve,
+    )
     return lhs == rhs
 
 

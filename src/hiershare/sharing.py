@@ -181,13 +181,16 @@ def distribute(
     tf: ThresholdFactor,
     rng: random.Random,
     eval_mode: str = EVAL_ROUND_KEY,
+    *,
+    levels: dict[int, list[int]],
 ) -> dict[int, ShareRecord]:
     """Deal the dealer's secret down the tree, level by level.
 
-    Every active user ends up holding exactly one share; the field modulus
-    is the same at every level. Raises InactiveSubtree when a leave has
-    blocked the round (no level-1 users, or an internal node with children
-    but none of them active).
+    ``levels`` is ``tree.levels()`` for the membership being dealt to; the
+    caller computes it once per deal. Every active user ends up holding
+    exactly one share; the field modulus is the same at every level.
+    Raises InactiveSubtree when a leave has blocked the round (no level-1
+    users, or an internal node with children but none of them active).
     """
     level1 = tree.active_children(ROOT_ID)
     if not level1:
@@ -205,9 +208,8 @@ def distribute(
     dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
     shares: dict[int, ShareRecord] = {}
-    by_level = tree.levels()
-    for level in sorted(by_level):
-        for uid in by_level[level]:
+    for level in sorted(levels):
+        for uid in levels[level]:
             node = tree.nodes[uid]
             parent_poly = dealer.polynomials[node.parent]
             evaluation = poly_eval(parent_poly, points[uid], p)

@@ -197,7 +197,7 @@ class World:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.curve = config.curve_params()
-        self.field = config.field_params()
+        self.field = config.field
         self.rng = random.Random(config.seed)
         self.tree = HierarchyTree(self.curve, self.field)
         self.dealer = DealerState(secret=config.secret % self.field.modulus)
@@ -237,8 +237,7 @@ class World:
                 round_state.public_key, False,
             )
 
-    def _request_messages(self) -> None:
-        levels = self.tree.levels()
+    def _request_messages(self, levels: dict[int, list[int]]) -> None:
         for level in sorted(levels):
             for uid in levels[level]:
                 node = self.tree.nodes[uid]
@@ -269,15 +268,16 @@ class World:
 
     def _deal_once(self) -> None:
         last_error: Exception | None = None
+        levels = self.tree.levels()
         for _ in range(_DEAL_ATTEMPTS):
             round_state = self.tree.begin_round(self.rng)
             self._broadcast_round(round_state)
             self.tree.assign_round_keys(round_state)
-            self._request_messages()
+            self._request_messages(levels)
             try:
                 shares = distribute(
                     self.tree, self.dealer, round_state, self.config.tf,
-                    self.rng, self.config.eval_mode,
+                    self.rng, self.config.eval_mode, levels=levels,
                 )
             except EvalPointCollision as exc:
                 last_error = exc

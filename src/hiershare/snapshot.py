@@ -149,7 +149,7 @@ def world_from_dict(data: dict) -> World:
     world = World.__new__(World)
     world.config = config
     world.curve = config.curve_params()
-    world.field = config.field_params()
+    world.field = config.field
     world.epoch = data["epoch"]
     world.round_id = data["round_id"]
     world.envelopes = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiershare import algebra
+from hiershare.curve import STANDARD_CURVE
 from hiershare.algebra import (
     DuplicateAbscissa,
     FieldParams,
@@ -57,6 +58,12 @@ class TestFieldArithmetic:
     def test_inverse_exhaustive_f19(self):
         for a in range(1, 19):
             assert field_inverse(a, 19) * a % 19 == 1
+
+    @pytest.mark.parametrize("p", [19, STANDARD_CURVE.order])
+    def test_inverse_equals_fermat(self, p):
+        rng = random.Random(p)
+        for a in [rng.randrange(1, p) for _ in range(50)] + [1, p - 1, p + 2, -3]:
+            assert field_inverse(a, p) == pow(a, p - 2, p)
 
     def test_zero_inverse(self):
         with pytest.raises(ZeroInverse):

@@ -7,9 +7,11 @@ import pytest
 
 from hiershare.curve import (
     STANDARD_CURVE,
+    TOY_CURVE,
     CurveParams,
     CurvePoint,
     OffCurve,
+    multi_scalar_mul,
     point_add,
     scalar_mul,
     validate_curve,
@@ -45,6 +47,20 @@ def naive_add(curve, P, Q):
     x3 = (s * s - x1 - x2) % p
     y3 = (s * (x1 - x3) - y1) % p
     return (x3, y3)
+
+
+def naive_mul(curve, k, P):
+    """Affine double-and-add on coordinate tuples: the reference every
+    multiplication path is checked against."""
+    if k < 0:
+        k, P = -k, (IDENT if P is IDENT else (P[0], -P[1] % curve.p))
+    result, addend = IDENT, P
+    while k:
+        if k & 1:
+            result = naive_add(curve, result, addend)
+        addend = naive_add(curve, addend, addend)
+        k >>= 1
+    return result
 
 
 def as_tuple(point):
@@ -150,6 +166,34 @@ class TestScalarMul:
             s, t = rng.randrange(1, 19), rng.randrange(1, 19)
             assert scalar_mul(s * t % 19, G) == scalar_mul(s, scalar_mul(t, G))
 
+    def test_every_point_and_small_scalar_matches_repeated_addition(self, toy):
+        for P in [from_tuple(toy, t) for t in naive_points(toy)]:
+            running = toy.identity()
+            for k in range(0, 41):
+                assert scalar_mul(k, P) == running
+                assert scalar_mul(-k, P) == -running
+                running = point_add(running, P)
+
+    def test_builds_one_point_per_call(self, monkeypatch):
+        """Every intermediate sum stays a coordinate tuple; only the result
+        is built (and checked against the curve equation)."""
+        G = STANDARD_CURVE.base_point
+        P = scalar_mul(5, G)
+        scalar_mul(7, G)  # the base-point table is built before counting
+        built = []
+        check = CurvePoint.__post_init__
+
+        def counting(point):
+            built.append(point)
+            check(point)
+
+        monkeypatch.setattr(CurvePoint, "__post_init__", counting)
+        for k in (3, STANDARD_CURVE.order - 1, -9, 2**300):
+            for base in (G, P):
+                built.clear()
+                result = scalar_mul(k, base)
+                assert built == [result]
+
     def test_distributivity_random_pairs(self, toy):
         # (s + t)G = sG + tG: the same chain the commitment check rides on.
         rng = random.Random(8)
@@ -159,6 +203,65 @@ class TestScalarMul:
             assert scalar_mul((s + t) % 19, G) == point_add(
                 scalar_mul(s, G), scalar_mul(t, G)
             )
+
+
+_ORDER = STANDARD_CURVE.order
+_RNG = random.Random(11)
+# Seeded scalars, the edges around the order, a negative one, and one wider
+# than the base-point table (which covers the order's 256 bits).
+STANDARD_SCALARS = [0, 1, 2, _ORDER - 1, _ORDER, _ORDER + 1, -5, 2**256 + 3] + [
+    _RNG.randrange(_ORDER) for _ in range(6)
+]
+STANDARD_IDS = ["0", "1", "2", "order-1", "order", "order+1", "-5", "2^256+3"] + [
+    f"seeded{i}" for i in range(6)
+]
+STANDARD_G = (STANDARD_CURVE.gx, STANDARD_CURVE.gy)
+
+
+class TestStandardCurvePaths:
+    """secp256k1 multiples of G (the base-point table) and of another point
+    (double-and-add) against the affine reference above."""
+
+    @pytest.mark.parametrize("k", STANDARD_SCALARS, ids=STANDARD_IDS)
+    def test_base_point(self, k):
+        expected = naive_mul(STANDARD_CURVE, k, STANDARD_G)
+        assert as_tuple(scalar_mul(k, STANDARD_CURVE.base_point)) == expected
+
+    @pytest.mark.parametrize("k", STANDARD_SCALARS, ids=STANDARD_IDS)
+    def test_other_point(self, k):
+        P = naive_mul(STANDARD_CURVE, 0xC0FFEE, STANDARD_G)
+        expected = naive_mul(STANDARD_CURVE, k, P)
+        assert as_tuple(scalar_mul(k, from_tuple(STANDARD_CURVE, P))) == expected
+
+
+class TestMultiScalarMul:
+    def test_matches_sum_of_single_multiplications(self, toy):
+        rng = random.Random(12)
+        pts = [from_tuple(toy, t) for t in naive_points(toy)]
+        for _ in range(300):
+            pairs = [
+                (rng.choice([0, rng.randrange(-40, 41)]), rng.choice(pts))
+                for _ in range(rng.randrange(0, 5))
+            ]
+            expected = toy.identity()
+            for s, P in pairs:
+                expected = point_add(expected, scalar_mul(s, P))
+            assert multi_scalar_mul(pairs, toy) == expected
+
+    def test_standard_curve_against_reference(self):
+        rng = random.Random(13)
+        curve, G = STANDARD_CURVE, STANDARD_G
+        pairs = [(rng.randrange(curve.order), naive_mul(curve, rng.randrange(1, 99), G))
+                 for _ in range(3)] + [(7, IDENT), (0, G), (-2, G)]
+        expected = IDENT
+        for s, P in pairs:
+            expected = naive_add(curve, expected, naive_mul(curve, s, P))
+        got = multi_scalar_mul([(s, from_tuple(curve, P)) for s, P in pairs], curve)
+        assert as_tuple(got) == expected
+
+    def test_mixed_curves_rejected(self):
+        with pytest.raises(OffCurve):
+            multi_scalar_mul([(1, TOY_CURVE.base_point)], STANDARD_CURVE)
 
 
 class TestValidateCurve:
@@ -179,6 +282,11 @@ class TestValidateCurve:
         report = validate_curve(broken)
         assert not report.ok
         assert any("order" in f for f in report.failures)
+
+    def test_prime_wrong_order_fails_only_the_group_walk(self, toy):
+        # 17 is prime, so only multiplying G by it unreduced can tell.
+        broken = CurveParams("broken", toy.p, toy.a, toy.b, toy.gx, toy.gy, 17)
+        assert validate_curve(broken).failures == ["order * G is not the identity"]
 
     def test_singular_curve_flagged(self):
         # y^2 = x^3 over F_17 has zero discriminant.

@@ -101,6 +101,20 @@ class TestVerifyRenewal:
             bad = replace(bundle, commitments=(moved,) + bundle.commitments[1:])
             assert verify_renewal(bad, point, tree.curve) is False
 
+    def test_identity_commitment_fails(self, rng):
+        from hiershare.curve import STANDARD_CURVE
+
+        tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
+        _dealer, _state, shares = deal(tree, 7, tf(1, 1), rng)
+        for bundle in generate_renewal(tree, shares, ROOT_ID, 0, rng):
+            point = shares[bundle.recipient].eval_point
+            assert verify_renewal(bundle, point, tree.curve) is True
+            for idx in range(len(bundle.commitments)):
+                new = list(bundle.commitments)
+                new[idx] = tree.curve.identity()
+                bad = replace(bundle, commitments=tuple(new))
+                assert verify_renewal(bad, point, tree.curve) is False
+
     def test_nonzero_free_coefficient_fails(self, toy):
         """A polynomial with a smuggled constant term but honest
         commitments over its nonconstant part shifts the check by c*G."""

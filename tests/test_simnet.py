@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import pytest
 
+from hiershare import algebra, curve
 from hiershare.config import parse_scenario
 from hiershare.errors import InvariantViolation
+from hiershare.hierarchy import HierarchyTree
 from hiershare.sharing import minimal_reconstructing_set
 from hiershare.simnet import World
+from hiershare.snapshot import world_from_dict, world_to_dict
 
 
 def spec_dict(nested):
@@ -347,6 +350,50 @@ class TestEvents:
         # Finished: dealt to pre-leave membership, then deactivated.
         assert 3 in world.shares
         assert not world.tree.nodes[3].active
+
+
+class TestLoadAndDealCost:
+    @pytest.mark.parametrize(
+        "overrides, tests_per_load",
+        [
+            # The field prime, once.
+            ({}, 1),
+            # validate_curve's p and order, then the field of the order.
+            ({"field_mode": "curve-order", "curve": "toy", "field_prime": None, "eval_mode": None}, 3),
+        ],
+    )
+    def test_primality_tests_per_scenario_load(self, monkeypatch, overrides, tests_per_load):
+        calls = []
+        original = algebra.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(algebra, "is_prime", counting)
+        monkeypatch.setattr(curve, "is_prime", counting)
+        world = World(scenario(**overrides))
+        assert len(calls) == tests_per_load
+        world.initial_deal()
+        calls.clear()
+        world_from_dict(world_to_dict(world))
+        assert len(calls) == tests_per_load
+
+    def test_one_levels_walk_per_deal(self, monkeypatch):
+        calls = []
+        original = HierarchyTree.levels
+
+        def counting(tree):
+            calls.append(1)
+            return original(tree)
+
+        monkeypatch.setattr(HierarchyTree, "levels", counting)
+        world = World(scenario(events=[{"epoch": 2, "kind": "redeal"}]))
+        world.initial_deal()
+        assert len(calls) == 1
+        world.step_epoch()
+        world.step_epoch()
+        assert len(calls) == 2
 
 
 class TestDeepTrees:

@@ -7,7 +7,11 @@ there. This test reads its ``TRACED`` table without importing the tracer.
 
 import ast
 import importlib
+import inspect
+import typing
 from pathlib import Path
+
+from hiershare import curve
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,3 +40,12 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(span)
     assert missing == []
+
+
+def test_scalar_mul_takes_the_point_second():
+    """The tracer's ``_base_is_g`` flag reads the point as ``args[1]`` of
+    ``curve.scalar_mul``."""
+    params = list(inspect.signature(curve.scalar_mul).parameters.values())
+    point = params[1]
+    assert point.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert typing.get_type_hints(curve.scalar_mul)[point.name] is curve.CurvePoint
