@@ -77,8 +77,9 @@ class AdversaryConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario; ``curve`` is None in no-curve mode."""
+
     name: str
-    field_mode: str
     tf: ThresholdFactor
     tree: dict
     secret: int
@@ -86,20 +87,11 @@ class ScenarioConfig:
     epochs: int
     seed: int
     field: FieldParams
-    schema_version: int = SCHEMA_VERSION
-    curve_profile: str | None = None
-    curve_inline: CurveParams | None = None
+    curve: CurveParams | None = None
     renewal_enabled: bool = True
     leave_policy: str = "abort"
     events: tuple[dict, ...] = ()
     adversary: AdversaryConfig = dc_field(default_factory=AdversaryConfig)
-
-    def curve_params(self) -> CurveParams | None:
-        if self.field_mode == "no-curve":
-            return None
-        if self.curve_inline is not None:
-            return self.curve_inline
-        return PROFILES[self.curve_profile]
 
 
 def expand_tree(tree: dict) -> list[tuple[int, int]]:
@@ -243,8 +235,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     field_mode = data["field_mode"]
     _require(field_mode in FIELD_MODES, f"{source}.field_mode", f"must be one of {FIELD_MODES}")
 
-    curve_profile = None
-    curve_inline = None
+    curve = None
     field = None
     if field_mode == "no-curve":
         _require("curve" not in data, f"{source}.curve", "not allowed in no-curve mode")
@@ -260,9 +251,9 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         curve_spec = data["curve"]
         if isinstance(curve_spec, str):
             _require(curve_spec in PROFILES, f"{source}.curve", f"unknown profile {curve_spec!r}")
-            curve_profile = curve_spec
+            curve = PROFILES[curve_spec]
         elif isinstance(curve_spec, dict):
-            curve_inline = parse_curve_inline(curve_spec, f"{source}.curve")
+            curve = parse_curve_inline(curve_spec, f"{source}.curve")
         else:
             raise ConfigError(f"{source}.curve: expected profile name or parameter object")
 
@@ -303,18 +294,15 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     leave_policy = data.get("leave_policy", "abort")
     _require(leave_policy in LEAVE_POLICIES, f"{source}.leave_policy", f"must be one of {LEAVE_POLICIES}")
 
-    if field_mode == "curve-order":
-        curve = curve_inline if curve_inline is not None else PROFILES[curve_profile]
+    if curve is not None:
         report = validate_curve(curve)
         _require(report.ok, f"{source}.curve", "; ".join(report.failures) or "invalid")
         field = FieldParams(curve.order)
 
     config = ScenarioConfig(
         name=name,
-        field_mode=field_mode,
         field=field,
-        curve_profile=curve_profile,
-        curve_inline=curve_inline,
+        curve=curve,
         tf=tf,
         tree=tree,
         secret=secret,
@@ -367,11 +355,12 @@ def _parse_events(data, where: str, user_ids: set[int], max_epoch: int) -> tuple
 
 
 def serialize_scenario(config: ScenarioConfig) -> dict:
-    """Inverse of parse_scenario; big integers become decimal strings."""
+    """Inverse of parse_scenario; big integers become decimal strings, and
+    a curve equal to a profile is written as the profile's name."""
     data: dict = {
-        "schema_version": config.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "name": config.name,
-        "field_mode": config.field_mode,
+        "field_mode": "no-curve" if config.curve is None else "curve-order",
         "tf": {"num": config.tf.numerator, "den": config.tf.denominator},
         "tree": config.tree,
         "secret": str(config.secret),
@@ -389,10 +378,13 @@ def serialize_scenario(config: ScenarioConfig) -> dict:
     }
     if config.events:
         data["events"] = [dict(e) for e in config.events]
-    if config.field_mode == "no-curve":
+    c = config.curve
+    profiles = [name for name, curve in PROFILES.items() if curve == c]
+    if c is None:
         data["field_prime"] = str(config.field.modulus)
-    elif config.curve_inline is not None:
-        c = config.curve_inline
+    elif profiles:
+        data["curve"] = profiles[0]
+    else:
         data["curve"] = {
             "name": c.name,
             "p": str(c.p),
@@ -402,8 +394,6 @@ def serialize_scenario(config: ScenarioConfig) -> dict:
             "gy": str(c.gy),
             "order": str(c.order),
         }
-    else:
-        data["curve"] = config.curve_profile
     return data
 
 

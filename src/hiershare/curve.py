@@ -80,9 +80,6 @@ class CurvePoint:
             return self
         return CurvePoint(self.curve, self.x, (-self.y) % self.curve.p)
 
-    def __rmul__(self, scalar: int) -> "CurvePoint":
-        return scalar_mul(scalar, self)
-
 
 def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """Group law. The identity is neutral and P + (-P) is the identity."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Container
 
 from .algebra import FieldParams
 from .curve import CurveParams, CurvePoint, OffCurve, scalar_mul
@@ -147,11 +148,29 @@ class HierarchyTree:
         return out
 
     def levels(self) -> dict[int, list[int]]:
-        """Active users grouped by level, each level sorted by id."""
+        """Active users grouped by level, each level sorted by id: one
+        breadth-first pass that stops at inactive nodes, whose descendants
+        are all inactive too."""
         grouped: dict[int, list[int]] = {}
-        for uid in self.active_users():
-            grouped.setdefault(self.level(uid), []).append(uid)
-        return grouped
+        frontier = [ROOT_ID]
+        while True:
+            frontier = sorted(
+                c for uid in frontier for c in self.children[uid] if self.nodes[c].active
+            )
+            if not frontier:
+                return grouped
+            grouped[len(grouped) + 1] = frontier
+
+    def groups(self, holders: Container[int] | None = None) -> dict[int, list[int]]:
+        """Each parent (the root included) mapped to its active children, or
+        only those in ``holders``, all in id order; parents with no such
+        child are left out. One pass over the nodes suffices because an
+        active node's parent is always active."""
+        grouped: dict[int, list[int]] = {}
+        for uid, node in self.nodes.items():
+            if node.deactivated_by is None and (holders is None or uid in holders):
+                grouped.setdefault(node.parent, []).append(uid)
+        return {parent: grouped[parent] for parent in sorted(grouped)}
 
     def used_x_coordinates(self) -> set[int]:
         return {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
@@ -250,13 +269,6 @@ class HierarchyTree:
         if public_round_key.curve != self.curve:
             raise OffCurve("round key broadcast from a different curve")
         return scalar_mul(node.reg_token, public_round_key)
-
-    def derive_round_key_server(self, round_state: RoundState, group_key: CurvePoint) -> CurvePoint:
-        """Server-side round key: roundSecret * groupKey. Agrees with the
-        user-side derivation because both equal token*secret*G."""
-        if group_key.curve != self.curve:
-            raise OffCurve("group key from a different curve")
-        return scalar_mul(round_state.secret, group_key)
 
     def assign_round_keys(self, round_state: RoundState) -> None:
         """Store each active user's round key for the round (curve mode)."""

@@ -10,14 +10,14 @@ the polynomial. Old shares become useless, the group's jointly-held value
 never changes.
 
 Renewal rounds are deterministic: every subtree draws from its own
-sub-generator derived from (round entropy, subtree root), so the outcome
-is independent of subtree processing order.
+sub-generator derived from (round entropy, subtree root), so a group's
+renewal does not depend on which other groups renew or in what order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .algebra import poly_eval, sample_polynomial
@@ -171,7 +171,15 @@ def apply_renewal(share: ShareRecord, bundle: RenewalBundle, p: int) -> ShareRec
         raise EpochSkew(
             f"bundle epoch {bundle.epoch} does not follow share epoch {share.epoch}"
         )
-    return replace(share, value=(share.value + bundle.delta) % p, epoch=bundle.epoch)
+    return ShareRecord(
+        owner=share.owner,
+        eval_point=share.eval_point,
+        value=(share.value + bundle.delta) % p,
+        threshold=share.threshold,
+        round_id=share.round_id,
+        epoch=bundle.epoch,
+        split=share.split,
+    )
 
 
 def file_claim(
@@ -217,13 +225,6 @@ class RenewalOutcome:
     verdicts: tuple[Verdict, ...]
 
 
-def subtree_roots(tree: HierarchyTree, shares: dict[int, ShareRecord]) -> list[int]:
-    """The 2-leveled subtrees that renew: the server and every active user
-    with at least one dealt active child, in id order."""
-    roots = [ROOT_ID] + tree.active_users()
-    return [r for r in roots if any(c in shares for c in tree.active_children(r))]
-
-
 MessageHook = Callable[[str, int, tuple[int, ...], object, bool], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
@@ -237,9 +238,9 @@ def renewal_round(
     perturb: PerturbHook | None = None,
     extra_claims: Iterable[ClaimRecord] = (),
     on_message: MessageHook | None = None,
-    subtree_order: Sequence[int] | None = None,
 ) -> RenewalOutcome:
-    """Run one renewal epoch across every 2-leveled subtree.
+    """Run one renewal epoch across every 2-leveled subtree: each parent
+    with at least one dealt active child, in id order.
 
     ``epoch`` is the round index claims and verdicts are tagged with;
     normally all groups sit at epoch-1 and move to epoch, but a subtree
@@ -259,21 +260,15 @@ def renewal_round(
     unchanged with no claims (``extra_claims`` included), no traffic, and
     nothing drawn from ``rng``.
     """
-    roots = subtree_roots(tree, shares)
-    if not roots:
+    groups = tree.groups(shares)
+    if not groups:
         return RenewalOutcome(shares=dict(shares), claims=(), verdicts=())
-    if subtree_order is not None:
-        ordering = [r for r in subtree_order if r in roots]
-        if sorted(ordering) != sorted(roots):
-            raise ValueError("subtree_order must be a permutation of the roots")
-        roots = ordering
 
     entropy = rng.getrandbits(64)
     new_shares = dict(shares)
     claims: list[ClaimRecord] = list(extra_claims)
 
-    for root in roots:
-        kids = [c for c in tree.active_children(root) if c in shares]
+    for root, kids in groups.items():
         group_epochs = {shares[c].epoch for c in kids}
         if len(group_epochs) > 1:
             raise StaleEpoch(
@@ -319,7 +314,7 @@ def renewal_round(
     for claim in claims:
         by_accused.setdefault(claim.accused, []).append(claim)
     for accused in sorted(by_accused):
-        group = [c for c in tree.active_children(accused) if c in shares]
+        group = groups.get(accused, [])
         threshold = shares[group[0]].threshold if group else 1
         verdict = resolve_claims(by_accused[accused], len(group), threshold - 1)
         if verdict is not None:

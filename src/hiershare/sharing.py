@@ -72,12 +72,6 @@ class ThresholdFactor:
         if self.numerator <= 0 or self.numerator > self.denominator:
             raise ValueError("TF must be in (0,1]")
 
-    def threshold(self, n: int) -> int:
-        return compute_threshold(self, n)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
 
 def compute_threshold(tf: ThresholdFactor, n: int) -> int:
     """ceil(tf * n) in exact integer arithmetic; always in [1, n]."""
@@ -136,9 +130,9 @@ class DealerState:
 
 
 def assign_eval_points(
-    tree: HierarchyTree, mode: str = EVAL_ROUND_KEY
+    tree: HierarchyTree, groups: Mapping[int, list[int]], mode: str = EVAL_ROUND_KEY
 ) -> dict[int, int]:
-    """Evaluation point per active user.
+    """Evaluation point per member of ``groups`` (``tree.groups()``).
 
     Round-key mode uses the x-coordinate of the user's round key reduced
     into the share field (giving round keys their per-round purpose);
@@ -147,30 +141,26 @@ def assign_eval_points(
     user-id mode it is a configuration error.
     """
     points: dict[int, int] = {}
-    for uid in tree.active_users():
-        if mode == EVAL_ROUND_KEY:
-            key = tree.nodes[uid].round_key
-            if key is None:
-                raise InactiveSubtree(f"user {uid} has no round key")
-            raw = key.x % tree.field.modulus
-        elif mode == EVAL_USER_ID:
-            raw = uid % tree.field.modulus
-        else:
-            raise ValueError(f"unknown eval-point mode {mode!r}")
-        if raw == 0:
-            raise EvalPointCollision(f"user {uid} drew evaluation point zero")
-        points[uid] = raw
-
-    for parent in [ROOT_ID] + tree.active_users():
-        group = tree.active_children(parent)
+    for group in groups.values():
         seen: dict[int, int] = {}
         for uid in group:
-            x = points[uid]
+            if mode == EVAL_ROUND_KEY:
+                key = tree.nodes[uid].round_key
+                if key is None:
+                    raise InactiveSubtree(f"user {uid} has no round key")
+                x = key.x % tree.field.modulus
+            elif mode == EVAL_USER_ID:
+                x = uid % tree.field.modulus
+            else:
+                raise ValueError(f"unknown eval-point mode {mode!r}")
+            if x == 0:
+                raise EvalPointCollision(f"user {uid} drew evaluation point zero")
             if x in seen:
                 raise EvalPointCollision(
                     f"siblings {seen[x]} and {uid} share evaluation point {x}"
                 )
             seen[x] = uid
+            points[uid] = x
     return points
 
 
@@ -192,19 +182,19 @@ def distribute(
     Raises InactiveSubtree when a leave has blocked the round (no level-1
     users, or an internal node with children but none of them active).
     """
-    level1 = tree.active_children(ROOT_ID)
-    if not level1:
+    groups = tree.groups()
+    if ROOT_ID not in groups:
         raise InactiveSubtree("no active level-1 users")
     for uid in tree.active_users():
-        if tree.children[uid] and not tree.active_children(uid):
+        if tree.children[uid] and uid not in groups:
             raise InactiveSubtree(
                 f"internal node {uid} has no active children; a leave blocked the round"
             )
 
-    points = assign_eval_points(tree, eval_mode)
+    points = assign_eval_points(tree, groups, eval_mode)
     p = tree.field.modulus
 
-    root_degree = compute_threshold(tf, len(level1)) - 1
+    root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
     dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
     shares: dict[int, ShareRecord] = {}
@@ -213,7 +203,7 @@ def distribute(
             node = tree.nodes[uid]
             parent_poly = dealer.polynomials[node.parent]
             evaluation = poly_eval(parent_poly, points[uid], p)
-            kids = tree.active_children(uid)
+            kids = groups.get(uid)
             if kids:
                 kept, retained = split(evaluation, p, rng)
                 dealer.polynomials[uid] = sample_polynomial(
@@ -342,24 +332,3 @@ def knowledge_closure(
             known.add(gid)
     return ROOT_ID in known
 
-
-def minimal_reconstructing_set(
-    tree: HierarchyTree, shares: Mapping[int, ShareRecord]
-) -> list[int]:
-    """A cheapest participant set that reconstructs the secret: per group,
-    the threshold-many children with the smallest subtree quorum cost.
-    Deterministic (ties break by id)."""
-    holders = {uid for uid in shares if tree.is_active(uid)}
-    quorum: dict[int, tuple[int, list[int]]] = {}
-    for gid, kids in _groups_children_first(tree, shares, ROOT_ID, holders):
-        priced = []
-        for kid in kids:
-            sub_total, sub_chosen = quorum[kid] if shares[kid].split else (0, [])
-            priced.append((1 + sub_total, [kid] + sub_chosen))
-        priced.sort()
-        need = shares[kids[0]].threshold
-        quorum[gid] = (
-            sum(total for total, _ in priced[:need]),
-            [uid for _, chosen in priced[:need] for uid in chosen],
-        )
-    return sorted(quorum[ROOT_ID][1])

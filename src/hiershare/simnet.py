@@ -29,7 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .config import ScenarioConfig, expand_tree
+from .config import AdversaryConfig, ScenarioConfig, expand_tree
 from .errors import InvariantViolation
 from .hierarchy import ROOT_ID, HierarchyTree, RoundState
 from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
@@ -64,7 +64,8 @@ class Envelope:
 
 @dataclass
 class AdversaryState:
-    """Mobile adversary: strategy, occupation, and accumulated knowledge.
+    """Mobile adversary: its configuration (strategy, budget, targets,
+    script), occupation, and accumulated knowledge.
 
     Stolen knowledge persists across cleanses (what was copied stays
     copied); tokens and shares may only ever belong to nodes that were
@@ -72,15 +73,11 @@ class AdversaryState:
     shares are keyed by (round, epoch, owner) of the record.
     """
 
-    strategy: str
-    budget: int
-    targets: tuple[int, ...] = ()
-    script: tuple[dict, ...] = ()
+    config: AdversaryConfig
     occupied: set[int] = field(default_factory=set)
     compromise_epochs: dict[int, int] = field(default_factory=dict)
     stolen_shares: dict[tuple[int, int, int], ShareRecord] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
-    observed_commitments: int = 0
     cursor: int = 0
 
     @property
@@ -95,19 +92,16 @@ def steal_share(adv: AdversaryState, record: ShareRecord) -> None:
 def adversary_observe(adv: AdversaryState, envelope: Envelope) -> None:
     """Let the adversary read an envelope: sealed payloads only when the
     addressee is currently occupied, public ones always (but commitments
-    yield no coefficients — only the points are seen)."""
-    if envelope.sealed:
-        for recipient in envelope.recipients:
-            if recipient in adv.occupied:
-                if envelope.kind == "share" and isinstance(envelope.payload, ShareRecord):
-                    steal_share(adv, envelope.payload)
-    elif envelope.kind == "commitments":
-        adv.observed_commitments += 1
+    yield no coefficients — only the points are seen). A share is the one
+    payload it keeps."""
+    sealed_share = envelope.sealed and envelope.kind == "share"
+    if sealed_share and not adv.occupied.isdisjoint(envelope.recipients):
+        steal_share(adv, envelope.payload)
 
 
 def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
     merged: dict = {"compromise": [], "tamper": [], "false_claims": []}
-    for entry in adv.script:
+    for entry in adv.config.script:
         if entry["epoch"] != epoch:
             continue
         merged["compromise"].extend(entry.get("compromise", []))
@@ -119,13 +113,13 @@ def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
 def adversary_hop(adv: AdversaryState, tree: HierarchyTree, epoch: int) -> None:
     """Pick the occupied set for the epoch: scripted sets verbatim, other
     strategies rotate deterministically through the target list."""
-    if adv.strategy == "scripted":
+    if adv.config.strategy == "scripted":
         chosen = sorted(set(_script_for_epoch(adv, epoch)["compromise"]))
     else:
-        pool = list(adv.targets) or sorted(tree.nodes)
+        pool = list(adv.config.targets) or sorted(tree.nodes)
         chosen = []
-        if adv.budget > 0 and pool:
-            for _ in range(min(adv.budget, len(pool))):
+        if adv.config.budget > 0 and pool:
+            for _ in range(min(adv.config.budget, len(pool))):
                 chosen.append(pool[adv.cursor % len(pool)])
                 adv.cursor += 1
     adv.occupied = set(chosen)
@@ -141,16 +135,14 @@ def adversary_act(
     tampered_pairs: set[tuple[int, int]] = set()
     claims: list[ClaimRecord] = []
 
-    if adv.strategy == "active-corruptor":
-        for parent in sorted(adv.occupied):
-            if parent in tree.nodes and tree.active_children(parent):
-                for child in tree.active_children(parent):
-                    tampered_pairs.add((parent, child))
-    elif adv.strategy == "false-claimer":
+    if adv.config.strategy == "active-corruptor":
+        for parent in adv.occupied:
+            tampered_pairs.update((parent, child) for child in tree.active_children(parent))
+    elif adv.config.strategy == "false-claimer":
         for uid in sorted(adv.occupied):
             if uid in tree.nodes and tree.nodes[uid].active and uid in shares:
                 claims.append(file_claim(tree, uid, tree.nodes[uid].parent, epoch))
-    elif adv.strategy == "scripted":
+    elif adv.config.strategy == "scripted":
         entry = _script_for_epoch(adv, epoch)
         for tam in entry["tamper"]:
             kids = tam["children"] or tree.active_children(tam["parent"])
@@ -196,23 +188,15 @@ class World:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.curve = config.curve_params()
-        self.field = config.field
         self.rng = random.Random(config.seed)
-        self.tree = HierarchyTree(self.curve, self.field)
-        self.dealer = DealerState(secret=config.secret % self.field.modulus)
+        self.tree = HierarchyTree(config.curve, config.field)
+        self.dealer = DealerState(secret=config.secret % config.field.modulus)
         self.shares: dict[int, ShareRecord] = {}
         self.epoch = 0
         self.round_id = 0
         self.envelopes: list[Envelope] = []
         self.report = SimReport(scenario=config.name, seed=config.seed)
-        adv = config.adversary
-        self.adversary = AdversaryState(
-            strategy=adv.strategy,
-            budget=adv.budget,
-            targets=adv.targets,
-            script=adv.script,
-        )
+        self.adversary = AdversaryState(config.adversary)
         self._register_all()
 
     # -- construction -------------------------------------------------------
@@ -231,19 +215,21 @@ class World:
     # -- dealing ------------------------------------------------------------
 
     def _broadcast_round(self, round_state: RoundState) -> None:
-        if self.curve is not None:
+        if self.config.curve is not None:
             self.send(
                 "round-key", ROOT_ID, tuple(self.tree.active_users()),
                 round_state.public_key, False,
             )
 
-    def _request_messages(self, levels: dict[int, list[int]]) -> None:
+    def _request_messages(
+        self, levels: dict[int, list[int]], groups: dict[int, list[int]]
+    ) -> None:
         for level in sorted(levels):
             for uid in levels[level]:
                 node = self.tree.nodes[uid]
                 self.send(
                     "reqm", uid, (ROOT_ID,),
-                    (uid, node.parent, len(self.tree.active_children(uid))), False,
+                    (uid, node.parent, len(groups.get(uid, ()))), False,
                 )
 
     def _leave(self, uid: int) -> set[int]:
@@ -269,11 +255,12 @@ class World:
     def _deal_once(self) -> None:
         last_error: Exception | None = None
         levels = self.tree.levels()
+        groups = self.tree.groups()
         for _ in range(_DEAL_ATTEMPTS):
             round_state = self.tree.begin_round(self.rng)
             self._broadcast_round(round_state)
             self.tree.assign_round_keys(round_state)
-            self._request_messages(levels)
+            self._request_messages(levels, groups)
             try:
                 shares = distribute(
                     self.tree, self.dealer, round_state, self.config.tf,
@@ -307,6 +294,8 @@ class World:
                     notes.append(f"leave:{event['user']}:deactivated={len(gone)}")
             elif event["kind"] == "rejoin":
                 self.tree.rejoin(event["user"], self.rng)
+                # The fresh member holds no share until the next deal.
+                self.shares.pop(event["user"], None)
                 notes.append(f"rejoin:{event['user']}")
             elif event["kind"] == "redeal":
                 redeal = True
@@ -428,7 +417,7 @@ class World:
         owners = [rec.owner for rec in self.shares.values()]
         if len(owners) != len(set(owners)):
             raise InvariantViolation("single-share-per-user")
-        p = self.field.modulus
+        p = self.config.field.modulus
         for rec in self.shares.values():
             if not (0 <= rec.value < p and 0 < rec.eval_point < p):
                 raise InvariantViolation(

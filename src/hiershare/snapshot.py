@@ -6,10 +6,11 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch envelope scratch log is empty,
 so no envelope is stored.
 
-Format 3 stores each fact once. Child lists are rebuilt from the parent
-links on load, a node's activity from its ``deactivated_by``, and the
+Format 4 stores each fact once. Child lists are rebuilt from the parent
+links on load, a node's activity from its ``deactivated_by``, the
 server's retained parts are the free coefficients of the dealing
-polynomials.
+polynomials, and the adversary's configuration comes from the embedded
+scenario. Formats 1-3 are refused.
 
 A snapshot holds every secret in the clear: the dealer secret, the
 dealing polynomials (and with them the retained parts), every share and
@@ -31,7 +32,7 @@ from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import DealerState, Polynomial, ShareRecord
 from .simnet import AdversaryState, SimReport, World, steal_share
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class VersionMismatch(HierShareError):
@@ -58,8 +59,8 @@ def _point_in(data, world: World) -> CurvePoint | None:
     if data is None:
         return None
     if data == []:
-        return world.curve.identity()
-    return CurvePoint(world.curve, int(data[0]), int(data[1]))
+        return world.config.curve.identity()
+    return CurvePoint(world.config.curve, int(data[0]), int(data[1]))
 
 
 def _record_out(rec: ShareRecord) -> dict:
@@ -75,7 +76,7 @@ def _record_out(rec: ShareRecord) -> dict:
 
 
 def _field_in(text: str, world: World) -> int:
-    return int(text) % world.field.modulus
+    return int(text) % world.config.field.modulus
 
 
 def _record_in(data: dict, world: World) -> ShareRecord:
@@ -137,7 +138,6 @@ def world_to_dict(world: World) -> dict:
             "stolen_tokens": {
                 str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
             },
-            "observed_commitments": adv.observed_commitments,
             "cursor": adv.cursor,
         },
         "report_rows": world.report.rows,
@@ -148,8 +148,6 @@ def world_from_dict(data: dict) -> World:
     config = parse_scenario(data["scenario"], source="<snapshot scenario>")
     world = World.__new__(World)
     world.config = config
-    world.curve = config.curve_params()
-    world.field = config.field
     world.epoch = data["epoch"]
     world.round_id = data["round_id"]
     world.envelopes = []
@@ -158,7 +156,7 @@ def world_from_dict(data: dict) -> World:
     world.rng = random.Random()
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
-    tree = HierarchyTree(world.curve, world.field)
+    tree = HierarchyTree(config.curve, config.field)
     for node_data in sorted(data["tree"]["nodes"], key=lambda n: n["id"]):
         tree.insert(
             HierarchyNode(
@@ -187,12 +185,7 @@ def world_from_dict(data: dict) -> World:
     }
 
     adv_data = data["adversary"]
-    adversary = AdversaryState(
-        strategy=config.adversary.strategy,
-        budget=config.adversary.budget,
-        targets=config.adversary.targets,
-        script=config.adversary.script,
-    )
+    adversary = AdversaryState(config.adversary)
     adversary.occupied = set(adv_data["occupied"])
     adversary.compromise_epochs = {
         int(k): v for k, v in adv_data["compromise_epochs"].items()
@@ -202,7 +195,6 @@ def world_from_dict(data: dict) -> World:
     adversary.stolen_tokens = {
         int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
     }
-    adversary.observed_commitments = adv_data["observed_commitments"]
     adversary.cursor = adv_data["cursor"]
     world.adversary = adversary
 

@@ -75,3 +75,22 @@ def deal(tree, secret, tf, rng, eval_mode=None, max_attempts=128):
 
 def tf(num, den):
     return ThresholdFactor(num, den)
+
+
+def minimal_reconstructing_set(tree, shares):
+    """A cheapest participant set that reconstructs the secret: per group,
+    the threshold-many children with the smallest subtree quorum cost.
+    Deterministic (ties break by id). A child's id exceeds its parent's, so
+    groups in descending parent order come children first."""
+    quorum = {}
+    for gid, kids in reversed(tree.groups(shares).items()):
+        priced = sorted(
+            (1 + quorum[kid][0], [kid] + quorum[kid][1]) if shares[kid].split else (1, [kid])
+            for kid in kids
+        )
+        need = shares[kids[0]].threshold
+        quorum[gid] = (
+            sum(total for total, _ in priced[:need]),
+            [uid for _, chosen in priced[:need] for uid in chosen],
+        )
+    return sorted(quorum[ROOT_ID][1])

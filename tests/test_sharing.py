@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import deal, make_tree, random_tree_spec, tf
+from conftest import deal, make_tree, minimal_reconstructing_set, random_tree_spec, tf
 
 from hiershare.algebra import poly_eval
 from hiershare.hierarchy import ROOT_ID
@@ -20,7 +20,6 @@ from hiershare.sharing import (
     compute_threshold,
     distribute,
     knowledge_closure,
-    minimal_reconstructing_set,
     reconstruct,
     recover_group_secret,
     split,

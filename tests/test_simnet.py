@@ -4,12 +4,12 @@ import json
 from dataclasses import replace
 
 import pytest
+from conftest import minimal_reconstructing_set
 
 from hiershare import algebra, curve
 from hiershare.config import parse_scenario
 from hiershare.errors import InvariantViolation
 from hiershare.hierarchy import HierarchyTree
-from hiershare.sharing import minimal_reconstructing_set
 from hiershare.simnet import World
 from hiershare.snapshot import world_from_dict, world_to_dict
 
@@ -142,8 +142,8 @@ class TestAdversaryObservation:
             epochs=2,
         )
         world = World(cfg)
-        world.run()
-        assert world.adversary.observed_commitments > 0
+        report = world.run()
+        assert all(row["messages"]["commitments"] > 0 for row in report.rows[1:])
         # Structural: nothing but share records and token ints is held.
         assert world.adversary.stolen_shares == {}
         assert world.adversary.stolen_tokens == {}
@@ -325,6 +325,26 @@ class TestEvents:
         assert report.final["reconstruction_correct"] is True
         assert any("redeal" in note for note in report.rows[3]["events"])
 
+    def test_rejoin_without_redeal_holds_no_share_until_the_next_deal(self):
+        # A fresh member's slot must not keep the departed member's
+        # epoch-1 record, or epoch 2's root-group renewal mixes epochs.
+        cfg = scenario(
+            tree=spec_dict([[], [], [], []]),
+            tf={"num": 1, "den": 2},
+            events=[
+                {"epoch": 1, "kind": "leave", "user": 3},
+                {"epoch": 2, "kind": "rejoin", "user": 3},
+            ],
+            epochs=3,
+        )
+        world = World(cfg)
+        report = world.run()
+        assert world.tree.nodes[3].active
+        assert 3 not in world.shares
+        assert {rec.epoch for rec in world.shares.values()} == {3}
+        assert all(row["secret_intact"] for row in report.rows)
+        assert report.final["reconstruction_correct"] is True
+
     def test_mid_round_leave_abort_policy(self):
         cfg = scenario(
             tree=spec_dict([[], [], []]),
@@ -395,6 +415,38 @@ class TestLoadAndDealCost:
         world.step_epoch()
         assert len(calls) == 2
 
+    def count_calls(self, monkeypatch, method):
+        calls = []
+        original = getattr(HierarchyTree, method)
+
+        def counting(tree, *args):
+            calls.append(args)
+            return original(tree, *args)
+
+        monkeypatch.setattr(HierarchyTree, method, counting)
+        return calls
+
+    # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7}, 6 -> {8}: four
+    # sibling groups, under 0, 1, 2 and 6.
+    FOUR_GROUPS = spec_dict([[[], []], [[[]], []], []])
+
+    def test_deal_reads_the_group_view(self, monkeypatch):
+        active_children = self.count_calls(monkeypatch, "active_children")
+        level = self.count_calls(monkeypatch, "level")
+        world = World(scenario(tree=self.FOUR_GROUPS))
+        world.initial_deal()
+        assert world.report.rows[0]["messages"]["reqm"] == 8
+        assert active_children == []
+        assert level == []
+
+    def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
+        world = World(scenario(tree=self.FOUR_GROUPS))
+        world.initial_deal()
+        active_children = self.count_calls(monkeypatch, "active_children")
+        world.step_epoch()
+        assert world.report.rows[1]["messages"]["renewal-delta"] == 8
+        assert len(active_children) <= 4
+
 
 class TestDeepTrees:
     def test_600_deep_chain_runs_and_reconstructs(self):
@@ -433,7 +485,7 @@ class TestInvariants:
 
     def test_single_field_modulus(self):
         world = self.dealt_world()
-        p = world.field.modulus
+        p = world.config.field.modulus
         honest = world.shares[1]
         world.shares[1] = replace(honest, value=p)
         assert self.violated(world).invariant == "single-field-modulus"
