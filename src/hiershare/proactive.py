@@ -12,10 +12,22 @@ never changes.
 Renewal rounds are deterministic: every subtree draws from its own
 sub-generator derived from (round entropy, subtree root), so a group's
 renewal does not depend on which other groups renew or in what order.
+
+In the protocol each child checks its own bundle. The simulator reaches the
+same verdicts with one randomised check per group (the small-exponent batch
+test of Bellare, Garay and Rabin 1998): when every bundle of a group carries
+the same commitment vector of the group's dealt degree, it checks
+(Σ r_j·δ_j)·G = Σ_h (Σ r_j·x_j^h)·C_h for 128-bit weights r_j bound to the
+group's transcript by sha256, as in Fiat–Shamir, so the weights never touch
+the world's random stream. A group with a bad bundle passes with probability
+at most 2^-128. Any failure, and every group on a curve of order below
+2^128, falls back to each child's own check, so claims come out as if every
+child had checked alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -80,21 +92,21 @@ class Verdict:
 
 def generate_renewal(
     tree: HierarchyTree,
-    shares: dict[int, ShareRecord],
+    records: Sequence[ShareRecord],
     root_id: int,
     epoch: int,
     rng: random.Random,
 ) -> list[RenewalBundle]:
-    """Produce the renewal bundles a subtree root sends its children.
+    """Produce the renewal bundles a subtree root sends its children, whose
+    share records ``records`` holds in id order (a group of
+    ``HierarchyTree.groups``).
 
     The polynomial degree equals the group's dealt degree (threshold - 1),
     so a single-child threshold-1 group gets the zero polynomial and an
     empty commitment list.
     """
-    kids = [c for c in tree.active_children(root_id) if c in shares]
-    if not kids:
+    if not records:
         raise NoChildren(f"subtree root {root_id} has no dealt active children")
-    records = [shares[c] for c in kids]
     epochs = {rec.epoch for rec in records}
     if epochs != {epoch}:
         raise EpochSkew(
@@ -157,6 +169,46 @@ def accepts_renewal(
     return len(bundle.commitments) == share.threshold - 1 and verify_renewal(
         bundle, share.eval_point, curve
     )
+
+
+def batch_accepts_renewal(
+    delivered: Sequence[tuple[ShareRecord, RenewalBundle]], curve: CurveParams
+) -> bool:
+    """One randomised check of a whole group's (share, bundle) pairs.
+
+    True only if every bundle carries the same commitment vector of the
+    group's dealt degree and (Σ r_j·δ_j)·G = Σ_h (Σ r_j·x_j^h)·C_h holds,
+    with each r_j in [1, 2^128] hashed from the group's transcript. False
+    sends the caller to ``accepts_renewal`` for each child, and so does a
+    curve of order below 2^128, where weights reduced mod the order could
+    not keep a bad group's chance of passing below 2^-128.
+    """
+    commitments = delivered[0][1].commitments
+    if curve.order < 1 << 128 or any(
+        bundle.commitments != commitments or len(commitments) != rec.threshold - 1
+        for rec, bundle in delivered
+    ):
+        return False
+    n = curve.order
+    transcript = repr((
+        [(b.sender, b.epoch, b.recipient, rec.eval_point, b.delta) for rec, b in delivered],
+        [(c.x, c.y) for c in commitments],
+    ))
+    seed = hashlib.sha256(transcript.encode()).digest()
+    weights = [
+        1 + int.from_bytes(hashlib.sha256(seed + j.to_bytes(4, "big")).digest()[:16], "big")
+        for j in range(len(delivered))
+    ]
+    points = [rec.eval_point for rec, _ in delivered]
+    delta_sum = sum(r * bundle.delta for r, (_, bundle) in zip(weights, delivered)) % n
+    rhs = multi_scalar_mul(
+        (
+            (sum(r * pow(x, h, n) for r, x in zip(weights, points)) % n, c)
+            for h, c in enumerate(commitments, start=1)
+        ),
+        curve,
+    )
+    return scalar_mul(delta_sum, curve.base_point) == rhs
 
 
 def apply_renewal(share: ShareRecord, bundle: RenewalBundle, p: int) -> ShareRecord:
@@ -246,12 +298,13 @@ def renewal_round(
     normally all groups sit at epoch-1 and move to epoch, but a subtree
     whose previous renewal was discarded renews from wherever it lags.
 
-    A subtree commits only if none of its children's verifications failed;
-    a genuine failure means tampering somewhere, so the whole subtree's
-    renewal is discarded for the epoch (keeping the group epoch-consistent)
-    and the refusing children's claims go to the administrator. Verdicts
-    are returned for the caller to act on (cleansing is the simulation's
-    job, since it owns the adversary).
+    A subtree commits only if none of its children's verifications failed
+    (one ``batch_accepts_renewal`` per group, then ``accepts_renewal`` per
+    child only if that fails); a genuine failure means tampering somewhere,
+    so the whole subtree's renewal is discarded for the epoch (keeping the
+    group epoch-consistent) and the refusing children's claims go to the
+    administrator. Verdicts are returned for the caller to act on
+    (cleansing is the simulation's job, since it owns the adversary).
 
     Traffic goes through ``on_message``: one sealed delta per dealt child
     plus, in curve mode, one commitment multicast per subtree root.
@@ -275,12 +328,14 @@ def renewal_round(
                 f"subtree {root} children span epochs {sorted(group_epochs)}"
             )
         subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
-        bundles = generate_renewal(tree, shares, root, group_epochs.pop(), subtree_rng)
+        bundles = generate_renewal(
+            tree, [shares[c] for c in kids], root, group_epochs.pop(), subtree_rng
+        )
 
         if tree.curve is not None and on_message is not None:
             on_message("commitments", root, tuple(kids), bundles[0].commitments, False)
 
-        delivered: list[tuple[ShareRecord, RenewalBundle, bool]] = []
+        delivered: list[tuple[ShareRecord, RenewalBundle]] = []
         for bundle in bundles:
             if perturb is not None:
                 bundle = perturb(bundle)
@@ -288,18 +343,22 @@ def renewal_round(
                 on_message(
                     "renewal-delta", root, (bundle.recipient,), bundle, True
                 )
-            rec = shares[bundle.recipient]
-            ok = tree.curve is None or accepts_renewal(bundle, rec, tree.curve)
-            delivered.append((rec, bundle, ok))
+            delivered.append((shares[bundle.recipient], bundle))
 
-        refused = [rec.owner for rec, _, ok in delivered if not ok]
+        if tree.curve is None or batch_accepts_renewal(delivered, tree.curve):
+            refused = []
+        else:
+            refused = [
+                rec.owner for rec, bundle in delivered
+                if not accepts_renewal(bundle, rec, tree.curve)
+            ]
         if refused:
             claims.extend(file_claim(tree, child, root, epoch) for child in refused)
             if on_message is not None:
                 for child in refused:
                     on_message("claim", child, (ROOT_ID,), (child, root, epoch), False)
             continue
-        for rec, bundle, _ in delivered:
+        for rec, bundle in delivered:
             new_shares[rec.owner] = apply_renewal(rec, bundle, tree.field.modulus)
 
     if on_message is not None:

@@ -77,6 +77,11 @@ def tf(num, den):
     return ThresholdFactor(num, den)
 
 
+def root_group(tree, shares):
+    """The share records of the server's group, in id order."""
+    return [shares[kid] for kid in tree.groups(shares)[ROOT_ID]]
+
+
 def minimal_reconstructing_set(tree, shares):
     """A cheapest participant set that reconstructs the secret: per group,
     the threshold-many children with the smallest subtree quorum cost.

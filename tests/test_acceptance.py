@@ -10,7 +10,14 @@ import random
 import time
 from itertools import combinations
 
-from conftest import deal, make_tree, minimal_reconstructing_set, random_tree_spec, tf
+from conftest import (
+    deal,
+    make_tree,
+    minimal_reconstructing_set,
+    random_tree_spec,
+    root_group,
+    tf,
+)
 
 from hiershare.algebra import lagrange_at_zero, poly_eval
 from hiershare.config import parse_scenario
@@ -173,7 +180,7 @@ def test_criterion_5_detection_complete_and_sound():
     rng = random.Random(5)
     tree = make_tree([[], [], [], []], rng, curve=TOY_CURVE)
     _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
-    bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+    bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
     failures = 0
     for _ in range(1000):
         bundle = rng.choice(bundles)

@@ -4,10 +4,11 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import deal, make_tree, tf
+from conftest import deal, make_tree, root_group, tf
 
+import hiershare.proactive as proactive
 from hiershare.algebra import poly_eval, sample_polynomial
-from hiershare.curve import scalar_mul
+from hiershare.curve import STANDARD_CURVE, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import (
     ACCUSED_COMPROMISED,
@@ -17,6 +18,7 @@ from hiershare.proactive import (
     MixedAccused,
     NoChildren,
     RenewalBundle,
+    accepts_renewal,
     apply_renewal,
     file_claim,
     generate_renewal,
@@ -38,7 +40,7 @@ def toy_dealt_tree(rng, spec, factor, secret_value=7):
 class TestGenerateRenewal:
     def test_threshold_one_group_gets_zero_polynomial(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         assert len(bundles) == 1
         assert bundles[0].delta == 0
         assert bundles[0].commitments == ()
@@ -47,31 +49,31 @@ class TestGenerateRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], []], tf(1, 1)
         )
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         assert len(bundles) == 3
         assert all(len(b.commitments) == 2 for b in bundles)
         assert all(b.epoch == 1 for b in bundles)
 
     def test_deterministic_under_seed(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        first = generate_renewal(tree, shares, ROOT_ID, 0, random.Random(9))
-        second = generate_renewal(tree, shares, ROOT_ID, 0, random.Random(9))
+        first = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, random.Random(9))
+        second = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, random.Random(9))
         assert first == second
 
     def test_no_children(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
         with pytest.raises(NoChildren):
-            generate_renewal(tree, shares, 1, 0, rng)
+            generate_renewal(tree, [], 1, 0, rng)
 
     def test_epoch_skew_detected(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
         with pytest.raises(EpochSkew):
-            generate_renewal(tree, shares, ROOT_ID, 4, rng)
+            generate_renewal(tree, root_group(tree, shares), ROOT_ID, 4, rng)
 
     def test_no_curve_mode_has_no_commitments(self, rng):
         tree = make_tree([[], []], rng, prime=31)
         _dealer, _state, shares = deal(tree, 5, tf(1, 1), rng)
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         assert all(b.commitments == () for b in bundles)
 
 
@@ -80,14 +82,14 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(1, 2)
         )
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         for bundle in bundles:
             point = shares[bundle.recipient].eval_point
             assert verify_renewal(bundle, point, tree.curve) is True
 
     def test_tampered_delta_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
-        for bundle in generate_renewal(tree, shares, ROOT_ID, 0, rng):
+        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
             point = shares[bundle.recipient].eval_point
             bad = replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
             assert verify_renewal(bad, point, tree.curve) is False
@@ -95,18 +97,16 @@ class TestVerifyRenewal:
     def test_tampered_commitment_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
         G = tree.curve.base_point
-        for bundle in generate_renewal(tree, shares, ROOT_ID, 0, rng):
+        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
             point = shares[bundle.recipient].eval_point
             moved = bundle.commitments[0] + G
             bad = replace(bundle, commitments=(moved,) + bundle.commitments[1:])
             assert verify_renewal(bad, point, tree.curve) is False
 
     def test_identity_commitment_fails(self, rng):
-        from hiershare.curve import STANDARD_CURVE
-
         tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 7, tf(1, 1), rng)
-        for bundle in generate_renewal(tree, shares, ROOT_ID, 0, rng):
+        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
             point = shares[bundle.recipient].eval_point
             assert verify_renewal(bundle, point, tree.curve) is True
             for idx in range(len(bundle.commitments)):
@@ -132,7 +132,7 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(3, 4)
         )
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         G = tree.curve.base_point
         for _ in range(200):
             bundle = rng.choice(bundles)
@@ -155,7 +155,7 @@ class TestVerifyRenewal:
 class TestApplyRenewal:
     def test_zero_delta_keeps_value(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundle = generate_renewal(tree, shares, ROOT_ID, 0, rng)[0]
+        bundle = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)[0]
         renewed = apply_renewal(shares[1], bundle, tree.field.modulus)
         assert renewed.value == shares[1].value
         assert renewed.epoch == 1
@@ -165,7 +165,7 @@ class TestApplyRenewal:
         tree, _dealer, shares, secret = toy_dealt_tree(
             rng, [[], [], []], tf(2, 3)
         )
-        for bundle in generate_renewal(tree, shares, ROOT_ID, 0, rng):
+        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
             shares[bundle.recipient] = apply_renewal(
                 shares[bundle.recipient], bundle, tree.field.modulus
             )
@@ -173,14 +173,14 @@ class TestApplyRenewal:
 
     def test_epoch_mismatch(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundle = generate_renewal(tree, shares, ROOT_ID, 0, rng)[0]
+        bundle = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)[0]
         stale = replace(bundle, epoch=5)
         with pytest.raises(EpochSkew):
             apply_renewal(shares[1], stale, tree.field.modulus)
 
     def test_wrong_recipient(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        bundles = generate_renewal(tree, shares, ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
         with pytest.raises(ValueError):
             apply_renewal(shares[2], bundles[0], tree.field.modulus)
 
@@ -280,8 +280,6 @@ class TestRenewalRound:
         threshold-2 group. Every delta matches its commitments, but the
         group's degree would rise and reconstruction would go wrong, so
         every child refuses and claims."""
-        from hiershare.curve import STANDARD_CURVE
-
         rng = random.Random(11)
         tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
         secret = 1234567
@@ -399,3 +397,184 @@ class TestStalenessAcrossEpochs:
                                 counts[c] += 1
         assert len(set(counts.values())) == 1
         assert counts[secret] > 0
+
+
+class TestBatchCheck:
+    """A group's renewal is checked with one randomised equation; the
+    verdicts must be those of each child checking alone."""
+
+    def secp_group(self, seed, size, factor=tf(2, 3)):
+        rng = random.Random(seed)
+        tree = make_tree([[] for _ in range(size)], rng, curve=STANDARD_CURVE)
+        _dealer, _state, shares = deal(tree, 4242, factor, rng)
+        return tree, shares
+
+    def run_tampered(self, tree, shares, tamper, seed=3):
+        """Renew with ``tamper`` applied to every bundle; return the
+        outcome and the bundles as the children received them."""
+        seen = []
+
+        def perturb(bundle):
+            seen.append(tamper(bundle))
+            return seen[-1]
+
+        outcome = renewal_round(tree, shares, 1, random.Random(seed), perturb=perturb)
+        return outcome, seen
+
+    def alone(self, tree, shares, seen):
+        """The children whose own check of their bundle fails."""
+        return [
+            b.recipient for b in seen
+            if not accepts_renewal(b, shares[b.recipient], tree.curve)
+        ]
+
+    def claimers(self, outcome):
+        return sorted(c.claimer for c in outcome.claims)
+
+    def test_cancelling_pair_is_refused_by_both(self):
+        # Σ δ_j is unchanged, so an unweighted sum of the group's checks
+        # would pass; the weights must expose both bundles.
+        tree, shares = self.secp_group(21, 5)
+        n = tree.curve.order
+        shift = 0x1234567
+        offsets = {1: shift, 2: -shift}
+
+        def cancel(bundle):
+            offset = offsets.get(bundle.recipient, 0)
+            return replace(bundle, delta=(bundle.delta + offset) % n)
+
+        outcome, seen = self.run_tampered(tree, shares, cancel)
+        assert self.claimers(outcome) == [1, 2] == self.alone(tree, shares, seen)
+        assert all(rec.epoch == 0 for rec in outcome.shares.values())
+        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == 4242
+
+    def test_one_bad_delta_names_that_child(self):
+        tree, shares = self.secp_group(22, 5)
+
+        def bump(bundle):
+            if bundle.recipient != 3:
+                return bundle
+            return replace(bundle, delta=(bundle.delta + 1) % tree.curve.order)
+
+        outcome, _seen = self.run_tampered(tree, shares, bump)
+        assert self.claimers(outcome) == [3]
+        assert [v.accused for v in outcome.verdicts] == [ROOT_ID]
+        assert all(rec.epoch == 0 for rec in outcome.shares.values())
+
+    @pytest.mark.parametrize("consistent", [False, True], ids=["moved", "own-polynomial"])
+    def test_mismatched_vectors_get_per_child_verdicts(self, consistent):
+        """Child 4's vector differs from its siblings': either one point is
+        moved (its check fails) or it belongs to another polynomial of the
+        right degree that child 4's delta matches (its check passes)."""
+        tree, shares = self.secp_group(23, 5)
+        G = tree.curve.base_point
+        degree = shares[4].threshold - 1
+        other = sample_polynomial(random.Random(8), degree, 0, tree.curve.order)
+
+        def mismatch(bundle):
+            if bundle.recipient != 4:
+                return bundle
+            if not consistent:
+                moved = (bundle.commitments[0] + G,) + bundle.commitments[1:]
+                return replace(bundle, commitments=moved)
+            return replace(
+                bundle,
+                delta=poly_eval(other, shares[4].eval_point, tree.curve.order),
+                commitments=tuple(scalar_mul(c, G) for c in other.coefficients[1:]),
+            )
+
+        outcome, seen = self.run_tampered(tree, shares, mismatch)
+        assert self.claimers(outcome) == self.alone(tree, shares, seen)
+        assert self.claimers(outcome) == ([] if consistent else [4])
+
+    def test_random_tampering_matches_each_child_alone(self):
+        for trial in range(10):
+            rng = random.Random(100 + trial)
+            size, num = rng.randint(1, 5), rng.randint(1, 3)
+            tree, shares = self.secp_group(200 + trial, size, tf(num, 3))
+            n = tree.curve.order
+            kids = sorted(shares)
+            tampered = set(rng.sample(kids, rng.randint(0, len(kids))))
+            kinds = {uid: rng.choice(["delta", "commitment", "length"]) for uid in tampered}
+
+            def tamper(bundle):
+                kind = kinds.get(bundle.recipient)
+                if kind == "delta" or (kind and not bundle.commitments):
+                    return replace(bundle, delta=(bundle.delta + rng.randrange(1, n)) % n)
+                if kind == "commitment":
+                    idx = rng.randrange(len(bundle.commitments))
+                    new = list(bundle.commitments)
+                    new[idx] = new[idx] + tree.curve.base_point
+                    return replace(bundle, commitments=tuple(new))
+                if kind == "length":
+                    return replace(bundle, commitments=bundle.commitments[:-1])
+                return bundle
+
+            outcome, seen = self.run_tampered(tree, shares, tamper, seed=trial)
+            expected = self.alone(tree, shares, seen)
+            assert self.claimers(outcome) == expected
+            assert sorted(expected) == sorted(tampered)
+
+    def test_world_rng_untouched_by_the_check(self):
+        tree, shares = self.secp_group(24, 4)
+
+        def bump(bundle):
+            if bundle.recipient != 2:
+                return bundle
+            return replace(bundle, delta=(bundle.delta + 5) % tree.curve.order)
+
+        states = []
+        for perturb in (None, bump):
+            rng = random.Random(77)
+            outcome = renewal_round(tree, shares, 1, rng, perturb=perturb)
+            states.append(rng.getstate())
+        assert self.claimers(outcome) == [2]
+        assert states[0] == states[1]
+
+
+class TestCheckCounts:
+    """Machine-independent cost of one renewal epoch: how many per-child
+    checks and Straus passes it makes."""
+
+    # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups,
+    # 8 dealt children.
+    SPEC = [[[], []], [[], [], []], []]
+
+    def counted_round(self, monkeypatch, curve, tampered_parent=None):
+        rng = random.Random(41)
+        tree = make_tree(self.SPEC, rng, curve=curve)
+        _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
+        counts = {"verify_renewal": 0, "multi_scalar_mul": 0}
+        for name in counts:
+            original = getattr(proactive, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(proactive, name, counting)
+
+        def bump(bundle):
+            if bundle.sender != tampered_parent:
+                return bundle
+            return replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
+
+        outcome = renewal_round(tree, shares, 1, rng, perturb=bump)
+        return tree, outcome, counts
+
+    def test_honest_secp_epoch_makes_one_pass_per_group(self, monkeypatch):
+        _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
+        assert outcome.claims == ()
+        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 3}
+
+    def test_tampered_group_adds_one_check_per_child(self, monkeypatch):
+        _tree, outcome, counts = self.counted_round(
+            monkeypatch, STANDARD_CURVE, tampered_parent=2
+        )
+        assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
+        assert counts["verify_renewal"] == 3
+
+    def test_toy_curve_checks_every_child_alone(self, monkeypatch, toy):
+        _tree, outcome, counts = self.counted_round(monkeypatch, toy)
+        assert outcome.claims == ()
+        assert counts == {"verify_renewal": 8, "multi_scalar_mul": 8}

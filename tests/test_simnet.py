@@ -445,7 +445,7 @@ class TestLoadAndDealCost:
         active_children = self.count_calls(monkeypatch, "active_children")
         world.step_epoch()
         assert world.report.rows[1]["messages"]["renewal-delta"] == 8
-        assert len(active_children) <= 4
+        assert len(active_children) == 0
 
 
 class TestDeepTrees:

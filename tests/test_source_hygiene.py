@@ -1,9 +1,11 @@
 """Source hygiene of the package, checked with the standard library's
 ``ast`` (no linter is needed): every name a module imports is used there,
-and every name ``hiershare.__all__`` exports exists.
+the package imports nothing outside the standard library, and every name
+``hiershare.__all__`` exports exists.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,29 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert unused == []
+
+
+def absolute_imports(tree: ast.Module) -> dict[str, int]:
+    """Top-level package of each absolute import in the module -> its line."""
+    found: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found[node.module.split(".")[0]] = node.lineno
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = sorted(
+        f"{name} (line {line})"
+        for name, line in absolute_imports(tree).items()
+        if name != "__future__" and name not in sys.stdlib_module_names
+    )
+    assert foreign == []
 
 
 def test_all_entries_resolve():
