@@ -101,27 +101,28 @@ def cmd_run(args) -> int:
         world = World(config)
 
     snapshot_path = None
-    if args.save_at is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        snapshot_path = os.path.join(
-            out_dir, f"{world.config.name}.epoch{args.save_at}.snapshot"
-        )
+
+    def save_if_due() -> None:
+        """Snapshot the --save-at boundary when this run reaches it."""
+        nonlocal snapshot_path
+        if args.save_at == world.epoch:
+            os.makedirs(out_dir, exist_ok=True)
+            snapshot_path = os.path.join(out_dir, f"{world.config.name}.epoch{world.epoch}.snapshot")
+            save_world(world, snapshot_path)
 
     if not args.resume:
         world.initial_deal()
-        if args.save_at == 0:
-            save_world(world, snapshot_path)
+        save_if_due()
     while world.epoch < world.config.epochs:
         world.step_epoch()
-        if args.save_at == world.epoch and snapshot_path:
-            save_world(world, snapshot_path)
+        save_if_due()
     final = world.finalize()
 
     report_path, table_path = write_reports(world.report, out_dir)
     sys.stdout.write(render_table(world.report))
     print(f"report: {report_path}")
     print(f"table:  {table_path}")
-    if snapshot_path and args.save_at <= world.epoch:
+    if snapshot_path:
         print(f"snapshot: {snapshot_path}")
 
     if not final["reconstruction_correct"]:

@@ -93,7 +93,6 @@ class HierarchyTree:
         self.nodes: dict[int, HierarchyNode] = {}
         # Children of every node (the root included), in id order.
         self.children: dict[int, list[int]] = {ROOT_ID: []}
-        self._next_id = 1
         self._round_count = 0
 
     @classmethod
@@ -116,16 +115,6 @@ class HierarchyTree:
 
     def is_active(self, user_id: int) -> bool:
         return user_id == ROOT_ID or self.node(user_id).active
-
-    def level(self, user_id: int) -> int:
-        if user_id == ROOT_ID:
-            return 0
-        depth = 0
-        cursor = user_id
-        while cursor != ROOT_ID:
-            cursor = self.node(cursor).parent
-            depth += 1
-        return depth
 
     def children_of(self, node_id: int) -> list[int]:
         try:
@@ -205,13 +194,12 @@ class HierarchyTree:
 
     def register(self, parent: int, rng: random.Random) -> HierarchyNode:
         """Join under ``parent``: fresh id, fresh secret token, and the
-        group key the node and the server both know."""
+        group key the node and the server both know. Ids run 1..n and
+        nodes are never removed, so the next id is ``len(nodes) + 1``."""
         if not self.is_active(parent):
             raise ParentInactive(f"parent {parent} is inactive")
         token, key = self._sample_token(rng)
-        user_id = self._next_id
-        self._next_id += 1
-        fresh = HierarchyNode(id=user_id, parent=parent, reg_token=token, group_key=key)
+        fresh = HierarchyNode(len(self.nodes) + 1, parent, reg_token=token, group_key=key)
         self.insert(fresh)
         return fresh
 

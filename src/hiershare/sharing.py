@@ -171,16 +171,14 @@ def distribute(
     tf: ThresholdFactor,
     rng: random.Random,
     eval_mode: str = EVAL_ROUND_KEY,
-    *,
-    levels: dict[int, list[int]],
 ) -> dict[int, ShareRecord]:
     """Deal the dealer's secret down the tree, level by level.
 
-    ``levels`` is ``tree.levels()`` for the membership being dealt to; the
-    caller computes it once per deal. Every active user ends up holding
-    exactly one share; the field modulus is the same at every level.
-    Raises InactiveSubtree when a leave has blocked the round (no level-1
-    users, or an internal node with children but none of them active).
+    Every active user ends up holding exactly one share; the field modulus
+    is the same at every level. ``tree.levels()`` runs once, after the
+    evaluation points pass, so a round retried on EvalPointCollision
+    skips it. Raises InactiveSubtree when a leave has blocked the round (no
+    level-1 users, or an internal node with children but none active).
     """
     groups = tree.groups()
     if ROOT_ID not in groups:
@@ -192,6 +190,7 @@ def distribute(
             )
 
     points = assign_eval_points(tree, groups, eval_mode)
+    levels = tree.levels()
     p = tree.field.modulus
 
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1

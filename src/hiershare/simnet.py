@@ -67,22 +67,21 @@ class AdversaryState:
     """Mobile adversary: its configuration (strategy, budget, targets,
     script), occupation, and accumulated knowledge.
 
-    Stolen knowledge persists across cleanses (what was copied stays
-    copied); tokens and shares may only ever belong to nodes that were
-    compromised at some point, which the run asserts every epoch. Stolen
-    shares are keyed by (round, epoch, owner) of the record.
+    Unscripted strategies rotate through their target pool as a function
+    of the epoch alone: the hop runs once per epoch, epoch 0 included, so
+    epoch ``e`` occupies the ``w = min(budget, len(pool))`` pool entries
+    from index ``e*w`` on, wrapping around. Stolen knowledge persists
+    across cleanses (what was copied stays copied); tokens and shares may
+    only ever belong to nodes in ``ever_compromised``, which the run
+    asserts every epoch. Stolen shares are keyed by (round, epoch, owner)
+    of the record.
     """
 
     config: AdversaryConfig
     occupied: set[int] = field(default_factory=set)
-    compromise_epochs: dict[int, int] = field(default_factory=dict)
+    ever_compromised: set[int] = field(default_factory=set)
     stolen_shares: dict[tuple[int, int, int], ShareRecord] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
-    cursor: int = 0
-
-    @property
-    def ever_compromised(self) -> set[int]:
-        return set(self.compromise_epochs)
 
 
 def steal_share(adv: AdversaryState, record: ShareRecord) -> None:
@@ -112,19 +111,15 @@ def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
 
 def adversary_hop(adv: AdversaryState, tree: HierarchyTree, epoch: int) -> None:
     """Pick the occupied set for the epoch: scripted sets verbatim, other
-    strategies rotate deterministically through the target list."""
+    strategies rotate through the target list by epoch."""
     if adv.config.strategy == "scripted":
         chosen = sorted(set(_script_for_epoch(adv, epoch)["compromise"]))
     else:
         pool = list(adv.config.targets) or sorted(tree.nodes)
-        chosen = []
-        if adv.config.budget > 0 and pool:
-            for _ in range(min(adv.config.budget, len(pool))):
-                chosen.append(pool[adv.cursor % len(pool)])
-                adv.cursor += 1
+        width = min(adv.config.budget, len(pool))
+        chosen = [pool[(epoch * width + i) % len(pool)] for i in range(width)]
     adv.occupied = set(chosen)
-    for uid in chosen:
-        adv.compromise_epochs.setdefault(uid, epoch)
+    adv.ever_compromised.update(chosen)
 
 
 def adversary_act(
@@ -187,6 +182,7 @@ class World:
     epoch's envelopes, and the report."""
 
     def __init__(self, config: ScenarioConfig):
+        """The blank world: no user registered yet, nothing dealt."""
         self.config = config
         self.rng = random.Random(config.seed)
         self.tree = HierarchyTree(config.curve, config.field)
@@ -197,13 +193,6 @@ class World:
         self.envelopes: list[Envelope] = []
         self.report = SimReport(scenario=config.name, seed=config.seed)
         self.adversary = AdversaryState(config.adversary)
-        self._register_all()
-
-    # -- construction -------------------------------------------------------
-
-    def _register_all(self) -> None:
-        for _uid, parent in expand_tree(self.config.tree):
-            self.tree.register(parent, self.rng)
 
     # -- messaging ----------------------------------------------------------
 
@@ -221,15 +210,12 @@ class World:
                 round_state.public_key, False,
             )
 
-    def _request_messages(
-        self, levels: dict[int, list[int]], groups: dict[int, list[int]]
-    ) -> None:
-        for level in sorted(levels):
-            for uid in levels[level]:
-                node = self.tree.nodes[uid]
+    def _request_messages(self, groups: dict[int, list[int]]) -> None:
+        for parent, kids in groups.items():
+            for uid in kids:
                 self.send(
                     "reqm", uid, (ROOT_ID,),
-                    (uid, node.parent, len(groups.get(uid, ()))), False,
+                    (uid, parent, len(groups.get(uid, ()))), False,
                 )
 
     def _leave(self, uid: int) -> set[int]:
@@ -254,17 +240,16 @@ class World:
 
     def _deal_once(self) -> None:
         last_error: Exception | None = None
-        levels = self.tree.levels()
         groups = self.tree.groups()
         for _ in range(_DEAL_ATTEMPTS):
             round_state = self.tree.begin_round(self.rng)
             self._broadcast_round(round_state)
             self.tree.assign_round_keys(round_state)
-            self._request_messages(levels, groups)
+            self._request_messages(groups)
             try:
                 shares = distribute(
                     self.tree, self.dealer, round_state, self.config.tf,
-                    self.rng, self.config.eval_mode, levels=levels,
+                    self.rng, self.config.eval_mode,
                 )
             except EvalPointCollision as exc:
                 last_error = exc
@@ -440,8 +425,11 @@ class World:
     # -- orchestration -----------------------------------------------------------
 
     def initial_deal(self) -> None:
-        """Epoch-0 row: registration is out of band, dealing is not. The
-        adversary may already sit on hosts and read their sealed mail."""
+        """Registration, then the epoch-0 row: registration is out of band,
+        dealing is not. The adversary may already sit on hosts and read
+        their sealed mail."""
+        for _uid, parent in expand_tree(self.config.tree):
+            self.tree.register(parent, self.rng)
         adversary_hop(self.adversary, self.tree, 0)
         mid_round = tuple(
             e["user"]

