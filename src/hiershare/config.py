@@ -297,7 +297,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     if curve is not None:
         report = validate_curve(curve)
         _require(report.ok, f"{source}.curve", "; ".join(report.failures) or "invalid")
-        field = FieldParams(curve.order)
+        field = report.field_params
 
     config = ScenarioConfig(
         name=name,

@@ -5,9 +5,9 @@ Points are affine with an explicit identity, and every ``CurvePoint`` is
 checked against the curve equation when it is built. Multiplications run
 inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
 and convert back to affine once, for the result: multiples of the base
-point read a table of its multiples, other points use double-and-add, and
-``multi_scalar_mul`` sums several multiples with one shared doubling chain
-(Straus). Written for simulation fidelity at desk scale, deliberately not
+point read a table of its multiples, and ``multi_scalar_mul`` sums the
+multiples of any other points with one shared doubling chain (Straus).
+Written for simulation fidelity at desk scale, deliberately not
 side-channel hardened.
 
 Points and parameters are immutable; all operations are pure.
@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .algebra import is_prime
+from .algebra import FieldParams, is_prime
 from .errors import HierShareError
 
 
@@ -144,28 +144,40 @@ def _add_affine(
     return X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p
 
 
-def _to_affine(P: tuple[int, int, int], p: int) -> tuple[int, int] | None:
-    X, Y, Z = P
-    if Z == 0:
-        return None
-    z_inv = pow(Z, -1, p)
-    zz_inv = z_inv * z_inv % p
-    return X * zz_inv % p, Y * zz_inv * z_inv % p
+def _to_affine(points: list[tuple[int, int, int]], p: int) -> list[tuple[int, int] | None]:
+    """Affine forms of Jacobian points, None for the identity, with one
+    inversion for all of them (Montgomery's trick)."""
+    prefixes, product = [], 1
+    for _, _, Z in points:
+        prefixes.append(product)
+        product = product * (Z or 1) % p
+    inverse = pow(product, -1, p)
+    out: list[tuple[int, int] | None] = [None] * len(points)
+    for i in reversed(range(len(points))):
+        X, Y, Z = points[i]
+        if Z:
+            z_inv = inverse * prefixes[i] % p
+            inverse = inverse * Z % p
+            zz_inv = z_inv * z_inv % p
+            out[i] = (X * zz_inv % p, Y * zz_inv * z_inv % p)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
 def _base_table(curve: CurveParams) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
     """Row i holds d * 16^i * G for d = 1..15, built by the group law alone
-    (the order is read only for its bit length, never used to reduce)."""
+    (the order is read only for its bit length, never used to reduce), with
+    one inversion per row."""
     rows = []
     base = (curve.gx, curve.gy)  # 16^i * G
     for _ in range((curve.order.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS):
-        row: list[tuple[int, int] | None] = []
+        multiples = []
         acc = _JACOBIAN_IDENTITY
         for _multiple in range(1 << _WINDOW_BITS):
             if base is not None:
                 acc = _add_affine(acc, *base, curve.a, curve.p)
-            row.append(_to_affine(acc, curve.p))
+            multiples.append(acc)
+        row = _to_affine(multiples, curve.p)
         base = row.pop()  # 16 * base heads the next row
         rows.append(tuple(row))
     return tuple(rows)
@@ -201,10 +213,8 @@ def _straus(terms: list[tuple[int, int, int]], curve: CurveParams) -> tuple[int,
 
 
 def _result(curve: CurveParams, P: tuple[int, int, int]) -> "CurvePoint":
-    affine = _to_affine(P, curve.p)
-    if affine is None:
-        return curve.identity()
-    return CurvePoint(curve, *affine)
+    affine = _to_affine([P], curve.p)[0]
+    return curve.identity() if affine is None else CurvePoint(curve, *affine)
 
 
 def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
@@ -216,14 +226,11 @@ def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
     the group inverse, (-s)*P = -(s*P).
     """
     curve = P.curve
-    if P.is_identity or s == 0:
-        return curve.identity()
     k = abs(s)
     is_base = (P.x, P.y) == (curve.gx, curve.gy)
-    if is_base and k.bit_length() <= _WINDOW_BITS * len(_base_table(curve)):
-        X, Y, Z = _mul_base(k, curve)
-    else:
-        X, Y, Z = _straus([(k, P.x, P.y)], curve)
+    if not (is_base and k.bit_length() <= _WINDOW_BITS * len(_base_table(curve))):
+        return multi_scalar_mul([(s, P)], curve)
+    X, Y, Z = _mul_base(k, curve)
     return _result(curve, (X, Y if s > 0 else -Y, Z))
 
 
@@ -244,9 +251,12 @@ def multi_scalar_mul(
 
 @dataclass
 class CurveValidation:
-    """Itemized validation outcome; empty failure list means valid."""
+    """Itemized validation outcome; empty failure list means valid.
+    ``field_params`` is the share field of the order, when the order is a
+    prime above 2."""
 
     failures: list[str] = field(default_factory=list)
+    field_params: FieldParams | None = None
 
     @property
     def ok(self) -> bool:
@@ -265,8 +275,10 @@ def validate_curve(params: CurveParams) -> CurveValidation:
     on_curve = params.contains(params.gx, params.gy)
     if not on_curve:
         report.failures.append("base point not on curve")
-    if params.order < 2 or not is_prime(params.order):
-        report.failures.append(f"subgroup order {params.order} is not prime")
+    try:
+        report.field_params = FieldParams(params.order)
+    except ValueError as exc:
+        report.failures.append(f"subgroup order: {exc}")
     if p_prime and on_curve:
         if not scalar_mul(params.order, params.base_point).is_identity:
             report.failures.append("order * G is not the identity")

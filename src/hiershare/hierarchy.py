@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from .algebra import FieldParams
-from .curve import CurveParams, CurvePoint, OffCurve, scalar_mul
+from .curve import CurveParams, CurvePoint, scalar_mul
 from .errors import HierShareError
 
 # Parent marker for level-1 users. The server is not a user; ids start at 1.
@@ -42,10 +42,6 @@ class UnknownUser(HierShareError):
 
 class AlreadyInactive(HierShareError):
     pass
-
-
-class InactiveUser(HierShareError):
-    """An operation that requires an active node hit an inactive one."""
 
 
 class PositionOccupied(HierShareError):
@@ -98,12 +94,6 @@ class HierarchyTree:
     @classmethod
     def for_curve(cls, curve: CurveParams) -> "HierarchyTree":
         return cls(curve, FieldParams(curve.order))
-
-    @classmethod
-    def without_curve(cls, prime: int) -> "HierarchyTree":
-        """No-curve test mode: shares over a standalone prime, no keys,
-        detection disabled."""
-        return cls(None, FieldParams(prime))
 
     # -- queries ---------------------------------------------------------
 
@@ -249,19 +239,15 @@ class HierarchyTree:
         public = scalar_mul(secret, self.curve.base_point)
         return RoundState(self._round_count, secret, public)
 
-    def derive_round_key_user(self, user_id: int, public_round_key: CurvePoint) -> CurvePoint:
-        """User-side round key: token * serverPublic."""
-        node = self.node(user_id)
-        if not node.active:
-            raise InactiveUser(f"user {user_id} cannot derive a round key")
-        if public_round_key.curve != self.curve:
-            raise OffCurve("round key broadcast from a different curve")
-        return scalar_mul(node.reg_token, public_round_key)
-
     def assign_round_keys(self, round_state: RoundState) -> None:
-        """Store each active user's round key for the round (curve mode)."""
+        """Store each active user's round key for the round (curve mode):
+        token * serverPublic in the protocol, here the same point read from
+        the base-point table as (token * secret mod order) * G. This relies
+        on ``validate_curve``'s check that the order is prime and that
+        order * G is the identity."""
         if self.curve is None:
             return
-        for uid in self.active_users():
-            node = self.nodes[uid]
-            node.round_key = self.derive_round_key_user(uid, round_state.public_key)
+        G, order = self.curve.base_point, self.curve.order
+        for node in self.nodes.values():
+            if node.active:
+                node.round_key = scalar_mul(node.reg_token * round_state.secret % order, G)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hiershare.algebra import FieldParams
 from hiershare.curve import TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.sharing import (
@@ -31,7 +32,7 @@ def make_tree(spec, rng, curve=None, prime=None):
     if curve is not None:
         tree = HierarchyTree.for_curve(curve)
     else:
-        tree = HierarchyTree.without_curve(prime)
+        tree = HierarchyTree(None, FieldParams(prime))
     queue = [(child, ROOT_ID) for child in spec]
     while queue:
         children, parent = queue.pop(0)

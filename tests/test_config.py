@@ -104,6 +104,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="order"):
             parse_scenario(bad)
 
+    def test_inline_curve_order_refused_only_for_primality(self):
+        # 38 * G is the identity on the toy curve, so only the primality test
+        # of the order can refuse it.
+        bad = base_scenario(
+            field_mode="curve-order",
+            field_prime=None,
+            curve={"p": "17", "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "38"},
+        )
+        with pytest.raises(ConfigError, match="order: field modulus 38 is not prime"):
+            parse_scenario(bad)
+
+    def test_inline_curve_of_order_two_is_config_error(self):
+        # (1, 0) on y^2 = x^3 + 16 over F_17 has order 2, too small a field.
+        bad = base_scenario(
+            field_mode="curve-order",
+            field_prime=None,
+            curve={"p": "17", "a": "0", "b": "16", "gx": "1", "gy": "0", "order": "2"},
+        )
+        with pytest.raises(ConfigError, match="order: field modulus must exceed 2"):
+            parse_scenario(bad)
+
     def test_inline_curve_missing_base_point(self):
         bad = base_scenario(
             field_mode="curve-order",

@@ -14,6 +14,7 @@ from hiershare.curve import (
     multi_scalar_mul,
     point_add,
     scalar_mul,
+    _base_table,
     validate_curve,
 )
 
@@ -232,6 +233,53 @@ class TestStandardCurvePaths:
         P = naive_mul(STANDARD_CURVE, 0xC0FFEE, STANDARD_G)
         expected = naive_mul(STANDARD_CURVE, k, P)
         assert as_tuple(scalar_mul(k, from_tuple(STANDARD_CURVE, P))) == expected
+
+
+def table_entry_by_point_add(curve, i, d):
+    """d * 16^i * G by 4i doublings and d additions through ``point_add``."""
+    P = curve.base_point
+    for _ in range(4 * i):
+        P = point_add(P, P)
+    total = curve.identity()
+    for _ in range(d):
+        total = point_add(total, P)
+    return as_tuple(total)
+
+
+class TestBaseTable:
+    """Row i of the base-point table holds d * 16^i * G for d = 1..15, the
+    identity as None."""
+
+    SMALL_CURVES = [
+        TOY_CURVE,
+        # G = (2, 1) has order 7: row 0 holds the identity at d = 7 and 14.
+        CurveParams("order-7", 13, 0, 6, 2, 1, 7),
+        # G = (1, 0) has order 2 but claims the prime 17, as a curve does on
+        # its way to failing validation: every even multiple and all of
+        # row 1 are the identity.
+        CurveParams("order-2-claims-17", 17, 0, 16, 1, 0, 17),
+    ]
+
+    @pytest.mark.parametrize("curve", SMALL_CURVES, ids=lambda c: c.name)
+    def test_every_entry_of_a_small_curve(self, curve):
+        table = _base_table(curve)
+        assert len(table) == (curve.order.bit_length() + 3) // 4
+        for i, row in enumerate(table):
+            assert list(row) == [table_entry_by_point_add(curve, i, d) for d in range(1, 16)]
+
+    def test_some_entries_identity(self):
+        rows = [_base_table(curve) for curve in self.SMALL_CURVES[1:]]
+        assert rows[0][0][6] is None and rows[0][0][13] is None
+        assert rows[1][1] == (None,) * 15
+
+    def test_sampled_standard_entries(self):
+        table = _base_table(STANDARD_CURVE)
+        assert [len(row) for row in table] == [15] * 64
+        rng = random.Random(43)
+        sampled = [(0, 1), (0, 15), (1, 1), (63, 15)]
+        sampled += [(rng.randrange(64), rng.randrange(1, 16)) for _ in range(4)]
+        for i, d in sampled:
+            assert table[i][d - 1] == table_entry_by_point_add(STANDARD_CURVE, i, d)
 
 
 class TestMultiScalarMul:

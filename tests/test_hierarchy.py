@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from hiershare.curve import STANDARD_CURVE, scalar_mul
+from hiershare.algebra import FieldParams
+from hiershare.curve import PROFILES, STANDARD_CURVE, scalar_mul
 from hiershare.hierarchy import (
     ROOT_ID,
     AlreadyInactive,
     EmptyHierarchy,
     HierarchyTree,
-    InactiveUser,
     ParentInactive,
     PositionOccupied,
     TreeFull,
@@ -40,6 +40,12 @@ class QueuedRandom(random.Random):
 
     def randrange(self, *args, **kwargs):
         return self._queue.pop(0)
+
+
+def derive_round_key_user(tree, user_id, public_round_key):
+    """User-side round key: token * serverPublic, by the generic
+    multiplication."""
+    return scalar_mul(tree.node(user_id).reg_token, public_round_key)
 
 
 def derive_round_key_server(round_state, group_key):
@@ -102,7 +108,7 @@ class TestRegister:
             toy_tree.register(ROOT_ID, rng)
 
     def test_no_curve_mode_has_no_keys(self, rng):
-        tree = HierarchyTree.without_curve(31)
+        tree = HierarchyTree(None, FieldParams(31))
         node = tree.register(ROOT_ID, rng)
         assert node.group_key is None
         assert 1 <= node.reg_token < 31
@@ -139,22 +145,23 @@ class TestRoundKeys:
         node = toy_tree.register(ROOT_ID, QueuedRandom([1]))
         assert node.reg_token == 1
         state = toy_tree.begin_round(rng)
-        assert toy_tree.derive_round_key_user(node.id, state.public_key) == state.public_key
+        toy_tree.assign_round_keys(state)
+        assert node.round_key == state.public_key
 
     def test_token_three_secret_two_gives_sixth_multiple(self, toy_tree):
         node = toy_tree.register(ROOT_ID, QueuedRandom([3]))
         state = toy_tree.begin_round(QueuedRandom([2]))
-        expected = scalar_mul(6, toy_tree.curve.base_point)
-        assert toy_tree.derive_round_key_user(node.id, state.public_key) == expected
+        toy_tree.assign_round_keys(state)
+        assert node.round_key == scalar_mul(6, toy_tree.curve.base_point)
 
     def test_inactive_node_refused(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
         other = toy_tree.register(ROOT_ID, rng)
+        toy_tree.assign_round_keys(toy_tree.begin_round(rng))
         toy_tree.leave(node.id)
-        state = toy_tree.begin_round(rng)
-        del other
-        with pytest.raises(InactiveUser):
-            toy_tree.derive_round_key_user(node.id, state.public_key)
+        toy_tree.assign_round_keys(toy_tree.begin_round(rng))
+        assert node.round_key is None
+        assert other.round_key is not None
 
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
@@ -173,9 +180,30 @@ class TestRoundKeys:
         for _ in range(10):
             state = toy_tree.begin_round(rng)
             for node in nodes:
-                user_side = toy_tree.derive_round_key_user(node.id, state.public_key)
+                user_side = derive_round_key_user(toy_tree, node.id, state.public_key)
                 server_side = derive_round_key_server(state, node.group_key)
                 assert user_side == server_side
+
+    @pytest.mark.parametrize("curve_name", ["toy", "standard"])
+    def test_stored_key_matches_both_derivations(self, curve_name):
+        # The stored (token*secret mod n)*G equals token*R and secret*groupKey
+        # for every active user, and inactive users store nothing.
+        tree = HierarchyTree.for_curve(PROFILES[curve_name])
+        rng = random.Random(29)
+        for _ in range(6):
+            tree.register(ROOT_ID, rng)
+        tree.register(2, rng)
+        tree.register(3, rng)
+        tree.leave(3)
+        for _ in range(4):
+            state = tree.begin_round(rng)
+            tree.assign_round_keys(state)
+            for node in tree.nodes.values():
+                if not node.active:
+                    assert node.round_key is None
+                    continue
+                assert node.round_key == derive_round_key_user(tree, node.id, state.public_key)
+                assert node.round_key == derive_round_key_server(state, node.group_key)
 
 
 class TestLeaveAndRejoin:
@@ -198,7 +226,7 @@ class TestLeaveAndRejoin:
         assert toy_tree.nodes[top.id].active
 
     def test_figure2_shape(self):
-        tree = HierarchyTree.without_curve(101)
+        tree = HierarchyTree(None, FieldParams(101))
         build_figure2_tree(tree, random.Random(1))
         gone = tree.leave(2)
         assert gone == {2, 6, 7, 9, 10, 11, 12, 13, 14}
@@ -251,7 +279,7 @@ class TestLeaveAndRejoin:
 
     def test_rejoin_under_inactive_parent_refused(self, rng):
         # 1 -> {3 -> {5}, 4}, 2: 3 leaves, then its parent 1 leaves.
-        tree = HierarchyTree.without_curve(1009)
+        tree = HierarchyTree(None, FieldParams(1009))
         for parent in (ROOT_ID, ROOT_ID, 1, 1, 3):
             tree.register(parent, rng)
         tree.leave(3)
@@ -287,7 +315,7 @@ class TestGroupView:
     def test_matches_per_parent_reference_under_churn(self):
         for seed in range(20):
             rng = random.Random(seed)
-            tree = HierarchyTree.without_curve(1009)
+            tree = HierarchyTree(None, FieldParams(1009))
             vacant = []
             for _ in range(60):
                 active = tree.active_users()
@@ -311,7 +339,7 @@ class TestGroupView:
                 assert tree.levels() == reference_levels(tree)
 
     def test_figure2_leave_drops_blocked_groups(self, rng):
-        tree = build_figure2_tree(HierarchyTree.without_curve(1009), rng)
+        tree = build_figure2_tree(HierarchyTree(None, FieldParams(1009)), rng)
         tree.leave(2)
         assert tree.groups() == {ROOT_ID: [1, 3], 1: [4, 5], 3: [8]}
         assert tree.groups({1, 5, 8}) == {ROOT_ID: [1], 1: [5], 3: [8]}

@@ -378,8 +378,8 @@ class TestLoadAndDealCost:
         [
             # The field prime, once.
             ({}, 1),
-            # validate_curve's p and order, then the field of the order.
-            ({"field_mode": "curve-order", "curve": "toy", "field_prime": None, "eval_mode": None}, 3),
+            # validate_curve's p, then its order, whose test builds the field.
+            ({"field_mode": "curve-order", "curve": "toy", "field_prime": None, "eval_mode": None}, 2),
         ],
     )
     def test_primality_tests_per_scenario_load(self, monkeypatch, overrides, tests_per_load):
@@ -436,6 +436,28 @@ class TestLoadAndDealCost:
         world.initial_deal()
         assert world.report.rows[0]["messages"]["reqm"] == 8
         assert active_children == []
+
+    def test_curve_deal_multiplies_only_the_base_point(self, monkeypatch):
+        # Group keys, the public round key and every stored round key read
+        # the base-point table; any other point's multiple is a Straus pass.
+        config = scenario(
+            field_mode="curve-order", curve="standard", field_prime=None,
+            eval_mode=None, tree=self.FOUR_GROUPS,
+        )
+        passes = []
+        original = curve._straus
+
+        def counting(terms, params):
+            passes.append(len(terms))
+            return original(terms, params)
+
+        monkeypatch.setattr(curve, "_straus", counting)
+        world = World(config)
+        world.initial_deal()
+        assert len(world.shares) == 8
+        assert passes == []
+        curve.scalar_mul(3, world.tree.nodes[1].round_key)
+        assert passes == [1]
 
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))
