@@ -1,4 +1,4 @@
-"""Prime-field arithmetic, polynomials, and interpolation at zero.
+"""Prime-field arithmetic, polynomials, and Lagrange interpolation.
 
 All share and renewal math lives in a single prime field: the order of the
 curve's base-point subgroup in curve mode, or a standalone small prime in
@@ -180,3 +180,27 @@ def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
         total_num = (total_num * den + num * total_den) % p
         total_den = total_den * den % p
     return total_num * field_inverse(total_den, p) % p
+
+
+def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:
+    """Monomial coefficients mod p of the polynomial of degree below
+    len(points) through the given points, whose abscissas must be distinct
+    mod p (zero is allowed). Like ``lagrange_at_zero`` it sums the terms as
+    one running fraction, so the whole interpolation costs one inversion."""
+    xs = [x % p for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa(f"abscissas {xs} are not distinct")
+    product = [1]  # Π (x - x_j), ascending powers
+    for x_j in xs:
+        product = [(lo - x_j * hi) % p for lo, hi in zip([0] + product, product + [0])]
+    total, total_den = [0] * len(xs), 1
+    for x_i, (_, y_i) in zip(xs, points):
+        # basis = product / (x - x_i) by synthetic division, den = basis(x_i)
+        basis, carry, den = [0] * len(xs), 0, 0
+        for h in reversed(range(len(xs))):
+            carry = basis[h] = (product[h + 1] + x_i * carry) % p
+            den = (den * x_i + carry) % p
+        total = [(t * den + y_i * total_den * b) % p for t, b in zip(total, basis)]
+        total_den = total_den * den % p
+    inverse = field_inverse(total_den, p)
+    return Polynomial(tuple(c * inverse % p for c in total))

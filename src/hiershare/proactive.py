@@ -14,25 +14,22 @@ sub-generator derived from (round entropy, subtree root), so a group's
 renewal does not depend on which other groups renew or in what order.
 
 In the protocol each child checks its own bundle. The simulator reaches the
-same verdicts with one randomised check per group (the small-exponent batch
-test of Bellare, Garay and Rabin 1998): when every bundle of a group carries
-the same commitment vector of the group's dealt degree, it checks
-(Σ r_j·δ_j)·G = Σ_h (Σ r_j·x_j^h)·C_h for 128-bit weights r_j bound to the
-group's transcript by sha256, as in Fiat–Shamir, so the weights never touch
-the world's random stream. A group with a bad bundle passes with probability
-at most 2^-128. Any failure, and every group on a curve of order below
-2^128, falls back to each child's own check, so claims come out as if every
-child had checked alone.
+same verdicts with one exact check per group: when all m bundles carry the
+same commitment vector of the group's dealt degree k and m >= k, it
+interpolates f through (0, 0) and the first k points (x_j, δ_j) and passes
+the group only if f(x_j) = δ_j at the other points and c_h·G = C_h for each
+coefficient. Then δ_j·G = Σ_h x_j^h·C_h, every child's own check, holds for
+all j; an honest group always passes, on any curve. Otherwise each child
+checks alone, so claims come out as if every child had checked alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .algebra import poly_eval, sample_polynomial
+from .algebra import interpolate, poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
@@ -171,44 +168,23 @@ def accepts_renewal(
     )
 
 
-def batch_accepts_renewal(
+def group_accepts_renewal(
     delivered: Sequence[tuple[ShareRecord, RenewalBundle]], curve: CurveParams
 ) -> bool:
-    """One randomised check of a whole group's (share, bundle) pairs.
-
-    True only if every bundle carries the same commitment vector of the
-    group's dealt degree and (Σ r_j·δ_j)·G = Σ_h (Σ r_j·x_j^h)·C_h holds,
-    with each r_j in [1, 2^128] hashed from the group's transcript. False
-    sends the caller to ``accepts_renewal`` for each child, and so does a
-    curve of order below 2^128, where weights reduced mod the order could
-    not keep a bad group's chance of passing below 2^-128.
-    """
-    commitments = delivered[0][1].commitments
-    if curve.order < 1 << 128 or any(
-        bundle.commitments != commitments or len(commitments) != rec.threshold - 1
+    """The module docstring's exact check of a group's (share, bundle) pairs
+    in id order: True means every child's ``accepts_renewal`` holds."""
+    n, commitments = curve.order, delivered[0][1].commitments
+    k = len(commitments)
+    if len(delivered) < k or any(
+        bundle.commitments != commitments or k != rec.threshold - 1
         for rec, bundle in delivered
     ):
         return False
-    n = curve.order
-    transcript = repr((
-        [(b.sender, b.epoch, b.recipient, rec.eval_point, b.delta) for rec, b in delivered],
-        [(c.x, c.y) for c in commitments],
-    ))
-    seed = hashlib.sha256(transcript.encode()).digest()
-    weights = [
-        1 + int.from_bytes(hashlib.sha256(seed + j.to_bytes(4, "big")).digest()[:16], "big")
-        for j in range(len(delivered))
-    ]
-    points = [rec.eval_point for rec, _ in delivered]
-    delta_sum = sum(r * bundle.delta for r, (_, bundle) in zip(weights, delivered)) % n
-    rhs = multi_scalar_mul(
-        (
-            (sum(r * pow(x, h, n) for r, x in zip(weights, points)) % n, c)
-            for h, c in enumerate(commitments, start=1)
-        ),
-        curve,
+    points = [(rec.eval_point, bundle.delta) for rec, bundle in delivered]
+    f = interpolate([(0, 0)] + points[:k], n)
+    return all(poly_eval(f, x, n) == delta for x, delta in points[k:]) and all(
+        scalar_mul(c, curve.base_point) == C for c, C in zip(f.coefficients[1:], commitments)
     )
-    return scalar_mul(delta_sum, curve.base_point) == rhs
 
 
 def apply_renewal(share: ShareRecord, bundle: RenewalBundle, p: int) -> ShareRecord:
@@ -299,7 +275,7 @@ def renewal_round(
     whose previous renewal was discarded renews from wherever it lags.
 
     A subtree commits only if none of its children's verifications failed
-    (one ``batch_accepts_renewal`` per group, then ``accepts_renewal`` per
+    (one ``group_accepts_renewal`` per group, then ``accepts_renewal`` per
     child only if that fails); a genuine failure means tampering somewhere,
     so the whole subtree's renewal is discarded for the epoch (keeping the
     group epoch-consistent) and the refusing children's claims go to the
@@ -345,7 +321,7 @@ def renewal_round(
                 )
             delivered.append((shares[bundle.recipient], bundle))
 
-        if tree.curve is None or batch_accepts_renewal(delivered, tree.curve):
+        if tree.curve is None or group_accepts_renewal(delivered, tree.curve):
             refused = []
         else:
             refused = [

@@ -16,6 +16,7 @@ from hiershare.algebra import (
     ZeroAbscissa,
     ZeroInverse,
     field_inverse,
+    interpolate,
     is_prime,
     lagrange_at_zero,
     poly_eval,
@@ -167,6 +168,51 @@ class TestLagrangeAtZero:
             xs = rng.sample(range(1, modulus), k + 1)
             pts = [(x, poly_eval(q, x, modulus)) for x in xs]
             assert lagrange_at_zero(pts, modulus) == q.free_coefficient
+
+
+class TestInterpolate:
+    @pytest.mark.parametrize("modulus", [19, 1009, STANDARD_CURVE.order])
+    def test_round_trip_degrees_0_to_6(self, modulus):
+        rng = random.Random(modulus)
+        for degree in range(7):
+            for _ in range(5):
+                q = sample_polynomial(rng, degree, rng.randrange(modulus), modulus)
+                xs: set[int] = set()
+                while len(xs) <= degree:
+                    xs.add(rng.randrange(modulus))
+                f = interpolate([(x, poly_eval(q, x, modulus)) for x in xs], modulus)
+                assert f == q
+                for _ in range(3):
+                    x = rng.randrange(modulus)
+                    assert poly_eval(f, x, modulus) == poly_eval(q, x, modulus)
+
+    def test_through_zero_keeps_every_coefficient(self):
+        # Points on 3x + 5x^2 mod 19: the x^2 term needs all three points.
+        pts = [(0, 0), (1, 8), (2, 7)]
+        assert interpolate(pts, 19).coefficients == (0, 3, 5)
+
+    def test_duplicate_abscissa(self):
+        with pytest.raises(DuplicateAbscissa):
+            interpolate([(0, 0), (4, 8), (4, 9)], 19)
+        with pytest.raises(DuplicateAbscissa):
+            interpolate([(3, 1), (3 + 19, 2)], 19)
+
+    def test_no_points(self):
+        with pytest.raises(ValueError):
+            interpolate([], 19)
+
+    def test_one_inversion_per_interpolation(self, monkeypatch):
+        calls = []
+
+        def counting_inverse(a, p):
+            calls.append(a)
+            return field_inverse(a, p)
+
+        monkeypatch.setattr(algebra, "field_inverse", counting_inverse)
+        q = sample_polynomial(random.Random(9), 6, 0, 1009)
+        pts = [(x, poly_eval(q, x, 1009)) for x in (0, 2, 5, 9, 17, 30, 500)]
+        assert interpolate(pts, 1009) == q
+        assert len(calls) == 1
 
 
 @given(

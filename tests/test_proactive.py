@@ -6,9 +6,10 @@ from dataclasses import replace
 import pytest
 from conftest import deal, make_tree, root_group, tf
 
+import hiershare.curve as curve_module
 import hiershare.proactive as proactive
 from hiershare.algebra import poly_eval, sample_polynomial
-from hiershare.curve import STANDARD_CURVE, scalar_mul
+from hiershare.curve import STANDARD_CURVE, TOY_CURVE, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import (
     ACCUSED_COMPROMISED,
@@ -400,13 +401,14 @@ class TestStalenessAcrossEpochs:
 
 
 class TestBatchCheck:
-    """A group's renewal is checked with one randomised equation; the
-    verdicts must be those of each child checking alone."""
+    """A group's renewal is checked as one batch, by one exact
+    interpolation; the verdicts must be those of each child checking
+    alone."""
 
-    def secp_group(self, seed, size, factor=tf(2, 3)):
+    def dealt_group(self, seed, size, factor=tf(2, 3), curve=STANDARD_CURVE):
         rng = random.Random(seed)
-        tree = make_tree([[] for _ in range(size)], rng, curve=STANDARD_CURVE)
-        _dealer, _state, shares = deal(tree, 4242, factor, rng)
+        tree = make_tree([[] for _ in range(size)], rng, curve=curve)
+        _dealer, _state, shares = deal(tree, 4242 % curve.order, factor, rng)
         return tree, shares
 
     def run_tampered(self, tree, shares, tamper, seed=3):
@@ -431,10 +433,22 @@ class TestBatchCheck:
     def claimers(self, outcome):
         return sorted(c.claimer for c in outcome.claims)
 
+    def moved_to(self, tree, shares, poly):
+        """A tamper that sends every child its value of ``poly`` and the
+        honest commitments to ``poly``'s nonzero coefficients."""
+        G, n = tree.curve.base_point, tree.curve.order
+        commitments = tuple(scalar_mul(c, G) for c in poly.coefficients[1:])
+
+        def move(bundle):
+            delta = poly_eval(poly, shares[bundle.recipient].eval_point, n)
+            return replace(bundle, delta=delta, commitments=commitments)
+
+        return move
+
     def test_cancelling_pair_is_refused_by_both(self):
-        # Σ δ_j is unchanged, so an unweighted sum of the group's checks
-        # would pass; the weights must expose both bundles.
-        tree, shares = self.secp_group(21, 5)
+        # Σ δ_j is unchanged, so a check of the deltas' sum alone would
+        # pass; each child's point must be checked.
+        tree, shares = self.dealt_group(21, 5)
         n = tree.curve.order
         shift = 0x1234567
         offsets = {1: shift, 2: -shift}
@@ -449,7 +463,7 @@ class TestBatchCheck:
         assert reconstruct(tree, outcome.shares, list(outcome.shares)) == 4242
 
     def test_one_bad_delta_names_that_child(self):
-        tree, shares = self.secp_group(22, 5)
+        tree, shares = self.dealt_group(22, 5)
 
         def bump(bundle):
             if bundle.recipient != 3:
@@ -461,12 +475,64 @@ class TestBatchCheck:
         assert [v.accused for v in outcome.verdicts] == [ROOT_ID]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
 
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_child_beyond_the_interpolated_ones_is_refused(self, curve):
+        """Five children, threshold 4: f comes from (0, 0) and children
+        1-3, so child 5's delta is checked only against f(x_5)."""
+        tree, shares = self.dealt_group(25, 5, curve=curve)
+        assert shares[5].threshold == 4
+
+        def bump(bundle):
+            if bundle.recipient != 5:
+                return bundle
+            return replace(bundle, delta=(bundle.delta + 1) % curve.order)
+
+        outcome, seen = self.run_tampered(tree, shares, bump)
+        assert self.claimers(outcome) == [5] == self.alone(tree, shares, seen)
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_group_moved_to_another_polynomial_commits(self, curve):
+        """Deltas and commitments of another zero-free polynomial of the
+        right degree pass every child's check, so the group renews."""
+        tree, shares = self.dealt_group(26, 5, curve=curve)
+        other = sample_polynomial(random.Random(9), shares[1].threshold - 1, 0, curve.order)
+        outcome, seen = self.run_tampered(tree, shares, self.moved_to(tree, shares, other))
+        assert outcome.claims == () and self.alone(tree, shares, seen) == []
+        assert all(rec.epoch == 1 for rec in outcome.shares.values())
+        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == 4242 % curve.order
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_shared_vector_that_misses_the_deltas_is_refused_by_all(self, curve):
+        """Every child gets the same moved commitment vector and an honest
+        delta: the deltas agree with each other but not with C_1."""
+        tree, shares = self.dealt_group(27, 5, curve=curve)
+
+        def shift_first(bundle):
+            moved = (bundle.commitments[0] + curve.base_point,) + bundle.commitments[1:]
+            return replace(bundle, commitments=moved)
+
+        outcome, seen = self.run_tampered(tree, shares, shift_first)
+        assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_vector_one_point_too_long_is_refused_by_all(self, curve):
+        """An identity point appended to every vector commits to a zero
+        x^threshold coefficient, so the deltas still match it, but the
+        length is wrong for the group's degree."""
+        tree, shares = self.dealt_group(28, 5, curve=curve)
+
+        def lengthen(bundle):
+            return replace(bundle, commitments=bundle.commitments + (curve.identity(),))
+
+        outcome, seen = self.run_tampered(tree, shares, lengthen)
+        assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
+
     @pytest.mark.parametrize("consistent", [False, True], ids=["moved", "own-polynomial"])
     def test_mismatched_vectors_get_per_child_verdicts(self, consistent):
         """Child 4's vector differs from its siblings': either one point is
         moved (its check fails) or it belongs to another polynomial of the
         right degree that child 4's delta matches (its check passes)."""
-        tree, shares = self.secp_group(23, 5)
+        tree, shares = self.dealt_group(23, 5)
         G = tree.curve.base_point
         degree = shares[4].threshold - 1
         other = sample_polynomial(random.Random(8), degree, 0, tree.curve.order)
@@ -487,36 +553,80 @@ class TestBatchCheck:
         assert self.claimers(outcome) == self.alone(tree, shares, seen)
         assert self.claimers(outcome) == ([] if consistent else [4])
 
+    @pytest.mark.parametrize("tampered", [False, True], ids=["honest", "lower-degree"])
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_group_below_its_degree_after_a_leave(self, curve, tampered):
+        """Four children at threshold 4 (degree 3); two leave and no redeal
+        follows, so two points cannot fix a degree-3 polynomial. Tampered,
+        the deltas lie on a degree-2 polynomial through (0, 0) whose two
+        coefficients are committed honestly, with G as the third point."""
+        tree, shares = self.dealt_group(29, 4, tf(3, 3), curve=curve)
+        for uid in (2, 4):
+            tree.leave(uid)
+        assert tree.groups(shares) == {ROOT_ID: [1, 3]}
+        lower = sample_polynomial(random.Random(4), 2, 0, curve.order)
+        move = self.moved_to(tree, shares, lower)
+
+        def lower_degree(bundle):
+            if not tampered:
+                return bundle
+            moved = move(bundle)
+            return replace(moved, commitments=moved.commitments + (curve.base_point,))
+
+        outcome, seen = self.run_tampered(tree, shares, lower_degree)
+        assert self.claimers(outcome) == self.alone(tree, shares, seen)
+        assert self.claimers(outcome) == ([1, 3] if tampered else [])
+
     def test_random_tampering_matches_each_child_alone(self):
-        for trial in range(10):
+        for trial in range(24):
+            curve = (STANDARD_CURVE, TOY_CURVE)[trial % 2]
+            n, G = curve.order, curve.base_point
             rng = random.Random(100 + trial)
-            size, num = rng.randint(1, 5), rng.randint(1, 3)
-            tree, shares = self.secp_group(200 + trial, size, tf(num, 3))
-            n = tree.curve.order
+            size, num = 1 + trial // 2 % 6, rng.randint(1, 3)
+            tree, shares = self.dealt_group(200 + trial, size, tf(num, 3), curve)
             kids = sorted(shares)
+            degree = shares[kids[0]].threshold - 1
+            move = None
+            if rng.random() < 0.5:
+                move = self.moved_to(tree, shares, sample_polynomial(rng, degree, 0, n))
             tampered = set(rng.sample(kids, rng.randint(0, len(kids))))
-            kinds = {uid: rng.choice(["delta", "commitment", "length"]) for uid in tampered}
+            kinds = {
+                uid: rng.choice(["delta", "commitment", "length", "longer", "pair"])
+                for uid in tampered
+            }
+            shift = rng.randrange(1, n)
 
             def tamper(bundle):
+                if move is not None:
+                    bundle = move(bundle)
                 kind = kinds.get(bundle.recipient)
-                if kind == "delta" or (kind and not bundle.commitments):
+                if kind == "pair":
+                    # Paired with the next child, which gets the opposite
+                    # shift unless it is tampered itself.
+                    return replace(bundle, delta=(bundle.delta + shift) % n)
+                if kinds.get(bundle.recipient - 1) == "pair" and kind is None:
+                    return replace(bundle, delta=(bundle.delta - shift) % n)
+                if kind == "delta" or (kind in ("commitment", "length") and not degree):
                     return replace(bundle, delta=(bundle.delta + rng.randrange(1, n)) % n)
                 if kind == "commitment":
-                    idx = rng.randrange(len(bundle.commitments))
+                    idx = rng.randrange(degree)
                     new = list(bundle.commitments)
-                    new[idx] = new[idx] + tree.curve.base_point
+                    new[idx] = new[idx] + G
                     return replace(bundle, commitments=tuple(new))
                 if kind == "length":
                     return replace(bundle, commitments=bundle.commitments[:-1])
+                if kind == "longer":
+                    return replace(bundle, commitments=bundle.commitments + (G,))
                 return bundle
 
             outcome, seen = self.run_tampered(tree, shares, tamper, seed=trial)
             expected = self.alone(tree, shares, seen)
             assert self.claimers(outcome) == expected
-            assert sorted(expected) == sorted(tampered)
+            paired = {uid + 1 for uid, kind in kinds.items() if kind == "pair"}
+            assert set(expected) == tampered | (paired & set(kids))
 
     def test_world_rng_untouched_by_the_check(self):
-        tree, shares = self.secp_group(24, 4)
+        tree, shares = self.dealt_group(24, 4)
 
         def bump(bundle):
             if bundle.recipient != 2:
@@ -540,19 +650,23 @@ class TestCheckCounts:
     # 8 dealt children.
     SPEC = [[[], []], [[], [], []], []]
 
-    def counted_round(self, monkeypatch, curve, tampered_parent=None):
+    def counted_round(self, monkeypatch, curve, tampered_parent=None, spec=SPEC):
         rng = random.Random(41)
-        tree = make_tree(self.SPEC, rng, curve=curve)
+        tree = make_tree(spec, rng, curve=curve)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
-        counts = {"verify_renewal": 0, "multi_scalar_mul": 0}
-        for name in counts:
-            original = getattr(proactive, name)
+        counts = {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
+        for module, name in (
+            (proactive, "verify_renewal"),
+            (proactive, "multi_scalar_mul"),
+            (curve_module, "_straus"),
+        ):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(proactive, name, counting)
+            monkeypatch.setattr(module, name, counting)
 
         def bump(bundle):
             if bundle.sender != tampered_parent:
@@ -562,10 +676,10 @@ class TestCheckCounts:
         outcome = renewal_round(tree, shares, 1, rng, perturb=bump)
         return tree, outcome, counts
 
-    def test_honest_secp_epoch_makes_one_pass_per_group(self, monkeypatch):
+    def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
-        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 3}
+        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
 
     def test_tampered_group_adds_one_check_per_child(self, monkeypatch):
         _tree, outcome, counts = self.counted_round(
@@ -574,7 +688,17 @@ class TestCheckCounts:
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts["verify_renewal"] == 3
 
-    def test_toy_curve_checks_every_child_alone(self, monkeypatch, toy):
+    def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
         _tree, outcome, counts = self.counted_round(monkeypatch, toy)
         assert outcome.claims == ()
-        assert counts == {"verify_renewal": 8, "multi_scalar_mul": 8}
+        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
+
+    def test_renew_secp_shaped_epoch_passes_once_per_fallback_child(self, monkeypatch):
+        """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
+        children; user 3's group of four is tampered."""
+        spec = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
+        _tree, outcome, counts = self.counted_round(
+            monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=spec
+        )
+        assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
+        assert counts == {"verify_renewal": 4, "multi_scalar_mul": 4, "_straus": 4}
