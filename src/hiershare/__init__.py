@@ -7,7 +7,7 @@ from .curve import PROFILES, STANDARD_CURVE, TOY_CURVE, CurveParams, CurvePoint
 from .errors import HierShareError, InvariantViolation
 from .hierarchy import ROOT_ID, HierarchyTree
 from .proactive import RenewalBundle, Verdict
-from .sharing import DealerState, ShareRecord, ThresholdFactor
+from .sharing import DealerState, GroupShares, HeldShare, ThresholdFactor
 from .simnet import SimReport, World
 
 __version__ = "0.1.0"
@@ -27,7 +27,8 @@ __all__ = [
     "RenewalBundle",
     "Verdict",
     "DealerState",
-    "ShareRecord",
+    "GroupShares",
+    "HeldShare",
     "ThresholdFactor",
     "SimReport",
     "World",

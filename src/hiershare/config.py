@@ -327,6 +327,15 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
             f"{source}.tree",
             f"user-id eval points need fewer than {modulus} users",
         )
+    if curve is not None:
+        # The order's n - 1 nonidentity points pair up as ±P on one x.
+        distinct_x = (curve.order - 1) // 2
+        _require(
+            len(user_ids) <= distinct_x,
+            f"{source}.tree",
+            f"{len(user_ids)} users need distinct group-key x-coordinates; "
+            f"curve {curve.name!r} has {distinct_x}",
+        )
     return config
 
 

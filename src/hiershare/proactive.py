@@ -33,15 +33,11 @@ from .algebra import interpolate, poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
-from .sharing import ShareRecord, StaleEpoch
+from .sharing import GroupShares
 
 
 class NoChildren(HierShareError):
     """Renewal requested for a subtree root with no dealt children."""
-
-
-class EpochSkew(HierShareError):
-    """A bundle's epoch does not directly follow the share's epoch."""
 
 
 class MixedAccused(HierShareError):
@@ -64,7 +60,6 @@ class RenewalBundle:
 
     sender: int
     recipient: int
-    epoch: int
     delta: int
     commitments: tuple[CurvePoint, ...]
 
@@ -89,34 +84,21 @@ class Verdict:
 
 def generate_renewal(
     tree: HierarchyTree,
-    records: Sequence[ShareRecord],
-    root_id: int,
-    epoch: int,
+    group: GroupShares,
+    owners: Sequence[int],
     rng: random.Random,
 ) -> list[RenewalBundle]:
-    """Produce the renewal bundles a subtree root sends its children, whose
-    share records ``records`` holds in id order (a group of
-    ``HierarchyTree.groups``).
+    """Produce the renewal bundles ``group``'s parent sends the members
+    ``owners`` (its active ones, in id order).
 
     The polynomial degree equals the group's dealt degree (threshold - 1),
     so a single-child threshold-1 group gets the zero polynomial and an
     empty commitment list.
     """
-    if not records:
-        raise NoChildren(f"subtree root {root_id} has no dealt active children")
-    epochs = {rec.epoch for rec in records}
-    if epochs != {epoch}:
-        raise EpochSkew(
-            f"subtree {root_id} asked to renew epoch {epoch}, "
-            f"children sit at {sorted(epochs)}"
-        )
-    thresholds = {rec.threshold for rec in records}
-    if len(thresholds) > 1:
-        raise ValueError(f"inconsistent thresholds under {root_id}")
-    degree = thresholds.pop() - 1
-
+    if not owners:
+        raise NoChildren(f"subtree root {group.parent} has no dealt active children")
     p = tree.field.modulus
-    delta_poly = sample_polynomial(rng, degree, 0, p)
+    delta_poly = sample_polynomial(rng, group.threshold - 1, 0, p)
     if tree.curve is not None:
         commitments = tuple(
             scalar_mul(coeff, tree.curve.base_point)
@@ -126,13 +108,12 @@ def generate_renewal(
         commitments = ()
     return [
         RenewalBundle(
-            sender=root_id,
-            recipient=rec.owner,
-            epoch=epoch + 1,
-            delta=poly_eval(delta_poly, rec.eval_point, p),
+            sender=group.parent,
+            recipient=owner,
+            delta=poly_eval(delta_poly, group.members[owner][0], p),
             commitments=commitments,
         )
-        for rec in records
+        for owner in owners
     ]
 
 
@@ -157,57 +138,50 @@ def verify_renewal(
 
 
 def accepts_renewal(
-    bundle: RenewalBundle, share: ShareRecord, curve: CurveParams
+    bundle: RenewalBundle, group: GroupShares, curve: CurveParams
 ) -> bool:
     """A child's check of its bundle: one commitment per nonzero
     coefficient of the group's dealt degree (threshold - 1), and a delta
-    that matches them. A longer commitment vector would verify a
-    degree-raising polynomial and break the group's reconstruction."""
-    return len(bundle.commitments) == share.threshold - 1 and verify_renewal(
-        bundle, share.eval_point, curve
+    that matches them at the child's point. A longer commitment vector
+    would verify a degree-raising polynomial and break the group's
+    reconstruction."""
+    eval_point = group.members[bundle.recipient][0]
+    return len(bundle.commitments) == group.threshold - 1 and verify_renewal(
+        bundle, eval_point, curve
     )
 
 
 def group_accepts_renewal(
-    delivered: Sequence[tuple[ShareRecord, RenewalBundle]], curve: CurveParams
+    group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams
 ) -> bool:
-    """The module docstring's exact check of a group's (share, bundle) pairs
-    in id order: True means every child's ``accepts_renewal`` holds."""
-    n, commitments = curve.order, delivered[0][1].commitments
+    """The module docstring's exact check of the bundles a group's members
+    received, in id order: True means every child's ``accepts_renewal``
+    holds."""
+    n, commitments = curve.order, delivered[0].commitments
     k = len(commitments)
-    if len(delivered) < k or any(
-        bundle.commitments != commitments or k != rec.threshold - 1
-        for rec, bundle in delivered
+    if k != group.threshold - 1 or len(delivered) < k or any(
+        bundle.commitments != commitments for bundle in delivered
     ):
         return False
-    points = [(rec.eval_point, bundle.delta) for rec, bundle in delivered]
+    points = [(group.members[b.recipient][0], b.delta) for b in delivered]
     f = interpolate([(0, 0)] + points[:k], n)
     return all(poly_eval(f, x, n) == delta for x, delta in points[k:]) and all(
         scalar_mul(c, curve.base_point) == C for c, C in zip(f.coefficients[1:], commitments)
     )
 
 
-def apply_renewal(share: ShareRecord, bundle: RenewalBundle, p: int) -> ShareRecord:
-    """Fold a renewal delta into a share mod p; the epoch advances by one
-    and the evaluation point is untouched. The caller has already checked
-    the bundle (``accepts_renewal``) in curve mode."""
-    if bundle.recipient != share.owner:
-        raise ValueError(
-            f"bundle addressed to {bundle.recipient}, share owned by {share.owner}"
-        )
-    if bundle.epoch != share.epoch + 1:
-        raise EpochSkew(
-            f"bundle epoch {bundle.epoch} does not follow share epoch {share.epoch}"
-        )
-    return ShareRecord(
-        owner=share.owner,
-        eval_point=share.eval_point,
-        value=(share.value + bundle.delta) % p,
-        threshold=share.threshold,
-        round_id=share.round_id,
-        epoch=bundle.epoch,
-        split=share.split,
-    )
+def apply_renewal(
+    group: GroupShares, delivered: Sequence[RenewalBundle], p: int
+) -> GroupShares:
+    """The group's record one epoch on: each recipient's value plus its
+    delta mod p, evaluation points untouched. Members with no bundle (those
+    who left) are not in it. The caller has already checked the bundles
+    (``group_accepts_renewal``) in curve mode."""
+    members = {}
+    for bundle in delivered:
+        eval_point, value = group.members[bundle.recipient]
+        members[bundle.recipient] = (eval_point, (value + bundle.delta) % p)
+    return GroupShares(group.parent, group.epoch + 1, group.threshold, members)
 
 
 def file_claim(
@@ -248,7 +222,7 @@ def resolve_claims(
 class RenewalOutcome:
     """Everything one renewal round produced."""
 
-    shares: dict[int, ShareRecord]
+    shares: dict[int, GroupShares]
     claims: tuple[ClaimRecord, ...]
     verdicts: tuple[Verdict, ...]
 
@@ -259,7 +233,7 @@ PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
 def renewal_round(
     tree: HierarchyTree,
-    shares: dict[int, ShareRecord],
+    shares: dict[int, GroupShares],
     epoch: int,
     rng: random.Random,
     *,
@@ -270,17 +244,20 @@ def renewal_round(
     """Run one renewal epoch across every 2-leveled subtree: each parent
     with at least one dealt active child, in id order.
 
-    ``epoch`` is the round index claims and verdicts are tagged with;
-    normally all groups sit at epoch-1 and move to epoch, but a subtree
-    whose previous renewal was discarded renews from wherever it lags.
+    ``shares`` maps each holder to its group's record, as ``distribute``
+    returns it. ``epoch`` is the round index claims and verdicts are tagged
+    with; normally every group sits at epoch-1 and moves to epoch, but a
+    subtree whose previous renewal was discarded renews from wherever it
+    lags.
 
     A subtree commits only if none of its children's verifications failed
     (one ``group_accepts_renewal`` per group, then ``accepts_renewal`` per
-    child only if that fails); a genuine failure means tampering somewhere,
-    so the whole subtree's renewal is discarded for the epoch (keeping the
-    group epoch-consistent) and the refusing children's claims go to the
-    administrator. Verdicts are returned for the caller to act on
-    (cleansing is the simulation's job, since it owns the adversary).
+    child only if that fails); its active children then hold one new
+    record, and members who left keep the old one. A genuine failure means
+    tampering somewhere, so the whole subtree's renewal is discarded for
+    the epoch and the refusing children's claims go to the administrator.
+    Verdicts are returned for the caller to act on (cleansing is the
+    simulation's job, since it owns the adversary).
 
     Traffic goes through ``on_message``: one sealed delta per dealt child
     plus, in curve mode, one commitment multicast per subtree root.
@@ -298,20 +275,14 @@ def renewal_round(
     claims: list[ClaimRecord] = list(extra_claims)
 
     for root, kids in groups.items():
-        group_epochs = {shares[c].epoch for c in kids}
-        if len(group_epochs) > 1:
-            raise StaleEpoch(
-                f"subtree {root} children span epochs {sorted(group_epochs)}"
-            )
+        group = shares[kids[0]]
         subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
-        bundles = generate_renewal(
-            tree, [shares[c] for c in kids], root, group_epochs.pop(), subtree_rng
-        )
+        bundles = generate_renewal(tree, group, kids, subtree_rng)
 
         if tree.curve is not None and on_message is not None:
             on_message("commitments", root, tuple(kids), bundles[0].commitments, False)
 
-        delivered: list[tuple[ShareRecord, RenewalBundle]] = []
+        delivered: list[RenewalBundle] = []
         for bundle in bundles:
             if perturb is not None:
                 bundle = perturb(bundle)
@@ -319,14 +290,14 @@ def renewal_round(
                 on_message(
                     "renewal-delta", root, (bundle.recipient,), bundle, True
                 )
-            delivered.append((shares[bundle.recipient], bundle))
+            delivered.append(bundle)
 
-        if tree.curve is None or group_accepts_renewal(delivered, tree.curve):
+        if tree.curve is None or group_accepts_renewal(group, delivered, tree.curve):
             refused = []
         else:
             refused = [
-                rec.owner for rec, bundle in delivered
-                if not accepts_renewal(bundle, rec, tree.curve)
+                bundle.recipient for bundle in delivered
+                if not accepts_renewal(bundle, group, tree.curve)
             ]
         if refused:
             claims.extend(file_claim(tree, child, root, epoch) for child in refused)
@@ -334,8 +305,8 @@ def renewal_round(
                 for child in refused:
                     on_message("claim", child, (ROOT_ID,), (child, root, epoch), False)
             continue
-        for rec, bundle in delivered:
-            new_shares[rec.owner] = apply_renewal(rec, bundle, tree.field.modulus)
+        renewed = apply_renewal(group, delivered, tree.field.modulus)
+        new_shares.update(dict.fromkeys(kids, renewed))
 
     if on_message is not None:
         for claim in extra_claims:

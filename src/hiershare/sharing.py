@@ -9,6 +9,14 @@ each sibling group interpolates the retained part of its parent, the
 parent adds its own kept part, and the climb repeats until the root
 recovers the secret.
 
+Shares are stored once per sibling group (``GroupShares``): the group's
+epoch and threshold sit on the group record, next to each member's
+evaluation point and kept value. The round is the world's, and a member's
+value is split exactly when the dealer holds a polynomial for it. A host's
+own view of its share (``HeldShare``) copies the two group facts it knows
+from the protocol; it is what a sealed share message carries and what an
+adversary steals.
+
 Dealing is deterministic given (tree, seed) and re-entrant across
 independent scenario instances; the dealer state belongs to the server
 role inside the single-threaded simulation loop.
@@ -18,11 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping
 
 from .algebra import Polynomial, lagrange_at_zero, poly_eval, sample_polynomial
 from .errors import HierShareError
-from .hierarchy import ROOT_ID, HierarchyTree, RoundState
+from .hierarchy import ROOT_ID, HierarchyTree
 
 
 class InactiveSubtree(HierShareError):
@@ -45,14 +53,6 @@ class InsufficientShares(HierShareError):
             f"sibling group under node {group_parent}: "
             f"{have} participating, threshold {need}"
         )
-
-
-class StaleEpoch(HierShareError):
-    """Shares from different epochs were mixed inside one sibling group."""
-
-
-class MixedEpochs(HierShareError):
-    """A coalition analysis was asked to span epochs."""
 
 
 EVAL_ROUND_KEY = "round-key"
@@ -95,22 +95,34 @@ def split(value: int, p: int, rng: random.Random) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ShareRecord:
-    """One user's share: the kept part plus the metadata needed to use it.
+class HeldShare:
+    """One host's share as the host knows it: its evaluation point and kept
+    value, its group's threshold, and whether the value is split (true for
+    nodes dealt as internal). Round, epoch and owner are where the copy is
+    kept, not in it."""
 
-    ``threshold`` is the quorum size of the sibling group the owner belongs
-    to; ``split`` records whether the owner's group evaluation was split
-    (true for nodes dealt as internal), which the owner knows from the
-    protocol itself.
-    """
-
-    owner: int
     eval_point: int
     value: int
     threshold: int
-    round_id: int
-    epoch: int = 0
-    split: bool = False
+    split: bool
+
+
+@dataclass(frozen=True)
+class GroupShares:
+    """One sibling group's shares in one epoch of the live round: the
+    group's parent, its epoch and threshold, and each member's (evaluation
+    point, kept value) in id order. Renewal commits or discards a whole
+    group, so it builds a new record rather than changing this one."""
+
+    parent: int
+    epoch: int
+    threshold: int
+    members: Mapping[int, tuple[int, int]]
+
+    def held_by(self, owner: int, split: bool) -> HeldShare:
+        """``owner``'s own copy; ``split`` is read from the dealer."""
+        eval_point, value = self.members[owner]
+        return HeldShare(eval_point, value, self.threshold, split)
 
 
 @dataclass
@@ -167,18 +179,18 @@ def assign_eval_points(
 def distribute(
     tree: HierarchyTree,
     dealer: DealerState,
-    round_state: RoundState,
     tf: ThresholdFactor,
     rng: random.Random,
     eval_mode: str = EVAL_ROUND_KEY,
-) -> dict[int, ShareRecord]:
-    """Deal the dealer's secret down the tree, level by level.
+) -> dict[int, GroupShares]:
+    """Deal the dealer's secret down the tree, level by level, and map each
+    active user to its sibling group's epoch-0 record.
 
-    Every active user ends up holding exactly one share; the field modulus
-    is the same at every level. ``tree.levels()`` runs once, after the
-    evaluation points pass, so a round retried on EvalPointCollision
-    skips it. Raises InactiveSubtree when a leave has blocked the round (no
-    level-1 users, or an internal node with children but none active).
+    The field modulus is the same at every level. ``tree.levels()`` runs
+    once, after the evaluation points pass, so a round retried on
+    EvalPointCollision skips it. Raises InactiveSubtree when a leave has
+    blocked the round (no level-1 users, or an internal node with children
+    but none active).
     """
     groups = tree.groups()
     if ROOT_ID not in groups:
@@ -196,12 +208,11 @@ def distribute(
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
     dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
-    shares: dict[int, ShareRecord] = {}
+    members: dict[int, dict[int, tuple[int, int]]] = {}
     for level in sorted(levels):
         for uid in levels[level]:
-            node = tree.nodes[uid]
-            parent_poly = dealer.polynomials[node.parent]
-            evaluation = poly_eval(parent_poly, points[uid], p)
+            parent = tree.nodes[uid].parent
+            evaluation = poly_eval(dealer.polynomials[parent], points[uid], p)
             kids = groups.get(uid)
             if kids:
                 kept, retained = split(evaluation, p, rng)
@@ -210,32 +221,29 @@ def distribute(
                 )
             else:
                 kept = evaluation
-            shares[uid] = ShareRecord(
-                owner=uid,
-                eval_point=points[uid],
-                value=kept,
-                threshold=parent_poly.degree + 1,
-                round_id=round_state.round_id,
-                epoch=0,
-                split=bool(kids),
-            )
+            members.setdefault(parent, {})[uid] = (points[uid], kept)
+    shares: dict[int, GroupShares] = {}
+    for parent, dealt in members.items():
+        group = GroupShares(parent, 0, dealer.polynomials[parent].degree + 1, dealt)
+        shares.update(dict.fromkeys(dealt, group))
     return shares
 
 
 def recover_group_secret(
     tree: HierarchyTree,
-    shares: Mapping[int, ShareRecord],
+    shares: Mapping[int, GroupShares],
     participating: Iterable[int],
     parent_id: int,
+    split: Container[int],
 ) -> int:
     """Recover the value jointly held by ``parent_id``'s children: the
     parent's retained part, or the original secret when parent_id is the
-    root.
+    root. ``split`` holds the users dealt as internal nodes (the keys of
+    the round's ``dealer.polynomials``).
 
     Inactive users and users without shares are treated as not
     participating. Raises InsufficientShares naming the first sibling group
-    that fell below threshold on the path that was needed, and StaleEpoch
-    when a group's participants span epochs.
+    that fell below threshold on the path that was needed.
     """
     active = set(tree.active_users())
     participants = {
@@ -244,29 +252,20 @@ def recover_group_secret(
     p = tree.field.modulus
     failures: list[InsufficientShares] = []
     values: dict[int, int | None] = {}
-    for gid, kids in _groups_children_first(tree, shares, parent_id, participants):
-        available: list[tuple[ShareRecord, int]] = []
+    for gid, kids in _groups_children_first(tree, split, parent_id, participants):
+        available: list[tuple[int, int]] = []
         for kid in kids:
-            rec = shares[kid]
-            if not rec.split:
-                available.append((rec, rec.value))
+            eval_point, kept = shares[kid].members[kid]
+            if kid not in split:
+                available.append((eval_point, kept))
             elif values[kid] is not None:
-                available.append((rec, (rec.value + values[kid]) % p))
-        epochs = {rec.epoch for rec, _ in available}
-        if len(epochs) > 1:
-            raise StaleEpoch(
-                f"sibling group under {gid} mixes epochs {sorted(epochs)}"
-            )
-        thresholds = {rec.threshold for rec, _ in available}
-        if len(thresholds) > 1:
-            raise ValueError(f"inconsistent thresholds recorded under {gid}")
-        need = thresholds.pop() if thresholds else 1
+                available.append((eval_point, (kept + values[kid]) % p))
+        need = shares[kids[0]].threshold if kids else 1
         if len(available) < need:
             failures.append(InsufficientShares(gid, len(available), need))
             values[gid] = None
             continue
-        quorum = sorted(available, key=lambda pair: pair[0].owner)[:need]
-        values[gid] = lagrange_at_zero([(rec.eval_point, c) for rec, c in quorum], p)
+        values[gid] = lagrange_at_zero(available[:need], p)
     secret = values[parent_id]
     if secret is None:
         raise failures[0]
@@ -275,7 +274,7 @@ def recover_group_secret(
 
 def _groups_children_first(
     tree: HierarchyTree,
-    shares: Mapping[int, ShareRecord],
+    split: Container[int],
     top: int,
     eligible: Collection[int],
 ) -> list[tuple[int, list[int]]]:
@@ -289,45 +288,38 @@ def _groups_children_first(
         gid = pending.pop()
         kids = [c for c in tree.children_of(gid) if c in eligible]
         order.append((gid, kids))
-        pending.extend(kid for kid in kids if shares[kid].split)
+        pending.extend(kid for kid in kids if kid in split)
     order.reverse()
     return order
 
 
 def reconstruct(
     tree: HierarchyTree,
-    shares: Mapping[int, ShareRecord],
+    shares: Mapping[int, GroupShares],
     participating: Iterable[int],
+    split: Container[int],
 ) -> int:
     """Bottom-up reconstruction of the root secret from the given
-    participants' shares."""
-    return recover_group_secret(tree, shares, participating, ROOT_ID)
+    participants' shares; ``split`` as for ``recover_group_secret``."""
+    return recover_group_secret(tree, shares, participating, ROOT_ID, split)
 
 
-def knowledge_closure(
-    tree: HierarchyTree, coalition: Mapping[int, ShareRecord]
-) -> bool:
-    """Whether a coalition can derive the root secret from its shares alone.
+def knowledge_closure(tree: HierarchyTree, coalition: Mapping[int, HeldShare]) -> bool:
+    """Whether a coalition can derive the root secret from its copies of
+    shares of one round and epoch alone, keyed by owner.
 
     One children-first pass over the coalition's groups: a group's value
     (its parent's retained part, or the secret at the root) is known once
     threshold-many of its coalition children contribute, where an unsplit
     child contributes its share and a split child contributes once its own
-    group is known. Members count even if they have left since their share
-    was taken. No server-retained values are assumed.
+    group is known. Thresholds and splits are the copies' own, those of the
+    round they were dealt in. Members count even if they have left since
+    their share was taken. No server-retained values are assumed.
     """
-    if not coalition:
-        return False
-    epochs = {rec.epoch for rec in coalition.values()}
-    if len(epochs) > 1:
-        raise MixedEpochs(f"coalition spans epochs {sorted(epochs)}")
-
+    split = {uid for uid, share in coalition.items() if share.split}
     known: set[int] = set()
-    for gid, kids in _groups_children_first(tree, coalition, ROOT_ID, coalition):
-        contributors = [
-            kid for kid in kids if not coalition[kid].split or kid in known
-        ]
+    for gid, kids in _groups_children_first(tree, split, ROOT_ID, coalition):
+        contributors = [kid for kid in kids if kid not in split or kid in known]
         if contributors and len(contributors) >= coalition[contributors[0]].threshold:
             known.add(gid)
     return ROOT_ID in known
-

@@ -9,10 +9,16 @@ synchronization assumption demands of the transport. ``World.envelopes``
 is the current epoch's scratch log; the epoch's report row counts its
 ``messages`` from it and empties it.
 
+``World.shares`` maps each share holder to its sibling group's record,
+shared with its siblings. A committed renewal moves the group's active
+members to a new record; a departed host keeps the record of its last
+epoch until a rejoin at its slot or a redeal.
+
 The adversary hops between hosts at epoch boundaries, holding at most its
 per-epoch budget of nodes at a time. On an occupied node it reads all
-local state (share, registration token, round key) and controls outgoing
-protocol messages; it cannot break the sealed channel toward anyone else.
+local state (its copy of its share, registration token, round key) and
+controls outgoing protocol messages; it cannot break the sealed channel
+toward anyone else.
 Renewal counts as completing within the period, so an occupation exposes
 the occupied epoch's share value, never an earlier one. Hardness of the
 curve discrete log is not simulated: secrecy assertions are structural
@@ -36,9 +42,9 @@ from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
 from .sharing import (
     DealerState,
     EvalPointCollision,
+    GroupShares,
+    HeldShare,
     InsufficientShares,
-    ShareRecord,
-    StaleEpoch,
     distribute,
     knowledge_closure,
     reconstruct,
@@ -73,29 +79,26 @@ class AdversaryState:
     from index ``e*w`` on, wrapping around. Stolen knowledge persists
     across cleanses (what was copied stays copied); tokens and shares may
     only ever belong to nodes in ``ever_compromised``, which the run
-    asserts every epoch. Stolen shares are keyed by (round, epoch, owner)
-    of the record.
+    asserts every epoch. Stolen shares are the hosts' own copies, keyed by
+    (round, epoch, owner); each keeps the threshold and split of its round.
     """
 
     config: AdversaryConfig
     occupied: set[int] = field(default_factory=set)
     ever_compromised: set[int] = field(default_factory=set)
-    stolen_shares: dict[tuple[int, int, int], ShareRecord] = field(default_factory=dict)
+    stolen_shares: dict[tuple[int, int, int], HeldShare] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
 
 
-def steal_share(adv: AdversaryState, record: ShareRecord) -> None:
-    adv.stolen_shares[(record.round_id, record.epoch, record.owner)] = record
-
-
-def adversary_observe(adv: AdversaryState, envelope: Envelope) -> None:
+def adversary_observe(adv: AdversaryState, envelope: Envelope, round_id: int) -> None:
     """Let the adversary read an envelope: sealed payloads only when the
     addressee is currently occupied, public ones always (but commitments
-    yield no coefficients — only the points are seen). A share is the one
-    payload it keeps."""
-    sealed_share = envelope.sealed and envelope.kind == "share"
-    if sealed_share and not adv.occupied.isdisjoint(envelope.recipients):
-        steal_share(adv, envelope.payload)
+    yield no coefficients — only the points are seen). A dealt share, at
+    epoch 0 of ``round_id``, is the one payload it keeps."""
+    if envelope.sealed and envelope.kind == "share":
+        (owner,) = envelope.recipients
+        if owner in adv.occupied:
+            adv.stolen_shares[(round_id, 0, owner)] = envelope.payload
 
 
 def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
@@ -123,7 +126,7 @@ def adversary_hop(adv: AdversaryState, tree: HierarchyTree, epoch: int) -> None:
 
 
 def adversary_act(
-    adv: AdversaryState, tree: HierarchyTree, shares: dict[int, ShareRecord], epoch: int
+    adv: AdversaryState, tree: HierarchyTree, shares: dict[int, GroupShares], epoch: int
 ):
     """Protocol perturbations for the epoch: a tamper hook for renewal
     bundles plus any false claims. Passive strategies perturb nothing."""
@@ -187,7 +190,7 @@ class World:
         self.rng = random.Random(config.seed)
         self.tree = HierarchyTree(config.curve, config.field)
         self.dealer = DealerState(secret=config.secret % config.field.modulus)
-        self.shares: dict[int, ShareRecord] = {}
+        self.shares: dict[int, GroupShares] = {}
         self.epoch = 0
         self.round_id = 0
         self.envelopes: list[Envelope] = []
@@ -199,7 +202,7 @@ class World:
     def send(self, kind: str, sender: int, recipients: tuple[int, ...], payload, sealed: bool) -> None:
         envelope = Envelope(kind, sender, recipients, payload, sealed)
         self.envelopes.append(envelope)
-        adversary_observe(self.adversary, envelope)
+        adversary_observe(self.adversary, envelope, self.round_id)
 
     # -- dealing ------------------------------------------------------------
 
@@ -248,16 +251,15 @@ class World:
             self._request_messages(groups)
             try:
                 shares = distribute(
-                    self.tree, self.dealer, round_state, self.config.tf,
-                    self.rng, self.config.eval_mode,
+                    self.tree, self.dealer, self.config.tf, self.rng, self.config.eval_mode
                 )
             except EvalPointCollision as exc:
                 last_error = exc
                 continue
             self.shares = shares
             self.round_id = round_state.round_id
-            for record in [shares[uid] for uid in sorted(shares)]:
-                self.send("share", ROOT_ID, (record.owner,), record, True)
+            for uid in sorted(shares):
+                self.send("share", ROOT_ID, (uid,), self._held_share(uid), True)
             return
         raise last_error
 
@@ -292,7 +294,7 @@ class World:
     def adversary_can_reconstruct(self) -> bool:
         """Whether any single-(round, epoch) slice of the stolen shares
         reaches the secret via the knowledge closure."""
-        slices: dict[tuple[int, int], dict[int, ShareRecord]] = {}
+        slices: dict[tuple[int, int], dict[int, HeldShare]] = {}
         for (round_id, epoch, owner), record in self.adversary.stolen_shares.items():
             slices.setdefault((round_id, epoch), {})[owner] = record
         return any(
@@ -367,10 +369,16 @@ class World:
         secret, and the reason when their shares fall short."""
         participants = [uid for uid in self.tree.active_users() if uid in self.shares]
         try:
-            value = reconstruct(self.tree, self.shares, participants)
-        except (InsufficientShares, StaleEpoch) as exc:
+            value = reconstruct(
+                self.tree, self.shares, participants, self.dealer.polynomials
+            )
+        except InsufficientShares as exc:
             return False, str(exc)
         return value == self.dealer.secret, ""
+
+    def _held_share(self, uid: int) -> HeldShare:
+        """The host's own copy of the share it holds in the live round."""
+        return self.shares[uid].held_by(uid, uid in self.dealer.polynomials)
 
     def _steal_state(self) -> None:
         for uid in sorted(self.adversary.occupied):
@@ -379,9 +387,9 @@ class World:
             node = self.tree.nodes[uid]
             if node.reg_token is not None:
                 self.adversary.stolen_tokens[uid] = node.reg_token
-            record = self.shares.get(uid)
-            if record is not None:
-                steal_share(self.adversary, record)
+            if uid in self.shares:
+                key = (self.round_id, self.shares[uid].epoch, uid)
+                self.adversary.stolen_shares[key] = self._held_share(uid)
 
     def _cleanse(self, verdicts) -> list[int]:
         cleansed = []
@@ -399,14 +407,12 @@ class World:
     # -- invariants ------------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        owners = [rec.owner for rec in self.shares.values()]
-        if len(owners) != len(set(owners)):
-            raise InvariantViolation("single-share-per-user")
         p = self.config.field.modulus
-        for rec in self.shares.values():
-            if not (0 <= rec.value < p and 0 < rec.eval_point < p):
+        for uid, group in self.shares.items():
+            eval_point, value = group.members[uid]
+            if not (0 <= value < p and 0 < eval_point < p):
                 raise InvariantViolation(
-                    "single-field-modulus", f"share of {rec.owner} outside the field"
+                    "single-field-modulus", f"share of {uid} outside the field"
                 )
         xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
         if len(xs) != len(set(xs)):

@@ -6,15 +6,18 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch envelope scratch log is empty,
 so no envelope is stored.
 
-Format 5 stores each fact once and nothing derivable. A restore builds
+Format 6 stores each fact once and nothing derivable. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, a node's activity from its
 ``deactivated_by``, the next user id from the node count, the retained
 parts are the dealing polynomials' free coefficients, and the adversary's
-rotation is a function of the epoch. Group keys are stored, as the
-server's record (recomputing costs a scalar multiplication per node).
-Formats 1-4 are refused.
+rotation is a function of the epoch. Shares are stored once per
+sibling-group record that some host holds: its epoch, its threshold, each
+member's (owner, evaluation point, value) and the hosts that hold it; its
+parent is its holders' parent. Group keys are stored, as the server's
+record (recomputing costs a scalar multiplication per node). Formats 1-5
+are refused.
 
 A snapshot holds every secret in the clear: the dealer secret, the
 dealing polynomials (and with them the retained parts), every share and
@@ -32,10 +35,10 @@ from .config import parse_scenario, serialize_scenario
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode
-from .sharing import Polynomial, ShareRecord
-from .simnet import World, steal_share
+from .sharing import GroupShares, HeldShare, Polynomial
+from .simnet import World
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
 class VersionMismatch(HierShareError):
@@ -66,32 +69,38 @@ def _point_in(data, world: World) -> CurvePoint | None:
     return CurvePoint(world.config.curve, int(data[0]), int(data[1]))
 
 
-def _record_out(rec: ShareRecord) -> dict:
-    return {
-        "owner": rec.owner,
-        "eval_point": str(rec.eval_point),
-        "value": str(rec.value),
-        "threshold": rec.threshold,
-        "round_id": rec.round_id,
-        "epoch": rec.epoch,
-        "split": rec.split,
-    }
-
-
 def _field_in(text: str, world: World) -> int:
     return int(text) % world.config.field.modulus
 
 
-def _record_in(data: dict, world: World) -> ShareRecord:
-    return ShareRecord(
-        owner=data["owner"],
-        eval_point=_field_in(data["eval_point"], world),
-        value=_field_in(data["value"], world),
-        threshold=data["threshold"],
-        round_id=data["round_id"],
-        epoch=data["epoch"],
-        split=data["split"],
-    )
+def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:
+    """Each group record someone holds, once, with the hosts that hold it;
+    a record keeps the members that have since moved on to a newer one."""
+    holders: dict[int, tuple[GroupShares, list[int]]] = {}
+    for uid in sorted(shares):
+        holders.setdefault(id(shares[uid]), (shares[uid], []))[1].append(uid)
+    return [
+        {
+            "epoch": group.epoch,
+            "threshold": group.threshold,
+            "members": [[uid, str(x), str(value)] for uid, (x, value) in group.members.items()],
+            "holders": uids,
+        }
+        for group, uids in holders.values()
+    ]
+
+
+def _groups_in(data: list[dict], world: World) -> dict[int, GroupShares]:
+    shares: dict[int, GroupShares] = {}
+    for item in data:
+        members = {
+            uid: (_field_in(x, world), _field_in(value, world))
+            for uid, x, value in item["members"]
+        }
+        parent = world.tree.nodes[item["holders"][0]].parent
+        group = GroupShares(parent, item["epoch"], item["threshold"], members)
+        shares.update(dict.fromkeys(item["holders"], group))
+    return shares
 
 
 def world_to_dict(world: World) -> dict:
@@ -126,12 +135,14 @@ def world_to_dict(world: World) -> dict:
                 for gid, poly in sorted(world.dealer.polynomials.items())
             },
         },
-        "shares": {str(uid): _record_out(rec) for uid, rec in sorted(world.shares.items())},
+        "shares": _groups_out(world.shares),
         "adversary": {
             "occupied": sorted(adv.occupied),
             "ever_compromised": sorted(adv.ever_compromised),
             "stolen_shares": [
-                _record_out(rec) for _key, rec in sorted(adv.stolen_shares.items())
+                [round_id, epoch, owner, str(copy.eval_point), str(copy.value),
+                 copy.threshold, copy.split]
+                for (round_id, epoch, owner), copy in sorted(adv.stolen_shares.items())
             ],
             "stolen_tokens": {
                 str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
@@ -167,16 +178,16 @@ def world_from_dict(data: dict) -> World:
         int(gid): Polynomial(tuple(_field_in(c, world) for c in coeffs))
         for gid, coeffs in data["dealer"]["polynomials"].items()
     }
-    world.shares = {
-        int(uid): _record_in(rec, world) for uid, rec in data["shares"].items()
-    }
+    world.shares = _groups_in(data["shares"], world)
 
     adv_data = data["adversary"]
     adversary = world.adversary
     adversary.occupied = set(adv_data["occupied"])
     adversary.ever_compromised = set(adv_data["ever_compromised"])
-    for item in adv_data["stolen_shares"]:
-        steal_share(adversary, _record_in(item, world))
+    for round_id, epoch, owner, x, value, threshold, split in adv_data["stolen_shares"]:
+        adversary.stolen_shares[(round_id, epoch, owner)] = HeldShare(
+            _field_in(x, world), _field_in(value, world), threshold, split
+        )
     adversary.stolen_tokens = {
         int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
     }

@@ -66,7 +66,7 @@ def deal(tree, secret, tf, rng, eval_mode=None, max_attempts=128):
         state = tree.begin_round(rng)
         tree.assign_round_keys(state)
         try:
-            shares = distribute(tree, dealer, state, tf, rng, eval_mode)
+            shares = distribute(tree, dealer, tf, rng, eval_mode)
         except EvalPointCollision as exc:
             last = exc
             continue
@@ -79,19 +79,39 @@ def tf(num, den):
 
 
 def root_group(tree, shares):
-    """The share records of the server's group, in id order."""
-    return [shares[kid] for kid in tree.groups(shares)[ROOT_ID]]
+    """The server's group record and its active members, in id order: the
+    first arguments ``generate_renewal`` takes after the tree."""
+    kids = tree.groups(shares)[ROOT_ID]
+    return shares[kids[0]], kids
+
+
+def eval_point(shares, uid):
+    """The evaluation point of ``uid``'s share."""
+    return shares[uid].members[uid][0]
+
+
+def kept(shares, uid):
+    """The kept value of ``uid``'s share."""
+    return shares[uid].members[uid][1]
+
+
+def held_copies(shares, dealer):
+    """Each holder's own copy of its share, as an adversary would steal it."""
+    return {
+        uid: group.held_by(uid, uid in dealer.polynomials) for uid, group in shares.items()
+    }
 
 
 def minimal_reconstructing_set(tree, shares):
     """A cheapest participant set that reconstructs the secret: per group,
     the threshold-many children with the smallest subtree quorum cost.
     Deterministic (ties break by id). A child's id exceeds its parent's, so
-    groups in descending parent order come children first."""
+    groups in descending parent order come children first, and a child is
+    split exactly when it heads a group already priced."""
     quorum = {}
     for gid, kids in reversed(tree.groups(shares).items()):
         priced = sorted(
-            (1 + quorum[kid][0], [kid] + quorum[kid][1]) if shares[kid].split else (1, [kid])
+            (1 + quorum[kid][0], [kid] + quorum[kid][1]) if kid in quorum else (1, [kid])
             for kid in kids
         )
         need = shares[kids[0]].threshold

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from conftest import (
     deal,
+    eval_point,
     make_tree,
     minimal_reconstructing_set,
     random_tree_spec,
@@ -45,8 +46,8 @@ def test_criterion_1_round_trip_200_random_hierarchies():
         spec = random_tree_spec(rng, max_depth=4, max_fanout=6)
         tree = make_tree(spec, rng, prime=1009)
         secret = rng.randrange(1009)
-        _dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
-        assert reconstruct(tree, shares, list(shares)) == secret
+        dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
+        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     note(f"criterion 1 PASS: 200 seeded hierarchies round-trip exactly "
@@ -76,10 +77,10 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
         need = shares[kids[0]].threshold
         poly = dealer.polynomials[gid]
         evaluations = {
-            uid: poly_eval(poly, shares[uid].eval_point, 31) for uid in kids
+            uid: poly_eval(poly, eval_point(shares, uid), 31) for uid in kids
         }
         for quorum in combinations(kids, need):
-            pts = [(shares[u].eval_point, evaluations[u]) for u in quorum]
+            pts = [(eval_point(shares, u), evaluations[u]) for u in quorum]
             assert lagrange_at_zero(pts, 31) == group_value
             checked_quorums += 1
         degree = need - 1
@@ -93,7 +94,7 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
                         rest //= 31
                     ok = all(
                         sum(
-                            c * shares[u].eval_point ** h
+                            c * eval_point(shares, u) ** h
                             for h, c in enumerate(coeffs)
                         ) % 31 == evaluations[u]
                         for u in subq
@@ -121,12 +122,12 @@ def test_criterion_3_storage_and_field_size():
     )
     for tree, shares in ((toy_tree, toy_shares), (flat_tree, flat_shares)):
         assert sorted(shares) == tree.active_users()
-        owners = [rec.owner for rec in shares.values()]
-        assert len(owners) == len(set(owners))
+        assert all(uid in group.members for uid, group in shares.items())
         p = tree.field.modulus
-        for rec in shares.values():
-            assert 0 <= rec.value < p
-            assert 0 < rec.eval_point < p
+        for uid, group in shares.items():
+            x, value = group.members[uid]
+            assert 0 <= value < p
+            assert 0 < x < p
     assert all(
         0 <= c < flat_tree.field.modulus
         for poly in dealer.polynomials.values()
@@ -141,12 +142,12 @@ def test_criterion_4_renewal_invariance_20_epochs_50_seeds():
         spec = random_tree_spec(rng, max_depth=3, max_fanout=4)
         tree = make_tree(spec, rng, prime=1009)
         secret = rng.randrange(1009)
-        _dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
+        dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         for epoch in range(1, 21):
             outcome = renewal_round(tree, shares, epoch, rng)
             assert not outcome.verdicts
             shares = outcome.shares
-        assert reconstruct(tree, shares, list(shares)) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
     note("criterion 4 PASS: secret exact after 20 honest renewal epochs, 50 seeds")
 
 
@@ -170,7 +171,7 @@ def test_criterion_5_detection_complete_and_sound():
             for j in range(1, 19):
                 delta = sum(c * j**h for h, c in enumerate(coeffs, start=1)) % 19
                 bundle = RenewalBundle(
-                    sender=0, recipient=1, epoch=1,
+                    sender=0, recipient=1,
                     delta=delta, commitments=commitments,
                 )
                 assert verify_renewal(bundle, j, TOY_CURVE) is True
@@ -180,11 +181,11 @@ def test_criterion_5_detection_complete_and_sound():
     rng = random.Random(5)
     tree = make_tree([[], [], [], []], rng, curve=TOY_CURVE)
     _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
-    bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+    bundles = generate_renewal(tree, *root_group(tree, shares), rng)
     failures = 0
     for _ in range(1000):
         bundle = rng.choice(bundles)
-        point = shares[bundle.recipient].eval_point
+        point = eval_point(shares, bundle.recipient)
         from dataclasses import replace
 
         if rng.random() < 0.5:

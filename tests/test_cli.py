@@ -269,7 +269,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1, 2, 3 and 4 are all refused."""
+        """Formats 1 to 5 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -281,7 +281,8 @@ class TestSnapshots:
         # stored copies (child lists, server group keys, retained parts);
         # format 3 stored a count of observed commitments; format 4 stored
         # the next user id, the dealer secret, a rotation cursor and each
-        # node's first compromise epoch.
+        # node's first compromise epoch; format 5 stored one record per
+        # share holder, each with its group's threshold, round and epoch.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -293,6 +294,20 @@ class TestSnapshots:
                     **{k: v for k, v in current["adversary"].items() if k != "ever_compromised"},
                     "cursor": 0,
                     "compromise_epochs": {},
+                },
+            },
+            5: {
+                "shares": {
+                    str(uid): {
+                        "owner": uid,
+                        "eval_point": str(group.members[uid][0]),
+                        "value": str(group.members[uid][1]),
+                        "threshold": group.threshold,
+                        "round_id": world.round_id,
+                        "epoch": group.epoch,
+                        "split": uid in world.dealer.polynomials,
+                    }
+                    for uid, group in sorted(world.shares.items())
                 },
             },
         }

@@ -143,6 +143,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fewer than"):
             parse_scenario(base_scenario(field_prime="31", tree=tree))
 
+    def toy_tree(self, users):
+        return base_scenario(
+            field_mode="curve-order", field_prime=None, curve="toy",
+            eval_mode="round-key", secret="3",
+            tree={"children": [{"children": []} for _ in range(users)]},
+        )
+
+    def test_curve_tree_beyond_its_group_key_x_coordinates(self):
+        """The toy curve (order 19) has (19 - 1) / 2 = 9 distinct group-key
+        x-coordinates, so a tenth user could never register."""
+        with pytest.raises(ConfigError, match=r"tree: 10 users .*'toy' has 9$"):
+            parse_scenario(self.toy_tree(10))
+
+    def test_curve_tree_at_its_group_key_x_coordinates_parses(self):
+        assert len(expand_tree(parse_scenario(self.toy_tree(9)).tree)) == 9
+
     def test_empty_tree_rejected(self):
         with pytest.raises(ConfigError, match="at least one user"):
             parse_scenario(base_scenario(tree={"children": []}))

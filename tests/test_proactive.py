@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import deal, make_tree, root_group, tf
+from conftest import deal, eval_point, make_tree, root_group, tf
 
 import hiershare.curve as curve_module
 import hiershare.proactive as proactive
@@ -15,7 +15,6 @@ from hiershare.proactive import (
     ACCUSED_COMPROMISED,
     CLAIMERS_COMPROMISED,
     ClaimRecord,
-    EpochSkew,
     MixedAccused,
     NoChildren,
     RenewalBundle,
@@ -41,7 +40,7 @@ def toy_dealt_tree(rng, spec, factor, secret_value=7):
 class TestGenerateRenewal:
     def test_threshold_one_group_gets_zero_polynomial(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
         assert len(bundles) == 1
         assert bundles[0].delta == 0
         assert bundles[0].commitments == ()
@@ -50,31 +49,26 @@ class TestGenerateRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], []], tf(1, 1)
         )
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
         assert len(bundles) == 3
         assert all(len(b.commitments) == 2 for b in bundles)
-        assert all(b.epoch == 1 for b in bundles)
 
     def test_deterministic_under_seed(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        first = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, random.Random(9))
-        second = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, random.Random(9))
+        first = generate_renewal(tree, *root_group(tree, shares), random.Random(9))
+        second = generate_renewal(tree, *root_group(tree, shares), random.Random(9))
         assert first == second
 
     def test_no_children(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
+        group, _kids = root_group(tree, shares)
         with pytest.raises(NoChildren):
-            generate_renewal(tree, [], 1, 0, rng)
-
-    def test_epoch_skew_detected(self, rng):
-        tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        with pytest.raises(EpochSkew):
-            generate_renewal(tree, root_group(tree, shares), ROOT_ID, 4, rng)
+            generate_renewal(tree, group, [], rng)
 
     def test_no_curve_mode_has_no_commitments(self, rng):
         tree = make_tree([[], []], rng, prime=31)
         _dealer, _state, shares = deal(tree, 5, tf(1, 1), rng)
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
         assert all(b.commitments == () for b in bundles)
 
 
@@ -83,23 +77,23 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(1, 2)
         )
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
         for bundle in bundles:
-            point = shares[bundle.recipient].eval_point
+            point = eval_point(shares, bundle.recipient)
             assert verify_renewal(bundle, point, tree.curve) is True
 
     def test_tampered_delta_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
-        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
-            point = shares[bundle.recipient].eval_point
+        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+            point = eval_point(shares, bundle.recipient)
             bad = replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
             assert verify_renewal(bad, point, tree.curve) is False
 
     def test_tampered_commitment_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
         G = tree.curve.base_point
-        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
-            point = shares[bundle.recipient].eval_point
+        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+            point = eval_point(shares, bundle.recipient)
             moved = bundle.commitments[0] + G
             bad = replace(bundle, commitments=(moved,) + bundle.commitments[1:])
             assert verify_renewal(bad, point, tree.curve) is False
@@ -107,8 +101,8 @@ class TestVerifyRenewal:
     def test_identity_commitment_fails(self, rng):
         tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 7, tf(1, 1), rng)
-        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
-            point = shares[bundle.recipient].eval_point
+        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+            point = eval_point(shares, bundle.recipient)
             assert verify_renewal(bundle, point, tree.curve) is True
             for idx in range(len(bundle.commitments)):
                 new = list(bundle.commitments)
@@ -124,7 +118,7 @@ class TestVerifyRenewal:
         for c in range(1, 19):
             for point in range(1, 19):
                 bundle = RenewalBundle(
-                    sender=ROOT_ID, recipient=1, epoch=1,
+                    sender=ROOT_ID, recipient=1,
                     delta=(c + coeff * point) % toy.order, commitments=commitments,
                 )
                 assert verify_renewal(bundle, point, toy) is False
@@ -133,11 +127,11 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(3, 4)
         )
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
+        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
         G = tree.curve.base_point
         for _ in range(200):
             bundle = rng.choice(bundles)
-            point = shares[bundle.recipient].eval_point
+            point = eval_point(shares, bundle.recipient)
             if rng.random() < 0.5:
                 offset = rng.randrange(1, 19)
                 bad = replace(bundle, delta=(bundle.delta + offset) % 19)
@@ -156,34 +150,28 @@ class TestVerifyRenewal:
 class TestApplyRenewal:
     def test_zero_delta_keeps_value(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundle = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)[0]
-        renewed = apply_renewal(shares[1], bundle, tree.field.modulus)
-        assert renewed.value == shares[1].value
-        assert renewed.epoch == 1
-        assert renewed.eval_point == shares[1].eval_point
+        group, kids = root_group(tree, shares)
+        bundles = generate_renewal(tree, group, kids, rng)
+        renewed = apply_renewal(group, bundles, tree.field.modulus)
+        assert renewed.members == group.members
+        assert (renewed.parent, renewed.epoch, renewed.threshold) == (ROOT_ID, 1, 1)
 
     def test_round_trip_after_renewal(self, rng):
-        tree, _dealer, shares, secret = toy_dealt_tree(
+        tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[], [], []], tf(2, 3)
         )
-        for bundle in generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng):
-            shares[bundle.recipient] = apply_renewal(
-                shares[bundle.recipient], bundle, tree.field.modulus
-            )
-        assert reconstruct(tree, shares, list(shares)) == secret
+        group, kids = root_group(tree, shares)
+        renewed = apply_renewal(group, generate_renewal(tree, group, kids, rng), tree.field.modulus)
+        shares = dict.fromkeys(kids, renewed)
+        assert reconstruct(tree, shares, kids, dealer.polynomials) == secret
 
-    def test_epoch_mismatch(self, rng):
-        tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundle = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)[0]
-        stale = replace(bundle, epoch=5)
-        with pytest.raises(EpochSkew):
-            apply_renewal(shares[1], stale, tree.field.modulus)
-
-    def test_wrong_recipient(self, rng):
+    def test_member_without_a_bundle_is_left_out(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        bundles = generate_renewal(tree, root_group(tree, shares), ROOT_ID, 0, rng)
-        with pytest.raises(ValueError):
-            apply_renewal(shares[2], bundles[0], tree.field.modulus)
+        group, kids = root_group(tree, shares)
+        bundles = generate_renewal(tree, group, kids, rng)
+        renewed = apply_renewal(group, bundles[1:], tree.field.modulus)
+        assert list(renewed.members) == [2]
+        assert renewed.members[2][0] == group.members[2][0]
 
 
 class TestClaims:
@@ -213,7 +201,7 @@ class TestClaims:
 
 class TestRenewalRound:
     def test_message_count_and_secret_preserved(self, rng):
-        tree, _dealer, shares, secret = toy_dealt_tree(
+        tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[[], []], [[], []]], tf(1, 2), secret_value=3
         )
         sent = []
@@ -222,18 +210,18 @@ class TestRenewalRound:
         assert len(sent) == 6 + 3
         assert outcome.verdicts == ()
         assert outcome.claims == ()
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
         assert all(rec.epoch == 1 for rec in outcome.shares.values())
 
     def test_twenty_honest_rounds_preserve_secret(self, rng):
-        tree, _dealer, shares, secret = toy_dealt_tree(
+        tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[[], []], []], tf(1, 2), secret_value=16
         )
         for epoch in range(1, 21):
             outcome = renewal_round(tree, shares, epoch, rng)
             shares = outcome.shares
             assert not outcome.verdicts
-        assert reconstruct(tree, shares, list(shares)) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
         assert all(rec.epoch == 20 for rec in shares.values())
 
     def test_each_group_renews_independently_of_the_others(self, rng):
@@ -249,11 +237,11 @@ class TestRenewalRound:
         apart = renewal_round(tree, dict(shares), 1, random.Random(31)).shares
         assert tree.active_users() == [2, 3, 6, 7, 8]
         for uid in tree.active_users():
-            assert apart[uid].epoch == 1
-            assert apart[uid] == together[uid]
+            assert apart[uid].epoch == together[uid].epoch == 1
+            assert apart[uid].members[uid] == together[uid].members[uid]
 
     def test_corrupting_parent_detected_and_discarded(self, rng):
-        tree, _dealer, shares, secret = toy_dealt_tree(
+        tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[[], [], []]], tf(2, 3), secret_value=5
         )
 
@@ -273,7 +261,7 @@ class TestRenewalRound:
         for uid in (2, 3, 4):
             assert outcome.shares[uid].epoch == 0
         assert outcome.shares[1].epoch == 1
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
 
     def test_degree_raising_renewal_refused(self):
         """A parent swaps each delta for the value of a zero-free degree-3
@@ -284,7 +272,7 @@ class TestRenewalRound:
         rng = random.Random(11)
         tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
         secret = 1234567
-        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         assert {rec.threshold for rec in shares.values()} == {2}
         raised = sample_polynomial(random.Random(5), 3, 0, tree.field.modulus)
         commitments = tuple(
@@ -292,7 +280,7 @@ class TestRenewalRound:
         )
 
         def raise_degree(bundle):
-            point = shares[bundle.recipient].eval_point
+            point = eval_point(shares, bundle.recipient)
             return replace(
                 bundle,
                 delta=poly_eval(raised, point, tree.field.modulus),
@@ -303,7 +291,7 @@ class TestRenewalRound:
         assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
         assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
 
     def test_false_claims_below_bound_blame_claimers(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(
@@ -335,11 +323,11 @@ class TestRenewalRound:
     def test_no_curve_round_counts_deltas_only(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = 400
-        _dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
+        dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         sent = []
         outcome = renewal_round(tree, shares, 1, rng, on_message=lambda *m: sent.append(m))
         assert [m[0] for m in sent] == ["renewal-delta"] * len(shares)
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
 
 
 class TestStalenessAcrossEpochs:
@@ -356,10 +344,8 @@ class TestStalenessAcrossEpochs:
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         outcome = renewal_round(tree, dict(shares), 1, rng)
 
-        x1 = shares[1].eval_point
-        v1 = shares[1].value            # epoch 0
-        x2 = outcome.shares[2].eval_point
-        v2 = outcome.shares[2].value    # epoch 1
+        x1, v1 = shares[1].members[1]                # epoch 0
+        x2, v2 = outcome.shares[2].members[2]        # epoch 1
         counts = {c: 0 for c in range(31)}
         for c in range(31):
             for a1 in range(31):
@@ -382,9 +368,8 @@ class TestStalenessAcrossEpochs:
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         outcome = renewal_round(tree, dict(shares), 1, rng)
 
-        old = [(shares[u].eval_point, shares[u].value) for u in (1, 2)]
-        x3 = outcome.shares[3].eval_point
-        v3 = outcome.shares[3].value
+        old = [shares[u].members[u] for u in (1, 2)]
+        x3, v3 = outcome.shares[3].members[3]
         counts = {c: 0 for c in range(31)}
         for c in range(31):
             for a1 in range(31):
@@ -440,7 +425,7 @@ class TestBatchCheck:
         commitments = tuple(scalar_mul(c, G) for c in poly.coefficients[1:])
 
         def move(bundle):
-            delta = poly_eval(poly, shares[bundle.recipient].eval_point, n)
+            delta = poly_eval(poly, eval_point(shares, bundle.recipient), n)
             return replace(bundle, delta=delta, commitments=commitments)
 
         return move
@@ -460,7 +445,8 @@ class TestBatchCheck:
         outcome, seen = self.run_tampered(tree, shares, cancel)
         assert self.claimers(outcome) == [1, 2] == self.alone(tree, shares, seen)
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == 4242
+        # One flat group: no member is split.
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242
 
     def test_one_bad_delta_names_that_child(self):
         tree, shares = self.dealt_group(22, 5)
@@ -499,7 +485,8 @@ class TestBatchCheck:
         outcome, seen = self.run_tampered(tree, shares, self.moved_to(tree, shares, other))
         assert outcome.claims == () and self.alone(tree, shares, seen) == []
         assert all(rec.epoch == 1 for rec in outcome.shares.values())
-        assert reconstruct(tree, outcome.shares, list(outcome.shares)) == 4242 % curve.order
+        # One flat group: no member is split.
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242 % curve.order
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_shared_vector_that_misses_the_deltas_is_refused_by_all(self, curve):
@@ -545,7 +532,7 @@ class TestBatchCheck:
                 return replace(bundle, commitments=moved)
             return replace(
                 bundle,
-                delta=poly_eval(other, shares[4].eval_point, tree.curve.order),
+                delta=poly_eval(other, eval_point(shares, 4), tree.curve.order),
                 commitments=tuple(scalar_mul(c, G) for c in other.coefficients[1:]),
             )
 

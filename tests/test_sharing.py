@@ -4,7 +4,16 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import deal, make_tree, minimal_reconstructing_set, random_tree_spec, tf
+from conftest import (
+    deal,
+    eval_point,
+    held_copies,
+    kept,
+    make_tree,
+    minimal_reconstructing_set,
+    random_tree_spec,
+    tf,
+)
 
 from hiershare.algebra import poly_eval
 from hiershare.hierarchy import ROOT_ID
@@ -14,8 +23,6 @@ from hiershare.sharing import (
     EvalPointCollision,
     InactiveSubtree,
     InsufficientShares,
-    MixedEpochs,
-    StaleEpoch,
     ThresholdFactor,
     compute_threshold,
     distribute,
@@ -81,16 +88,15 @@ class TestDistribute:
         secret = 11
         dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         assert dealer.polynomials[ROOT_ID].degree + 1 == 1
-        record = shares[1]
-        assert not record.split
-        assert record.value == secret
-        assert reconstruct(tree, shares, [1]) == secret
+        assert 1 not in dealer.polynomials
+        assert kept(shares, 1) == secret
+        assert reconstruct(tree, shares, [1], dealer.polynomials) == secret
 
     def test_three_level_toy_curve_round_trip(self, toy, rng):
         tree = make_tree([[[], []], [[], []]], rng, curve=toy)
         secret = 13
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        assert reconstruct(tree, shares, list(shares)) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
         assert dealer.polynomials[ROOT_ID].degree + 1 == compute_threshold(tf(1, 2), 2)
 
     def test_threshold_root_counts_level_one_users(self, rng):
@@ -100,61 +106,64 @@ class TestDistribute:
 
     def test_every_user_holds_exactly_one_share(self, rng):
         tree = make_tree([[[], []], [[]], []], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
         assert sorted(shares) == tree.active_users()
-        owners = [rec.owner for rec in shares.values()]
-        assert len(owners) == len(set(owners))
+        for parent, kids in tree.groups().items():
+            group = shares[kids[0]]
+            assert all(shares[kid] is group for kid in kids)
+            assert (group.parent, group.epoch) == (parent, 0)
+            assert list(group.members) == kids
+            assert group.threshold == dealer.polynomials[parent].degree + 1
 
     def test_single_field_modulus_everywhere(self, rng):
         tree = make_tree([[[], []], [[]]], rng, prime=1009)
         dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
         p = tree.field.modulus
-        for rec in shares.values():
-            assert 0 <= rec.value < p
-            assert 0 < rec.eval_point < p
+        for uid in shares:
+            assert 0 <= kept(shares, uid) < p
+            assert 0 < eval_point(shares, uid) < p
         for poly in dealer.polynomials.values():
             assert all(0 <= c < p for c in poly.coefficients)
 
     def test_split_conservation(self, rng):
         tree = make_tree([[[], [], []], [[], []]], rng, prime=1009)
         dealer, _state, shares = deal(tree, 77, tf(1, 2), rng)
-        for uid, rec in shares.items():
-            if rec.split:
-                parent = tree.nodes[uid].parent
-                whole = poly_eval(dealer.polynomials[parent], rec.eval_point, 1009)
-                retained = dealer.polynomials[uid].free_coefficient
-                assert (rec.value + retained) % 1009 == whole
+        assert sorted(dealer.polynomials) == [ROOT_ID, 1, 2]
+        for uid in (1, 2):
+            whole = poly_eval(dealer.polynomials[ROOT_ID], eval_point(shares, uid), 1009)
+            retained = dealer.polynomials[uid].free_coefficient
+            assert (kept(shares, uid) + retained) % 1009 == whole
 
     def test_no_active_level_one_users(self, rng):
         tree = make_tree([[]], rng, prime=1009)
         dealer = DealerState(secret=1)
-        state = tree.begin_round(rng)
+        tree.begin_round(rng)
         tree.leave(1)  # the round outlives the membership
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
+            distribute(tree, dealer, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_internal_node_without_active_children_blocks(self, rng):
         tree = make_tree([[[]], []], rng, prime=1009)
         tree.leave(3)  # node 1's only child
         dealer = DealerState(secret=1)
-        state = tree.begin_round(rng)
+        tree.begin_round(rng)
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
+            distribute(tree, dealer, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_zero_eval_point_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(19)], rng, prime=19)
         dealer = DealerState(secret=1)
-        state = tree.begin_round(rng)
+        tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
+            distribute(tree, dealer, tf(1, 2), rng, EVAL_USER_ID)
 
     def test_sibling_eval_collision_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(21)], rng, prime=19)
         tree.leave(19)  # avoid the zero point; 20 = 1 mod 19 still collides
         dealer = DealerState(secret=1)
-        state = tree.begin_round(rng)
+        tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, state, tf(1, 2), rng, EVAL_USER_ID)
+            distribute(tree, dealer, tf(1, 2), rng, EVAL_USER_ID)
 
 
 class TestReconstruct:
@@ -165,53 +174,43 @@ class TestReconstruct:
             spec = random_tree_spec(rng, max_depth=3, max_fanout=4)
             tree = make_tree(spec, rng, prime=1009)
             secret = rng.randrange(1009)
-            _dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
-            assert reconstruct(tree, shares, list(shares)) == secret
+            dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
+            assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
 
     def test_minimal_quorum_recovers(self, rng):
         tree = make_tree([[[], [], []], [[], [], []], []], rng, prime=1009)
         secret = 500
-        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         participants = minimal_reconstructing_set(tree, shares)
-        assert reconstruct(tree, shares, participants) == secret
+        assert reconstruct(tree, shares, participants, dealer.polynomials) == secret
         assert len(participants) < len(shares)
 
     def test_below_threshold_group_fails(self, rng):
         tree = make_tree([[[], []], [[], []]], rng, prime=1009)
         secret = 9
-        _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
+        dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
         # Unanimity everywhere: dropping one leaf starves its group.
         participants = [uid for uid in shares if uid != 3]
         with pytest.raises(InsufficientShares) as exc:
-            reconstruct(tree, shares, participants)
+            reconstruct(tree, shares, participants, dealer.polynomials)
         assert exc.value.group_parent == 1
         assert exc.value.have == 1
         assert exc.value.need == 2
-
-    def test_mixed_epochs_within_group_rejected(self, rng):
-        from dataclasses import replace
-
-        tree = make_tree([[], []], rng, prime=1009)
-        secret = 4
-        _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        shares[2] = replace(shares[2], epoch=1)
-        with pytest.raises(StaleEpoch):
-            reconstruct(tree, shares, list(shares))
 
     def test_internal_node_recovery_library_call(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = 321
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        value = recover_group_secret(tree, shares, list(shares), 1)
+        value = recover_group_secret(tree, shares, list(shares), 1, dealer.polynomials)
         assert value == dealer.polynomials[1].free_coefficient
 
     def test_inactive_participants_ignored(self, rng):
         tree = make_tree([[], [], []], rng, prime=1009)
         secret = 8
-        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         tree.leave(3)
         # 3 is named as participating but cannot take part.
-        assert reconstruct(tree, shares, [1, 2, 3]) == secret
+        assert reconstruct(tree, shares, [1, 2, 3], dealer.polynomials) == secret
 
 
 class TestGroupThresholdExactness:
@@ -228,11 +227,11 @@ class TestGroupThresholdExactness:
         retained = dealer.polynomials[1].free_coefficient
 
         evaluations = {
-            uid: poly_eval(dealer.polynomials[1], shares[uid].eval_point, 31)
+            uid: poly_eval(dealer.polynomials[1], eval_point(shares, uid), 31)
             for uid in group
         }
         for quorum in combinations(group, need):
-            pts = [(shares[uid].eval_point, evaluations[uid]) for uid in quorum]
+            pts = [(eval_point(shares, uid), evaluations[uid]) for uid in quorum]
             from hiershare.algebra import lagrange_at_zero
 
             assert lagrange_at_zero(pts, 31) == retained
@@ -242,7 +241,7 @@ class TestGroupThresholdExactness:
             for a0 in range(31):
                 for a1 in range(31):
                     ok = all(
-                        (a0 + a1 * shares[uid].eval_point) % 31
+                        (a0 + a1 * eval_point(shares, uid)) % 31
                         == evaluations[uid]
                         for uid in subq
                     )
@@ -255,27 +254,19 @@ class TestGroupThresholdExactness:
 class TestKnowledgeClosure:
     def test_full_coalition_reconstructs(self, rng):
         tree = make_tree([[[], []], [[], []]], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, 6, tf(1, 2), rng)
-        assert knowledge_closure(tree, dict(shares)) is True
+        dealer, _state, shares = deal(tree, 6, tf(1, 2), rng)
+        assert knowledge_closure(tree, held_copies(shares, dealer)) is True
 
     def test_below_threshold_coalition_fails(self, rng):
         tree = make_tree([[[], [], []]], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
-        coalition = {2: shares[2], 3: shares[3]}  # 2 of 3, threshold 3
+        dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
+        copies = held_copies(shares, dealer)
+        coalition = {2: copies[2], 3: copies[3]}  # 2 of 3, threshold 3
         assert knowledge_closure(tree, coalition) is False
 
     def test_empty_coalition(self, rng):
         tree = make_tree([[]], rng, prime=1009)
         assert knowledge_closure(tree, {}) is False
-
-    def test_mixed_epochs_rejected(self, rng):
-        from dataclasses import replace
-
-        tree = make_tree([[], []], rng, prime=1009)
-        _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
-        coalition = {1: shares[1], 2: replace(shares[2], epoch=3)}
-        with pytest.raises(MixedEpochs):
-            knowledge_closure(tree, coalition)
 
     def test_matches_reconstruction_attempt_oracle(self):
         """Closure must agree with actually trying to reconstruct from
@@ -283,13 +274,14 @@ class TestKnowledgeClosure:
         rng = random.Random(404)
         tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
         secret = 123
-        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         users = list(shares)
+        copies = held_copies(shares, dealer)
         for _ in range(200):
             coalition_ids = [u for u in users if rng.random() < 0.5]
-            coalition = {u: shares[u] for u in coalition_ids}
+            coalition = {u: copies[u] for u in coalition_ids}
             try:
-                recovered = reconstruct(tree, shares, coalition_ids) == secret
+                recovered = reconstruct(tree, shares, coalition_ids, dealer.polynomials) == secret
             except InsufficientShares:
                 recovered = False
             assert knowledge_closure(tree, coalition) == recovered
@@ -323,13 +315,14 @@ class TestKnowledgeClosureAgainstFixpoint:
         for _ in range(40):
             tree = make_tree(random_tree_spec(rng, max_depth=4, max_fanout=4), rng, prime=1009)
             secret = rng.randrange(1009)
-            _dealer, _state, shares = deal(tree, secret, tf(rng.randint(1, 3), 3), rng)
+            dealer, _state, shares = deal(tree, secret, tf(rng.randint(1, 3), 3), rng)
             # Members stolen before a leave still count for the coalition.
             tree.leave(rng.choice(sorted(shares)))
             users = sorted(shares)
+            copies = held_copies(shares, dealer)
             for _ in range(25):
                 keep = rng.random()
-                coalition = {u: shares[u] for u in users if rng.random() < keep}
+                coalition = {u: copies[u] for u in users if rng.random() < keep}
                 expected = fixpoint_closure(tree, coalition)
                 reconstructing += expected
                 assert knowledge_closure(tree, coalition) is expected
@@ -341,7 +334,7 @@ class TestKnowledgeClosureAgainstFixpoint:
         for _ in range(depth - 1):
             spec = [spec]
         tree = make_tree([spec], random.Random(3), prime=1009)
-        _dealer, _state, shares = deal(tree, 9, tf(1, 1), random.Random(4))
+        dealer, _state, shares = deal(tree, 9, tf(1, 1), random.Random(4))
         calls = 0
 
         def counted(method):
@@ -354,7 +347,7 @@ class TestKnowledgeClosureAgainstFixpoint:
 
         tree.children_of = counted(tree.children_of)
         tree.node = counted(tree.node)
-        assert knowledge_closure(tree, dict(shares)) is True
+        assert knowledge_closure(tree, held_copies(shares, dealer)) is True
         assert calls <= 3 * depth
 
 
@@ -362,8 +355,8 @@ class TestMinimalReconstructingSet:
     def test_is_deterministic_and_sufficient(self, rng):
         tree = make_tree([[[], [], []], [[], []], []], rng, prime=1009)
         secret = 55
-        _dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+        dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         first = minimal_reconstructing_set(tree, shares)
         second = minimal_reconstructing_set(tree, shares)
         assert first == second
-        assert reconstruct(tree, shares, first) == secret
+        assert reconstruct(tree, shares, first, dealer.polynomials) == secret

@@ -35,6 +35,11 @@ def scenario(**overrides):
     return parse_scenario({k: v for k, v in base.items() if v is not None})
 
 
+def held_share(world, uid):
+    """(evaluation point, kept value) of the share ``uid`` holds."""
+    return world.shares[uid].members[uid]
+
+
 def canonical(report):
     return json.dumps(report.to_dict(), sort_keys=True)
 
@@ -92,8 +97,8 @@ class TestDeterminism:
         w2 = World(scenario(seed="2"))
         w1.initial_deal()
         w2.initial_deal()
-        assert [r.value for r in w1.shares.values()] != [
-            r.value for r in w2.shares.values()
+        assert [held_share(w1, uid) for uid in sorted(w1.shares)] != [
+            held_share(w2, uid) for uid in sorted(w2.shares)
         ]
 
     def test_run_leaves_no_envelopes(self):
@@ -128,7 +133,7 @@ class TestAdversaryObservation:
         )
         world = World(cfg)
         world.initial_deal()
-        stolen_owners = {rec.owner for rec in world.adversary.stolen_shares.values()}
+        stolen_owners = {owner for _round, _epoch, owner in world.adversary.stolen_shares}
         assert stolen_owners == {2}
 
     def test_commitments_visible_but_no_coefficients(self):
@@ -153,6 +158,69 @@ class TestAdversaryObservation:
         world = World(cfg)
         world.run()
         assert set(world.adversary.stolen_tokens) <= world.adversary.ever_compromised
+
+
+class TestStolenShares:
+    """What the adversary copies from a host is the host's own share, with
+    the group facts of the round it was dealt in."""
+
+    def test_departed_host_keeps_its_last_share(self, tmp_path):
+        # 4 leaves at epoch 2, after its group's epoch-1 renewal; its
+        # sibling 3 renews on without it. Occupied at epoch 3, host 4
+        # still holds its epoch-1 share, and so does a restored world.
+        cfg = scenario(
+            tree=spec_dict([[[], []], []]),
+            events=[{"epoch": 2, "kind": "leave", "user": 4}],
+            epochs=3,
+            adversary={
+                "strategy": "scripted",
+                "script": [{"epoch": 3, "compromise": [4]}],
+            },
+        )
+        world = World(cfg)
+        world.initial_deal()
+        world.step_epoch()
+        held = held_share(world, 4)
+        world.step_epoch()
+        world.step_epoch()
+        assert world.shares[3].epoch == 3
+        assert world.shares[4].epoch == 1
+        stolen = world.adversary.stolen_shares
+        assert list(stolen) == [(1, 1, 4)]
+        assert (stolen[(1, 1, 4)].eval_point, stolen[(1, 1, 4)].value) == held
+        assert world_facts(restored(world, tmp_path)) == world_facts(world)
+
+    def test_older_round_judged_with_its_own_group_facts(self):
+        # Round 1: root group {1, 2, 3} at threshold 2, and 1 is split over
+        # its child 4. After 1 leaves and the server redeals, round 2's root
+        # group {2, 3} has threshold 1 and 1 holds no polynomial. The
+        # round-1 copies of 1 and 2 give one contribution of two needed.
+        # The adversary leaves at epoch 1, before the redeal's mail.
+        cfg = scenario(
+            tree=spec_dict([[[]], [], []]),
+            tf={"num": 1, "den": 2},
+            events=[
+                {"epoch": 2, "kind": "leave", "user": 1},
+                {"epoch": 2, "kind": "redeal"},
+            ],
+            epochs=2,
+            adversary={
+                "strategy": "scripted",
+                "budget": 2,
+                "script": [{"epoch": 0, "compromise": [1, 2]}],
+            },
+        )
+        world = World(cfg)
+        report = world.run()
+        assert world.round_id == 2
+        assert world.dealer.polynomials[0].degree + 1 == 1
+        assert 1 not in world.dealer.polynomials
+        stolen = world.adversary.stolen_shares
+        assert sorted(stolen) == [(1, 0, 1), (1, 0, 2)]
+        assert [(c.threshold, c.split) for _key, c in sorted(stolen.items())] == [
+            (2, True), (2, False)
+        ]
+        assert report.final["secret_recovered_by_adversary"] is False
 
 
 class TestMobileAdversary:
@@ -271,29 +339,63 @@ class TestAdversaryStrategies:
         ]
 
     def test_scripted_one_below_boundary_blames_claimers(self):
+        """A parent that tampers with fewer than n - k of its children gets
+        the honest claimers convicted instead, is never cleansed, and holds
+        its group at epoch 0 while the root group renews every epoch."""
+        epochs = 4
+        cfg = self._curve_cfg(
+            tree=spec_dict([[[], [], [], [], []]]),
+            tf={"num": 3, "den": 5},
+            epochs=epochs,
+            adversary={
+                "strategy": "scripted",
+                "script": [
+                    {"epoch": epoch, "compromise": [1],
+                     "tamper": [{"parent": 1, "children": [2, 3]}]}
+                    for epoch in range(1, epochs + 1)
+                ],
+            },
+        )
+        world = World(cfg)
+        world.initial_deal()
+        for epoch in range(1, epochs + 1):
+            row = world.step_epoch()
+            assert row["verdicts"] == [
+                {"accused": 1, "outcome": "claimers-compromised", "claims": 2,
+                 "claimers": [2, 3]}
+            ]
+            assert row["cleansed"] == []
+            assert row["compromised"] == [1]
+            # The tampered subtree's renewal is discarded every epoch.
+            assert {world.shares[u].epoch for u in (2, 3, 4, 5, 6)} == {0}
+            assert world.shares[1].epoch == epoch
+
+    def test_scripted_false_claims_at_the_boundary_convict_an_honest_parent(self):
+        # Group of 5 under node 1, TF 3/5: n - k = 3 occupied children
+        # accuse their parent, which is honest and unoccupied.
         cfg = self._curve_cfg(
             tree=spec_dict([[[], [], [], [], []]]),
             tf={"num": 3, "den": 5},
             epochs=1,
             adversary={
                 "strategy": "scripted",
+                "budget": 3,
                 "script": [
-                    {"epoch": 1, "compromise": [1],
-                     "tamper": [{"parent": 1, "children": [2, 3]}]},
+                    {"epoch": 1, "compromise": [2, 3, 4],
+                     "false_claims": [{"accused": 1, "claimers": [2, 3, 4]}]},
                 ],
             },
         )
         report = World(cfg).run()
         row = report.rows[1]
+        assert row["claims"] == 3
         assert row["verdicts"] == [
-            {"accused": 1, "outcome": "claimers-compromised", "claims": 2,
-             "claimers": [2, 3]}
+            {"accused": 1, "outcome": "accused-compromised", "claims": 3,
+             "claimers": [2, 3, 4]}
         ]
-        # The tampered subtree's renewal was discarded for the epoch.
-        world = World(cfg)
-        world.run()
-        assert {world.shares[u].epoch for u in (2, 3, 4, 5, 6)} == {0}
-        assert world.shares[1].epoch == 1
+        assert row["cleansed"] == []
+        assert row["compromised"] == [2, 3, 4]
+        assert report.final["reconstruction_correct"] is True
 
 
 class TestEvents:
@@ -585,18 +687,14 @@ class TestInvariants:
             world._check_invariants()
         return info.value
 
-    def test_single_share_per_user(self):
-        world = self.dealt_world()
-        world.shares[2] = world.shares[1]
-        assert self.violated(world).invariant == "single-share-per-user"
-
     def test_single_field_modulus(self):
         world = self.dealt_world()
         p = world.config.field.modulus
         honest = world.shares[1]
-        world.shares[1] = replace(honest, value=p)
+        eval_point, value = honest.members[1]
+        world.shares[1] = replace(honest, members={**honest.members, 1: (eval_point, p)})
         assert self.violated(world).invariant == "single-field-modulus"
-        world.shares[1] = replace(honest, eval_point=p)
+        world.shares[1] = replace(honest, members={**honest.members, 1: (p, value)})
         assert self.violated(world).invariant == "single-field-modulus"
 
     def test_group_key_x_distinct(self):
@@ -617,8 +715,7 @@ class TestInvariants:
 
     def test_no_oracle_leakage_shares(self):
         world = self.dealt_world()
-        record = world.shares[1]
-        world.adversary.stolen_shares[(record.round_id, record.epoch, 1)] = record
+        world.adversary.stolen_shares[(world.round_id, 0, 1)] = world._held_share(1)
         violation = self.violated(world)
         assert violation.invariant == "no-oracle-leakage"
         assert "share" in violation.detail

@@ -93,3 +93,33 @@ def test_imports_only_the_standard_library(path):
 def test_all_entries_resolve():
     missing = [name for name in hiershare.__all__ if not hasattr(hiershare, name)]
     assert missing == []
+
+
+def test_every_error_class_is_raised():
+    """Each ``HierShareError`` subclass the package defines is constructed
+    (called, or raised by name) somewhere in the package; a class nothing
+    raises guards a state the code can no longer reach."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    classes = [
+        node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    errors = {"HierShareError"}
+    grown = True
+    while grown:
+        found = {
+            cls.name for cls in classes
+            if any(isinstance(base, ast.Name) and base.id in errors for base in cls.bases)
+        }
+        grown = not found <= errors
+        errors |= found
+    constructed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            target = node.func if isinstance(node, ast.Call) else None
+            if isinstance(node, ast.Raise):
+                target = node.exc
+            if isinstance(target, ast.Name):
+                constructed.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                constructed.add(target.attr)
+    assert sorted(errors - {"HierShareError"} - constructed) == []
