@@ -328,15 +328,31 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
             f"user-id eval points need fewer than {modulus} users",
         )
     if curve is not None:
-        # The order's n - 1 nonidentity points pair up as ±P on one x.
-        distinct_x = (curve.order - 1) // 2
+        # The order's n - 1 nonidentity points pair up as ±P on one x. A
+        # round key on an x that is 0 mod n would give evaluation point 0.
+        distinct_x, kind = (curve.order - 1) // 2, "group-key x-coordinates"
+        if eval_mode == EVAL_ROUND_KEY:
+            distinct_x -= _zero_x_pairs(curve)
+            kind = "round-key x-coordinates nonzero mod the order"
         _require(
             len(user_ids) <= distinct_x,
             f"{source}.tree",
-            f"{len(user_ids)} users need distinct group-key x-coordinates; "
+            f"{len(user_ids)} users need distinct {kind}; "
             f"curve {curve.name!r} has {distinct_x}",
         )
     return config
+
+
+def _zero_x_pairs(curve: CurveParams) -> int:
+    """Point pairs ±(x, y), y != 0, whose x is 0 mod the order: one test by
+    Euler's criterion per multiple of the order below p (at most two on
+    secp256k1). Exact when every curve point lies in G's group (cofactor
+    1, as on both profiles)."""
+    p = curve.p
+    return sum(
+        pow(x**3 + curve.a * x + curve.b, (p - 1) // 2, p) == 1
+        for x in range(0, p, curve.order)
+    )
 
 
 def _parse_events(data, where: str, user_ids: set[int], max_epoch: int) -> tuple[dict, ...]:

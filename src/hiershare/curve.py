@@ -4,11 +4,13 @@ Supplies the group behind user keys, round keys, and renewal commitments.
 Points are affine with an explicit identity, and every ``CurvePoint`` is
 checked against the curve equation when it is built. Multiplications run
 inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
-and convert back to affine once, for the result: multiples of the base
-point read a table of its multiples, and ``multi_scalar_mul`` sums the
-multiples of any other points with one shared doubling chain (Straus).
-Written for simulation fidelity at desk scale, deliberately not
-side-channel hardened.
+and convert back to affine once, for the result. Both kernels read a
+scalar in signed-digit windows, so a negative digit costs only the
+negation of a table point: multiples of the base point add one entry of a
+precomputed table per digit, and ``multi_scalar_mul`` interleaves the
+windows of any other points over one shared doubling chain (Straus;
+Möller 2001). Written for simulation fidelity at desk scale, deliberately
+not side-channel hardened: running time depends on the scalar.
 
 Points and parameters are immutable; all operations are pure.
 """
@@ -106,20 +108,43 @@ def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 # tuples, or None for the identity.
 _JACOBIAN_IDENTITY = (1, 1, 0)
 
-# The base-point table holds d * 16^i * G for every 4-bit digit d > 0 and
-# every digit position i of a scalar below 2^order.bit_length(): 64 rows of
-# 15 points on secp256k1.
-_WINDOW_BITS = 4
+# Window widths of the signed-digit recoding. The base-point table holds
+# d * 128^i * G for d = 1..64: 37 rows of 64 points on secp256k1. A Straus
+# term of more than 64 bits reads a table of its 16 first multiples; a
+# shorter one (every toy-curve scalar) goes bit by bit and builds none.
+_BASE_WIDTH = 7
+_STRAUS_WIDTH = 5
+_SHORT_BITS = 64
+
+_Table = tuple[tuple[tuple[int, int] | None, ...], ...]
+
+
+def _signed_digits(k: int, width: int) -> list[int]:
+    """Digits d_i, lowest first, with k = Σ d_i * 2^(width*i) and
+    -2^(width-1) < d_i <= 2^(width-1), for k >= 0 and width >= 2."""
+    full, half = 1 << width, 1 << (width - 1)
+    digits = []
+    while k:
+        d = k & (full - 1)
+        if d > half:
+            d -= full
+        digits.append(d)
+        k = (k - d) >> width
+    return digits
 
 
 def _double(P: tuple[int, int, int], a: int, p: int) -> tuple[int, int, int]:
-    """2P for any curve coefficient a. A point with Y = 0 (order 2) and the
-    identity both come out with Z = 0."""
+    """2P for any curve coefficient a, skipping the a*Z^4 term when a = 0.
+    A point with Y = 0 (order 2) and the identity both come out with
+    Z = 0."""
     X, Y, Z = P
     YY = Y * Y % p
     S = 4 * X * YY % p
-    ZZ = Z * Z % p
-    M = (3 * X * X + a * ZZ * ZZ) % p
+    if a:
+        ZZ = Z * Z % p
+        M = (3 * X * X + a * ZZ * ZZ) % p
+    else:
+        M = 3 * X * X % p
     X3 = (M * M - 2 * S) % p
     return X3, (M * (S - X3) - 8 * YY * YY) % p, 2 * Y * Z % p
 
@@ -163,52 +188,81 @@ def _to_affine(points: list[tuple[int, int, int]], p: int) -> list[tuple[int, in
     return out
 
 
+def _multiples(x: int, y: int, count: int, curve: CurveParams) -> list[tuple[int, int, int]]:
+    """d * (x, y) for d = 1..count, Jacobian, by repeated mixed addition."""
+    out = [(x, y, 1)]
+    for _ in range(count - 1):
+        out.append(_add_affine(out[-1], x, y, curve.a, curve.p))
+    return out
+
+
 @functools.lru_cache(maxsize=8)
-def _base_table(curve: CurveParams) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
-    """Row i holds d * 16^i * G for d = 1..15, built by the group law alone
-    (the order is read only for its bit length, never used to reduce), with
-    one inversion per row."""
+def _base_table(curve: CurveParams) -> _Table:
+    """Row i holds d * 128^i * G for d = 1..64, so a signed digit reads its
+    point or the point's negation. There is a row for every digit of a
+    scalar below 2^order.bit_length() (the order is read only for its bit
+    length, never used to reduce). Built by the group law alone, with one
+    inversion per row."""
+    half = 1 << (_BASE_WIDTH - 1)
     rows = []
-    base = (curve.gx, curve.gy)  # 16^i * G
-    for _ in range((curve.order.bit_length() + _WINDOW_BITS - 1) // _WINDOW_BITS):
-        multiples = []
-        acc = _JACOBIAN_IDENTITY
-        for _multiple in range(1 << _WINDOW_BITS):
-            if base is not None:
-                acc = _add_affine(acc, *base, curve.a, curve.p)
-            multiples.append(acc)
-        row = _to_affine(multiples, curve.p)
-        base = row.pop()  # 16 * base heads the next row
+    base = (curve.gx, curve.gy)  # 128^i * G
+    for _ in range((curve.order.bit_length() + _BASE_WIDTH) // _BASE_WIDTH):
+        if base is None:
+            row = [None] * (half + 1)
+        else:
+            multiples = _multiples(*base, half, curve)
+            row = _to_affine(multiples + [_double(multiples[-1], curve.a, curve.p)], curve.p)
+        base = row.pop()  # 2 * 64 * base heads the next row
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _mul_base(s: int, curve: CurveParams) -> tuple[int, int, int]:
-    """s * G for 0 <= s < 16^len(table): one mixed addition per nonzero
-    digit, no doublings."""
-    acc = _JACOBIAN_IDENTITY
-    mask = (1 << _WINDOW_BITS) - 1
-    for row in _base_table(curve):
-        if not s:
-            break
-        digit = s & mask
-        s >>= _WINDOW_BITS
-        if digit and row[digit - 1] is not None:
-            acc = _add_affine(acc, *row[digit - 1], curve.a, curve.p)
+def _mul_base(digits: list[int], table: _Table, curve: CurveParams) -> tuple[int, int, int]:
+    """Σ d_i * 128^i * G over signed base-width digits, one per row of the
+    base-point table: one mixed addition per nonzero digit, no doublings."""
+    acc, a, p = _JACOBIAN_IDENTITY, curve.a, curve.p
+    for row, d in zip(table, digits):
+        point = row[abs(d) - 1] if d else None
+        if point is not None:
+            x, y = point
+            acc = _add_affine(acc, x, y if d > 0 else -y % p, a, p)
     return acc
 
 
 def _straus(terms: list[tuple[int, int, int]], curve: CurveParams) -> tuple[int, int, int]:
     """Σ s_i * (x_i, y_i) for nonnegative s_i and affine non-identity
-    points: one doubling per bit of the widest scalar, shared by all
-    terms, and one mixed addition per set bit."""
-    acc = _JACOBIAN_IDENTITY
+    points, interleaving signed windows (Möller 2001). A scalar of more
+    than 64 bits is read in width-5 digits from a table of its point's
+    first 16 multiples (one inversion per table); a shorter one is tested
+    bit by bit, with no table. One doubling per bit of the widest scalar,
+    shared by all terms, and one mixed addition per nonzero digit or set
+    bit."""
     a, p = curve.a, curve.p
-    for bit in reversed(range(max((s.bit_length() for s, _, _ in terms), default=0))):
-        acc = _double(acc, a, p)
-        for s, x, y in terms:
+    short, due, top = [], {}, 0  # due: bit -> window points to add there
+    for s, x, y in terms:
+        bits = s.bit_length()
+        if bits <= _SHORT_BITS:
+            short.append((s, x, y))
+            top = max(top, bits)
+            continue
+        table = _to_affine(_multiples(x, y, 1 << (_STRAUS_WIDTH - 1), curve), p)
+        for i, d in enumerate(_signed_digits(s, _STRAUS_WIDTH)):
+            point = table[abs(d) - 1] if d else None
+            if point is not None:
+                due.setdefault(_STRAUS_WIDTH * i, []).append(
+                    point if d > 0 else (point[0], -point[1] % p)
+                )
+    if due:
+        top = max(top, max(due) + 1)
+    acc = _JACOBIAN_IDENTITY
+    for bit in reversed(range(top)):
+        if acc[2]:  # doubling the identity is the identity
+            acc = _double(acc, a, p)
+        for s, x, y in short:
             if s >> bit & 1:
                 acc = _add_affine(acc, x, y, a, p)
+        for x, y in due.get(bit, ()) if due else ():
+            acc = _add_affine(acc, x, y, a, p)
     return acc
 
 
@@ -226,12 +280,12 @@ def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
     the group inverse, (-s)*P = -(s*P).
     """
     curve = P.curve
-    k = abs(s)
-    is_base = (P.x, P.y) == (curve.gx, curve.gy)
-    if not (is_base and k.bit_length() <= _WINDOW_BITS * len(_base_table(curve))):
-        return multi_scalar_mul([(s, P)], curve)
-    X, Y, Z = _mul_base(k, curve)
-    return _result(curve, (X, Y if s > 0 else -Y, Z))
+    if (P.x, P.y) == (curve.gx, curve.gy):
+        table, digits = _base_table(curve), _signed_digits(abs(s), _BASE_WIDTH)
+        if len(digits) <= len(table):
+            X, Y, Z = _mul_base(digits, table, curve)
+            return _result(curve, (X, Y if s > 0 else -Y, Z))
+    return multi_scalar_mul([(s, P)], curve)
 
 
 def multi_scalar_mul(

@@ -8,8 +8,11 @@ from hiershare.config import (
     expand_tree,
     load_bundled_scenario,
     parse_scenario,
+    _zero_x_pairs,
     serialize_scenario,
 )
+from hiershare.curve import STANDARD_CURVE, TOY_CURVE, CurveParams
+from hiershare.simnet import World
 
 
 def base_scenario(**overrides):
@@ -143,10 +146,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fewer than"):
             parse_scenario(base_scenario(field_prime="31", tree=tree))
 
-    def toy_tree(self, users):
+    def toy_tree(self, users, eval_mode="user-id"):
         return base_scenario(
             field_mode="curve-order", field_prime=None, curve="toy",
-            eval_mode="round-key", secret="3",
+            eval_mode=eval_mode, secret="3",
             tree={"children": [{"children": []} for _ in range(users)]},
         )
 
@@ -158,6 +161,26 @@ class TestValidation:
 
     def test_curve_tree_at_its_group_key_x_coordinates_parses(self):
         assert len(expand_tree(parse_scenario(self.toy_tree(9)).tree)) == 9
+
+    def test_round_key_tree_needs_x_coordinates_nonzero_mod_the_order(self):
+        """In round-key mode the 9 round keys of a 9-user toy tree would
+        take all 9 x-coordinates, x = 0 among them ((0, 6) is on the
+        curve), so every round would draw evaluation point zero."""
+        with pytest.raises(ConfigError, match=r"tree: 9 users .*'toy' has 8$"):
+            parse_scenario(self.toy_tree(9, eval_mode="round-key"))
+
+    def test_round_key_tree_at_its_nonzero_x_coordinates_runs(self):
+        world = World(parse_scenario(self.toy_tree(8, eval_mode="round-key")))
+        world.run()
+        assert len(world.report.rows) == 4
+
+    def test_point_pairs_on_an_x_that_is_zero_mod_the_order(self):
+        """The candidates are the multiples of n below p. On the toy curve
+        that is x = 0 alone; on secp256k1, x = 0 (x^3 + 7 is a non-square
+        mod p) and x = n (a square), so one pair is lost there too."""
+        assert _zero_x_pairs(TOY_CURVE) == 1
+        assert _zero_x_pairs(STANDARD_CURVE) == 1
+        assert _zero_x_pairs(CurveParams("order-7", 13, 0, 6, 2, 1, 7)) == 0
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ConfigError, match="at least one user"):

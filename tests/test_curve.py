@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hiershare import curve as curve_module
 from hiershare.curve import (
     STANDARD_CURVE,
     TOY_CURVE,
@@ -208,20 +209,48 @@ class TestScalarMul:
 
 _ORDER = STANDARD_CURVE.order
 _RNG = random.Random(11)
-# Seeded scalars, the edges around the order, a negative one, and one wider
-# than the base-point table (which covers the order's 256 bits).
-STANDARD_SCALARS = [0, 1, 2, _ORDER - 1, _ORDER, _ORDER + 1, -5, 2**256 + 3] + [
-    _RNG.randrange(_ORDER) for _ in range(6)
-]
-STANDARD_IDS = ["0", "1", "2", "order-1", "order", "order+1", "-5", "2^256+3"] + [
-    f"seeded{i}" for i in range(6)
-]
+# Seeded scalars; the edges of a width-5 Straus window and of a width-7
+# base-table digit (2^w - 1, 2^w, 2^w + 1); both sides of the 64-bit switch
+# between bit-by-bit and windowed Straus terms; the edges around the order;
+# 2^256 - 1, 2^256 + 3 and 2^258 - 1, which the base-point table still
+# covers; 2^259 + 3, past its capacity; and negative scalars.
+STANDARD_EDGES = {
+    "0": 0, "1": 1, "2": 2,
+    "2^5-1": 2**5 - 1, "2^5": 2**5, "2^5+1": 2**5 + 1,
+    "2^7-1": 2**7 - 1, "2^7": 2**7, "2^7+1": 2**7 + 1,
+    "2^64-1": 2**64 - 1, "2^64": 2**64, "2^64+1": 2**64 + 1,
+    "order-1": _ORDER - 1, "order": _ORDER, "order+1": _ORDER + 1,
+    "2^256-1": 2**256 - 1, "2^256+3": 2**256 + 3, "2^258-1": 2**258 - 1,
+    "2^259+3": 2**259 + 3,
+    "-5": -5, "-(2^64+1)": -(2**64 + 1), "-(order-1)": -(_ORDER - 1),
+    "-(2^259+3)": -(2**259 + 3),
+}
+STANDARD_SCALARS = list(STANDARD_EDGES.values()) + [_RNG.randrange(_ORDER) for _ in range(6)]
+STANDARD_IDS = list(STANDARD_EDGES) + [f"seeded{i}" for i in range(6)]
 STANDARD_G = (STANDARD_CURVE.gx, STANDARD_CURVE.gy)
+
+# Curves small enough to check every entry and every point. Their table
+# entries and window multiples hit the identity, and the last one's G has
+# Y = 0.
+SMALL_CURVES = [
+    TOY_CURVE,
+    # G = (2, 1) has order 7: d * G is the identity for every d divisible by 7.
+    CurveParams("order-7", 13, 0, 6, 2, 1, 7),
+    # G = (1, 0) has order 2 but claims the prime 17, as a curve does on
+    # its way to failing validation: every even multiple is the identity.
+    CurveParams("order-2-claims-17", 17, 0, 16, 1, 0, 17),
+]
+# Scalars for the small curves: every bit-by-bit one up to 40 and its
+# negation, and windowed ones past 64 bits.
+SMALL_SCALARS = list(range(-40, 41)) + [
+    2**64 - 1, 2**64, 2**64 + 1, 2**70 + 12345, 2**130 - 3, -(2**80 + 7)
+]
 
 
 class TestStandardCurvePaths:
-    """secp256k1 multiples of G (the base-point table) and of another point
-    (double-and-add) against the affine reference above."""
+    """secp256k1 multiples of G (the base-point table, or Straus past its
+    capacity) and of another point (Straus) against the affine reference
+    above."""
 
     @pytest.mark.parametrize("k", STANDARD_SCALARS, ids=STANDARD_IDS)
     def test_base_point(self, k):
@@ -234,11 +263,51 @@ class TestStandardCurvePaths:
         expected = naive_mul(STANDARD_CURVE, k, P)
         assert as_tuple(scalar_mul(k, from_tuple(STANDARD_CURVE, P))) == expected
 
+    @pytest.mark.parametrize(
+        "k, passes", [(2**258 - 1, 0), (-(2**258 - 1), 0), (2**259 + 3, 1), (-(2**259 + 3), 1)]
+    )
+    def test_base_point_falls_back_to_straus_past_the_table(self, k, passes, monkeypatch):
+        straus = []
+        original = curve_module._straus
+        monkeypatch.setattr(
+            curve_module, "_straus", lambda *args: straus.append(1) or original(*args)
+        )
+        scalar_mul(k, STANDARD_CURVE.base_point)
+        assert len(straus) == passes
+
+
+class TestSmallCurveKernels:
+    """Both multiplication kernels on curves where table entries and window
+    multiples are the identity or have Y = 0, against the affine
+    reference."""
+
+    @pytest.mark.parametrize("curve", SMALL_CURVES, ids=lambda c: c.name)
+    def test_scalar_mul_of_every_point(self, curve):
+        for t in naive_points(curve):
+            P = from_tuple(curve, t)
+            for k in SMALL_SCALARS:
+                assert as_tuple(scalar_mul(k, P)) == naive_mul(curve, k, t), (t, k)
+
+    @pytest.mark.parametrize("curve", SMALL_CURVES, ids=lambda c: c.name)
+    def test_multi_scalar_mul_mixes_short_and_windowed_terms(self, curve):
+        rng = random.Random(31)
+        points = naive_points(curve)
+        for _ in range(200):
+            pairs = [
+                (rng.choice(SMALL_SCALARS), rng.choice(points))
+                for _ in range(rng.randrange(0, 5))
+            ]
+            expected = IDENT
+            for s, t in pairs:
+                expected = naive_add(curve, expected, naive_mul(curve, s, t))
+            got = multi_scalar_mul([(s, from_tuple(curve, t)) for s, t in pairs], curve)
+            assert as_tuple(got) == expected, pairs
+
 
 def table_entry_by_point_add(curve, i, d):
-    """d * 16^i * G by 4i doublings and d additions through ``point_add``."""
+    """d * 128^i * G by 7i doublings and d additions through ``point_add``."""
     P = curve.base_point
-    for _ in range(4 * i):
+    for _ in range(7 * i):
         P = point_add(P, P)
     total = curve.identity()
     for _ in range(d):
@@ -247,37 +316,38 @@ def table_entry_by_point_add(curve, i, d):
 
 
 class TestBaseTable:
-    """Row i of the base-point table holds d * 16^i * G for d = 1..15, the
-    identity as None."""
-
-    SMALL_CURVES = [
-        TOY_CURVE,
-        # G = (2, 1) has order 7: row 0 holds the identity at d = 7 and 14.
-        CurveParams("order-7", 13, 0, 6, 2, 1, 7),
-        # G = (1, 0) has order 2 but claims the prime 17, as a curve does on
-        # its way to failing validation: every even multiple and all of
-        # row 1 are the identity.
-        CurveParams("order-2-claims-17", 17, 0, 16, 1, 0, 17),
-    ]
+    """Row i of the base-point table holds d * 128^i * G for d = 1..64 (a
+    signed digit reads an entry or its negation), the identity as None,
+    with a row for every digit of a scalar below 2^order.bit_length()."""
 
     @pytest.mark.parametrize("curve", SMALL_CURVES, ids=lambda c: c.name)
     def test_every_entry_of_a_small_curve(self, curve):
         table = _base_table(curve)
-        assert len(table) == (curve.order.bit_length() + 3) // 4
+        assert len(table) == (curve.order.bit_length() + 7) // 7 == 1
         for i, row in enumerate(table):
-            assert list(row) == [table_entry_by_point_add(curve, i, d) for d in range(1, 16)]
+            assert list(row) == [table_entry_by_point_add(curve, i, d) for d in range(1, 65)]
 
     def test_some_entries_identity(self):
-        rows = [_base_table(curve) for curve in self.SMALL_CURVES[1:]]
-        assert rows[0][0][6] is None and rows[0][0][13] is None
-        assert rows[1][1] == (None,) * 15
+        order_7 = _base_table(SMALL_CURVES[1])[0]
+        assert [d for d in range(1, 65) if order_7[d - 1] is None] == list(range(7, 65, 7))
+        order_2 = _base_table(SMALL_CURVES[2])[0]
+        assert [d for d in range(1, 65) if order_2[d - 1] is None] == list(range(2, 65, 2))
+
+    def test_rows_past_the_identity(self):
+        """G of order 2 claiming the 8-bit prime 131 takes two rows; 128 * G
+        is the identity, so all of row 1 is."""
+        curve = CurveParams("order-2-claims-131", 17, 0, 16, 1, 0, 131)
+        table = _base_table(curve)
+        assert len(table) == 2
+        assert list(table[0]) == [table_entry_by_point_add(curve, 0, d) for d in range(1, 65)]
+        assert table[1] == (None,) * 64
 
     def test_sampled_standard_entries(self):
         table = _base_table(STANDARD_CURVE)
-        assert [len(row) for row in table] == [15] * 64
+        assert [len(row) for row in table] == [64] * 37
         rng = random.Random(43)
-        sampled = [(0, 1), (0, 15), (1, 1), (63, 15)]
-        sampled += [(rng.randrange(64), rng.randrange(1, 16)) for _ in range(4)]
+        sampled = [(0, 1), (0, 64), (1, 1), (36, 64)]
+        sampled += [(rng.randrange(37), rng.randrange(1, 65)) for _ in range(4)]
         for i, d in sampled:
             assert table[i][d - 1] == table_entry_by_point_add(STANDARD_CURVE, i, d)
 

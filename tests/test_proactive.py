@@ -641,11 +641,16 @@ class TestCheckCounts:
         rng = random.Random(41)
         tree = make_tree(spec, rng, curve=curve)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
-        counts = {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
+        curve_module._base_table(curve)  # built once per process, not per epoch
+        counts = dict.fromkeys(
+            ("verify_renewal", "multi_scalar_mul", "_straus", "_add_affine", "_double"), 0
+        )
         for module, name in (
             (proactive, "verify_renewal"),
             (proactive, "multi_scalar_mul"),
             (curve_module, "_straus"),
+            (curve_module, "_add_affine"),
+            (curve_module, "_double"),
         ):
             original = getattr(module, name)
 
@@ -664,9 +669,14 @@ class TestCheckCounts:
         return tree, outcome, counts
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
+        """The group checks' c_h * G read the base-point table: about 36
+        additions each, no doublings."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
-        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
+        assert counts == {
+            "verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0,
+            "_add_affine": 216, "_double": 0,
+        }
 
     def test_tampered_group_adds_one_check_per_child(self, monkeypatch):
         _tree, outcome, counts = self.counted_round(
@@ -678,14 +688,52 @@ class TestCheckCounts:
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
         _tree, outcome, counts = self.counted_round(monkeypatch, toy)
         assert outcome.claims == ()
-        assert counts == {"verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0}
+        assert counts == {
+            "verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0,
+            "_add_affine": 6, "_double": 0,
+        }
 
     def test_renew_secp_shaped_epoch_passes_once_per_fallback_child(self, monkeypatch):
         """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
-        children; user 3's group of four is tampered."""
+        children; user 3's group of four is tampered. Bit-at-a-time
+        kernels made 2220 mixed additions and 1024 doublings here; signed
+        windows make 1256 and 1028 (each of the 8 window tables doubles
+        once, and no pass doubles the identity it starts from)."""
         spec = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=spec
         )
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
-        assert counts == {"verify_renewal": 4, "multi_scalar_mul": 4, "_straus": 4}
+        assert counts == {
+            "verify_renewal": 4, "multi_scalar_mul": 4, "_straus": 4,
+            "_add_affine": 1256, "_double": 1028,
+        }
+
+    @pytest.mark.parametrize(
+        "curve, converted",
+        [(TOY_CURVE, [1, 1]), (STANDARD_CURVE, [1, 16, 16, 16, 1])],
+        ids=["toy", "standard"],
+    )
+    def test_child_check_builds_a_window_table_only_for_long_scalars(
+        self, monkeypatch, curve, converted
+    ):
+        """A child's check converts delta * G and the Straus sum to affine.
+        Every toy-curve scalar has at most 5 bits, so its Straus terms go bit
+        by bit and build no table; each secp256k1 term x^h mod n converts a
+        table of 16 multiples."""
+        rng = random.Random(3)
+        coeffs = [rng.randrange(1, curve.order) for _ in range(3)]
+        x = rng.randrange(2, curve.order)
+        bundle = RenewalBundle(
+            sender=0, recipient=1,
+            delta=sum(c * x**h for h, c in enumerate(coeffs, start=1)) % curve.order,
+            commitments=tuple(scalar_mul(c, curve.base_point) for c in coeffs),
+        )
+        sizes = []
+        original = curve_module._to_affine
+        monkeypatch.setattr(
+            curve_module, "_to_affine",
+            lambda points, p: sizes.append(len(points)) or original(points, p),
+        )
+        assert proactive.verify_renewal(bundle, x, curve)
+        assert sizes == converted
