@@ -174,8 +174,8 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
         comp = entry.get("compromise", [])
         for uid in comp:
             _require(uid in user_ids, f"{w}.compromise", f"unknown user {uid}")
-        _require(budget == 0 or len(comp) <= budget, f"{w}.compromise", "exceeds budget")
         compromised_at.setdefault(epoch, set()).update(comp)
+        _require(budget == 0 or len(compromised_at[epoch]) <= budget, f"{w}.compromise", "exceeds budget")
         clean = {"epoch": epoch, "compromise": sorted(comp)}
         if "tamper" in entry:
             clean_tampers = []

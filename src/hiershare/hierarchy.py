@@ -89,7 +89,7 @@ class HierarchyTree:
         self.nodes: dict[int, HierarchyNode] = {}
         # Children of every node (the root included), in id order.
         self.children: dict[int, list[int]] = {ROOT_ID: []}
-        self._round_count = 0
+        self.round_count = 0
 
     @classmethod
     def for_curve(cls, curve: CurveParams) -> "HierarchyTree":
@@ -232,12 +232,12 @@ class HierarchyTree:
         round scalar and broadcasts its public round key."""
         if not self.active_users():
             raise EmptyHierarchy("no active users to deal to")
-        self._round_count += 1
+        self.round_count += 1
         if self.curve is None:
-            return RoundState(self._round_count, None, None)
+            return RoundState(self.round_count, None, None)
         secret = rng.randrange(1, self.curve.order)
         public = scalar_mul(secret, self.curve.base_point)
-        return RoundState(self._round_count, secret, public)
+        return RoundState(self.round_count, secret, public)
 
     def assign_round_keys(self, round_state: RoundState) -> None:
         """Store each active user's round key for the round (curve mode):

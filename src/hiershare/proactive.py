@@ -78,7 +78,6 @@ class Verdict:
     epoch: int
     accused: int
     outcome: str
-    claim_count: int
     claimers: tuple[int, ...]
 
 
@@ -207,13 +206,11 @@ def resolve_claims(
         raise MixedAccused(
             f"claims span accused {sorted(accused)} / epochs {sorted(epochs)}"
         )
-    count = len(claims)
-    outcome = ACCUSED_COMPROMISED if count >= n_children - k else CLAIMERS_COMPROMISED
+    outcome = ACCUSED_COMPROMISED if len(claims) >= n_children - k else CLAIMERS_COMPROMISED
     return Verdict(
         epoch=epochs.pop(),
         accused=accused.pop(),
         outcome=outcome,
-        claim_count=count,
         claimers=tuple(sorted(c.claimer for c in claims)),
     )
 
@@ -259,8 +256,9 @@ def renewal_round(
     Verdicts are returned for the caller to act on (cleansing is the
     simulation's job, since it owns the adversary).
 
-    Traffic goes through ``on_message``: one sealed delta per dealt child
-    plus, in curve mode, one commitment multicast per subtree root.
+    Traffic goes through ``on_message``: one sealed delta per dealt child,
+    in curve mode one commitment multicast per subtree root, and one claim
+    message per claim, ``extra_claims`` first.
 
     With no subtree to renew the round is empty: the shares come back
     unchanged with no claims (``extra_claims`` included), no traffic, and
@@ -301,15 +299,12 @@ def renewal_round(
             ]
         if refused:
             claims.extend(file_claim(tree, child, root, epoch) for child in refused)
-            if on_message is not None:
-                for child in refused:
-                    on_message("claim", child, (ROOT_ID,), (child, root, epoch), False)
             continue
         renewed = apply_renewal(group, delivered, tree.field.modulus)
         new_shares.update(dict.fromkeys(kids, renewed))
 
     if on_message is not None:
-        for claim in extra_claims:
+        for claim in claims:
             on_message(
                 "claim", claim.claimer, (ROOT_ID,),
                 (claim.claimer, claim.accused, claim.epoch), False,

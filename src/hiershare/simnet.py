@@ -14,8 +14,10 @@ shared with its siblings. A committed renewal moves the group's active
 members to a new record; a departed host keeps the record of its last
 epoch until a rejoin at its slot or a redeal.
 
-The adversary hops between hosts at epoch boundaries, holding at most its
-per-epoch budget of nodes at a time. On an occupied node it reads all
+Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
+the deal) before the adversary hops between hosts, so a redeal's mail
+still reaches the previous epoch's occupants. The adversary holds at most
+its per-epoch budget of nodes at a time. On an occupied node it reads all
 local state (its copy of its share, registration token, round key) and
 controls outgoing protocol messages; it cannot break the sealed channel
 toward anyone else.
@@ -192,10 +194,14 @@ class World:
         self.dealer = DealerState(secret=config.secret % config.field.modulus)
         self.shares: dict[int, GroupShares] = {}
         self.epoch = 0
-        self.round_id = 0
         self.envelopes: list[Envelope] = []
         self.report = SimReport(scenario=config.name, seed=config.seed)
         self.adversary = AdversaryState(config.adversary)
+
+    @property
+    def round_id(self) -> int:
+        """The live distribution round: the tree's round count."""
+        return self.tree.round_count
 
     # -- messaging ----------------------------------------------------------
 
@@ -257,7 +263,6 @@ class World:
                 last_error = exc
                 continue
             self.shares = shares
-            self.round_id = round_state.round_id
             for uid in sorted(shares):
                 self.send("share", ROOT_ID, (uid,), self._held_share(uid), True)
             return
@@ -267,7 +272,7 @@ class World:
 
     def _process_events(self, epoch: int) -> list[str]:
         notes = []
-        redeal = False
+        redeal = epoch == 0
         mid_round: list[int] = []
         for event in self.config.events:
             if event["epoch"] != epoch:
@@ -288,7 +293,7 @@ class World:
                 redeal = True
         if redeal or mid_round:
             self.deal(mid_round_leaves=tuple(mid_round))
-            notes.append(f"redeal:round={self.round_id}")
+            notes.append(f"{'redeal' if epoch else 'deal'}:round={self.round_id}")
         return notes
 
     def adversary_can_reconstruct(self) -> bool:
@@ -303,31 +308,36 @@ class World:
         )
 
     def step_epoch(self) -> dict:
-        """Advance one epoch: events, adversary hop, renewal, claim
-        resolution, cleanse, report row."""
+        """Advance to the next epoch and run it."""
         self.epoch += 1
+        return self._run_epoch()
+
+    def _run_epoch(self) -> dict:
+        """Every epoch's step, epoch 0 included: events (at epoch 0 ending
+        in the deal), adversary hop, from epoch 1 on renewal and claim
+        resolution, then steal, cleanse, invariants, report row."""
         notes = self._process_events(self.epoch)
         adversary_hop(self.adversary, self.tree, self.epoch)
-        perturb, false_claims = adversary_act(
-            self.adversary, self.tree, self.shares, self.epoch
-        )
 
         verdicts = []
-        claims = []
-        if self.config.renewal_enabled:
+        claims = 0
+        if self.epoch and self.config.renewal_enabled:
+            perturb, false_claims = adversary_act(
+                self.adversary, self.tree, self.shares, self.epoch
+            )
             outcome = renewal_round(
                 self.tree, self.shares, self.epoch, self.rng,
                 perturb=perturb, extra_claims=false_claims,
                 on_message=self.send,
             )
             self.shares = outcome.shares
-            claims = list(outcome.claims)
+            claims = len(outcome.claims)
             verdicts = list(outcome.verdicts)
 
         self._steal_state()
         cleansed = self._cleanse(verdicts)
         self._check_invariants()
-        return self._write_row(len(claims), verdicts, cleansed, notes)
+        return self._write_row(claims, verdicts, cleansed, notes)
 
     def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str]) -> dict:
         """Append the epoch's report row; its ``messages`` are counted from
@@ -344,7 +354,7 @@ class World:
                 {
                     "accused": v.accused,
                     "outcome": v.outcome,
-                    "claims": v.claim_count,
+                    "claims": len(v.claimers),
                     "claimers": list(v.claimers),
                 }
                 for v in verdicts
@@ -431,24 +441,12 @@ class World:
     # -- orchestration -----------------------------------------------------------
 
     def initial_deal(self) -> None:
-        """Registration, then the epoch-0 row: registration is out of band,
-        dealing is not. The adversary may already sit on hosts and read
-        their sealed mail."""
+        """Registration, then epoch 0: registration is out of band, dealing
+        is not. Epoch 0 runs its events, ending in the deal, then the
+        adversary's first hop, which copies what its hosts hold."""
         for _uid, parent in expand_tree(self.config.tree):
             self.tree.register(parent, self.rng)
-        adversary_hop(self.adversary, self.tree, 0)
-        mid_round = tuple(
-            e["user"]
-            for e in self.config.events
-            if e["epoch"] == 0 and e["kind"] == "leave" and e.get("mid_round")
-        )
-        for event in self.config.events:
-            if event["epoch"] == 0 and event["kind"] == "leave" and not event.get("mid_round"):
-                self._leave(event["user"])
-        self.deal(mid_round_leaves=mid_round)
-        self._steal_state()
-        self._check_invariants()
-        self._write_row(0, [], [], [f"deal:round={self.round_id}"])
+        self._run_epoch()
 
     def finalize(self) -> dict:
         """Final reconstruction check and adversary outcome."""

@@ -6,17 +6,18 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch envelope scratch log is empty,
 so no envelope is stored.
 
-Format 6 stores each fact once and nothing derivable. A restore builds
+Format 7 stores each fact once and nothing derivable. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
-it. Child lists come from the parent links, a node's activity from its
-``deactivated_by``, the next user id from the node count, the retained
-parts are the dealing polynomials' free coefficients, and the adversary's
-rotation is a function of the epoch. Shares are stored once per
-sibling-group record that some host holds: its epoch, its threshold, each
-member's (owner, evaluation point, value) and the hosts that hold it; its
-parent is its holders' parent. Group keys are stored, as the server's
-record (recomputing costs a scalar multiplication per node). Formats 1-5
+it. Child lists come from the parent links, the live round from the
+tree's round count, a node's activity from its ``deactivated_by``, the
+next user id from the node count, the retained parts are the dealing
+polynomials' free coefficients, and the adversary's rotation is a
+function of the epoch. Shares are stored once per sibling-group record
+that some host holds: its epoch, its threshold, each member's (owner,
+evaluation point, value) and the hosts that hold it; its parent is its
+holders' parent. Group keys are stored, as the server's
+record (recomputing costs a scalar multiplication per node). Formats 1-6
 are refused.
 
 A snapshot holds every secret in the clear: the dealer secret, the
@@ -38,7 +39,7 @@ from .hierarchy import HierarchyNode
 from .sharing import GroupShares, HeldShare, Polynomial
 from .simnet import World
 
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 
 class VersionMismatch(HierShareError):
@@ -125,10 +126,9 @@ def world_to_dict(world: World) -> dict:
         "snapshot_version": SNAPSHOT_VERSION,
         "phase": "epoch-boundary",
         "epoch": world.epoch,
-        "round_id": world.round_id,
         "scenario": serialize_scenario(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
-        "tree": {"nodes": nodes, "round_count": world.tree._round_count},
+        "tree": {"nodes": nodes, "round_count": world.tree.round_count},
         "dealer": {
             "polynomials": {
                 str(gid): [str(c) for c in poly.coefficients]
@@ -157,7 +157,6 @@ def world_from_dict(data: dict) -> World:
     fact set on it."""
     world = World(parse_scenario(data["scenario"], source="<snapshot scenario>"))
     world.epoch = data["epoch"]
-    world.round_id = data["round_id"]
     rng_version, rng_internal, rng_gauss = data["rng_state"]
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
@@ -172,7 +171,7 @@ def world_from_dict(data: dict) -> World:
                 deactivated_by=node_data["deactivated_by"],
             )
         )
-    world.tree._round_count = data["tree"]["round_count"]
+    world.tree.round_count = data["tree"]["round_count"]
 
     world.dealer.polynomials = {
         int(gid): Polynomial(tuple(_field_in(c, world) for c in coeffs))

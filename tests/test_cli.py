@@ -269,7 +269,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 to 5 are all refused."""
+        """Formats 1 to 6 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -282,7 +282,8 @@ class TestSnapshots:
         # format 3 stored a count of observed commitments; format 4 stored
         # the next user id, the dealer secret, a rotation cursor and each
         # node's first compromise epoch; format 5 stored one record per
-        # share holder, each with its group's threshold, round and epoch.
+        # share holder, each with its group's threshold, round and epoch;
+        # format 6 stored the live round beside the tree's round count.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -310,6 +311,7 @@ class TestSnapshots:
                     for uid, group in sorted(world.shares.items())
                 },
             },
+            6: {"round_id": world.round_id},
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)

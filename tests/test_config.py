@@ -252,6 +252,21 @@ class TestAdversaryValidation:
         with pytest.raises(ConfigError, match="budget"):
             parse_scenario(bad)
 
+    def test_script_epoch_exceeding_budget_across_entries(self):
+        # Each entry fits the budget, but epoch 1 occupies both hosts.
+        bad = base_scenario(
+            adversary={
+                "strategy": "scripted",
+                "budget": 1,
+                "script": [
+                    {"epoch": 1, "compromise": [1]},
+                    {"epoch": 1, "compromise": [2]},
+                ],
+            }
+        )
+        with pytest.raises(ConfigError, match=r"adversary\.script\[1\]\.compromise: exceeds budget"):
+            parse_scenario(bad)
+
     def test_unknown_target(self):
         bad = base_scenario(adversary={"strategy": "passive-stealer", "targets": [40]})
         with pytest.raises(ConfigError, match="unknown user"):

@@ -186,7 +186,7 @@ class TestClaims:
         claims = [ClaimRecord(i, 9, 1) for i in (1, 2, 3)]
         verdict = resolve_claims(claims, n_children=5, k=2)
         assert verdict.outcome == ACCUSED_COMPROMISED
-        assert verdict.claim_count == 3
+        assert verdict.claimers == (1, 2, 3)
         verdict = resolve_claims(claims[:2], n_children=5, k=2)
         assert verdict.outcome == CLAIMERS_COMPROMISED
 
@@ -256,7 +256,7 @@ class TestRenewalRound:
         # 3 honest children, n=3, k=1: 3 >= 2 claims convict the parent.
         assert verdict.accused == 1
         assert verdict.outcome == ACCUSED_COMPROMISED
-        assert verdict.claim_count == 3
+        assert verdict.claimers == (2, 3, 4)
         # The victimized group kept its old shares; everyone else moved on.
         for uid in (2, 3, 4):
             assert outcome.shares[uid].epoch == 0

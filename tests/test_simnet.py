@@ -8,8 +8,8 @@ from conftest import minimal_reconstructing_set
 
 from hiershare import algebra, curve
 from hiershare.config import parse_scenario
-from hiershare.errors import InvariantViolation
-from hiershare.hierarchy import HierarchyTree
+from hiershare.errors import HierShareError, InvariantViolation
+from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.simnet import World
 from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
 
@@ -152,6 +152,22 @@ class TestAdversaryObservation:
         # Structural: nothing but share records and token ints is held.
         assert world.adversary.stolen_shares == {}
         assert world.adversary.stolen_tokens == {}
+
+    def test_redeal_mail_to_last_epochs_occupant_stolen(self):
+        # The redeal's shares go out before the epoch-2 hop, while the
+        # epoch-1 occupant 2 still sits on its host and reads its mail.
+        cfg = scenario(
+            events=[{"epoch": 2, "kind": "redeal"}],
+            epochs=2,
+            adversary={
+                "strategy": "scripted",
+                "script": [{"epoch": 1, "compromise": [2]}],
+            },
+        )
+        world = World(cfg)
+        report = world.run()
+        assert report.rows[2]["compromised"] == []
+        assert (2, 0, 2) in world.adversary.stolen_shares
 
     def test_stolen_tokens_only_from_compromised(self):
         cfg = scenario(adversary={"strategy": "passive-stealer", "budget": 1})
@@ -472,6 +488,51 @@ class TestEvents:
         # Finished: dealt to pre-leave membership, then deactivated.
         assert 3 in world.shares
         assert not world.tree.nodes[3].active
+
+
+class TestEpochZeroEvents:
+    """Epoch 0 runs its events like any other epoch, ending in the deal,
+    and row 0 lists them."""
+
+    def test_leave_and_rejoin_before_the_deal(self):
+        # 2 -> {4}: the leave deactivates 2 and 4, the rejoin restores both.
+        cfg = scenario(
+            tree=spec_dict([[], [[]], []]),
+            events=[
+                {"epoch": 0, "kind": "leave", "user": 2},
+                {"epoch": 0, "kind": "rejoin", "user": 2},
+            ],
+        )
+        world = World(cfg)
+        world.initial_deal()
+        assert world.tree.nodes[2].active
+        assert sorted(world.shares) == [1, 2, 3, 4]
+        assert world.report.rows[0]["events"] == [
+            "leave:2:deactivated=2", "rejoin:2", "deal:round=1"
+        ]
+
+    def test_mid_round_leave_listed(self):
+        cfg = scenario(
+            events=[{"epoch": 0, "kind": "leave", "user": 3, "mid_round": True}],
+            leave_policy="abort",
+        )
+        world = World(cfg)
+        world.initial_deal()
+        assert world.report.rows[0]["events"] == ["leave:3:mid-round", "deal:round=2"]
+
+    def test_redeal_deals_once(self):
+        world = World(scenario(events=[{"epoch": 0, "kind": "redeal"}]))
+        world.initial_deal()
+        row = world.report.rows[0]
+        assert world.round_id == 1
+        assert row["messages"]["share"] == 3
+        assert row["events"] == ["deal:round=1"]
+
+    def test_rejoin_of_an_occupied_slot_refused(self):
+        world = World(scenario(events=[{"epoch": 0, "kind": "rejoin", "user": 2}]))
+        with pytest.raises(PositionOccupied) as info:
+            world.initial_deal()
+        assert isinstance(info.value, HierShareError)
 
 
 class TestLoadAndDealCost:
