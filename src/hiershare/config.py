@@ -176,14 +176,18 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
             _require(uid in user_ids, f"{w}.compromise", f"unknown user {uid}")
         compromised_at.setdefault(epoch, set()).update(comp)
         _require(budget == 0 or len(compromised_at[epoch]) <= budget, f"{w}.compromise", "exceeds budget")
-        clean = {"epoch": epoch, "compromise": sorted(comp)}
+        script.append({"epoch": epoch, "compromise": sorted(comp)})
+    # Tampers and claims need their epoch's whole union, so entry order is free.
+    for i, (entry, clean) in enumerate(zip(script_raw, script)):
+        w = f"{where}.script[{i}]"
+        compromised = compromised_at[clean["epoch"]]
         if "tamper" in entry:
             clean_tampers = []
             for j, tam in enumerate(entry["tamper"]):
                 tw = f"{w}.tamper[{j}]"
                 _take(tam, tw, {"parent": True, "children": False})
                 parent = tam["parent"]
-                _require(parent in compromised_at.get(epoch, set()), tw, f"tampering parent {parent} is not compromised that epoch")
+                _require(parent in compromised, tw, f"tampering parent {parent} is not compromised that epoch")
                 kids = tam.get("children", [])
                 for kid in kids:
                     _require(id_to_parent.get(kid) == parent, tw, f"{kid} is not a child of {parent}")
@@ -197,10 +201,9 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
                 accused = fc["accused"]
                 for claimer in fc["claimers"]:
                     _require(id_to_parent.get(claimer) == accused, fw, f"{claimer} is not a child of {accused}")
-                    _require(claimer in compromised_at.get(epoch, set()), fw, f"false claimer {claimer} is not compromised that epoch")
+                    _require(claimer in compromised, fw, f"false claimer {claimer} is not compromised that epoch")
                 clean_claims.append({"accused": accused, "claimers": sorted(fc["claimers"])})
             clean["false_claims"] = clean_claims
-        script.append(clean)
     return AdversaryConfig(strategy=strategy, budget=budget, targets=targets, script=tuple(script))
 
 

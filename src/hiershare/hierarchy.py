@@ -230,7 +230,7 @@ class HierarchyTree:
     def begin_round(self, rng: random.Random) -> RoundState:
         """Start a distribution round; in curve mode the server samples a
         round scalar and broadcasts its public round key."""
-        if not self.active_users():
+        if not any(node.active for node in self.nodes.values()):
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
         if self.curve is None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import interpolate, poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
@@ -48,8 +48,7 @@ ACCUSED_COMPROMISED = "accused-compromised"
 CLAIMERS_COMPROMISED = "claimers-compromised"
 
 
-@dataclass(frozen=True)
-class RenewalBundle:
+class RenewalBundle(NamedTuple):
     """One child's renewal delivery for one epoch.
 
     ``delta`` is sealed to the recipient; ``commitments`` are the multicast

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Collection, Container, Iterable, Mapping
+from typing import Collection, Container, Iterable, Mapping, NamedTuple
 
 from .algebra import Polynomial, lagrange_at_zero, poly_eval, sample_polynomial
 from .errors import HierShareError
@@ -94,8 +94,7 @@ def split(value: int, p: int, rng: random.Random) -> tuple[int, int]:
             return first, second
 
 
-@dataclass(frozen=True)
-class HeldShare:
+class HeldShare(NamedTuple):
     """One host's share as the host knows it: its evaluation point and kept
     value, its group's threshold, and whether the value is split (true for
     nodes dealt as internal). Round, epoch and owner are where the copy is
@@ -107,8 +106,7 @@ class HeldShare:
     split: bool
 
 
-@dataclass(frozen=True)
-class GroupShares:
+class GroupShares(NamedTuple):
     """One sibling group's shares in one epoch of the live round: the
     group's parent, its epoch and threshold, and each member's (evaluation
     point, kept value) in id order. Renewal commits or discards a whole
@@ -245,9 +243,8 @@ def recover_group_secret(
     participating. Raises InsufficientShares naming the first sibling group
     that fell below threshold on the path that was needed.
     """
-    active = set(tree.active_users())
     participants = {
-        uid for uid in participating if uid in shares and uid in active
+        uid for uid in participating if uid in shares and tree.nodes[uid].active
     }
     p = tree.field.modulus
     failures: list[InsufficientShares] = []

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .config import AdversaryConfig, ScenarioConfig, expand_tree
 from .errors import InvariantViolation
@@ -57,8 +58,7 @@ from .sharing import (
 _DEAL_ATTEMPTS = 128
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One addressed message of the current epoch; sealed payloads are
     opaque to everyone but the recipients (unless a recipient is currently
     compromised)."""
@@ -157,7 +157,7 @@ def adversary_act(
             return bundle
         if bundle.sender not in adv.occupied:
             return bundle
-        return replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
+        return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
     return (perturb if tampered_pairs else None), claims
 
@@ -371,7 +371,7 @@ class World:
     def _herzberg_count(self) -> int:
         """All-pairs renewal traffic of the flat baseline on the same
         membership: every node sends every other node a polynomial."""
-        n = len(self.tree.active_users()) + 1
+        n = sum(node.active for node in self.tree.nodes.values()) + 1
         return n * (n - 1)
 
     def _reconstruct_all(self) -> tuple[bool, str]:

@@ -186,16 +186,13 @@ def test_criterion_5_detection_complete_and_sound():
     for _ in range(1000):
         bundle = rng.choice(bundles)
         point = eval_point(shares, bundle.recipient)
-        from dataclasses import replace
-
         if rng.random() < 0.5:
             offset = rng.randrange(1, 19)
-            bad = replace(bundle, delta=(bundle.delta + offset) % 19)
+            bad = bundle._replace(delta=(bundle.delta + offset) % 19)
         else:
             idx = rng.randrange(len(bundle.commitments))
             shift = scalar_mul(rng.randrange(1, 19), G)
-            bad = replace(
-                bundle,
+            bad = bundle._replace(
                 commitments=bundle.commitments[:idx]
                 + (bundle.commitments[idx] + shift,)
                 + bundle.commitments[idx + 1 :],

@@ -267,6 +267,65 @@ class TestAdversaryValidation:
         with pytest.raises(ConfigError, match=r"adversary\.script\[1\]\.compromise: exceeds budget"):
             parse_scenario(bad)
 
+    # User 3 is user 1's only child.
+    CHAIN_TREE = {"children": [{"children": [{"children": []}]}, {"children": []}]}
+
+    @pytest.mark.parametrize(
+        "compromise, dependent, effect",
+        [
+            # No-curve children cannot check their delta: a tampered one
+            # breaks the secret. A false claim is counted.
+            ([1], {"tamper": [{"parent": 1}]}, ("secret_intact", False)),
+            ([3], {"false_claims": [{"accused": 1, "claimers": [3]}]}, ("claims", 1)),
+        ],
+        ids=["tamper", "false_claims"],
+    )
+    def test_script_entries_of_one_epoch_in_any_order(self, compromise, dependent, effect):
+        entries = [{"epoch": 1, "compromise": compromise}, {"epoch": 1, **dependent}]
+        rows = []
+        for script in (entries, entries[::-1]):
+            config = parse_scenario(
+                base_scenario(
+                    tree=self.CHAIN_TREE,
+                    adversary={"strategy": "scripted", "script": script},
+                )
+            )
+            rows.append(World(config).run().rows)
+        assert rows[0] == rows[1]
+        key, value = effect
+        assert rows[0][1][key] == value
+
+    @pytest.mark.parametrize(
+        "script, where, message",
+        [
+            (
+                [
+                    {"epoch": 2, "compromise": [1]},
+                    {"epoch": 1, "compromise": [2],
+                     "tamper": [{"parent": 2}, {"parent": 1}]},
+                ],
+                r"adversary\.script\[1\]\.tamper\[1\]",
+                "tampering parent 1 is not compromised that epoch",
+            ),
+            (
+                [
+                    {"epoch": 1, "compromise": [2]},
+                    {"epoch": 2, "compromise": [3]},
+                    {"epoch": 1, "false_claims": [{"accused": 1, "claimers": [3]}]},
+                ],
+                r"adversary\.script\[2\]\.false_claims\[0\]",
+                "false claimer 3 is not compromised that epoch",
+            ),
+        ],
+        ids=["tamper", "false_claims"],
+    )
+    def test_uncompromised_in_every_entry_of_its_epoch(self, script, where, message):
+        bad = base_scenario(
+            tree=self.CHAIN_TREE, adversary={"strategy": "scripted", "script": script}
+        )
+        with pytest.raises(ConfigError, match=f"{where}: {message}"):
+            parse_scenario(bad)
+
     def test_unknown_target(self):
         bad = base_scenario(adversary={"strategy": "passive-stealer", "targets": [40]})
         with pytest.raises(ConfigError, match="unknown user"):

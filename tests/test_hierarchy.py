@@ -139,6 +139,16 @@ class TestBeginRound:
         with pytest.raises(EmptyHierarchy):
             toy_tree.begin_round(rng)
 
+    def test_every_registered_user_left(self, toy_tree, rng):
+        for _ in range(2):
+            toy_tree.register(ROOT_ID, rng)
+        toy_tree.leave(1)
+        assert toy_tree.begin_round(rng).round_id == 1
+        toy_tree.leave(2)
+        with pytest.raises(EmptyHierarchy):
+            toy_tree.begin_round(rng)
+        assert toy_tree.round_count == 1
+
 
 class TestRoundKeys:
     def test_unit_token_returns_public_key(self, toy_tree, rng):

@@ -1,7 +1,6 @@
 """Renewal, commitment verification, claims, and epoch bookkeeping."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from conftest import deal, eval_point, make_tree, root_group, tf
@@ -86,7 +85,7 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
         for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
-            bad = replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
+            bad = bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
             assert verify_renewal(bad, point, tree.curve) is False
 
     def test_tampered_commitment_fails(self, rng):
@@ -95,7 +94,7 @@ class TestVerifyRenewal:
         for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
             moved = bundle.commitments[0] + G
-            bad = replace(bundle, commitments=(moved,) + bundle.commitments[1:])
+            bad = bundle._replace(commitments=(moved,) + bundle.commitments[1:])
             assert verify_renewal(bad, point, tree.curve) is False
 
     def test_identity_commitment_fails(self, rng):
@@ -107,7 +106,7 @@ class TestVerifyRenewal:
             for idx in range(len(bundle.commitments)):
                 new = list(bundle.commitments)
                 new[idx] = tree.curve.identity()
-                bad = replace(bundle, commitments=tuple(new))
+                bad = bundle._replace(commitments=tuple(new))
                 assert verify_renewal(bad, point, tree.curve) is False
 
     def test_nonzero_free_coefficient_fails(self, toy):
@@ -134,7 +133,7 @@ class TestVerifyRenewal:
             point = eval_point(shares, bundle.recipient)
             if rng.random() < 0.5:
                 offset = rng.randrange(1, 19)
-                bad = replace(bundle, delta=(bundle.delta + offset) % 19)
+                bad = bundle._replace(delta=(bundle.delta + offset) % 19)
             else:
                 idx = rng.randrange(len(bundle.commitments))
                 shift = scalar_mul(rng.randrange(1, 19), G)
@@ -143,7 +142,7 @@ class TestVerifyRenewal:
                     + (bundle.commitments[idx] + shift,)
                     + bundle.commitments[idx + 1 :]
                 )
-                bad = replace(bundle, commitments=new)
+                bad = bundle._replace(commitments=new)
             assert verify_renewal(bad, point, tree.curve) is False
 
 
@@ -247,7 +246,7 @@ class TestRenewalRound:
 
         def corrupt_node_one(bundle):
             if bundle.sender == 1:
-                return replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
+                return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
             return bundle
 
         outcome = renewal_round(tree, shares, 1, rng, perturb=corrupt_node_one)
@@ -281,8 +280,7 @@ class TestRenewalRound:
 
         def raise_degree(bundle):
             point = eval_point(shares, bundle.recipient)
-            return replace(
-                bundle,
+            return bundle._replace(
                 delta=poly_eval(raised, point, tree.field.modulus),
                 commitments=commitments,
             )
@@ -426,7 +424,7 @@ class TestBatchCheck:
 
         def move(bundle):
             delta = poly_eval(poly, eval_point(shares, bundle.recipient), n)
-            return replace(bundle, delta=delta, commitments=commitments)
+            return bundle._replace(delta=delta, commitments=commitments)
 
         return move
 
@@ -440,7 +438,7 @@ class TestBatchCheck:
 
         def cancel(bundle):
             offset = offsets.get(bundle.recipient, 0)
-            return replace(bundle, delta=(bundle.delta + offset) % n)
+            return bundle._replace(delta=(bundle.delta + offset) % n)
 
         outcome, seen = self.run_tampered(tree, shares, cancel)
         assert self.claimers(outcome) == [1, 2] == self.alone(tree, shares, seen)
@@ -454,7 +452,7 @@ class TestBatchCheck:
         def bump(bundle):
             if bundle.recipient != 3:
                 return bundle
-            return replace(bundle, delta=(bundle.delta + 1) % tree.curve.order)
+            return bundle._replace(delta=(bundle.delta + 1) % tree.curve.order)
 
         outcome, _seen = self.run_tampered(tree, shares, bump)
         assert self.claimers(outcome) == [3]
@@ -471,7 +469,7 @@ class TestBatchCheck:
         def bump(bundle):
             if bundle.recipient != 5:
                 return bundle
-            return replace(bundle, delta=(bundle.delta + 1) % curve.order)
+            return bundle._replace(delta=(bundle.delta + 1) % curve.order)
 
         outcome, seen = self.run_tampered(tree, shares, bump)
         assert self.claimers(outcome) == [5] == self.alone(tree, shares, seen)
@@ -496,7 +494,7 @@ class TestBatchCheck:
 
         def shift_first(bundle):
             moved = (bundle.commitments[0] + curve.base_point,) + bundle.commitments[1:]
-            return replace(bundle, commitments=moved)
+            return bundle._replace(commitments=moved)
 
         outcome, seen = self.run_tampered(tree, shares, shift_first)
         assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
@@ -509,7 +507,7 @@ class TestBatchCheck:
         tree, shares = self.dealt_group(28, 5, curve=curve)
 
         def lengthen(bundle):
-            return replace(bundle, commitments=bundle.commitments + (curve.identity(),))
+            return bundle._replace(commitments=bundle.commitments + (curve.identity(),))
 
         outcome, seen = self.run_tampered(tree, shares, lengthen)
         assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
@@ -529,9 +527,8 @@ class TestBatchCheck:
                 return bundle
             if not consistent:
                 moved = (bundle.commitments[0] + G,) + bundle.commitments[1:]
-                return replace(bundle, commitments=moved)
-            return replace(
-                bundle,
+                return bundle._replace(commitments=moved)
+            return bundle._replace(
                 delta=poly_eval(other, eval_point(shares, 4), tree.curve.order),
                 commitments=tuple(scalar_mul(c, G) for c in other.coefficients[1:]),
             )
@@ -558,7 +555,7 @@ class TestBatchCheck:
             if not tampered:
                 return bundle
             moved = move(bundle)
-            return replace(moved, commitments=moved.commitments + (curve.base_point,))
+            return moved._replace(commitments=moved.commitments + (curve.base_point,))
 
         outcome, seen = self.run_tampered(tree, shares, lower_degree)
         assert self.claimers(outcome) == self.alone(tree, shares, seen)
@@ -590,20 +587,20 @@ class TestBatchCheck:
                 if kind == "pair":
                     # Paired with the next child, which gets the opposite
                     # shift unless it is tampered itself.
-                    return replace(bundle, delta=(bundle.delta + shift) % n)
+                    return bundle._replace(delta=(bundle.delta + shift) % n)
                 if kinds.get(bundle.recipient - 1) == "pair" and kind is None:
-                    return replace(bundle, delta=(bundle.delta - shift) % n)
+                    return bundle._replace(delta=(bundle.delta - shift) % n)
                 if kind == "delta" or (kind in ("commitment", "length") and not degree):
-                    return replace(bundle, delta=(bundle.delta + rng.randrange(1, n)) % n)
+                    return bundle._replace(delta=(bundle.delta + rng.randrange(1, n)) % n)
                 if kind == "commitment":
                     idx = rng.randrange(degree)
                     new = list(bundle.commitments)
                     new[idx] = new[idx] + G
-                    return replace(bundle, commitments=tuple(new))
+                    return bundle._replace(commitments=tuple(new))
                 if kind == "length":
-                    return replace(bundle, commitments=bundle.commitments[:-1])
+                    return bundle._replace(commitments=bundle.commitments[:-1])
                 if kind == "longer":
-                    return replace(bundle, commitments=bundle.commitments + (G,))
+                    return bundle._replace(commitments=bundle.commitments + (G,))
                 return bundle
 
             outcome, seen = self.run_tampered(tree, shares, tamper, seed=trial)
@@ -618,7 +615,7 @@ class TestBatchCheck:
         def bump(bundle):
             if bundle.recipient != 2:
                 return bundle
-            return replace(bundle, delta=(bundle.delta + 5) % tree.curve.order)
+            return bundle._replace(delta=(bundle.delta + 5) % tree.curve.order)
 
         states = []
         for perturb in (None, bump):
@@ -663,7 +660,7 @@ class TestCheckCounts:
         def bump(bundle):
             if bundle.sender != tampered_parent:
                 return bundle
-            return replace(bundle, delta=(bundle.delta + 1) % tree.field.modulus)
+            return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
         outcome = renewal_round(tree, shares, 1, rng, perturb=bump)
         return tree, outcome, counts

@@ -212,6 +212,17 @@ class TestReconstruct:
         # 3 is named as participating but cannot take part.
         assert reconstruct(tree, shares, [1, 2, 3], dealer.polynomials) == secret
 
+    def test_departed_host_does_not_count_toward_threshold(self, rng):
+        tree = make_tree([[], [], []], rng, prime=1009)
+        dealer, _state, shares = deal(tree, 8, tf(2, 3), rng)
+        tree.leave(2)
+        tree.leave(3)
+        # 2 and 3 still hold their shares, which would complete the quorum.
+        assert {2, 3} <= set(shares)
+        with pytest.raises(InsufficientShares) as exc:
+            reconstruct(tree, shares, [1, 2, 3], dealer.polynomials)
+        assert (exc.value.have, exc.value.need) == (1, 2)
+
 
 class TestGroupThresholdExactness:
     def test_every_quorum_recovers_every_subquorum_blind(self, rng):

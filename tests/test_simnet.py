@@ -1,7 +1,7 @@
 """World stepping, adversary strategies, and report determinism."""
 
 import json
-from dataclasses import replace
+import random
 
 import pytest
 from conftest import minimal_reconstructing_set
@@ -10,7 +10,9 @@ from hiershare import algebra, curve
 from hiershare.config import parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
-from hiershare.simnet import World
+from hiershare.proactive import RenewalBundle, generate_renewal
+from hiershare.sharing import GroupShares, HeldShare
+from hiershare.simnet import Envelope, World, adversary_act, adversary_hop
 from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
 
 
@@ -413,6 +415,34 @@ class TestAdversaryStrategies:
         assert row["compromised"] == [2, 3, 4]
         assert report.final["reconstruction_correct"] is True
 
+    def test_perturb_hook_changes_only_the_delta_of_a_copy(self):
+        cfg = self._curve_cfg(
+            tree=spec_dict([[[], []], []]),
+            adversary={"strategy": "active-corruptor", "budget": 1, "targets": [1]},
+        )
+        world = World(cfg)
+        world.initial_deal()
+        world.epoch = 1
+        adversary_hop(world.adversary, world.tree, world.epoch)
+        perturb, _claims = adversary_act(
+            world.adversary, world.tree, world.shares, world.epoch
+        )
+        rng = random.Random(4)
+        group = world.shares[3]
+        original = generate_renewal(world.tree, group, [3, 4], rng)[0]
+        before = tuple(original)
+        assert original.commitments
+
+        tampered = perturb(original)
+        assert type(tampered) is RenewalBundle and tampered is not original
+        assert tampered.delta == (original.delta + 1) % world.tree.field.modulus
+        assert tampered._replace(delta=original.delta) == original
+        assert tuple(original) == before
+        # The root's bundles are not the occupied parent's to tamper with.
+        root = world.shares[1]
+        honest = generate_renewal(world.tree, root, [1, 2], rng)[0]
+        assert perturb(honest) is honest
+
 
 class TestEvents:
     def test_leave_event_reflected(self):
@@ -426,6 +456,16 @@ class TestEvents:
         assert "leave:1:deactivated=3" in report.rows[2]["events"]
         # Root group threshold 2 of the remaining level-1 users still holds.
         assert report.final["reconstruction_correct"] is True
+
+    def test_herzberg_count_follows_the_active_membership(self):
+        cfg = scenario(
+            tree=spec_dict([[[], []], [], []]),
+            events=[{"epoch": 2, "kind": "leave", "user": 1}],
+        )
+        report = World(cfg).run()
+        # n(n - 1) with n the active users plus the server: 5 users, then 2
+        # after 1 leaves with its two children.
+        assert [row["herzberg_all_pairs"] for row in report.rows] == [30, 30, 6, 6, 6, 6]
 
     def test_leave_then_rejoin_then_redeal(self):
         cfg = scenario(
@@ -693,6 +733,25 @@ class TestRestore:
         assert straight.tree.nodes[1].active
         assert straight.finalize() == resumed.finalize()
 
+    def test_siblings_share_one_record_after_renewal_and_restore(self, tmp_path):
+        def records(world):
+            by_record = {}
+            for uid in sorted(world.shares):
+                by_record.setdefault(id(world.shares[uid]), []).append(uid)
+            return sorted(by_record.values())
+
+        straight = World(self.CHURN)
+        straight.initial_deal()
+        for _ in range(2):
+            straight.step_epoch()
+        # 1 left at epoch 1, before renewal, taking 4 and 5 along: 1 keeps
+        # the root group's epoch-0 record, 4 and 5 share theirs, and 2 and
+        # 3 share the record renewed twice.
+        assert records(straight) == [[1], [2, 3], [4, 5]]
+        for kids in straight.tree.groups(straight.shares).values():
+            assert all(straight.shares[kid] is straight.shares[kids[0]] for kid in kids)
+        assert records(restored(straight, tmp_path)) == records(straight)
+
     ROTATION = scenario(
         tree=spec_dict([[[], []], [[]], []]),
         epochs=12,
@@ -716,6 +775,28 @@ class TestRestore:
         while resumed.epoch < resumed.config.epochs:
             resumed.step_epoch()
         assert resumed.report.rows == straight.report.rows
+
+
+class TestRecords:
+    """The per-message, per-share and per-group records are immutable
+    named tuples with fixed fields."""
+
+    RECORDS = [
+        (Envelope("share", 0, (1,), None, True),
+         ("kind", "sender", "recipients", "payload", "sealed")),
+        (RenewalBundle(0, 1, 5, ()), ("sender", "recipient", "delta", "commitments")),
+        (HeldShare(3, 7, 2, False), ("eval_point", "value", "threshold", "split")),
+        (GroupShares(0, 1, 2, {1: (3, 7)}), ("parent", "epoch", "threshold", "members")),
+    ]
+
+    @pytest.mark.parametrize(
+        "record, fields", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS]
+    )
+    def test_fields_cannot_be_assigned(self, record, fields):
+        assert record._fields == fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 class TestDeepTrees:
@@ -753,9 +834,9 @@ class TestInvariants:
         p = world.config.field.modulus
         honest = world.shares[1]
         eval_point, value = honest.members[1]
-        world.shares[1] = replace(honest, members={**honest.members, 1: (eval_point, p)})
+        world.shares[1] = honest._replace(members={**honest.members, 1: (eval_point, p)})
         assert self.violated(world).invariant == "single-field-modulus"
-        world.shares[1] = replace(honest, members={**honest.members, 1: (p, value)})
+        world.shares[1] = honest._replace(members={**honest.members, 1: (p, value)})
         assert self.violated(world).invariant == "single-field-modulus"
 
     def test_group_key_x_distinct(self):

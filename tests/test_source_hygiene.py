@@ -1,7 +1,7 @@
 """Source hygiene of the package, checked with the standard library's
-``ast`` (no linter is needed): every name a module imports is used there,
-the package imports nothing outside the standard library, and every name
-``hiershare.__all__`` exports exists.
+``ast`` (no linter is needed): every name a module or test file imports is
+used there, the package imports nothing outside the standard library, and
+every name ``hiershare.__all__`` exports exists.
 """
 
 import ast
@@ -14,6 +14,7 @@ import hiershare
 
 PACKAGE = Path(hiershare.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -55,7 +56,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)
