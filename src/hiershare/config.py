@@ -15,7 +15,7 @@ from importlib import resources
 from .algebra import FieldParams
 from .curve import PROFILES, CurveParams, validate_curve
 from .errors import HierShareError
-from .sharing import EVAL_ROUND_KEY, EVAL_USER_ID, ThresholdFactor
+from .sharing import ThresholdFactor
 
 SCHEMA_VERSION = 1
 
@@ -77,13 +77,14 @@ class AdversaryConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario; ``curve`` is None in no-curve mode."""
+    """A validated scenario; ``curve`` is None in no-curve mode. The field
+    mode fixes the evaluation points: round-key x-coordinates on a curve,
+    user ids without one."""
 
     name: str
     tf: ThresholdFactor
     tree: dict
     secret: int
-    eval_mode: str
     epochs: int
     seed: int
     field: FieldParams
@@ -276,16 +277,12 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     user_ids = {uid for uid, _ in pairs}
     id_to_parent = dict(pairs)
 
-    eval_mode = data.get("eval_mode", EVAL_ROUND_KEY if field_mode == "curve-order" else EVAL_USER_ID)
+    # The field mode fixes the evaluation points; older files may name them.
+    eval_points = "round-key" if field_mode == "curve-order" else "user-id"
     _require(
-        eval_mode in (EVAL_ROUND_KEY, EVAL_USER_ID),
+        data.get("eval_mode", eval_points) == eval_points,
         f"{source}.eval_mode",
-        f"must be {EVAL_ROUND_KEY!r} or {EVAL_USER_ID!r}",
-    )
-    _require(
-        not (field_mode == "no-curve" and eval_mode == EVAL_ROUND_KEY),
-        f"{source}.eval_mode",
-        "round-key eval points need a curve",
+        f"{field_mode} evaluation points are {eval_points!r}, not {data.get('eval_mode')!r}",
     )
     epochs = _int(data["epochs"], f"{source}.epochs", minimum=0)
     secret = _decimal(data["secret"], f"{source}.secret")
@@ -309,7 +306,6 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         tf=tf,
         tree=tree,
         secret=secret,
-        eval_mode=eval_mode,
         epochs=epochs,
         renewal_enabled=bool(data.get("renewal_enabled", True)),
         seed=seed,
@@ -324,24 +320,21 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         f"{source}.secret",
         f"must lie in [0, {modulus})",
     )
-    if eval_mode == EVAL_USER_ID:
+    if curve is None:
         _require(
             len(user_ids) < modulus,
             f"{source}.tree",
             f"user-id eval points need fewer than {modulus} users",
         )
-    if curve is not None:
+    else:
         # The order's n - 1 nonidentity points pair up as ±P on one x. A
         # round key on an x that is 0 mod n would give evaluation point 0.
-        distinct_x, kind = (curve.order - 1) // 2, "group-key x-coordinates"
-        if eval_mode == EVAL_ROUND_KEY:
-            distinct_x -= _zero_x_pairs(curve)
-            kind = "round-key x-coordinates nonzero mod the order"
+        distinct_x = (curve.order - 1) // 2 - _zero_x_pairs(curve)
         _require(
             len(user_ids) <= distinct_x,
             f"{source}.tree",
-            f"{len(user_ids)} users need distinct {kind}; "
-            f"curve {curve.name!r} has {distinct_x}",
+            f"{len(user_ids)} users need distinct round-key x-coordinates "
+            f"nonzero mod the order; curve {curve.name!r} has {distinct_x}",
         )
     return config
 
@@ -392,7 +385,6 @@ def serialize_scenario(config: ScenarioConfig) -> dict:
         "tf": {"num": config.tf.numerator, "den": config.tf.denominator},
         "tree": config.tree,
         "secret": str(config.secret),
-        "eval_mode": config.eval_mode,
         "epochs": config.epochs,
         "renewal_enabled": config.renewal_enabled,
         "seed": str(config.seed),

@@ -72,10 +72,10 @@ class RoundState:
     """Server-side state for one distribution round.
 
     ``secret`` is the server's round scalar; it must never be serialized
-    into any message or snapshot visible to non-server parties.
+    into any message or snapshot visible to non-server parties. The
+    round's number is the tree's ``round_count``.
     """
 
-    round_id: int
     secret: int | None
     public_key: CurvePoint | None
 
@@ -234,10 +234,10 @@ class HierarchyTree:
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
         if self.curve is None:
-            return RoundState(self.round_count, None, None)
+            return RoundState(None, None)
         secret = rng.randrange(1, self.curve.order)
         public = scalar_mul(secret, self.curve.base_point)
-        return RoundState(self.round_count, secret, public)
+        return RoundState(secret, public)
 
     def assign_round_keys(self, round_state: RoundState) -> None:
         """Store each active user's round key for the round (curve mode):

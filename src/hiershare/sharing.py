@@ -55,10 +55,6 @@ class InsufficientShares(HierShareError):
         )
 
 
-EVAL_ROUND_KEY = "round-key"
-EVAL_USER_ID = "user-id"
-
-
 @dataclass(frozen=True)
 class ThresholdFactor:
     """Exact rational in (0, 1]; the quorum for a group of n is ceil(tf*n)."""
@@ -139,30 +135,27 @@ class DealerState:
     polynomials: dict[int, Polynomial] = field(default_factory=dict)
 
 
-def assign_eval_points(
-    tree: HierarchyTree, groups: Mapping[int, list[int]], mode: str = EVAL_ROUND_KEY
-) -> dict[int, int]:
+def assign_eval_points(tree: HierarchyTree, groups: Mapping[int, list[int]]) -> dict[int, int]:
     """Evaluation point per member of ``groups`` (``tree.groups()``).
 
-    Round-key mode uses the x-coordinate of the user's round key reduced
-    into the share field (giving round keys their per-round purpose);
-    user-id mode uses the raw id. Zero points or collisions among siblings
-    raise EvalPointCollision: in round-key mode a fresh round fixes it, in
-    user-id mode it is a configuration error.
+    On a curve it is the x-coordinate of the user's round key reduced into
+    the share field (giving round keys their per-round purpose); without a
+    curve it is the raw id. Zero points or collisions among siblings raise
+    EvalPointCollision: on a curve a fresh round fixes it, without one it
+    is a configuration error.
     """
+    p = tree.field.modulus
     points: dict[int, int] = {}
     for group in groups.values():
         seen: dict[int, int] = {}
         for uid in group:
-            if mode == EVAL_ROUND_KEY:
+            if tree.curve is None:
+                x = uid % p
+            else:
                 key = tree.nodes[uid].round_key
                 if key is None:
                     raise InactiveSubtree(f"user {uid} has no round key")
-                x = key.x % tree.field.modulus
-            elif mode == EVAL_USER_ID:
-                x = uid % tree.field.modulus
-            else:
-                raise ValueError(f"unknown eval-point mode {mode!r}")
+                x = key.x % p
             if x == 0:
                 raise EvalPointCollision(f"user {uid} drew evaluation point zero")
             if x in seen:
@@ -175,55 +168,49 @@ def assign_eval_points(
 
 
 def distribute(
-    tree: HierarchyTree,
-    dealer: DealerState,
-    tf: ThresholdFactor,
-    rng: random.Random,
-    eval_mode: str = EVAL_ROUND_KEY,
+    tree: HierarchyTree, dealer: DealerState, tf: ThresholdFactor, rng: random.Random
 ) -> dict[int, GroupShares]:
-    """Deal the dealer's secret down the tree, level by level, and map each
-    active user to its sibling group's epoch-0 record.
+    """Deal the dealer's secret down the tree, one sibling group at a time
+    in parent-id order, and map each active user to its group's epoch-0
+    record.
 
-    The field modulus is the same at every level. ``tree.levels()`` runs
-    once, after the evaluation points pass, so a round retried on
-    EvalPointCollision skips it. Raises InactiveSubtree when a leave has
-    blocked the round (no level-1 users, or an internal node with children
-    but none active).
+    A parent's id is below its children's, so its polynomial is drawn
+    before its own group is dealt. The field modulus is the same at every
+    level. Raises InactiveSubtree when a leave has blocked the round (no
+    level-1 users, or an internal node with children but none active).
     """
     groups = tree.groups()
     if ROOT_ID not in groups:
         raise InactiveSubtree("no active level-1 users")
-    for uid in tree.active_users():
-        if tree.children[uid] and uid not in groups:
-            raise InactiveSubtree(
-                f"internal node {uid} has no active children; a leave blocked the round"
-            )
+    for kids in groups.values():
+        for uid in kids:
+            if tree.children[uid] and uid not in groups:
+                raise InactiveSubtree(
+                    f"internal node {uid} has no active children; a leave blocked the round"
+                )
 
-    points = assign_eval_points(tree, groups, eval_mode)
-    levels = tree.levels()
+    points = assign_eval_points(tree, groups)
     p = tree.field.modulus
 
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
     dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
-    members: dict[int, dict[int, tuple[int, int]]] = {}
-    for level in sorted(levels):
-        for uid in levels[level]:
-            parent = tree.nodes[uid].parent
-            evaluation = poly_eval(dealer.polynomials[parent], points[uid], p)
-            kids = groups.get(uid)
-            if kids:
+    shares: dict[int, GroupShares] = {}
+    for parent, kids in groups.items():
+        polynomial = dealer.polynomials[parent]
+        members: dict[int, tuple[int, int]] = {}
+        for uid in kids:
+            evaluation = poly_eval(polynomial, points[uid], p)
+            if uid in groups:
                 kept, retained = split(evaluation, p, rng)
                 dealer.polynomials[uid] = sample_polynomial(
-                    rng, compute_threshold(tf, len(kids)) - 1, retained, p
+                    rng, compute_threshold(tf, len(groups[uid])) - 1, retained, p
                 )
             else:
                 kept = evaluation
-            members.setdefault(parent, {})[uid] = (points[uid], kept)
-    shares: dict[int, GroupShares] = {}
-    for parent, dealt in members.items():
-        group = GroupShares(parent, 0, dealer.polynomials[parent].degree + 1, dealt)
-        shares.update(dict.fromkeys(dealt, group))
+            members[uid] = (points[uid], kept)
+        group = GroupShares(parent, 0, polynomial.degree + 1, members)
+        shares.update(dict.fromkeys(kids, group))
     return shares
 
 

@@ -256,9 +256,7 @@ class World:
             self.tree.assign_round_keys(round_state)
             self._request_messages(groups)
             try:
-                shares = distribute(
-                    self.tree, self.dealer, self.config.tf, self.rng, self.config.eval_mode
-                )
+                shares = distribute(self.tree, self.dealer, self.config.tf, self.rng)
             except EvalPointCollision as exc:
                 last_error = exc
                 continue
@@ -377,11 +375,8 @@ class World:
     def _reconstruct_all(self) -> tuple[bool, str]:
         """Whether every active share-holder together recovers the dealer's
         secret, and the reason when their shares fall short."""
-        participants = [uid for uid in self.tree.active_users() if uid in self.shares]
         try:
-            value = reconstruct(
-                self.tree, self.shares, participants, self.dealer.polynomials
-            )
+            value = reconstruct(self.tree, self.shares, self.shares, self.dealer.polynomials)
         except InsufficientShares as exc:
             return False, str(exc)
         return value == self.dealer.secret, ""

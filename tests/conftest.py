@@ -6,8 +6,6 @@ from hiershare.algebra import FieldParams
 from hiershare.curve import TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.sharing import (
-    EVAL_ROUND_KEY,
-    EVAL_USER_ID,
     DealerState,
     EvalPointCollision,
     ThresholdFactor,
@@ -55,18 +53,16 @@ def random_tree_spec(rng, max_depth=4, max_fanout=6):
     return [gen(1) for _ in range(top)]
 
 
-def deal(tree, secret, tf, rng, eval_mode=None, max_attempts=128):
+def deal(tree, secret, tf, rng, max_attempts=128):
     """begin_round + round keys + distribute, retrying fresh rounds on
     evaluation-point collisions (the upstream resolution)."""
-    if eval_mode is None:
-        eval_mode = EVAL_ROUND_KEY if tree.curve is not None else EVAL_USER_ID
     dealer = DealerState(secret=secret)
     last = None
     for _ in range(max_attempts):
         state = tree.begin_round(rng)
         tree.assign_round_keys(state)
         try:
-            shares = distribute(tree, dealer, tf, rng, eval_mode)
+            shares = distribute(tree, dealer, tf, rng)
         except EvalPointCollision as exc:
             last = exc
             continue

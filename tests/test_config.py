@@ -1,5 +1,8 @@
 """Scenario parsing, validation diagnostics, and round trips."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from hiershare.config import (
@@ -13,6 +16,8 @@ from hiershare.config import (
 )
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE, CurveParams
 from hiershare.simnet import World
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def base_scenario(**overrides):
@@ -40,6 +45,14 @@ class TestParsing:
         for name in bundled_scenario_names():
             config = load_bundled_scenario(name)
             assert parse_scenario(serialize_scenario(config)) == config
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_serialized_scenario_names_no_eval_mode(self, curved):
+        overrides = {"field_mode": "curve-order", "curve": "toy", "field_prime": None, "secret": "3"}
+        config = parse_scenario(base_scenario(**overrides) if curved else base_scenario())
+        data = serialize_scenario(config)
+        assert "eval_mode" not in data
+        assert parse_scenario(data) == config
 
     def test_bundled_names(self):
         assert bundled_scenario_names() == ["bench-63", "demo-7user", "figure2-leave"]
@@ -90,6 +103,12 @@ class TestValidation:
     def test_round_key_eval_needs_curve(self):
         with pytest.raises(ConfigError, match="round-key"):
             parse_scenario(base_scenario(eval_mode="round-key"))
+
+    @pytest.mark.parametrize("curved, given", [(True, "user-id"), (False, "bogus")])
+    def test_eval_mode_other_than_the_field_mode_implies(self, curved, given):
+        data = self.toy_tree(3) if curved else base_scenario()
+        with pytest.raises(ConfigError, match=rf"\.eval_mode: .*not '{given}'$"):
+            parse_scenario({**data, "eval_mode": given})
 
     def test_unknown_curve_profile(self):
         bad = base_scenario(
@@ -146,31 +165,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fewer than"):
             parse_scenario(base_scenario(field_prime="31", tree=tree))
 
-    def toy_tree(self, users, eval_mode="user-id"):
+    def toy_tree(self, users):
         return base_scenario(
-            field_mode="curve-order", field_prime=None, curve="toy",
-            eval_mode=eval_mode, secret="3",
+            field_mode="curve-order", field_prime=None, curve="toy", secret="3",
             tree={"children": [{"children": []} for _ in range(users)]},
         )
 
-    def test_curve_tree_beyond_its_group_key_x_coordinates(self):
-        """The toy curve (order 19) has (19 - 1) / 2 = 9 distinct group-key
-        x-coordinates, so a tenth user could never register."""
-        with pytest.raises(ConfigError, match=r"tree: 10 users .*'toy' has 9$"):
-            parse_scenario(self.toy_tree(10))
-
-    def test_curve_tree_at_its_group_key_x_coordinates_parses(self):
-        assert len(expand_tree(parse_scenario(self.toy_tree(9)).tree)) == 9
-
     def test_round_key_tree_needs_x_coordinates_nonzero_mod_the_order(self):
-        """In round-key mode the 9 round keys of a 9-user toy tree would
-        take all 9 x-coordinates, x = 0 among them ((0, 6) is on the
-        curve), so every round would draw evaluation point zero."""
-        with pytest.raises(ConfigError, match=r"tree: 9 users .*'toy' has 8$"):
-            parse_scenario(self.toy_tree(9, eval_mode="round-key"))
+        """The toy curve (order 19) has (19 - 1) / 2 = 9 distinct
+        x-coordinates, x = 0 among them ((0, 6) is on the curve). The 9
+        round keys of a 9-user tree would take all 9, so every round would
+        draw evaluation point zero; a tenth user could not even register."""
+        for users in (9, 10):
+            with pytest.raises(ConfigError, match=rf"tree: {users} users .*'toy' has 8$"):
+                parse_scenario(self.toy_tree(users))
 
     def test_round_key_tree_at_its_nonzero_x_coordinates_runs(self):
-        world = World(parse_scenario(self.toy_tree(8, eval_mode="round-key")))
+        world = World(parse_scenario(self.toy_tree(8)))
         world.run()
         assert len(world.report.rows) == 4
 
@@ -341,3 +352,22 @@ class TestExpandTree:
             ]
         }
         assert expand_tree(tree) == [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]
+
+
+class TestBenchmarkInputs:
+    """The benchmark runs the scenarios ``perfbench/workloads.py``
+    generates, and the bundled ones, through ``parse_scenario``; the
+    generator module is loaded by path, so the parser must keep accepting
+    what it sends without the benchmark changing."""
+
+    def test_benchmark_and_bundled_scenarios_round_trip(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert sorted(workloads.WORKLOADS) == ["churn-redeal", "renew-secp", "scale-nocurve"]
+        configs = [load_bundled_scenario(name) for name in bundled_scenario_names()]
+        for name, (generate, _check, _reload) in sorted(workloads.WORKLOADS.items()):
+            for seed in (1, 13):
+                configs.append(parse_scenario(generate(seed), source=f"{name}@{seed}"))
+        for config in configs:
+            assert parse_scenario(serialize_scenario(config)) == config

@@ -131,9 +131,10 @@ class TestBeginRound:
         rng = random.Random(5)
         toy_tree.register(ROOT_ID, rng)
         first = toy_tree.begin_round(rng)
+        assert toy_tree.round_count == 1
         second = toy_tree.begin_round(rng)
         assert first.secret != second.secret
-        assert first.round_id != second.round_id
+        assert toy_tree.round_count == 2
 
     def test_empty_hierarchy(self, toy_tree, rng):
         with pytest.raises(EmptyHierarchy):
@@ -143,7 +144,8 @@ class TestBeginRound:
         for _ in range(2):
             toy_tree.register(ROOT_ID, rng)
         toy_tree.leave(1)
-        assert toy_tree.begin_round(rng).round_id == 1
+        toy_tree.begin_round(rng)
+        assert toy_tree.round_count == 1
         toy_tree.leave(2)
         with pytest.raises(EmptyHierarchy):
             toy_tree.begin_round(rng)

@@ -1,5 +1,6 @@
 """World stepping, adversary strategies, and report determinism."""
 
+import hashlib
 import json
 import random
 
@@ -13,7 +14,7 @@ from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle, generate_renewal
 from hiershare.sharing import GroupShares, HeldShare
 from hiershare.simnet import Envelope, World, adversary_act, adversary_hop
-from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
+from hiershare.snapshot import _canonical, load_world, save_world, world_from_dict, world_to_dict
 
 
 def spec_dict(nested):
@@ -602,21 +603,23 @@ class TestLoadAndDealCost:
         world_from_dict(world_to_dict(world))
         assert len(calls) == tests_per_load
 
-    def test_one_levels_walk_per_deal(self, monkeypatch):
-        calls = []
-        original = HierarchyTree.levels
-
-        def counting(tree):
-            calls.append(1)
-            return original(tree)
-
-        monkeypatch.setattr(HierarchyTree, "levels", counting)
+    def test_deal_and_redeal_walk_no_levels(self, monkeypatch):
+        levels = self.count_calls(monkeypatch, "levels")
         world = World(scenario(events=[{"epoch": 2, "kind": "redeal"}]))
         world.initial_deal()
-        assert len(calls) == 1
         world.step_epoch()
         world.step_epoch()
-        assert len(calls) == 2
+        assert world.report.rows[2]["events"] == ["redeal:round=2"]
+        assert levels == []
+
+    def test_quiet_epoch_scans_no_active_users(self, monkeypatch):
+        world = World(scenario())
+        world.initial_deal()
+        active_users = self.count_calls(monkeypatch, "active_users")
+        world.step_epoch()
+        assert world.report.rows[1]["events"] == []
+        assert world.report.rows[1]["secret_intact"]
+        assert active_users == []
 
     def count_calls(self, monkeypatch, method):
         calls = []
@@ -751,6 +754,28 @@ class TestRestore:
         for kids in straight.tree.groups(straight.shares).values():
             assert all(straight.shares[kid] is straight.shares[kids[0]] for kid in kids)
         assert records(restored(straight, tmp_path)) == records(straight)
+
+    def test_snapshot_naming_the_old_eval_mode_resumes(self, tmp_path):
+        """Snapshots no longer write ``eval_mode``; one whose embedded
+        scenario still names the rule its field mode implies loads and
+        runs on as the straight run does."""
+        straight = World(self.CHURN)
+        straight.run()
+        halted = World(self.CHURN)
+        halted.initial_deal()
+        for _ in range(3):
+            halted.step_epoch()
+        body = world_to_dict(halted)
+        assert "eval_mode" not in body["scenario"]
+        body["scenario"]["eval_mode"] = "round-key"
+        path = tmp_path / "old.snapshot"
+        checksum = hashlib.sha256(_canonical(body).encode()).hexdigest()
+        path.write_text(json.dumps({"checksum": checksum, "body": body}))
+        resumed = load_world(path)
+        while resumed.epoch < resumed.config.epochs:
+            resumed.step_epoch()
+        resumed.finalize()
+        assert resumed.report == straight.report
 
     ROTATION = scenario(
         tree=spec_dict([[[], []], [[]], []]),
