@@ -171,14 +171,19 @@ class TestValidation:
             tree={"children": [{"children": []} for _ in range(users)]},
         )
 
+    def test_curve_tree_beyond_its_group_key_x_coordinates(self):
+        """The toy curve (order 19) has (19 - 1) / 2 = 9 distinct group-key
+        x-coordinates, so a tenth user could never register; the round-key
+        bound of 8 refuses it first."""
+        with pytest.raises(ConfigError, match=r"tree: 10 users .*'toy' has 8$"):
+            parse_scenario(self.toy_tree(10))
+
     def test_round_key_tree_needs_x_coordinates_nonzero_mod_the_order(self):
-        """The toy curve (order 19) has (19 - 1) / 2 = 9 distinct
-        x-coordinates, x = 0 among them ((0, 6) is on the curve). The 9
-        round keys of a 9-user tree would take all 9, so every round would
-        draw evaluation point zero; a tenth user could not even register."""
-        for users in (9, 10):
-            with pytest.raises(ConfigError, match=rf"tree: {users} users .*'toy' has 8$"):
-                parse_scenario(self.toy_tree(users))
+        """The 9 x-coordinates of the toy curve include x = 0 ((0, 6) is on
+        the curve). The 9 round keys of a 9-user tree would take all 9, so
+        every round would draw evaluation point zero."""
+        with pytest.raises(ConfigError, match=r"tree: 9 users .*'toy' has 8$"):
+            parse_scenario(self.toy_tree(9))
 
     def test_round_key_tree_at_its_nonzero_x_coordinates_runs(self):
         world = World(parse_scenario(self.toy_tree(8)))
