@@ -168,18 +168,21 @@ def assign_eval_points(tree: HierarchyTree, groups: Mapping[int, list[int]]) -> 
 
 
 def distribute(
-    tree: HierarchyTree, dealer: DealerState, tf: ThresholdFactor, rng: random.Random
+    tree: HierarchyTree,
+    groups: Mapping[int, list[int]],
+    dealer: DealerState,
+    tf: ThresholdFactor,
+    rng: random.Random,
 ) -> dict[int, GroupShares]:
-    """Deal the dealer's secret down the tree, one sibling group at a time
-    in parent-id order, and map each active user to its group's epoch-0
-    record.
+    """Deal the dealer's secret down ``groups`` (the tree's ``groups()``),
+    one sibling group at a time in parent-id order, and map each active
+    user to its group's epoch-0 record.
 
     A parent's id is below its children's, so its polynomial is drawn
     before its own group is dealt. The field modulus is the same at every
     level. Raises InactiveSubtree when a leave has blocked the round (no
     level-1 users, or an internal node with children but none active).
     """
-    groups = tree.groups()
     if ROOT_ID not in groups:
         raise InactiveSubtree("no active level-1 users")
     for kids in groups.values():

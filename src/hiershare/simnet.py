@@ -1,13 +1,13 @@
 """Deterministic simulated network and mobile adversary.
 
-Messages travel as addressed envelopes: sealed payloads reach only their
+Messages are counted, not stored: sealed payloads reach only their
 addressee (the secure channel is axiomatic), broadcasts and commitment
 multicasts are public. Delivery is reliable and immediate: ``World.send``
-hands each envelope to the adversary's view in the same call, so every
-message lands within its sending epoch, which is what the per-subtree
-synchronization assumption demands of the transport. ``World.envelopes``
-is the current epoch's scratch log; the epoch's report row counts its
-``messages`` from it and empties it.
+lets the adversary read a sealed share in the same call when it occupies
+the addressee's host, so every message lands within its sending epoch,
+which is what the per-subtree synchronization assumption demands of the
+transport. ``World.envelopes`` counts the current epoch's messages by
+kind; the epoch's report row reads its ``messages`` from it and resets it.
 
 ``World.shares`` maps each share holder to its sibling group's record,
 shared with its siblings. A committed renewal moves the group's active
@@ -36,7 +36,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .config import AdversaryConfig, ScenarioConfig, expand_tree
 from .errors import InvariantViolation
@@ -56,18 +55,6 @@ from .sharing import (
 # Toy-curve rounds collide often (9 usable x-coordinates, two of them on
 # x = 0), so the retry budget is generous; each retry is one fresh round.
 _DEAL_ATTEMPTS = 128
-
-
-class Envelope(NamedTuple):
-    """One addressed message of the current epoch; sealed payloads are
-    opaque to everyone but the recipients (unless a recipient is currently
-    compromised)."""
-
-    kind: str
-    sender: int
-    recipients: tuple[int, ...]
-    payload: object
-    sealed: bool
 
 
 @dataclass
@@ -90,17 +77,6 @@ class AdversaryState:
     ever_compromised: set[int] = field(default_factory=set)
     stolen_shares: dict[tuple[int, int, int], HeldShare] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
-
-
-def adversary_observe(adv: AdversaryState, envelope: Envelope, round_id: int) -> None:
-    """Let the adversary read an envelope: sealed payloads only when the
-    addressee is currently occupied, public ones always (but commitments
-    yield no coefficients — only the points are seen). A dealt share, at
-    epoch 0 of ``round_id``, is the one payload it keeps."""
-    if envelope.sealed and envelope.kind == "share":
-        (owner,) = envelope.recipients
-        if owner in adv.occupied:
-            adv.stolen_shares[(round_id, 0, owner)] = envelope.payload
 
 
 def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
@@ -184,7 +160,7 @@ class SimReport:
 
 class World:
     """The whole simulation: tree, dealer, shares, adversary, the current
-    epoch's envelopes, and the report."""
+    epoch's message counts, and the report."""
 
     def __init__(self, config: ScenarioConfig):
         """The blank world: no user registered yet, nothing dealt."""
@@ -194,7 +170,7 @@ class World:
         self.dealer = DealerState(secret=config.secret % config.field.modulus)
         self.shares: dict[int, GroupShares] = {}
         self.epoch = 0
-        self.envelopes: list[Envelope] = []
+        self.envelopes: Counter[str] = Counter()
         self.report = SimReport(scenario=config.name, seed=config.seed)
         self.adversary = AdversaryState(config.adversary)
 
@@ -206,9 +182,17 @@ class World:
     # -- messaging ----------------------------------------------------------
 
     def send(self, kind: str, sender: int, recipients: tuple[int, ...], payload, sealed: bool) -> None:
-        envelope = Envelope(kind, sender, recipients, payload, sealed)
-        self.envelopes.append(envelope)
-        adversary_observe(self.adversary, envelope, self.round_id)
+        """Count one message by kind. A dealt share (its payload the
+        addressee's group record) is the one payload the adversary keeps,
+        and only when it occupies the addressee's host: it stores the
+        host's copy at epoch 0 of the live round. Public payloads yield
+        nothing (commitments are points, not coefficients)."""
+        self.envelopes[kind] += 1
+        if sealed and kind == "share":
+            (owner,) = recipients
+            if owner in self.adversary.occupied:
+                held = payload.held_by(owner, owner in self.dealer.polynomials)
+                self.adversary.stolen_shares[(self.round_id, 0, owner)] = held
 
     # -- dealing ------------------------------------------------------------
 
@@ -256,13 +240,13 @@ class World:
             self.tree.assign_round_keys(round_state)
             self._request_messages(groups)
             try:
-                shares = distribute(self.tree, self.dealer, self.config.tf, self.rng)
+                shares = distribute(self.tree, groups, self.dealer, self.config.tf, self.rng)
             except EvalPointCollision as exc:
                 last_error = exc
                 continue
             self.shares = shares
             for uid in sorted(shares):
-                self.send("share", ROOT_ID, (uid,), self._held_share(uid), True)
+                self.send("share", ROOT_ID, (uid,), shares[uid], True)
             return
         raise last_error
 
@@ -338,10 +322,9 @@ class World:
         return self._write_row(claims, verdicts, cleansed, notes)
 
     def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str]) -> dict:
-        """Append the epoch's report row; its ``messages`` are counted from
-        the epoch's envelopes, which it then drains."""
-        messages = Counter(env.kind for env in self.envelopes)
-        self.envelopes = []
+        """Append the epoch's report row; its ``messages`` are the epoch's
+        message counts, which it then resets."""
+        messages, self.envelopes = self.envelopes, Counter()
         row = {
             "epoch": self.epoch,
             "messages": dict(sorted(messages.items())),

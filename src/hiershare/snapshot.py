@@ -3,8 +3,8 @@
 A snapshot embeds the scenario, the RNG state, and every piece of world
 state a continuation needs, so a resumed run produces a report identical
 to an uninterrupted one. Snapshots are only taken (and only accepted)
-at epoch boundaries, where the per-epoch envelope scratch log is empty,
-so no envelope is stored.
+at epoch boundaries, where the per-epoch message counts are empty, so
+no message count is stored.
 
 Format 7 stores each fact once and nothing derivable. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
@@ -105,8 +105,8 @@ def _groups_in(data: list[dict], world: World) -> dict[int, GroupShares]:
 
 
 def world_to_dict(world: World) -> dict:
-    """Serializable epoch-boundary state; the per-epoch envelope scratch
-    log is empty there and is not stored."""
+    """Serializable epoch-boundary state; the per-epoch message counts
+    are empty there and are not stored."""
     nodes = []
     for uid in sorted(world.tree.nodes):
         node = world.tree.nodes[uid]

@@ -62,7 +62,7 @@ def deal(tree, secret, tf, rng, max_attempts=128):
         state = tree.begin_round(rng)
         tree.assign_round_keys(state)
         try:
-            shares = distribute(tree, dealer, tf, rng)
+            shares = distribute(tree, tree.groups(), dealer, tf, rng)
         except EvalPointCollision as exc:
             last = exc
             continue

@@ -139,7 +139,7 @@ class TestDistribute:
         tree.begin_round(rng)
         tree.leave(1)  # the round outlives the membership
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
 
     def test_internal_node_without_active_children_blocks(self, rng):
         tree = make_tree([[[]], []], rng, prime=1009)
@@ -147,14 +147,14 @@ class TestDistribute:
         dealer = DealerState(secret=1)
         tree.begin_round(rng)
         with pytest.raises(InactiveSubtree):
-            distribute(tree, dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
 
     def test_zero_eval_point_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(19)], rng, prime=19)
         dealer = DealerState(secret=1)
         tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
 
     def test_sibling_eval_collision_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(21)], rng, prime=19)
@@ -162,7 +162,7 @@ class TestDistribute:
         dealer = DealerState(secret=1)
         tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
 
 
 class TestReconstruct:

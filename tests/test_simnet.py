@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from conftest import minimal_reconstructing_set
@@ -13,7 +14,7 @@ from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle, generate_renewal
 from hiershare.sharing import GroupShares, HeldShare
-from hiershare.simnet import Envelope, World, adversary_act, adversary_hop
+from hiershare.simnet import World, adversary_act, adversary_hop
 from hiershare.snapshot import _canonical, load_world, save_world, world_from_dict, world_to_dict
 
 
@@ -104,12 +105,15 @@ class TestDeterminism:
             held_share(w2, uid) for uid in sorted(w2.shares)
         ]
 
-    def test_run_leaves_no_envelopes(self):
+    def test_run_leaves_no_message_count(self):
         world = World(scenario(epochs=4))
-        world.run()
-        assert world.envelopes == []
+        report = world.run()
+        assert world.envelopes == Counter()
+        # Epoch 0: 3 requests and 3 sealed shares; epochs 1-4: 3 sealed
+        # renewal deltas each.
+        assert [row["messages_total"] for row in report.rows] == [6, 3, 3, 3, 3]
 
-    def test_row_counts_and_drains_the_epochs_envelopes(self):
+    def test_row_counts_the_epochs_messages_then_resets(self):
         world = World(scenario(epochs=4))
         world.initial_deal()
         world.send("claim", 1, (0,), None, False)
@@ -117,7 +121,10 @@ class TestDeterminism:
         # The extra claim plus three sealed renewal deltas.
         assert row["messages"] == {"claim": 1, "renewal-delta": 3}
         assert row["messages_total"] == 4
-        assert world.envelopes == []
+        assert world.envelopes == Counter()
+        row = world.step_epoch()
+        assert row["messages"] == {"renewal-delta": 3}
+        assert row["messages_total"] == 3
 
 
 class TestAdversaryObservation:
@@ -128,16 +135,28 @@ class TestAdversaryObservation:
         assert world.adversary.stolen_shares == {}
 
     def test_sealed_share_to_compromised_node_stolen(self):
+        # The epoch-0 deal goes out before the first hop, so the epoch-1
+        # redeal is the mail that meets the occupant: 2, dealt as
+        # internal over its child 4, sits on its host from the epoch-0
+        # hop to the epoch-1 hop. Without renewal its round-2 share is
+        # still the one the world holds.
         cfg = scenario(
+            tree=spec_dict([[], [[]], []]),
+            renewal_enabled=False,
+            events=[{"epoch": 1, "kind": "redeal"}],
+            epochs=1,
             adversary={
                 "strategy": "scripted",
                 "script": [{"epoch": 0, "compromise": [2]}],
-            }
+            },
         )
         world = World(cfg)
-        world.initial_deal()
-        stolen_owners = {owner for _round, _epoch, owner in world.adversary.stolen_shares}
-        assert stolen_owners == {2}
+        world.run()
+        stolen = world.adversary.stolen_shares
+        assert sorted(stolen) == [(1, 0, 2), (2, 0, 2)]
+        assert stolen[(2, 0, 2)] == HeldShare(
+            *held_share(world, 2), world.shares[2].threshold, True
+        )
 
     def test_commitments_visible_but_no_coefficients(self):
         cfg = scenario(
@@ -807,8 +826,6 @@ class TestRecords:
     named tuples with fixed fields."""
 
     RECORDS = [
-        (Envelope("share", 0, (1,), None, True),
-         ("kind", "sender", "recipients", "payload", "sealed")),
         (RenewalBundle(0, 1, 5, ()), ("sender", "recipient", "delta", "commitments")),
         (HeldShare(3, 7, 2, False), ("eval_point", "value", "threshold", "split")),
         (GroupShares(0, 1, 2, {1: (3, 7)}), ("parent", "epoch", "threshold", "members")),
