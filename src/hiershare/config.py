@@ -67,6 +67,17 @@ def _int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _ids(value, where: str) -> list[int]:
+    """A list of user ids: integers, never booleans."""
+    _require(isinstance(value, list), where, "must be a list")
+    return [_int(uid, where) for uid in value]
+
+
+def _flag(value, where: str) -> bool:
+    _require(isinstance(value, bool), where, "expected true or false")
+    return value
+
+
 @dataclass(frozen=True)
 class AdversaryConfig:
     strategy: str = "passive-stealer"
@@ -154,7 +165,7 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
     strategy = data.get("strategy", "passive-stealer")
     _require(strategy in STRATEGIES, f"{where}.strategy", f"must be one of {STRATEGIES}")
     budget = _int(data.get("budget", 0), f"{where}.budget", minimum=0)
-    targets = tuple(data.get("targets", []))
+    targets = tuple(_ids(data.get("targets", []), f"{where}.targets"))
     for t in targets:
         _require(t in user_ids, f"{where}.targets", f"unknown user {t}")
 
@@ -172,7 +183,7 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
         _take(entry, w, {"epoch": True, "compromise": False, "tamper": False, "false_claims": False})
         epoch = _int(entry["epoch"], f"{w}.epoch", minimum=0)
         _require(epoch <= max_epoch, f"{w}.epoch", f"beyond scenario epochs ({max_epoch})")
-        comp = entry.get("compromise", [])
+        comp = _ids(entry.get("compromise", []), f"{w}.compromise")
         for uid in comp:
             _require(uid in user_ids, f"{w}.compromise", f"unknown user {uid}")
         compromised_at.setdefault(epoch, set()).update(comp)
@@ -184,26 +195,29 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
         compromised = compromised_at[clean["epoch"]]
         if "tamper" in entry:
             clean_tampers = []
+            _require(isinstance(entry["tamper"], list), f"{w}.tamper", "must be a list")
             for j, tam in enumerate(entry["tamper"]):
                 tw = f"{w}.tamper[{j}]"
                 _take(tam, tw, {"parent": True, "children": False})
-                parent = tam["parent"]
+                parent = _int(tam["parent"], f"{tw}.parent")
                 _require(parent in compromised, tw, f"tampering parent {parent} is not compromised that epoch")
-                kids = tam.get("children", [])
+                kids = _ids(tam.get("children", []), f"{tw}.children")
                 for kid in kids:
                     _require(id_to_parent.get(kid) == parent, tw, f"{kid} is not a child of {parent}")
                 clean_tampers.append({"parent": parent, "children": sorted(kids)})
             clean["tamper"] = clean_tampers
         if "false_claims" in entry:
             clean_claims = []
+            _require(isinstance(entry["false_claims"], list), f"{w}.false_claims", "must be a list")
             for j, fc in enumerate(entry["false_claims"]):
                 fw = f"{w}.false_claims[{j}]"
                 _take(fc, fw, {"accused": True, "claimers": True})
-                accused = fc["accused"]
-                for claimer in fc["claimers"]:
+                accused = _int(fc["accused"], f"{fw}.accused")
+                claimers = _ids(fc["claimers"], f"{fw}.claimers")
+                for claimer in claimers:
                     _require(id_to_parent.get(claimer) == accused, fw, f"{claimer} is not a child of {accused}")
                     _require(claimer in compromised, fw, f"false claimer {claimer} is not compromised that epoch")
-                clean_claims.append({"accused": accused, "claimers": sorted(fc["claimers"])})
+                clean_claims.append({"accused": accused, "claimers": sorted(claimers)})
             clean["false_claims"] = clean_claims
     return AdversaryConfig(strategy=strategy, budget=budget, targets=targets, script=tuple(script))
 
@@ -307,7 +321,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         tree=tree,
         secret=secret,
         epochs=epochs,
-        renewal_enabled=bool(data.get("renewal_enabled", True)),
+        renewal_enabled=_flag(data.get("renewal_enabled", True), f"{source}.renewal_enabled"),
         seed=seed,
         leave_policy=leave_policy,
         events=events,
@@ -364,10 +378,11 @@ def _parse_events(data, where: str, user_ids: set[int], max_epoch: int) -> tuple
         clean = {"epoch": epoch, "kind": kind}
         if kind in ("leave", "rejoin"):
             _require("user" in entry, w, f"{kind} event needs a user")
-            _require(entry["user"] in user_ids, f"{w}.user", f"unknown user {entry['user']}")
-            clean["user"] = entry["user"]
+            user = _int(entry["user"], f"{w}.user")
+            _require(user in user_ids, f"{w}.user", f"unknown user {user}")
+            clean["user"] = user
             if kind == "leave":
-                clean["mid_round"] = bool(entry.get("mid_round", False))
+                clean["mid_round"] = _flag(entry.get("mid_round", False), f"{w}.mid_round")
         else:
             _require("user" not in entry, w, "redeal events take no user")
             _require("mid_round" not in entry, w, "redeal events take no mid_round flag")

@@ -67,19 +67,6 @@ class HierarchyNode:
         return self.deactivated_by is None
 
 
-@dataclass
-class RoundState:
-    """Server-side state for one distribution round.
-
-    ``secret`` is the server's round scalar; it must never be serialized
-    into any message or snapshot visible to non-server parties. The
-    round's number is the tree's ``round_count``.
-    """
-
-    secret: int | None
-    public_key: CurvePoint | None
-
-
 class HierarchyTree:
     """Server plus user nodes, keyed by id, with level-0 root semantics."""
 
@@ -227,19 +214,18 @@ class HierarchyTree:
 
     # -- rounds and keys ----------------------------------------------------
 
-    def begin_round(self, rng: random.Random) -> RoundState:
-        """Start a distribution round; in curve mode the server samples a
-        round scalar and broadcasts its public round key."""
+    def begin_round(self, rng: random.Random) -> int | None:
+        """Start a distribution round (its number is ``round_count``) and
+        return the server's round scalar, None in no-curve mode. The scalar
+        never leaves the server. Its public round key R = secret·G is what
+        the server broadcasts, but nothing reads R: ``assign_round_keys``
+        stores each user's token·R from the base-point table."""
         if not any(node.active for node in self.nodes.values()):
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
-        if self.curve is None:
-            return RoundState(None, None)
-        secret = rng.randrange(1, self.curve.order)
-        public = scalar_mul(secret, self.curve.base_point)
-        return RoundState(secret, public)
+        return None if self.curve is None else rng.randrange(1, self.curve.order)
 
-    def assign_round_keys(self, round_state: RoundState) -> None:
+    def assign_round_keys(self, secret: int | None) -> None:
         """Store each active user's round key for the round (curve mode):
         token * serverPublic in the protocol, here the same point read from
         the base-point table as (token * secret mod order) * G. This relies
@@ -250,4 +236,4 @@ class HierarchyTree:
         G, order = self.curve.base_point, self.curve.order
         for node in self.nodes.values():
             if node.active:
-                node.round_key = scalar_mul(node.reg_token * round_state.secret % order, G)
+                node.round_key = scalar_mul(node.reg_token * secret % order, G)

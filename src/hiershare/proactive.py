@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .algebra import interpolate, poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
 from .errors import HierShareError
-from .hierarchy import ROOT_ID, HierarchyTree
+from .hierarchy import HierarchyTree
 from .sharing import GroupShares
 
 
@@ -41,7 +41,7 @@ class NoChildren(HierShareError):
 
 
 class MixedAccused(HierShareError):
-    """Claims for different accused nodes or epochs were resolved together."""
+    """Claims for different accused nodes were resolved together."""
 
 
 ACCUSED_COMPROMISED = "accused-compromised"
@@ -67,14 +67,12 @@ class RenewalBundle(NamedTuple):
 class ClaimRecord:
     claimer: int
     accused: int
-    epoch: int
 
 
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of the (n - k) rule for one accused node in one epoch."""
 
-    epoch: int
     accused: int
     outcome: str
     claimers: tuple[int, ...]
@@ -182,14 +180,12 @@ def apply_renewal(
     return GroupShares(group.parent, group.epoch + 1, group.threshold, members)
 
 
-def file_claim(
-    tree: HierarchyTree, claimer: int, accused: int, epoch: int
-) -> ClaimRecord:
+def file_claim(tree: HierarchyTree, claimer: int, accused: int) -> ClaimRecord:
     """Record a compromise claim with the administrator role; only a child
     may accuse its own parent."""
     if tree.node(claimer).parent != accused:
         raise ValueError(f"user {claimer} is not a child of {accused}")
-    return ClaimRecord(claimer=claimer, accused=accused, epoch=epoch)
+    return ClaimRecord(claimer=claimer, accused=accused)
 
 
 def resolve_claims(
@@ -200,14 +196,10 @@ def resolve_claims(
     if not claims:
         return None
     accused = {c.accused for c in claims}
-    epochs = {c.epoch for c in claims}
-    if len(accused) > 1 or len(epochs) > 1:
-        raise MixedAccused(
-            f"claims span accused {sorted(accused)} / epochs {sorted(epochs)}"
-        )
+    if len(accused) > 1:
+        raise MixedAccused(f"claims span accused {sorted(accused)}")
     outcome = ACCUSED_COMPROMISED if len(claims) >= n_children - k else CLAIMERS_COMPROMISED
     return Verdict(
-        epoch=epochs.pop(),
         accused=accused.pop(),
         outcome=outcome,
         claimers=tuple(sorted(c.claimer for c in claims)),
@@ -223,14 +215,13 @@ class RenewalOutcome:
     verdicts: tuple[Verdict, ...]
 
 
-MessageHook = Callable[[str, int, tuple[int, ...], object, bool], None]
+MessageHook = Callable[[str, int | None], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
 
 def renewal_round(
     tree: HierarchyTree,
     shares: dict[int, GroupShares],
-    epoch: int,
     rng: random.Random,
     *,
     perturb: PerturbHook | None = None,
@@ -241,8 +232,7 @@ def renewal_round(
     with at least one dealt active child, in id order.
 
     ``shares`` maps each holder to its group's record, as ``distribute``
-    returns it. ``epoch`` is the round index claims and verdicts are tagged
-    with; normally every group sits at epoch-1 and moves to epoch, but a
+    returns it. Each group moves one epoch on from its own record's, so a
     subtree whose previous renewal was discarded renews from wherever it
     lags.
 
@@ -255,9 +245,10 @@ def renewal_round(
     Verdicts are returned for the caller to act on (cleansing is the
     simulation's job, since it owns the adversary).
 
-    Traffic goes through ``on_message``: one sealed delta per dealt child,
-    in curve mode one commitment multicast per subtree root, and one claim
-    message per claim, ``extra_claims`` first.
+    Traffic goes through ``on_message(kind, to)``: one sealed
+    ``renewal-delta`` to each dealt child, in curve mode one
+    ``commitments`` multicast per subtree root, and one ``claim`` per claim,
+    ``extra_claims`` first; ``to`` is None for the public ones.
 
     With no subtree to renew the round is empty: the shares come back
     unchanged with no claims (``extra_claims`` included), no traffic, and
@@ -277,16 +268,14 @@ def renewal_round(
         bundles = generate_renewal(tree, group, kids, subtree_rng)
 
         if tree.curve is not None and on_message is not None:
-            on_message("commitments", root, tuple(kids), bundles[0].commitments, False)
+            on_message("commitments", None)
 
         delivered: list[RenewalBundle] = []
         for bundle in bundles:
             if perturb is not None:
                 bundle = perturb(bundle)
             if on_message is not None:
-                on_message(
-                    "renewal-delta", root, (bundle.recipient,), bundle, True
-                )
+                on_message("renewal-delta", bundle.recipient)
             delivered.append(bundle)
 
         if tree.curve is None or group_accepts_renewal(group, delivered, tree.curve):
@@ -297,17 +286,14 @@ def renewal_round(
                 if not accepts_renewal(bundle, group, tree.curve)
             ]
         if refused:
-            claims.extend(file_claim(tree, child, root, epoch) for child in refused)
+            claims.extend(file_claim(tree, child, root) for child in refused)
             continue
         renewed = apply_renewal(group, delivered, tree.field.modulus)
         new_shares.update(dict.fromkeys(kids, renewed))
 
     if on_message is not None:
-        for claim in claims:
-            on_message(
-                "claim", claim.claimer, (ROOT_ID,),
-                (claim.claimer, claim.accused, claim.epoch), False,
-            )
+        for _claim in claims:
+            on_message("claim", None)
 
     verdicts: list[Verdict] = []
     by_accused: dict[int, list[ClaimRecord]] = {}

@@ -1,13 +1,15 @@
 """Deterministic simulated network and mobile adversary.
 
-Messages are counted, not stored: sealed payloads reach only their
-addressee (the secure channel is axiomatic), broadcasts and commitment
-multicasts are public. Delivery is reliable and immediate: ``World.send``
-lets the adversary read a sealed share in the same call when it occupies
-the addressee's host, so every message lands within its sending epoch,
-which is what the per-subtree synchronization assumption demands of the
-transport. ``World.envelopes`` counts the current epoch's messages by
-kind; the epoch's report row reads its ``messages`` from it and resets it.
+Messages are counted, not stored: a message is its kind, plus its
+addressee when sealed. Sealed messages reach only their addressee (the
+secure channel is axiomatic); broadcasts, requests, claims and commitment
+multicasts are public, and each kind fixes its sender and audience.
+Delivery is reliable and immediate: ``World.send`` lets the adversary read
+a dealt share in the same call when it occupies the addressee's host, so
+every message lands within its sending epoch, which is what the
+per-subtree synchronization assumption demands of the transport.
+``World.envelopes`` counts the current epoch's messages by kind; the
+epoch's report row reads its ``messages`` from it and resets it.
 
 ``World.shares`` maps each share holder to its sibling group's record,
 shared with its siblings. A committed renewal moves the group's active
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .config import AdversaryConfig, ScenarioConfig, expand_tree
 from .errors import InvariantViolation
-from .hierarchy import ROOT_ID, HierarchyTree, RoundState
+from .hierarchy import HierarchyTree
 from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
 from .sharing import (
     DealerState,
@@ -117,7 +119,7 @@ def adversary_act(
     elif adv.config.strategy == "false-claimer":
         for uid in sorted(adv.occupied):
             if uid in tree.nodes and tree.nodes[uid].active and uid in shares:
-                claims.append(file_claim(tree, uid, tree.nodes[uid].parent, epoch))
+                claims.append(file_claim(tree, uid, tree.nodes[uid].parent))
     elif adv.config.strategy == "scripted":
         entry = _script_for_epoch(adv, epoch)
         for tam in entry["tamper"]:
@@ -126,7 +128,7 @@ def adversary_act(
                 tampered_pairs.add((tam["parent"], child))
         for fc in entry["false_claims"]:
             for claimer in fc["claimers"]:
-                claims.append(file_claim(tree, claimer, fc["accused"], epoch))
+                claims.append(file_claim(tree, claimer, fc["accused"]))
 
     def perturb(bundle: RenewalBundle) -> RenewalBundle:
         if (bundle.sender, bundle.recipient) not in tampered_pairs:
@@ -181,38 +183,28 @@ class World:
 
     # -- messaging ----------------------------------------------------------
 
-    def send(self, kind: str, sender: int, recipients: tuple[int, ...], payload, sealed: bool) -> None:
-        """Count one message by kind. A dealt share (its payload the
-        addressee's group record) is the one payload the adversary keeps,
-        and only when it occupies the addressee's host: it stores the
-        host's copy at epoch 0 of the live round. Public payloads yield
-        nothing (commitments are points, not coefficients)."""
+    def send(self, kind: str, to: int | None = None) -> None:
+        """Count one message by kind; ``to`` is the addressee of a sealed
+        one (``share``, ``renewal-delta``). A dealt share is the one
+        message the adversary keeps, and only when it occupies the
+        addressee's host: it stores the host's copy at epoch 0 of the live
+        round. Public messages yield nothing (commitments are points, not
+        coefficients)."""
         self.envelopes[kind] += 1
-        if sealed and kind == "share":
-            (owner,) = recipients
-            if owner in self.adversary.occupied:
-                held = payload.held_by(owner, owner in self.dealer.polynomials)
-                self.adversary.stolen_shares[(self.round_id, 0, owner)] = held
+        if kind == "share" and to in self.adversary.occupied:
+            self.adversary.stolen_shares[(self.round_id, 0, to)] = self._held_share(to)
 
     # -- dealing ------------------------------------------------------------
 
-    def _broadcast_round(self, round_state: RoundState) -> None:
-        if self.config.curve is not None:
-            self.send(
-                "round-key", ROOT_ID, tuple(self.tree.active_users()),
-                round_state.public_key, False,
-            )
-
-    def _request_messages(self, groups: dict[int, list[int]]) -> None:
-        for parent, kids in groups.items():
-            for uid in kids:
-                self.send(
-                    "reqm", uid, (ROOT_ID,),
-                    (uid, parent, len(groups.get(uid, ()))), False,
-                )
+    def _begin_round(self) -> int | None:
+        """Start a round; on a curve its public key is broadcast."""
+        secret = self.tree.begin_round(self.rng)
+        if secret is not None:
+            self.send("round-key")
+        return secret
 
     def _leave(self, uid: int) -> set[int]:
-        self.send("leave", uid, tuple(self.tree.active_users()), uid, False)
+        self.send("leave")
         return self.tree.leave(uid)
 
     def deal(self, mid_round_leaves: tuple[int, ...] = ()) -> None:
@@ -222,8 +214,7 @@ class World:
         pending = list(mid_round_leaves)
         if pending and self.config.leave_policy == "abort":
             # The aborted partial round still produced traffic.
-            aborted = self.tree.begin_round(self.rng)
-            self._broadcast_round(aborted)
+            self._begin_round()
             for uid in pending:
                 self._leave(uid)
             pending = []
@@ -234,11 +225,12 @@ class World:
     def _deal_once(self) -> None:
         last_error: Exception | None = None
         groups = self.tree.groups()
+        members = sum(map(len, groups.values()))
         for _ in range(_DEAL_ATTEMPTS):
-            round_state = self.tree.begin_round(self.rng)
-            self._broadcast_round(round_state)
-            self.tree.assign_round_keys(round_state)
-            self._request_messages(groups)
+            self.tree.assign_round_keys(self._begin_round())
+            # Each member's request names its parent and child count.
+            for _ in range(members):
+                self.send("reqm")
             try:
                 shares = distribute(self.tree, groups, self.dealer, self.config.tf, self.rng)
             except EvalPointCollision as exc:
@@ -246,7 +238,7 @@ class World:
                 continue
             self.shares = shares
             for uid in sorted(shares):
-                self.send("share", ROOT_ID, (uid,), shares[uid], True)
+                self.send("share", uid)
             return
         raise last_error
 
@@ -308,9 +300,8 @@ class World:
                 self.adversary, self.tree, self.shares, self.epoch
             )
             outcome = renewal_round(
-                self.tree, self.shares, self.epoch, self.rng,
-                perturb=perturb, extra_claims=false_claims,
-                on_message=self.send,
+                self.tree, self.shares, self.rng,
+                perturb=perturb, extra_claims=false_claims, on_message=self.send,
             )
             self.shares = outcome.shares
             claims = len(outcome.claims)

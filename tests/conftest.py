@@ -59,14 +59,14 @@ def deal(tree, secret, tf, rng, max_attempts=128):
     dealer = DealerState(secret=secret)
     last = None
     for _ in range(max_attempts):
-        state = tree.begin_round(rng)
-        tree.assign_round_keys(state)
+        round_secret = tree.begin_round(rng)
+        tree.assign_round_keys(round_secret)
         try:
             shares = distribute(tree, tree.groups(), dealer, tf, rng)
         except EvalPointCollision as exc:
             last = exc
             continue
-        return dealer, state, shares
+        return dealer, round_secret, shares
     raise last
 
 

@@ -348,6 +348,69 @@ class TestAdversaryValidation:
             parse_scenario(bad)
 
 
+def scripted(entry):
+    """An adversary of one epoch-1 script entry on the base tree."""
+    return {"adversary": {"strategy": "scripted", "script": [{"epoch": 1, **entry}]}}
+
+
+def leave_event(**fields):
+    return {"events": [{"epoch": 1, "kind": "leave", "user": 1, **fields}]}
+
+
+class TestMalformedFields:
+    """A wrongly typed field is a ConfigError naming it, never a bare
+    TypeError; a boolean is no user id, and a flag must be a boolean."""
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"adversary": {"targets": 5}}, r"adversary\.targets"),
+            ({"adversary": {"targets": [[1]]}}, r"adversary\.targets"),
+            ({"adversary": {"targets": [True]}}, r"adversary\.targets"),
+            (leave_event(user=[1]), r"events\[0\]\.user"),
+            (leave_event(user=True), r"events\[0\]\.user"),
+            (scripted({"compromise": 5}), r"adversary\.script\[0\]\.compromise"),
+            (scripted({"compromise": [[1]]}), r"adversary\.script\[0\]\.compromise"),
+            (scripted({"compromise": [True]}), r"adversary\.script\[0\]\.compromise"),
+            (scripted({"compromise": [1], "tamper": 5}), r"adversary\.script\[0\]\.tamper"),
+            (
+                scripted({"compromise": [1], "tamper": [{"parent": [1]}]}),
+                r"adversary\.script\[0\]\.tamper\[0\]\.parent",
+            ),
+            (
+                scripted({"compromise": [1], "tamper": [{"parent": 1, "children": 5}]}),
+                r"adversary\.script\[0\]\.tamper\[0\]\.children",
+            ),
+            (
+                scripted({"compromise": [1], "false_claims": 5}),
+                r"adversary\.script\[0\]\.false_claims",
+            ),
+            (
+                scripted({"compromise": [1], "false_claims": [{"accused": 0, "claimers": 5}]}),
+                r"adversary\.script\[0\]\.false_claims\[0\]\.claimers",
+            ),
+            ({"renewal_enabled": "no"}, r"renewal_enabled"),
+            ({"renewal_enabled": 0}, r"renewal_enabled"),
+            (leave_event(mid_round="no"), r"events\[0\]\.mid_round"),
+        ],
+        ids=[
+            "targets-int", "targets-nested", "targets-bool", "event-user-list",
+            "event-user-bool", "compromise-int", "compromise-nested", "compromise-bool",
+            "tamper-int", "tamper-parent-list", "tamper-children-int", "false-claims-int",
+            "claimers-int", "renewal-enabled-str", "renewal-enabled-int", "mid-round-str",
+        ],
+    )
+    def test_wrong_type_names_the_field(self, overrides, where):
+        with pytest.raises(ConfigError, match=f"^<scenario>\\.{where}: "):
+            parse_scenario(base_scenario(**overrides))
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_boolean_flags_parse(self, flag):
+        config = parse_scenario(base_scenario(renewal_enabled=flag, **leave_event(mid_round=flag)))
+        assert config.renewal_enabled is flag
+        assert config.events[0]["mid_round"] is flag
+
+
 class TestExpandTree:
     def test_bfs_numbering(self):
         tree = {

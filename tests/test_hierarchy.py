@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hiershare import hierarchy
 from hiershare.algebra import FieldParams
 from hiershare.curve import PROFILES, STANDARD_CURVE, scalar_mul
 from hiershare.hierarchy import (
@@ -42,16 +43,22 @@ class QueuedRandom(random.Random):
         return self._queue.pop(0)
 
 
+def public_round_key(tree, secret):
+    """The server's broadcast R = roundSecret * G, which the protocol
+    sends and the simulator never computes."""
+    return scalar_mul(secret, tree.curve.base_point)
+
+
 def derive_round_key_user(tree, user_id, public_round_key):
     """User-side round key: token * serverPublic, by the generic
     multiplication."""
     return scalar_mul(tree.node(user_id).reg_token, public_round_key)
 
 
-def derive_round_key_server(round_state, group_key):
+def derive_round_key_server(secret, group_key):
     """Server-side round key: roundSecret * groupKey. Agrees with the
     user-side derivation because both equal token*secret*G."""
-    return scalar_mul(round_state.secret, group_key)
+    return scalar_mul(secret, group_key)
 
 
 @pytest.fixture
@@ -117,15 +124,15 @@ class TestRegister:
 class TestBeginRound:
     def test_public_key_on_curve(self, toy_tree, rng):
         toy_tree.register(ROOT_ID, rng)
-        state = toy_tree.begin_round(rng)
-        assert not state.public_key.is_identity
-        assert toy_tree.curve.contains(state.public_key.x, state.public_key.y)
+        public = public_round_key(toy_tree, toy_tree.begin_round(rng))
+        assert not public.is_identity
+        assert toy_tree.curve.contains(public.x, public.y)
 
     def test_forced_unit_secret_gives_base_point(self, toy_tree, rng):
         toy_tree.register(ROOT_ID, rng)
-        state = toy_tree.begin_round(QueuedRandom([1]))
-        assert state.secret == 1
-        assert state.public_key == toy_tree.curve.base_point
+        secret = toy_tree.begin_round(QueuedRandom([1]))
+        assert secret == 1
+        assert public_round_key(toy_tree, secret) == toy_tree.curve.base_point
 
     def test_two_rounds_distinct_secrets(self, toy_tree):
         rng = random.Random(5)
@@ -133,8 +140,25 @@ class TestBeginRound:
         first = toy_tree.begin_round(rng)
         assert toy_tree.round_count == 1
         second = toy_tree.begin_round(rng)
-        assert first.secret != second.secret
+        assert first != second
         assert toy_tree.round_count == 2
+
+    def test_draws_one_scalar_and_multiplies_nothing(self, toy_tree, rng, monkeypatch):
+        toy_tree.register(ROOT_ID, rng)
+        calls = []
+        monkeypatch.setattr(hierarchy, "scalar_mul", lambda *args: calls.append(args))
+        draws = QueuedRandom([5, 6])
+        assert toy_tree.begin_round(draws) == 5
+        assert draws._queue == [6]
+        assert calls == []
+
+    def test_no_curve_round_draws_nothing(self, rng):
+        tree = HierarchyTree(None, FieldParams(31))
+        tree.register(ROOT_ID, rng)
+        before = rng.getstate()
+        assert tree.begin_round(rng) is None
+        assert rng.getstate() == before
+        assert tree.round_count == 1
 
     def test_empty_hierarchy(self, toy_tree, rng):
         with pytest.raises(EmptyHierarchy):
@@ -156,14 +180,13 @@ class TestRoundKeys:
     def test_unit_token_returns_public_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, QueuedRandom([1]))
         assert node.reg_token == 1
-        state = toy_tree.begin_round(rng)
-        toy_tree.assign_round_keys(state)
-        assert node.round_key == state.public_key
+        secret = toy_tree.begin_round(rng)
+        toy_tree.assign_round_keys(secret)
+        assert node.round_key == public_round_key(toy_tree, secret)
 
     def test_token_three_secret_two_gives_sixth_multiple(self, toy_tree):
         node = toy_tree.register(ROOT_ID, QueuedRandom([3]))
-        state = toy_tree.begin_round(QueuedRandom([2]))
-        toy_tree.assign_round_keys(state)
+        toy_tree.assign_round_keys(toy_tree.begin_round(QueuedRandom([2])))
         assert node.round_key == scalar_mul(6, toy_tree.curve.base_point)
 
     def test_inactive_node_refused(self, toy_tree, rng):
@@ -177,23 +200,24 @@ class TestRoundKeys:
 
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
-        state = toy_tree.begin_round(QueuedRandom([1]))
-        assert derive_round_key_server(state, node.group_key) == node.group_key
+        secret = toy_tree.begin_round(QueuedRandom([1]))
+        assert derive_round_key_server(secret, node.group_key) == node.group_key
 
     def test_identity_group_key_gives_identity(self, toy_tree, rng):
         toy_tree.register(ROOT_ID, rng)
-        state = toy_tree.begin_round(rng)
-        assert derive_round_key_server(state, toy_tree.curve.identity()).is_identity
+        secret = toy_tree.begin_round(rng)
+        assert derive_round_key_server(secret, toy_tree.curve.identity()).is_identity
 
     def test_user_and_server_derivations_agree(self, toy_tree):
         # Every node, many rounds: token*(secret*G) == secret*(token*G).
         rng = random.Random(13)
         nodes = [toy_tree.register(ROOT_ID, rng) for _ in range(8)]
         for _ in range(10):
-            state = toy_tree.begin_round(rng)
+            secret = toy_tree.begin_round(rng)
+            public = public_round_key(toy_tree, secret)
             for node in nodes:
-                user_side = derive_round_key_user(toy_tree, node.id, state.public_key)
-                server_side = derive_round_key_server(state, node.group_key)
+                user_side = derive_round_key_user(toy_tree, node.id, public)
+                server_side = derive_round_key_server(secret, node.group_key)
                 assert user_side == server_side
 
     @pytest.mark.parametrize("curve_name", ["toy", "standard"])
@@ -208,14 +232,15 @@ class TestRoundKeys:
         tree.register(3, rng)
         tree.leave(3)
         for _ in range(4):
-            state = tree.begin_round(rng)
-            tree.assign_round_keys(state)
+            secret = tree.begin_round(rng)
+            tree.assign_round_keys(secret)
+            public = public_round_key(tree, secret)
             for node in tree.nodes.values():
                 if not node.active:
                     assert node.round_key is None
                     continue
-                assert node.round_key == derive_round_key_user(tree, node.id, state.public_key)
-                assert node.round_key == derive_round_key_server(state, node.group_key)
+                assert node.round_key == derive_round_key_user(tree, node.id, public)
+                assert node.round_key == derive_round_key_server(secret, node.group_key)
 
 
 class TestLeaveAndRejoin:

@@ -32,7 +32,7 @@ def toy_dealt_tree(rng, spec, factor, secret_value=7):
     from hiershare.curve import TOY_CURVE
 
     tree = make_tree(spec, rng, curve=TOY_CURVE)
-    dealer, state, shares = deal(tree, secret_value, factor, rng)
+    dealer, _round_secret, shares = deal(tree, secret_value, factor, rng)
     return tree, dealer, shares, secret_value
 
 
@@ -176,13 +176,13 @@ class TestApplyRenewal:
 class TestClaims:
     def test_file_claim_requires_parentage(self, rng):
         tree, _dealer, _shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        claim = file_claim(tree, 1, ROOT_ID, 3)
-        assert claim == ClaimRecord(claimer=1, accused=ROOT_ID, epoch=3)
+        claim = file_claim(tree, 1, ROOT_ID)
+        assert claim == ClaimRecord(claimer=1, accused=ROOT_ID)
         with pytest.raises(ValueError):
-            file_claim(tree, 1, 2, 3)
+            file_claim(tree, 1, 2)
 
     def test_resolution_branches(self):
-        claims = [ClaimRecord(i, 9, 1) for i in (1, 2, 3)]
+        claims = [ClaimRecord(i, 9) for i in (1, 2, 3)]
         verdict = resolve_claims(claims, n_children=5, k=2)
         assert verdict.outcome == ACCUSED_COMPROMISED
         assert verdict.claimers == (1, 2, 3)
@@ -193,7 +193,7 @@ class TestClaims:
         assert resolve_claims([], n_children=5, k=2) is None
 
     def test_mixed_accused_rejected(self):
-        claims = [ClaimRecord(1, 9, 1), ClaimRecord(2, 8, 1)]
+        claims = [ClaimRecord(1, 9), ClaimRecord(2, 8)]
         with pytest.raises(MixedAccused):
             resolve_claims(claims, n_children=5, k=2)
 
@@ -204,7 +204,7 @@ class TestRenewalRound:
             rng, [[[], []], [[], []]], tf(1, 2), secret_value=3
         )
         sent = []
-        outcome = renewal_round(tree, shares, 1, rng, on_message=lambda *m: sent.append(m))
+        outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
         # 6 users -> 6 sealed deltas; 3 subtree roots -> 3 multicasts.
         assert len(sent) == 6 + 3
         assert outcome.verdicts == ()
@@ -216,8 +216,8 @@ class TestRenewalRound:
         tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[[], []], []], tf(1, 2), secret_value=16
         )
-        for epoch in range(1, 21):
-            outcome = renewal_round(tree, shares, epoch, rng)
+        for _ in range(20):
+            outcome = renewal_round(tree, shares, rng)
             shares = outcome.shares
             assert not outcome.verdicts
         assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
@@ -231,9 +231,9 @@ class TestRenewalRound:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[[], []], [[], [], []], []], tf(2, 3)
         )
-        together = renewal_round(tree, dict(shares), 1, random.Random(31)).shares
+        together = renewal_round(tree, dict(shares), random.Random(31)).shares
         tree.leave(1)
-        apart = renewal_round(tree, dict(shares), 1, random.Random(31)).shares
+        apart = renewal_round(tree, dict(shares), random.Random(31)).shares
         assert tree.active_users() == [2, 3, 6, 7, 8]
         for uid in tree.active_users():
             assert apart[uid].epoch == together[uid].epoch == 1
@@ -249,7 +249,7 @@ class TestRenewalRound:
                 return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
             return bundle
 
-        outcome = renewal_round(tree, shares, 1, rng, perturb=corrupt_node_one)
+        outcome = renewal_round(tree, shares, rng, perturb=corrupt_node_one)
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
         # 3 honest children, n=3, k=1: 3 >= 2 claims convict the parent.
@@ -285,7 +285,7 @@ class TestRenewalRound:
                 commitments=commitments,
             )
 
-        outcome = renewal_round(tree, shares, 1, rng, perturb=raise_degree)
+        outcome = renewal_round(tree, shares, rng, perturb=raise_degree)
         assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
         assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
@@ -295,8 +295,8 @@ class TestRenewalRound:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(1, 2)
         )
-        lies = [file_claim(tree, 2, ROOT_ID, 1)]
-        outcome = renewal_round(tree, shares, 1, rng, extra_claims=lies)
+        lies = [file_claim(tree, 2, ROOT_ID)]
+        outcome = renewal_round(tree, shares, rng, extra_claims=lies)
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
         # n=4, threshold 2, k=1: one claim < n-k=3 blames the claimer.
@@ -308,11 +308,11 @@ class TestRenewalRound:
         and no draw from the generator, so the next epoch sees the same
         random stream."""
         tree, _dealer, _shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        lies = [file_claim(tree, 2, ROOT_ID, 1)]
+        lies = [file_claim(tree, 2, ROOT_ID)]
         sent = []
         before = rng.getstate()
         outcome = renewal_round(
-            tree, {}, 1, rng, extra_claims=lies, on_message=lambda *m: sent.append(m)
+            tree, {}, rng, extra_claims=lies, on_message=lambda *m: sent.append(m)
         )
         assert (outcome.shares, outcome.claims, outcome.verdicts) == ({}, (), ())
         assert sent == []
@@ -323,7 +323,7 @@ class TestRenewalRound:
         secret = 400
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         sent = []
-        outcome = renewal_round(tree, shares, 1, rng, on_message=lambda *m: sent.append(m))
+        outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
         assert [m[0] for m in sent] == ["renewal-delta"] * len(shares)
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
 
@@ -340,7 +340,7 @@ class TestStalenessAcrossEpochs:
         tree = make_tree([[], []], rng, prime=31)
         secret = 23
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        outcome = renewal_round(tree, dict(shares), 1, rng)
+        outcome = renewal_round(tree, dict(shares), rng)
 
         x1, v1 = shares[1].members[1]                # epoch 0
         x2, v2 = outcome.shares[2].members[2]        # epoch 1
@@ -364,7 +364,7 @@ class TestStalenessAcrossEpochs:
         tree = make_tree([[], [], []], rng, prime=31)
         secret = 14
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        outcome = renewal_round(tree, dict(shares), 1, rng)
+        outcome = renewal_round(tree, dict(shares), rng)
 
         old = [shares[u].members[u] for u in (1, 2)]
         x3, v3 = outcome.shares[3].members[3]
@@ -403,7 +403,7 @@ class TestBatchCheck:
             seen.append(tamper(bundle))
             return seen[-1]
 
-        outcome = renewal_round(tree, shares, 1, random.Random(seed), perturb=perturb)
+        outcome = renewal_round(tree, shares, random.Random(seed), perturb=perturb)
         return outcome, seen
 
     def alone(self, tree, shares, seen):
@@ -620,7 +620,7 @@ class TestBatchCheck:
         states = []
         for perturb in (None, bump):
             rng = random.Random(77)
-            outcome = renewal_round(tree, shares, 1, rng, perturb=perturb)
+            outcome = renewal_round(tree, shares, rng, perturb=perturb)
             states.append(rng.getstate())
         assert self.claimers(outcome) == [2]
         assert states[0] == states[1]
@@ -662,7 +662,7 @@ class TestCheckCounts:
                 return bundle
             return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
-        outcome = renewal_round(tree, shares, 1, rng, perturb=bump)
+        outcome = renewal_round(tree, shares, rng, perturb=bump)
         return tree, outcome, counts
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):

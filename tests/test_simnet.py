@@ -116,7 +116,7 @@ class TestDeterminism:
     def test_row_counts_the_epochs_messages_then_resets(self):
         world = World(scenario(epochs=4))
         world.initial_deal()
-        world.send("claim", 1, (0,), None, False)
+        world.send("claim")
         row = world.step_epoch()
         # The extra claim plus three sealed renewal deltas.
         assert row["messages"] == {"claim": 1, "renewal-delta": 3}
@@ -683,6 +683,28 @@ class TestLoadAndDealCost:
         assert passes == []
         curve.scalar_mul(3, world.tree.nodes[1].round_key)
         assert passes == [1]
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_leaves_and_deals_scan_no_active_users(self, monkeypatch, curved):
+        # Epoch 1: a leave, then a redeal; epoch 2: a mid-round leave that
+        # aborts one round. On a curve every round broadcasts its key.
+        overrides = {"field_mode": "curve-order", "curve": "standard",
+                     "field_prime": None, "eval_mode": None} if curved else {}
+        active_users = self.count_calls(monkeypatch, "active_users")
+        world = World(scenario(
+            tree=self.FOUR_GROUPS, epochs=2, leave_policy="abort", events=[
+                {"epoch": 1, "kind": "leave", "user": 5},
+                {"epoch": 1, "kind": "redeal"},
+                {"epoch": 2, "kind": "leave", "user": 7, "mid_round": True},
+            ], **overrides,
+        ))
+        rows = world.run().rows
+        assert [row["messages"].get("leave", 0) for row in rows] == [0, 1, 1]
+        assert [row["messages"].get("round-key", 0) for row in rows] == (
+            [1, 1, 2] if curved else [0, 0, 0]
+        )
+        assert [row["messages"]["reqm"] for row in rows] == [8, 7, 6]
+        assert active_users == []
 
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))

@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's
 ``ast`` (no linter is needed): every name a module or test file imports is
-used there, the package imports nothing outside the standard library, and
-every name ``hiershare.__all__`` exports exists.
+used there, every parameter of a package function is read, the package
+imports nothing outside the standard library, and every name
+``hiershare.__all__`` exports exists.
 """
 
 import ast
@@ -124,3 +125,33 @@ def test_every_error_class_is_raised():
             elif isinstance(target, ast.Attribute):
                 constructed.add(target.attr)
     assert sorted(errors - {"HierShareError"} - constructed) == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters that their function's body never reads, as
+    ``name.parameter (line n)``; ``self``, ``cls`` and ``_``-prefixed names
+    are exempt. A read inside a nested function or lambda counts."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            name.id for stmt in body for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        label = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{label}.{param.arg} (line {node.lineno})" for param in params
+            if param.arg not in ("self", "cls") and not param.arg.startswith("_")
+            and param.arg not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
