@@ -4,7 +4,8 @@ The server sits at the root (level 0) and every user hangs below it; a
 child's level is its parent's plus one. Registration-token delivery is out
 of band by definition (it never crosses the simulated network), so
 ``register`` writes the token straight into the node. The group key is
-stored once, on the node; the server reads it there.
+stored once, on the node; the server reads it there. Round keys are
+computed per deal attempt (``assign_round_keys``) and never stored.
 
 The tree is a single mutable state owned by the simulation loop; all
 mutations happen on one logical thread.
@@ -50,14 +51,13 @@ class PositionOccupied(HierShareError):
 
 @dataclass
 class HierarchyNode:
-    """One user slot: identity, secret token, keys, and parent link. A
-    slot is vacant (its member left) while its token is None."""
+    """One user slot: identity, secret token, group key, and parent link.
+    A slot is vacant (its member left) while its token is None."""
 
     id: int
     parent: int
     reg_token: int | None = None
     group_key: CurvePoint | None = None
-    round_key: CurvePoint | None = None
     deactivated_by: int | None = None
 
     @property
@@ -191,7 +191,6 @@ class HierarchyTree:
             node = self.nodes[uid]
             if node.active:
                 node.deactivated_by = user_id
-                node.round_key = None
                 deactivated.add(uid)
         leaver.reg_token = None
         leaver.group_key = None
@@ -219,21 +218,21 @@ class HierarchyTree:
         return the server's round scalar, None in no-curve mode. The scalar
         never leaves the server. Its public round key R = secret·G is what
         the server broadcasts, but nothing reads R: ``assign_round_keys``
-        stores each user's token·R from the base-point table."""
+        derives each user's token·R from the base-point table."""
         if not any(node.active for node in self.nodes.values()):
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
         return None if self.curve is None else rng.randrange(1, self.curve.order)
 
-    def assign_round_keys(self, secret: int | None) -> None:
-        """Store each active user's round key for the round (curve mode):
-        token * serverPublic in the protocol, here the same point read from
-        the base-point table as (token * secret mod order) * G. This relies
-        on ``validate_curve``'s check that the order is prime and that
+    def assign_round_keys(self, secret: int | None) -> dict[int, CurvePoint]:
+        """Each active user's round key for the round whose scalar is
+        ``secret``, none without a curve: token * serverPublic in the
+        protocol, here the same point read from the base-point table as
+        (token * secret mod order) * G. Nothing is stored. This relies on
+        ``validate_curve``'s check that the order is prime and that
         order * G is the identity."""
         if self.curve is None:
-            return
+            return {}
         G, order = self.curve.base_point, self.curve.order
-        for node in self.nodes.values():
-            if node.active:
-                node.round_key = scalar_mul(node.reg_token * secret % order, G)
+        active = (node for node in self.nodes.values() if node.active)
+        return {node.id: scalar_mul(node.reg_token * secret % order, G) for node in active}

@@ -84,15 +84,16 @@ def generate_renewal(
     owners: Sequence[int],
     rng: random.Random,
 ) -> list[RenewalBundle]:
-    """Produce the renewal bundles ``group``'s parent sends the members
-    ``owners`` (its active ones, in id order).
+    """Produce the renewal bundles ``group``'s parent (its members' tree
+    parent) sends the members ``owners`` (its active ones, in id order).
 
     The polynomial degree equals the group's dealt degree (threshold - 1),
     so a single-child threshold-1 group gets the zero polynomial and an
     empty commitment list.
     """
+    sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
-        raise NoChildren(f"subtree root {group.parent} has no dealt active children")
+        raise NoChildren(f"subtree root {sender} has no dealt active children")
     p = tree.field.modulus
     delta_poly = sample_polynomial(rng, group.threshold - 1, 0, p)
     if tree.curve is not None:
@@ -104,7 +105,7 @@ def generate_renewal(
         commitments = ()
     return [
         RenewalBundle(
-            sender=group.parent,
+            sender=sender,
             recipient=owner,
             delta=poly_eval(delta_poly, group.members[owner][0], p),
             commitments=commitments,
@@ -177,7 +178,7 @@ def apply_renewal(
     for bundle in delivered:
         eval_point, value = group.members[bundle.recipient]
         members[bundle.recipient] = (eval_point, (value + bundle.delta) % p)
-    return GroupShares(group.parent, group.epoch + 1, group.threshold, members)
+    return GroupShares(group.epoch + 1, group.threshold, members)
 
 
 def file_claim(tree: HierarchyTree, claimer: int, accused: int) -> ClaimRecord:

@@ -104,11 +104,11 @@ class HeldShare(NamedTuple):
 
 class GroupShares(NamedTuple):
     """One sibling group's shares in one epoch of the live round: the
-    group's parent, its epoch and threshold, and each member's (evaluation
-    point, kept value) in id order. Renewal commits or discards a whole
-    group, so it builds a new record rather than changing this one."""
+    group's epoch and threshold, and each member's (evaluation point, kept
+    value) in id order. The group's parent is its members' tree parent.
+    Renewal commits or discards a whole group, so it builds a new record
+    rather than changing this one."""
 
-    parent: int
     epoch: int
     threshold: int
     members: Mapping[int, tuple[int, int]]
@@ -135,8 +135,11 @@ class DealerState:
     polynomials: dict[int, Polynomial] = field(default_factory=dict)
 
 
-def assign_eval_points(tree: HierarchyTree, groups: Mapping[int, list[int]]) -> dict[int, int]:
-    """Evaluation point per member of ``groups`` (``tree.groups()``).
+def assign_eval_points(
+    tree: HierarchyTree, groups: Mapping[int, list[int]], round_secret: int | None
+) -> dict[int, int]:
+    """Evaluation point per member of ``groups`` (``tree.groups()``) in the
+    round whose server scalar is ``round_secret``.
 
     On a curve it is the x-coordinate of the user's round key reduced into
     the share field (giving round keys their per-round purpose); without a
@@ -145,17 +148,12 @@ def assign_eval_points(tree: HierarchyTree, groups: Mapping[int, list[int]]) -> 
     is a configuration error.
     """
     p = tree.field.modulus
+    keys = tree.assign_round_keys(round_secret)
     points: dict[int, int] = {}
     for group in groups.values():
         seen: dict[int, int] = {}
         for uid in group:
-            if tree.curve is None:
-                x = uid % p
-            else:
-                key = tree.nodes[uid].round_key
-                if key is None:
-                    raise InactiveSubtree(f"user {uid} has no round key")
-                x = key.x % p
+            x = (uid if tree.curve is None else keys[uid].x) % p
             if x == 0:
                 raise EvalPointCollision(f"user {uid} drew evaluation point zero")
             if x in seen:
@@ -173,10 +171,12 @@ def distribute(
     dealer: DealerState,
     tf: ThresholdFactor,
     rng: random.Random,
+    round_secret: int | None,
 ) -> dict[int, GroupShares]:
     """Deal the dealer's secret down ``groups`` (the tree's ``groups()``),
     one sibling group at a time in parent-id order, and map each active
-    user to its group's epoch-0 record.
+    user to its group's epoch-0 record. ``round_secret`` is what
+    ``begin_round`` returned; it fixes the evaluation points.
 
     A parent's id is below its children's, so its polynomial is drawn
     before its own group is dealt. The field modulus is the same at every
@@ -192,7 +192,7 @@ def distribute(
                     f"internal node {uid} has no active children; a leave blocked the round"
                 )
 
-    points = assign_eval_points(tree, groups)
+    points = assign_eval_points(tree, groups, round_secret)
     p = tree.field.modulus
 
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
@@ -212,7 +212,7 @@ def distribute(
             else:
                 kept = evaluation
             members[uid] = (points[uid], kept)
-        group = GroupShares(parent, 0, polynomial.degree + 1, members)
+        group = GroupShares(0, polynomial.degree + 1, members)
         shares.update(dict.fromkeys(kids, group))
     return shares
 

@@ -20,9 +20,9 @@ Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
 the deal) before the adversary hops between hosts, so a redeal's mail
 still reaches the previous epoch's occupants. The adversary holds at most
 its per-epoch budget of nodes at a time. On an occupied node it reads all
-local state (its copy of its share, registration token, round key) and
-controls outgoing protocol messages; it cannot break the sealed channel
-toward anyone else.
+local state (its copy of its share and its registration token; a round
+key is not kept state) and controls outgoing protocol messages; it
+cannot break the sealed channel toward anyone else.
 Renewal counts as completing within the period, so an occupation exposes
 the occupied epoch's share value, never an earlier one. Hardness of the
 curve discrete log is not simulated: secrecy assertions are structural
@@ -227,12 +227,12 @@ class World:
         groups = self.tree.groups()
         members = sum(map(len, groups.values()))
         for _ in range(_DEAL_ATTEMPTS):
-            self.tree.assign_round_keys(self._begin_round())
+            round_secret = self._begin_round()
             # Each member's request names its parent and child count.
             for _ in range(members):
                 self.send("reqm")
             try:
-                shares = distribute(self.tree, groups, self.dealer, self.config.tf, self.rng)
+                shares = distribute(self.tree, groups, self.dealer, self.config.tf, self.rng, round_secret)
             except EvalPointCollision as exc:
                 last_error = exc
                 continue

@@ -6,7 +6,7 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch message counts are empty, so
 no message count is stored.
 
-Format 7 stores each fact once and nothing derivable. A restore builds
+Format 8 stores each fact once and nothing derivable. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, the live round from the
@@ -17,8 +17,9 @@ function of the epoch. Shares are stored once per sibling-group record
 that some host holds: its epoch, its threshold, each member's (owner,
 evaluation point, value) and the hosts that hold it; its parent is its
 holders' parent. Group keys are stored, as the server's
-record (recomputing costs a scalar multiplication per node). Formats 1-6
-are refused.
+record (recomputing costs a scalar multiplication per node). Round keys
+are not: they live only while a deal attempt computes evaluation points.
+Formats 1-7 are refused.
 
 A snapshot holds every secret in the clear: the dealer secret, the
 dealing polynomials (and with them the retained parts), every share and
@@ -39,7 +40,7 @@ from .hierarchy import HierarchyNode
 from .sharing import GroupShares, HeldShare, Polynomial
 from .simnet import World
 
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 
 class VersionMismatch(HierShareError):
@@ -98,8 +99,7 @@ def _groups_in(data: list[dict], world: World) -> dict[int, GroupShares]:
             uid: (_field_in(x, world), _field_in(value, world))
             for uid, x, value in item["members"]
         }
-        parent = world.tree.nodes[item["holders"][0]].parent
-        group = GroupShares(parent, item["epoch"], item["threshold"], members)
+        group = GroupShares(item["epoch"], item["threshold"], members)
         shares.update(dict.fromkeys(item["holders"], group))
     return shares
 
@@ -116,7 +116,6 @@ def world_to_dict(world: World) -> dict:
                 "parent": node.parent,
                 "reg_token": None if node.reg_token is None else str(node.reg_token),
                 "group_key": _point_out(node.group_key),
-                "round_key": _point_out(node.round_key),
                 "deactivated_by": node.deactivated_by,
             }
         )
@@ -167,7 +166,6 @@ def world_from_dict(data: dict) -> World:
                 parent=node_data["parent"],
                 reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
                 group_key=_point_in(node_data["group_key"], world),
-                round_key=_point_in(node_data["round_key"], world),
                 deactivated_by=node_data["deactivated_by"],
             )
         )

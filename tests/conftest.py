@@ -54,15 +54,14 @@ def random_tree_spec(rng, max_depth=4, max_fanout=6):
 
 
 def deal(tree, secret, tf, rng, max_attempts=128):
-    """begin_round + round keys + distribute, retrying fresh rounds on
+    """begin_round + distribute, retrying fresh rounds on
     evaluation-point collisions (the upstream resolution)."""
     dealer = DealerState(secret=secret)
     last = None
     for _ in range(max_attempts):
         round_secret = tree.begin_round(rng)
-        tree.assign_round_keys(round_secret)
         try:
-            shares = distribute(tree, tree.groups(), dealer, tf, rng)
+            shares = distribute(tree, tree.groups(), dealer, tf, rng, round_secret)
         except EvalPointCollision as exc:
             last = exc
             continue

@@ -1,5 +1,6 @@
 """Tree membership, key derivation, leave and rejoin."""
 
+import copy
 import random
 
 import pytest
@@ -181,22 +182,39 @@ class TestRoundKeys:
         node = toy_tree.register(ROOT_ID, QueuedRandom([1]))
         assert node.reg_token == 1
         secret = toy_tree.begin_round(rng)
-        toy_tree.assign_round_keys(secret)
-        assert node.round_key == public_round_key(toy_tree, secret)
+        keys = toy_tree.assign_round_keys(secret)
+        assert keys[node.id] == public_round_key(toy_tree, secret)
 
     def test_token_three_secret_two_gives_sixth_multiple(self, toy_tree):
         node = toy_tree.register(ROOT_ID, QueuedRandom([3]))
-        toy_tree.assign_round_keys(toy_tree.begin_round(QueuedRandom([2])))
-        assert node.round_key == scalar_mul(6, toy_tree.curve.base_point)
+        keys = toy_tree.assign_round_keys(toy_tree.begin_round(QueuedRandom([2])))
+        assert keys[node.id] == scalar_mul(6, toy_tree.curve.base_point)
 
     def test_inactive_node_refused(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
         other = toy_tree.register(ROOT_ID, rng)
-        toy_tree.assign_round_keys(toy_tree.begin_round(rng))
+        assert set(toy_tree.assign_round_keys(toy_tree.begin_round(rng))) == {node.id, other.id}
         toy_tree.leave(node.id)
-        toy_tree.assign_round_keys(toy_tree.begin_round(rng))
-        assert node.round_key is None
-        assert other.round_key is not None
+        assert set(toy_tree.assign_round_keys(toy_tree.begin_round(rng))) == {other.id}
+
+    @pytest.mark.parametrize("curve_name", ["toy", "standard", None])
+    def test_writes_nothing_and_keys_exactly_the_active_users(self, curve_name):
+        # Without a curve there are no round keys at all.
+        if curve_name is None:
+            tree = HierarchyTree(None, FieldParams(31))
+        else:
+            tree = HierarchyTree.for_curve(PROFILES[curve_name])
+        rng = random.Random(31)
+        for _ in range(4):
+            tree.register(ROOT_ID, rng)
+        tree.register(1, rng)
+        tree.register(2, rng)
+        tree.leave(2)
+        before = copy.deepcopy(tree.nodes)
+        keys = tree.assign_round_keys(tree.begin_round(rng))
+        assert tree.nodes == before
+        expected = [] if curve_name is None else tree.active_users()
+        assert sorted(keys) == expected
 
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
@@ -221,9 +239,9 @@ class TestRoundKeys:
                 assert user_side == server_side
 
     @pytest.mark.parametrize("curve_name", ["toy", "standard"])
-    def test_stored_key_matches_both_derivations(self, curve_name):
-        # The stored (token*secret mod n)*G equals token*R and secret*groupKey
-        # for every active user, and inactive users store nothing.
+    def test_returned_key_matches_both_derivations(self, curve_name):
+        # The returned (token*secret mod n)*G equals token*R and
+        # secret*groupKey for every active user.
         tree = HierarchyTree.for_curve(PROFILES[curve_name])
         rng = random.Random(29)
         for _ in range(6):
@@ -233,14 +251,11 @@ class TestRoundKeys:
         tree.leave(3)
         for _ in range(4):
             secret = tree.begin_round(rng)
-            tree.assign_round_keys(secret)
+            keys = tree.assign_round_keys(secret)
             public = public_round_key(tree, secret)
-            for node in tree.nodes.values():
-                if not node.active:
-                    assert node.round_key is None
-                    continue
-                assert node.round_key == derive_round_key_user(tree, node.id, public)
-                assert node.round_key == derive_round_key_server(secret, node.group_key)
+            for uid, key in keys.items():
+                assert key == derive_round_key_user(tree, uid, public)
+                assert key == derive_round_key_server(secret, tree.node(uid).group_key)
 
 
 class TestLeaveAndRejoin:

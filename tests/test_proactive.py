@@ -153,7 +153,7 @@ class TestApplyRenewal:
         bundles = generate_renewal(tree, group, kids, rng)
         renewed = apply_renewal(group, bundles, tree.field.modulus)
         assert renewed.members == group.members
-        assert (renewed.parent, renewed.epoch, renewed.threshold) == (ROOT_ID, 1, 1)
+        assert (renewed.epoch, renewed.threshold) == (1, 1)
 
     def test_round_trip_after_renewal(self, rng):
         tree, dealer, shares, secret = toy_dealt_tree(

@@ -110,7 +110,7 @@ class TestDistribute:
         for parent, kids in tree.groups().items():
             group = shares[kids[0]]
             assert all(shares[kid] is group for kid in kids)
-            assert (group.parent, group.epoch) == (parent, 0)
+            assert group.epoch == 0
             assert list(group.members) == kids
             assert group.threshold == dealer.polynomials[parent].degree + 1
 
@@ -136,33 +136,33 @@ class TestDistribute:
     def test_no_active_level_one_users(self, rng):
         tree = make_tree([[]], rng, prime=1009)
         dealer = DealerState(secret=1)
-        tree.begin_round(rng)
+        round_secret = tree.begin_round(rng)
         tree.leave(1)  # the round outlives the membership
         with pytest.raises(InactiveSubtree):
-            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng, round_secret)
 
     def test_internal_node_without_active_children_blocks(self, rng):
         tree = make_tree([[[]], []], rng, prime=1009)
         tree.leave(3)  # node 1's only child
         dealer = DealerState(secret=1)
-        tree.begin_round(rng)
+        round_secret = tree.begin_round(rng)
         with pytest.raises(InactiveSubtree):
-            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng, round_secret)
 
     def test_zero_eval_point_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(19)], rng, prime=19)
         dealer = DealerState(secret=1)
-        tree.begin_round(rng)
+        round_secret = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng, round_secret)
 
     def test_sibling_eval_collision_user_id_mode(self, rng):
         tree = make_tree([[] for _ in range(21)], rng, prime=19)
         tree.leave(19)  # avoid the zero point; 20 = 1 mod 19 still collides
         dealer = DealerState(secret=1)
-        tree.begin_round(rng)
+        round_secret = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
-            distribute(tree, tree.groups(), dealer, tf(1, 2), rng)
+            distribute(tree, tree.groups(), dealer, tf(1, 2), rng, round_secret)
 
 
 class TestReconstruct:

@@ -663,8 +663,8 @@ class TestLoadAndDealCost:
         assert active_children == []
 
     def test_curve_deal_multiplies_only_the_base_point(self, monkeypatch):
-        # Group keys, the public round key and every stored round key read
-        # the base-point table; any other point's multiple is a Straus pass.
+        # Group keys and every round key read the base-point table; any
+        # other point's multiple (here a group key's) is a Straus pass.
         config = scenario(
             field_mode="curve-order", curve="standard", field_prime=None,
             eval_mode=None, tree=self.FOUR_GROUPS,
@@ -681,7 +681,7 @@ class TestLoadAndDealCost:
         world.initial_deal()
         assert len(world.shares) == 8
         assert passes == []
-        curve.scalar_mul(3, world.tree.nodes[1].round_key)
+        curve.scalar_mul(3, world.tree.nodes[1].group_key)
         assert passes == [1]
 
     @pytest.mark.parametrize("curved", [False, True])
@@ -850,7 +850,7 @@ class TestRecords:
     RECORDS = [
         (RenewalBundle(0, 1, 5, ()), ("sender", "recipient", "delta", "commitments")),
         (HeldShare(3, 7, 2, False), ("eval_point", "value", "threshold", "split")),
-        (GroupShares(0, 1, 2, {1: (3, 7)}), ("parent", "epoch", "threshold", "members")),
+        (GroupShares(1, 2, {1: (3, 7)}), ("epoch", "threshold", "members")),
     ]
 
     @pytest.mark.parametrize(
