@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .config import (
     ConfigError,
@@ -22,6 +21,8 @@ from .config import (
     load_bundled_scenario,
     load_scenario,
     parse_curve_inline,
+    parse_scenario,
+    serialize_scenario,
 )
 from .curve import PROFILES, validate_curve
 from .errors import HierShareError, InvariantViolation
@@ -80,6 +81,20 @@ def _resolve_scenario(ref: str):
     )
 
 
+def _with_overrides(config, args, source: str):
+    """The scenario with the ``--seed``/``--epochs`` overrides applied,
+    validated like the file's own fields (events and script entries must
+    still fall within the epochs)."""
+    if args.seed is None and args.epochs is None:
+        return config
+    data = serialize_scenario(config)
+    if args.seed is not None:
+        data["seed"] = str(args.seed)
+    if args.epochs is not None:
+        data["epochs"] = args.epochs
+    return parse_scenario(data, source=f"{source} with overrides")
+
+
 def cmd_run(args) -> int:
     out_dir = args.out or os.environ.get(ENV_OUT) or "."
     if args.resume:
@@ -87,18 +102,17 @@ def cmd_run(args) -> int:
             print("run --resume takes no scenario or --seed override", file=sys.stderr)
             return 1
         world = load_world(args.resume)
-        if args.epochs is not None:
-            world.config = replace(world.config, epochs=args.epochs)
+        world.config = _with_overrides(world.config, args, args.resume)
+        if world.config.epochs < world.epoch:
+            raise ConfigError(
+                f"{args.resume}: --epochs {world.config.epochs} ends before "
+                f"the snapshot's epoch {world.epoch}"
+            )
     else:
         if not args.scenario:
             print("run needs a scenario (or --resume <file>)", file=sys.stderr)
             return 1
-        config = _resolve_scenario(args.scenario)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.epochs is not None:
-            config = replace(config, epochs=args.epochs)
-        world = World(config)
+        world = World(_with_overrides(_resolve_scenario(args.scenario), args, args.scenario))
 
     snapshot_path = None
 
@@ -148,6 +162,9 @@ def cmd_verify_curve(args) -> int:
                 data = json.load(handle)
         except json.JSONDecodeError as exc:
             print(f"{ref}: line {exc.lineno}: {exc.msg}", file=sys.stderr)
+            return 1
+        except RecursionError:
+            print(f"{ref}: JSON nested too deeply to read", file=sys.stderr)
             return 1
         params = parse_curve_inline(data, ref)
     report = validate_curve(params)

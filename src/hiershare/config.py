@@ -249,6 +249,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     _require(version == SCHEMA_VERSION, f"{source}.schema_version", f"supported version is {SCHEMA_VERSION}")
     name = data["name"]
     _require(isinstance(name, str) and name != "", f"{source}.name", "must be a nonempty string")
+    _require(
+        not {"/", "\\"} & set(name) and name not in (".", ".."),
+        f"{source}.name",
+        "must be a plain file name: no '/' or '\\', not '.' or '..'",
+    )
 
     field_mode = data["field_mode"]
     _require(field_mode in FIELD_MODES, f"{source}.field_mode", f"must be one of {FIELD_MODES}")
@@ -357,7 +362,8 @@ def _zero_x_pairs(curve: CurveParams) -> int:
     """Point pairs ±(x, y), y != 0, whose x is 0 mod the order: one test by
     Euler's criterion per multiple of the order below p (at most two on
     secp256k1). Exact when every curve point lies in G's group (cofactor
-    1, as on both profiles)."""
+    1, as on both profiles); ``validate_curve`` refuses an order so far
+    below p that the cofactor must exceed 1, so the loop is a few steps."""
     p = curve.p
     return sum(
         pow(x**3 + curve.a * x + curve.b, (p - 1) // 2, p) == 1
@@ -440,6 +446,8 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario must be a JSON object")
     return parse_scenario(data, source=path)

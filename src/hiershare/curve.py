@@ -319,7 +319,9 @@ class CurveValidation:
 
 def validate_curve(params: CurveParams) -> CurveValidation:
     """Check discriminant, base-point membership, subgroup order, and
-    primality. Returns itemized failures instead of raising."""
+    primality, and that an order at most p is the whole group's: by Hasse's
+    bound, one with (p + 1 - order)^2 > 4p leaves a cofactor above 1.
+    Returns itemized failures instead of raising."""
     report = CurveValidation()
     p_prime = is_prime(params.p)
     if not p_prime:
@@ -336,6 +338,10 @@ def validate_curve(params: CurveParams) -> CurveValidation:
     if p_prime and on_curve:
         if not scalar_mul(params.order, params.base_point).is_identity:
             report.failures.append("order * G is not the identity")
+    if params.order <= params.p and (params.p + 1 - params.order) ** 2 > 4 * params.p:
+        report.failures.append(
+            f"subgroup order {params.order} is below Hasse's bound for p: cofactor above 1"
+        )
     return report
 
 

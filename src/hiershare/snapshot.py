@@ -211,7 +211,7 @@ def load_world(path: str) -> World:
             wrapper = json.load(handle)
         body = wrapper["body"]
         stored = wrapper["checksum"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise CorruptSnapshot(f"{path}: {exc}") from None
     actual = hashlib.sha256(_canonical(body).encode()).hexdigest()
     if actual != stored:

@@ -95,6 +95,28 @@ class TestRunCommand:
         assert report["final"]["epochs_run"] == 2
         assert len(report["rows"]) == 3
 
+    def test_epochs_override_is_validated_before_the_run(self, tmp_path, capsys):
+        # figure2-leave's leave is at epoch 2, beyond a one-epoch run.
+        argv = ["run", "figure2-leave", "--epochs", "1", "--save-at", "0", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "events[0].epoch: beyond scenario epochs (1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_epochs_override_exits_one(self, tmp_path, capsys):
+        assert main(["run", "figure2-leave", "--epochs", "-1", "--out", str(tmp_path)]) == 1
+        assert "epochs: must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scenario_name_with_a_slash_exits_one(self, tmp_path, capsys):
+        config = serialize_scenario(load_bundled_scenario("figure2-leave"))
+        config["name"] = "sub/x"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert "bad.json.name: must be a plain file name" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_starved_reconstruction_exits_two(self, tmp_path, capsys):
         scenario = {
             "schema_version": 1,
@@ -191,6 +213,12 @@ class TestVerifyCurveCommand:
         assert main(["verify-curve", str(bad)]) == 1
         assert "gx" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys):
+        deep = tmp_path / "curve.json"
+        deep.write_text("[" * 1000 + "]" * 1000)
+        assert main(["verify-curve", str(deep)]) == 1
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_unknown_profile(self, tmp_path):
         assert main(["verify-curve", "unobtainium"]) == 1
 
@@ -233,6 +261,32 @@ class TestSnapshots:
             printed = f"snapshot: {expected}" in capsys.readouterr().out
             assert (printed, expected.exists()) == (written, written)
 
+    @pytest.mark.parametrize("epochs", ["1", "-1"])
+    def test_resume_epochs_override_is_validated(self, tmp_path, capsys, epochs):
+        # The snapshot is at epoch 0; figure2-leave's leave is at epoch 2.
+        assert main(["run", "figure2-leave", "--save-at", "0", "--out", str(tmp_path)]) == 0
+        snapshot = tmp_path / "figure2-leave.epoch0.snapshot"
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["run", "--resume", str(snapshot), "--epochs", epochs, "--out", str(out)]) == 1
+        assert "with overrides." in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_epochs_before_the_snapshot_exits_one(self, tmp_path, capsys):
+        assert main(["run", "figure2-leave", "--save-at", "4", "--out", str(tmp_path)]) == 0
+        snapshot = tmp_path / "figure2-leave.epoch4.snapshot"
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["run", "--resume", str(snapshot), "--epochs", "3", "--out", str(out)]) == 1
+        assert "--epochs 3 ends before the snapshot's epoch 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_deeply_nested_snapshot_is_corrupt(self, tmp_path):
+        path = tmp_path / "w.snapshot"
+        path.write_text('{"checksum": "0", "body": ' + "[" * 1000 + "]" * 1000 + "}")
+        with pytest.raises(CorruptSnapshot, match="recursion depth"):
+            load_world(path)
+
     def test_truncated_snapshot_rejected(self, tmp_path):
         world = World(load_bundled_scenario("figure2-leave"))
         world.initial_deal()
@@ -269,7 +323,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 to 6 are all refused."""
+        """Formats 1 to 7 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -283,7 +337,8 @@ class TestSnapshots:
         # the next user id, the dealer secret, a rotation cursor and each
         # node's first compromise epoch; format 5 stored one record per
         # share holder, each with its group's threshold, round and epoch;
-        # format 6 stored the live round beside the tree's round count.
+        # format 6 stored the live round beside the tree's round count;
+        # format 7 stored each node's round key.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -312,6 +367,12 @@ class TestSnapshots:
                 },
             },
             6: {"round_id": world.round_id},
+            7: {
+                "tree": dict(
+                    current["tree"],
+                    nodes=[dict(node, round_key=None) for node in current["tree"]["nodes"]],
+                ),
+            },
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)

@@ -1,6 +1,7 @@
 """Scenario parsing, validation diagnostics, and round trips."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hiershare.config import (
     bundled_scenario_names,
     expand_tree,
     load_bundled_scenario,
+    load_scenario,
     parse_scenario,
     _zero_x_pairs,
     serialize_scenario,
@@ -147,6 +149,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="order: field modulus must exceed 2"):
             parse_scenario(bad)
 
+    def test_inline_small_subgroup_curve_refused_before_counting(self, monkeypatch):
+        # Order 3 on secp256k1's field: counting its zero-x pairs would walk
+        # range(0, p, 3), so validation must refuse it first.
+        def unbounded(curve):
+            raise AssertionError(f"counted zero-x pairs for order {curve.order}")
+
+        monkeypatch.setattr("hiershare.config._zero_x_pairs", unbounded)
+        bad = base_scenario(
+            field_mode="curve-order",
+            field_prime=None,
+            curve={"p": str(STANDARD_CURVE.p), "a": "0", "b": "4", "gx": "0", "gy": "2",
+                   "order": "3"},
+        )
+        with pytest.raises(ConfigError, match=r"\.curve: subgroup order 3 .*cofactor above 1"):
+            parse_scenario(bad)
+
     def test_inline_curve_missing_base_point(self):
         bad = base_scenario(
             field_mode="curve-order",
@@ -155,6 +173,24 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="gx"):
             parse_scenario(bad)
+
+    @pytest.mark.parametrize("name", ["sub/x", "sub\\x", ".", ".."])
+    def test_name_must_be_a_plain_file_name(self, name):
+        with pytest.raises(ConfigError, match=r"<scenario>\.name: must be a plain file name"):
+            parse_scenario(base_scenario(name=name))
+
+    @pytest.mark.parametrize("name", ["x.y", "..x", "a b"])
+    def test_name_with_dots_or_spaces_accepted(self, name):
+        assert parse_scenario(base_scenario(name=name)).name == name
+
+    def test_1000_deep_tree_file_is_config_error(self, tmp_path):
+        # Each tree level nests an object and a list, so json gives up
+        # long before the tree parser (iterative) would.
+        deep = '{"children": [' * 1000 + "{}" + "]}" * 1000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(base_scenario(tree="TREE")).replace('"TREE"', deep))
+        with pytest.raises(ConfigError, match=r"deep\.json: JSON nested too deeply to read"):
+            load_scenario(str(path))
 
     def test_secret_out_of_field(self):
         with pytest.raises(ConfigError, match="secret"):

@@ -412,6 +412,14 @@ class TestValidateCurve:
         report = validate_curve(broken)
         assert any("singular" in f for f in report.failures)
 
+    def test_small_subgroup_refused_by_hasse_bound(self):
+        # On y^2 = x^3 + 4 over secp256k1's field, (0, 2) has order 3: an
+        # inflection point far below the Hasse interval around p + 1.
+        small = CurveParams("small", STANDARD_CURVE.p, 0, 4, 0, 2, 3)
+        assert validate_curve(small).failures == [
+            "subgroup order 3 is below Hasse's bound for p: cofactor above 1"
+        ]
+
     def test_composite_modulus_flagged(self, toy):
         broken = CurveParams("composite", 15, toy.a, toy.b, toy.gx, toy.gy, toy.order)
         report = validate_curve(broken)

@@ -30,8 +30,9 @@ def test_bundled_report_digest(tmp_path, name):
     assert digest == GOLDEN_REPORT_SHA256[name]
 
 
-# demo-7user has the rotating passive thief, figure2-leave a leave.
-@pytest.mark.parametrize("name", ["demo-7user", "figure2-leave"])
+# bench-63 runs on secp256k1, demo-7user has the rotating passive thief,
+# figure2-leave a leave.
+@pytest.mark.parametrize("name", ["bench-63", "demo-7user", "figure2-leave"])
 def test_resume_at_every_boundary_writes_the_golden_report(tmp_path, name):
     world = World(load_bundled_scenario(name))
     world.initial_deal()
