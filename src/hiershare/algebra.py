@@ -6,11 +6,14 @@ curve's base-point subgroup in curve mode, or a standalone small prime in
 
 Field values are plain ints in [0, p); every function takes the modulus p
 explicitly and returns reduced values. All operations are pure functions,
-so everything here is safe to share across threads.
+so everything here is safe to share across threads. Interpolation at zero
+keeps one cache: the Lagrange weights of each recent abscissa set, which
+depend on the abscissas and the modulus alone (``lagrange_weights``).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,35 +154,65 @@ def sample_polynomial(rng: random.Random, degree: int, free: int, p: int) -> Pol
     return Polynomial(tuple(coeffs))
 
 
-def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
-    """Free coefficient mod p of the unique polynomial through the given
-    points.
+# Abscissa sets whose Lagrange weights ``lagrange_weights`` keeps. A
+# no-curve tree's groups keep their ids across epochs and redeals, so the
+# bound holds every group of a large tree (341 in a 1,364-user one) with
+# room for curve rounds, whose evaluation points change with each deal.
+WEIGHT_CACHE_SIZE = 4096
 
-    All abscissas must be distinct and nonzero mod p (a zero abscissa would
-    be the secret itself). The terms y_i * num_i / den_i are summed as one
-    running fraction, so the whole interpolation costs one inversion.
+
+@functools.lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def lagrange_weights(xs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The weights w_i = prod_{j != i} x_j / (x_j - x_i) mod p that take the
+    values at the abscissas ``xs`` (reduced mod p) to the value at zero.
+
+    The abscissas must be distinct and nonzero (a zero abscissa would be
+    the secret itself); a refusal is raised on every call, since only
+    results are cached. The denominators are inverted together
+    (Montgomery's trick), so the weights cost one inversion. Results are
+    cached per (xs, p); beyond WEIGHT_CACHE_SIZE sets the least recently
+    used is dropped.
     """
-    if not points:
+    if not xs:
         raise ValueError("interpolation needs at least one point")
     seen: set[int] = set()
-    for x, _ in points:
-        x %= p
+    for x in xs:
         if x == 0:
             raise ZeroAbscissa("x = 0 is forbidden as an evaluation point")
         if x in seen:
             raise DuplicateAbscissa(f"abscissa {x} appears twice")
         seen.add(x)
 
-    total_num, total_den = 0, 1
-    for i, (x_i, y_i) in enumerate(points):
-        num, den = y_i, 1
-        for j, (x_j, _) in enumerate(points):
+    nums, dens, prefix = [], [], [1]
+    for i, x_i in enumerate(xs):
+        num, den = 1, 1
+        for j, x_j in enumerate(xs):
             if i != j:
                 num = num * x_j % p
                 den = den * (x_j - x_i) % p
-        total_num = (total_num * den + num * total_den) % p
-        total_den = total_den * den % p
-    return total_num * field_inverse(total_den, p) % p
+        nums.append(num)
+        dens.append(den)
+        prefix.append(prefix[-1] * den % p)
+    inverse = field_inverse(prefix[-1], p)  # 1 / (den_0 ... den_{k-1})
+    weights = [0] * len(xs)
+    for i in reversed(range(len(xs))):
+        weights[i] = nums[i] * prefix[i] % p * inverse % p
+        inverse = inverse * dens[i] % p
+    return tuple(weights)
+
+
+def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
+    """Free coefficient mod p of the unique polynomial through the given
+    points: the dot product of their values with ``lagrange_weights`` of
+    their abscissas reduced mod p.
+
+    All abscissas must be distinct and nonzero mod p. The weights depend
+    on the abscissas alone and are cached, so an interpolation over a set
+    seen before (a no-curve group, whose abscissas are its members' ids)
+    costs no inversion, and a new set costs one.
+    """
+    weights = lagrange_weights(tuple(x % p for x, _ in points), p)
+    return sum(w * y for w, (_, y) in zip(weights, points)) % p
 
 
 def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:

@@ -90,11 +90,13 @@ class AdversaryConfig:
 class ScenarioConfig:
     """A validated scenario; ``curve`` is None in no-curve mode. The field
     mode fixes the evaluation points: round-key x-coordinates on a curve,
-    user ids without one."""
+    user ids without one. The tree is ``parents``: user i + 1 hangs below
+    ``parents[i]`` (0 is the root server), in the breadth-first numbering
+    of ``expand_tree``."""
 
     name: str
     tf: ThresholdFactor
-    tree: dict
+    parents: tuple[int, ...]
     secret: int
     epochs: int
     seed: int
@@ -114,33 +116,44 @@ def expand_tree(tree: dict) -> list[tuple[int, int]]:
     """
     pairs: list[tuple[int, int]] = []
     queue: list[tuple[dict, int]] = [(child, 0) for child in tree.get("children", [])]
-    next_id = 1
-    while queue:
-        node, parent = queue.pop(0)
-        uid = next_id
-        next_id += 1
+    for uid, (node, parent) in enumerate(queue, start=1):
         pairs.append((uid, parent))
         queue.extend((child, uid) for child in node.get("children", []))
     return pairs
 
 
-def _parse_tree(data, where: str) -> dict:
-    """Validate the nested tree spec and copy it to plain dicts, parents
-    before children and in document order, so the first error reported is
-    the first in the file. Iterative: any depth parses."""
-    root: dict = {}
-    pending = [(data, where, root)]
+def tree_spec(parents: tuple[int, ...]) -> dict:
+    """Inverse of ``expand_tree``: the nested spec, with a ``children``
+    list at every node, in which user i + 1 hangs below ``parents[i]``.
+    Iterative, so any depth builds.
+
+    ``parents`` must be a breadth-first numbering: each parent is 0 or an
+    earlier user, and no parent is below the one before it. Anything else
+    raises ValueError."""
+    specs: list[dict] = [{"children": []}]
+    previous = 0
+    for uid, parent in enumerate(parents, start=1):
+        if not previous <= parent < uid:
+            raise ValueError(f"parent {parent} of user {uid} breaks the breadth-first numbering")
+        specs.append({"children": []})
+        specs[parent]["children"].append(specs[uid])
+        previous = parent
+    return specs[0]
+
+
+def _parse_tree(data, where: str) -> None:
+    """Validate the nested tree spec, parents before children and in
+    document order, so the first error reported is the first in the file.
+    Iterative: any depth parses."""
+    pending = [(data, where)]
     while pending:
-        node, w, out = pending.pop()
+        node, w = pending.pop()
         if not isinstance(node, dict):
             raise ConfigError(f"{w}: expected an object with a 'children' list")
         _take(node, w, {"children": False})
         children = node.get("children", [])
         _require(isinstance(children, list), w, "'children' must be a list")
-        out["children"] = [{} for _ in children]
-        kids = zip(children, [f"{w}.children[{i}]" for i in range(len(children))], out["children"])
-        pending.extend(reversed(list(kids)))
-    return root
+        pending.extend((children[i], f"{w}.children[{i}]") for i in reversed(range(len(children))))
 
 
 def parse_curve_inline(data: dict, where: str) -> CurveParams:
@@ -290,8 +303,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}.tf: {exc}") from None
 
-    tree = _parse_tree(data["tree"], f"{source}.tree")
-    pairs = expand_tree(tree)
+    _parse_tree(data["tree"], f"{source}.tree")
+    pairs = expand_tree(data["tree"])
     _require(bool(pairs), f"{source}.tree", "hierarchy needs at least one user")
     user_ids = {uid for uid, _ in pairs}
     id_to_parent = dict(pairs)
@@ -323,7 +336,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         field=field,
         curve=curve,
         tf=tf,
-        tree=tree,
+        parents=tuple(parent for _uid, parent in pairs),
         secret=secret,
         epochs=epochs,
         renewal_enabled=_flag(data.get("renewal_enabled", True), f"{source}.renewal_enabled"),
@@ -399,12 +412,19 @@ def _parse_events(data, where: str, user_ids: set[int], max_epoch: int) -> tuple
 def serialize_scenario(config: ScenarioConfig) -> dict:
     """Inverse of parse_scenario; big integers become decimal strings, and
     a curve equal to a profile is written as the profile's name."""
+    data = serialize_settings(config)
+    data["tree"] = tree_spec(config.parents)
+    return data
+
+
+def serialize_settings(config: ScenarioConfig) -> dict:
+    """``serialize_scenario`` without the ``tree`` (which a snapshot keeps
+    in its node list alone)."""
     data: dict = {
         "schema_version": SCHEMA_VERSION,
         "name": config.name,
         "field_mode": "no-curve" if config.curve is None else "curve-order",
         "tf": {"num": config.tf.numerator, "den": config.tf.denominator},
-        "tree": config.tree,
         "secret": str(config.secret),
         "epochs": config.epochs,
         "renewal_enabled": config.renewal_enabled,

@@ -49,7 +49,7 @@ class PositionOccupied(HierShareError):
     """Rejoin attempted at a slot that is not vacant."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HierarchyNode:
     """One user slot: identity, secret token, group key, and parent link.
     A slot is vacant (its member left) while its token is None."""

@@ -39,7 +39,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .config import AdversaryConfig, ScenarioConfig, expand_tree
+from .config import AdversaryConfig, ScenarioConfig
 from .errors import InvariantViolation
 from .hierarchy import HierarchyTree
 from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
@@ -413,7 +413,7 @@ class World:
         """Registration, then epoch 0: registration is out of band, dealing
         is not. Epoch 0 runs its events, ending in the deal, then the
         adversary's first hop, which copies what its hosts hold."""
-        for _uid, parent in expand_tree(self.config.tree):
+        for parent in self.config.parents:
             self.tree.register(parent, self.rng)
         self._run_epoch()
 

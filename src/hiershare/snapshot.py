@@ -6,7 +6,9 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch message counts are empty, so
 no message count is stored.
 
-Format 8 stores each fact once and nothing derivable. A restore builds
+Format 9 stores each fact once and nothing derivable. The tree is kept
+in the node list alone: the embedded scenario leaves its ``tree`` out, and
+a restore rebuilds it from the nodes' parent links. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, the live round from the
@@ -19,7 +21,13 @@ evaluation point, value) and the hosts that hold it; its parent is its
 holders' parent. Group keys are stored, as the server's
 record (recomputing costs a scalar multiplication per node). Round keys
 are not: they live only while a deal attempt computes evaluation points.
-Formats 1-7 are refused.
+Formats 1-8 are refused.
+
+The file is compact JSON, ``{"body": ..., "checksum": ...}``: the sha256
+of the body's canonical form (sorted keys, no spaces). The body is
+written, and its checksum computed, one top-level key at a time, so the
+encoder never holds the whole body's text at once; nothing in it is
+nested deeper than a fixed few levels, so any tree depth saves and loads.
 
 A snapshot holds every secret in the clear: the dealer secret, the
 dealing polynomials (and with them the retained parts), every share and
@@ -32,15 +40,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Iterator
 
-from .config import parse_scenario, serialize_scenario
+from .config import parse_scenario, serialize_settings, tree_spec
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode
 from .sharing import GroupShares, HeldShare, Polynomial
 from .simnet import World
 
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 
 class VersionMismatch(HierShareError):
@@ -125,7 +134,7 @@ def world_to_dict(world: World) -> dict:
         "snapshot_version": SNAPSHOT_VERSION,
         "phase": "epoch-boundary",
         "epoch": world.epoch,
-        "scenario": serialize_scenario(world.config),
+        "scenario": serialize_settings(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
         "tree": {"nodes": nodes, "round_count": world.tree.round_count},
         "dealer": {
@@ -152,14 +161,21 @@ def world_to_dict(world: World) -> dict:
 
 
 def world_from_dict(data: dict) -> World:
-    """The blank ``World`` of the embedded scenario, with every stored
-    fact set on it."""
-    world = World(parse_scenario(data["scenario"], source="<snapshot scenario>"))
+    """The blank ``World`` of the embedded scenario, its tree rebuilt from
+    the node list, with every stored fact set on it."""
+    nodes = sorted(data["tree"]["nodes"], key=lambda n: n["id"])
+    if [node["id"] for node in nodes] != list(range(1, len(nodes) + 1)):
+        raise CorruptSnapshot("tree: node ids are not 1..n")
+    try:
+        tree = tree_spec(tuple(node["parent"] for node in nodes))
+    except ValueError as exc:
+        raise CorruptSnapshot(f"tree: {exc}") from None
+    world = World(parse_scenario({**data["scenario"], "tree": tree}, source="<snapshot scenario>"))
     world.epoch = data["epoch"]
     rng_version, rng_internal, rng_gauss = data["rng_state"]
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
-    for node_data in sorted(data["tree"]["nodes"], key=lambda n: n["id"]):
+    for node_data in nodes:
         world.tree.insert(
             HierarchyNode(
                 id=node_data["id"],
@@ -193,16 +209,35 @@ def world_from_dict(data: dict) -> World:
     return world
 
 
-def _canonical(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _pieces(body: dict) -> Iterator[str]:
+    """The canonical JSON of ``body`` (sorted keys, no spaces) in pieces,
+    one top-level key each, so only one piece's tokens are held at once."""
+    yield "{"
+    for i, key in enumerate(sorted(body)):
+        yield ("," if i else "") + _ENCODE(key) + ":" + _ENCODE(body[key])
+    yield "}"
+
+
+def _checksum(body: dict) -> str:
+    """sha256 of ``json.dumps(body, sort_keys=True, separators=(",", ":"))``."""
+    digest = hashlib.sha256()
+    for piece in _pieces(body):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def save_world(world: World, path: str) -> None:
-    body = world_to_dict(world)
-    checksum = hashlib.sha256(_canonical(body).encode()).hexdigest()
+    """Write the snapshot, hashing each canonical piece as it is written."""
+    digest = hashlib.sha256()
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"checksum": checksum, "body": body}, handle, indent=1)
-        handle.write("\n")
+        handle.write('{"body":')
+        for piece in _pieces(world_to_dict(world)):
+            digest.update(piece.encode())
+            handle.write(piece)
+        handle.write(f',"checksum":"{digest.hexdigest()}"}}\n')
 
 
 def load_world(path: str) -> World:
@@ -213,8 +248,7 @@ def load_world(path: str) -> World:
         stored = wrapper["checksum"]
     except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise CorruptSnapshot(f"{path}: {exc}") from None
-    actual = hashlib.sha256(_canonical(body).encode()).hexdigest()
-    if actual != stored:
+    if not isinstance(body, dict) or _checksum(body) != stored:
         raise CorruptSnapshot(f"{path}: checksum mismatch")
     if body.get("snapshot_version") != SNAPSHOT_VERSION:
         raise VersionMismatch(

@@ -7,8 +7,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import deal, make_tree, tf
 from hiershare import algebra
 from hiershare.curve import STANDARD_CURVE
+from hiershare.sharing import reconstruct
 from hiershare.algebra import (
     DuplicateAbscissa,
     FieldParams,
@@ -19,6 +21,7 @@ from hiershare.algebra import (
     interpolate,
     is_prime,
     lagrange_at_zero,
+    lagrange_weights,
     poly_eval,
     sample_polynomial,
 )
@@ -168,6 +171,75 @@ class TestLagrangeAtZero:
             xs = rng.sample(range(1, modulus), k + 1)
             pts = [(x, poly_eval(q, x, modulus)) for x in xs]
             assert lagrange_at_zero(pts, modulus) == q.free_coefficient
+
+
+class TestWeightCache:
+    """``lagrange_weights`` is computed once per (abscissa set, modulus);
+    every later interpolation over the set is a dot product."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+
+        def counting_inverse(a, p):
+            calls.append(a)
+            return field_inverse(a, p)
+
+        monkeypatch.setattr(algebra, "field_inverse", counting_inverse)
+        lagrange_weights.cache_clear()
+        return calls
+
+    def test_first_interpolation_inverts_once_and_a_repeat_never(self, inversions):
+        q = sample_polynomial(random.Random(3), 3, 7, 31)
+        pts = [(x, poly_eval(q, x, 31)) for x in (4, 11, 20, 29)]
+        assert lagrange_at_zero(pts, 31) == 7
+        assert len(inversions) == 1
+        other = sample_polynomial(random.Random(4), 3, 12, 31)
+        assert lagrange_at_zero([(x, poly_eval(other, x, 31)) for x, _ in pts], 31) == 12
+        assert len(inversions) == 1
+        assert lagrange_weights.cache_info().hits == 1
+
+    def test_refusals_raise_on_every_call(self, inversions):
+        for _ in range(3):
+            with pytest.raises(ZeroAbscissa):
+                lagrange_at_zero([(5, 1), (31, 2)], 31)
+            with pytest.raises(DuplicateAbscissa):
+                lagrange_at_zero([(5, 1), (36, 2)], 31)
+            with pytest.raises(ValueError):
+                lagrange_at_zero([], 31)
+        assert inversions == []
+
+    def test_same_ids_under_another_modulus_or_order(self, inversions):
+        xs = (2, 5, 9, 17)
+        for modulus in (19, 31, 1009, 19):
+            q = sample_polynomial(random.Random(modulus), 3, 6, modulus)
+            for order in (xs, xs[::-1], (9, 2, 17, 5)):
+                pts = [(x, poly_eval(q, x, modulus)) for x in order]
+                assert lagrange_at_zero(pts, modulus) == 6
+        # Three orders under each of three moduli; the repeat of 19 hits.
+        assert len(inversions) == 9
+
+    def test_weights_interpolate_constants_and_lines(self):
+        # sum_i w_i * 1 interpolates the constant 1; sum_i w_i * x_i the
+        # line through the origin.
+        weights = lagrange_weights((3, 8, 14), 31)
+        assert sum(weights) % 31 == 1
+        assert sum(w * x for w, x in zip(weights, (3, 8, 14))) % 31 == 0
+
+    def test_second_reconstruct_of_a_no_curve_tree_is_served_from_the_cache(self, rng):
+        tree = make_tree([[[], [], []], [[], []], [[[], []]]], rng, prime=1009)
+        dealer, _secret, shares = deal(tree, 321, tf(2, 3), rng)
+        lagrange_weights.cache_clear()
+        assert reconstruct(tree, shares, shares, dealer.polynomials) == 321
+        first = lagrange_weights.cache_info()
+        assert (first.hits, first.misses) == (0, 5)
+        assert reconstruct(tree, shares, shares, dealer.polynomials) == 321
+        second = lagrange_weights.cache_info()
+        assert (second.hits, second.misses) == (5, 5)
+
+    def test_cache_is_bounded(self):
+        # Every group of a 1,364-user, fan-out-4 tree fits.
+        assert lagrange_weights.cache_info().maxsize == algebra.WEIGHT_CACHE_SIZE > 341
 
 
 class TestInterpolate:

@@ -323,7 +323,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 to 7 are all refused."""
+        """Formats 1 to 8 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -338,7 +338,8 @@ class TestSnapshots:
         # node's first compromise epoch; format 5 stored one record per
         # share holder, each with its group's threshold, round and epoch;
         # format 6 stored the live round beside the tree's round count;
-        # format 7 stored each node's round key.
+        # format 7 stored each node's round key; format 8 stored the tree
+        # a second time, as the embedded scenario's nested spec.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -373,6 +374,11 @@ class TestSnapshots:
                     nodes=[dict(node, round_key=None) for node in current["tree"]["nodes"]],
                 ),
             },
+            8: {
+                "scenario": dict(
+                    current["scenario"], tree=serialize_scenario(world.config)["tree"]
+                ),
+            },
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)
@@ -381,6 +387,28 @@ class TestSnapshots:
             path.write_text(json.dumps({"checksum": checksum, "body": body}))
             with pytest.raises(VersionMismatch):
                 load_world(path)
+
+    @pytest.mark.parametrize("edit", ["gap", "not-breadth-first"])
+    def test_node_list_that_is_no_scenario_tree_refused(self, tmp_path, edit):
+        """The scenario's tree is rebuilt from the node list, which must
+        number the users 1..n breadth-first."""
+        import hashlib
+
+        world = World(load_bundled_scenario("figure2-leave"))
+        world.initial_deal()
+        path = tmp_path / "w.snapshot"
+        save_world(world, path)
+        data = json.loads(path.read_text())
+        nodes = data["body"]["tree"]["nodes"]
+        if edit == "gap":
+            nodes[-1]["id"] += 1
+        else:
+            nodes[0]["parent"] = 2
+        canonical = json.dumps(data["body"], sort_keys=True, separators=(",", ":"))
+        data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptSnapshot, match="tree"):
+            load_world(path)
 
     def test_mid_epoch_snapshot_refused(self, tmp_path):
         import hashlib

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hiershare.config import (
     parse_scenario,
     _zero_x_pairs,
     serialize_scenario,
+    tree_spec,
 )
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE, CurveParams
 from hiershare.simnet import World
@@ -456,6 +458,59 @@ class TestExpandTree:
             ]
         }
         assert expand_tree(tree) == [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2)]
+
+    @staticmethod
+    def random_spec(rng, users):
+        """A random nested spec with ``users`` nodes below the root, a
+        ``children`` list at every node."""
+        nodes = [{"children": []}]
+        for _ in range(users):
+            child = {"children": []}
+            rng.choice(nodes)["children"].append(child)
+            nodes.append(child)
+        return nodes[0]
+
+    @staticmethod
+    def same_spec(a, b):
+        """Iterative ``a == b`` for specs, which ``==`` on a deep chain
+        cannot compare within the interpreter's recursion limit."""
+        pending = [(a, b)]
+        while pending:
+            x, y = pending.pop()
+            if x.keys() != y.keys() or len(x["children"]) != len(y["children"]):
+                return False
+            pending.extend(zip(x["children"], y["children"]))
+        return True
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spec_parents_spec_round_trip(self, seed):
+        rng = random.Random(seed)
+        spec = self.random_spec(rng, rng.randrange(1, 200))
+        config = parse_scenario(base_scenario(tree=spec))
+        assert config.parents == tuple(parent for _uid, parent in expand_tree(spec))
+        assert tree_spec(config.parents) == spec
+        assert serialize_scenario(config)["tree"] == spec
+
+    def test_600_deep_chain_round_trips(self):
+        spec = {"children": []}
+        for _ in range(600):
+            spec = {"children": [spec]}
+        config = parse_scenario(base_scenario(tree=spec))
+        assert config.parents == tuple(range(600))
+        assert self.same_spec(serialize_scenario(config)["tree"], spec)
+        assert not self.same_spec(tree_spec(tuple(range(599))), spec)
+
+    def test_leaves_written_without_children_come_back_with_them(self):
+        config = parse_scenario(base_scenario(tree={"children": [{}, {"children": [{}]}]}))
+        assert config.parents == (0, 0, 2)
+        assert serialize_scenario(config)["tree"] == {
+            "children": [{"children": []}, {"children": [{"children": []}]}]
+        }
+
+    @pytest.mark.parametrize("parents", [(1,), (0, 2), (0, 0, 2, 1), (-1,), (0, 3)])
+    def test_non_breadth_first_parents_refused(self, parents):
+        with pytest.raises(ValueError, match="breadth-first"):
+            tree_spec(parents)
 
 
 class TestBenchmarkInputs:

@@ -15,7 +15,7 @@ from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle, generate_renewal
 from hiershare.sharing import GroupShares, HeldShare
 from hiershare.simnet import World, adversary_act, adversary_hop
-from hiershare.snapshot import _canonical, load_world, save_world, world_from_dict, world_to_dict
+from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
 
 
 def spec_dict(nested):
@@ -810,7 +810,8 @@ class TestRestore:
         assert "eval_mode" not in body["scenario"]
         body["scenario"]["eval_mode"] = "round-key"
         path = tmp_path / "old.snapshot"
-        checksum = hashlib.sha256(_canonical(body).encode()).hexdigest()
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        checksum = hashlib.sha256(canonical.encode()).hexdigest()
         path.write_text(json.dumps({"checksum": checksum, "body": body}))
         resumed = load_world(path)
         while resumed.epoch < resumed.config.epochs:
@@ -864,18 +865,34 @@ class TestRecords:
 
 
 class TestDeepTrees:
-    def test_600_deep_chain_runs_and_reconstructs(self):
-        depth = 600
+    @staticmethod
+    def chain(depth):
         tree = {"children": []}
         for _ in range(depth):
             tree = {"children": [tree]}
-        world = World(scenario(tree=tree, epochs=2))
+        return tree
+
+    def test_600_deep_chain_runs_and_reconstructs(self):
+        depth = 600
+        world = World(scenario(tree=self.chain(depth), epochs=2))
         report = world.run()
         assert report.final["reconstruction_correct"] is True
         assert all(row["secret_intact"] for row in report.rows)
         assert minimal_reconstructing_set(world.tree, world.shares) == list(
             range(1, depth + 1)
         )
+
+    def test_600_deep_chain_saves_and_resumes(self, tmp_path):
+        straight = World(scenario(tree=self.chain(600), epochs=2))
+        straight.run()
+        halted = World(scenario(tree=self.chain(600), epochs=2))
+        halted.initial_deal()
+        halted.step_epoch()
+        resumed = restored(halted, tmp_path)
+        assert resumed.config == halted.config
+        resumed.step_epoch()
+        resumed.finalize()
+        assert resumed.report == straight.report
 
 
 class TestInvariants:
