@@ -5,10 +5,13 @@ curve's base-point subgroup in curve mode, or a standalone small prime in
 "no-curve" test mode (which enables exhaustive secrecy checks).
 
 Field values are plain ints in [0, p); every function takes the modulus p
-explicitly and returns reduced values. All operations are pure functions,
-so everything here is safe to share across threads. Interpolation at zero
-keeps one cache: the Lagrange weights of each recent abscissa set, which
-depend on the abscissas and the modulus alone (``lagrange_weights``).
+explicitly and returns reduced values. A polynomial is its coefficient
+tuple in ascending powers: q[h] multiplies x^h, q[0] is the free
+coefficient and len(q) is the degree plus one. All operations are pure
+functions, so everything here is safe to share across threads.
+Interpolation at zero keeps one cache: the Lagrange weights of each
+recent abscissa set, which depend on the abscissas and the modulus alone
+(``lagrange_weights``).
 """
 
 from __future__ import annotations
@@ -109,30 +112,14 @@ def field_inverse(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Coefficients in ascending powers: coefficients[h] multiplies x^h."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("polynomial needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def free_coefficient(self) -> int:
-        return self.coefficients[0]
+Polynomial = tuple[int, ...]
 
 
 def poly_eval(q: Polynomial, x: int, p: int) -> int:
     """Horner evaluation of q at x mod p; poly_eval(q, 0, p) is the free
     coefficient."""
     acc = 0
-    for coeff in reversed(q.coefficients):
+    for coeff in reversed(q):
         acc = (acc * x + coeff) % p
     return acc
 
@@ -151,7 +138,7 @@ def sample_polynomial(rng: random.Random, degree: int, free: int, p: int) -> Pol
     if degree >= 1:
         while coeffs[-1] == 0:
             coeffs[-1] = rng.randrange(p)
-    return Polynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # Abscissa sets whose Lagrange weights ``lagrange_weights`` keeps. A
@@ -220,6 +207,8 @@ def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:
     len(points) through the given points, whose abscissas must be distinct
     mod p (zero is allowed). Like ``lagrange_at_zero`` it sums the terms as
     one running fraction, so the whole interpolation costs one inversion."""
+    if not points:
+        raise ValueError("interpolation needs at least one point")
     xs = [x % p for x, _ in points]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa(f"abscissas {xs} are not distinct")
@@ -236,4 +225,4 @@ def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:
         total = [(t * den + y_i * total_den * b) % p for t, b in zip(total, basis)]
         total_den = total_den * den % p
     inverse = field_inverse(total_den, p)
-    return Polynomial(tuple(c * inverse % p for c in total))
+    return tuple(c * inverse % p for c in total)

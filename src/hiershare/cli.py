@@ -22,6 +22,7 @@ from .config import (
     load_scenario,
     parse_curve_inline,
     parse_scenario,
+    read_json,
     serialize_scenario,
 )
 from .curve import PROFILES, validate_curve
@@ -149,24 +150,15 @@ def cmd_verify_curve(args) -> int:
     ref = args.profile
     if ref in PROFILES:
         params = PROFILES[ref]
+    elif not os.path.exists(ref):
+        print(
+            f"{ref}: not a known profile ({', '.join(sorted(PROFILES))}) "
+            f"or parameter file",
+            file=sys.stderr,
+        )
+        return 1
     else:
-        if not os.path.exists(ref):
-            print(
-                f"{ref}: not a known profile ({', '.join(sorted(PROFILES))}) "
-                f"or parameter file",
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            with open(ref, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            print(f"{ref}: line {exc.lineno}: {exc.msg}", file=sys.stderr)
-            return 1
-        except RecursionError:
-            print(f"{ref}: JSON nested too deeply to read", file=sys.stderr)
-            return 1
-        params = parse_curve_inline(data, ref)
+        params = parse_curve_inline(read_json(ref), ref)
     report = validate_curve(params)
     print(f"curve {params.name!r}: p={params.p} a={params.a} b={params.b} "
           f"G=({params.gx}, {params.gy}) order={params.order}")

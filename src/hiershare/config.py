@@ -458,16 +458,23 @@ def serialize_settings(config: ScenarioConfig) -> dict:
     return data
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def read_json(path: str, error: type[HierShareError] = ConfigError):
+    """The JSON value in the file at ``path``. A file that cannot be
+    opened, is not UTF-8, is not JSON or nests too deeply to parse raises
+    ``error`` with a message naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise ConfigError(f"{path}: JSON nested too deeply to read") from None
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError as exc:
+        raise error(f"{path}: JSON nested too deeply to read ({exc})") from None
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario must be a JSON object")
     return parse_scenario(data, source=path)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import interpolate, poly_eval, sample_polynomial
 from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
@@ -38,10 +38,6 @@ from .sharing import GroupShares
 
 class NoChildren(HierShareError):
     """Renewal requested for a subtree root with no dealt children."""
-
-
-class MixedAccused(HierShareError):
-    """Claims for different accused nodes were resolved together."""
 
 
 ACCUSED_COMPROMISED = "accused-compromised"
@@ -99,7 +95,7 @@ def generate_renewal(
     if tree.curve is not None:
         commitments = tuple(
             scalar_mul(coeff, tree.curve.base_point)
-            for coeff in delta_poly.coefficients[1:]
+            for coeff in delta_poly[1:]
         )
     else:
         commitments = ()
@@ -163,7 +159,7 @@ def group_accepts_renewal(
     points = [(group.members[b.recipient][0], b.delta) for b in delivered]
     f = interpolate([(0, 0)] + points[:k], n)
     return all(poly_eval(f, x, n) == delta for x, delta in points[k:]) and all(
-        scalar_mul(c, curve.base_point) == C for c, C in zip(f.coefficients[1:], commitments)
+        scalar_mul(c, curve.base_point) == C for c, C in zip(f[1:], commitments)
     )
 
 
@@ -190,21 +186,26 @@ def file_claim(tree: HierarchyTree, claimer: int, accused: int) -> ClaimRecord:
 
 
 def resolve_claims(
-    claims: Sequence[ClaimRecord], n_children: int, k: int
-) -> Verdict | None:
-    """The (n - k) rule: with at least n - k claims the accused is judged
-    compromised, with fewer the claimers are. No claims, no verdict."""
-    if not claims:
-        return None
-    accused = {c.accused for c in claims}
-    if len(accused) > 1:
-        raise MixedAccused(f"claims span accused {sorted(accused)}")
-    outcome = ACCUSED_COMPROMISED if len(claims) >= n_children - k else CLAIMERS_COMPROMISED
-    return Verdict(
-        accused=accused.pop(),
-        outcome=outcome,
-        claimers=tuple(sorted(c.claimer for c in claims)),
-    )
+    claims: Iterable[ClaimRecord],
+    groups: Mapping[int, Sequence[int]],
+    shares: Mapping[int, GroupShares],
+) -> tuple[Verdict, ...]:
+    """The (n - k) rule over one epoch's claims: one verdict per accused,
+    in id order. n is the number of children the accused renews (its entry
+    in ``groups``, the tree's ``groups(shares)``) and k that group's dealt
+    degree, both 0 when it renews no group. With at least n - k claims,
+    a repeated claimer counting each time, the accused is judged
+    compromised; with fewer, its claimers are."""
+    by_accused: dict[int, list[int]] = {}
+    for claim in claims:
+        by_accused.setdefault(claim.accused, []).append(claim.claimer)
+    verdicts = []
+    for accused, claimers in sorted(by_accused.items()):
+        kids = groups.get(accused, ())
+        k = shares[kids[0]].threshold - 1 if kids else 0
+        outcome = ACCUSED_COMPROMISED if len(claimers) >= len(kids) - k else CLAIMERS_COMPROMISED
+        verdicts.append(Verdict(accused, outcome, tuple(sorted(claimers))))
+    return tuple(verdicts)
 
 
 @dataclass
@@ -243,7 +244,9 @@ def renewal_round(
     record, and members who left keep the old one. A genuine failure means
     tampering somewhere, so the whole subtree's renewal is discarded for
     the epoch and the refusing children's claims go to the administrator.
-    Verdicts are returned for the caller to act on (cleansing is the
+    One ``resolve_claims`` pass then judges all of the epoch's claims,
+    ``extra_claims`` included, against the groups as they stood before the
+    round. Verdicts are returned for the caller to act on (cleansing is the
     simulation's job, since it owns the adversary).
 
     Traffic goes through ``on_message(kind, to)``: one sealed
@@ -296,19 +299,8 @@ def renewal_round(
         for _claim in claims:
             on_message("claim", None)
 
-    verdicts: list[Verdict] = []
-    by_accused: dict[int, list[ClaimRecord]] = {}
-    for claim in claims:
-        by_accused.setdefault(claim.accused, []).append(claim)
-    for accused in sorted(by_accused):
-        group = groups.get(accused, [])
-        threshold = shares[group[0]].threshold if group else 1
-        verdict = resolve_claims(by_accused[accused], len(group), threshold - 1)
-        if verdict is not None:
-            verdicts.append(verdict)
-
     return RenewalOutcome(
         shares=new_shares,
         claims=tuple(claims),
-        verdicts=tuple(verdicts),
+        verdicts=resolve_claims(claims, groups, shares),
     )

@@ -128,7 +128,7 @@ class DealerState:
     The free coefficient of an internal node's polynomial is the part of
     that node's evaluation the server retains; it never leaves the server
     except indirectly, through the shares dealt to the node's children. A
-    group's threshold is its polynomial's degree plus one.
+    group's threshold is its polynomial's length (its degree plus one).
     """
 
     secret: int
@@ -212,7 +212,7 @@ def distribute(
             else:
                 kept = evaluation
             members[uid] = (points[uid], kept)
-        group = GroupShares(0, polynomial.degree + 1, members)
+        group = GroupShares(0, len(polynomial), members)
         shares.update(dict.fromkeys(kids, group))
     return shares
 

@@ -42,11 +42,11 @@ import hashlib
 import json
 from typing import Iterator
 
-from .config import parse_scenario, serialize_settings, tree_spec
+from .config import parse_scenario, read_json, serialize_settings, tree_spec
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode
-from .sharing import GroupShares, HeldShare, Polynomial
+from .sharing import GroupShares, HeldShare
 from .simnet import World
 
 SNAPSHOT_VERSION = 9
@@ -139,7 +139,7 @@ def world_to_dict(world: World) -> dict:
         "tree": {"nodes": nodes, "round_count": world.tree.round_count},
         "dealer": {
             "polynomials": {
-                str(gid): [str(c) for c in poly.coefficients]
+                str(gid): [str(c) for c in poly]
                 for gid, poly in sorted(world.dealer.polynomials.items())
             },
         },
@@ -188,9 +188,11 @@ def world_from_dict(data: dict) -> World:
     world.tree.round_count = data["tree"]["round_count"]
 
     world.dealer.polynomials = {
-        int(gid): Polynomial(tuple(_field_in(c, world) for c in coeffs))
+        int(gid): tuple(_field_in(c, world) for c in coeffs)
         for gid, coeffs in data["dealer"]["polynomials"].items()
     }
+    if () in world.dealer.polynomials.values():
+        raise CorruptSnapshot("dealer: a polynomial has no coefficients")
     world.shares = _groups_in(data["shares"], world)
 
     adv_data = data["adversary"]
@@ -241,12 +243,15 @@ def save_world(world: World, path: str) -> None:
 
 
 def load_world(path: str) -> World:
+    """The world a snapshot file holds. A file that cannot be read, fails
+    its checksum, or whose body lacks a field or holds one that cannot be
+    decoded is refused as ``CorruptSnapshot``; errors in the embedded
+    scenario stay ``ConfigError``."""
+    wrapper = read_json(path, CorruptSnapshot)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            wrapper = json.load(handle)
         body = wrapper["body"]
         stored = wrapper["checksum"]
-    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptSnapshot(f"{path}: {exc}") from None
     if not isinstance(body, dict) or _checksum(body) != stored:
         raise CorruptSnapshot(f"{path}: checksum mismatch")
@@ -257,4 +262,7 @@ def load_world(path: str) -> World:
         )
     if body.get("phase") != "epoch-boundary":
         raise ResumeRefused(f"{path}: snapshot phase {body.get('phase')!r}")
-    return world_from_dict(body)
+    try:
+        return world_from_dict(body)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise CorruptSnapshot(f"{path}: malformed body: {exc!r}") from None

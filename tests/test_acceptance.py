@@ -66,7 +66,7 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
     dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
 
     groups = [(ROOT_ID, dealer.secret)] + [
-        (uid, dealer.polynomials[uid].free_coefficient)
+        (uid, dealer.polynomials[uid][0])
         for uid in sorted(dealer.polynomials)
         if uid != ROOT_ID
     ]
@@ -131,7 +131,7 @@ def test_criterion_3_storage_and_field_size():
     assert all(
         0 <= c < flat_tree.field.modulus
         for poly in dealer.polynomials.values()
-        for c in poly.coefficients
+        for c in poly
     )
     note("criterion 3 PASS: one share per user, one field modulus at every level")
 

@@ -7,12 +7,13 @@ import jsonschema
 import pytest
 
 from hiershare.cli import main
-from hiershare.config import load_bundled_scenario, serialize_scenario
+from hiershare.config import ConfigError, load_bundled_scenario, serialize_scenario
 from hiershare.simnet import World
 from hiershare.snapshot import (
     CorruptSnapshot,
     ResumeRefused,
     VersionMismatch,
+    _checksum,
     load_world,
     save_world,
     world_to_dict,
@@ -223,6 +224,28 @@ class TestVerifyCurveCommand:
         assert main(["verify-curve", "unobtainium"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, content, code",
+    [
+        (["verify-curve"], None, 1),
+        (["verify-curve"], b"\xff\xfe{\x00}\x00", 1),
+        (["run"], b"\xff\xfe{\x00}\x00", 1),
+        (["run", "--resume"], b"\xff\xfe{\x00}\x00", 2),
+    ],
+    ids=["verify-curve-directory", "verify-curve-utf16", "run-utf16", "resume-utf16"],
+)
+def test_unreadable_file_is_an_error_naming_it(tmp_path, capsys, command, content, code):
+    """A directory (content None) or a file that is not UTF-8 gives the
+    command's exit code and a message naming the path, not a traceback."""
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([*command, str(path)]) == code
+    assert f"{path}: " in capsys.readouterr().err
+
+
 class TestSnapshots:
     def test_save_load_round_trip(self, tmp_path):
         world = World(load_bundled_scenario("figure2-leave"))
@@ -408,6 +431,40 @@ class TestSnapshots:
         data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
         path.write_text(json.dumps(data))
         with pytest.raises(CorruptSnapshot, match="tree"):
+            load_world(path)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            ("no-rng-state", CorruptSnapshot),
+            ("node-without-parent", CorruptSnapshot),
+            ("group-without-members", CorruptSnapshot),
+            ("empty-polynomial", CorruptSnapshot),
+            ("scenario-negative-epochs", ConfigError),
+        ],
+    )
+    def test_malformed_checksummed_body_refused(self, tmp_path, edit, error):
+        """A body whose checksum holds but whose fields do not is refused
+        as corrupt; a bad embedded scenario stays a scenario error."""
+        world = World(load_bundled_scenario("figure2-leave"))
+        world.initial_deal()
+        world.step_epoch()
+        world.step_epoch()
+        path = tmp_path / "w.snapshot"
+        save_world(world, path)
+        body = json.loads(path.read_text())["body"]
+        if edit == "no-rng-state":
+            del body["rng_state"]
+        elif edit == "node-without-parent":
+            del body["tree"]["nodes"][2]["parent"]
+        elif edit == "group-without-members":
+            del body["shares"][0]["members"]
+        elif edit == "empty-polynomial":
+            body["dealer"]["polynomials"]["0"] = []
+        else:
+            body["scenario"]["epochs"] = -1
+        path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
+        with pytest.raises(error):
             load_world(path)
 
     def test_mid_epoch_snapshot_refused(self, tmp_path):

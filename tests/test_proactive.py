@@ -14,9 +14,9 @@ from hiershare.proactive import (
     ACCUSED_COMPROMISED,
     CLAIMERS_COMPROMISED,
     ClaimRecord,
-    MixedAccused,
     NoChildren,
     RenewalBundle,
+    Verdict,
     accepts_renewal,
     apply_renewal,
     file_claim,
@@ -25,7 +25,7 @@ from hiershare.proactive import (
     resolve_claims,
     verify_renewal,
 )
-from hiershare.sharing import reconstruct
+from hiershare.sharing import GroupShares, reconstruct
 
 
 def toy_dealt_tree(rng, spec, factor, secret_value=7):
@@ -173,6 +173,15 @@ class TestApplyRenewal:
         assert renewed.members[2][0] == group.members[2][0]
 
 
+def claim_groups():
+    """Node 1 renews {3, 4} at threshold 1 (n - k = 2) and node 2 renews
+    {5, ..., 9} at threshold 3 (n - k = 3)."""
+    small = GroupShares(0, 1, {uid: (uid, 0) for uid in (3, 4)})
+    large = GroupShares(0, 3, {uid: (uid, 0) for uid in range(5, 10)})
+    groups = {1: [3, 4], 2: list(range(5, 10))}
+    return groups, {**dict.fromkeys(small.members, small), **dict.fromkeys(large.members, large)}
+
+
 class TestClaims:
     def test_file_claim_requires_parentage(self, rng):
         tree, _dealer, _shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
@@ -182,20 +191,38 @@ class TestClaims:
             file_claim(tree, 1, 2)
 
     def test_resolution_branches(self):
-        claims = [ClaimRecord(i, 9) for i in (1, 2, 3)]
-        verdict = resolve_claims(claims, n_children=5, k=2)
-        assert verdict.outcome == ACCUSED_COMPROMISED
-        assert verdict.claimers == (1, 2, 3)
-        verdict = resolve_claims(claims[:2], n_children=5, k=2)
-        assert verdict.outcome == CLAIMERS_COMPROMISED
+        groups, shares = claim_groups()
+        claims = [ClaimRecord(i, 2) for i in (7, 5, 6)]
+        assert resolve_claims(claims, groups, shares) == (
+            Verdict(2, ACCUSED_COMPROMISED, (5, 6, 7)),
+        )
+        assert resolve_claims(claims[:2], groups, shares) == (
+            Verdict(2, CLAIMERS_COMPROMISED, (5, 7)),
+        )
 
     def test_no_claims_no_verdict(self):
-        assert resolve_claims([], n_children=5, k=2) is None
+        assert resolve_claims([], *claim_groups()) == ()
 
-    def test_mixed_accused_rejected(self):
-        claims = [ClaimRecord(1, 9), ClaimRecord(2, 8)]
-        with pytest.raises(MixedAccused):
-            resolve_claims(claims, n_children=5, k=2)
+    def test_several_accused_judged_in_id_order(self):
+        groups, shares = claim_groups()
+        claims = [ClaimRecord(9, 2), ClaimRecord(3, 1), ClaimRecord(5, 2), ClaimRecord(4, 1)]
+        assert resolve_claims(claims, groups, shares) == (
+            Verdict(1, ACCUSED_COMPROMISED, (3, 4)),
+            Verdict(2, CLAIMERS_COMPROMISED, (5, 9)),
+        )
+
+    def test_accused_renewing_no_group_has_n_and_k_zero(self):
+        groups, shares = claim_groups()
+        assert resolve_claims([ClaimRecord(10, 8)], groups, shares) == (
+            Verdict(8, ACCUSED_COMPROMISED, (10,)),
+        )
+
+    def test_repeated_claimer_counts_each_time(self):
+        groups, shares = claim_groups()
+        claims = [ClaimRecord(5, 2), ClaimRecord(6, 2), ClaimRecord(5, 2)]
+        assert resolve_claims(claims, groups, shares) == (
+            Verdict(2, ACCUSED_COMPROMISED, (5, 5, 6)),
+        )
 
 
 class TestRenewalRound:
@@ -275,7 +302,7 @@ class TestRenewalRound:
         assert {rec.threshold for rec in shares.values()} == {2}
         raised = sample_polynomial(random.Random(5), 3, 0, tree.field.modulus)
         commitments = tuple(
-            scalar_mul(c, tree.curve.base_point) for c in raised.coefficients[1:]
+            scalar_mul(c, tree.curve.base_point) for c in raised[1:]
         )
 
         def raise_degree(bundle):
@@ -420,7 +447,7 @@ class TestBatchCheck:
         """A tamper that sends every child its value of ``poly`` and the
         honest commitments to ``poly``'s nonzero coefficients."""
         G, n = tree.curve.base_point, tree.curve.order
-        commitments = tuple(scalar_mul(c, G) for c in poly.coefficients[1:])
+        commitments = tuple(scalar_mul(c, G) for c in poly[1:])
 
         def move(bundle):
             delta = poly_eval(poly, eval_point(shares, bundle.recipient), n)
@@ -530,7 +557,7 @@ class TestBatchCheck:
                 return bundle._replace(commitments=moved)
             return bundle._replace(
                 delta=poly_eval(other, eval_point(shares, 4), tree.curve.order),
-                commitments=tuple(scalar_mul(c, G) for c in other.coefficients[1:]),
+                commitments=tuple(scalar_mul(c, G) for c in other[1:]),
             )
 
         outcome, seen = self.run_tampered(tree, shares, mismatch)
