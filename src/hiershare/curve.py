@@ -4,7 +4,8 @@ Supplies the group behind user keys, round keys, and renewal commitments.
 Points are affine with an explicit identity, and every ``CurvePoint`` is
 checked against the curve equation when it is built. Multiplications run
 inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
-and convert back to affine once, for the result. Both kernels read a
+and convert back to affine once, for the result (``base_mul_equals``
+compares in Jacobian form and converts nothing). Both kernels read a
 scalar in signed-digit windows, so a negative digit costs only the
 negation of a table point: multiples of the base point add one entry of a
 precomputed table per digit, and ``multi_scalar_mul`` interleaves the
@@ -229,17 +230,22 @@ def _mul_base(digits: list[int], table: _Table, curve: CurveParams) -> tuple[int
     return acc
 
 
-def _straus(terms: list[tuple[int, int, int]], curve: CurveParams) -> tuple[int, int, int]:
-    """Σ s_i * (x_i, y_i) for nonnegative s_i and affine non-identity
-    points, interleaving signed windows (Möller 2001). A scalar of more
-    than 64 bits is read in width-5 digits from a table of its point's
-    first 16 multiples (one inversion per table); a shorter one is tested
-    bit by bit, with no table. One doubling per bit of the widest scalar,
-    shared by all terms, and one mixed addition per nonzero digit or set
-    bit."""
+def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tuple[int, int, int]:
+    """Σ s_i * P_i over (scalar, point) pairs, interleaving signed windows
+    (Möller 2001); zero scalars and identity points add nothing, negative
+    scalars use the group inverse. A scalar of more than 64 bits is read
+    in width-5 digits from a table of its point's first 16 multiples (one
+    inversion per table); a shorter one is tested bit by bit, with no
+    table. One doubling per bit of the widest scalar, shared by all terms,
+    and one mixed addition per nonzero digit or set bit."""
     a, p = curve.a, curve.p
     short, due, top = [], {}, 0  # due: bit -> window points to add there
-    for s, x, y in terms:
+    for s, P in pairs:
+        if P.curve != curve:
+            raise OffCurve("points on different curves")
+        if not s or P.is_identity:
+            continue
+        x, y, s = P.x, P.y if s > 0 else -P.y % p, abs(s)
         bits = s.bit_length()
         if bits <= _SHORT_BITS:
             short.append((s, x, y))
@@ -294,13 +300,23 @@ def multi_scalar_mul(
     """Σ s_i * P_i over (scalar, point) pairs in one Straus pass; zero
     scalars and identity points add nothing, negative scalars use the group
     inverse. Every point must lie on ``curve``."""
-    terms = []
-    for s, P in pairs:
-        if P.curve != curve:
-            raise OffCurve("points on different curves")
-        if s and not P.is_identity:
-            terms.append((abs(s), P.x, P.y if s > 0 else -P.y % curve.p))
-    return _result(curve, _straus(terms, curve))
+    return _result(curve, _straus(pairs, curve))
+
+
+def base_mul_equals(
+    s: int, pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams
+) -> bool:
+    """Whether s * G = ``multi_scalar_mul(pairs, curve)`` for a base point
+    of order ``curve.order``. Both sides stay Jacobian: X1·Z2² = X2·Z1² and
+    Y1·Z2³ = Y2·Z1³, with no inversion."""
+    digits = _signed_digits(s % curve.order, _BASE_WIDTH)
+    X1, Y1, Z1 = _mul_base(digits, _base_table(curve), curve)
+    X2, Y2, Z2 = _straus(pairs, curve)
+    if not (Z1 and Z2):
+        return not (Z1 or Z2)
+    ZZ1, ZZ2 = Z1 * Z1, Z2 * Z2
+    p = curve.p
+    return (X1 * ZZ2 - X2 * ZZ1) % p == 0 and (Y1 * ZZ2 * Z2 - Y2 * ZZ1 * Z1) % p == 0
 
 
 @dataclass

@@ -13,14 +13,18 @@ Renewal rounds are deterministic: every subtree draws from its own
 sub-generator derived from (round entropy, subtree root), so a group's
 renewal does not depend on which other groups renew or in what order.
 
-In the protocol each child checks its own bundle. The simulator reaches the
-same verdicts with one exact check per group: when all m bundles carry the
-same commitment vector of the group's dealt degree k and m >= k, it
-interpolates f through (0, 0) and the first k points (x_j, δ_j) and passes
-the group only if f(x_j) = δ_j at the other points and c_h·G = C_h for each
-coefficient. Then δ_j·G = Σ_h x_j^h·C_h, every child's own check, holds for
-all j; an honest group always passes, on any curve. Otherwise each child
-checks alone, so claims come out as if every child had checked alone.
+In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
+The simulator opens each group's commitments once instead: when all m
+bundles carry one vector of the dealt degree k and m >= k, it interpolates
+h of degree <= k mod n through the first k + 1 points (x_j, δ_j), or (0, 0)
+and the k points when m = k, and checks h_i·G = C_i. Then child j refuses
+exactly when δ_j ≠ h(x_j) − h(0) mod n, since its check's right side is
+(h(x_j) − h(0))·G and G has prime order n (``validate_curve`` checks it).
+An honest group's zero-free polynomial f gives h = f, so it passes; a
+parent shifting every delta by s opens to h = f + s and is refused by all,
+with no variable-base multiplication. Otherwise (mixed vectors, a wrong length, m < k, or
+commitments that do not open to h) each child checks alone, so claims
+always come out as if every child had checked alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import interpolate, poly_eval, sample_polynomial
-from .curve import CurveParams, CurvePoint, multi_scalar_mul, scalar_mul
+from .curve import CurveParams, CurvePoint, base_mul_equals, scalar_mul
 from .errors import HierShareError
 from .hierarchy import HierarchyTree
 from .sharing import GroupShares
@@ -113,21 +117,21 @@ def generate_renewal(
 def verify_renewal(
     bundle: RenewalBundle, eval_point: int, curve: CurveParams
 ) -> bool:
-    """Check delta*G against the committed polynomial evaluated in the group.
+    """Check delta*G against the committed polynomial at eval_point, in
+    Jacobian form.
 
     Complete (honest bundles always pass) and sound at the recorded degree:
     any mismatch between delta and the committed coefficients, including a
     smuggled nonzero free coefficient, shifts the left side off the right.
     """
-    lhs = scalar_mul(bundle.delta, curve.base_point)
-    rhs = multi_scalar_mul(
+    return base_mul_equals(
+        bundle.delta,
         (
             (pow(eval_point, h, curve.order), commitment)
             for h, commitment in enumerate(bundle.commitments, start=1)
         ),
         curve,
     )
-    return lhs == rhs
 
 
 def accepts_renewal(
@@ -144,23 +148,27 @@ def accepts_renewal(
     )
 
 
-def group_accepts_renewal(
+def group_refusals(
     group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams
-) -> bool:
-    """The module docstring's exact check of the bundles a group's members
-    received, in id order: True means every child's ``accepts_renewal``
-    holds."""
+) -> list[int] | None:
+    """The module docstring's opened-polynomial check of the bundles a
+    group's members received, in id order: the children whose own
+    ``accepts_renewal`` fails, or None when the commitments do not open to
+    the interpolated h and each child must check alone."""
     n, commitments = curve.order, delivered[0].commitments
     k = len(commitments)
     if k != group.threshold - 1 or len(delivered) < k or any(
         bundle.commitments != commitments for bundle in delivered
     ):
-        return False
+        return None
     points = [(group.members[b.recipient][0], b.delta) for b in delivered]
-    f = interpolate([(0, 0)] + points[:k], n)
-    return all(poly_eval(f, x, n) == delta for x, delta in points[k:]) and all(
-        scalar_mul(c, curve.base_point) == C for c, C in zip(f[1:], commitments)
-    )
+    h = interpolate(points[: k + 1] if len(points) > k else [(0, 0)] + points, n)
+    if any(scalar_mul(c, curve.base_point) != C for c, C in zip(h[1:], commitments)):
+        return None
+    return [
+        bundle.recipient for bundle, (x, delta) in zip(delivered, points)
+        if (poly_eval(h, x, n) - h[0] - delta) % n
+    ]
 
 
 def apply_renewal(
@@ -169,7 +177,7 @@ def apply_renewal(
     """The group's record one epoch on: each recipient's value plus its
     delta mod p, evaluation points untouched. Members with no bundle (those
     who left) are not in it. The caller has already checked the bundles
-    (``group_accepts_renewal``) in curve mode."""
+    (``group_refusals``) in curve mode."""
     members = {}
     for bundle in delivered:
         eval_point, value = group.members[bundle.recipient]
@@ -239,8 +247,8 @@ def renewal_round(
     lags.
 
     A subtree commits only if none of its children's verifications failed
-    (one ``group_accepts_renewal`` per group, then ``accepts_renewal`` per
-    child only if that fails); its active children then hold one new
+    (one ``group_refusals`` per group, then ``accepts_renewal`` per child
+    only if that cannot decide); its active children then hold one new
     record, and members who left keep the old one. A genuine failure means
     tampering somewhere, so the whole subtree's renewal is discarded for
     the epoch and the refusing children's claims go to the administrator.
@@ -282,9 +290,8 @@ def renewal_round(
                 on_message("renewal-delta", bundle.recipient)
             delivered.append(bundle)
 
-        if tree.curve is None or group_accepts_renewal(group, delivered, tree.curve):
-            refused = []
-        else:
+        refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve)
+        if refused is None:
             refused = [
                 bundle.recipient for bundle in delivered
                 if not accepts_renewal(bundle, group, tree.curve)

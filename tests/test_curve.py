@@ -12,6 +12,7 @@ from hiershare.curve import (
     CurveParams,
     CurvePoint,
     OffCurve,
+    base_mul_equals,
     multi_scalar_mul,
     point_add,
     scalar_mul,
@@ -380,6 +381,47 @@ class TestMultiScalarMul:
     def test_mixed_curves_rejected(self):
         with pytest.raises(OffCurve):
             multi_scalar_mul([(1, TOY_CURVE.base_point)], STANDARD_CURVE)
+
+
+class TestBaseMulEquals:
+    """``base_mul_equals(s, pairs)`` compares s * G with the pairs' sum in
+    Jacobian form; it must agree with comparing the affine results."""
+
+    def test_toy_agrees_with_affine_comparison(self, toy):
+        rng = random.Random(14)
+        pts = [from_tuple(toy, t) for t in naive_points(toy)]
+        multiples = [scalar_mul(t, toy.base_point) for t in range(toy.order)]
+        for _ in range(200):
+            pairs = [
+                (rng.choice([0, rng.randrange(-40, 41)]), rng.choice(pts))
+                for _ in range(rng.randrange(0, 4))
+            ]
+            total = multi_scalar_mul(pairs, toy)
+            log = multiples.index(total)
+            # -log shares log's x-coordinate; log + order is the same point.
+            for s in (log, log + toy.order, -log, log + 1, rng.randrange(-40, 41)):
+                expected = scalar_mul(s, toy.base_point) == total
+                assert base_mul_equals(s, pairs, toy) is expected, (s, pairs)
+
+    def test_standard_child_check(self):
+        rng = random.Random(15)
+        curve, n = STANDARD_CURVE, STANDARD_CURVE.order
+        coeffs = [rng.randrange(1, n) for _ in range(2)]
+        x = rng.randrange(2, n)
+        pairs = [(pow(x, h, n), scalar_mul(c, curve.base_point)) for h, c in enumerate(coeffs, 1)]
+        delta = sum(c * pow(x, h, n) for h, c in enumerate(coeffs, 1)) % n
+        assert base_mul_equals(delta, pairs, curve)
+        assert base_mul_equals(delta + n, pairs, curve)
+        assert not base_mul_equals(-delta, pairs, curve)
+        assert not base_mul_equals(delta + 1, pairs, curve)
+        assert not base_mul_equals(0, pairs, curve)
+        cancelling = [(1, curve.base_point), (-1, curve.base_point)]
+        assert base_mul_equals(0, cancelling, curve)
+        assert not base_mul_equals(1, cancelling, curve)
+
+    def test_mixed_curves_rejected(self):
+        with pytest.raises(OffCurve):
+            base_mul_equals(1, [(1, TOY_CURVE.base_point)], STANDARD_CURVE)
 
 
 class TestValidateCurve:

@@ -443,6 +443,18 @@ class TestBatchCheck:
     def claimers(self, outcome):
         return sorted(c.claimer for c in outcome.claims)
 
+    def counted_checks(self, monkeypatch):
+        """A list that gets one entry per ``verify_renewal`` call."""
+        calls = []
+        original = proactive.verify_renewal
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(proactive, "verify_renewal", counting)
+        return calls
+
     def moved_to(self, tree, shares, poly):
         """A tamper that sends every child its value of ``poly`` and the
         honest commitments to ``poly``'s nonzero coefficients."""
@@ -481,8 +493,8 @@ class TestBatchCheck:
                 return bundle
             return bundle._replace(delta=(bundle.delta + 1) % tree.curve.order)
 
-        outcome, _seen = self.run_tampered(tree, shares, bump)
-        assert self.claimers(outcome) == [3]
+        outcome, seen = self.run_tampered(tree, shares, bump)
+        assert self.claimers(outcome) == [3] == self.alone(tree, shares, seen)
         assert [v.accused for v in outcome.verdicts] == [ROOT_ID]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
 
@@ -500,6 +512,62 @@ class TestBatchCheck:
 
         outcome, seen = self.run_tampered(tree, shares, bump)
         assert self.claimers(outcome) == [5] == self.alone(tree, shares, seen)
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_same_shift_for_every_child_is_refused_by_the_opened_polynomial(
+        self, monkeypatch, curve
+    ):
+        """Every delta is shifted by 5: h = f + 5 opens the honest
+        commitments and h(0) = 5, so all five children refuse and none runs
+        its own check."""
+        tree, shares = self.dealt_group(30, 5, curve=curve)
+        checks = self.counted_checks(monkeypatch)
+
+        def shift(bundle):
+            return bundle._replace(delta=(bundle.delta + 5) % curve.order)
+
+        outcome, seen = self.run_tampered(tree, shares, shift)
+        assert len(checks) == 0
+        assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
+        assert all(rec.epoch == 0 for rec in outcome.shares.values())
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_shift_among_the_interpolated_children_falls_back(self, monkeypatch, curve):
+        """Threshold 4: h comes from children 1-4, so shifting child 2
+        alone adds a multiple of its degree-3 Lagrange basis to h, and
+        h_1..h_3 no longer match C_1..C_3; each child checks alone."""
+        tree, shares = self.dealt_group(31, 5, curve=curve)
+        assert shares[2].threshold == 4
+        checks = self.counted_checks(monkeypatch)
+
+        def bump(bundle):
+            if bundle.recipient != 2:
+                return bundle
+            return bundle._replace(delta=(bundle.delta + 5) % curve.order)
+
+        outcome, seen = self.run_tampered(tree, shares, bump)
+        assert len(checks) == 5
+        assert self.claimers(outcome) == [2] == self.alone(tree, shares, seen)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["honest", "shifted"])
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_group_of_exactly_its_degree(self, monkeypatch, curve, shifted):
+        """Four children at threshold 4 and one leaves: three points and
+        (0, 0) fix h. Honest, h = f opens the commitments; with every delta
+        shifted, h(0) = 0 forces h != f, so each child checks alone."""
+        tree, shares = self.dealt_group(32, 4, tf(3, 3), curve=curve)
+        tree.leave(4)
+        assert tree.groups(shares) == {ROOT_ID: [1, 2, 3]}
+        assert shares[1].threshold - 1 == 3
+        checks = self.counted_checks(monkeypatch)
+
+        def shift(bundle):
+            return bundle._replace(delta=(bundle.delta + shifted) % curve.order)
+
+        outcome, seen = self.run_tampered(tree, shares, shift)
+        assert len(checks) == (3 if shifted else 0)
+        assert self.claimers(outcome) == self.alone(tree, shares, seen)
+        assert self.claimers(outcome) == ([1, 2, 3] if shifted else [])
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_group_moved_to_another_polynomial_commits(self, curve):
@@ -589,7 +657,7 @@ class TestBatchCheck:
         assert self.claimers(outcome) == ([1, 3] if tampered else [])
 
     def test_random_tampering_matches_each_child_alone(self):
-        for trial in range(24):
+        for trial in range(36):
             curve = (STANDARD_CURVE, TOY_CURVE)[trial % 2]
             n, G = curve.order, curve.base_point
             rng = random.Random(100 + trial)
@@ -606,10 +674,27 @@ class TestBatchCheck:
                 for uid in tampered
             }
             shift = rng.randrange(1, n)
+            # The parent may also offset every child by one polynomial with
+            # a nonzero constant: a constant ("shift every child"), or one
+            # of the group's degree with its nonzero coefficients committed.
+            offset, offset_kind = None, rng.choice([None, "shift", "polynomial"])
+            if offset_kind == "shift":
+                offset = (rng.randrange(1, n),) + (0,) * degree
+            elif offset_kind == "polynomial":
+                offset = sample_polynomial(rng, degree, rng.randrange(1, n), n)
+            offset_points = [scalar_mul(g, G) for g in (offset or ())[1:]]
 
             def tamper(bundle):
                 if move is not None:
                     bundle = move(bundle)
+                if offset is not None:
+                    x = eval_point(shares, bundle.recipient)
+                    bundle = bundle._replace(
+                        delta=(bundle.delta + poly_eval(offset, x, n)) % n,
+                        commitments=tuple(
+                            C + D for C, D in zip(bundle.commitments, offset_points)
+                        ),
+                    )
                 kind = kinds.get(bundle.recipient)
                 if kind == "pair":
                     # Paired with the next child, which gets the opposite
@@ -634,22 +719,28 @@ class TestBatchCheck:
             expected = self.alone(tree, shares, seen)
             assert self.claimers(outcome) == expected
             paired = {uid + 1 for uid, kind in kinds.items() if kind == "pair"}
-            assert set(expected) == tampered | (paired & set(kids))
+            if offset is None:
+                assert set(expected) == tampered | (paired & set(kids))
+            else:
+                # A child's own tamper may cancel the offset at its point.
+                assert set(kids) - tampered - paired <= set(expected)
 
     def test_world_rng_untouched_by_the_check(self):
         tree, shares = self.dealt_group(24, 4)
+        seen = []
 
         def bump(bundle):
-            if bundle.recipient != 2:
-                return bundle
-            return bundle._replace(delta=(bundle.delta + 5) % tree.curve.order)
+            if bundle.recipient == 2:
+                bundle = bundle._replace(delta=(bundle.delta + 5) % tree.curve.order)
+            seen.append(bundle)
+            return bundle
 
         states = []
         for perturb in (None, bump):
             rng = random.Random(77)
             outcome = renewal_round(tree, shares, rng, perturb=perturb)
             states.append(rng.getstate())
-        assert self.claimers(outcome) == [2]
+        assert self.claimers(outcome) == [2] == self.alone(tree, shares, seen)
         assert states[0] == states[1]
 
 
@@ -661,17 +752,21 @@ class TestCheckCounts:
     # 8 dealt children.
     SPEC = [[[], []], [[], [], []], []]
 
-    def counted_round(self, monkeypatch, curve, tampered_parent=None, spec=SPEC):
+    def counted_round(
+        self, monkeypatch, curve, tampered_parent=None, spec=SPEC, move_commitment=False
+    ):
+        """One epoch in which ``tampered_parent`` adds 1 to every delta it
+        sends, or with ``move_commitment`` adds G to its first commitment."""
         rng = random.Random(41)
         tree = make_tree(spec, rng, curve=curve)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
         curve_module._base_table(curve)  # built once per process, not per epoch
         counts = dict.fromkeys(
-            ("verify_renewal", "multi_scalar_mul", "_straus", "_add_affine", "_double"), 0
+            ("verify_renewal", "base_mul_equals", "_straus", "_add_affine", "_double"), 0
         )
         for module, name in (
             (proactive, "verify_renewal"),
-            (proactive, "multi_scalar_mul"),
+            (proactive, "base_mul_equals"),
             (curve_module, "_straus"),
             (curve_module, "_add_affine"),
             (curve_module, "_double"),
@@ -687,64 +782,85 @@ class TestCheckCounts:
         def bump(bundle):
             if bundle.sender != tampered_parent:
                 return bundle
+            if move_commitment:
+                moved = (bundle.commitments[0] + curve.base_point,) + bundle.commitments[1:]
+                return bundle._replace(commitments=moved)
             return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
         outcome = renewal_round(tree, shares, rng, perturb=bump)
         return tree, outcome, counts
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
-        """The group checks' c_h * G read the base-point table: about 36
+        """The group checks' h_i * G read the base-point table: about 36
         additions each, no doublings."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
-            "verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0,
+            "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
             "_add_affine": 216, "_double": 0,
         }
 
-    def test_tampered_group_adds_one_check_per_child(self, monkeypatch):
+    def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
+        """Every delta of user 2's group is shifted by 1, so h = f + 1 still
+        opens the commitments and h(0) = 1 refuses all three children."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
-        assert counts["verify_renewal"] == 3
+        assert counts == {
+            "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
+            "_add_affine": 216, "_double": 0,
+        }
+
+    def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
+        """User 2's C_1 is moved, so its commitments do not open to h and
+        each of its three children runs its own check: one Straus pass over
+        the two commitments' window tables."""
+        _tree, outcome, counts = self.counted_round(
+            monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
+        )
+        assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
+        assert counts == {
+            "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
+            "_add_affine": 519, "_double": 758,
+        }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
         _tree, outcome, counts = self.counted_round(monkeypatch, toy)
         assert outcome.claims == ()
         assert counts == {
-            "verify_renewal": 0, "multi_scalar_mul": 0, "_straus": 0,
+            "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
             "_add_affine": 6, "_double": 0,
         }
 
-    def test_renew_secp_shaped_epoch_passes_once_per_fallback_child(self, monkeypatch):
+    def test_renew_secp_shaped_epoch_makes_no_pass(self, monkeypatch):
         """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
-        children; user 3's group of four is tampered. Bit-at-a-time
-        kernels made 2220 mixed additions and 1024 doublings here; signed
-        windows make 1256 and 1028 (each of the 8 window tables doubles
-        once, and no pass doubles the identity it starts from)."""
+        children; user 3's group of four is shifted. Each child's own check
+        made 1256 mixed additions and 1028 doublings here (four Straus
+        passes); the opened polynomial refuses all four with the group
+        checks' base-point table alone: 658 additions, no doubling."""
         spec = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=spec
         )
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
         assert counts == {
-            "verify_renewal": 4, "multi_scalar_mul": 4, "_straus": 4,
-            "_add_affine": 1256, "_double": 1028,
+            "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
+            "_add_affine": 658, "_double": 0,
         }
 
     @pytest.mark.parametrize(
         "curve, converted",
-        [(TOY_CURVE, [1, 1]), (STANDARD_CURVE, [1, 16, 16, 16, 1])],
+        [(TOY_CURVE, []), (STANDARD_CURVE, [16, 16, 16])],
         ids=["toy", "standard"],
     )
     def test_child_check_builds_a_window_table_only_for_long_scalars(
         self, monkeypatch, curve, converted
     ):
-        """A child's check converts delta * G and the Straus sum to affine.
-        Every toy-curve scalar has at most 5 bits, so its Straus terms go bit
-        by bit and build no table; each secp256k1 term x^h mod n converts a
-        table of 16 multiples."""
+        """A child's check compares delta * G with the Straus sum in
+        Jacobian form, converting neither. Every toy-curve scalar has at most
+        5 bits, so its Straus terms go bit by bit and build no table; each
+        secp256k1 term x^h mod n converts a table of 16 multiples."""
         rng = random.Random(3)
         coeffs = [rng.randrange(1, curve.order) for _ in range(3)]
         x = rng.randrange(2, curve.order)
