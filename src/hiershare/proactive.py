@@ -17,14 +17,17 @@ In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator opens each group's commitments once instead: when all m
 bundles carry one vector of the dealt degree k and m >= k, it interpolates
 h of degree <= k mod n through the first k + 1 points (x_j, δ_j), or (0, 0)
-and the k points when m = k, and checks h_i·G = C_i. Then child j refuses
-exactly when δ_j ≠ h(x_j) − h(0) mod n, since its check's right side is
-(h(x_j) − h(0))·G and G has prime order n (``validate_curve`` checks it).
-An honest group's zero-free polynomial f gives h = f, so it passes; a
-parent shifting every delta by s opens to h = f + s and is refused by all,
-with no variable-base multiplication. Otherwise (mixed vectors, a wrong length, m < k, or
-commitments that do not open to h) each child checks alone, so claims
-always come out as if every child had checked alone.
+and the k points when m = k, and checks h_i·G = C_i. It reads h_i·G from
+the group's own commitments, kept for that group's renewal as f_i -> f_i·G,
+when h_i is a committed coefficient; looked up by scalar and compared by
+position, so exact. Then child j refuses exactly when δ_j ≠ h(x_j) − h(0)
+mod n, since its check's right side is (h(x_j) − h(0))·G and G has prime
+order n (``validate_curve`` checks it). An honest group's zero-free
+polynomial f gives h = f, so it passes; a parent shifting every delta by s
+opens to h = f + s and is refused by all; as h_i = f_i for i >= 1, either
+costs only the parent's k base multiplications. Otherwise (mixed vectors,
+a wrong length, m < k, or commitments that do not open to h) each child
+checks alone, so claims always come out as if every child had checked alone.
 """
 
 from __future__ import annotations
@@ -83,13 +86,14 @@ def generate_renewal(
     group: GroupShares,
     owners: Sequence[int],
     rng: random.Random,
+    committed: dict[int, CurvePoint] | None = None,
 ) -> list[RenewalBundle]:
     """Produce the renewal bundles ``group``'s parent (its members' tree
     parent) sends the members ``owners`` (its active ones, in id order).
 
     The polynomial degree equals the group's dealt degree (threshold - 1),
     so a single-child threshold-1 group gets the zero polynomial and an
-    empty commitment list.
+    empty commitment list. In curve mode a given ``committed`` gets f_i -> f_i·G.
     """
     sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
@@ -101,6 +105,8 @@ def generate_renewal(
             scalar_mul(coeff, tree.curve.base_point)
             for coeff in delta_poly[1:]
         )
+        if committed is not None:
+            committed.update(zip(delta_poly[1:], commitments))
     else:
         commitments = ()
     return [
@@ -149,12 +155,14 @@ def accepts_renewal(
 
 
 def group_refusals(
-    group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams
+    group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams,
+    committed: Mapping[int, CurvePoint] | None = None,
 ) -> list[int] | None:
     """The module docstring's opened-polynomial check of the bundles a
     group's members received, in id order: the children whose own
     ``accepts_renewal`` fails, or None when the commitments do not open to
-    the interpolated h and each child must check alone."""
+    the interpolated h and each child must check alone. h_i·G is read from
+    ``committed`` (scalar -> its multiple of G) when h_i is a key."""
     n, commitments = curve.order, delivered[0].commitments
     k = len(commitments)
     if k != group.threshold - 1 or len(delivered) < k or any(
@@ -163,7 +171,9 @@ def group_refusals(
         return None
     points = [(group.members[b.recipient][0], b.delta) for b in delivered]
     h = interpolate(points[: k + 1] if len(points) > k else [(0, 0)] + points, n)
-    if any(scalar_mul(c, curve.base_point) != C for c, C in zip(h[1:], commitments)):
+    known = committed or {}
+    multiples = (known[c] if c in known else scalar_mul(c, curve.base_point) for c in h[1:])
+    if any(hG != C for hG, C in zip(multiples, commitments)):
         return None
     return [
         bundle.recipient for bundle, (x, delta) in zip(delivered, points)
@@ -277,7 +287,8 @@ def renewal_round(
     for root, kids in groups.items():
         group = shares[kids[0]]
         subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
-        bundles = generate_renewal(tree, group, kids, subtree_rng)
+        committed = None if tree.curve is None else {}
+        bundles = generate_renewal(tree, group, kids, subtree_rng, committed)
 
         if tree.curve is not None and on_message is not None:
             on_message("commitments", None)
@@ -290,7 +301,7 @@ def renewal_round(
                 on_message("renewal-delta", bundle.recipient)
             delivered.append(bundle)
 
-        refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve)
+        refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve, committed)
         if refused is None:
             refused = [
                 bundle.recipient for bundle in delivered

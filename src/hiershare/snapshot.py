@@ -42,7 +42,7 @@ import hashlib
 import json
 from typing import Iterator
 
-from .config import parse_scenario, read_json, serialize_settings, tree_spec
+from .config import ConfigError, _int, parse_scenario, read_json, serialize_settings, tree_spec
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode
@@ -84,6 +84,17 @@ def _field_in(text: str, world: World) -> int:
     return int(text) % world.config.field.modulus
 
 
+def _bounded(value, where: str, low: int, high: int) -> int:
+    """A stored integer in [low, high]; anything else is ``CorruptSnapshot``."""
+    try:
+        value = _int(value, where, low)
+    except ConfigError as exc:
+        raise CorruptSnapshot(str(exc)) from None
+    if value > high:
+        raise CorruptSnapshot(f"{where}: must be <= {high}")
+    return value
+
+
 def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:
     """Each group record someone holds, once, with the hosts that hold it;
     a record keeps the members that have since moved on to a newer one."""
@@ -102,13 +113,26 @@ def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:
 
 
 def _groups_in(data: list[dict], world: World) -> dict[int, GroupShares]:
+    """Each stored group record on its holders. Every member and holder must
+    be a node, the epoch at most the world's and the threshold at most the
+    size of the members' sibling group."""
     shares: dict[int, GroupShares] = {}
-    for item in data:
+    tree = world.tree
+    for i, item in enumerate(data):
+        where = f"shares[{i}]"
         members = {
             uid: (_field_in(x, world), _field_in(value, world))
             for uid, x, value in item["members"]
         }
-        group = GroupShares(item["epoch"], item["threshold"], members)
+        for field, uids in (("members", members), ("holders", item["holders"])):
+            for uid in uids:
+                _bounded(uid, f"{where}.{field}", 1, len(tree.nodes))
+        siblings = tree.children[tree.nodes[next(iter(members))].parent] if members else ()
+        group = GroupShares(
+            _bounded(item["epoch"], f"{where}.epoch", 0, world.epoch),
+            _bounded(item["threshold"], f"{where}.threshold", 1, len(siblings)),
+            members,
+        )
         shares.update(dict.fromkeys(item["holders"], group))
     return shares
 
@@ -171,7 +195,7 @@ def world_from_dict(data: dict) -> World:
     except ValueError as exc:
         raise CorruptSnapshot(f"tree: {exc}") from None
     world = World(parse_scenario({**data["scenario"], "tree": tree}, source="<snapshot scenario>"))
-    world.epoch = data["epoch"]
+    world.epoch = _bounded(data["epoch"], "epoch", 0, world.config.epochs)
     rng_version, rng_internal, rng_gauss = data["rng_state"]
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
@@ -245,7 +269,8 @@ def save_world(world: World, path: str) -> None:
 def load_world(path: str) -> World:
     """The world a snapshot file holds. A file that cannot be read, fails
     its checksum, or whose body lacks a field or holds one that cannot be
-    decoded is refused as ``CorruptSnapshot``; errors in the embedded
+    decoded, a mistyped or out-of-range epoch or threshold, or an id that
+    is no node is refused as ``CorruptSnapshot``; errors in the embedded
     scenario stay ``ConfigError``."""
     wrapper = read_json(path, CorruptSnapshot)
     try:

@@ -582,6 +582,35 @@ class TestBatchCheck:
         assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242 % curve.order
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_swapped_commitments_fall_back_and_are_refused_by_all(self, monkeypatch, curve):
+        """C_1 and C_2 swapped in every bundle of a degree-3 group: the
+        deltas open h = f, and h_1 * G and h_2 * G are both among the
+        parent's commitments, each under the other coefficient. The check
+        compares by position, so it falls back, and every child refuses
+        as it would alone. Only the parent multiplies G."""
+        tree, shares = self.dealt_group(28, 5, curve=curve)
+        assert shares[1].threshold - 1 == 3
+        polys, multiplied = [], []
+        sample, times_g = proactive.sample_polynomial, proactive.scalar_mul
+        monkeypatch.setattr(
+            proactive, "sample_polynomial", lambda *a: polys.append(sample(*a)) or polys[-1]
+        )
+        monkeypatch.setattr(
+            proactive, "scalar_mul", lambda *a: multiplied.append(a) or times_g(*a)
+        )
+        checks = self.counted_checks(monkeypatch)
+
+        def swap(bundle):
+            first, second, *rest = bundle.commitments
+            return bundle._replace(commitments=(second, first, *rest))
+
+        outcome, seen = self.run_tampered(tree, shares, swap)
+        (f,) = polys
+        assert f[1] != f[2]
+        assert len(multiplied) == 3 and len(checks) == 5
+        assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_shared_vector_that_misses_the_deltas_is_refused_by_all(self, curve):
         """Every child gets the same moved commitment vector and an honest
         delta: the deltas agree with each other but not with C_1."""
@@ -746,10 +775,13 @@ class TestBatchCheck:
 
 class TestCheckCounts:
     """Machine-independent cost of one renewal epoch: how many per-child
-    checks and Straus passes it makes."""
+    checks and Straus passes it makes. Each group's parent commits to its
+    k coefficients with k base-point multiplications, about 36 mixed
+    additions each on secp256k1 and one on the toy curve; the group check
+    reads h_i * G from those commitments and adds nothing of its own."""
 
-    # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups,
-    # 8 dealt children.
+    # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups of
+    # threshold 2 (k = 1), 8 dealt children.
     SPEC = [[[], []], [[], [], []], []]
 
     def counted_round(
@@ -791,54 +823,61 @@ class TestCheckCounts:
         return tree, outcome, counts
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
-        """The group checks' h_i * G read the base-point table: about 36
-        additions each, no doublings."""
+        """The three parents' commitments read the base-point table: 3
+        multiplications, 108 additions, no doublings. Each group check
+        opens h = f and finds h_1 * G among its parent's commitments."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 216, "_double": 0,
+            "_add_affine": 108, "_double": 0,
         }
 
     def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
         """Every delta of user 2's group is shifted by 1, so h = f + 1 still
-        opens the commitments and h(0) = 1 refuses all three children."""
+        opens the commitments and h(0) = 1 refuses all three children. The
+        shift moves only h_0, so the count is the parents' 108 additions."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 216, "_double": 0,
+            "_add_affine": 108, "_double": 0,
         }
 
     def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
-        """User 2's C_1 is moved, so its commitments do not open to h and
-        each of its three children runs its own check: one Straus pass over
-        the two commitments' window tables."""
+        """User 2's C_1 is moved, so its commitments do not open to h (h_1 * G,
+        read from the parent's map, differs from C_1) and each of its three
+        children runs its own check: one Straus pass over the two
+        commitments' window tables. The parents' 108 additions plus the
+        three passes' 303 make 411."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
-            "_add_affine": 519, "_double": 758,
+            "_add_affine": 411, "_double": 758,
         }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
+        """Three parents' single commitments, one addition each."""
         _tree, outcome, counts = self.counted_round(monkeypatch, toy)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 6, "_double": 0,
+            "_add_affine": 3, "_double": 0,
         }
 
     def test_renew_secp_shaped_epoch_makes_no_pass(self, monkeypatch):
         """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
         children; user 3's group of four is shifted. Each child's own check
         made 1256 mixed additions and 1028 doublings here (four Straus
-        passes); the opened polynomial refuses all four with the group
-        checks' base-point table alone: 658 additions, no doubling."""
+        passes); the opened polynomial refuses all four with no work beyond
+        the parents' commitments: k = 2, 1, 1, 2, 3 for the root's group of
+        four and the groups of 2-5, 9 base multiplications and 329
+        additions, no doubling."""
         spec = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=spec
@@ -846,8 +885,44 @@ class TestCheckCounts:
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 658, "_double": 0,
+            "_add_affine": 329, "_double": 0,
         }
+
+    def test_no_multiple_outlives_its_round(self, monkeypatch):
+        """Two identical rounds in one process add as many points, and a
+        parent replaying the previous round's bundles makes each group
+        check multiply its h_1 * G afresh: 3 multiplications for the
+        parents and 3 for the replayed polynomials, where an honest round
+        makes 3 in all."""
+        rng = random.Random(41)
+        tree = make_tree(self.SPEC, rng, curve=STANDARD_CURVE)
+        _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
+        added, multiplied = [], []
+        add, times_g = curve_module._add_affine, proactive.scalar_mul
+        monkeypatch.setattr(curve_module, "_add_affine", lambda *a: added.append(1) or add(*a))
+        monkeypatch.setattr(proactive, "scalar_mul", lambda *a: multiplied.append(1) or times_g(*a))
+
+        sent = {}
+
+        def record(bundle):
+            sent[bundle.recipient] = bundle
+            return bundle
+
+        counts = []
+        for _ in range(2):
+            added.clear()
+            multiplied.clear()
+            renewal_round(tree, shares, random.Random(5), perturb=record)
+            counts.append((len(added), len(multiplied)))
+        assert counts[0] == counts[1] and counts[0][1] == 3
+
+        multiplied.clear()
+        outcome = renewal_round(
+            tree, shares, random.Random(6), perturb=lambda bundle: sent[bundle.recipient]
+        )
+        # A replay passes every child's own check: bundles carry no epoch.
+        assert outcome.claims == ()
+        assert len(multiplied) == 6
 
     @pytest.mark.parametrize(
         "curve, converted",

@@ -9,13 +9,20 @@ import pytest
 from conftest import minimal_reconstructing_set
 
 from hiershare import algebra, curve
-from hiershare.config import parse_scenario
+from hiershare.config import load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle, generate_renewal
 from hiershare.sharing import GroupShares, HeldShare
 from hiershare.simnet import World, adversary_act, adversary_hop
-from hiershare.snapshot import load_world, save_world, world_from_dict, world_to_dict
+from hiershare.snapshot import (
+    CorruptSnapshot,
+    _checksum,
+    load_world,
+    save_world,
+    world_from_dict,
+    world_to_dict,
+)
 
 
 def spec_dict(nested):
@@ -95,6 +102,31 @@ class TestDeterminism:
         a = canonical(World(scenario(epochs=4)).run())
         b = canonical(World(scenario(epochs=4)).run())
         assert a == b
+
+    def test_identical_runs_make_the_same_base_multiplications(self, monkeypatch):
+        """Nothing remembers a multiple of G across runs: a second identical
+        secp256k1 run in the same process multiplies G as often, epoch by
+        epoch, as the first."""
+        calls = []
+        original = curve._mul_base
+        monkeypatch.setattr(curve, "_mul_base", lambda *args: calls.append(1) or original(*args))
+        config = scenario(
+            field_mode="curve-order", curve="standard", field_prime=None, eval_mode=None,
+            tree=spec_dict([[[], []], [[], [], []]]), epochs=3,
+            adversary={"strategy": "active-corruptor", "budget": 1, "targets": [1, 2]},
+        )
+
+        def per_epoch():
+            world, counts = World(config), []
+            for step in [world.initial_deal] + [world.step_epoch] * 3:
+                calls.clear()
+                step()
+                counts.append(len(calls))
+            return counts
+
+        first = per_epoch()
+        assert first == per_epoch()
+        assert all(first)
 
     def test_different_seed_different_dealing(self):
         w1 = World(scenario())
@@ -776,6 +808,44 @@ class TestRestore:
         assert straight.adversary.ever_compromised == {1, 2, 4}
         assert straight.tree.nodes[1].active
         assert straight.finalize() == resumed.finalize()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda body: body.update(epoch="2"), "epoch"),
+            (lambda body: body.update(epoch=-1), "epoch"),
+            (lambda body: body.update(epoch=6), "epoch"),
+            (lambda body: body["shares"][0].update(threshold="2"), r"shares\[0\]\.threshold"),
+            (lambda body: body["shares"][0].update(threshold=0), r"shares\[0\]\.threshold"),
+            (lambda body: body["shares"][0].update(threshold=4), r"shares\[0\]\.threshold"),
+            (lambda body: body["shares"][0].update(epoch="1"), r"shares\[0\]\.epoch"),
+            (lambda body: body["shares"][0].update(epoch=3), r"shares\[0\]\.epoch"),
+            (lambda body: body["shares"][0]["holders"].append(99), r"shares\[0\]\.holders"),
+            (lambda body: body["shares"][0]["holders"].append(True), r"shares\[0\]\.holders"),
+            (lambda body: body["shares"][0]["members"].append([99, "1", "1"]), r"shares\[0\]\.members"),
+        ],
+        ids=[
+            "epoch-string", "epoch-negative", "epoch-beyond-scenario",
+            "threshold-string", "threshold-zero", "threshold-above-group",
+            "group-epoch-string", "group-epoch-ahead", "holder-not-a-node",
+            "holder-boolean", "member-not-a-node",
+        ],
+    )
+    def test_mistyped_or_dangling_field_is_refused(self, tmp_path, edit, field):
+        """figure2-leave saved at epoch 2 (the server dealt its group to
+        users 1-3, so a threshold of 4 is out of range), one field edited
+        and the checksum recomputed: the load names the field instead of
+        letting the resumed run die on it."""
+        world = World(load_bundled_scenario("figure2-leave"))
+        world.initial_deal()
+        world.step_epoch()
+        world.step_epoch()
+        body = world_to_dict(world)
+        edit(body)
+        path = tmp_path / "w.snapshot"
+        path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
+        with pytest.raises(CorruptSnapshot, match=field):
+            load_world(path)
 
     def test_siblings_share_one_record_after_renewal_and_restore(self, tmp_path):
         def records(world):
