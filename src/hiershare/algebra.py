@@ -17,6 +17,7 @@ recent abscissa set, which depend on the abscissas and the modulus alone
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -198,8 +199,8 @@ def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
     seen before (a no-curve group, whose abscissas are its members' ids)
     costs no inversion, and a new set costs one.
     """
-    weights = lagrange_weights(tuple(x % p for x, _ in points), p)
-    return sum(w * y for w, (_, y) in zip(weights, points)) % p
+    weights = lagrange_weights(tuple([x % p for x, _ in points]), p)
+    return sum(map(operator.mul, weights, [y for _, y in points])) % p
 
 
 def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:

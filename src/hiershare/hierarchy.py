@@ -78,10 +78,6 @@ class HierarchyTree:
         self.children: dict[int, list[int]] = {ROOT_ID: []}
         self.round_count = 0
 
-    @classmethod
-    def for_curve(cls, curve: CurveParams) -> "HierarchyTree":
-        return cls(curve, FieldParams(curve.order))
-
     # -- queries ---------------------------------------------------------
 
     def node(self, user_id: int) -> HierarchyNode:
@@ -101,9 +97,6 @@ class HierarchyTree:
 
     def active_children(self, node_id: int) -> list[int]:
         return [c for c in self.children_of(node_id) if self.nodes[c].active]
-
-    def active_users(self) -> list[int]:
-        return sorted(n.id for n in self.nodes.values() if n.active)
 
     def subtree(self, user_id: int) -> list[int]:
         """The node and all its descendants, in BFS order."""

@@ -110,12 +110,7 @@ def generate_renewal(
     else:
         commitments = ()
     return [
-        RenewalBundle(
-            sender=sender,
-            recipient=owner,
-            delta=poly_eval(delta_poly, group.members[owner][0], p),
-            commitments=commitments,
-        )
+        RenewalBundle(sender, owner, poly_eval(delta_poly, group.members[owner][0], p), commitments)
         for owner in owners
     ]
 
@@ -189,9 +184,9 @@ def apply_renewal(
     who left) are not in it. The caller has already checked the bundles
     (``group_refusals``) in curve mode."""
     members = {}
-    for bundle in delivered:
-        eval_point, value = group.members[bundle.recipient]
-        members[bundle.recipient] = (eval_point, (value + bundle.delta) % p)
+    for _sender, recipient, delta, _commitments in delivered:
+        eval_point, value = group.members[recipient]
+        members[recipient] = (eval_point, (value + delta) % p)
     return GroupShares(group.epoch + 1, group.threshold, members)
 
 
@@ -235,7 +230,7 @@ class RenewalOutcome:
     verdicts: tuple[Verdict, ...]
 
 
-MessageHook = Callable[[str, int | None], None]
+MessageHook = Callable[[str, int | list[int]], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
 
@@ -267,10 +262,12 @@ def renewal_round(
     round. Verdicts are returned for the caller to act on (cleansing is the
     simulation's job, since it owns the adversary).
 
-    Traffic goes through ``on_message(kind, to)``: one sealed
-    ``renewal-delta`` to each dealt child, in curve mode one
-    ``commitments`` multicast per subtree root, and one ``claim`` per claim,
-    ``extra_claims`` first; ``to`` is None for the public ones.
+    Traffic goes through ``on_message(kind, to)``, one call per batch of
+    one kind: per subtree root, in curve mode one ``commitments`` multicast
+    (``to`` is 1) and then its sealed ``renewal-delta``s (``to`` is its
+    dealt children, in id order); after every group, if there are claims,
+    one ``claim`` per claim, ``extra_claims`` first, in one batch (``to``
+    is their count).
 
     With no subtree to renew the round is empty: the shares come back
     unchanged with no claims (``extra_claims`` included), no traffic, and
@@ -290,16 +287,11 @@ def renewal_round(
         committed = None if tree.curve is None else {}
         bundles = generate_renewal(tree, group, kids, subtree_rng, committed)
 
-        if tree.curve is not None and on_message is not None:
-            on_message("commitments", None)
-
-        delivered: list[RenewalBundle] = []
-        for bundle in bundles:
-            if perturb is not None:
-                bundle = perturb(bundle)
-            if on_message is not None:
-                on_message("renewal-delta", bundle.recipient)
-            delivered.append(bundle)
+        if on_message is not None:
+            if tree.curve is not None:
+                on_message("commitments", 1)
+            on_message("renewal-delta", kids)
+        delivered = bundles if perturb is None else [perturb(bundle) for bundle in bundles]
 
         refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve, committed)
         if refused is None:
@@ -313,9 +305,8 @@ def renewal_round(
         renewed = apply_renewal(group, delivered, tree.field.modulus)
         new_shares.update(dict.fromkeys(kids, renewed))
 
-    if on_message is not None:
-        for _claim in claims:
-            on_message("claim", None)
+    if on_message is not None and claims:
+        on_message("claim", len(claims))
 
     return RenewalOutcome(
         shares=new_shares,

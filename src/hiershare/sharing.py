@@ -230,33 +230,43 @@ def recover_group_secret(
     the round's ``dealer.polynomials``).
 
     Inactive users and users without shares are treated as not
-    participating. Raises InsufficientShares naming the first sibling group
-    that fell below threshold on the path that was needed.
+    participating. Groups are interpolated children first, in descending
+    parent id, each from its first threshold-many contributions. Raises
+    InsufficientShares naming the first sibling group that fell below
+    threshold on the path that was needed, as a recursive climb meets it.
     """
-    participants = {
-        uid for uid in participating if uid in shares and tree.nodes[uid].active
-    }
+    participants = shares.keys() & participating
+    groups = tree.groups(participants)
+    reached = {parent_id}
+    for gid in groups:
+        if gid in split and gid in participants and tree.nodes[gid].parent in reached:
+            reached.add(gid)
     p = tree.field.modulus
-    failures: list[InsufficientShares] = []
-    values: dict[int, int | None] = {}
-    for gid, kids in _groups_children_first(tree, split, parent_id, participants):
-        available: list[tuple[int, int]] = []
+    values: dict[int, int] = {}
+    for gid in sorted(reached & groups.keys(), reverse=True):
+        kids = groups[gid]
+        need = shares[kids[0]].threshold
+        points: list[tuple[int, int]] = []
         for kid in kids:
             eval_point, kept = shares[kid].members[kid]
-            if kid not in split:
-                available.append((eval_point, kept))
-            elif values[kid] is not None:
-                available.append((eval_point, (kept + values[kid]) % p))
+            if kid in split:
+                if kid not in values:
+                    continue
+                kept = (kept + values[kid]) % p
+            points.append((eval_point, kept))
+            if len(points) == need:
+                values[gid] = lagrange_at_zero(points, p)
+                break
+    if parent_id in values:
+        return values[parent_id]
+    # The walk ends at parent_id's own group, which fell short, so it breaks.
+    eligible = {uid for kids in groups.values() for uid in kids}
+    for gid, kids in _groups_children_first(tree, split, parent_id, eligible):
+        have = sum(kid not in split or kid in values for kid in kids)
         need = shares[kids[0]].threshold if kids else 1
-        if len(available) < need:
-            failures.append(InsufficientShares(gid, len(available), need))
-            values[gid] = None
-            continue
-        values[gid] = lagrange_at_zero(available[:need], p)
-    secret = values[parent_id]
-    if secret is None:
-        raise failures[0]
-    return secret
+        if have < need:
+            break
+    raise InsufficientShares(gid, have, need)
 
 
 def _groups_children_first(

@@ -1,13 +1,14 @@
 """Deterministic simulated network and mobile adversary.
 
 Messages are counted, not stored: a message is its kind, plus its
-addressee when sealed. Sealed messages reach only their addressee (the
-secure channel is axiomatic); broadcasts, requests, claims and commitment
-multicasts are public, and each kind fixes its sender and audience.
-Delivery is reliable and immediate: ``World.send`` lets the adversary read
-a dealt share in the same call when it occupies the addressee's host, so
-every message lands within its sending epoch, which is what the
-per-subtree synchronization assumption demands of the transport.
+addressee when sealed, and ``World.send`` counts a batch of one kind.
+Sealed messages reach only their addressee (the secure channel is
+axiomatic); broadcasts, requests, claims and commitment multicasts are
+public, and each kind fixes its sender and audience. Delivery is reliable
+and immediate: ``World.send`` lets the adversary read a dealt share in the
+same call when it occupies the addressee's host, so every message lands
+within its sending epoch, which is what the per-subtree synchronization
+assumption demands of the transport.
 ``World.envelopes`` counts the current epoch's messages by kind; the
 epoch's report row reads its ``messages`` from it and resets it.
 
@@ -183,16 +184,18 @@ class World:
 
     # -- messaging ----------------------------------------------------------
 
-    def send(self, kind: str, to: int | None = None) -> None:
-        """Count one message by kind; ``to`` is the addressee of a sealed
-        one (``share``, ``renewal-delta``). A dealt share is the one
+    def send(self, kind: str, to: int | list[int] = 1) -> None:
+        """Count a batch of messages of one kind: ``to`` is how many public
+        ones, or the addressees of sealed ones (``share``,
+        ``renewal-delta``) in ascending id order. A dealt share is the one
         message the adversary keeps, and only when it occupies the
-        addressee's host: it stores the host's copy at epoch 0 of the live
-        round. Public messages yield nothing (commitments are points, not
-        coefficients)."""
-        self.envelopes[kind] += 1
-        if kind == "share" and to in self.adversary.occupied:
-            self.adversary.stolen_shares[(self.round_id, 0, to)] = self._held_share(to)
+        addressee's host: it stores each such host's copy at epoch 0 of the
+        live round, in ascending id order. Public messages yield nothing
+        (commitments are points, not coefficients)."""
+        self.envelopes[kind] += to if isinstance(to, int) else len(to)
+        if kind == "share":
+            for uid in sorted(self.adversary.occupied.intersection(to)):
+                self.adversary.stolen_shares[(self.round_id, 0, uid)] = self._held_share(uid)
 
     # -- dealing ------------------------------------------------------------
 
@@ -229,16 +232,14 @@ class World:
         for _ in range(_DEAL_ATTEMPTS):
             round_secret = self._begin_round()
             # Each member's request names its parent and child count.
-            for _ in range(members):
-                self.send("reqm")
+            self.send("reqm", members)
             try:
                 shares = distribute(self.tree, groups, self.dealer, self.config.tf, self.rng, round_secret)
             except EvalPointCollision as exc:
                 last_error = exc
                 continue
             self.shares = shares
-            for uid in sorted(shares):
-                self.send("share", uid)
+            self.send("share", sorted(shares))
             return
         raise last_error
 

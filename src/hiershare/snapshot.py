@@ -45,7 +45,7 @@ from typing import Iterator
 from .config import ConfigError, _int, parse_scenario, read_json, serialize_settings, tree_spec
 from .curve import CurvePoint
 from .errors import HierShareError
-from .hierarchy import HierarchyNode
+from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import GroupShares, HeldShare
 from .simnet import World
 
@@ -84,15 +84,28 @@ def _field_in(text: str, world: World) -> int:
     return int(text) % world.config.field.modulus
 
 
-def _bounded(value, where: str, low: int, high: int) -> int:
-    """A stored integer in [low, high]; anything else is ``CorruptSnapshot``."""
+def _bounded(value, where: str, low: int, high: int | None = None) -> int:
+    """A stored integer in [low, high] (or >= low); else ``CorruptSnapshot``."""
     try:
         value = _int(value, where, low)
     except ConfigError as exc:
         raise CorruptSnapshot(str(exc)) from None
-    if value > high:
+    if high is not None and value > high:
         raise CorruptSnapshot(f"{where}: must be <= {high}")
     return value
+
+
+def _blocker_in(node: dict, tree: HierarchyTree) -> int | None:
+    """A stored ``deactivated_by``, as ``leave`` and ``rejoin`` keep it: the
+    node's own id, or its parent's value (None below an active parent)."""
+    uid, blocker, parent = node["id"], node["deactivated_by"], node["parent"]
+    where = f"tree.nodes[{uid - 1}].deactivated_by"
+    inherited = tree.nodes[parent].deactivated_by if parent else None
+    if blocker is not None:
+        _bounded(blocker, where, 1, uid)
+    if blocker not in (uid, inherited):
+        raise CorruptSnapshot(f"{where}: neither {uid} nor its parent's {inherited}")
+    return blocker
 
 
 def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:
@@ -206,10 +219,10 @@ def world_from_dict(data: dict) -> World:
                 parent=node_data["parent"],
                 reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
                 group_key=_point_in(node_data["group_key"], world),
-                deactivated_by=node_data["deactivated_by"],
+                deactivated_by=_blocker_in(node_data, world.tree),
             )
         )
-    world.tree.round_count = data["tree"]["round_count"]
+    world.tree.round_count = _bounded(data["tree"]["round_count"], "tree.round_count", 0)
 
     world.dealer.polynomials = {
         int(gid): tuple(_field_in(c, world) for c in coeffs)
@@ -221,8 +234,9 @@ def world_from_dict(data: dict) -> World:
 
     adv_data = data["adversary"]
     adversary = world.adversary
-    adversary.occupied = set(adv_data["occupied"])
-    adversary.ever_compromised = set(adv_data["ever_compromised"])
+    for field in ("occupied", "ever_compromised"):
+        uids = {_bounded(uid, f"adversary.{field}", 1, len(nodes)) for uid in adv_data[field]}
+        setattr(adversary, field, uids)
     for round_id, epoch, owner, x, value, threshold, split in adv_data["stolen_shares"]:
         adversary.stolen_shares[(round_id, epoch, owner)] = HeldShare(
             _field_in(x, world), _field_in(value, world), threshold, split
@@ -269,8 +283,8 @@ def save_world(world: World, path: str) -> None:
 def load_world(path: str) -> World:
     """The world a snapshot file holds. A file that cannot be read, fails
     its checksum, or whose body lacks a field or holds one that cannot be
-    decoded, a mistyped or out-of-range epoch or threshold, or an id that
-    is no node is refused as ``CorruptSnapshot``; errors in the embedded
+    decoded, a mistyped or out-of-range integer or id (each field checked
+    is named) is refused as ``CorruptSnapshot``; errors in the embedded
     scenario stay ``ConfigError``."""
     wrapper = read_json(path, CorruptSnapshot)
     try:

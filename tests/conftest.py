@@ -23,12 +23,22 @@ def toy():
     return TOY_CURVE
 
 
+def tree_for_curve(curve):
+    """An empty tree whose share field is the curve's group order."""
+    return HierarchyTree(curve, FieldParams(curve.order))
+
+
+def active_users(tree):
+    """The ids of the tree's active users, ascending."""
+    return sorted(n.id for n in tree.nodes.values() if n.active)
+
+
 def make_tree(spec, rng, curve=None, prime=None):
     """Build a tree from a nested-list shape ([[], [[]]] = two level-1
     users, the second with one child), registering in BFS order so ids
     match the scenario-file numbering."""
     if curve is not None:
-        tree = HierarchyTree.for_curve(curve)
+        tree = tree_for_curve(curve)
     else:
         tree = HierarchyTree(None, FieldParams(prime))
     queue = [(child, ROOT_ID) for child in spec]

@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 
 from conftest import (
+    active_users,
     deal,
     eval_point,
     make_tree,
@@ -121,7 +122,7 @@ def test_criterion_3_storage_and_field_size():
         flat_tree, 5, tf(2, 3), rng
     )
     for tree, shares in ((toy_tree, toy_shares), (flat_tree, flat_shares)):
-        assert sorted(shares) == tree.active_users()
+        assert sorted(shares) == active_users(tree)
         assert all(uid in group.members for uid, group in shares.items())
         p = tree.field.modulus
         for uid, group in shares.items():

@@ -4,6 +4,7 @@ import copy
 import random
 
 import pytest
+from conftest import active_users, tree_for_curve
 
 from hiershare import hierarchy
 from hiershare.algebra import FieldParams
@@ -64,7 +65,7 @@ def derive_round_key_server(secret, group_key):
 
 @pytest.fixture
 def toy_tree(toy):
-    return HierarchyTree.for_curve(toy)
+    return tree_for_curve(toy)
 
 
 def build_figure2_tree(tree, rng):
@@ -97,7 +98,7 @@ class TestRegister:
     def test_reproducible_token_sequence(self, toy):
         runs = []
         for _ in range(2):
-            tree = HierarchyTree.for_curve(toy)
+            tree = tree_for_curve(toy)
             rng = random.Random(42)
             runs.append([tree.register(ROOT_ID, rng).reg_token for _ in range(4)])
         assert runs[0] == runs[1]
@@ -203,7 +204,7 @@ class TestRoundKeys:
         if curve_name is None:
             tree = HierarchyTree(None, FieldParams(31))
         else:
-            tree = HierarchyTree.for_curve(PROFILES[curve_name])
+            tree = tree_for_curve(PROFILES[curve_name])
         rng = random.Random(31)
         for _ in range(4):
             tree.register(ROOT_ID, rng)
@@ -213,7 +214,7 @@ class TestRoundKeys:
         before = copy.deepcopy(tree.nodes)
         keys = tree.assign_round_keys(tree.begin_round(rng))
         assert tree.nodes == before
-        expected = [] if curve_name is None else tree.active_users()
+        expected = [] if curve_name is None else active_users(tree)
         assert sorted(keys) == expected
 
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
@@ -242,7 +243,7 @@ class TestRoundKeys:
     def test_returned_key_matches_both_derivations(self, curve_name):
         # The returned (token*secret mod n)*G equals token*R and
         # secret*groupKey for every active user.
-        tree = HierarchyTree.for_curve(PROFILES[curve_name])
+        tree = tree_for_curve(PROFILES[curve_name])
         rng = random.Random(29)
         for _ in range(6):
             tree.register(ROOT_ID, rng)
@@ -282,7 +283,7 @@ class TestLeaveAndRejoin:
         build_figure2_tree(tree, random.Random(1))
         gone = tree.leave(2)
         assert gone == {2, 6, 7, 9, 10, 11, 12, 13, 14}
-        assert sorted(tree.active_users()) == [1, 3, 4, 5, 8]
+        assert sorted(active_users(tree)) == [1, 3, 4, 5, 8]
 
     def test_server_drops_group_key(self, toy_tree, rng):
         node = toy_tree.register(ROOT_ID, rng)
@@ -342,13 +343,13 @@ class TestLeaveAndRejoin:
         assert not tree.nodes[5].active
         tree.rejoin(1, rng)
         tree.rejoin(3, rng)
-        assert tree.active_users() == [1, 2, 3, 4, 5]
+        assert active_users(tree) == [1, 2, 3, 4, 5]
 
 
 def reference_groups(tree, holders=None):
     """The sibling groups rebuilt from per-parent ``active_children``."""
     groups = {}
-    for parent in [ROOT_ID] + tree.active_users():
+    for parent in [ROOT_ID] + active_users(tree):
         kids = [c for c in tree.active_children(parent) if holders is None or c in holders]
         if kids:
             groups[parent] = kids
@@ -358,7 +359,7 @@ def reference_groups(tree, holders=None):
 def reference_levels(tree):
     """Active users grouped by their ``level`` walk to the root."""
     levels = {}
-    for uid in tree.active_users():
+    for uid in active_users(tree):
         levels.setdefault(level(tree, uid), []).append(uid)
     return levels
 
@@ -370,7 +371,7 @@ class TestGroupView:
             tree = HierarchyTree(None, FieldParams(1009))
             vacant = []
             for _ in range(60):
-                active = tree.active_users()
+                active = active_users(tree)
                 op = rng.random()
                 if op < 0.6 or not active:
                     tree.register(rng.choice([ROOT_ID] + active), rng)
@@ -408,7 +409,7 @@ class TestInvariants:
         assert level(toy_tree, c.id) == 3
 
     def test_x_distinctness_under_random_operations(self):
-        tree = HierarchyTree.for_curve(STANDARD_CURVE)
+        tree = tree_for_curve(STANDARD_CURVE)
         rng = random.Random(77)
         alive = []
         departed = []

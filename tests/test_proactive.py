@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import deal, eval_point, make_tree, root_group, tf
+from conftest import active_users, deal, eval_point, make_tree, root_group, tf
 
 import hiershare.curve as curve_module
 import hiershare.proactive as proactive
@@ -26,6 +26,15 @@ from hiershare.proactive import (
     verify_renewal,
 )
 from hiershare.sharing import GroupShares, reconstruct
+
+
+def message_counts(sent):
+    """Messages per kind in the (kind, to) batches a renewal round's hook
+    received: ``to`` is a count, or the addressees of sealed messages."""
+    counts = {}
+    for kind, to in sent:
+        counts[kind] = counts.get(kind, 0) + (to if isinstance(to, int) else len(to))
+    return counts
 
 
 def toy_dealt_tree(rng, spec, factor, secret_value=7):
@@ -233,7 +242,7 @@ class TestRenewalRound:
         sent = []
         outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
         # 6 users -> 6 sealed deltas; 3 subtree roots -> 3 multicasts.
-        assert len(sent) == 6 + 3
+        assert message_counts(sent) == {"renewal-delta": 6, "commitments": 3}
         assert outcome.verdicts == ()
         assert outcome.claims == ()
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
@@ -261,8 +270,8 @@ class TestRenewalRound:
         together = renewal_round(tree, dict(shares), random.Random(31)).shares
         tree.leave(1)
         apart = renewal_round(tree, dict(shares), random.Random(31)).shares
-        assert tree.active_users() == [2, 3, 6, 7, 8]
-        for uid in tree.active_users():
+        assert active_users(tree) == [2, 3, 6, 7, 8]
+        for uid in active_users(tree):
             assert apart[uid].epoch == together[uid].epoch == 1
             assert apart[uid].members[uid] == together[uid].members[uid]
 
@@ -351,7 +360,8 @@ class TestRenewalRound:
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         sent = []
         outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
-        assert [m[0] for m in sent] == ["renewal-delta"] * len(shares)
+        assert message_counts(sent) == {"renewal-delta": len(shares)}
+        assert sorted(uid for _kind, to in sent for uid in to) == sorted(shares)
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
 
 

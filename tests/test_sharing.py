@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 from conftest import (
+    active_users,
     deal,
     eval_point,
     held_copies,
@@ -15,6 +16,7 @@ from conftest import (
     tf,
 )
 
+from hiershare import sharing
 from hiershare.algebra import poly_eval
 from hiershare.hierarchy import ROOT_ID
 from hiershare.sharing import (
@@ -106,7 +108,7 @@ class TestDistribute:
     def test_every_user_holds_exactly_one_share(self, rng):
         tree = make_tree([[[], []], [[]], []], rng, prime=1009)
         dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
-        assert sorted(shares) == tree.active_users()
+        assert sorted(shares) == active_users(tree)
         for parent, kids in tree.groups().items():
             group = shares[kids[0]]
             assert all(shares[kid] is group for kid in kids)
@@ -195,6 +197,35 @@ class TestReconstruct:
         assert exc.value.group_parent == 1
         assert exc.value.have == 1
         assert exc.value.need == 2
+
+    def test_shortfalls_on_two_branches_name_the_climbs_first(self, rng):
+        # 1 -> {3, 4}, 2 -> {5, 6}, 4 -> {7, 8}, unanimity everywhere:
+        # without 3 and 5 the groups under 1 and 2 both fall short. A
+        # left-to-right climb finishes 1's group before 2's; a pass in
+        # descending parent id would name 2.
+        tree = make_tree([[[], [[], []]], [[], []]], rng, prime=1009)
+        dealer, _state, shares = deal(tree, 9, tf(1, 1), rng)
+        participants = [uid for uid in shares if uid not in (3, 5)]
+        with pytest.raises(InsufficientShares) as exc:
+            reconstruct(tree, shares, participants, dealer.polynomials)
+        assert (exc.value.group_parent, exc.value.have, exc.value.need) == (1, 1, 2)
+
+    def test_groups_cut_off_by_an_absent_parent_are_not_interpolated(self, rng, monkeypatch):
+        # Same tree; 4 heads 7 and 8 but does not take part, so of the four
+        # groups only those under 0, 1 and 2 hang from the root.
+        tree = make_tree([[[], [[], []]], [[], []]], rng, prime=1009)
+        dealer, _state, shares = deal(tree, 9, tf(1, 2), rng)
+        interpolated = []
+        original = sharing.lagrange_at_zero
+
+        def counting(points, p):
+            interpolated.append(len(points))
+            return original(points, p)
+
+        monkeypatch.setattr(sharing, "lagrange_at_zero", counting)
+        participants = [uid for uid in shares if uid != 4]
+        assert reconstruct(tree, shares, participants, dealer.polynomials) == 9
+        assert interpolated == [1, 1, 1]
 
     def test_internal_node_recovery_library_call(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)

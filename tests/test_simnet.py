@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import minimal_reconstructing_set
+from conftest import active_users, minimal_reconstructing_set
 
 from hiershare import algebra, curve
 from hiershare.config import load_bundled_scenario, parse_scenario
@@ -666,21 +666,24 @@ class TestLoadAndDealCost:
     def test_quiet_epoch_scans_no_active_users(self, monkeypatch):
         world = World(scenario())
         world.initial_deal()
-        active_users = self.count_calls(monkeypatch, "active_users")
+        scans = self.count_calls(monkeypatch, "active_users")
         world.step_epoch()
         assert world.report.rows[1]["events"] == []
         assert world.report.rows[1]["secret_intact"]
-        assert active_users == []
+        assert scans == []
 
     def count_calls(self, monkeypatch, method):
+        """Record each call of a ``HierarchyTree`` method. ``active_users``,
+        a sorted scan of every node, lives in the tests only, so it is
+        installed for the count: a package call to it would show here."""
         calls = []
-        original = getattr(HierarchyTree, method)
+        original = getattr(HierarchyTree, method, None) or {"active_users": active_users}[method]
 
         def counting(tree, *args):
             calls.append(args)
             return original(tree, *args)
 
-        monkeypatch.setattr(HierarchyTree, method, counting)
+        monkeypatch.setattr(HierarchyTree, method, counting, raising=False)
         return calls
 
     # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7}, 6 -> {8}: four
@@ -722,7 +725,7 @@ class TestLoadAndDealCost:
         # aborts one round. On a curve every round broadcasts its key.
         overrides = {"field_mode": "curve-order", "curve": "standard",
                      "field_prime": None, "eval_mode": None} if curved else {}
-        active_users = self.count_calls(monkeypatch, "active_users")
+        scans = self.count_calls(monkeypatch, "active_users")
         world = World(scenario(
             tree=self.FOUR_GROUPS, epochs=2, leave_policy="abort", events=[
                 {"epoch": 1, "kind": "leave", "user": 5},
@@ -736,7 +739,37 @@ class TestLoadAndDealCost:
             [1, 1, 2] if curved else [0, 0, 0]
         )
         assert [row["messages"]["reqm"] for row in rows] == [8, 7, 6]
-        assert active_users == []
+        assert scans == []
+
+    def test_one_send_per_batch(self, monkeypatch):
+        # Hosts 6 and 2 are occupied from the epoch-0 hop to the epoch-1
+        # hop, so the epoch-1 redeal's shares meet them; the renewal that
+        # follows sends one batch of deltas per sibling group.
+        calls = []
+        original = World.send
+
+        def recording(world, kind, to=1):
+            calls.append((kind, to))
+            original(world, kind, to)
+
+        monkeypatch.setattr(World, "send", recording)
+        world = World(scenario(
+            tree=self.FOUR_GROUPS, events=[{"epoch": 1, "kind": "redeal"}],
+            adversary={"strategy": "scripted", "budget": 2,
+                       "script": [{"epoch": 0, "compromise": [6, 2]}]},
+        ))
+        world.initial_deal()
+        assert calls == [("reqm", 8), ("share", [1, 2, 3, 4, 5, 6, 7, 8])]
+        calls.clear()
+        row = world.step_epoch()
+        assert calls == [
+            ("reqm", 8), ("share", [1, 2, 3, 4, 5, 6, 7, 8]),
+            ("renewal-delta", [1, 2, 3]), ("renewal-delta", [4, 5]),
+            ("renewal-delta", [6, 7]), ("renewal-delta", [8]),
+        ]
+        assert row["messages"] == {"renewal-delta": 8, "reqm": 8, "share": 8}
+        redealt = [key for key in world.adversary.stolen_shares if key[0] == 2]
+        assert redealt == [(2, 0, 2), (2, 0, 6)]
 
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))
@@ -823,19 +856,38 @@ class TestRestore:
             (lambda body: body["shares"][0]["holders"].append(99), r"shares\[0\]\.holders"),
             (lambda body: body["shares"][0]["holders"].append(True), r"shares\[0\]\.holders"),
             (lambda body: body["shares"][0]["members"].append([99, "1", "1"]), r"shares\[0\]\.members"),
+            (lambda body: body["tree"]["nodes"][0].update(deactivated_by="x"),
+             r"tree\.nodes\[0\]\.deactivated_by"),
+            (lambda body: body["tree"]["nodes"][0].update(deactivated_by=4),
+             r"tree\.nodes\[0\]\.deactivated_by"),
+            (lambda body: body["tree"]["nodes"][3].update(deactivated_by=2),
+             r"tree\.nodes\[3\]\.deactivated_by"),
+            (lambda body: body["tree"]["nodes"][5].update(deactivated_by=None),
+             r"tree\.nodes\[5\]\.deactivated_by"),
+            (lambda body: body["tree"].update(round_count="1"), r"tree\.round_count"),
+            (lambda body: body["tree"].update(round_count=-1), r"tree\.round_count"),
+            (lambda body: body["adversary"]["occupied"].append(99), r"adversary\.occupied"),
+            (lambda body: body["adversary"]["occupied"].append("1"), r"adversary\.occupied"),
+            (lambda body: body["adversary"]["ever_compromised"].append(99),
+             r"adversary\.ever_compromised"),
         ],
         ids=[
             "epoch-string", "epoch-negative", "epoch-beyond-scenario",
             "threshold-string", "threshold-zero", "threshold-above-group",
             "group-epoch-string", "group-epoch-ahead", "holder-not-a-node",
-            "holder-boolean", "member-not-a-node",
+            "holder-boolean", "member-not-a-node", "blocker-string",
+            "blocker-a-descendant", "blocker-not-an-ancestor", "active-below-a-left-parent",
+            "round-count-string",
+            "round-count-negative", "occupied-not-a-node", "occupied-string",
+            "ever-compromised-not-a-node",
         ],
     )
     def test_mistyped_or_dangling_field_is_refused(self, tmp_path, edit, field):
         """figure2-leave saved at epoch 2 (the server dealt its group to
-        users 1-3, so a threshold of 4 is out of range), one field edited
-        and the checksum recomputed: the load names the field instead of
-        letting the resumed run die on it."""
+        users 1-3, so a threshold of 4 is out of range; user 1 heads 4 and
+        5, user 2 left with 6 and 7), one field edited and the checksum recomputed: the
+        load names the field instead of letting the resumed run die on it
+        or go on from a state no run can reach."""
         world = World(load_bundled_scenario("figure2-leave"))
         world.initial_deal()
         world.step_epoch()
