@@ -108,6 +108,36 @@ class ScenarioConfig:
     adversary: AdversaryConfig = dc_field(default_factory=AdversaryConfig)
 
 
+def adversary_plan(config: ScenarioConfig, epoch: int) -> dict:
+    """The adversary's plan for ``epoch`` as one merged script entry
+    ``{"compromise", "tamper", "false_claims"}``, each occupied host listed
+    once in ``compromise``, in ascending order. ``scripted`` merges the
+    epoch's entries in file order. Every other strategy rotates through its
+    pool (``targets``, or every user): epoch ``e`` occupies the ``w =
+    min(budget, len(pool))`` pool entries from index ``e*w`` on, wrapping
+    around. An ``active-corruptor`` tampers with each host's bundles to all
+    its active children (empty ``children``); a ``false-claimer`` host
+    accuses its own parent."""
+    adversary = config.adversary
+    if adversary.strategy == "scripted":
+        entries = [entry for entry in adversary.script if entry["epoch"] == epoch]
+    else:
+        pool = adversary.targets or range(1, len(config.parents) + 1)
+        width = min(adversary.budget, len(pool))
+        hosts = sorted({pool[(epoch * width + i) % len(pool)] for i in range(width)})
+        entry = {"compromise": hosts}
+        if adversary.strategy == "active-corruptor":
+            entry["tamper"] = [{"parent": h, "children": []} for h in hosts]
+        elif adversary.strategy == "false-claimer":
+            entry["false_claims"] = [{"accused": config.parents[h - 1], "claimers": [h]} for h in hosts]
+        entries = [entry]
+    return {
+        "compromise": sorted({uid for entry in entries for uid in entry["compromise"]}),
+        "tamper": [tamper for entry in entries for tamper in entry.get("tamper", ())],
+        "false_claims": [claim for entry in entries for claim in entry.get("false_claims", ())],
+    }
+
+
 def expand_tree(tree: dict) -> list[tuple[int, int]]:
     """BFS expansion of the nested tree spec into (id, parent_id) pairs.
 

@@ -18,12 +18,14 @@ members to a new record; a departed host keeps the record of its last
 epoch until a rejoin at its slot or a redeal.
 
 Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
-the deal) before the adversary hops between hosts, so a redeal's mail
-still reaches the previous epoch's occupants. The adversary holds at most
-its per-epoch budget of nodes at a time. On an occupied node it reads all
-local state (its copy of its share and its registration token; a round
-key is not kept state) and controls outgoing protocol messages; it
-cannot break the sealed channel toward anyone else.
+the deal) before the adversary moves to its plan's hosts
+(``config.adversary_plan``), so a redeal's mail still reaches the
+previous epoch's occupants. A plan holds at most the per-epoch budget of
+nodes. On an occupied node the adversary reads all local state (its copy
+of its share and its registration token; a round key is not kept state)
+and controls outgoing protocol messages: the plan's tampered bundles, and
+its false claims from hosts that are active and hold a share. It cannot
+break the sealed channel toward anyone else.
 Renewal counts as completing within the period, so an occupation exposes
 the occupied epoch's share value, never an earlier one. Hardness of the
 curve discrete log is not simulated: secrecy assertions are structural
@@ -40,10 +42,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .config import AdversaryConfig, ScenarioConfig
+from .config import ScenarioConfig, adversary_plan
 from .errors import InvariantViolation
 from .hierarchy import HierarchyTree
-from .proactive import ClaimRecord, RenewalBundle, file_claim, renewal_round
+from .proactive import RenewalBundle, file_claim, renewal_round
 from .sharing import (
     DealerState,
     EvalPointCollision,
@@ -62,74 +64,39 @@ _DEAL_ATTEMPTS = 128
 
 @dataclass
 class AdversaryState:
-    """Mobile adversary: its configuration (strategy, budget, targets,
-    script), occupation, and accumulated knowledge.
-
-    Unscripted strategies rotate through their target pool as a function
-    of the epoch alone: the hop runs once per epoch, epoch 0 included, so
-    epoch ``e`` occupies the ``w = min(budget, len(pool))`` pool entries
-    from index ``e*w`` on, wrapping around. Stolen knowledge persists
-    across cleanses (what was copied stays copied); tokens and shares may
-    only ever belong to nodes in ``ever_compromised``, which the run
-    asserts every epoch. Stolen shares are the hosts' own copies, keyed by
-    (round, epoch, owner); each keeps the threshold and split of its round.
+    """Mobile adversary: its occupation and accumulated knowledge. Where it
+    goes and what it does each epoch is ``config.adversary_plan``. Stolen
+    knowledge persists across cleanses (what was copied stays copied);
+    tokens and shares may only ever belong to nodes in
+    ``ever_compromised``, which the run asserts every epoch. Stolen shares
+    are the hosts' own copies, keyed by (round, epoch, owner); each keeps
+    the threshold and split of its round.
     """
 
-    config: AdversaryConfig
     occupied: set[int] = field(default_factory=set)
     ever_compromised: set[int] = field(default_factory=set)
     stolen_shares: dict[tuple[int, int, int], HeldShare] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
 
 
-def _script_for_epoch(adv: AdversaryState, epoch: int) -> dict:
-    merged: dict = {"compromise": [], "tamper": [], "false_claims": []}
-    for entry in adv.config.script:
-        if entry["epoch"] != epoch:
-            continue
-        merged["compromise"].extend(entry.get("compromise", []))
-        merged["tamper"].extend(entry.get("tamper", []))
-        merged["false_claims"].extend(entry.get("false_claims", []))
-    return merged
-
-
-def adversary_hop(adv: AdversaryState, tree: HierarchyTree, epoch: int) -> None:
-    """Pick the occupied set for the epoch: scripted sets verbatim, other
-    strategies rotate through the target list by epoch."""
-    if adv.config.strategy == "scripted":
-        chosen = sorted(set(_script_for_epoch(adv, epoch)["compromise"]))
-    else:
-        pool = list(adv.config.targets) or sorted(tree.nodes)
-        width = min(adv.config.budget, len(pool))
-        chosen = [pool[(epoch * width + i) % len(pool)] for i in range(width)]
-    adv.occupied = set(chosen)
-    adv.ever_compromised.update(chosen)
-
-
 def adversary_act(
-    adv: AdversaryState, tree: HierarchyTree, shares: dict[int, GroupShares], epoch: int
+    adv: AdversaryState, tree: HierarchyTree, shares: dict[int, GroupShares], plan: dict
 ):
-    """Protocol perturbations for the epoch: a tamper hook for renewal
-    bundles plus any false claims. Passive strategies perturb nothing."""
-    tampered_pairs: set[tuple[int, int]] = set()
-    claims: list[ClaimRecord] = []
-
-    if adv.config.strategy == "active-corruptor":
-        for parent in adv.occupied:
-            tampered_pairs.update((parent, child) for child in tree.active_children(parent))
-    elif adv.config.strategy == "false-claimer":
-        for uid in sorted(adv.occupied):
-            if uid in tree.nodes and tree.nodes[uid].active and uid in shares:
-                claims.append(file_claim(tree, uid, tree.nodes[uid].parent))
-    elif adv.config.strategy == "scripted":
-        entry = _script_for_epoch(adv, epoch)
-        for tam in entry["tamper"]:
-            kids = tam["children"] or tree.active_children(tam["parent"])
-            for child in kids:
-                tampered_pairs.add((tam["parent"], child))
-        for fc in entry["false_claims"]:
-            for claimer in fc["claimers"]:
-                claims.append(file_claim(tree, claimer, fc["accused"]))
+    """The epoch plan's protocol perturbations: a tamper hook for renewal
+    bundles (None when the plan tampers with nothing) and its false claims.
+    A claim is filed only by an active host that holds a share, since the
+    administrator hears claims from members alone."""
+    tampered_pairs = {
+        (tam["parent"], child)
+        for tam in plan["tamper"]
+        for child in tam["children"] or tree.active_children(tam["parent"])
+    }
+    claims = [
+        file_claim(tree, claimer, fc["accused"])
+        for fc in plan["false_claims"]
+        for claimer in fc["claimers"]
+        if tree.nodes[claimer].active and claimer in shares
+    ]
 
     def perturb(bundle: RenewalBundle) -> RenewalBundle:
         if (bundle.sender, bundle.recipient) not in tampered_pairs:
@@ -175,7 +142,7 @@ class World:
         self.epoch = 0
         self.envelopes: Counter[str] = Counter()
         self.report = SimReport(scenario=config.name, seed=config.seed)
-        self.adversary = AdversaryState(config.adversary)
+        self.adversary = AdversaryState()
 
     @property
     def round_id(self) -> int:
@@ -289,17 +256,18 @@ class World:
 
     def _run_epoch(self) -> dict:
         """Every epoch's step, epoch 0 included: events (at epoch 0 ending
-        in the deal), adversary hop, from epoch 1 on renewal and claim
-        resolution, then steal, cleanse, invariants, report row."""
+        in the deal), the adversary's move to its plan's hosts, from epoch
+        1 on renewal and claim resolution, then steal, cleanse, invariants,
+        report row."""
         notes = self._process_events(self.epoch)
-        adversary_hop(self.adversary, self.tree, self.epoch)
+        plan = adversary_plan(self.config, self.epoch)
+        self.adversary.occupied = set(plan["compromise"])
+        self.adversary.ever_compromised.update(plan["compromise"])
 
         verdicts = []
         claims = 0
         if self.epoch and self.config.renewal_enabled:
-            perturb, false_claims = adversary_act(
-                self.adversary, self.tree, self.shares, self.epoch
-            )
+            perturb, false_claims = adversary_act(self.adversary, self.tree, self.shares, plan)
             outcome = renewal_round(
                 self.tree, self.shares, self.rng,
                 perturb=perturb, extra_claims=false_claims, on_message=self.send,
@@ -362,8 +330,6 @@ class World:
 
     def _steal_state(self) -> None:
         for uid in sorted(self.adversary.occupied):
-            if uid not in self.tree.nodes:
-                continue
             node = self.tree.nodes[uid]
             if node.reg_token is not None:
                 self.adversary.stolen_tokens[uid] = node.reg_token

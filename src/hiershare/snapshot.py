@@ -14,13 +14,13 @@ dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, the live round from the
 tree's round count, a node's activity from its ``deactivated_by``, the
 next user id from the node count, the retained parts are the dealing
-polynomials' free coefficients, and the adversary's rotation is a
-function of the epoch. Shares are stored once per sibling-group record
-that some host holds: its epoch, its threshold, each member's (owner,
-evaluation point, value) and the hosts that hold it; its parent is its
-holders' parent. Group keys are stored, as the server's
-record (recomputing costs a scalar multiplication per node). Round keys
-are not: they live only while a deal attempt computes evaluation points.
+polynomials' free coefficients, and the adversary's plan is a function
+of the scenario and the epoch. Shares are stored once per sibling-group
+record that some host holds: its epoch, its threshold, each member's
+(owner, evaluation point, value) and the hosts that hold it; its parent
+is its holders' parent. Group keys are stored, as the server's record
+(recomputing costs a scalar multiplication per node). Round keys are
+not: they live only while a deal attempt computes evaluation points.
 Formats 1-8 are refused.
 
 The file is compact JSON, ``{"body": ..., "checksum": ...}``: the sha256
@@ -42,7 +42,9 @@ import hashlib
 import json
 from typing import Iterator
 
-from .config import ConfigError, _int, parse_scenario, read_json, serialize_settings, tree_spec
+from .config import (
+    ConfigError, _decimal, _flag, _int, parse_scenario, read_json, serialize_settings, tree_spec,
+)
 from .curve import CurvePoint
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
@@ -84,12 +86,18 @@ def _field_in(text: str, world: World) -> int:
     return int(text) % world.config.field.modulus
 
 
-def _bounded(value, where: str, low: int, high: int | None = None) -> int:
-    """A stored integer in [low, high] (or >= low); else ``CorruptSnapshot``."""
+def _typed(read, value, where: str, *args):
+    """``read(value, where, *args)``, one of ``config``'s typed readers,
+    with its ``ConfigError`` raised as ``CorruptSnapshot``."""
     try:
-        value = _int(value, where, low)
+        return read(value, where, *args)
     except ConfigError as exc:
         raise CorruptSnapshot(str(exc)) from None
+
+
+def _bounded(value, where: str, low: int, high: int | None = None) -> int:
+    """A stored integer in [low, high] (or >= low); else ``CorruptSnapshot``."""
+    value = _typed(_int, value, where, low)
     if high is not None and value > high:
         raise CorruptSnapshot(f"{where}: must be <= {high}")
     return value
@@ -237,15 +245,28 @@ def world_from_dict(data: dict) -> World:
     for field in ("occupied", "ever_compromised"):
         uids = {_bounded(uid, f"adversary.{field}", 1, len(nodes)) for uid in adv_data[field]}
         setattr(adversary, field, uids)
-    for round_id, epoch, owner, x, value, threshold, split in adv_data["stolen_shares"]:
-        adversary.stolen_shares[(round_id, epoch, owner)] = HeldShare(
-            _field_in(x, world), _field_in(value, world), threshold, split
+    for i, (round_id, epoch, owner, x, value, threshold, split) in enumerate(adv_data["stolen_shares"]):
+        where = f"adversary.stolen_shares[{i}]"
+        key = (
+            _bounded(round_id, f"{where}.round", 1, world.tree.round_count),
+            _bounded(epoch, f"{where}.epoch", 0, world.epoch),
+            _bounded(owner, f"{where}.owner", 1, len(nodes)),
         )
-    adversary.stolen_tokens = {
-        int(uid): int(tok) for uid, tok in adv_data["stolen_tokens"].items()
-    }
+        adversary.stolen_shares[key] = HeldShare(
+            _field_in(x, world), _field_in(value, world),
+            _bounded(threshold, f"{where}.threshold", 1), _typed(_flag, split, f"{where}.split"),
+        )
+    for uid, tok in adv_data["stolen_tokens"].items():
+        where = f"adversary.stolen_tokens[{uid!r}]"
+        owner = _bounded(_typed(_decimal, uid, where), where, 1, len(nodes))
+        adversary.stolen_tokens[owner] = _typed(_decimal, tok, where)
 
-    world.report.rows = list(data["report_rows"])
+    rows = data["report_rows"]
+    if len(rows) != world.epoch + 1:
+        raise CorruptSnapshot(f"report_rows: {len(rows)} rows at epoch {world.epoch}")
+    for i, row in enumerate(rows):
+        _bounded(row["epoch"], f"report_rows[{i}].epoch", i, i)
+    world.report.rows = list(rows)
     return world
 
 
@@ -283,9 +304,10 @@ def save_world(world: World, path: str) -> None:
 def load_world(path: str) -> World:
     """The world a snapshot file holds. A file that cannot be read, fails
     its checksum, or whose body lacks a field or holds one that cannot be
-    decoded, a mistyped or out-of-range integer or id (each field checked
-    is named) is refused as ``CorruptSnapshot``; errors in the embedded
-    scenario stay ``ConfigError``."""
+    decoded, a mistyped or out-of-range integer, id, flag or token, or a
+    report row too many or too few (each field checked is named) is refused
+    as ``CorruptSnapshot``; errors in the embedded scenario stay
+    ``ConfigError``."""
     wrapper = read_json(path, CorruptSnapshot)
     try:
         body = wrapper["body"]

@@ -6,15 +6,15 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import active_users, minimal_reconstructing_set
+from conftest import active_users, minimal_reconstructing_set, random_tree_spec
 
 from hiershare import algebra, curve
-from hiershare.config import load_bundled_scenario, parse_scenario
+from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle, generate_renewal
 from hiershare.sharing import GroupShares, HeldShare
-from hiershare.simnet import World, adversary_act, adversary_hop
+from hiershare.simnet import World, adversary_act
 from hiershare.snapshot import (
     CorruptSnapshot,
     _checksum,
@@ -467,6 +467,29 @@ class TestAdversaryStrategies:
         assert row["compromised"] == [2, 3, 4]
         assert report.final["reconstruction_correct"] is True
 
+    def test_a_departed_host_files_no_claim(self):
+        """The administrator hears claims from members alone: of three
+        scripted false claimers, the one that left this epoch files
+        nothing, whatever the strategy that planned its claim."""
+        cfg = self._curve_cfg(
+            tree=spec_dict([[[], [], [], [], []]]),
+            tf={"num": 3, "den": 5},
+            epochs=1,
+            events=[{"epoch": 1, "kind": "leave", "user": 2}],
+            adversary={
+                "strategy": "scripted",
+                "budget": 3,
+                "script": [
+                    {"epoch": 1, "compromise": [2, 3, 4],
+                     "false_claims": [{"accused": 1, "claimers": [2, 3, 4]}]},
+                ],
+            },
+        )
+        row = World(cfg).run().rows[1]
+        assert row["claims"] == 2
+        assert [verdict["claimers"] for verdict in row["verdicts"]] == [[3, 4]]
+        assert row["messages"]["claim"] == 2
+
     def test_perturb_hook_changes_only_the_delta_of_a_copy(self):
         cfg = self._curve_cfg(
             tree=spec_dict([[[], []], []]),
@@ -474,10 +497,8 @@ class TestAdversaryStrategies:
         )
         world = World(cfg)
         world.initial_deal()
-        world.epoch = 1
-        adversary_hop(world.adversary, world.tree, world.epoch)
         perturb, _claims = adversary_act(
-            world.adversary, world.tree, world.shares, world.epoch
+            world.adversary, world.tree, world.shares, adversary_plan(cfg, 1)
         )
         rng = random.Random(4)
         group = world.shares[3]
@@ -494,6 +515,138 @@ class TestAdversaryStrategies:
         root = world.shares[1]
         honest = generate_renewal(world.tree, root, [1, 2], rng)[0]
         assert perturb(honest) is honest
+
+
+def reference_occupied(adversary, tree, epoch):
+    """The occupied set as the hop chose it before every strategy was a
+    plan: scripted sets verbatim, other strategies rotating through the
+    targets (or every node) by epoch."""
+    if adversary.strategy == "scripted":
+        return set(reference_script_for_epoch(adversary, epoch)["compromise"])
+    pool = list(adversary.targets) or sorted(tree.nodes)
+    width = min(adversary.budget, len(pool))
+    return {pool[(epoch * width + i) % len(pool)] for i in range(width)}
+
+
+def reference_script_for_epoch(adversary, epoch):
+    merged = {"compromise": [], "tamper": [], "false_claims": []}
+    for entry in adversary.script:
+        if entry["epoch"] != epoch:
+            continue
+        for key, items in merged.items():
+            items.extend(entry.get(key, []))
+    return merged
+
+
+def reference_act(adversary, occupied, tree, shares, epoch):
+    """The tampered (parent, child) pairs and the (claimer, accused) claims
+    of the per-strategy branches before every strategy was a plan. The
+    scripted branch filed every claim; the filter that every claim now
+    passes (an active claimer that holds a share) is applied on top."""
+    pairs, claims = set(), []
+    if adversary.strategy == "active-corruptor":
+        for parent in occupied:
+            pairs.update((parent, child) for child in tree.active_children(parent))
+    elif adversary.strategy == "false-claimer":
+        for uid in sorted(occupied):
+            if uid in tree.nodes and tree.nodes[uid].active and uid in shares:
+                claims.append((uid, tree.nodes[uid].parent))
+    elif adversary.strategy == "scripted":
+        entry = reference_script_for_epoch(adversary, epoch)
+        for tam in entry["tamper"]:
+            for child in tam["children"] or tree.active_children(tam["parent"]):
+                pairs.add((tam["parent"], child))
+        for fc in entry["false_claims"]:
+            claims.extend((claimer, fc["accused"]) for claimer in fc["claimers"])
+        claims = [(c, a) for c, a in claims if tree.nodes[c].active and c in shares]
+    return pairs, claims
+
+
+def random_adversary(rng, strategy, parents, epochs):
+    """A valid adversary section: budget 0-3, targets with repeats or none,
+    and for ``scripted`` one to two entries per epoch whose tampers and
+    false claims sit on that epoch's hosts, in any of its entries."""
+    n = len(parents)
+    budget = rng.randint(0, 3)
+    adversary = {"strategy": strategy, "budget": budget}
+    if strategy != "scripted":
+        if rng.random() < 0.6:
+            adversary["targets"] = [rng.randint(1, n) for _ in range(rng.randint(1, 6))]
+        return adversary
+    script = []
+    for epoch in range(epochs + 1):
+        hosts = rng.sample(range(1, n + 1), min(n, rng.randint(0, budget or 4)))
+        entries = [{"epoch": epoch, "compromise": hosts[: rng.randint(0, len(hosts))]}]
+        entries.append({"epoch": epoch, "compromise": hosts[len(entries[0]["compromise"]):]})
+        for host in hosts:
+            kids = [uid for uid in range(1, n + 1) if parents[uid - 1] == host]
+            if kids and rng.random() < 0.5:
+                tamper = {"parent": host, "children": rng.sample(kids, rng.randint(0, len(kids)))}
+                rng.choice(entries).setdefault("tamper", []).append(tamper)
+        for accused in sorted({parents[host - 1] for host in hosts}):
+            claimers = [host for host in hosts if parents[host - 1] == accused]
+            if rng.random() < 0.6:
+                claim = {"accused": accused, "claimers": rng.sample(claimers, rng.randint(1, len(claimers)))}
+                rng.choice(entries).setdefault("false_claims", []).append(claim)
+        script.extend(entry for entry in entries if len(entry) > 2 or entry["compromise"])
+    rng.shuffle(script)
+    adversary["script"] = script
+    return adversary
+
+
+def tampered_pairs(perturb, tree):
+    """The (parent, child) bundles that ``perturb`` changes."""
+    if perturb is None:
+        return set()
+    pairs = set()
+    for uid, node in tree.nodes.items():
+        bundle = RenewalBundle(node.parent, uid, 0, ())
+        if perturb(bundle) is not bundle:
+            pairs.add((node.parent, uid))
+    return pairs
+
+
+class TestAdversaryPlan:
+    """``config.adversary_plan`` against the rotation and per-strategy
+    branches it replaced, on dealt worlds where some hosts have left and
+    one may have rejoined without a share."""
+
+    @pytest.mark.parametrize("strategy", ["passive-stealer", "active-corruptor", "false-claimer", "scripted"])
+    def test_plan_matches_the_reference(self, strategy):
+        seen = Counter()
+        for seed in range(100):
+            rng = random.Random(f"{strategy}-{seed}")
+            tree = spec_dict(random_tree_spec(rng, max_depth=3, max_fanout=4))
+            parents = tuple(parent for _uid, parent in expand_tree(tree))
+            epochs = rng.randint(0, 5)
+            cfg = scenario(
+                tree=tree, epochs=epochs, seed=str(seed),
+                adversary=random_adversary(rng, strategy, parents, epochs),
+            )
+            world = World(cfg)
+            world.initial_deal()
+            for uid in rng.sample(sorted(world.tree.nodes), min(3, len(parents))):
+                if world.tree.nodes[uid].active and rng.random() < 0.5:
+                    world.tree.leave(uid)
+                    if world.tree.is_active(parents[uid - 1]) and rng.random() < 0.3:
+                        world.tree.rejoin(uid, rng)
+                        world.shares.pop(uid, None)
+            for epoch in range(epochs + 1):
+                plan = adversary_plan(cfg, epoch)
+                occupied = reference_occupied(cfg.adversary, world.tree, epoch)
+                assert plan["compromise"] == sorted(occupied)
+                world.adversary.occupied = occupied
+                perturb, claims = adversary_act(world.adversary, world.tree, world.shares, plan)
+                pairs, expected = reference_act(cfg.adversary, occupied, world.tree, world.shares, epoch)
+                assert tampered_pairs(perturb, world.tree) == pairs
+                assert [(claim.claimer, claim.accused) for claim in claims] == expected
+                seen.update(hosts=len(occupied), pairs=len(pairs), claims=len(claims))
+        # Every check above had something to compare.
+        assert seen["hosts"] > 100
+        if strategy in ("active-corruptor", "scripted"):
+            assert seen["pairs"] > 100
+        if strategy in ("false-claimer", "scripted"):
+            assert seen["claims"] > 50
 
 
 class TestEvents:
@@ -793,6 +946,11 @@ def world_facts(world):
     return facts
 
 
+def edit_stolen_share(column, value):
+    """A snapshot edit setting one column of the first stolen-share row."""
+    return lambda body: body["adversary"]["stolen_shares"][0].__setitem__(column, value)
+
+
 def restored(world, tmp_path):
     path = tmp_path / "w.snapshot"
     save_world(world, path)
@@ -889,6 +1047,51 @@ class TestRestore:
         load names the field instead of letting the resumed run die on it
         or go on from a state no run can reach."""
         world = World(load_bundled_scenario("figure2-leave"))
+        world.initial_deal()
+        world.step_epoch()
+        world.step_epoch()
+        body = world_to_dict(world)
+        edit(body)
+        path = tmp_path / "w.snapshot"
+        path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
+        with pytest.raises(CorruptSnapshot, match=field):
+            load_world(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (edit_stolen_share(0, 0), r"adversary\.stolen_shares\[0\]\.round"),
+            (edit_stolen_share(0, 50), r"adversary\.stolen_shares\[0\]\.round"),
+            (edit_stolen_share(1, 3), r"adversary\.stolen_shares\[0\]\.epoch"),
+            (edit_stolen_share(2, 99), r"adversary\.stolen_shares\[0\]\.owner"),
+            (edit_stolen_share(5, "2"), r"adversary\.stolen_shares\[0\]\.threshold"),
+            (edit_stolen_share(5, 0), r"adversary\.stolen_shares\[0\]\.threshold"),
+            (edit_stolen_share(6, "yes"), r"adversary\.stolen_shares\[0\]\.split"),
+            (lambda body: body["adversary"]["stolen_tokens"].update({"99": "1"}),
+             r"adversary\.stolen_tokens\['99'\]"),
+            (lambda body: body["adversary"]["stolen_tokens"].update({"x": "1"}),
+             r"adversary\.stolen_tokens\['x'\]"),
+            (lambda body: body["adversary"]["stolen_tokens"].update({"4": "one"}),
+             r"adversary\.stolen_tokens\['4'\]"),
+            (lambda body: body["report_rows"].pop(), r"report_rows"),
+            (lambda body: body["report_rows"].append(body["report_rows"][-1]), r"report_rows"),
+            (lambda body: body["report_rows"][1].update(epoch=2), r"report_rows\[1\]\.epoch"),
+            (lambda body: body["report_rows"][1].update(epoch=True), r"report_rows\[1\]\.epoch"),
+        ],
+        ids=[
+            "round-zero", "round-beyond-the-round-count", "share-epoch-ahead",
+            "share-owner-not-a-node", "share-threshold-string", "share-threshold-zero",
+            "split-string", "token-owner-not-a-node", "token-owner-not-a-decimal",
+            "token-not-a-decimal", "report-row-missing", "report-row-extra",
+            "report-row-out-of-order", "report-row-epoch-boolean",
+        ],
+    )
+    def test_mistyped_or_dangling_stolen_state_is_refused(self, tmp_path, edit, field):
+        """demo-7user saved at epoch 2 (round 1; the adversary holds the
+        shares of 4, 5 and 6 and their tokens, and the report three rows),
+        one field edited and the checksum recomputed: the load names the
+        field instead of resuming from it."""
+        world = World(load_bundled_scenario("demo-7user"))
         world.initial_deal()
         world.step_epoch()
         world.step_epoch()

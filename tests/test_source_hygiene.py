@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's
 ``ast`` (no linter is needed): every name a module or test file imports is
 used there, every parameter of a package function is read, the package
-imports nothing outside the standard library, and every name
-``hiershare.__all__`` exports exists.
+imports nothing outside the standard library, every name
+``hiershare.__all__`` exports exists, and only ``config`` reads an
+adversary's strategy.
 """
 
 import ast
@@ -155,3 +156,16 @@ def unread_parameters(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_only_config_reads_the_strategy():
+    """``config.adversary_plan`` turns every strategy into a per-epoch plan;
+    another module that reads a ``strategy`` attribute would be a second
+    adversary path."""
+    readers = [
+        f"{path.name} (line {node.lineno})"
+        for path in MODULES if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "strategy"
+    ]
+    assert readers == []
