@@ -4,14 +4,18 @@ Supplies the group behind user keys, round keys, and renewal commitments.
 Points are affine with an explicit identity, and every ``CurvePoint`` is
 checked against the curve equation when it is built. Multiplications run
 inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
-and convert back to affine once, for the result (``base_mul_equals``
-compares in Jacobian form and converts nothing). Both kernels read a
-scalar in signed-digit windows, so a negative digit costs only the
-negation of a table point: multiples of the base point add one entry of a
-precomputed table per digit, and ``multi_scalar_mul`` interleaves the
-windows of any other points over one shared doubling chain (Straus;
-Möller 2001). Written for simulation fidelity at desk scale, deliberately
-not side-channel hardened: running time depends on the scalar.
+and convert back to affine at the end, with one inversion per batch of
+results (Montgomery 1987): ``base_muls`` converts all its multiples of G
+at once, and ``base_mul_equals`` compares in Jacobian form and converts
+nothing. Both kernels read a scalar in signed-digit windows, so a negative
+digit costs only the negation of a table point: a multiple of the base
+point adds one entry per digit of a precomputed table of d · 256^i · G
+(fixed-base windowing; Brickell, Gordon, McCurley and Wilson 1992), and
+``multi_scalar_mul`` interleaves the windows of any other points over one
+shared doubling chain (Straus; Möller 2001). Both tables are built by
+batched affine additions, one inversion per batch. Written for simulation
+fidelity at desk scale, deliberately not side-channel hardened: running
+time depends on the scalar.
 
 Points and parameters are immutable; all operations are pure.
 """
@@ -46,7 +50,7 @@ class CurveParams:
     def contains(self, x: int, y: int) -> bool:
         return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
 
-    @property
+    @functools.cached_property
     def base_point(self) -> "CurvePoint":
         return CurvePoint(self, self.gx, self.gy)
 
@@ -110,14 +114,15 @@ def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 _JACOBIAN_IDENTITY = (1, 1, 0)
 
 # Window widths of the signed-digit recoding. The base-point table holds
-# d * 128^i * G for d = 1..64: 37 rows of 64 points on secp256k1. A Straus
+# d * 256^i * G for d = 1..128: 33 rows of 128 points on secp256k1. A Straus
 # term of more than 64 bits reads a table of its 16 first multiples; a
 # shorter one (every toy-curve scalar) goes bit by bit and builds none.
-_BASE_WIDTH = 7
+_BASE_WIDTH = 8
 _STRAUS_WIDTH = 5
 _SHORT_BITS = 64
 
-_Table = tuple[tuple[tuple[int, int] | None, ...], ...]
+_Affine = tuple[int, int] | None
+_Table = tuple[tuple[_Affine, ...], ...]
 
 
 def _signed_digits(k: int, width: int) -> list[int]:
@@ -170,56 +175,85 @@ def _add_affine(
     return X3, (R * (V - X3) - Y1 * HHH) % p, Z1 * H % p
 
 
-def _to_affine(points: list[tuple[int, int, int]], p: int) -> list[tuple[int, int] | None]:
-    """Affine forms of Jacobian points, None for the identity, with one
-    inversion for all of them (Montgomery's trick)."""
-    prefixes, product = [], 1
-    for _, _, Z in points:
-        prefixes.append(product)
-        product = product * (Z or 1) % p
+def _inverses(values: list[int], p: int) -> list[int]:
+    """The inverse mod p of each value in 0..p-1, and 0 for 0, with one
+    inversion for all of them (Montgomery's trick). The prefix products
+    are overwritten by the inverses, so the batch holds one list."""
+    out, product = [], 1
+    for v in values:
+        out.append(product if v else 0)
+        product = product * (v or 1) % p
     inverse = pow(product, -1, p)
-    out: list[tuple[int, int] | None] = [None] * len(points)
-    for i in reversed(range(len(points))):
-        X, Y, Z = points[i]
-        if Z:
-            z_inv = inverse * prefixes[i] % p
-            inverse = inverse * Z % p
-            zz_inv = z_inv * z_inv % p
-            out[i] = (X * zz_inv % p, Y * zz_inv * z_inv % p)
+    for i in reversed(range(len(values))):
+        if values[i]:
+            out[i] = inverse * out[i] % p
+            inverse = inverse * values[i] % p
     return out
 
 
-def _multiples(x: int, y: int, count: int, curve: CurveParams) -> list[tuple[int, int, int]]:
-    """d * (x, y) for d = 1..count, Jacobian, by repeated mixed addition."""
-    out = [(x, y, 1)]
-    for _ in range(count - 1):
-        out.append(_add_affine(out[-1], x, y, curve.a, curve.p))
+def _to_affine(points: list[tuple[int, int, int]], p: int) -> list[_Affine]:
+    """Affine forms of Jacobian points, None for the identity, with one
+    inversion for all of them."""
+    out: list[_Affine] = []
+    for (X, Y, Z), z_inv in zip(points, _inverses([Z for _, _, Z in points], p)):
+        zz_inv = z_inv * z_inv % p
+        out.append((X * zz_inv % p, Y * zz_inv * z_inv % p) if Z else None)
     return out
+
+
+def _add_batch(pairs: list[tuple[_Affine, _Affine]], a: int, p: int) -> list[_Affine]:
+    """P + Q for each pair of affine points (None for the identity) by the
+    affine group law, with one inversion for the whole batch. The slope's
+    denominator is x_Q - x_P, or 2y for P + P; it is 0 exactly when the
+    sum needs no slope: with the identity as a term (the sum is the other
+    term), or for P + (-P) and 2P with y = 0 (the sum is the identity)."""
+    denominators = [
+        0 if P is None or Q is None else (2 * P[1] if P == Q else Q[0] - P[0]) % p
+        for P, Q in pairs
+    ]
+    out: list[_Affine] = _inverses(denominators, p)
+    for i, (P, Q) in enumerate(pairs):
+        if not out[i]:
+            out[i] = Q if P is None else P if Q is None else None
+            continue
+        m = (3 * P[0] * P[0] + a if P == Q else Q[1] - P[1]) * out[i] % p
+        x3 = (m * m - P[0] - Q[0]) % p
+        out[i] = (x3, (m * (P[0] - x3) - P[1]) % p)
+    return out
+
+
+def _multiple_rows(points: list[_Affine], count: int, a: int, p: int) -> list[list[_Affine]]:
+    """Row j holds d * points[j] for d = 1..count, a power of two, affine.
+    Each step adds m * P to each of 1..m * P for every point at once: one
+    batch, so one inversion, per doubling of m."""
+    rows, m = [[P] for P in points], 1
+    while m < count:
+        sums = _add_batch([(row[-1], P) for row in rows for P in row], a, p)
+        for j, row in enumerate(rows):
+            row += sums[j * m : (j + 1) * m]
+        m *= 2
+    return rows
 
 
 @functools.lru_cache(maxsize=8)
 def _base_table(curve: CurveParams) -> _Table:
-    """Row i holds d * 128^i * G for d = 1..64, so a signed digit reads its
+    """Row i holds d * 256^i * G for d = 1..128, so a signed digit reads its
     point or the point's negation. There is a row for every digit of a
     scalar below 2^order.bit_length() (the order is read only for its bit
-    length, never used to reduce). Built by the group law alone, with one
-    inversion per row."""
-    half = 1 << (_BASE_WIDTH - 1)
-    rows = []
-    base = (curve.gx, curve.gy)  # 128^i * G
+    length, never used to reduce). Built by the group law alone: the row
+    bases 256^i * G by Jacobian doubling, converted with one inversion, then
+    every row's multiples by seven batched affine additions."""
+    a, p = curve.a, curve.p
+    bases, base = [], (curve.gx, curve.gy, 1)
     for _ in range((curve.order.bit_length() + _BASE_WIDTH) // _BASE_WIDTH):
-        if base is None:
-            row = [None] * (half + 1)
-        else:
-            multiples = _multiples(*base, half, curve)
-            row = _to_affine(multiples + [_double(multiples[-1], curve.a, curve.p)], curve.p)
-        base = row.pop()  # 2 * 64 * base heads the next row
-        rows.append(tuple(row))
-    return tuple(rows)
+        bases.append(base)
+        for _ in range(_BASE_WIDTH):
+            base = _double(base, a, p)
+    return tuple(map(tuple, _multiple_rows(_to_affine(bases, p), 1 << (_BASE_WIDTH - 1), a, p)))
 
 
 def _mul_base(digits: list[int], table: _Table, curve: CurveParams) -> tuple[int, int, int]:
-    """Σ d_i * 128^i * G over signed base-width digits, one per row of the
+    """Σ d_i * 256^i * G over signed base-width digits, one per row of the
     base-point table: one mixed addition per nonzero digit, no doublings."""
     acc, a, p = _JACOBIAN_IDENTITY, curve.a, curve.p
     for row, d in zip(table, digits):
@@ -234,12 +268,13 @@ def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tupl
     """Σ s_i * P_i over (scalar, point) pairs, interleaving signed windows
     (Möller 2001); zero scalars and identity points add nothing, negative
     scalars use the group inverse. A scalar of more than 64 bits is read
-    in width-5 digits from a table of its point's first 16 multiples (one
-    inversion per table); a shorter one is tested bit by bit, with no
-    table. One doubling per bit of the widest scalar, shared by all terms,
-    and one mixed addition per nonzero digit or set bit."""
+    in width-5 digits from a table of its point's first 16 multiples (the
+    tables of all such terms take four batched additions together); a
+    shorter one is tested bit by bit, with no table. One doubling per bit
+    of the widest scalar, shared by all terms, and one mixed addition per
+    nonzero digit or set bit."""
     a, p = curve.a, curve.p
-    short, due, top = [], {}, 0  # due: bit -> window points to add there
+    short, windowed, due, top = [], [], {}, 0  # due: bit -> window points to add there
     for s, P in pairs:
         if P.curve != curve:
             raise OffCurve("points on different curves")
@@ -250,8 +285,12 @@ def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tupl
         if bits <= _SHORT_BITS:
             short.append((s, x, y))
             top = max(top, bits)
-            continue
-        table = _to_affine(_multiples(x, y, 1 << (_STRAUS_WIDTH - 1), curve), p)
+        else:
+            windowed.append((s, (x, y)))
+    tables = []
+    if windowed:
+        tables = _multiple_rows([P for _, P in windowed], 1 << (_STRAUS_WIDTH - 1), a, p)
+    for (s, _), table in zip(windowed, tables):
         for i, d in enumerate(_signed_digits(s, _STRAUS_WIDTH)):
             point = table[abs(d) - 1] if d else None
             if point is not None:
@@ -272,9 +311,27 @@ def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tupl
     return acc
 
 
-def _result(curve: CurveParams, P: tuple[int, int, int]) -> "CurvePoint":
-    affine = _to_affine([P], curve.p)[0]
-    return curve.identity() if affine is None else CurvePoint(curve, *affine)
+def _points(curve: CurveParams, points: list[tuple[int, int, int]]) -> list[CurvePoint]:
+    """Jacobian points as ``CurvePoint``s, with one inversion for all."""
+    return [
+        curve.identity() if affine is None else CurvePoint(curve, *affine)
+        for affine in _to_affine(points, curve.p)
+    ]
+
+
+def base_muls(scalars: Iterable[int], curve: CurveParams) -> list[CurvePoint]:
+    """``[scalar_mul(s, curve.base_point) for s in scalars]``, converted to
+    affine with one inversion for the whole batch. A scalar past the
+    base-point table's capacity (about 2^263 on secp256k1) goes to Straus."""
+    table, jacobian = _base_table(curve), []
+    for s in scalars:
+        digits = _signed_digits(abs(s), _BASE_WIDTH)
+        if len(digits) > len(table):
+            jacobian.append(_straus([(s, curve.base_point)], curve))
+            continue
+        X, Y, Z = _mul_base(digits, table, curve)
+        jacobian.append((X, Y if s > 0 else -Y, Z))
+    return _points(curve, jacobian)
 
 
 def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
@@ -283,15 +340,12 @@ def scalar_mul(s: int, P: CurvePoint) -> CurvePoint:
 
     Nonnegative integers are multiplied as-is (so order*G genuinely walks
     the whole subgroup rather than being reduced away); negative ones use
-    the group inverse, (-s)*P = -(s*P).
+    the group inverse, (-s)*P = -(s*P). A multiple of the base point is
+    ``base_muls``'s one-element case.
     """
-    curve = P.curve
-    if (P.x, P.y) == (curve.gx, curve.gy):
-        table, digits = _base_table(curve), _signed_digits(abs(s), _BASE_WIDTH)
-        if len(digits) <= len(table):
-            X, Y, Z = _mul_base(digits, table, curve)
-            return _result(curve, (X, Y if s > 0 else -Y, Z))
-    return multi_scalar_mul([(s, P)], curve)
+    if (P.x, P.y) == (P.curve.gx, P.curve.gy):
+        return base_muls([s], P.curve)[0]
+    return multi_scalar_mul([(s, P)], P.curve)
 
 
 def multi_scalar_mul(
@@ -300,7 +354,7 @@ def multi_scalar_mul(
     """Σ s_i * P_i over (scalar, point) pairs in one Straus pass; zero
     scalars and identity points add nothing, negative scalars use the group
     inverse. Every point must lie on ``curve``."""
-    return _result(curve, _straus(pairs, curve))
+    return _points(curve, [_straus(pairs, curve)])[0]
 
 
 def base_mul_equals(

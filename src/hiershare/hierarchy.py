@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from .algebra import FieldParams
-from .curve import CurveParams, CurvePoint, scalar_mul
+from .curve import CurveParams, CurvePoint, base_muls, scalar_mul
 from .errors import HierShareError
 
 # Parent marker for level-1 users. The server is not a user; ids start at 1.
@@ -221,11 +221,12 @@ class HierarchyTree:
         """Each active user's round key for the round whose scalar is
         ``secret``, none without a curve: token * serverPublic in the
         protocol, here the same point read from the base-point table as
-        (token * secret mod order) * G. Nothing is stored. This relies on
+        (token * secret mod order) * G, all of a deal's keys in one
+        ``base_muls`` batch. Nothing is stored. This relies on
         ``validate_curve``'s check that the order is prime and that
         order * G is the identity."""
         if self.curve is None:
             return {}
-        G, order = self.curve.base_point, self.curve.order
-        active = (node for node in self.nodes.values() if node.active)
-        return {node.id: scalar_mul(node.reg_token * secret % order, G) for node in active}
+        active = [node for node in self.nodes.values() if node.active]
+        scalars = [node.reg_token * secret % self.curve.order for node in active]
+        return {node.id: key for node, key in zip(active, base_muls(scalars, self.curve))}

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import interpolate, poly_eval, sample_polynomial
-from .curve import CurveParams, CurvePoint, base_mul_equals, scalar_mul
+from .curve import CurveParams, CurvePoint, base_mul_equals, base_muls, scalar_mul
 from .errors import HierShareError
 from .hierarchy import HierarchyTree
 from .sharing import GroupShares
@@ -93,7 +93,8 @@ def generate_renewal(
 
     The polynomial degree equals the group's dealt degree (threshold - 1),
     so a single-child threshold-1 group gets the zero polynomial and an
-    empty commitment list. In curve mode a given ``committed`` gets f_i -> f_i·G.
+    empty commitment list. In curve mode the k commitments are one
+    ``base_muls`` batch, and a given ``committed`` gets f_i -> f_i·G.
     """
     sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
@@ -101,10 +102,7 @@ def generate_renewal(
     p = tree.field.modulus
     delta_poly = sample_polynomial(rng, group.threshold - 1, 0, p)
     if tree.curve is not None:
-        commitments = tuple(
-            scalar_mul(coeff, tree.curve.base_point)
-            for coeff in delta_poly[1:]
-        )
+        commitments = tuple(base_muls(delta_poly[1:], tree.curve))
         if committed is not None:
             committed.update(zip(delta_poly[1:], commitments))
     else:

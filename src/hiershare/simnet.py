@@ -79,13 +79,14 @@ class AdversaryState:
     stolen_tokens: dict[int, int] = field(default_factory=dict)
 
 
-def adversary_act(
-    adv: AdversaryState, tree: HierarchyTree, shares: dict[int, GroupShares], plan: dict
-):
+def adversary_act(tree: HierarchyTree, shares: dict[int, GroupShares], plan: dict):
     """The epoch plan's protocol perturbations: a tamper hook for renewal
     bundles (None when the plan tampers with nothing) and its false claims.
     A claim is filed only by an active host that holds a share, since the
-    administrator hears claims from members alone."""
+    administrator hears claims from members alone. Every tamper parent is
+    among the plan's ``compromise`` hosts (``parse_scenario`` refuses a
+    script entry that tampers from any other), so the hook checks no
+    occupancy."""
     tampered_pairs = {
         (tam["parent"], child)
         for tam in plan["tamper"]
@@ -100,8 +101,6 @@ def adversary_act(
 
     def perturb(bundle: RenewalBundle) -> RenewalBundle:
         if (bundle.sender, bundle.recipient) not in tampered_pairs:
-            return bundle
-        if bundle.sender not in adv.occupied:
             return bundle
         return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
@@ -267,7 +266,7 @@ class World:
         verdicts = []
         claims = 0
         if self.epoch and self.config.renewal_enabled:
-            perturb, false_claims = adversary_act(self.adversary, self.tree, self.shares, plan)
+            perturb, false_claims = adversary_act(self.tree, self.shares, plan)
             outcome = renewal_round(
                 self.tree, self.shares, self.rng,
                 perturb=perturb, extra_claims=false_claims, on_message=self.send,

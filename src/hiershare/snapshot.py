@@ -18,9 +18,10 @@ polynomials' free coefficients, and the adversary's plan is a function
 of the scenario and the epoch. Shares are stored once per sibling-group
 record that some host holds: its epoch, its threshold, each member's
 (owner, evaluation point, value) and the hosts that hold it; its parent
-is its holders' parent. Group keys are stored, as the server's record
-(recomputing costs a scalar multiplication per node). Round keys are
-not: they live only while a deal attempt computes evaluation points.
+is its holders' parent. Group keys are stored, as the server's record,
+and a restore checks each against its token (one batch of base-point
+multiplications for the whole tree). Round keys are not stored: they
+live only while a deal attempt computes evaluation points.
 Formats 1-8 are refused.
 
 The file is compact JSON, ``{"body": ..., "checksum": ...}``: the sha256
@@ -45,7 +46,7 @@ from typing import Iterator
 from .config import (
     ConfigError, _decimal, _flag, _int, parse_scenario, read_json, serialize_settings, tree_spec,
 )
-from .curve import CurvePoint
+from .curve import CurvePoint, base_muls
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import GroupShares, HeldShare
@@ -72,14 +73,6 @@ def _point_out(point: CurvePoint | None) -> list[str] | None:
     if point.is_identity:
         return []
     return [str(point.x), str(point.y)]
-
-
-def _point_in(data, world: World) -> CurvePoint | None:
-    if data is None:
-        return None
-    if data == []:
-        return world.config.curve.identity()
-    return CurvePoint(world.config.curve, int(data[0]), int(data[1]))
 
 
 def _field_in(text: str, world: World) -> int:
@@ -114,6 +107,35 @@ def _blocker_in(node: dict, tree: HierarchyTree) -> int | None:
     if blocker not in (uid, inherited):
         raise CorruptSnapshot(f"{where}: neither {uid} nor its parent's {inherited}")
     return blocker
+
+
+def _nodes_in(nodes: list[dict], world: World) -> None:
+    """Insert the stored nodes into the world's tree. A registration token
+    is null exactly on a vacant slot (one its own leave blocks), otherwise
+    in 1..order-1 on a curve and 1..p-1 without one. Without a curve no
+    node has a group key; on one a key is null exactly with its token and
+    otherwise is stored as token * G, which is computed for every node in
+    one ``base_muls`` batch and kept."""
+    curve = world.config.curve
+    high = (world.config.field.modulus if curve is None else curve.order) - 1
+    for node_data in nodes:
+        uid, token = node_data["id"], node_data["reg_token"]
+        where = f"tree.nodes[{uid - 1}]"
+        blocker = _blocker_in(node_data, world.tree)
+        if (token is None) != (blocker == uid):
+            raise CorruptSnapshot(f"{where}.reg_token: must be null exactly on a vacant slot")
+        if token is not None:
+            at = f"{where}.reg_token"
+            token = _bounded(_typed(_decimal, token, at), at, 1, high)
+        if node_data["group_key"] is not None and (token is None or curve is None):
+            raise CorruptSnapshot(f"{where}.group_key: must be null without a token or a curve")
+        world.tree.insert(HierarchyNode(uid, node_data["parent"], token, None, blocker))
+    if curve is not None:
+        keyed = [node for node in world.tree.nodes.values() if node.reg_token is not None]
+        for node, key in zip(keyed, base_muls([node.reg_token for node in keyed], curve)):
+            if _point_out(key) != nodes[node.id - 1]["group_key"]:
+                raise CorruptSnapshot(f"tree.nodes[{node.id - 1}].group_key: not reg_token * G")
+            node.group_key = key
 
 
 def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:
@@ -220,16 +242,7 @@ def world_from_dict(data: dict) -> World:
     rng_version, rng_internal, rng_gauss = data["rng_state"]
     world.rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
 
-    for node_data in nodes:
-        world.tree.insert(
-            HierarchyNode(
-                id=node_data["id"],
-                parent=node_data["parent"],
-                reg_token=None if node_data["reg_token"] is None else int(node_data["reg_token"]),
-                group_key=_point_in(node_data["group_key"], world),
-                deactivated_by=_blocker_in(node_data, world.tree),
-            )
-        )
+    _nodes_in(nodes, world)
     world.tree.round_count = _bounded(data["tree"]["round_count"], "tree.round_count", 0)
 
     world.dealer.polynomials = {
@@ -304,7 +317,8 @@ def save_world(world: World, path: str) -> None:
 def load_world(path: str) -> World:
     """The world a snapshot file holds. A file that cannot be read, fails
     its checksum, or whose body lacks a field or holds one that cannot be
-    decoded, a mistyped or out-of-range integer, id, flag or token, or a
+    decoded, a mistyped or out-of-range integer, id, flag or token, a
+    registration token or group key that does not fit its slot, or a
     report row too many or too few (each field checked is named) is refused
     as ``CorruptSnapshot``; errors in the embedded scenario stay
     ``ConfigError``."""

@@ -13,9 +13,11 @@ from hiershare.curve import (
     CurvePoint,
     OffCurve,
     base_mul_equals,
+    base_muls,
     multi_scalar_mul,
     point_add,
     scalar_mul,
+    _BASE_WIDTH,
     _base_table,
     validate_curve,
 )
@@ -210,21 +212,23 @@ class TestScalarMul:
 
 _ORDER = STANDARD_CURVE.order
 _RNG = random.Random(11)
-# Seeded scalars; the edges of a width-5 Straus window and of a width-7
-# base-table digit (2^w - 1, 2^w, 2^w + 1); both sides of the 64-bit switch
-# between bit-by-bit and windowed Straus terms; the edges around the order;
-# 2^256 - 1, 2^256 + 3 and 2^258 - 1, which the base-point table still
-# covers; 2^259 + 3, past its capacity; and negative scalars.
+# Seeded scalars; the edges of a width-5 Straus window and of a width-8
+# base-table digit (2^w - 1, 2^w, 2^w + 1), and of its largest positive
+# digit 2^7; both sides of the 64-bit switch between bit-by-bit and
+# windowed Straus terms; the edges around the order; 2^256 - 1, 2^256 + 3,
+# 2^258 - 1, 2^259 + 3 and 2^263 - 1, which the base-point table still
+# covers; 2^264 + 3, past its capacity; and negative scalars.
 STANDARD_EDGES = {
     "0": 0, "1": 1, "2": 2,
     "2^5-1": 2**5 - 1, "2^5": 2**5, "2^5+1": 2**5 + 1,
     "2^7-1": 2**7 - 1, "2^7": 2**7, "2^7+1": 2**7 + 1,
+    "2^8-1": 2**8 - 1, "2^8": 2**8, "2^8+1": 2**8 + 1,
     "2^64-1": 2**64 - 1, "2^64": 2**64, "2^64+1": 2**64 + 1,
     "order-1": _ORDER - 1, "order": _ORDER, "order+1": _ORDER + 1,
     "2^256-1": 2**256 - 1, "2^256+3": 2**256 + 3, "2^258-1": 2**258 - 1,
-    "2^259+3": 2**259 + 3,
+    "2^259+3": 2**259 + 3, "2^263-1": 2**263 - 1, "2^264+3": 2**264 + 3,
     "-5": -5, "-(2^64+1)": -(2**64 + 1), "-(order-1)": -(_ORDER - 1),
-    "-(2^259+3)": -(2**259 + 3),
+    "-(2^259+3)": -(2**259 + 3), "-(2^264+3)": -(2**264 + 3),
 }
 STANDARD_SCALARS = list(STANDARD_EDGES.values()) + [_RNG.randrange(_ORDER) for _ in range(6)]
 STANDARD_IDS = list(STANDARD_EDGES) + [f"seeded{i}" for i in range(6)]
@@ -265,9 +269,15 @@ class TestStandardCurvePaths:
         assert as_tuple(scalar_mul(k, from_tuple(STANDARD_CURVE, P))) == expected
 
     @pytest.mark.parametrize(
-        "k, passes", [(2**258 - 1, 0), (-(2**258 - 1), 0), (2**259 + 3, 1), (-(2**259 + 3), 1)]
+        "k, passes",
+        [(2**258 - 1, 0), (-(2**258 - 1), 0), (2**259 + 3, 0), (-(2**259 + 3), 0),
+         (2**263 - 1, 0), (-(2**263 - 1), 0), (2**264 + 3, 1), (-(2**264 + 3), 1)],
     )
     def test_base_point_falls_back_to_straus_past_the_table(self, k, passes, monkeypatch):
+        """The table has (256 + 8) // 8 = 33 rows, and every width-8 signed
+        digit is at most 2^7, so it reads |k| up to 2^7 * (256^33 - 1) / 255,
+        just above 2^263: 2^263 - 1 and below take no Straus pass, and
+        2^264 + 3, whose recoding has a 34th digit, takes one."""
         straus = []
         original = curve_module._straus
         monkeypatch.setattr(
@@ -305,10 +315,45 @@ class TestSmallCurveKernels:
             assert as_tuple(got) == expected, pairs
 
 
+HALF = 1 << (_BASE_WIDTH - 1)  # the largest base-table digit
+
+
+def table_rows(curve):
+    """Rows for every base-width digit of a scalar below 2^order.bit_length()."""
+    return (curve.order.bit_length() + _BASE_WIDTH) // _BASE_WIDTH
+
+
+class TestBaseMuls:
+    """``base_muls`` against ``scalar_mul`` one scalar at a time and the
+    affine reference, on batches that mix zero, negative scalars,
+    multiples of the order (identity results among the others in one
+    conversion) and scalars past the base-point table."""
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE] + SMALL_CURVES, ids=lambda c: c.name)
+    def test_matches_one_at_a_time_and_the_reference(self, curve, monkeypatch):
+        rng = random.Random(47)
+        n, G = curve.order, (curve.gx, curve.gy)
+        edges = [0, 1, -1, n, -n, 3 * n, n - 1, -(n + 1), 2**264 + 3, -(2**300 + 5)]
+        base_muls([1], curve)  # the base-point table is built before counting
+        conversions = []
+        convert = curve_module._to_affine
+        monkeypatch.setattr(
+            curve_module, "_to_affine", lambda points, p: conversions.append(1) or convert(points, p)
+        )
+        batches = [[], [5], edges, rng.sample(edges, 4) + [rng.randrange(-n, n) for _ in range(4)]]
+        for scalars in batches:
+            conversions.clear()
+            got = base_muls(scalars, curve)
+            assert conversions == [1]
+            assert got == [scalar_mul(s, curve.base_point) for s in scalars]
+            assert [as_tuple(P) for P in got] == [naive_mul(curve, s, G) for s in scalars]
+
+
 def table_entry_by_point_add(curve, i, d):
-    """d * 128^i * G by 7i doublings and d additions through ``point_add``."""
+    """d * 2^(w*i) * G for the base width w, by w*i doublings and d
+    additions through ``point_add``."""
     P = curve.base_point
-    for _ in range(7 * i):
+    for _ in range(_BASE_WIDTH * i):
         P = point_add(P, P)
     total = curve.identity()
     for _ in range(d):
@@ -317,38 +362,40 @@ def table_entry_by_point_add(curve, i, d):
 
 
 class TestBaseTable:
-    """Row i of the base-point table holds d * 128^i * G for d = 1..64 (a
-    signed digit reads an entry or its negation), the identity as None,
-    with a row for every digit of a scalar below 2^order.bit_length()."""
+    """Row i of the base-point table holds d * 2^(w*i) * G for d = 1..2^(w-1)
+    and the base width w (a signed digit reads an entry or its negation),
+    the identity as None, with a row for every digit of a scalar below
+    2^order.bit_length(). The batched builder's identity, P + (-P) and
+    y = 0 cases are checked here against ``point_add``."""
 
     @pytest.mark.parametrize("curve", SMALL_CURVES, ids=lambda c: c.name)
     def test_every_entry_of_a_small_curve(self, curve):
         table = _base_table(curve)
-        assert len(table) == (curve.order.bit_length() + 7) // 7 == 1
+        assert len(table) == table_rows(curve) == 1
         for i, row in enumerate(table):
-            assert list(row) == [table_entry_by_point_add(curve, i, d) for d in range(1, 65)]
+            assert list(row) == [table_entry_by_point_add(curve, i, d) for d in range(1, HALF + 1)]
 
     def test_some_entries_identity(self):
         order_7 = _base_table(SMALL_CURVES[1])[0]
-        assert [d for d in range(1, 65) if order_7[d - 1] is None] == list(range(7, 65, 7))
+        assert [d for d in range(1, HALF + 1) if order_7[d - 1] is None] == list(range(7, HALF + 1, 7))
         order_2 = _base_table(SMALL_CURVES[2])[0]
-        assert [d for d in range(1, 65) if order_2[d - 1] is None] == list(range(2, 65, 2))
+        assert [d for d in range(1, HALF + 1) if order_2[d - 1] is None] == list(range(2, HALF + 1, 2))
 
     def test_rows_past_the_identity(self):
-        """G of order 2 claiming the 8-bit prime 131 takes two rows; 128 * G
+        """G of order 2 claiming the 8-bit prime 131 takes two rows; 2^w * G
         is the identity, so all of row 1 is."""
         curve = CurveParams("order-2-claims-131", 17, 0, 16, 1, 0, 131)
         table = _base_table(curve)
-        assert len(table) == 2
-        assert list(table[0]) == [table_entry_by_point_add(curve, 0, d) for d in range(1, 65)]
-        assert table[1] == (None,) * 64
+        assert len(table) == table_rows(curve) == 2
+        assert list(table[0]) == [table_entry_by_point_add(curve, 0, d) for d in range(1, HALF + 1)]
+        assert table[1] == (None,) * HALF
 
     def test_sampled_standard_entries(self):
-        table = _base_table(STANDARD_CURVE)
-        assert [len(row) for row in table] == [64] * 37
+        table, rows = _base_table(STANDARD_CURVE), table_rows(STANDARD_CURVE)
+        assert [len(row) for row in table] == [HALF] * rows
         rng = random.Random(43)
-        sampled = [(0, 1), (0, 64), (1, 1), (36, 64)]
-        sampled += [(rng.randrange(37), rng.randrange(1, 65)) for _ in range(4)]
+        sampled = [(0, 1), (0, HALF), (1, 1), (rows - 1, HALF)]
+        sampled += [(rng.randrange(rows), rng.randrange(1, HALF + 1)) for _ in range(4)]
         for i, d in sampled:
             assert table[i][d - 1] == table_entry_by_point_add(STANDARD_CURVE, i, d)
 

@@ -37,6 +37,22 @@ def message_counts(sent):
     return counts
 
 
+def counted_multiples(monkeypatch):
+    """The scalars ``proactive`` multiplies G by, one entry per call: a
+    ``base_muls`` batch as the tuple of its scalars, a ``scalar_mul`` as
+    (s,)."""
+    calls = []
+    batch, single = proactive.base_muls, proactive.scalar_mul
+
+    def counting_batch(scalars, curve):
+        calls.append(tuple(scalars))
+        return batch(calls[-1], curve)
+
+    monkeypatch.setattr(proactive, "base_muls", counting_batch)
+    monkeypatch.setattr(proactive, "scalar_mul", lambda s, P: calls.append((s,)) or single(s, P))
+    return calls
+
+
 def toy_dealt_tree(rng, spec, factor, secret_value=7):
     from hiershare.curve import TOY_CURVE
 
@@ -597,17 +613,16 @@ class TestBatchCheck:
         deltas open h = f, and h_1 * G and h_2 * G are both among the
         parent's commitments, each under the other coefficient. The check
         compares by position, so it falls back, and every child refuses
-        as it would alone. Only the parent multiplies G."""
+        as it would alone. Only the parent multiplies G: its three
+        coefficients, in one batch."""
         tree, shares = self.dealt_group(28, 5, curve=curve)
         assert shares[1].threshold - 1 == 3
-        polys, multiplied = [], []
-        sample, times_g = proactive.sample_polynomial, proactive.scalar_mul
+        polys = []
+        sample = proactive.sample_polynomial
         monkeypatch.setattr(
             proactive, "sample_polynomial", lambda *a: polys.append(sample(*a)) or polys[-1]
         )
-        monkeypatch.setattr(
-            proactive, "scalar_mul", lambda *a: multiplied.append(a) or times_g(*a)
-        )
+        multiplied = counted_multiples(monkeypatch)
         checks = self.counted_checks(monkeypatch)
 
         def swap(bundle):
@@ -617,7 +632,7 @@ class TestBatchCheck:
         outcome, seen = self.run_tampered(tree, shares, swap)
         (f,) = polys
         assert f[1] != f[2]
-        assert len(multiplied) == 3 and len(checks) == 5
+        assert multiplied == [f[1:]] and len(checks) == 5
         assert self.claimers(outcome) == [1, 2, 3, 4, 5] == self.alone(tree, shares, seen)
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
@@ -786,13 +801,17 @@ class TestBatchCheck:
 class TestCheckCounts:
     """Machine-independent cost of one renewal epoch: how many per-child
     checks and Straus passes it makes. Each group's parent commits to its
-    k coefficients with k base-point multiplications, about 36 mixed
-    additions each on secp256k1 and one on the toy curve; the group check
-    reads h_i * G from those commitments and adds nothing of its own."""
+    k coefficients with k base-point multiplications in one batch, about
+    32 mixed additions each on secp256k1 (one per nonzero digit of the
+    scalar's 32 or 33 width-8 digits; a digit is zero with odds 1/256) and
+    one on the toy curve; the group check reads h_i * G from those
+    commitments and adds nothing of its own."""
 
     # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups of
     # threshold 2 (k = 1), 8 dealt children.
     SPEC = [[[], []], [[], [], []], []]
+    # The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5 children.
+    RENEW_SECP_SPEC = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
 
     def counted_round(
         self, monkeypatch, curve, tampered_parent=None, spec=SPEC, move_commitment=False
@@ -834,41 +853,45 @@ class TestCheckCounts:
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
         """The three parents' commitments read the base-point table: 3
-        multiplications, 108 additions, no doublings. Each group check
-        opens h = f and finds h_1 * G among its parent's commitments."""
+        multiplications, one addition per nonzero digit of f_1 (32 + 32 +
+        32 = 96), no doublings. Each group check opens
+        h = f and finds h_1 * G among its parent's commitments."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 108, "_double": 0,
+            "_add_affine": 96, "_double": 0,
         }
 
     def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
         """Every delta of user 2's group is shifted by 1, so h = f + 1 still
         opens the commitments and h(0) = 1 refuses all three children. The
-        shift moves only h_0, so the count is the parents' 108 additions."""
+        shift moves only h_0, so the count is the parents' 96 additions."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 108, "_double": 0,
+            "_add_affine": 96, "_double": 0,
         }
 
     def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
         """User 2's C_1 is moved, so its commitments do not open to h (h_1 * G,
         read from the parent's map, differs from C_1) and each of its three
-        children runs its own check: one Straus pass over the two
-        commitments' window tables. The parents' 108 additions plus the
-        three passes' 303 make 411."""
+        children runs its own check: delta * G from the base-point table
+        (98 additions for the three deltas) and one Straus pass over C_1's
+        16-multiple window table (149 additions and 755 doublings for the
+        three x_j mod n). The window tables are batched affine additions,
+        so they add and double nothing here. The parents' 96 additions plus
+        the passes' 98 + 149 make 343."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
-            "_add_affine": 411, "_double": 758,
+            "_add_affine": 343, "_double": 755,
         }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
@@ -882,35 +905,59 @@ class TestCheckCounts:
 
     def test_renew_secp_shaped_epoch_makes_no_pass(self, monkeypatch):
         """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
-        children; user 3's group of four is shifted. Each child's own check
-        made 1256 mixed additions and 1028 doublings here (four Straus
-        passes); the opened polynomial refuses all four with no work beyond
+        children; user 3's group of four is shifted. The four children's own
+        checks would make 534 mixed additions and 1020 doublings here (four
+        Straus passes); the opened polynomial refuses all four with no work beyond
         the parents' commitments: k = 2, 1, 1, 2, 3 for the root's group of
-        four and the groups of 2-5, 9 base multiplications and 329
-        additions, no doubling."""
-        spec = [[[]] * 2, [[]] * 3, [[]] * 4, [[]] * 5]
+        four and the groups of 2-5, 9 base multiplications and 292
+        additions (31 to 33 nonzero digits each), no doubling."""
         _tree, outcome, counts = self.counted_round(
-            monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=spec
+            monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=self.RENEW_SECP_SPEC
         )
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 329, "_double": 0,
+            "_add_affine": 292, "_double": 0,
         }
+
+    def test_one_inversion_per_group_and_per_deal(self, monkeypatch):
+        """The renew-secp epoch above converts each group's k = 2, 1, 1, 2, 3
+        commitments with one inversion: five in all, not nine. A deal
+        converts the round keys of all 18 users with one."""
+        rng = random.Random(41)
+        tree = make_tree(self.RENEW_SECP_SPEC, rng, curve=STANDARD_CURVE)
+        _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
+        curve_module._base_table(STANDARD_CURVE)
+        inversions, converted = [], []
+        invert, convert = curve_module._inverses, curve_module._to_affine
+        monkeypatch.setattr(
+            curve_module, "_inverses", lambda v, p: inversions.append(len(v)) or invert(v, p)
+        )
+        monkeypatch.setattr(
+            curve_module, "_to_affine", lambda P, p: converted.append(len(P)) or convert(P, p)
+        )
+        renewal_round(tree, shares, rng)
+        assert converted == inversions == [2, 1, 1, 2, 3]
+        converted.clear()
+        inversions.clear()
+        tree.assign_round_keys(tree.begin_round(rng))
+        assert converted == inversions == [len(tree.nodes)] == [18]
 
     def test_no_multiple_outlives_its_round(self, monkeypatch):
         """Two identical rounds in one process add as many points, and a
         parent replaying the previous round's bundles makes each group
         check multiply its h_1 * G afresh: 3 multiplications for the
-        parents and 3 for the replayed polynomials, where an honest round
-        makes 3 in all."""
+        parents (one batch of k = 1 each) and 3 single ones for the
+        replayed polynomials, where an honest round makes 3 in all. Were
+        a multiple kept past its round, the replay would read h_1 * G from
+        it and make 3."""
         rng = random.Random(41)
         tree = make_tree(self.SPEC, rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
-        added, multiplied = [], []
-        add, times_g = curve_module._add_affine, proactive.scalar_mul
+        added = []
+        add = curve_module._add_affine
         monkeypatch.setattr(curve_module, "_add_affine", lambda *a: added.append(1) or add(*a))
-        monkeypatch.setattr(proactive, "scalar_mul", lambda *a: multiplied.append(1) or times_g(*a))
+        calls = counted_multiples(monkeypatch)
 
         sent = {}
 
@@ -921,31 +968,32 @@ class TestCheckCounts:
         counts = []
         for _ in range(2):
             added.clear()
-            multiplied.clear()
+            calls.clear()
             renewal_round(tree, shares, random.Random(5), perturb=record)
-            counts.append((len(added), len(multiplied)))
+            counts.append((len(added), sum(map(len, calls))))
         assert counts[0] == counts[1] and counts[0][1] == 3
 
-        multiplied.clear()
+        calls.clear()
         outcome = renewal_round(
             tree, shares, random.Random(6), perturb=lambda bundle: sent[bundle.recipient]
         )
         # A replay passes every child's own check: bundles carry no epoch.
         assert outcome.claims == ()
-        assert len(multiplied) == 6
+        assert sum(map(len, calls)) == 6
 
     @pytest.mark.parametrize(
-        "curve, converted",
-        [(TOY_CURVE, []), (STANDARD_CURVE, [16, 16, 16])],
+        "curve, tables",
+        [(TOY_CURVE, []), (STANDARD_CURVE, [(3, 16)])],
         ids=["toy", "standard"],
     )
     def test_child_check_builds_a_window_table_only_for_long_scalars(
-        self, monkeypatch, curve, converted
+        self, monkeypatch, curve, tables
     ):
         """A child's check compares delta * G with the Straus sum in
         Jacobian form, converting neither. Every toy-curve scalar has at most
-        5 bits, so its Straus terms go bit by bit and build no table; each
-        secp256k1 term x^h mod n converts a table of 16 multiples."""
+        5 bits, so its Straus terms go bit by bit and build no table; the
+        three secp256k1 terms x^h mod n build their tables of 16 affine
+        multiples together."""
         rng = random.Random(3)
         coeffs = [rng.randrange(1, curve.order) for _ in range(3)]
         x = rng.randrange(2, curve.order)
@@ -954,11 +1002,15 @@ class TestCheckCounts:
             delta=sum(c * x**h for h, c in enumerate(coeffs, start=1)) % curve.order,
             commitments=tuple(scalar_mul(c, curve.base_point) for c in coeffs),
         )
-        sizes = []
-        original = curve_module._to_affine
+        converted, built = [], []
+        convert, multiples = curve_module._to_affine, curve_module._multiple_rows
         monkeypatch.setattr(
-            curve_module, "_to_affine",
-            lambda points, p: sizes.append(len(points)) or original(points, p),
+            curve_module, "_to_affine", lambda P, p: converted.append(len(P)) or convert(P, p)
+        )
+        monkeypatch.setattr(
+            curve_module, "_multiple_rows",
+            lambda P, count, a, p: built.append((len(P), count)) or multiples(P, count, a, p),
         )
         assert proactive.verify_renewal(bundle, x, curve)
-        assert sizes == converted
+        assert converted == []
+        assert built == tables

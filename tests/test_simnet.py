@@ -497,9 +497,7 @@ class TestAdversaryStrategies:
         )
         world = World(cfg)
         world.initial_deal()
-        perturb, _claims = adversary_act(
-            world.adversary, world.tree, world.shares, adversary_plan(cfg, 1)
-        )
+        perturb, _claims = adversary_act(world.tree, world.shares, adversary_plan(cfg, 1))
         rng = random.Random(4)
         group = world.shares[3]
         original = generate_renewal(world.tree, group, [3, 4], rng)[0]
@@ -611,18 +609,40 @@ class TestAdversaryPlan:
     branches it replaced, on dealt worlds where some hosts have left and
     one may have rejoined without a share."""
 
-    @pytest.mark.parametrize("strategy", ["passive-stealer", "active-corruptor", "false-claimer", "scripted"])
-    def test_plan_matches_the_reference(self, strategy):
-        seen = Counter()
+    STRATEGIES = ["passive-stealer", "active-corruptor", "false-claimer", "scripted"]
+
+    @staticmethod
+    def configs(strategy):
+        """100 seeded scenarios of ``strategy``: (rng, parents, cfg), the
+        rng left where the scenario's draws end."""
         for seed in range(100):
             rng = random.Random(f"{strategy}-{seed}")
             tree = spec_dict(random_tree_spec(rng, max_depth=3, max_fanout=4))
             parents = tuple(parent for _uid, parent in expand_tree(tree))
             epochs = rng.randint(0, 5)
-            cfg = scenario(
+            yield rng, parents, scenario(
                 tree=tree, epochs=epochs, seed=str(seed),
                 adversary=random_adversary(rng, strategy, parents, epochs),
             )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_tamper_parent_is_compromised(self, strategy):
+        """The invariant that lets the tamper hook skip an occupancy check:
+        each epoch's tamper parents are among that plan's hosts."""
+        tampers = 0
+        for _rng, _parents, cfg in self.configs(strategy):
+            for epoch in range(cfg.epochs + 1):
+                plan = adversary_plan(cfg, epoch)
+                assert {tam["parent"] for tam in plan["tamper"]} <= set(plan["compromise"])
+                tampers += len(plan["tamper"])
+        if strategy in ("active-corruptor", "scripted"):
+            assert tampers > 50
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_plan_matches_the_reference(self, strategy):
+        seen = Counter()
+        for rng, parents, cfg in self.configs(strategy):
+            epochs = cfg.epochs
             world = World(cfg)
             world.initial_deal()
             for uid in rng.sample(sorted(world.tree.nodes), min(3, len(parents))):
@@ -636,7 +656,7 @@ class TestAdversaryPlan:
                 occupied = reference_occupied(cfg.adversary, world.tree, epoch)
                 assert plan["compromise"] == sorted(occupied)
                 world.adversary.occupied = occupied
-                perturb, claims = adversary_act(world.adversary, world.tree, world.shares, plan)
+                perturb, claims = adversary_act(world.tree, world.shares, plan)
                 pairs, expected = reference_act(cfg.adversary, occupied, world.tree, world.shares, epoch)
                 assert tampered_pairs(perturb, world.tree) == pairs
                 assert [(claim.claimer, claim.accused) for claim in claims] == expected
@@ -951,6 +971,11 @@ def edit_stolen_share(column, value):
     return lambda body: body["adversary"]["stolen_shares"][0].__setitem__(column, value)
 
 
+def swap_group_keys(nodes):
+    """A snapshot edit swapping the group keys of nodes 1 and 2."""
+    nodes[0]["group_key"], nodes[1]["group_key"] = nodes[1]["group_key"], nodes[0]["group_key"]
+
+
 def restored(world, tmp_path):
     path = tmp_path / "w.snapshot"
     save_world(world, path)
@@ -1100,6 +1125,55 @@ class TestRestore:
         path = tmp_path / "w.snapshot"
         path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
         with pytest.raises(CorruptSnapshot, match=field):
+            load_world(path)
+
+    @pytest.mark.parametrize(
+        "scenario_name, edit, field",
+        [
+            ("demo-7user", lambda nodes: nodes[0].update(reg_token="0"), r"nodes\[0\]\.reg_token"),
+            ("demo-7user", swap_group_keys, r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(reg_token=str(int(nodes[0]["reg_token"]) + 1)),
+             r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(group_key=None), r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(reg_token=None), r"nodes\[0\]\.reg_token"),
+            ("demo-7user", lambda nodes: nodes[0].update(reg_token="19"), r"nodes\[0\]\.reg_token"),
+            ("demo-7user", lambda nodes: nodes[0].update(group_key=[]), r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(group_key=["1", "1"]), r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(group_key=["x", "1"]), r"nodes\[0\]\.group_key"),
+            ("demo-7user", lambda nodes: nodes[0].update(group_key="7,6"), r"nodes\[0\]\.group_key"),
+            ("figure2-leave", lambda nodes: nodes[1].update(reg_token="5"), r"nodes\[1\]\.reg_token"),
+            ("figure2-leave", lambda nodes: nodes[0].update(reg_token=None), r"nodes\[0\]\.reg_token"),
+            ("figure2-leave", lambda nodes: nodes[0].update(reg_token="101"), r"nodes\[0\]\.reg_token"),
+            ("figure2-leave", lambda nodes: nodes[0].update(group_key=["5", "1"]),
+             r"nodes\[0\]\.group_key"),
+        ],
+        ids=[
+            "token-zero", "group-keys-swapped", "token-plus-one", "key-null-with-a-token",
+            "token-null-with-a-key", "token-the-order", "key-the-identity",
+            "key-off-the-curve", "key-not-decimal", "key-not-a-list",
+            "no-curve-token-on-a-vacant-slot", "no-curve-token-null-on-an-occupied-slot",
+            "no-curve-token-the-prime", "no-curve-key",
+        ],
+    )
+    def test_token_or_group_key_that_misfits_its_slot_is_refused(
+        self, tmp_path, scenario_name, edit, field
+    ):
+        """A scenario saved at epoch 2, one node edited and the checksum
+        recomputed. demo-7user runs on the toy curve (order 19) with every
+        user registered, node 1 holding token 9; figure2-leave has no curve
+        (prime 101) and its user 2 left, so slot 2 is vacant. A token must
+        be null exactly on a vacant slot and lie in 1..order-1 (1..p-1
+        without a curve); a key must be token * G, null with its token, and
+        null throughout without a curve."""
+        world = World(load_bundled_scenario(scenario_name))
+        world.initial_deal()
+        world.step_epoch()
+        world.step_epoch()
+        body = world_to_dict(world)
+        edit(body["tree"]["nodes"])
+        path = tmp_path / "w.snapshot"
+        path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
+        with pytest.raises(CorruptSnapshot, match=r"tree\." + field):
             load_world(path)
 
     def test_siblings_share_one_record_after_renewal_and_restore(self, tmp_path):
