@@ -2,7 +2,9 @@
 
 All share and renewal math lives in a single prime field: the order of the
 curve's base-point subgroup in curve mode, or a standalone small prime in
-"no-curve" test mode (which enables exhaustive secrecy checks).
+"no-curve" test mode (which enables exhaustive secrecy checks). Either must
+pass ``is_prime``: exact below psi_13 (about 3.3e24), and above it
+Baillie-PSW, which no known composite passes.
 
 Field values are plain ints in [0, p); every function takes the modulus p
 explicitly and returns reduced values. A polynomial is its coefficient
@@ -17,6 +19,7 @@ recent abscissa set, which depend on the abscissas and the modulus alone
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -49,21 +52,21 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 
 _TRIAL_PRIMES = _small_primes(1000)
 
-# Deterministic Miller-Rabin witness set: proven sufficient for all
-# n < 3_317_044_064_679_887_385_961_981 (Sorenson & Webster). Beyond that the
-# extra bases make the test probabilistic but with deterministic output.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# The first 13 primes as Miller-Rabin bases are proven deterministic for all
+# n < psi_13 = 3_317_044_064_679_887_385_961_981 (Sorenson & Webster 2017).
+# The first 12 alone are not: psi_12 = 318_665_857_834_031_151_167_461
+# = 399165290221 * 798330580441 passes bases 2..37 (Jiang & Deng 2014).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: trial division at toy scale, Miller-Rabin above.
-
-    Deterministic for n below ~3.3e24; for larger n (standard curve
-    parameters) it uses a fixed extended base set, so the answer is still
-    reproducible run to run.
-    """
+    """Trial division below 997^2, then Baillie-PSW: a strong probable-prime
+    test to base 2 and a strong Lucas test with Selfridge's parameters
+    (Baillie & Wagstaff 1980). Below psi_13 the first test takes the first
+    13 prime bases, which is a proof. Above it no composite is known to pass;
+    for any fixed Miller-Rabin base set, passing ones can be built (Arnault
+    1995)."""
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -75,10 +78,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    bases = _MR_BASES
-    if n >= _MR_DETERMINISTIC_BOUND:
-        bases = _MR_BASES + _MR_EXTRA_BASES
-    for a in bases:
+    for a in _MR_BASES if n < _MR_DETERMINISTIC_BOUND else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -88,7 +88,53 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of odd n with no small factor: D the first of 5, -7,
+    9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4 (Selfridge). A square
+    has no such D, so it is refused first. Uses no modular exponentiation."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    # U_k, V_k and Q^k from k = 1 by doubling and adding one, down d's bits.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) % n, (D * U + V) % n, Qk * Q % n
+            U = (U if U % 2 == 0 else U + n) // 2
+            V = (V if V % 2 == 0 else V + n) // 2
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

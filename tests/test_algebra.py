@@ -3,6 +3,7 @@ perfect-secrecy count over F_31."""
 
 import random
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,23 @@ class TestFieldParams:
             FieldParams(2)
 
 
+# psi_12 and psi_13: the least composites that pass Miller-Rabin to the
+# first 12 and 13 prime bases (Jiang & Deng 2014, Sorenson & Webster 2017).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+# Base-2 strong pseudoprimes with no factor below 1000.
+BASE_2_PSEUDOPRIMES = [3474749660383, 341550071728321, 3825123056546413051, PSI_12, PSI_13]
+
+
+def strong_probable_prime(n, a):
+    """Reference Miller-Rabin round to base a, independent of ``is_prime``."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
 class TestIsPrime:
     def test_small(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
@@ -51,6 +69,67 @@ class TestIsPrime:
         p256 = 2**256 - 2**32 - 977
         assert is_prime(p256)
         assert not is_prime(p256 + 2)
+
+    def test_matches_a_sieve_above_trial_division(self):
+        # 1711469 = 1069 * 1601 lies in the window: a strong Lucas
+        # pseudoprime with no factor below 1000, refused only by Miller-Rabin.
+        lo, hi = 1_700_000, 1_720_000
+        sieve = bytearray([1]) * (hi - lo)
+        for q in algebra._small_primes(isqrt(hi) + 1):
+            start = max(q * q, -(-lo // q) * q)
+            sieve[start - lo :: q] = bytes(len(sieve[start - lo :: q]))
+        assert [n for n in range(lo, hi) if is_prime(n)] == [
+            n for n in range(lo, hi) if sieve[n - lo]
+        ]
+
+    @pytest.mark.parametrize("n", BASE_2_PSEUDOPRIMES)
+    def test_base_2_strong_pseudoprimes_are_refused_by_the_lucas_half(self, n):
+        assert all(n % q for q in algebra._TRIAL_PRIMES)
+        assert strong_probable_prime(n, 2)
+        assert not algebra._strong_lucas(n)
+        assert not is_prime(n)
+
+    def test_psi_12_is_composite(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        # Of the proven base set only 41, the 13th prime, is a witness.
+        assert [a for a in algebra._MR_BASES if not strong_probable_prime(PSI_12, a)] == [41]
+        assert not is_prime(PSI_12)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971, 1711469])
+    def test_strong_lucas_pseudoprimes_are_refused(self, n):
+        assert algebra._strong_lucas(n)
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("root", [1009, 1093, 2**61 - 1, 2**127 - 1])
+    def test_squares_of_primes_are_refused_without_a_search(self, monkeypatch, root):
+        # A square has no D with (D/n) = -1, so the search must not start.
+        # 1093 is a Wieferich prime: its square passes Miller-Rabin to base 2.
+        def jacobi(a, n):
+            raise AssertionError("Jacobi symbol taken for a square")
+
+        monkeypatch.setattr(algebra, "_jacobi", jacobi)
+        assert not algebra._strong_lucas(root * root)
+        assert not is_prime(root * root)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1, STANDARD_CURVE.order],
+    )
+    def test_large_primes_are_accepted(self, n):
+        assert is_prime(n)
+
+    def test_one_modular_exponentiation_above_psi_13(self, monkeypatch):
+        # secp256k1's n is above psi_13: one base-2 exponentiation; the
+        # Lucas half and the Jacobi symbols use none.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(algebra, "pow", counting, raising=False)
+        assert is_prime(STANDARD_CURVE.order)
+        assert len(calls) == 1
 
 
 class TestFieldArithmetic:

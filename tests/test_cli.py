@@ -208,6 +208,17 @@ class TestVerifyCurveCommand:
         assert main(["verify-curve", str(bad)]) == 1
         assert "invalid" in capsys.readouterr().out
 
+    def test_inline_psi_12_modulus_invalid(self, tmp_path, capsys):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the first 12
+        # prime bases.
+        psi_12 = "318665857834031151167461"
+        bad = tmp_path / "curve.json"
+        bad.write_text(json.dumps(
+            {"p": psi_12, "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "19"}
+        ))
+        assert main(["verify-curve", str(bad)]) == 1
+        assert f"invalid: field modulus {psi_12} is not prime\n" in capsys.readouterr().out
+
     def test_missing_base_point_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "curve.json"
         bad.write_text(json.dumps({"p": "17", "a": "2", "b": "2", "order": "19"}))

@@ -104,6 +104,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not prime"):
             parse_scenario(base_scenario(field_prime="1000"))
 
+    def test_psi_12_field_prime_rejected(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin to the first 12
+        # prime bases.
+        psi_12 = "318665857834031151167461"
+        with pytest.raises(ConfigError, match=rf"\.field_prime: field modulus {psi_12} is not prime$"):
+            parse_scenario(base_scenario(field_prime=psi_12))
+
     def test_round_key_eval_needs_curve(self):
         with pytest.raises(ConfigError, match="round-key"):
             parse_scenario(base_scenario(eval_mode="round-key"))
@@ -128,6 +135,16 @@ class TestValidation:
             curve={"p": "17", "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "18"},
         )
         with pytest.raises(ConfigError, match="order"):
+            parse_scenario(bad)
+
+    def test_inline_curve_over_psi_12_rejected(self):
+        psi_12 = "318665857834031151167461"
+        bad = base_scenario(
+            field_mode="curve-order",
+            field_prime=None,
+            curve={"p": psi_12, "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "19"},
+        )
+        with pytest.raises(ConfigError, match=rf"\.curve: field modulus {psi_12} is not prime;"):
             parse_scenario(bad)
 
     def test_inline_curve_order_refused_only_for_primality(self):

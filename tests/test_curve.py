@@ -513,3 +513,9 @@ class TestValidateCurve:
         broken = CurveParams("composite", 15, toy.a, toy.b, toy.gx, toy.gy, toy.order)
         report = validate_curve(broken)
         assert any("not prime" in f for f in report.failures)
+
+    def test_psi_12_modulus_flagged(self, toy):
+        # A composite that passes Miller-Rabin to the first 12 prime bases.
+        psi_12 = 318665857834031151167461
+        broken = CurveParams("psi-12", psi_12, toy.a, toy.b, toy.gx, toy.gy, toy.order)
+        assert f"field modulus {psi_12} is not prime" in validate_curve(broken).failures
