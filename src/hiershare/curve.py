@@ -388,24 +388,25 @@ class CurveValidation:
 
 
 def validate_curve(params: CurveParams) -> CurveValidation:
-    """Check discriminant, base-point membership, subgroup order, and
-    primality, and that an order at most p is the whole group's: by Hasse's
-    bound, one with (p + 1 - order)^2 > 4p leaves a cofactor above 1.
-    Returns itemized failures instead of raising."""
+    """Check primality, discriminant, base-point membership and subgroup
+    order, and that an order at most p is the whole group's: by Hasse's
+    bound, one with (p + 1 - order)^2 > 4p leaves a cofactor above 1. The
+    checks that reduce mod p run only over a prime p (p = 0 has no
+    remainders). Returns itemized failures instead of raising."""
     report = CurveValidation()
     p_prime = is_prime(params.p)
     if not p_prime:
         report.failures.append(f"field modulus {params.p} is not prime")
-    if (4 * params.a**3 + 27 * params.b**2) % params.p == 0:
+    elif (4 * params.a**3 + 27 * params.b**2) % params.p == 0:
         report.failures.append("singular curve: 4a^3 + 27b^2 = 0 mod p")
-    on_curve = params.contains(params.gx, params.gy)
-    if not on_curve:
+    on_curve = p_prime and params.contains(params.gx, params.gy)
+    if p_prime and not on_curve:
         report.failures.append("base point not on curve")
     try:
         report.field_params = FieldParams(params.order)
     except ValueError as exc:
         report.failures.append(f"subgroup order: {exc}")
-    if p_prime and on_curve:
+    if on_curve:
         if not scalar_mul(params.order, params.base_point).is_identity:
             report.failures.append("order * G is not the identity")
     if params.order <= params.p and (params.p + 1 - params.order) ** 2 > 4 * params.p:

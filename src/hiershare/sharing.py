@@ -12,7 +12,7 @@ recovers the secret.
 Shares are stored once per sibling group (``GroupShares``): the group's
 epoch and threshold sit on the group record, next to each member's
 evaluation point and kept value. The round is the world's, and a member's
-value is split exactly when the dealer holds a polynomial for it. A host's
+value is split exactly when it is in the dealer's split set. A host's
 own view of its share (``HeldShare``) copies the two group facts it knows
 from the protocol; it is what a sealed share message carries and what an
 adversary steals.
@@ -25,10 +25,10 @@ role inside the single-threaded simulation loop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Container, Iterable, Mapping, NamedTuple
 
-from .algebra import Polynomial, lagrange_at_zero, poly_eval, sample_polynomial
+from .algebra import lagrange_at_zero, poly_eval, sample_polynomial
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
 
@@ -121,18 +121,15 @@ class GroupShares(NamedTuple):
 
 @dataclass
 class DealerState:
-    """Server-side dealing state: the secret and one polynomial per group,
-    keyed by the group's parent (the root's has the secret as its free
-    coefficient).
-
-    The free coefficient of an internal node's polynomial is the part of
-    that node's evaluation the server retains; it never leaves the server
-    except indirectly, through the shares dealt to the node's children. A
-    group's threshold is its polynomial's length (its degree plus one).
+    """Server-side dealing state: the secret, and the users the live round
+    dealt as internal nodes (``split``), whose kept values are only part
+    of their evaluations. The dealing polynomials live only while
+    ``distribute`` runs; no later step reads the retained parts, since a
+    split child's value is recovered from its own group.
     """
 
     secret: int
-    polynomials: dict[int, Polynomial] = field(default_factory=dict)
+    split: frozenset[int] = frozenset()
 
 
 def assign_eval_points(
@@ -179,9 +176,11 @@ def distribute(
     ``begin_round`` returned; it fixes the evaluation points.
 
     A parent's id is below its children's, so its polynomial is drawn
-    before its own group is dealt. The field modulus is the same at every
-    level. Raises InactiveSubtree when a leave has blocked the round (no
-    level-1 users, or an internal node with children but none active).
+    before its own group is dealt, and is dropped once it is. The field
+    modulus is the same at every level; a group's threshold is its
+    polynomial's length. Sets ``dealer.split``. Raises InactiveSubtree when
+    a leave has blocked the round (no level-1 users, or an internal node
+    with children but none active).
     """
     if ROOT_ID not in groups:
         raise InactiveSubtree("no active level-1 users")
@@ -196,17 +195,17 @@ def distribute(
     p = tree.field.modulus
 
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
-    dealer.polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
+    polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
     shares: dict[int, GroupShares] = {}
     for parent, kids in groups.items():
-        polynomial = dealer.polynomials[parent]
+        polynomial = polynomials.pop(parent)
         members: dict[int, tuple[int, int]] = {}
         for uid in kids:
             evaluation = poly_eval(polynomial, points[uid], p)
             if uid in groups:
                 kept, retained = split(evaluation, p, rng)
-                dealer.polynomials[uid] = sample_polynomial(
+                polynomials[uid] = sample_polynomial(
                     rng, compute_threshold(tf, len(groups[uid])) - 1, retained, p
                 )
             else:
@@ -214,6 +213,7 @@ def distribute(
             members[uid] = (points[uid], kept)
         group = GroupShares(0, len(polynomial), members)
         shares.update(dict.fromkeys(kids, group))
+    dealer.split = frozenset(groups.keys() - {ROOT_ID})
     return shares
 
 
@@ -226,8 +226,8 @@ def recover_group_secret(
 ) -> int:
     """Recover the value jointly held by ``parent_id``'s children: the
     parent's retained part, or the original secret when parent_id is the
-    root. ``split`` holds the users dealt as internal nodes (the keys of
-    the round's ``dealer.polynomials``).
+    root. ``split`` holds the users dealt as internal nodes (the round's
+    ``dealer.split``).
 
     Inactive users and users without shares are treated as not
     participating. Groups are interpolated children first, in descending

@@ -318,14 +318,14 @@ class World:
         """Whether every active share-holder together recovers the dealer's
         secret, and the reason when their shares fall short."""
         try:
-            value = reconstruct(self.tree, self.shares, self.shares, self.dealer.polynomials)
+            value = reconstruct(self.tree, self.shares, self.shares, self.dealer.split)
         except InsufficientShares as exc:
             return False, str(exc)
         return value == self.dealer.secret, ""
 
     def _held_share(self, uid: int) -> HeldShare:
         """The host's own copy of the share it holds in the live round."""
-        return self.shares[uid].held_by(uid, uid in self.dealer.polynomials)
+        return self.shares[uid].held_by(uid, uid in self.dealer.split)
 
     def _steal_state(self) -> None:
         for uid in sorted(self.adversary.occupied):

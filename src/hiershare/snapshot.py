@@ -6,23 +6,23 @@ to an uninterrupted one. Snapshots are only taken (and only accepted)
 at epoch boundaries, where the per-epoch message counts are empty, so
 no message count is stored.
 
-Format 9 stores each fact once and nothing derivable. The tree is kept
+Format 10 stores each fact once and nothing derivable. The tree is kept
 in the node list alone: the embedded scenario leaves its ``tree`` out, and
 a restore rebuilds it from the nodes' parent links. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, the live round from the
 tree's round count, a node's activity from its ``deactivated_by``, the
-next user id from the node count, the retained parts are the dealing
-polynomials' free coefficients, and the adversary's plan is a function
-of the scenario and the epoch. Shares are stored once per sibling-group
-record that some host holds: its epoch, its threshold, each member's
-(owner, evaluation point, value) and the hosts that hold it; its parent
-is its holders' parent. Group keys are stored, as the server's record,
-and a restore checks each against its token (one batch of base-point
-multiplications for the whole tree). Round keys are not stored: they
-live only while a deal attempt computes evaluation points.
-Formats 1-8 are refused.
+next user id from the node count, and each group key from its token
+(token * G, one batch of base-point multiplications for the whole tree).
+The dealer keeps only its split set. The adversary's plan is a function
+of the scenario and the epoch, so the nodes it ever compromised are the
+union of its plans so far, and the hosts it occupies are the last report
+row's ``compromised``. Shares are stored once per sibling-group record
+that some host holds: its epoch, its threshold, each member's (owner,
+evaluation point, value) and the hosts that hold it; its parent is its
+holders' parent. Round keys are not stored: they live only while a deal
+attempt computes evaluation points. Formats 1-9 are refused.
 
 The file is compact JSON, ``{"body": ..., "checksum": ...}``: the sha256
 of the body's canonical form (sorted keys, no spaces). The body is
@@ -30,11 +30,11 @@ written, and its checksum computed, one top-level key at a time, so the
 encoder never holds the whole body's text at once; nothing in it is
 nested deeper than a fixed few levels, so any tree depth saves and loads.
 
-A snapshot holds every secret in the clear: the dealer secret, the
-dealing polynomials (and with them the retained parts), every share and
-every registration token. Protect the file like the secret itself. Only
-a round's server scalar is never persisted, since it dies when its round
-completes.
+A snapshot holds every secret in the clear: the dealer secret, every
+share and every registration token. Protect the file like the secret
+itself. Neither the dealing polynomials nor a round's server scalar is
+persisted: the polynomials die when the deal returns, the scalar when its
+round completes.
 """
 
 from __future__ import annotations
@@ -44,15 +44,16 @@ import json
 from typing import Iterator
 
 from .config import (
-    ConfigError, _decimal, _flag, _int, parse_scenario, read_json, serialize_settings, tree_spec,
+    ConfigError, _decimal, _flag, _int, adversary_plan, parse_scenario, read_json,
+    serialize_settings, tree_spec,
 )
-from .curve import CurvePoint, base_muls
+from .curve import base_muls
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import GroupShares, HeldShare
 from .simnet import World
 
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 
 class VersionMismatch(HierShareError):
@@ -65,14 +66,6 @@ class CorruptSnapshot(HierShareError):
 
 class ResumeRefused(HierShareError):
     """Snapshot is not at an epoch boundary."""
-
-
-def _point_out(point: CurvePoint | None) -> list[str] | None:
-    if point is None:
-        return None
-    if point.is_identity:
-        return []
-    return [str(point.x), str(point.y)]
 
 
 def _field_in(text: str, world: World) -> int:
@@ -96,6 +89,16 @@ def _bounded(value, where: str, low: int, high: int | None = None) -> int:
     return value
 
 
+def _stolen_from(read, value, where: str, ever: set[int]) -> int:
+    """A stolen token's or share's owner, typed by ``read``: a node that some
+    plan up to the snapshot's epoch compromised, the only nodes anything is
+    stolen from."""
+    owner = _typed(read, value, where)
+    if owner not in ever:
+        raise CorruptSnapshot(f"{where}: node {owner} was never compromised")
+    return owner
+
+
 def _blocker_in(node: dict, tree: HierarchyTree) -> int | None:
     """A stored ``deactivated_by``, as ``leave`` and ``rejoin`` keep it: the
     node's own id, or its parent's value (None below an active parent)."""
@@ -112,10 +115,8 @@ def _blocker_in(node: dict, tree: HierarchyTree) -> int | None:
 def _nodes_in(nodes: list[dict], world: World) -> None:
     """Insert the stored nodes into the world's tree. A registration token
     is null exactly on a vacant slot (one its own leave blocks), otherwise
-    in 1..order-1 on a curve and 1..p-1 without one. Without a curve no
-    node has a group key; on one a key is null exactly with its token and
-    otherwise is stored as token * G, which is computed for every node in
-    one ``base_muls`` batch and kept."""
+    in 1..order-1 on a curve and 1..p-1 without one. On a curve each
+    token's group key, token * G, is computed in one ``base_muls`` batch."""
     curve = world.config.curve
     high = (world.config.field.modulus if curve is None else curve.order) - 1
     for node_data in nodes:
@@ -127,14 +128,10 @@ def _nodes_in(nodes: list[dict], world: World) -> None:
         if token is not None:
             at = f"{where}.reg_token"
             token = _bounded(_typed(_decimal, token, at), at, 1, high)
-        if node_data["group_key"] is not None and (token is None or curve is None):
-            raise CorruptSnapshot(f"{where}.group_key: must be null without a token or a curve")
         world.tree.insert(HierarchyNode(uid, node_data["parent"], token, None, blocker))
     if curve is not None:
         keyed = [node for node in world.tree.nodes.values() if node.reg_token is not None]
         for node, key in zip(keyed, base_muls([node.reg_token for node in keyed], curve)):
-            if _point_out(key) != nodes[node.id - 1]["group_key"]:
-                raise CorruptSnapshot(f"tree.nodes[{node.id - 1}].group_key: not reg_token * G")
             node.group_key = key
 
 
@@ -191,7 +188,6 @@ def world_to_dict(world: World) -> dict:
                 "id": node.id,
                 "parent": node.parent,
                 "reg_token": None if node.reg_token is None else str(node.reg_token),
-                "group_key": _point_out(node.group_key),
                 "deactivated_by": node.deactivated_by,
             }
         )
@@ -204,16 +200,9 @@ def world_to_dict(world: World) -> dict:
         "scenario": serialize_settings(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
         "tree": {"nodes": nodes, "round_count": world.tree.round_count},
-        "dealer": {
-            "polynomials": {
-                str(gid): [str(c) for c in poly]
-                for gid, poly in sorted(world.dealer.polynomials.items())
-            },
-        },
+        "dealer": {"split": sorted(world.dealer.split)},
         "shares": _groups_out(world.shares),
         "adversary": {
-            "occupied": sorted(adv.occupied),
-            "ever_compromised": sorted(adv.ever_compromised),
             "stolen_shares": [
                 [round_id, epoch, owner, str(copy.eval_point), str(copy.value),
                  copy.threshold, copy.split]
@@ -245,34 +234,10 @@ def world_from_dict(data: dict) -> World:
     _nodes_in(nodes, world)
     world.tree.round_count = _bounded(data["tree"]["round_count"], "tree.round_count", 0)
 
-    world.dealer.polynomials = {
-        int(gid): tuple(_field_in(c, world) for c in coeffs)
-        for gid, coeffs in data["dealer"]["polynomials"].items()
-    }
-    if () in world.dealer.polynomials.values():
-        raise CorruptSnapshot("dealer: a polynomial has no coefficients")
+    world.dealer.split = frozenset(
+        _bounded(uid, "dealer.split", 1, len(nodes)) for uid in data["dealer"]["split"]
+    )
     world.shares = _groups_in(data["shares"], world)
-
-    adv_data = data["adversary"]
-    adversary = world.adversary
-    for field in ("occupied", "ever_compromised"):
-        uids = {_bounded(uid, f"adversary.{field}", 1, len(nodes)) for uid in adv_data[field]}
-        setattr(adversary, field, uids)
-    for i, (round_id, epoch, owner, x, value, threshold, split) in enumerate(adv_data["stolen_shares"]):
-        where = f"adversary.stolen_shares[{i}]"
-        key = (
-            _bounded(round_id, f"{where}.round", 1, world.tree.round_count),
-            _bounded(epoch, f"{where}.epoch", 0, world.epoch),
-            _bounded(owner, f"{where}.owner", 1, len(nodes)),
-        )
-        adversary.stolen_shares[key] = HeldShare(
-            _field_in(x, world), _field_in(value, world),
-            _bounded(threshold, f"{where}.threshold", 1), _typed(_flag, split, f"{where}.split"),
-        )
-    for uid, tok in adv_data["stolen_tokens"].items():
-        where = f"adversary.stolen_tokens[{uid!r}]"
-        owner = _bounded(_typed(_decimal, uid, where), where, 1, len(nodes))
-        adversary.stolen_tokens[owner] = _typed(_decimal, tok, where)
 
     rows = data["report_rows"]
     if len(rows) != world.epoch + 1:
@@ -280,6 +245,31 @@ def world_from_dict(data: dict) -> World:
     for i, row in enumerate(rows):
         _bounded(row["epoch"], f"report_rows[{i}].epoch", i, i)
     world.report.rows = list(rows)
+
+    adversary = world.adversary
+    adversary.occupied = {
+        _bounded(uid, "report_rows[-1].compromised", 1, len(nodes))
+        for uid in rows[-1]["compromised"]
+    }
+    ever = adversary.ever_compromised = set().union(
+        *(adversary_plan(world.config, epoch)["compromise"] for epoch in range(world.epoch + 1))
+    )
+    adv_data = data["adversary"]
+    for i, (round_id, epoch, owner, x, value, threshold, split) in enumerate(adv_data["stolen_shares"]):
+        where = f"adversary.stolen_shares[{i}]"
+        key = (
+            _bounded(round_id, f"{where}.round", 1, world.tree.round_count),
+            _bounded(epoch, f"{where}.epoch", 0, world.epoch),
+            _stolen_from(_int, owner, f"{where}.owner", ever),
+        )
+        adversary.stolen_shares[key] = HeldShare(
+            _field_in(x, world), _field_in(value, world),
+            _bounded(threshold, f"{where}.threshold", 1), _typed(_flag, split, f"{where}.split"),
+        )
+    for uid, tok in adv_data["stolen_tokens"].items():
+        where = f"adversary.stolen_tokens[{uid!r}]"
+        owner = _stolen_from(_decimal, uid, where, ever)
+        adversary.stolen_tokens[owner] = _typed(_decimal, tok, where)
     return world
 
 
@@ -318,10 +308,10 @@ def load_world(path: str) -> World:
     """The world a snapshot file holds. A file that cannot be read, fails
     its checksum, or whose body lacks a field or holds one that cannot be
     decoded, a mistyped or out-of-range integer, id, flag or token, a
-    registration token or group key that does not fit its slot, or a
-    report row too many or too few (each field checked is named) is refused
-    as ``CorruptSnapshot``; errors in the embedded scenario stay
-    ``ConfigError``."""
+    registration token that does not fit its slot, a stolen token or share
+    of a node no plan compromised, or a report row too many or too few
+    (each field checked is named) is refused as ``CorruptSnapshot``; errors
+    in the embedded scenario stay ``ConfigError``."""
     wrapper = read_json(path, CorruptSnapshot)
     try:
         body = wrapper["body"]

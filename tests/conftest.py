@@ -1,8 +1,12 @@
+import importlib.util
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from hiershare.algebra import FieldParams
+from hiershare import sharing
+from hiershare.algebra import FieldParams, sample_polynomial
 from hiershare.curve import TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.sharing import (
@@ -11,6 +15,17 @@ from hiershare.sharing import (
     ThresholdFactor,
     distribute,
 )
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, the benchmark's scenario generators,
+    loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture
@@ -79,6 +94,28 @@ def deal(tree, secret, tf, rng, max_attempts=128):
     raise last
 
 
+def deal_recorded(tree, secret, tf, rng):
+    """``deal``, also returning the dealing polynomials the server drew,
+    keyed by their group's parent. ``distribute`` forgets them once a
+    group is dealt, so a wrapper around ``sharing.sample_polynomial``
+    records each draw: the root's first, then each split member's as its
+    parent's group is dealt (groups in parent order, members in id order).
+    A failed attempt fails before it draws any."""
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sample_polynomial(*args))
+        return drawn[-1]
+
+    with mock.patch.object(sharing, "sample_polynomial", recording):
+        dealer, _round_secret, shares = deal(tree, secret, tf, rng)
+    parents = [ROOT_ID] + [
+        uid for kids in tree.groups().values() for uid in kids if uid in dealer.split
+    ]
+    assert len(drawn) == len(parents)
+    return dealer, shares, dict(zip(parents, drawn))
+
+
 def tf(num, den):
     return ThresholdFactor(num, den)
 
@@ -103,7 +140,7 @@ def kept(shares, uid):
 def held_copies(shares, dealer):
     """Each holder's own copy of its share, as an adversary would steal it."""
     return {
-        uid: group.held_by(uid, uid in dealer.polynomials) for uid, group in shares.items()
+        uid: group.held_by(uid, uid in dealer.split) for uid, group in shares.items()
     }
 
 

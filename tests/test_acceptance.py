@@ -13,6 +13,7 @@ from itertools import combinations
 from conftest import (
     active_users,
     deal,
+    deal_recorded,
     eval_point,
     make_tree,
     minimal_reconstructing_set,
@@ -48,7 +49,7 @@ def test_criterion_1_round_trip_200_random_hierarchies():
         tree = make_tree(spec, rng, prime=1009)
         secret = rng.randrange(1009)
         dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
-        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.split) == secret
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     note(f"criterion 1 PASS: 200 seeded hierarchies round-trip exactly "
@@ -64,19 +65,17 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
         [[[], [], [], []], [[], []], [[], [], []]], rng, prime=31
     )
     secret = 17
-    dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
+    dealer, shares, polynomials = deal_recorded(tree, secret, tf(2, 3), rng)
 
     groups = [(ROOT_ID, dealer.secret)] + [
-        (uid, dealer.polynomials[uid][0])
-        for uid in sorted(dealer.polynomials)
-        if uid != ROOT_ID
+        (uid, polynomials[uid][0]) for uid in sorted(dealer.split)
     ]
     checked_quorums = 0
     checked_subquorums = 0
     for gid, group_value in groups:
         kids = tree.active_children(gid)
         need = shares[kids[0]].threshold
-        poly = dealer.polynomials[gid]
+        poly = polynomials[gid]
         evaluations = {
             uid: poly_eval(poly, eval_point(shares, uid), 31) for uid in kids
         }
@@ -118,9 +117,7 @@ def test_criterion_3_storage_and_field_size():
         toy_tree, 5, tf(1, 2), rng
     )
     flat_tree = make_tree([[[], [], []], [[]], []], rng, prime=1009)
-    dealer, _state, flat_shares = deal(
-        flat_tree, 5, tf(2, 3), rng
-    )
+    _dealer, flat_shares, polynomials = deal_recorded(flat_tree, 5, tf(2, 3), rng)
     for tree, shares in ((toy_tree, toy_shares), (flat_tree, flat_shares)):
         assert sorted(shares) == active_users(tree)
         assert all(uid in group.members for uid, group in shares.items())
@@ -131,7 +128,7 @@ def test_criterion_3_storage_and_field_size():
             assert 0 < x < p
     assert all(
         0 <= c < flat_tree.field.modulus
-        for poly in dealer.polynomials.values()
+        for poly in polynomials.values()
         for c in poly
     )
     note("criterion 3 PASS: one share per user, one field modulus at every level")
@@ -148,7 +145,7 @@ def test_criterion_4_renewal_invariance_20_epochs_50_seeds():
             outcome = renewal_round(tree, shares, rng)
             assert not outcome.verdicts
             shares = outcome.shares
-        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.split) == secret
     note("criterion 4 PASS: secret exact after 20 honest renewal epochs, 50 seeds")
 
 

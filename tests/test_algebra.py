@@ -315,10 +315,10 @@ class TestWeightCache:
         tree = make_tree([[[], [], []], [[], []], [[[], []]]], rng, prime=1009)
         dealer, _secret, shares = deal(tree, 321, tf(2, 3), rng)
         lagrange_weights.cache_clear()
-        assert reconstruct(tree, shares, shares, dealer.polynomials) == 321
+        assert reconstruct(tree, shares, shares, dealer.split) == 321
         first = lagrange_weights.cache_info()
         assert (first.hits, first.misses) == (0, 5)
-        assert reconstruct(tree, shares, shares, dealer.polynomials) == 321
+        assert reconstruct(tree, shares, shares, dealer.split) == 321
         second = lagrange_weights.cache_info()
         assert (second.hits, second.misses) == (5, 5)
 

@@ -219,6 +219,14 @@ class TestVerifyCurveCommand:
         assert main(["verify-curve", str(bad)]) == 1
         assert f"invalid: field modulus {psi_12} is not prime\n" in capsys.readouterr().out
 
+    def test_inline_zero_modulus_invalid(self, tmp_path, capsys):
+        bad = tmp_path / "curve.json"
+        bad.write_text(json.dumps(
+            {"p": "0", "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "19"}
+        ))
+        assert main(["verify-curve", str(bad)]) == 1
+        assert "invalid: field modulus 0 is not prime\n" in capsys.readouterr().out
+
     def test_missing_base_point_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "curve.json"
         bad.write_text(json.dumps({"p": "17", "a": "2", "b": "2", "order": "19"}))
@@ -357,7 +365,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 to 8 are all refused."""
+        """Formats 1 to 9 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -373,7 +381,9 @@ class TestSnapshots:
         # share holder, each with its group's threshold, round and epoch;
         # format 6 stored the live round beside the tree's round count;
         # format 7 stored each node's round key; format 8 stored the tree
-        # a second time, as the embedded scenario's nested spec.
+        # a second time, as the embedded scenario's nested spec; format 9
+        # stored each node's group key, every dealing polynomial and the
+        # adversary's occupied and ever-compromised sets.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -381,11 +391,7 @@ class TestSnapshots:
             4: {
                 "tree": dict(current["tree"], next_id=len(current["tree"]["nodes"]) + 1),
                 "dealer": dict(current["dealer"], secret="5"),
-                "adversary": {
-                    **{k: v for k, v in current["adversary"].items() if k != "ever_compromised"},
-                    "cursor": 0,
-                    "compromise_epochs": {},
-                },
+                "adversary": dict(current["adversary"], cursor=0, compromise_epochs={}),
             },
             5: {
                 "shares": {
@@ -396,7 +402,7 @@ class TestSnapshots:
                         "threshold": group.threshold,
                         "round_id": world.round_id,
                         "epoch": group.epoch,
-                        "split": uid in world.dealer.polynomials,
+                        "split": uid in world.dealer.split,
                     }
                     for uid, group in sorted(world.shares.items())
                 },
@@ -412,6 +418,14 @@ class TestSnapshots:
                 "scenario": dict(
                     current["scenario"], tree=serialize_scenario(world.config)["tree"]
                 ),
+            },
+            9: {
+                "tree": dict(
+                    current["tree"],
+                    nodes=[dict(node, group_key=None) for node in current["tree"]["nodes"]],
+                ),
+                "dealer": {"polynomials": {}},
+                "adversary": dict(current["adversary"], occupied=[], ever_compromised=[]),
             },
         }
         for version, extra in old_fields.items():
@@ -450,7 +464,6 @@ class TestSnapshots:
             ("no-rng-state", CorruptSnapshot),
             ("node-without-parent", CorruptSnapshot),
             ("group-without-members", CorruptSnapshot),
-            ("empty-polynomial", CorruptSnapshot),
             ("scenario-negative-epochs", ConfigError),
         ],
     )
@@ -470,8 +483,6 @@ class TestSnapshots:
             del body["tree"]["nodes"][2]["parent"]
         elif edit == "group-without-members":
             del body["shares"][0]["members"]
-        elif edit == "empty-polynomial":
-            body["dealer"]["polynomials"]["0"] = []
         else:
             body["scenario"]["epochs"] = -1
         path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))

@@ -1,11 +1,10 @@
 """Scenario parsing, validation diagnostics, and round trips."""
 
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
+from conftest import benchmark_workloads
 
 from hiershare.config import (
     ConfigError,
@@ -20,8 +19,6 @@ from hiershare.config import (
 )
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE, CurveParams
 from hiershare.simnet import World
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def base_scenario(**overrides):
@@ -145,6 +142,15 @@ class TestValidation:
             curve={"p": psi_12, "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "19"},
         )
         with pytest.raises(ConfigError, match=rf"\.curve: field modulus {psi_12} is not prime;"):
+            parse_scenario(bad)
+
+    def test_inline_curve_over_zero_modulus_rejected(self):
+        bad = base_scenario(
+            field_mode="curve-order",
+            field_prime=None,
+            curve={"p": "0", "a": "2", "b": "2", "gx": "5", "gy": "1", "order": "19"},
+        )
+        with pytest.raises(ConfigError, match=r"\.curve: field modulus 0 is not prime$"):
             parse_scenario(bad)
 
     def test_inline_curve_order_refused_only_for_primality(self):
@@ -537,9 +543,7 @@ class TestBenchmarkInputs:
     what it sends without the benchmark changing."""
 
     def test_benchmark_and_bundled_scenarios_round_trip(self):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads()
         assert sorted(workloads.WORKLOADS) == ["churn-redeal", "renew-secp", "scale-nocurve"]
         configs = [load_bundled_scenario(name) for name in bundled_scenario_names()]
         for name, (generate, _check, _reload) in sorted(workloads.WORKLOADS.items()):

@@ -519,3 +519,8 @@ class TestValidateCurve:
         psi_12 = 318665857834031151167461
         broken = CurveParams("psi-12", psi_12, toy.a, toy.b, toy.gx, toy.gy, toy.order)
         assert f"field modulus {psi_12} is not prime" in validate_curve(broken).failures
+
+    def test_zero_modulus_reported_without_reducing_by_it(self, toy):
+        # Every check that reduces mod p would divide by zero.
+        broken = CurveParams("zero", 0, toy.a, toy.b, toy.gx, toy.gy, toy.order)
+        assert validate_curve(broken).failures == ["field modulus 0 is not prime"]

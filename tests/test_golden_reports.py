@@ -4,7 +4,9 @@
 ``.report`` whose sha256 equals the digest recorded when the report format
 was fixed. A change meant to preserve behaviour keeps these digests;
 ``perfbench/oracle.py`` checks the same digests. A run split by a snapshot
-at any epoch boundary and resumed must write the same bytes.
+at any epoch boundary and resumed must write the same bytes, and the
+restore must rebuild the state a snapshot does not store as the straight
+run holds it.
 """
 
 import hashlib
@@ -30,6 +32,17 @@ def test_bundled_report_digest(tmp_path, name):
     assert digest == GOLDEN_REPORT_SHA256[name]
 
 
+def derived_state(world):
+    """What a restore derives instead of reading: the adversary's occupied
+    and ever-compromised sets, the dealer's split set and every group key."""
+    return (
+        set(world.adversary.occupied),
+        set(world.adversary.ever_compromised),
+        world.dealer.split,
+        {uid: node.group_key for uid, node in world.tree.nodes.items()},
+    )
+
+
 # bench-63 runs on secp256k1, demo-7user has the rotating passive thief,
 # figure2-leave a leave.
 @pytest.mark.parametrize("name", ["bench-63", "demo-7user", "figure2-leave"])
@@ -38,13 +51,15 @@ def test_resume_at_every_boundary_writes_the_golden_report(tmp_path, name):
     world.initial_deal()
     snapshots = []
     while True:
-        snapshots.append(tmp_path / f"epoch{world.epoch}.snapshot")
-        save_world(world, snapshots[-1])
+        path = tmp_path / f"epoch{world.epoch}.snapshot"
+        save_world(world, path)
+        snapshots.append((path, derived_state(world)))
         if world.epoch == world.config.epochs:
             break
         world.step_epoch()
-    for path in snapshots:
+    for path, derived in snapshots:
         resumed = load_world(path)
+        assert (path.name, derived_state(resumed)) == (path.name, derived)
         while resumed.epoch < resumed.config.epochs:
             resumed.step_epoch()
         resumed.finalize()

@@ -187,7 +187,7 @@ class TestApplyRenewal:
         group, kids = root_group(tree, shares)
         renewed = apply_renewal(group, generate_renewal(tree, group, kids, rng), tree.field.modulus)
         shares = dict.fromkeys(kids, renewed)
-        assert reconstruct(tree, shares, kids, dealer.polynomials) == secret
+        assert reconstruct(tree, shares, kids, dealer.split) == secret
 
     def test_member_without_a_bundle_is_left_out(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
@@ -261,7 +261,7 @@ class TestRenewalRound:
         assert message_counts(sent) == {"renewal-delta": 6, "commitments": 3}
         assert outcome.verdicts == ()
         assert outcome.claims == ()
-        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
         assert all(rec.epoch == 1 for rec in outcome.shares.values())
 
     def test_twenty_honest_rounds_preserve_secret(self, rng):
@@ -272,7 +272,7 @@ class TestRenewalRound:
             outcome = renewal_round(tree, shares, rng)
             shares = outcome.shares
             assert not outcome.verdicts
-        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
+        assert reconstruct(tree, shares, list(shares), dealer.split) == secret
         assert all(rec.epoch == 20 for rec in shares.values())
 
     def test_each_group_renews_independently_of_the_others(self, rng):
@@ -312,7 +312,7 @@ class TestRenewalRound:
         for uid in (2, 3, 4):
             assert outcome.shares[uid].epoch == 0
         assert outcome.shares[1].epoch == 1
-        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
 
     def test_degree_raising_renewal_refused(self):
         """A parent swaps each delta for the value of a zero-free degree-3
@@ -341,7 +341,7 @@ class TestRenewalRound:
         assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
         assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
-        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
 
     def test_false_claims_below_bound_blame_claimers(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(
@@ -378,7 +378,7 @@ class TestRenewalRound:
         outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
         assert message_counts(sent) == {"renewal-delta": len(shares)}
         assert sorted(uid for _kind, to in sent for uid in to) == sorted(shares)
-        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.polynomials) == secret
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
 
 
 class TestStalenessAcrossEpochs:

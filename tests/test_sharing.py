@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     active_users,
     deal,
+    deal_recorded,
     eval_point,
     held_copies,
     kept,
@@ -87,52 +88,53 @@ class TestDistribute:
     def test_single_child_unanimity_share_is_secret(self, toy, rng):
         tree = make_tree([[]], rng, curve=toy)
         secret = 11
-        dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        assert len(dealer.polynomials[ROOT_ID]) == 1
-        assert 1 not in dealer.polynomials
+        dealer, shares, polynomials = deal_recorded(tree, secret, tf(1, 1), rng)
+        assert len(polynomials[ROOT_ID]) == 1
+        assert 1 not in dealer.split
         assert kept(shares, 1) == secret
-        assert reconstruct(tree, shares, [1], dealer.polynomials) == secret
+        assert reconstruct(tree, shares, [1], dealer.split) == secret
 
     def test_three_level_toy_curve_round_trip(self, toy, rng):
         tree = make_tree([[[], []], [[], []]], rng, curve=toy)
         secret = 13
-        dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
-        assert len(dealer.polynomials[ROOT_ID]) == compute_threshold(tf(1, 2), 2)
+        dealer, shares, polynomials = deal_recorded(tree, secret, tf(1, 2), rng)
+        assert reconstruct(tree, shares, list(shares), dealer.split) == secret
+        assert len(polynomials[ROOT_ID]) == compute_threshold(tf(1, 2), 2)
 
     def test_threshold_root_counts_level_one_users(self, rng):
         tree = make_tree([[], [], [], []], rng, prime=1009)
-        dealer, _state, _shares = deal(tree, 5, tf(1, 2), rng)
-        assert len(dealer.polynomials[ROOT_ID]) == 2
+        _dealer, _shares, polynomials = deal_recorded(tree, 5, tf(1, 2), rng)
+        assert len(polynomials[ROOT_ID]) == 2
 
     def test_every_user_holds_exactly_one_share(self, rng):
         tree = make_tree([[[], []], [[]], []], rng, prime=1009)
-        dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
+        _dealer, shares, polynomials = deal_recorded(tree, 3, tf(2, 3), rng)
         assert sorted(shares) == active_users(tree)
         for parent, kids in tree.groups().items():
             group = shares[kids[0]]
             assert all(shares[kid] is group for kid in kids)
             assert group.epoch == 0
             assert list(group.members) == kids
-            assert group.threshold == len(dealer.polynomials[parent])
+            assert group.threshold == len(polynomials[parent])
 
     def test_single_field_modulus_everywhere(self, rng):
         tree = make_tree([[[], []], [[]]], rng, prime=1009)
-        dealer, _state, shares = deal(tree, 3, tf(2, 3), rng)
+        _dealer, shares, polynomials = deal_recorded(tree, 3, tf(2, 3), rng)
         p = tree.field.modulus
         for uid in shares:
             assert 0 <= kept(shares, uid) < p
             assert 0 < eval_point(shares, uid) < p
-        for poly in dealer.polynomials.values():
+        for poly in polynomials.values():
             assert all(0 <= c < p for c in poly)
 
     def test_split_conservation(self, rng):
         tree = make_tree([[[], [], []], [[], []]], rng, prime=1009)
-        dealer, _state, shares = deal(tree, 77, tf(1, 2), rng)
-        assert sorted(dealer.polynomials) == [ROOT_ID, 1, 2]
+        dealer, shares, polynomials = deal_recorded(tree, 77, tf(1, 2), rng)
+        assert sorted(dealer.split) == [1, 2]
+        assert sorted(polynomials) == [ROOT_ID, 1, 2]
         for uid in (1, 2):
-            whole = poly_eval(dealer.polynomials[ROOT_ID], eval_point(shares, uid), 1009)
-            retained = dealer.polynomials[uid][0]
+            whole = poly_eval(polynomials[ROOT_ID], eval_point(shares, uid), 1009)
+            retained = polynomials[uid][0]
             assert (kept(shares, uid) + retained) % 1009 == whole
 
     def test_no_active_level_one_users(self, rng):
@@ -176,14 +178,14 @@ class TestReconstruct:
             tree = make_tree(spec, rng, prime=1009)
             secret = rng.randrange(1009)
             dealer, _state, shares = deal(tree, secret, factors[i % 4], rng)
-            assert reconstruct(tree, shares, list(shares), dealer.polynomials) == secret
+            assert reconstruct(tree, shares, list(shares), dealer.split) == secret
 
     def test_minimal_quorum_recovers(self, rng):
         tree = make_tree([[[], [], []], [[], [], []], []], rng, prime=1009)
         secret = 500
         dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         participants = minimal_reconstructing_set(tree, shares)
-        assert reconstruct(tree, shares, participants, dealer.polynomials) == secret
+        assert reconstruct(tree, shares, participants, dealer.split) == secret
         assert len(participants) < len(shares)
 
     def test_below_threshold_group_fails(self, rng):
@@ -193,7 +195,7 @@ class TestReconstruct:
         # Unanimity everywhere: dropping one leaf starves its group.
         participants = [uid for uid in shares if uid != 3]
         with pytest.raises(InsufficientShares) as exc:
-            reconstruct(tree, shares, participants, dealer.polynomials)
+            reconstruct(tree, shares, participants, dealer.split)
         assert exc.value.group_parent == 1
         assert exc.value.have == 1
         assert exc.value.need == 2
@@ -207,7 +209,7 @@ class TestReconstruct:
         dealer, _state, shares = deal(tree, 9, tf(1, 1), rng)
         participants = [uid for uid in shares if uid not in (3, 5)]
         with pytest.raises(InsufficientShares) as exc:
-            reconstruct(tree, shares, participants, dealer.polynomials)
+            reconstruct(tree, shares, participants, dealer.split)
         assert (exc.value.group_parent, exc.value.have, exc.value.need) == (1, 1, 2)
 
     def test_groups_cut_off_by_an_absent_parent_are_not_interpolated(self, rng, monkeypatch):
@@ -224,15 +226,15 @@ class TestReconstruct:
 
         monkeypatch.setattr(sharing, "lagrange_at_zero", counting)
         participants = [uid for uid in shares if uid != 4]
-        assert reconstruct(tree, shares, participants, dealer.polynomials) == 9
+        assert reconstruct(tree, shares, participants, dealer.split) == 9
         assert interpolated == [1, 1, 1]
 
     def test_internal_node_recovery_library_call(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = 321
-        dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        value = recover_group_secret(tree, shares, list(shares), 1, dealer.polynomials)
-        assert value == dealer.polynomials[1][0]
+        dealer, shares, polynomials = deal_recorded(tree, secret, tf(1, 2), rng)
+        value = recover_group_secret(tree, shares, list(shares), 1, dealer.split)
+        assert value == polynomials[1][0]
 
     def test_inactive_participants_ignored(self, rng):
         tree = make_tree([[], [], []], rng, prime=1009)
@@ -240,7 +242,7 @@ class TestReconstruct:
         dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         tree.leave(3)
         # 3 is named as participating but cannot take part.
-        assert reconstruct(tree, shares, [1, 2, 3], dealer.polynomials) == secret
+        assert reconstruct(tree, shares, [1, 2, 3], dealer.split) == secret
 
     def test_departed_host_does_not_count_toward_threshold(self, rng):
         tree = make_tree([[], [], []], rng, prime=1009)
@@ -250,7 +252,7 @@ class TestReconstruct:
         # 2 and 3 still hold their shares, which would complete the quorum.
         assert {2, 3} <= set(shares)
         with pytest.raises(InsufficientShares) as exc:
-            reconstruct(tree, shares, [1, 2, 3], dealer.polynomials)
+            reconstruct(tree, shares, [1, 2, 3], dealer.split)
         assert (exc.value.have, exc.value.need) == (1, 2)
 
 
@@ -261,14 +263,14 @@ class TestGroupThresholdExactness:
         consistent (exhaustive polynomial enumeration)."""
         tree = make_tree([[[], [], [], []]], rng, prime=31)
         secret = 17
-        dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
+        _dealer, shares, polynomials = deal_recorded(tree, secret, tf(1, 2), rng)
         group = tree.active_children(1)
         need = shares[group[0]].threshold
         assert need == 2
-        retained = dealer.polynomials[1][0]
+        retained = polynomials[1][0]
 
         evaluations = {
-            uid: poly_eval(dealer.polynomials[1], eval_point(shares, uid), 31)
+            uid: poly_eval(polynomials[1], eval_point(shares, uid), 31)
             for uid in group
         }
         for quorum in combinations(group, need):
@@ -322,7 +324,7 @@ class TestKnowledgeClosure:
             coalition_ids = [u for u in users if rng.random() < 0.5]
             coalition = {u: copies[u] for u in coalition_ids}
             try:
-                recovered = reconstruct(tree, shares, coalition_ids, dealer.polynomials) == secret
+                recovered = reconstruct(tree, shares, coalition_ids, dealer.split) == secret
             except InsufficientShares:
                 recovered = False
             assert knowledge_closure(tree, coalition) == recovered
@@ -400,4 +402,4 @@ class TestMinimalReconstructingSet:
         first = minimal_reconstructing_set(tree, shares)
         second = minimal_reconstructing_set(tree, shares)
         assert first == second
-        assert reconstruct(tree, shares, first, dealer.polynomials) == secret
+        assert reconstruct(tree, shares, first, dealer.split) == secret

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import active_users, minimal_reconstructing_set, random_tree_spec
+from conftest import active_users, benchmark_workloads, minimal_reconstructing_set, random_tree_spec
 
 from hiershare import algebra, curve
 from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
@@ -263,7 +263,7 @@ class TestStolenShares:
     def test_older_round_judged_with_its_own_group_facts(self):
         # Round 1: root group {1, 2, 3} at threshold 2, and 1 is split over
         # its child 4. After 1 leaves and the server redeals, round 2's root
-        # group {2, 3} has threshold 1 and 1 holds no polynomial. The
+        # group {2, 3} has threshold 1 and no user is split. The
         # round-1 copies of 1 and 2 give one contribution of two needed.
         # The adversary leaves at epoch 1, before the redeal's mail.
         cfg = scenario(
@@ -283,8 +283,8 @@ class TestStolenShares:
         world = World(cfg)
         report = world.run()
         assert world.round_id == 2
-        assert len(world.dealer.polynomials[0]) == 1
-        assert 1 not in world.dealer.polynomials
+        assert world.shares[2].threshold == 1
+        assert world.dealer.split == frozenset()
         stolen = world.adversary.stolen_shares
         assert sorted(stolen) == [(1, 0, 1), (1, 0, 2)]
         assert [(c.threshold, c.split) for _key, c in sorted(stolen.items())] == [
@@ -971,11 +971,6 @@ def edit_stolen_share(column, value):
     return lambda body: body["adversary"]["stolen_shares"][0].__setitem__(column, value)
 
 
-def swap_group_keys(nodes):
-    """A snapshot edit swapping the group keys of nodes 1 and 2."""
-    nodes[0]["group_key"], nodes[1]["group_key"] = nodes[1]["group_key"], nodes[0]["group_key"]
-
-
 def restored(world, tmp_path):
     path = tmp_path / "w.snapshot"
     save_world(world, path)
@@ -1049,10 +1044,12 @@ class TestRestore:
              r"tree\.nodes\[5\]\.deactivated_by"),
             (lambda body: body["tree"].update(round_count="1"), r"tree\.round_count"),
             (lambda body: body["tree"].update(round_count=-1), r"tree\.round_count"),
-            (lambda body: body["adversary"]["occupied"].append(99), r"adversary\.occupied"),
-            (lambda body: body["adversary"]["occupied"].append("1"), r"adversary\.occupied"),
-            (lambda body: body["adversary"]["ever_compromised"].append(99),
-             r"adversary\.ever_compromised"),
+            (lambda body: body["report_rows"][-1]["compromised"].append(99),
+             r"report_rows\[-1\]\.compromised"),
+            (lambda body: body["report_rows"][-1]["compromised"].append("1"),
+             r"report_rows\[-1\]\.compromised"),
+            (lambda body: body["dealer"]["split"].append(99), r"dealer\.split"),
+            (lambda body: body["dealer"]["split"].append("1"), r"dealer\.split"),
         ],
         ids=[
             "epoch-string", "epoch-negative", "epoch-beyond-scenario",
@@ -1062,7 +1059,7 @@ class TestRestore:
             "blocker-a-descendant", "blocker-not-an-ancestor", "active-below-a-left-parent",
             "round-count-string",
             "round-count-negative", "occupied-not-a-node", "occupied-string",
-            "ever-compromised-not-a-node",
+            "split-not-a-node", "split-not-an-id",
         ],
     )
     def test_mistyped_or_dangling_field_is_refused(self, tmp_path, edit, field):
@@ -1070,7 +1067,8 @@ class TestRestore:
         users 1-3, so a threshold of 4 is out of range; user 1 heads 4 and
         5, user 2 left with 6 and 7), one field edited and the checksum recomputed: the
         load names the field instead of letting the resumed run die on it
-        or go on from a state no run can reach."""
+        or go on from a state no run can reach. The adversary's occupied
+        hosts are read from the last report row's ``compromised``."""
         world = World(load_bundled_scenario("figure2-leave"))
         world.initial_deal()
         world.step_epoch()
@@ -1089,6 +1087,7 @@ class TestRestore:
             (edit_stolen_share(0, 50), r"adversary\.stolen_shares\[0\]\.round"),
             (edit_stolen_share(1, 3), r"adversary\.stolen_shares\[0\]\.epoch"),
             (edit_stolen_share(2, 99), r"adversary\.stolen_shares\[0\]\.owner"),
+            (edit_stolen_share(2, 1), r"adversary\.stolen_shares\[0\]\.owner"),
             (edit_stolen_share(5, "2"), r"adversary\.stolen_shares\[0\]\.threshold"),
             (edit_stolen_share(5, 0), r"adversary\.stolen_shares\[0\]\.threshold"),
             (edit_stolen_share(6, "yes"), r"adversary\.stolen_shares\[0\]\.split"),
@@ -1098,6 +1097,8 @@ class TestRestore:
              r"adversary\.stolen_tokens\['x'\]"),
             (lambda body: body["adversary"]["stolen_tokens"].update({"4": "one"}),
              r"adversary\.stolen_tokens\['4'\]"),
+            (lambda body: body["adversary"]["stolen_tokens"].update({"1": "9"}),
+             r"adversary\.stolen_tokens\['1'\]"),
             (lambda body: body["report_rows"].pop(), r"report_rows"),
             (lambda body: body["report_rows"].append(body["report_rows"][-1]), r"report_rows"),
             (lambda body: body["report_rows"][1].update(epoch=2), r"report_rows\[1\]\.epoch"),
@@ -1105,9 +1106,10 @@ class TestRestore:
         ],
         ids=[
             "round-zero", "round-beyond-the-round-count", "share-epoch-ahead",
-            "share-owner-not-a-node", "share-threshold-string", "share-threshold-zero",
-            "split-string", "token-owner-not-a-node", "token-owner-not-a-decimal",
-            "token-not-a-decimal", "report-row-missing", "report-row-extra",
+            "share-owner-not-a-node", "share-owner-never-compromised", "share-threshold-string",
+            "share-threshold-zero", "split-string", "token-owner-not-a-node",
+            "token-owner-not-a-decimal", "token-not-a-decimal", "token-owner-never-compromised",
+            "report-row-missing", "report-row-extra",
             "report-row-out-of-order", "report-row-epoch-boolean",
         ],
     )
@@ -1115,7 +1117,8 @@ class TestRestore:
         """demo-7user saved at epoch 2 (round 1; the adversary holds the
         shares of 4, 5 and 6 and their tokens, and the report three rows),
         one field edited and the checksum recomputed: the load names the
-        field instead of resuming from it."""
+        field instead of resuming from it. Users 1-3 are never compromised,
+        so nothing of theirs can have been stolen."""
         world = World(load_bundled_scenario("demo-7user"))
         world.initial_deal()
         world.step_epoch()
@@ -1131,28 +1134,16 @@ class TestRestore:
         "scenario_name, edit, field",
         [
             ("demo-7user", lambda nodes: nodes[0].update(reg_token="0"), r"nodes\[0\]\.reg_token"),
-            ("demo-7user", swap_group_keys, r"nodes\[0\]\.group_key"),
-            ("demo-7user", lambda nodes: nodes[0].update(reg_token=str(int(nodes[0]["reg_token"]) + 1)),
-             r"nodes\[0\]\.group_key"),
-            ("demo-7user", lambda nodes: nodes[0].update(group_key=None), r"nodes\[0\]\.group_key"),
             ("demo-7user", lambda nodes: nodes[0].update(reg_token=None), r"nodes\[0\]\.reg_token"),
             ("demo-7user", lambda nodes: nodes[0].update(reg_token="19"), r"nodes\[0\]\.reg_token"),
-            ("demo-7user", lambda nodes: nodes[0].update(group_key=[]), r"nodes\[0\]\.group_key"),
-            ("demo-7user", lambda nodes: nodes[0].update(group_key=["1", "1"]), r"nodes\[0\]\.group_key"),
-            ("demo-7user", lambda nodes: nodes[0].update(group_key=["x", "1"]), r"nodes\[0\]\.group_key"),
-            ("demo-7user", lambda nodes: nodes[0].update(group_key="7,6"), r"nodes\[0\]\.group_key"),
             ("figure2-leave", lambda nodes: nodes[1].update(reg_token="5"), r"nodes\[1\]\.reg_token"),
             ("figure2-leave", lambda nodes: nodes[0].update(reg_token=None), r"nodes\[0\]\.reg_token"),
             ("figure2-leave", lambda nodes: nodes[0].update(reg_token="101"), r"nodes\[0\]\.reg_token"),
-            ("figure2-leave", lambda nodes: nodes[0].update(group_key=["5", "1"]),
-             r"nodes\[0\]\.group_key"),
         ],
         ids=[
-            "token-zero", "group-keys-swapped", "token-plus-one", "key-null-with-a-token",
-            "token-null-with-a-key", "token-the-order", "key-the-identity",
-            "key-off-the-curve", "key-not-decimal", "key-not-a-list",
+            "token-zero", "token-null-with-a-key", "token-the-order",
             "no-curve-token-on-a-vacant-slot", "no-curve-token-null-on-an-occupied-slot",
-            "no-curve-token-the-prime", "no-curve-key",
+            "no-curve-token-the-prime",
         ],
     )
     def test_token_or_group_key_that_misfits_its_slot_is_refused(
@@ -1163,8 +1154,8 @@ class TestRestore:
         user registered, node 1 holding token 9; figure2-leave has no curve
         (prime 101) and its user 2 left, so slot 2 is vacant. A token must
         be null exactly on a vacant slot and lie in 1..order-1 (1..p-1
-        without a curve); a key must be token * G, null with its token, and
-        null throughout without a curve."""
+        without a curve). No group key is stored: a restore computes each
+        as token * G."""
         world = World(load_bundled_scenario(scenario_name))
         world.initial_deal()
         world.step_epoch()
@@ -1241,6 +1232,28 @@ class TestRestore:
         while resumed.epoch < resumed.config.epochs:
             resumed.step_epoch()
         assert resumed.report.rows == straight.report.rows
+
+
+class TestSnapshotSize:
+    """The compact body (canonical JSON) of two mid-run snapshots, pinned to
+    the byte, so any change to what a snapshot stores shows here: bench-63
+    on secp256k1, and the benchmark's churn-redeal tree at seed 1."""
+
+    @pytest.mark.parametrize(
+        "load, epoch, size",
+        [
+            (lambda: load_bundled_scenario("bench-63"), 1, 28_111),
+            (lambda: parse_scenario(benchmark_workloads().churn_redeal(1)), 20, 384_745),
+        ],
+        ids=["bench-63-epoch-1", "churn-redeal-midpoint"],
+    )
+    def test_body_size_is_pinned(self, load, epoch, size):
+        world = World(load())
+        world.initial_deal()
+        while world.epoch < epoch:
+            world.step_epoch()
+        body = world_to_dict(world)
+        assert len(json.dumps(body, sort_keys=True, separators=(",", ":"))) == size
 
 
 class TestRecords:
