@@ -5,11 +5,12 @@ Points are affine with an explicit identity, and every ``CurvePoint`` is
 checked against the curve equation when it is built. Multiplications run
 inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
 and convert back to affine at the end, with one inversion per batch of
-results (Montgomery 1987): ``base_muls`` converts all its multiples of G
-at once, and ``base_mul_equals`` compares in Jacobian form and converts
-nothing. Both kernels read a scalar in signed-digit windows, so a negative
-digit costs only the negation of a table point: a multiple of the base
-point adds one entry per digit of a precomputed table of d · 256^i · G
+results (Montgomery 1987): ``base_muls`` sums a batch's table points in
+levels of affine additions, one inversion per level, and converts its
+results at once; ``base_mul_equals`` compares in Jacobian form and
+converts nothing. Both kernels read a scalar in signed-digit windows, so a
+negative digit costs only the negation of a table point: a multiple of the
+base point adds one entry per digit of a precomputed table of d · 256^i · G
 (fixed-base windowing; Brickell, Gordon, McCurley and Wilson 1992), and
 ``multi_scalar_mul`` interleaves the windows of any other points over one
 shared doubling chain (Straus; Möller 2001). Both tables are built by
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .algebra import FieldParams, is_prime
@@ -120,6 +122,9 @@ _JACOBIAN_IDENTITY = (1, 1, 0)
 _BASE_WIDTH = 8
 _STRAUS_WIDTH = 5
 _SHORT_BITS = 64
+# ``base_muls`` adds a level of pairs in one batch only if it holds this
+# many: below it, the inversion costs more than the mixed additions saved.
+_LEVEL_PAIRS = 8
 
 _Affine = tuple[int, int] | None
 _Table = tuple[tuple[_Affine, ...], ...]
@@ -320,17 +325,27 @@ def _points(curve: CurveParams, points: list[tuple[int, int, int]]) -> list[Curv
 
 
 def base_muls(scalars: Iterable[int], curve: CurveParams) -> list[CurvePoint]:
-    """``[scalar_mul(s, curve.base_point) for s in scalars]``, converted to
-    affine with one inversion for the whole batch. A scalar past the
-    base-point table's capacity (about 2^263 on secp256k1) goes to Straus."""
-    table, jacobian = _base_table(curve), []
+    """``[scalar_mul(s, curve.base_point) for s in scalars]``: the batch's
+    table points (negated where digit and scalar signs differ) summed in
+    pairs, one ``_add_batch`` per level with odd points carried, while a
+    level holds ``_LEVEL_PAIRS`` pairs, then by mixed additions, with one
+    conversion. Past the table (about 2^263 on secp256k1), Straus."""
+    table, a, p = _base_table(curve), curve.a, curve.p
+    jacobian, terms = [], []
     for s in scalars:
         digits = _signed_digits(abs(s), _BASE_WIDTH)
-        if len(digits) > len(table):
-            jacobian.append(_straus([(s, curve.base_point)], curve))
-            continue
-        X, Y, Z = _mul_base(digits, table, curve)
-        jacobian.append((X, Y if s > 0 else -Y, Z))
+        past = len(digits) > len(table)
+        jacobian.append(_straus([(s, curve.base_point)], curve) if past else _JACOBIAN_IDENTITY)
+        points = [] if past else [(row[abs(d) - 1], d * s > 0) for row, d in zip(table, digits) if d]
+        terms.append([P if keep else (P[0], -P[1] % p) for P, keep in points if P is not None])
+    while sum(len(t) // 2 for t in terms) >= _LEVEL_PAIRS:
+        sums = iter(_add_batch([(t[i - 1], t[i]) for t in terms for i in range(1, len(t), 2)], a, p))
+        terms = [
+            [S for S in islice(sums, len(t) // 2) if S is not None] + t[len(t) & ~1 :] for t in terms
+        ]
+    for i, t in enumerate(terms):
+        for x, y in t:
+            jacobian[i] = _add_affine(jacobian[i], x, y, a, p)
     return _points(curve, jacobian)
 
 

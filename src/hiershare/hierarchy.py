@@ -221,8 +221,8 @@ class HierarchyTree:
         """Each active user's round key for the round whose scalar is
         ``secret``, none without a curve: token * serverPublic in the
         protocol, here the same point read from the base-point table as
-        (token * secret mod order) * G, all of a deal's keys in one
-        ``base_muls`` batch. Nothing is stored. This relies on
+        (token * secret mod order) * G, all of a deal's keys summed in one
+        ``base_muls`` batch's levels. Nothing is stored. This relies on
         ``validate_curve``'s check that the order is prime and that
         order * G is the identity."""
         if self.curve is None:

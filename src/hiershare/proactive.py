@@ -12,22 +12,24 @@ never changes.
 Renewal rounds are deterministic: every subtree draws from its own
 sub-generator derived from (round entropy, subtree root), so a group's
 renewal does not depend on which other groups renew or in what order.
+The round draws every group's polynomial, then commits the epoch's
+coefficients in one ``base_muls`` batch: a map f_i -> f_i·G for the round.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator opens each group's commitments once instead: when all m
 bundles carry one vector of the dealt degree k and m >= k, it interpolates
 h of degree <= k mod n through the first k + 1 points (x_j, δ_j), or (0, 0)
 and the k points when m = k, and checks h_i·G = C_i. It reads h_i·G from
-the group's own commitments, kept for that group's renewal as f_i -> f_i·G,
-when h_i is a committed coefficient; looked up by scalar and compared by
-position, so exact. Then child j refuses exactly when δ_j ≠ h(x_j) − h(0)
-mod n, since its check's right side is (h(x_j) − h(0))·G and G has prime
-order n (``validate_curve`` checks it). An honest group's zero-free
-polynomial f gives h = f, so it passes; a parent shifting every delta by s
-opens to h = f + s and is refused by all; as h_i = f_i for i >= 1, either
-costs only the parent's k base multiplications. Otherwise (mixed vectors,
-a wrong length, m < k, or commitments that do not open to h) each child
-checks alone, so claims always come out as if every child had checked alone.
+that map when h_i is a committed coefficient; looked up by scalar and
+compared by position, so exact. Then child j refuses exactly when δ_j ≠
+h(x_j) − h(0) mod n, since its check's right side is (h(x_j) − h(0))·G and
+G has prime order n (``validate_curve`` checks it). An honest group's
+zero-free polynomial f gives h = f, so it passes; a parent shifting every
+delta by s opens to h = f + s and is refused by all; as h_i = f_i for
+i >= 1, either costs only the parent's k base multiplications. Otherwise
+(mixed vectors, a wrong length, m < k, or commitments that do not open to
+h) each child checks alone, so claims always come out as if every child
+had checked alone.
 """
 
 from __future__ import annotations
@@ -85,28 +87,21 @@ def generate_renewal(
     tree: HierarchyTree,
     group: GroupShares,
     owners: Sequence[int],
-    rng: random.Random,
-    committed: dict[int, CurvePoint] | None = None,
+    delta_poly: Sequence[int],
+    committed: Mapping[int, CurvePoint],
 ) -> list[RenewalBundle]:
-    """Produce the renewal bundles ``group``'s parent (its members' tree
-    parent) sends the members ``owners`` (its active ones, in id order).
-
-    The polynomial degree equals the group's dealt degree (threshold - 1),
-    so a single-child threshold-1 group gets the zero polynomial and an
-    empty commitment list. In curve mode the k commitments are one
-    ``base_muls`` batch, and a given ``committed`` gets f_i -> f_i·G.
-    """
+    """The renewal bundles ``group``'s parent (its members' tree parent)
+    sends the members ``owners`` (its active ones, in id order) for the
+    polynomial ``delta_poly``: free coefficient zero and the group's dealt
+    degree (threshold - 1), so a single-child threshold-1 group gets the
+    zero polynomial and an empty commitment list. In curve mode the k
+    commitments f_i·G are read from ``committed`` (scalar -> its multiple
+    of G), which holds the epoch's coefficients."""
     sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
         raise NoChildren(f"subtree root {sender} has no dealt active children")
     p = tree.field.modulus
-    delta_poly = sample_polynomial(rng, group.threshold - 1, 0, p)
-    if tree.curve is not None:
-        commitments = tuple(base_muls(delta_poly[1:], tree.curve))
-        if committed is not None:
-            committed.update(zip(delta_poly[1:], commitments))
-    else:
-        commitments = ()
+    commitments = () if tree.curve is None else tuple(committed[c] for c in delta_poly[1:])
     return [
         RenewalBundle(sender, owner, poly_eval(delta_poly, group.members[owner][0], p), commitments)
         for owner in owners
@@ -149,13 +144,14 @@ def accepts_renewal(
 
 def group_refusals(
     group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams,
-    committed: Mapping[int, CurvePoint] | None = None,
+    committed: Mapping[int, CurvePoint],
 ) -> list[int] | None:
     """The module docstring's opened-polynomial check of the bundles a
     group's members received, in id order: the children whose own
     ``accepts_renewal`` fails, or None when the commitments do not open to
     the interpolated h and each child must check alone. h_i·G is read from
-    ``committed`` (scalar -> its multiple of G) when h_i is a key."""
+    ``committed`` (scalar -> its multiple of G: the epoch's commitments)
+    when h_i is a key."""
     n, commitments = curve.order, delivered[0].commitments
     k = len(commitments)
     if k != group.threshold - 1 or len(delivered) < k or any(
@@ -164,8 +160,7 @@ def group_refusals(
         return None
     points = [(group.members[b.recipient][0], b.delta) for b in delivered]
     h = interpolate(points[: k + 1] if len(points) > k else [(0, 0)] + points, n)
-    known = committed or {}
-    multiples = (known[c] if c in known else scalar_mul(c, curve.base_point) for c in h[1:])
+    multiples = (committed[c] if c in committed else scalar_mul(c, curve.base_point) for c in h[1:])
     if any(hG != C for hG, C in zip(multiples, commitments)):
         return None
     return [
@@ -278,12 +273,17 @@ def renewal_round(
     entropy = rng.getrandbits(64)
     new_shares = dict(shares)
     claims: list[ClaimRecord] = list(extra_claims)
+    p = tree.field.modulus
+    polys = {}
+    for root, kids in groups.items():
+        subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
+        polys[root] = sample_polynomial(subtree_rng, shares[kids[0]].threshold - 1, 0, p)
+    scalars = [] if tree.curve is None else [c for f in polys.values() for c in f[1:]]
+    committed = dict(zip(scalars, base_muls(scalars, tree.curve))) if scalars else {}
 
     for root, kids in groups.items():
         group = shares[kids[0]]
-        subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
-        committed = None if tree.curve is None else {}
-        bundles = generate_renewal(tree, group, kids, subtree_rng, committed)
+        bundles = generate_renewal(tree, group, kids, polys[root], committed)
 
         if on_message is not None:
             if tree.curve is not None:
@@ -300,7 +300,7 @@ def renewal_round(
         if refused:
             claims.extend(file_claim(tree, child, root) for child in refused)
             continue
-        renewed = apply_renewal(group, delivered, tree.field.modulus)
+        renewed = apply_renewal(group, delivered, p)
         new_shares.update(dict.fromkeys(kids, renewed))
 
     if on_message is not None and claims:

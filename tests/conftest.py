@@ -7,8 +7,9 @@ import pytest
 
 from hiershare import sharing
 from hiershare.algebra import FieldParams, sample_polynomial
-from hiershare.curve import TOY_CURVE
+from hiershare.curve import TOY_CURVE, base_muls
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
+from hiershare.proactive import generate_renewal
 from hiershare.sharing import (
     DealerState,
     EvalPointCollision,
@@ -120,9 +121,19 @@ def tf(num, den):
     return ThresholdFactor(num, den)
 
 
+def renewal_bundles(tree, group, owners, rng):
+    """One group's renewal on its own, as ``renewal_round`` makes it inside
+    an epoch: a polynomial of the group's dealt degree with free
+    coefficient zero drawn from ``rng``, its coefficients committed in
+    one ``base_muls`` batch in curve mode, then ``generate_renewal``."""
+    poly = sample_polynomial(rng, group.threshold - 1, 0, tree.field.modulus)
+    committed = {} if tree.curve is None else dict(zip(poly[1:], base_muls(poly[1:], tree.curve)))
+    return generate_renewal(tree, group, owners, poly, committed)
+
+
 def root_group(tree, shares):
     """The server's group record and its active members, in id order: the
-    first arguments ``generate_renewal`` takes after the tree."""
+    first arguments ``renewal_bundles`` takes after the tree."""
     kids = tree.groups(shares)[ROOT_ID]
     return shares[kids[0]], kids
 

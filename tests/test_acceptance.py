@@ -18,6 +18,7 @@ from conftest import (
     make_tree,
     minimal_reconstructing_set,
     random_tree_spec,
+    renewal_bundles,
     root_group,
     tf,
 )
@@ -26,7 +27,7 @@ from hiershare.algebra import lagrange_at_zero, poly_eval
 from hiershare.config import parse_scenario
 from hiershare.curve import TOY_CURVE, scalar_mul
 from hiershare.hierarchy import ROOT_ID
-from hiershare.proactive import RenewalBundle, generate_renewal, renewal_round, verify_renewal
+from hiershare.proactive import RenewalBundle, renewal_round, verify_renewal
 from hiershare.sharing import reconstruct
 from hiershare.simnet import World
 from hiershare.snapshot import load_world, save_world
@@ -179,7 +180,7 @@ def test_criterion_5_detection_complete_and_sound():
     rng = random.Random(5)
     tree = make_tree([[], [], [], []], rng, curve=TOY_CURVE)
     _dealer, _state, shares = deal(tree, 6, tf(1, 1), rng)
-    bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+    bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
     failures = 0
     for _ in range(1000):
         bundle = rng.choice(bundles)

@@ -1,6 +1,7 @@
 """Curve group tests, anchored on an independent brute-force enumeration
 of the whole toy group (19 elements)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -327,7 +328,9 @@ class TestBaseMuls:
     """``base_muls`` against ``scalar_mul`` one scalar at a time and the
     affine reference, on batches that mix zero, negative scalars,
     multiples of the order (identity results among the others in one
-    conversion) and scalars past the base-point table."""
+    conversion) and scalars past the base-point table. However many
+    levels of affine additions a batch's sum takes, its Jacobian results
+    are converted once."""
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE] + SMALL_CURVES, ids=lambda c: c.name)
     def test_matches_one_at_a_time_and_the_reference(self, curve, monkeypatch):
@@ -347,6 +350,115 @@ class TestBaseMuls:
             assert conversions == [1]
             assert got == [scalar_mul(s, curve.base_point) for s in scalars]
             assert [as_tuple(P) for P in got] == [naive_mul(curve, s, G) for s in scalars]
+
+
+def wide(curve):
+    """``curve`` claiming a 127-bit order. The order is read only for its
+    bit length, so the base-point table gets 16 rows over the same small
+    group, and a scalar below about 2^127 names up to 16 table points:
+    enough for ``base_muls`` to sum a batch in levels."""
+    return dataclasses.replace(curve, name=curve.name + "-wide", order=2**127 - 1)
+
+
+WIDE_CURVES = [wide(curve) for curve in SMALL_CURVES]
+WIDE_TOY = WIDE_CURVES[0]
+# 16 nonzero digits of 1, so 16 table points 256^i * G: 8 pairs, a level.
+SIXTEEN = sum(256**i for i in range(16))
+
+
+def recorded_levels(monkeypatch, curve):
+    """The pairs of every ``_add_batch`` call, one list per call, from
+    after ``curve``'s base-point table is built."""
+    _base_table(curve)
+    levels = []
+    add = curve_module._add_batch
+    monkeypatch.setattr(
+        curve_module, "_add_batch", lambda pairs, a, p: levels.append(pairs) or add(pairs, a, p)
+    )
+    return levels
+
+
+def assert_reference(curve, scalars):
+    G = (curve.gx, curve.gy)
+    assert [as_tuple(P) for P in base_muls(scalars, curve)] == [
+        naive_mul(curve, s, G) for s in scalars
+    ]
+
+
+class TestBaseMulsTreeSum:
+    """``base_muls`` sums a batch's table points pairwise, one batched
+    level at a time while a level holds at least 8 pairs, on small groups
+    where table entries are the identity and a level's pairs repeat or
+    cancel a point, against the affine reference."""
+
+    @pytest.mark.parametrize("curve", WIDE_CURVES, ids=lambda c: c.name)
+    def test_random_batches(self, curve):
+        rng = random.Random(53)
+        for size in (0, 1, 2, 3, 8, 17):
+            scalars = [rng.randrange(-(2**126), 2**126) for _ in range(size)]
+            assert_reference(curve, scalars + [0, curve.order, -SIXTEEN])
+
+    def test_empty_batch(self, monkeypatch):
+        levels = recorded_levels(monkeypatch, WIDE_TOY)
+        assert base_muls([], WIDE_TOY) == []
+        assert levels == []
+
+    def test_levels_stop_below_eight_pairs(self, monkeypatch):
+        """16 points make one level of 8 pairs and stop at 4; 14 points
+        (7 pairs) make none."""
+        levels = recorded_levels(monkeypatch, WIDE_TOY)
+        assert_reference(WIDE_TOY, [SIXTEEN])
+        assert [len(pairs) for pairs in levels] == [8]
+        levels.clear()
+        assert_reference(WIDE_TOY, [SIXTEEN % 256**14])
+        assert levels == []
+
+    def test_identity_entries_name_no_point(self, monkeypatch):
+        """Every digit 19 on the toy curve (G has order 19) reads an
+        identity entry: the scalar adds no pair, and its result is the
+        identity."""
+        levels = recorded_levels(monkeypatch, WIDE_TOY)
+        nineteens = 19 * SIXTEEN
+        assert_reference(WIDE_TOY, [nineteens, SIXTEEN, -nineteens])
+        assert [len(pairs) for pairs in levels] == [8]
+        assert all(P is not None and Q is not None for P, Q in levels[0])
+
+    def test_cancelling_and_equal_pairs_inside_one_level(self, monkeypatch):
+        """On the toy curve 256 * G = 9 * G, so 1 + 2 * 256 names G and
+        18 * G = -G, and 9 + 256 names 9 * G twice; their negations name
+        the negated pairs. With 8 more pairs the four pairs fall inside a
+        level."""
+        G = (TOY_CURVE.gx, TOY_CURVE.gy)
+        nine_G = naive_mul(TOY_CURVE, 9, G)
+        levels = recorded_levels(monkeypatch, WIDE_TOY)
+        neg = lambda P: (P[0], -P[1] % TOY_CURVE.p)  # noqa: E731
+        assert_reference(WIDE_TOY, [513, -513, 265, -265, SIXTEEN])
+        assert [len(pairs) for pairs in levels] == [12]
+        assert levels[0][:4] == [(G, neg(G)), (neg(G), G), (nine_G, nine_G), (neg(nine_G),) * 2]
+
+    def test_odd_point_carries_to_the_next_level(self, monkeypatch):
+        """A scalar naming 3 points pairs two of them in the first level
+        and carries the third, leaving 2; one naming 17 carries one point
+        from each of the two levels, leaving 9 and then 5 (8 + 1 + 8 = 17
+        pairs, then 4 + 1 + 4 = 9, then 2 + 0 + 2 = 4, below 8)."""
+        wider = dataclasses.replace(WIDE_TOY, order=2**135 - 1)
+        levels = recorded_levels(monkeypatch, wider)
+        three = 1 + 256 + 256**2
+        seventeen = SIXTEEN + 256**16
+        assert_reference(wider, [seventeen, three, -seventeen])
+        assert [len(pairs) for pairs in levels] == [17, 9]
+
+    @pytest.mark.parametrize("curve", WIDE_CURVES, ids=lambda c: c.name)
+    def test_past_capacity_scalars_share_the_batch(self, curve, monkeypatch):
+        """Scalars past the 16-row table go to Straus, one pass each, and
+        take their place among the levels' results."""
+        straus = []
+        original = curve_module._straus
+        monkeypatch.setattr(
+            curve_module, "_straus", lambda *args: straus.append(1) or original(*args)
+        )
+        assert_reference(curve, [SIXTEEN, 2**130 + 3, -SIXTEEN, -(2**140 + 5), 513])
+        assert len(straus) == 2
 
 
 def table_entry_by_point_add(curve, i, d):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import active_users, deal, eval_point, make_tree, root_group, tf
+from conftest import active_users, deal, eval_point, make_tree, renewal_bundles, root_group, tf
 
 import hiershare.curve as curve_module
 import hiershare.proactive as proactive
@@ -64,7 +64,7 @@ def toy_dealt_tree(rng, spec, factor, secret_value=7):
 class TestGenerateRenewal:
     def test_threshold_one_group_gets_zero_polynomial(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
-        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+        bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
         assert len(bundles) == 1
         assert bundles[0].delta == 0
         assert bundles[0].commitments == ()
@@ -73,26 +73,26 @@ class TestGenerateRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], []], tf(1, 1)
         )
-        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+        bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
         assert len(bundles) == 3
         assert all(len(b.commitments) == 2 for b in bundles)
 
     def test_deterministic_under_seed(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
-        first = generate_renewal(tree, *root_group(tree, shares), random.Random(9))
-        second = generate_renewal(tree, *root_group(tree, shares), random.Random(9))
+        first = renewal_bundles(tree, *root_group(tree, shares), random.Random(9))
+        second = renewal_bundles(tree, *root_group(tree, shares), random.Random(9))
         assert first == second
 
     def test_no_children(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
         group, _kids = root_group(tree, shares)
         with pytest.raises(NoChildren):
-            generate_renewal(tree, group, [], rng)
+            generate_renewal(tree, group, [], [0], {})
 
     def test_no_curve_mode_has_no_commitments(self, rng):
         tree = make_tree([[], []], rng, prime=31)
         _dealer, _state, shares = deal(tree, 5, tf(1, 1), rng)
-        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+        bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
         assert all(b.commitments == () for b in bundles)
 
 
@@ -101,14 +101,14 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(1, 2)
         )
-        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+        bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
         for bundle in bundles:
             point = eval_point(shares, bundle.recipient)
             assert verify_renewal(bundle, point, tree.curve) is True
 
     def test_tampered_delta_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
-        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+        for bundle in renewal_bundles(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
             bad = bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
             assert verify_renewal(bad, point, tree.curve) is False
@@ -116,7 +116,7 @@ class TestVerifyRenewal:
     def test_tampered_commitment_fails(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
         G = tree.curve.base_point
-        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+        for bundle in renewal_bundles(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
             moved = bundle.commitments[0] + G
             bad = bundle._replace(commitments=(moved,) + bundle.commitments[1:])
@@ -125,7 +125,7 @@ class TestVerifyRenewal:
     def test_identity_commitment_fails(self, rng):
         tree = make_tree([[], [], []], rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 7, tf(1, 1), rng)
-        for bundle in generate_renewal(tree, *root_group(tree, shares), rng):
+        for bundle in renewal_bundles(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
             assert verify_renewal(bundle, point, tree.curve) is True
             for idx in range(len(bundle.commitments)):
@@ -151,7 +151,7 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[], [], [], []], tf(3, 4)
         )
-        bundles = generate_renewal(tree, *root_group(tree, shares), rng)
+        bundles = renewal_bundles(tree, *root_group(tree, shares), rng)
         G = tree.curve.base_point
         for _ in range(200):
             bundle = rng.choice(bundles)
@@ -175,7 +175,7 @@ class TestApplyRenewal:
     def test_zero_delta_keeps_value(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
         group, kids = root_group(tree, shares)
-        bundles = generate_renewal(tree, group, kids, rng)
+        bundles = renewal_bundles(tree, group, kids, rng)
         renewed = apply_renewal(group, bundles, tree.field.modulus)
         assert renewed.members == group.members
         assert (renewed.epoch, renewed.threshold) == (1, 1)
@@ -185,14 +185,14 @@ class TestApplyRenewal:
             rng, [[], [], []], tf(2, 3)
         )
         group, kids = root_group(tree, shares)
-        renewed = apply_renewal(group, generate_renewal(tree, group, kids, rng), tree.field.modulus)
+        renewed = apply_renewal(group, renewal_bundles(tree, group, kids, rng), tree.field.modulus)
         shares = dict.fromkeys(kids, renewed)
         assert reconstruct(tree, shares, kids, dealer.split) == secret
 
     def test_member_without_a_bundle_is_left_out(self, rng):
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
         group, kids = root_group(tree, shares)
-        bundles = generate_renewal(tree, group, kids, rng)
+        bundles = renewal_bundles(tree, group, kids, rng)
         renewed = apply_renewal(group, bundles[1:], tree.field.modulus)
         assert list(renewed.members) == [2]
         assert renewed.members[2][0] == group.members[2][0]
@@ -800,12 +800,17 @@ class TestBatchCheck:
 
 class TestCheckCounts:
     """Machine-independent cost of one renewal epoch: how many per-child
-    checks and Straus passes it makes. Each group's parent commits to its
-    k coefficients with k base-point multiplications in one batch, about
-    32 mixed additions each on secp256k1 (one per nonzero digit of the
-    scalar's 32 or 33 width-8 digits; a digit is zero with odds 1/256) and
-    one on the toy curve; the group check reads h_i * G from those
-    commitments and adds nothing of its own."""
+    checks and Straus passes it makes. The parents' coefficients are
+    committed in one ``base_muls`` batch per epoch. On secp256k1 each
+    scalar names one table point per nonzero digit of its 32 or 33 width-8
+    digits (a digit is zero with odds 1/256); the batch's points are
+    summed pairwise in levels of batched affine additions (``_add_batch``,
+    counted in pairs) while a level holds at least 8 pairs, and mixed
+    additions (``_add_affine``, the first of each scalar's from the
+    identity) finish each scalar. So a batch of n points over m scalars
+    makes n additions in all. On the toy curve each scalar names one
+    point and the batch makes no level. The group check reads h_i * G
+    from the epoch's commitments and adds nothing of its own."""
 
     # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups of
     # threshold 2 (k = 1), 8 dealt children.
@@ -823,19 +828,21 @@ class TestCheckCounts:
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
         curve_module._base_table(curve)  # built once per process, not per epoch
         counts = dict.fromkeys(
-            ("verify_renewal", "base_mul_equals", "_straus", "_add_affine", "_double"), 0
+            ("verify_renewal", "base_mul_equals", "_straus", "_add_batch", "_add_affine", "_double"),
+            0,
         )
         for module, name in (
             (proactive, "verify_renewal"),
             (proactive, "base_mul_equals"),
             (curve_module, "_straus"),
+            (curve_module, "_add_batch"),
             (curve_module, "_add_affine"),
             (curve_module, "_double"),
         ):
             original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
+                counts[_name] += len(args[0]) if _name == "_add_batch" else 1
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
@@ -853,54 +860,58 @@ class TestCheckCounts:
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
         """The three parents' commitments read the base-point table: 3
-        multiplications, one addition per nonzero digit of f_1 (32 + 32 +
-        32 = 96), no doublings. Each group check opens
-        h = f and finds h_1 * G among its parent's commitments."""
+        multiplications in one batch, 32 + 32 + 32 = 96 points, no
+        doublings. The levels add 48, 24 and 12 pairs, leaving 4 points per
+        scalar (6 pairs, below 8), which 12 mixed additions finish: 84 + 12
+        = 96. Each group check opens h = f and finds h_1 * G among the
+        epoch's commitments."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 96, "_double": 0,
+            "_add_batch": 84, "_add_affine": 12, "_double": 0,
         }
 
     def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
         """Every delta of user 2's group is shifted by 1, so h = f + 1 still
         opens the commitments and h(0) = 1 refuses all three children. The
-        shift moves only h_0, so the count is the parents' 96 additions."""
+        shift moves only h_0, so the count is the parents' 84 + 12."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 96, "_double": 0,
+            "_add_batch": 84, "_add_affine": 12, "_double": 0,
         }
 
     def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
         """User 2's C_1 is moved, so its commitments do not open to h (h_1 * G,
-        read from the parent's map, differs from C_1) and each of its three
+        read from the epoch's map, differs from C_1) and each of its three
         children runs its own check: delta * G from the base-point table
-        (98 additions for the three deltas) and one Straus pass over C_1's
-        16-multiple window table (149 additions and 755 doublings for the
-        three x_j mod n). The window tables are batched affine additions,
-        so they add and double nothing here. The parents' 96 additions plus
-        the passes' 98 + 149 make 343."""
+        (98 mixed additions for the three deltas) and one Straus pass over
+        C_1's 16-multiple window table (149 mixed additions and 755
+        doublings for the three x_j mod n). Each window table takes 1 + 2 +
+        4 + 8 = 15 batched pairs. The parents' 84 pairs plus 3 * 15 make
+        129, and their 12 mixed additions plus the passes' 98 + 149 make
+        259."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
-            "_add_affine": 343, "_double": 755,
+            "_add_batch": 129, "_add_affine": 259, "_double": 755,
         }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
-        """Three parents' single commitments, one addition each."""
+        """Three parents' single commitments, one point each: no level,
+        and one mixed addition each."""
         _tree, outcome, counts = self.counted_round(monkeypatch, toy)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 3, "_double": 0,
+            "_add_batch": 0, "_add_affine": 3, "_double": 0,
         }
 
     def test_renew_secp_shaped_epoch_makes_no_pass(self, monkeypatch):
@@ -909,21 +920,28 @@ class TestCheckCounts:
         checks would make 534 mixed additions and 1020 doublings here (four
         Straus passes); the opened polynomial refuses all four with no work beyond
         the parents' commitments: k = 2, 1, 1, 2, 3 for the root's group of
-        four and the groups of 2-5, 9 base multiplications and 292
-        additions (31 to 33 nonzero digits each), no doubling."""
+        four and the groups of 2-5, one batch of 9 base multiplications
+        over 292 table points (31 to 33 nonzero digits each), no doubling.
+        The levels add 143, 72, 36, 18 and 9 pairs (278), an odd point
+        carrying each time a scalar's count is odd, and stop with 14
+        points left over the 9 scalars (5 pairs); 14 mixed additions
+        finish them: 278 + 14 = 292."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=self.RENEW_SECP_SPEC
         )
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_affine": 292, "_double": 0,
+            "_add_batch": 278, "_add_affine": 14, "_double": 0,
         }
 
     def test_one_inversion_per_group_and_per_deal(self, monkeypatch):
-        """The renew-secp epoch above converts each group's k = 2, 1, 1, 2, 3
-        commitments with one inversion: five in all, not nine. A deal
-        converts the round keys of all 18 users with one."""
+        """The renew-secp epoch above commits all nine coefficients in one
+        batch: one inversion per level of 143, 72, 36, 18 and 9 pairs and
+        one to convert the nine results, six in all where one batch per
+        group took five conversions of 2, 1, 1, 2, 3. A deal's 18 round
+        keys are one batch of 581 points: levels of 287, 144, 72, 36 and
+        18 pairs, then one conversion of 18."""
         rng = random.Random(41)
         tree = make_tree(self.RENEW_SECP_SPEC, rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
@@ -937,20 +955,22 @@ class TestCheckCounts:
             curve_module, "_to_affine", lambda P, p: converted.append(len(P)) or convert(P, p)
         )
         renewal_round(tree, shares, rng)
-        assert converted == inversions == [2, 1, 1, 2, 3]
+        assert inversions == [143, 72, 36, 18, 9, 9]
+        assert converted == [9]
         converted.clear()
         inversions.clear()
         tree.assign_round_keys(tree.begin_round(rng))
-        assert converted == inversions == [len(tree.nodes)] == [18]
+        assert inversions == [287, 144, 72, 36, 18, 18]
+        assert converted == [len(tree.nodes)] == [18]
 
     def test_no_multiple_outlives_its_round(self, monkeypatch):
         """Two identical rounds in one process add as many points, and a
         parent replaying the previous round's bundles makes each group
         check multiply its h_1 * G afresh: 3 multiplications for the
-        parents (one batch of k = 1 each) and 3 single ones for the
-        replayed polynomials, where an honest round makes 3 in all. Were
-        a multiple kept past its round, the replay would read h_1 * G from
-        it and make 3."""
+        parents (the epoch's one batch of three k = 1 coefficients) and 3
+        single ones for the replayed polynomials, where an honest round
+        makes 3 in all. Were a multiple kept past its round, the replay
+        would read h_1 * G from it and make 3."""
         rng = random.Random(41)
         tree = make_tree(self.SPEC, rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
@@ -970,8 +990,8 @@ class TestCheckCounts:
             added.clear()
             calls.clear()
             renewal_round(tree, shares, random.Random(5), perturb=record)
-            counts.append((len(added), sum(map(len, calls))))
-        assert counts[0] == counts[1] and counts[0][1] == 3
+            counts.append((len(added), [len(batch) for batch in calls]))
+        assert counts[0] == counts[1] and counts[0][1] == [3]
 
         calls.clear()
         outcome = renewal_round(
@@ -979,7 +999,7 @@ class TestCheckCounts:
         )
         # A replay passes every child's own check: bundles carry no epoch.
         assert outcome.claims == ()
-        assert sum(map(len, calls)) == 6
+        assert [len(batch) for batch in calls] == [3, 1, 1, 1]
 
     @pytest.mark.parametrize(
         "curve, tables",

@@ -6,13 +6,19 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import active_users, benchmark_workloads, minimal_reconstructing_set, random_tree_spec
+from conftest import (
+    active_users,
+    benchmark_workloads,
+    minimal_reconstructing_set,
+    random_tree_spec,
+    renewal_bundles,
+)
 
 from hiershare import algebra, curve
 from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
-from hiershare.proactive import RenewalBundle, generate_renewal
+from hiershare.proactive import RenewalBundle
 from hiershare.sharing import GroupShares, HeldShare
 from hiershare.simnet import World, adversary_act
 from hiershare.snapshot import (
@@ -108,8 +114,14 @@ class TestDeterminism:
         secp256k1 run in the same process multiplies G as often, epoch by
         epoch, as the first."""
         calls = []
-        original = curve._mul_base
-        monkeypatch.setattr(curve, "_mul_base", lambda *args: calls.append(1) or original(*args))
+        original = curve._signed_digits
+
+        def recoding(k, width):
+            if width == curve._BASE_WIDTH:  # one recoding per multiple of G
+                calls.append(1)
+            return original(k, width)
+
+        monkeypatch.setattr(curve, "_signed_digits", recoding)
         config = scenario(
             field_mode="curve-order", curve="standard", field_prime=None, eval_mode=None,
             tree=spec_dict([[[], []], [[], [], []]]), epochs=3,
@@ -500,7 +512,7 @@ class TestAdversaryStrategies:
         perturb, _claims = adversary_act(world.tree, world.shares, adversary_plan(cfg, 1))
         rng = random.Random(4)
         group = world.shares[3]
-        original = generate_renewal(world.tree, group, [3, 4], rng)[0]
+        original = renewal_bundles(world.tree, group, [3, 4], rng)[0]
         before = tuple(original)
         assert original.commitments
 
@@ -511,7 +523,7 @@ class TestAdversaryStrategies:
         assert tuple(original) == before
         # The root's bundles are not the occupied parent's to tamper with.
         root = world.shares[1]
-        honest = generate_renewal(world.tree, root, [1, 2], rng)[0]
+        honest = renewal_bundles(world.tree, root, [1, 2], rng)[0]
         assert perturb(honest) is honest
 
 
