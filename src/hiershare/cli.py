@@ -1,11 +1,11 @@
 """Command-line front end: run scenarios, verify curve profiles, snapshot
 and resume runs.
 
-``run`` executes register -> round -> distribute -> epochs -> final
-reconstruction and writes two report files per run: ``<name>.report``
-(JSON, schema-versioned) and ``<name>.txt`` (fixed-width summary table).
-Exit codes: 0 success, 1 configuration error, 2 invariant violation or
-failed final reconstruction.
+``run`` executes register (all users in one batch) -> round -> distribute
+-> epochs -> final reconstruction and writes two report files per run:
+``<name>.report`` (JSON, schema-versioned) and ``<name>.txt`` (fixed-width
+summary table). Exit codes: 0 success, 1 configuration error, 2 invariant
+violation or failed final reconstruction.
 """
 
 from __future__ import annotations

@@ -174,16 +174,24 @@ def tree_spec(parents: tuple[int, ...]) -> dict:
 def _parse_tree(data, where: str) -> None:
     """Validate the nested tree spec, parents before children and in
     document order, so the first error reported is the first in the file.
-    Iterative: any depth parses."""
-    pending = [(data, where)]
+    Iterative: any depth parses. A pending node carries its parent's entry
+    and its index there; its path is spelled out only if it is refused."""
+    pending: list[tuple] = [(data, None, 0)]
     while pending:
-        node, w = pending.pop()
-        if not isinstance(node, dict):
-            raise ConfigError(f"{w}: expected an object with a 'children' list")
-        _take(node, w, {"children": False})
-        children = node.get("children", [])
-        _require(isinstance(children, list), w, "'children' must be a list")
-        pending.extend((children[i], f"{w}.children[{i}]") for i in reversed(range(len(children))))
+        entry = pending.pop()
+        node = entry[0]
+        children = node.get("children", []) if isinstance(node, dict) else None
+        if not (isinstance(children, list) and node.keys() <= {"children"}):
+            indices = []
+            while entry[1] is not None:
+                indices.append(entry[2])
+                entry = entry[1]
+            w = where + "".join(f".children[{i}]" for i in reversed(indices))
+            _require(isinstance(node, dict), w, "expected an object with a 'children' list")
+            _take(node, w, {"children": False})
+            raise ConfigError(f"{w}: 'children' must be a list")
+        if children:
+            pending.extend((children[i], entry, i) for i in reversed(range(len(children))))
 
 
 def parse_curve_inline(data: dict, where: str) -> CurveParams:

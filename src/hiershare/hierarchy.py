@@ -3,9 +3,9 @@
 The server sits at the root (level 0) and every user hangs below it; a
 child's level is its parent's plus one. Registration-token delivery is out
 of band by definition (it never crosses the simulated network), so
-``register`` writes the token straight into the node. The group key is
-stored once, on the node; the server reads it there. Round keys are
-computed per deal attempt (``assign_round_keys``) and never stored.
+``register`` writes a batch of users' tokens straight into their nodes.
+The group key is stored once, on the node; the server reads it there. Round
+keys are computed per deal attempt (``assign_round_keys``) and never stored.
 
 The tree is a single mutable state owned by the simulation loop; all
 mutations happen on one logical thread.
@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Container
+from typing import Container, Sequence
 
 from .algebra import FieldParams
 from .curve import CurveParams, CurvePoint, base_muls, scalar_mul
 from .errors import HierShareError
+
+# ``scalar_mul`` is re-exported, uncalled: the benchmark tracer patches it here too.
+__all__ = ["ROOT_ID", "HierarchyNode", "HierarchyTree", "ParentInactive", "TreeFull",
+           "EmptyHierarchy", "UnknownUser", "AlreadyInactive", "PositionOccupied", "scalar_mul"]
 
 # Parent marker for level-1 users. The server is not a user; ids start at 1.
 ROOT_ID = 0
@@ -131,27 +135,36 @@ class HierarchyTree:
                 grouped.setdefault(node.parent, []).append(uid)
         return {parent: grouped[parent] for parent in sorted(grouped)}
 
-    def used_x_coordinates(self) -> set[int]:
-        return {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
-
     # -- token sampling ---------------------------------------------------
 
-    def _sample_token(self, rng: random.Random) -> tuple[int, CurvePoint | None]:
-        """Draw a registration token; in curve mode, resample until the
-        group key's x-coordinate is unused tree-wide."""
+    def _sample_tokens(self, count: int, rng: random.Random) -> list[tuple[int, CurvePoint | None]]:
+        """Registration tokens and group keys for ``count`` users. In curve
+        mode, each batch draws a token per unfilled user, computes their
+        keys in one ``base_muls`` call, and walks the draws in order: one
+        whose key's x-coordinate is unused tree-wide fills the next user,
+        any other is that user's miss. So each draw is kept or missed just
+        as if the users drew one at a time, and the generator ends alike."""
         if self.curve is None:
-            return rng.randrange(1, self.field.modulus), None
-        used = self.used_x_coordinates()
-        # Each x serves at most two points, so 2*order draws without a fresh
-        # x means the space is effectively exhausted at toy scale.
-        for _ in range(2 * self.curve.order):
-            token = rng.randrange(1, self.curve.order)
-            key = scalar_mul(token, self.curve.base_point)
-            if key.x not in used:
-                return token, key
-        raise TreeFull(
-            f"no unused group-key x-coordinate left on curve {self.curve.name!r}"
-        )
+            return [(rng.randrange(1, self.field.modulus), None) for _ in range(count)]
+        order, out, misses = self.curve.order, [], 0
+        used = {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
+        while len(out) < count:
+            # Each x serves at most two points, so 2*order misses in a row
+            # mean the space is exhausted at toy scale; draw no further.
+            batch = min(count - len(out), 2 * order - misses)
+            tokens = [rng.randrange(1, order) for _ in range(batch)]
+            for token, key in zip(tokens, base_muls(tokens, self.curve)):
+                if key.x in used:
+                    misses += 1
+                    continue
+                used.add(key.x)
+                out.append((token, key))
+                misses = 0
+            if misses >= 2 * order:
+                raise TreeFull(
+                    f"no unused group-key x-coordinate left on curve {self.curve.name!r}"
+                )
+        return out
 
     # -- membership operations --------------------------------------------
 
@@ -162,16 +175,19 @@ class HierarchyTree:
         self.children[node.id] = []
         self.children[node.parent].append(node.id)
 
-    def register(self, parent: int, rng: random.Random) -> HierarchyNode:
-        """Join under ``parent``: fresh id, fresh secret token, and the
-        group key the node and the server both know. Ids run 1..n and
-        nodes are never removed, so the next id is ``len(nodes) + 1``."""
-        if not self.is_active(parent):
-            raise ParentInactive(f"parent {parent} is inactive")
-        token, key = self._sample_token(rng)
-        fresh = HierarchyNode(len(self.nodes) + 1, parent, reg_token=token, group_key=key)
-        self.insert(fresh)
-        return fresh
+    def register(self, parents: Sequence[int], rng: random.Random) -> list[HierarchyNode]:
+        """Join one user under each of ``parents`` (each active or an earlier
+        user of the batch, checked before any draw), in id order: fresh ids,
+        fresh secret tokens, and the group keys the nodes and the server
+        both know. All are drawn before any node is added, so a refused
+        batch adds nothing. Ids run 1..n and nodes are never removed."""
+        first = len(self.nodes) + 1
+        for uid, parent in enumerate(parents, start=first):
+            if not (first <= parent < uid or parent in self.children and self.is_active(parent)):
+                raise ParentInactive(f"parent {parent} is missing or inactive")
+        for parent, (token, key) in zip(parents, self._sample_tokens(len(parents), rng)):
+            self.insert(HierarchyNode(len(self.nodes) + 1, parent, reg_token=token, group_key=key))
+        return [self.nodes[uid] for uid in range(first, len(self.nodes) + 1)]
 
     def leave(self, user_id: int) -> set[int]:
         """Process a leave broadcast: the leaver and every node in its
@@ -198,7 +214,7 @@ class HierarchyTree:
             raise PositionOccupied(f"slot {position} is not vacant")
         if not self.is_active(slot.parent):
             raise ParentInactive(f"parent {slot.parent} is inactive")
-        slot.reg_token, slot.group_key = self._sample_token(rng)
+        [(slot.reg_token, slot.group_key)] = self._sample_tokens(1, rng)
         for node in self.nodes.values():
             if node.deactivated_by == position:
                 node.deactivated_by = None

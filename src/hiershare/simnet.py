@@ -379,8 +379,7 @@ class World:
         """Registration, then epoch 0: registration is out of band, dealing
         is not. Epoch 0 runs its events, ending in the deal, then the
         adversary's first hop, which copies what its hosts hold."""
-        for parent in self.config.parents:
-            self.tree.register(parent, self.rng)
+        self.tree.register(self.config.parents, self.rng)
         self._run_epoch()
 
     def finalize(self) -> dict:

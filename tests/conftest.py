@@ -51,17 +51,16 @@ def active_users(tree):
 
 def make_tree(spec, rng, curve=None, prime=None):
     """Build a tree from a nested-list shape ([[], [[]]] = two level-1
-    users, the second with one child), registering in BFS order so ids
-    match the scenario-file numbering."""
+    users, the second with one child), registered in one batch in BFS
+    order so ids match the scenario-file numbering."""
     if curve is not None:
         tree = tree_for_curve(curve)
     else:
         tree = HierarchyTree(None, FieldParams(prime))
     queue = [(child, ROOT_ID) for child in spec]
-    while queue:
-        children, parent = queue.pop(0)
-        node = tree.register(parent, rng)
-        queue.extend((grand, node.id) for grand in children)
+    for uid, (children, _parent) in enumerate(queue, start=1):
+        queue.extend((grand, uid) for grand in children)
+    tree.register([parent for _children, parent in queue], rng)
     return tree
 
 

@@ -77,6 +77,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"tree\.children\[0\]\.children\[0\]: .*color"):
             parse_scenario(base_scenario(tree=tree))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (7, "expected an object with a 'children' list"),
+            ({"children": {"0": {}}}, "'children' must be a list"),
+            ({"children": [], "colour": 1}, "unknown field(s) ['colour']"),
+        ],
+        ids=["non-object-child", "non-list-children", "unknown-field"],
+    )
+    def test_refused_node_three_levels_deep_names_its_exact_path(self, bad, message):
+        """Only the refused node's path is spelled out; it must still name
+        every index on the way down, after valid siblings at each level."""
+        leaf = {"children": []}
+        tree = {"children": [leaf, {"children": [{"children": [leaf, leaf, bad]}, leaf]}]}
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(base_scenario(tree=tree), "s.json")
+        assert str(refused.value) == f"s.json.tree.children[1].children[0].children[2]: {message}"
+
+    def test_refused_root_names_the_tree(self):
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(base_scenario(tree={"children": "none"}), "s.json")
+        assert str(refused.value) == "s.json.tree: 'children' must be a list"
+
     def test_decimal_strings_accepted_and_required_form(self):
         config = parse_scenario(base_scenario(secret="17"))
         assert config.secret == 17
