@@ -9,8 +9,8 @@ nonzero coefficients so every child can check its value without learning
 the polynomial. Old shares become useless, the group's jointly-held value
 never changes.
 
-Renewal rounds are deterministic: every subtree draws from its own
-sub-generator derived from (round entropy, subtree root), so a group's
+Renewal rounds are deterministic: one sub-generator is reseeded from
+(round entropy, subtree root) before each subtree draws, so a group's
 renewal does not depend on which other groups renew or in what order.
 The round draws every group's polynomial, then commits the epoch's
 coefficients in one ``base_muls`` batch: a map f_i -> f_i·G for the round.
@@ -176,10 +176,8 @@ def apply_renewal(
     delta mod p, evaluation points untouched. Members with no bundle (those
     who left) are not in it. The caller has already checked the bundles
     (``group_refusals``) in curve mode."""
-    members = {}
-    for _sender, recipient, delta, _commitments in delivered:
-        eval_point, value = group.members[recipient]
-        members[recipient] = (eval_point, (value + delta) % p)
+    old = group.members
+    members = {uid: (old[uid][0], (old[uid][1] + delta) % p) for _, uid, delta, _ in delivered}
     return GroupShares(group.epoch + 1, group.threshold, members)
 
 
@@ -230,6 +228,7 @@ PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 def renewal_round(
     tree: HierarchyTree,
     shares: dict[int, GroupShares],
+    groups: Mapping[int, Sequence[int]],
     rng: random.Random,
     *,
     perturb: PerturbHook | None = None,
@@ -240,9 +239,9 @@ def renewal_round(
     with at least one dealt active child, in id order.
 
     ``shares`` maps each holder to its group's record, as ``distribute``
-    returns it. Each group moves one epoch on from its own record's, so a
-    subtree whose previous renewal was discarded renews from wherever it
-    lags.
+    returns it; ``groups`` is ``tree.groups(shares)``, which the round leaves valid.
+    Each group moves one epoch on from its own record's, so a subtree
+    whose previous renewal was discarded renews from wherever it lags.
 
     A subtree commits only if none of its children's verifications failed
     (one ``group_refusals`` per group, then ``accepts_renewal`` per child
@@ -266,7 +265,6 @@ def renewal_round(
     unchanged with no claims (``extra_claims`` included), no traffic, and
     nothing drawn from ``rng``.
     """
-    groups = tree.groups(shares)
     if not groups:
         return RenewalOutcome(shares=dict(shares), claims=(), verdicts=())
 
@@ -275,8 +273,9 @@ def renewal_round(
     claims: list[ClaimRecord] = list(extra_claims)
     p = tree.field.modulus
     polys = {}
+    subtree_rng = random.Random(0)  # reseeded before each subtree's draws
     for root, kids in groups.items():
-        subtree_rng = random.Random((entropy << 32) | (root & 0xFFFFFFFF))
+        subtree_rng.seed((entropy << 32) | (root & 0xFFFFFFFF))
         polys[root] = sample_polynomial(subtree_rng, shares[kids[0]].threshold - 1, 0, p)
     scalars = [] if tree.curve is None else [c for f in polys.values() for c in f[1:]]
     committed = dict(zip(scalars, base_muls(scalars, tree.curve))) if scalars else {}
@@ -301,7 +300,8 @@ def renewal_round(
             claims.extend(file_claim(tree, child, root) for child in refused)
             continue
         renewed = apply_renewal(group, delivered, p)
-        new_shares.update(dict.fromkeys(kids, renewed))
+        for kid in kids:
+            new_shares[kid] = renewed
 
     if on_message is not None and claims:
         on_message("claim", len(claims))

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Mapping, NamedTuple
+from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import lagrange_at_zero, poly_eval, sample_polynomial
+from .algebra import lagrange_weights, poly_eval, sample_polynomial
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
 
@@ -220,42 +220,41 @@ def distribute(
 def recover_group_secret(
     tree: HierarchyTree,
     shares: Mapping[int, GroupShares],
-    participating: Iterable[int],
+    groups: Mapping[int, Sequence[int]],
     parent_id: int,
     split: Container[int],
 ) -> int:
     """Recover the value jointly held by ``parent_id``'s children: the
     parent's retained part, or the original secret when parent_id is the
-    root. ``split`` holds the users dealt as internal nodes (the round's
+    root. ``groups`` is ``tree.groups()`` of the participants that hold
+    shares; ``split`` holds the users dealt as internal nodes (the round's
     ``dealer.split``).
 
-    Inactive users and users without shares are treated as not
-    participating. Groups are interpolated children first, in descending
-    parent id, each from its first threshold-many contributions. Raises
+    Groups hanging from parent_id through participating split members are
+    interpolated children first, each from its first threshold-many
+    contributions (evaluation points are stored reduced mod p). Raises
     InsufficientShares naming the first sibling group that fell below
     threshold on the path that was needed, as a recursive climb meets it.
     """
-    participants = shares.keys() & participating
-    groups = tree.groups(participants)
-    reached = {parent_id}
-    for gid in groups:
-        if gid in split and gid in participants and tree.nodes[gid].parent in reached:
-            reached.add(gid)
+    climb = [parent_id] if parent_id in groups else []
+    for gid in climb:
+        climb += [kid for kid in groups[gid] if kid in groups and kid in split]
     p = tree.field.modulus
     values: dict[int, int] = {}
-    for gid in sorted(reached & groups.keys(), reverse=True):
+    for gid in reversed(climb):
         kids = groups[gid]
         need = shares[kids[0]].threshold
-        points: list[tuple[int, int]] = []
+        xs, ys = [], []
         for kid in kids:
-            eval_point, kept = shares[kid].members[kid]
+            x, y = shares[kid].members[kid]
             if kid in split:
                 if kid not in values:
                     continue
-                kept = (kept + values[kid]) % p
-            points.append((eval_point, kept))
-            if len(points) == need:
-                values[gid] = lagrange_at_zero(points, p)
+                y += values[kid]
+            xs.append(x)
+            ys.append(y)
+            if len(xs) == need:
+                values[gid] = sum([w * v for w, v in zip(lagrange_weights(tuple(xs), p), ys)]) % p
                 break
     if parent_id in values:
         return values[parent_id]
@@ -298,7 +297,8 @@ def reconstruct(
 ) -> int:
     """Bottom-up reconstruction of the root secret from the given
     participants' shares; ``split`` as for ``recover_group_secret``."""
-    return recover_group_secret(tree, shares, participating, ROOT_ID, split)
+    groups = tree.groups(shares.keys() & participating)
+    return recover_group_secret(tree, shares, groups, ROOT_ID, split)
 
 
 def knowledge_closure(tree: HierarchyTree, coalition: Mapping[int, HeldShare]) -> bool:

@@ -14,8 +14,8 @@ epoch's report row reads its ``messages`` from it and resets it.
 
 ``World.shares`` maps each share holder to its sibling group's record,
 shared with its siblings. A committed renewal moves the group's active
-members to a new record; a departed host keeps the record of its last
-epoch until a rejoin at its slot or a redeal.
+members to a new record and adds no holder, so one group view serves the
+epoch; a departed host keeps its last record until a rejoin or a redeal.
 
 Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
 the deal) before the adversary moves to its plan's hosts
@@ -43,8 +43,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .config import ScenarioConfig, adversary_plan
-from .errors import InvariantViolation
-from .hierarchy import HierarchyTree
+from .errors import HierShareError, InvariantViolation
+from .hierarchy import ROOT_ID, HierarchyTree
 from .proactive import RenewalBundle, file_claim, renewal_round
 from .sharing import (
     DealerState,
@@ -54,8 +54,13 @@ from .sharing import (
     InsufficientShares,
     distribute,
     knowledge_closure,
-    reconstruct,
+    recover_group_secret,
 )
+
+
+class StepOutOfOrder(HierShareError):
+    """``World.step_epoch`` called before the deal or past the last epoch."""
+
 
 # Toy-curve rounds collide often (9 usable x-coordinates, two of them on
 # x = 0), so the retry budget is generous; each retry is one fresh round.
@@ -249,26 +254,33 @@ class World:
         )
 
     def step_epoch(self) -> dict:
-        """Advance to the next epoch and run it."""
+        """Advance to the next epoch and run it. A world is dealt once it
+        has its epoch-0 row, as a restored one has."""
+        if not self.report.rows:
+            raise StepOutOfOrder("step_epoch before initial_deal: nothing is dealt yet")
+        if self.epoch >= self.config.epochs:
+            raise StepOutOfOrder(
+                f"step_epoch past the last epoch: the scenario has {self.config.epochs} epochs"
+            )
         self.epoch += 1
         return self._run_epoch()
 
     def _run_epoch(self) -> dict:
         """Every epoch's step, epoch 0 included: events (at epoch 0 ending
-        in the deal), the adversary's move to its plan's hosts, from epoch
-        1 on renewal and claim resolution, then steal, cleanse, invariants,
-        report row."""
+        in the deal), the adversary's move, the holders' group view, from
+        epoch 1 on renewal and claim resolution, then steal, cleanse,
+        invariants, report row."""
         notes = self._process_events(self.epoch)
         plan = adversary_plan(self.config, self.epoch)
         self.adversary.occupied = set(plan["compromise"])
         self.adversary.ever_compromised.update(plan["compromise"])
+        groups = self.tree.groups(self.shares)
 
-        verdicts = []
-        claims = 0
+        verdicts, claims = [], 0
         if self.epoch and self.config.renewal_enabled:
             perturb, false_claims = adversary_act(self.tree, self.shares, plan)
             outcome = renewal_round(
-                self.tree, self.shares, self.rng,
+                self.tree, self.shares, groups, self.rng,
                 perturb=perturb, extra_claims=false_claims, on_message=self.send,
             )
             self.shares = outcome.shares
@@ -278,11 +290,11 @@ class World:
         self._steal_state()
         cleansed = self._cleanse(verdicts)
         self._check_invariants()
-        return self._write_row(claims, verdicts, cleansed, notes)
+        return self._write_row(claims, verdicts, cleansed, notes, groups)
 
-    def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str]) -> dict:
+    def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str], groups) -> dict:
         """Append the epoch's report row; its ``messages`` are the epoch's
-        message counts, which it then resets."""
+        message counts, which it then resets; ``groups`` is the epoch's view."""
         messages, self.envelopes = self.envelopes, Counter()
         row = {
             "epoch": self.epoch,
@@ -302,7 +314,7 @@ class World:
             "cleansed": cleansed,
             "adversary_can_reconstruct": self.adversary_can_reconstruct(),
             "herzberg_all_pairs": self._herzberg_count(),
-            "secret_intact": self._reconstruct_all()[0],
+            "secret_intact": self._reconstruct_all(groups)[0],
             "events": events,
         }
         self.report.rows.append(row)
@@ -314,11 +326,11 @@ class World:
         n = sum(node.active for node in self.tree.nodes.values()) + 1
         return n * (n - 1)
 
-    def _reconstruct_all(self) -> tuple[bool, str]:
-        """Whether every active share-holder together recovers the dealer's
-        secret, and the reason when their shares fall short."""
+    def _reconstruct_all(self, groups: dict[int, list[int]]) -> tuple[bool, str]:
+        """Whether every active share-holder (``groups``, the holders' view)
+        together recovers the secret, and the reason when they fall short."""
         try:
-            value = reconstruct(self.tree, self.shares, self.shares, self.dealer.split)
+            value = recover_group_secret(self.tree, self.shares, groups, ROOT_ID, self.dealer.split)
         except InsufficientShares as exc:
             return False, str(exc)
         return value == self.dealer.secret, ""
@@ -384,7 +396,7 @@ class World:
 
     def finalize(self) -> dict:
         """Final reconstruction check and adversary outcome."""
-        correct, note = self._reconstruct_all()
+        correct, note = self._reconstruct_all(self.tree.groups(self.shares))
         self.report.final = {
             "reconstruction_correct": correct,
             "secret_recovered_by_adversary": self.adversary_can_reconstruct(),

@@ -143,7 +143,7 @@ def test_criterion_4_renewal_invariance_20_epochs_50_seeds():
         secret = rng.randrange(1009)
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         for _ in range(20):
-            outcome = renewal_round(tree, shares, rng)
+            outcome = renewal_round(tree, shares, tree.groups(shares), rng)
             assert not outcome.verdicts
             shares = outcome.shares
         assert reconstruct(tree, shares, list(shares), dealer.split) == secret

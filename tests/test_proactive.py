@@ -256,7 +256,9 @@ class TestRenewalRound:
             rng, [[[], []], [[], []]], tf(1, 2), secret_value=3
         )
         sent = []
-        outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
+        outcome = renewal_round(
+            tree, shares, tree.groups(shares), rng, on_message=lambda *m: sent.append(m)
+        )
         # 6 users -> 6 sealed deltas; 3 subtree roots -> 3 multicasts.
         assert message_counts(sent) == {"renewal-delta": 6, "commitments": 3}
         assert outcome.verdicts == ()
@@ -269,7 +271,7 @@ class TestRenewalRound:
             rng, [[[], []], []], tf(1, 2), secret_value=16
         )
         for _ in range(20):
-            outcome = renewal_round(tree, shares, rng)
+            outcome = renewal_round(tree, shares, tree.groups(shares), rng)
             shares = outcome.shares
             assert not outcome.verdicts
         assert reconstruct(tree, shares, list(shares), dealer.split) == secret
@@ -283,9 +285,9 @@ class TestRenewalRound:
         tree, _dealer, shares, _secret = toy_dealt_tree(
             rng, [[[], []], [[], [], []], []], tf(2, 3)
         )
-        together = renewal_round(tree, dict(shares), random.Random(31)).shares
+        together = renewal_round(tree, dict(shares), tree.groups(shares), random.Random(31)).shares
         tree.leave(1)
-        apart = renewal_round(tree, dict(shares), random.Random(31)).shares
+        apart = renewal_round(tree, dict(shares), tree.groups(shares), random.Random(31)).shares
         assert active_users(tree) == [2, 3, 6, 7, 8]
         for uid in active_users(tree):
             assert apart[uid].epoch == together[uid].epoch == 1
@@ -301,7 +303,7 @@ class TestRenewalRound:
                 return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
             return bundle
 
-        outcome = renewal_round(tree, shares, rng, perturb=corrupt_node_one)
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=corrupt_node_one)
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
         # 3 honest children, n=3, k=1: 3 >= 2 claims convict the parent.
@@ -337,7 +339,7 @@ class TestRenewalRound:
                 commitments=commitments,
             )
 
-        outcome = renewal_round(tree, shares, rng, perturb=raise_degree)
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=raise_degree)
         assert sorted(c.claimer for c in outcome.claims) == [1, 2, 3]
         assert [v.outcome for v in outcome.verdicts] == [ACCUSED_COMPROMISED]
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
@@ -348,7 +350,7 @@ class TestRenewalRound:
             rng, [[], [], [], []], tf(1, 2)
         )
         lies = [file_claim(tree, 2, ROOT_ID)]
-        outcome = renewal_round(tree, shares, rng, extra_claims=lies)
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng, extra_claims=lies)
         assert len(outcome.verdicts) == 1
         verdict = outcome.verdicts[0]
         # n=4, threshold 2, k=1: one claim < n-k=3 blames the claimer.
@@ -364,7 +366,7 @@ class TestRenewalRound:
         sent = []
         before = rng.getstate()
         outcome = renewal_round(
-            tree, {}, rng, extra_claims=lies, on_message=lambda *m: sent.append(m)
+            tree, {}, {}, rng, extra_claims=lies, on_message=lambda *m: sent.append(m)
         )
         assert (outcome.shares, outcome.claims, outcome.verdicts) == ({}, (), ())
         assert sent == []
@@ -375,10 +377,110 @@ class TestRenewalRound:
         secret = 400
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
         sent = []
-        outcome = renewal_round(tree, shares, rng, on_message=lambda *m: sent.append(m))
+        outcome = renewal_round(
+            tree, shares, tree.groups(shares), rng, on_message=lambda *m: sent.append(m)
+        )
         assert message_counts(sent) == {"renewal-delta": len(shares)}
         assert sorted(uid for _kind, to in sent for uid in to) == sorted(shares)
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
+
+
+def renewal_round_one_generator_per_group(tree, shares, rng, perturb):
+    """The reference for ``renewal_round``'s draws and results: it builds
+    its own view, constructs a fresh ``random.Random((entropy << 32) |
+    (root & 0xFFFFFFFF))`` for each subtree, lets every child check its own
+    bundle, and applies a group's deltas written out. Returns the new
+    shares and the claims."""
+    groups = tree.groups(shares)
+    if not groups:
+        return dict(shares), ()
+    entropy = rng.getrandbits(64)
+    p = tree.field.modulus
+    polys = {
+        root: sample_polynomial(
+            random.Random((entropy << 32) | (root & 0xFFFFFFFF)), shares[kids[0]].threshold - 1, 0, p
+        )
+        for root, kids in groups.items()
+    }
+    committed = {} if tree.curve is None else {
+        c: scalar_mul(c, tree.curve.base_point) for f in polys.values() for c in f[1:]
+    }
+    new_shares, claims = dict(shares), []
+    for root, kids in groups.items():
+        group = shares[kids[0]]
+        delivered = [perturb(b) for b in generate_renewal(tree, group, kids, polys[root], committed)]
+        refused = [] if tree.curve is None else [
+            b.recipient for b in delivered if not accepts_renewal(b, group, tree.curve)
+        ]
+        claims += [ClaimRecord(claimer=child, accused=root) for child in refused]
+        if refused:
+            continue
+        members = {}
+        for bundle in delivered:
+            eval_point, value = group.members[bundle.recipient]
+            members[bundle.recipient] = (eval_point, (value + bundle.delta) % p)
+        for kid in kids:
+            new_shares[kid] = GroupShares(group.epoch + 1, group.threshold, members)
+    return new_shares, tuple(claims)
+
+
+class TestDrawsMatchOneGeneratorPerGroup:
+    """``renewal_round`` reseeds one sub-generator per subtree and takes
+    its caller's view; the draws, shares, claims and generator state must
+    be those of a fresh generator per subtree and a view of its own."""
+
+    @pytest.mark.parametrize("curve", [None, TOY_CURVE], ids=["no-curve", "toy"])
+    def test_two_rounds_on_seeded_trees(self, curve):
+        shape_rng = random.Random(3030 if curve is None else 3031)
+        left_between_rounds = refused_rounds = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            count = shape_rng.randint(1, 7 if curve else 30)
+            tree = make_tree([], rng, curve=curve, prime=None if curve else 1009)
+            tree.register([rng.randrange(uid) for uid in range(1, count + 1)], rng)
+            _dealer, _state, shares = deal(tree, 5, tf(shape_rng.randint(1, 3), 3), rng)
+            tampered = shape_rng.choice([None, ROOT_ID] + sorted(tree.groups()))
+
+            def perturb(bundle, sender=tampered, p=tree.field.modulus):
+                if bundle.sender != sender:
+                    return bundle
+                return bundle._replace(delta=(bundle.delta + 1) % p)
+
+            reference_rng = random.Random()
+            reference_rng.setstate(rng.getstate())
+            reference = dict(shares)
+            for round_index in range(2):
+                outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=perturb)
+                expected, claims = renewal_round_one_generator_per_group(
+                    tree, reference, reference_rng, perturb
+                )
+                assert outcome.shares == expected
+                assert outcome.claims == claims
+                assert rng.getstate() == reference_rng.getstate()
+                refused_rounds += bool(claims)
+                shares = reference = outcome.shares
+                if round_index == 0 and count > 1 and seed % 3 == 0:
+                    tree.leave(shape_rng.randint(2, count))
+                    left_between_rounds += 1
+        assert left_between_rounds >= 1
+        assert refused_rounds >= (0 if curve is None else 1)
+
+    def test_rounds_repeat_on_one_tree(self):
+        """Several rounds in a row from one generator: each reseeding
+        starts from the round's own entropy, never from the last group's."""
+        rng = random.Random(9)
+        tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
+        _dealer, _state, shares = deal(tree, 5, tf(2, 3), rng)
+        reference_rng = random.Random()
+        reference_rng.setstate(rng.getstate())
+        reference = shares
+        for _ in range(5):
+            shares = renewal_round(tree, shares, tree.groups(shares), rng).shares
+            reference, _claims = renewal_round_one_generator_per_group(
+                tree, reference, reference_rng, lambda b: b
+            )
+            assert shares == reference
+        assert rng.getstate() == reference_rng.getstate()
 
 
 class TestStalenessAcrossEpochs:
@@ -393,7 +495,7 @@ class TestStalenessAcrossEpochs:
         tree = make_tree([[], []], rng, prime=31)
         secret = 23
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        outcome = renewal_round(tree, dict(shares), rng)
+        outcome = renewal_round(tree, dict(shares), tree.groups(shares), rng)
 
         x1, v1 = shares[1].members[1]                # epoch 0
         x2, v2 = outcome.shares[2].members[2]        # epoch 1
@@ -417,7 +519,7 @@ class TestStalenessAcrossEpochs:
         tree = make_tree([[], [], []], rng, prime=31)
         secret = 14
         _dealer, _state, shares = deal(tree, secret, tf(1, 1), rng)
-        outcome = renewal_round(tree, dict(shares), rng)
+        outcome = renewal_round(tree, dict(shares), tree.groups(shares), rng)
 
         old = [shares[u].members[u] for u in (1, 2)]
         x3, v3 = outcome.shares[3].members[3]
@@ -456,7 +558,9 @@ class TestBatchCheck:
             seen.append(tamper(bundle))
             return seen[-1]
 
-        outcome = renewal_round(tree, shares, random.Random(seed), perturb=perturb)
+        outcome = renewal_round(
+            tree, shares, tree.groups(shares), random.Random(seed), perturb=perturb
+        )
         return outcome, seen
 
     def alone(self, tree, shares, seen):
@@ -792,7 +896,7 @@ class TestBatchCheck:
         states = []
         for perturb in (None, bump):
             rng = random.Random(77)
-            outcome = renewal_round(tree, shares, rng, perturb=perturb)
+            outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=perturb)
             states.append(rng.getstate())
         assert self.claimers(outcome) == [2] == self.alone(tree, shares, seen)
         assert states[0] == states[1]
@@ -855,7 +959,7 @@ class TestCheckCounts:
                 return bundle._replace(commitments=moved)
             return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 
-        outcome = renewal_round(tree, shares, rng, perturb=bump)
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=bump)
         return tree, outcome, counts
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
@@ -954,7 +1058,7 @@ class TestCheckCounts:
         monkeypatch.setattr(
             curve_module, "_to_affine", lambda P, p: converted.append(len(P)) or convert(P, p)
         )
-        renewal_round(tree, shares, rng)
+        renewal_round(tree, shares, tree.groups(shares), rng)
         assert inversions == [143, 72, 36, 18, 9, 9]
         assert converted == [9]
         converted.clear()
@@ -989,13 +1093,14 @@ class TestCheckCounts:
         for _ in range(2):
             added.clear()
             calls.clear()
-            renewal_round(tree, shares, random.Random(5), perturb=record)
+            renewal_round(tree, shares, tree.groups(shares), random.Random(5), perturb=record)
             counts.append((len(added), [len(batch) for batch in calls]))
         assert counts[0] == counts[1] and counts[0][1] == [3]
 
         calls.clear()
         outcome = renewal_round(
-            tree, shares, random.Random(6), perturb=lambda bundle: sent[bundle.recipient]
+            tree, shares, tree.groups(shares), random.Random(6),
+            perturb=lambda bundle: sent[bundle.recipient],
         )
         # A replay passes every child's own check: bundles carry no epoch.
         assert outcome.claims == ()

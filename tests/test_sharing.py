@@ -218,13 +218,13 @@ class TestReconstruct:
         tree = make_tree([[[], [[], []]], [[], []]], rng, prime=1009)
         dealer, _state, shares = deal(tree, 9, tf(1, 2), rng)
         interpolated = []
-        original = sharing.lagrange_at_zero
+        original = sharing.lagrange_weights
 
-        def counting(points, p):
-            interpolated.append(len(points))
-            return original(points, p)
+        def counting(xs, p):
+            interpolated.append(len(xs))
+            return original(xs, p)
 
-        monkeypatch.setattr(sharing, "lagrange_at_zero", counting)
+        monkeypatch.setattr(sharing, "lagrange_weights", counting)
         participants = [uid for uid in shares if uid != 4]
         assert reconstruct(tree, shares, participants, dealer.split) == 9
         assert interpolated == [1, 1, 1]
@@ -233,7 +233,7 @@ class TestReconstruct:
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = 321
         dealer, shares, polynomials = deal_recorded(tree, secret, tf(1, 2), rng)
-        value = recover_group_secret(tree, shares, list(shares), 1, dealer.split)
+        value = recover_group_secret(tree, shares, tree.groups(shares), 1, dealer.split)
         assert value == polynomials[1][0]
 
     def test_inactive_participants_ignored(self, rng):

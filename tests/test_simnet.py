@@ -20,7 +20,7 @@ from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle
 from hiershare.sharing import GroupShares, HeldShare
-from hiershare.simnet import World, adversary_act
+from hiershare.simnet import StepOutOfOrder, World, adversary_act
 from hiershare.snapshot import (
     CorruptSnapshot,
     _checksum,
@@ -956,6 +956,25 @@ class TestLoadAndDealCost:
         redealt = [key for key in world.adversary.stolen_shares if key[0] == 2]
         assert redealt == [(2, 0, 2), (2, 0, 6)]
 
+    def test_one_group_view_per_epoch(self, monkeypatch):
+        """Renewal changes neither the holders nor the membership, so an
+        epoch builds its holders' view once, after its events, for the
+        round and the row's intact check. A dealing epoch (0, and the
+        epoch-2 redeal) also builds the deal's view of every active user
+        first: 2. The final check builds its own."""
+        views = self.count_calls(monkeypatch, "groups")
+        world = World(scenario(
+            tree=self.FOUR_GROUPS, epochs=3, events=[{"epoch": 2, "kind": "redeal"}],
+        ))
+        per_epoch = []
+        for step in [world.initial_deal] + [world.step_epoch] * 3 + [world.finalize]:
+            views.clear()
+            step()
+            per_epoch.append([len(args) for args in views])
+        assert per_epoch == [[0, 1], [1], [0, 1], [1], [1]]
+        assert world.report.rows[2]["events"] == ["redeal:round=2"]
+        assert all(row["secret_intact"] for row in world.report.rows)
+
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))
         world.initial_deal()
@@ -1317,6 +1336,54 @@ class TestDeepTrees:
         resumed.step_epoch()
         resumed.finalize()
         assert resumed.report == straight.report
+
+
+class TestStepOrder:
+    """``step_epoch`` runs only on a dealt world and only up to the
+    scenario's last epoch; a refused call names itself and its reason and
+    leaves the world as it was."""
+
+    def refused(self, world):
+        before = world_facts(world)
+        with pytest.raises(StepOutOfOrder) as info:
+            world.step_epoch()
+        assert isinstance(info.value, HierShareError)
+        assert world_facts(world) == before
+        return str(info.value)
+
+    def test_step_before_the_deal_is_refused(self):
+        world = World(scenario())
+        message = self.refused(world)
+        assert message.startswith("step_epoch")
+        assert "initial_deal" in message
+        assert world.epoch == 0 and world.report.rows == [] and world.tree.nodes == {}
+
+    def test_step_past_the_last_epoch_is_refused(self):
+        world = World(scenario(epochs=5))
+        world.initial_deal()
+        for _ in range(5):
+            world.step_epoch()
+        message = self.refused(world)
+        assert message.startswith("step_epoch")
+        assert "5 epochs" in message
+        assert world.epoch == 5 and len(world.report.rows) == 6
+
+    def test_a_finished_run_takes_no_further_epoch(self):
+        world = World(scenario(epochs=2))
+        world.run()
+        self.refused(world)
+        assert world.report.final["epochs_run"] == 2
+
+    @pytest.mark.parametrize("epochs, saved_at", [(3, 1), (1, 0)])
+    def test_a_restored_world_counts_as_dealt(self, tmp_path, epochs, saved_at):
+        world = World(scenario(epochs=epochs))
+        world.initial_deal()
+        for _ in range(saved_at):
+            world.step_epoch()
+        resumed = restored(world, tmp_path)
+        while world.epoch < epochs:
+            assert resumed.step_epoch() == world.step_epoch()
+        self.refused(resumed)
 
 
 class TestInvariants:
