@@ -19,6 +19,7 @@ recent abscissa set, which depend on the abscissas and the modulus alone
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import operator
 import random
@@ -185,6 +186,32 @@ def sample_polynomial(rng: random.Random, degree: int, free: int, p: int) -> Pol
     if degree >= 1:
         while coeffs[-1] == 0:
             coeffs[-1] = rng.randrange(p)
+    return tuple(coeffs)
+
+
+def keyed_polynomial(key: bytes, degree: int, free: int, p: int) -> Polynomial:
+    """The polynomial mod p with the given free coefficient and exact degree
+    drawn from ``shake_256(key)``: each coefficient, from the lowest power
+    up, is the next ceil(bits/8) little-endian bytes of the digest masked to
+    bits = p.bit_length() bits; a draw >= p is rejected, and so is 0 for
+    the top coefficient. A digest that runs out is taken again at twice the
+    length, which it extends (SHAKE is an XOF), so the draws depend on the
+    key alone. Degree 0 draws nothing."""
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    bits = p.bit_length()
+    width, mask = (bits + 7) // 8, (1 << bits) - 1
+    coeffs = [free]
+    if degree:
+        xof = hashlib.shake_256(key)
+        stream, start = xof.digest(2 * width * degree), 0
+        while len(coeffs) <= degree:
+            if start + width > len(stream):
+                stream = xof.digest(2 * len(stream))
+            draw = int.from_bytes(stream[start : start + width], "little") & mask
+            start += width
+            if draw < p and (draw or len(coeffs) < degree):
+                coeffs.append(draw)
     return tuple(coeffs)
 
 

@@ -9,11 +9,13 @@ nonzero coefficients so every child can check its value without learning
 the polynomial. Old shares become useless, the group's jointly-held value
 never changes.
 
-Renewal rounds are deterministic: one sub-generator is reseeded from
-(round entropy, subtree root) before each subtree draws, so a group's
-renewal does not depend on which other groups renew or in what order.
-The round draws every group's polynomial, then commits the epoch's
-coefficients in one ``base_muls`` batch: a map f_i -> f_i·G for the round.
+Renewal rounds are deterministic: a round takes 64 bits of entropy from
+its caller's generator, and each subtree root's polynomial is read from
+one SHAKE-256 digest keyed by (round entropy, subtree root)
+(``keyed_polynomial``), so a group's renewal does not depend on which
+other groups renew or in what order. The round draws every group's
+polynomial, then commits the epoch's coefficients in one ``base_muls``
+batch: a map f_i -> f_i·G for the round.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator opens each group's commitments once instead: when all m
@@ -38,7 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import interpolate, poly_eval, sample_polynomial
+from .algebra import interpolate, keyed_polynomial, poly_eval
 from .curve import CurveParams, CurvePoint, base_mul_equals, base_muls, scalar_mul
 from .errors import HierShareError
 from .hierarchy import HierarchyTree
@@ -221,6 +223,14 @@ class RenewalOutcome:
     verdicts: tuple[Verdict, ...]
 
 
+def renewal_key(entropy: int, root: int) -> bytes:
+    """The key of the renewal polynomial of the group under ``root`` in a
+    round of 64-bit ``entropy``: the entropy in 8 little-endian bytes, then
+    the root's decimal digits. The entropy's fixed width makes the key
+    one-to-one in (entropy, root)."""
+    return entropy.to_bytes(8, "little") + b"%d" % root
+
+
 MessageHook = Callable[[str, int | list[int]], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
@@ -242,6 +252,10 @@ def renewal_round(
     returns it; ``groups`` is ``tree.groups(shares)``, which the round leaves valid.
     Each group moves one epoch on from its own record's, so a subtree
     whose previous renewal was discarded renews from wherever it lags.
+    The round takes one ``getrandbits(64)`` from ``rng``, its entropy e,
+    and the group under root r draws its polynomial (free coefficient
+    zero, the group's dealt degree) by ``keyed_polynomial`` under
+    ``renewal_key(e, r)``.
 
     A subtree commits only if none of its children's verifications failed
     (one ``group_refusals`` per group, then ``accepts_renewal`` per child
@@ -272,11 +286,10 @@ def renewal_round(
     new_shares = dict(shares)
     claims: list[ClaimRecord] = list(extra_claims)
     p = tree.field.modulus
-    polys = {}
-    subtree_rng = random.Random(0)  # reseeded before each subtree's draws
-    for root, kids in groups.items():
-        subtree_rng.seed((entropy << 32) | (root & 0xFFFFFFFF))
-        polys[root] = sample_polynomial(subtree_rng, shares[kids[0]].threshold - 1, 0, p)
+    polys = {
+        root: keyed_polynomial(renewal_key(entropy, root), shares[kids[0]].threshold - 1, 0, p)
+        for root, kids in groups.items()
+    }
     scalars = [] if tree.curve is None else [c for f in polys.values() for c in f[1:]]
     committed = dict(zip(scalars, base_muls(scalars, tree.curve))) if scalars else {}
 

@@ -59,7 +59,9 @@ from .sharing import (
 
 
 class StepOutOfOrder(HierShareError):
-    """``World.step_epoch`` called before the deal or past the last epoch."""
+    """A ``World`` call out of order: ``initial_deal`` on a dealt world,
+    ``step_epoch`` or ``finalize`` before the deal, or ``step_epoch`` past
+    the last epoch."""
 
 
 # Toy-curve rounds collide often (9 usable x-coordinates, two of them on
@@ -254,8 +256,8 @@ class World:
         )
 
     def step_epoch(self) -> dict:
-        """Advance to the next epoch and run it. A world is dealt once it
-        has its epoch-0 row, as a restored one has."""
+        """Advance to the next epoch and run it (on a dealt world, see
+        ``initial_deal``)."""
         if not self.report.rows:
             raise StepOutOfOrder("step_epoch before initial_deal: nothing is dealt yet")
         if self.epoch >= self.config.epochs:
@@ -371,9 +373,10 @@ class World:
                 raise InvariantViolation(
                     "single-field-modulus", f"share of {uid} outside the field"
                 )
-        xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
-        if len(xs) != len(set(xs)):
-            raise InvariantViolation("group-key-x-distinct")
+        if self.tree.curve is not None:
+            xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
+            if len(xs) != len(set(xs)):
+                raise InvariantViolation("group-key-x-distinct")
         ever = self.adversary.ever_compromised
         if not set(self.adversary.stolen_tokens) <= ever:
             raise InvariantViolation(
@@ -390,12 +393,17 @@ class World:
     def initial_deal(self) -> None:
         """Registration, then epoch 0: registration is out of band, dealing
         is not. Epoch 0 runs its events, ending in the deal, then the
-        adversary's first hop, which copies what its hosts hold."""
+        adversary's first hop, which copies what its hosts hold. A world is
+        dealt once it has its epoch-0 row, as a restored one has."""
+        if self.report.rows:
+            raise StepOutOfOrder("initial_deal on a world already dealt")
         self.tree.register(self.config.parents, self.rng)
         self._run_epoch()
 
     def finalize(self) -> dict:
         """Final reconstruction check and adversary outcome."""
+        if not self.report.rows:
+            raise StepOutOfOrder("finalize before initial_deal: nothing is dealt yet")
         correct, note = self._reconstruct_all(self.tree.groups(self.shares))
         self.report.final = {
             "reconstruction_correct": correct,

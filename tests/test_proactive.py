@@ -1,13 +1,15 @@
 """Renewal, commitment verification, claims, and epoch bookkeeping."""
 
+import hashlib
 import random
 
 import pytest
 from conftest import active_users, deal, eval_point, make_tree, renewal_bundles, root_group, tf
 
+import hiershare.algebra as algebra
 import hiershare.curve as curve_module
 import hiershare.proactive as proactive
-from hiershare.algebra import poly_eval, sample_polynomial
+from hiershare.algebra import keyed_polynomial, poly_eval, sample_polynomial
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import (
@@ -21,6 +23,7 @@ from hiershare.proactive import (
     apply_renewal,
     file_claim,
     generate_renewal,
+    renewal_key,
     renewal_round,
     resolve_claims,
     verify_renewal,
@@ -385,10 +388,32 @@ class TestRenewalRound:
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
 
 
-def renewal_round_one_generator_per_group(tree, shares, rng, perturb):
+def keyed_draws(entropy, root, degree, p):
+    """The renewal polynomial of the group under ``root`` in a round of
+    ``entropy``, from the construction's definition: the key is the
+    entropy in 8 little-endian bytes followed by the root's decimal
+    digits; draw i is bytes [i * w, (i + 1) * w) of SHAKE-256 of the key,
+    w = ceil(bits / 8) with bits = p.bit_length(), read little-endian and
+    masked to bits. Coefficients 1..degree take the draws in order, a draw
+    >= p is rejected, and the top coefficient also rejects 0. Each draw
+    reads a digest of its own end length."""
+    bits = p.bit_length()
+    width = -(-bits // 8)
+    key = entropy.to_bytes(8, "little") + str(root).encode("ascii")
+    coeffs, i = [0], 0
+    while len(coeffs) <= degree:
+        chunk = hashlib.shake_256(key).digest((i + 1) * width)[i * width :]
+        draw = int.from_bytes(chunk, "little") % 2**bits
+        i += 1
+        if draw < p and (draw != 0 or len(coeffs) < degree):
+            coeffs.append(draw)
+    return tuple(coeffs)
+
+
+def renewal_round_one_digest_per_group(tree, shares, rng, perturb):
     """The reference for ``renewal_round``'s draws and results: it builds
-    its own view, constructs a fresh ``random.Random((entropy << 32) |
-    (root & 0xFFFFFFFF))`` for each subtree, lets every child check its own
+    its own view, draws each subtree's polynomial by ``keyed_draws`` from
+    the round's one ``getrandbits(64)``, lets every child check its own
     bundle, and applies a group's deltas written out. Returns the new
     shares and the claims."""
     groups = tree.groups(shares)
@@ -397,9 +422,7 @@ def renewal_round_one_generator_per_group(tree, shares, rng, perturb):
     entropy = rng.getrandbits(64)
     p = tree.field.modulus
     polys = {
-        root: sample_polynomial(
-            random.Random((entropy << 32) | (root & 0xFFFFFFFF)), shares[kids[0]].threshold - 1, 0, p
-        )
+        root: keyed_draws(entropy, root, shares[kids[0]].threshold - 1, p)
         for root, kids in groups.items()
     }
     committed = {} if tree.curve is None else {
@@ -425,9 +448,10 @@ def renewal_round_one_generator_per_group(tree, shares, rng, perturb):
 
 
 class TestDrawsMatchOneGeneratorPerGroup:
-    """``renewal_round`` reseeds one sub-generator per subtree and takes
-    its caller's view; the draws, shares, claims and generator state must
-    be those of a fresh generator per subtree and a view of its own."""
+    """``renewal_round`` draws each subtree's polynomial from one keyed
+    digest and takes its caller's view; the draws, shares, claims and
+    generator state must be those of the construction's definition per
+    subtree and a view of its own."""
 
     @pytest.mark.parametrize("curve", [None, TOY_CURVE], ids=["no-curve", "toy"])
     def test_two_rounds_on_seeded_trees(self, curve):
@@ -451,7 +475,7 @@ class TestDrawsMatchOneGeneratorPerGroup:
             reference = dict(shares)
             for round_index in range(2):
                 outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=perturb)
-                expected, claims = renewal_round_one_generator_per_group(
+                expected, claims = renewal_round_one_digest_per_group(
                     tree, reference, reference_rng, perturb
                 )
                 assert outcome.shares == expected
@@ -466,8 +490,8 @@ class TestDrawsMatchOneGeneratorPerGroup:
         assert refused_rounds >= (0 if curve is None else 1)
 
     def test_rounds_repeat_on_one_tree(self):
-        """Several rounds in a row from one generator: each reseeding
-        starts from the round's own entropy, never from the last group's."""
+        """Several rounds in a row from one generator: each round's keys
+        hold the round's own entropy, never the last round's."""
         rng = random.Random(9)
         tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
         _dealer, _state, shares = deal(tree, 5, tf(2, 3), rng)
@@ -476,11 +500,109 @@ class TestDrawsMatchOneGeneratorPerGroup:
         reference = shares
         for _ in range(5):
             shares = renewal_round(tree, shares, tree.groups(shares), rng).shares
-            reference, _claims = renewal_round_one_generator_per_group(
+            reference, _claims = renewal_round_one_digest_per_group(
                 tree, reference, reference_rng, lambda b: b
             )
             assert shares == reference
         assert rng.getstate() == reference_rng.getstate()
+
+
+class TestKeyedPolynomial:
+    """``algebra.keyed_polynomial`` under ``proactive.renewal_key`` against
+    ``keyed_draws``, the construction written from its definition."""
+
+    SECP_ORDER = STANDARD_CURVE.order
+
+    def spied_digests(self, monkeypatch):
+        """The lengths asked of each SHAKE-256 object, one list per object."""
+        lengths = []
+        shake = hashlib.shake_256
+
+        class Spy:
+            def __init__(self, data):
+                self.xof = shake(data)
+                lengths.append([])
+
+            def digest(self, length):
+                lengths[-1].append(length)
+                return self.xof.digest(length)
+
+        monkeypatch.setattr(algebra.hashlib, "shake_256", Spy)
+        return lengths
+
+    def test_known_answer_on_13(self):
+        """The key is ef cd ab 89 67 45 23 01 (the entropy, little-endian)
+        then "5"; its digest starts ef 95 21 14. One byte per draw, masked
+        to 4 bits: 15 is rejected (>= 13), then 5, 1 and 4, a nonzero top."""
+        key = renewal_key(0x0123456789ABCDEF, 5)
+        assert key == bytes.fromhex("efcdab8967452301") + b"5"
+        assert hashlib.shake_256(key).digest(4) == bytes.fromhex("ef952114")
+        assert keyed_polynomial(key, 3, 0, 13) == (0, 5, 1, 4)
+        assert keyed_draws(0x0123456789ABCDEF, 5, 3, 13) == (0, 5, 1, 4)
+
+    def test_known_answer_on_secp256k1_order(self):
+        """32 bytes per draw: the digest's first two 32-byte words, read
+        little-endian, are both below n."""
+        key = renewal_key(0x0123456789ABCDEF, 5)
+        expected = (
+            0,
+            0xC383811E27BFEE1DEAC99FB8EDE4F4948BE90B24D27DE03DA8187854142195EF,
+            0x4FA9D144A0AD74603C219289D6964B6C290DCF690A9307C04BE45281790E4AE7,
+        )
+        assert keyed_polynomial(key, 2, 0, self.SECP_ORDER) == expected
+        assert keyed_draws(0x0123456789ABCDEF, 5, 2, self.SECP_ORDER) == expected
+
+    def test_residue_counts_on_13(self):
+        """Degree 2 under root 1 for the entropies 0..999: f_1 takes each of
+        the 13 residues and f_2 each of the 12 nonzero ones, near 1000/13
+        and 1000/12 times (chi-square 7.5 on 12 and 10.5 on 11 degrees of
+        freedom)."""
+        low, top = [0] * 13, [0] * 13
+        for entropy in range(1000):
+            f = keyed_polynomial(renewal_key(entropy, 1), 2, 0, 13)
+            assert f == keyed_draws(entropy, 1, 2, 13)
+            low[f[1]] += 1
+            top[f[2]] += 1
+        assert low == [73, 74, 89, 78, 88, 76, 77, 74, 77, 73, 83, 76, 62]
+        assert top == [0, 77, 69, 77, 71, 86, 89, 83, 97, 89, 88, 95, 79]
+
+    def test_degree_zero_draws_nothing(self, monkeypatch):
+        lengths = self.spied_digests(monkeypatch)
+        assert keyed_polynomial(b"any key", 0, 7, 13) == (7,)
+        assert lengths == []
+
+    def test_top_coefficient_is_never_zero(self):
+        """On p = 3 a draw is 2 bits, so the first draw of 48 of these 200
+        keys is a zero top coefficient for degree 1, and is rejected."""
+        rejected = 0
+        for entropy in range(200):
+            key = renewal_key(entropy, 1)
+            rejected += hashlib.shake_256(key).digest(1)[0] & 3 == 0
+            for degree in (1, 2, 3):
+                f = keyed_polynomial(key, degree, 0, 3)
+                assert f == keyed_draws(entropy, 1, degree, 3)
+                assert len(f) == degree + 1 and f[-1] != 0
+        assert rejected == 48
+
+    def test_digest_runs_out_and_is_extended(self, monkeypatch):
+        """Degree 1 on p = 3 first reads 2 bytes; for entropy 0 both draws
+        are rejected (0 or 3), so the digest is taken again at 4 bytes and
+        the draws go on from its third byte."""
+        key = renewal_key(0, 1)
+        assert all(b & 3 in (0, 3) for b in hashlib.shake_256(key).digest(2))
+        expected = keyed_draws(0, 1, 1, 3)
+        lengths = self.spied_digests(monkeypatch)
+        assert keyed_polynomial(key, 1, 0, 3) == expected
+        assert lengths == [[2, 4]]
+
+    def test_roots_2_to_the_32_apart_draw_apart(self):
+        """A seed of (entropy << 32) | (root & 0xFFFFFFFF) would give both
+        roots one stream; the key holds the whole root."""
+        entropy = 0x0123456789ABCDEF
+        assert renewal_key(entropy, 5) != renewal_key(entropy, 5 + 2**32)
+        assert keyed_polynomial(renewal_key(entropy, 5), 2, 0, self.SECP_ORDER) != keyed_polynomial(
+            renewal_key(entropy, 5 + 2**32), 2, 0, self.SECP_ORDER
+        )
 
 
 class TestStalenessAcrossEpochs:
@@ -722,9 +844,9 @@ class TestBatchCheck:
         tree, shares = self.dealt_group(28, 5, curve=curve)
         assert shares[1].threshold - 1 == 3
         polys = []
-        sample = proactive.sample_polynomial
+        sample = proactive.keyed_polynomial
         monkeypatch.setattr(
-            proactive, "sample_polynomial", lambda *a: polys.append(sample(*a)) or polys[-1]
+            proactive, "keyed_polynomial", lambda *a: polys.append(sample(*a)) or polys[-1]
         )
         multiplied = counted_multiples(monkeypatch)
         checks = self.counted_checks(monkeypatch)
@@ -964,48 +1086,48 @@ class TestCheckCounts:
 
     def test_honest_secp_epoch_makes_no_pass(self, monkeypatch):
         """The three parents' commitments read the base-point table: 3
-        multiplications in one batch, 32 + 32 + 32 = 96 points, no
-        doublings. The levels add 48, 24 and 12 pairs, leaving 4 points per
-        scalar (6 pairs, below 8), which 12 mixed additions finish: 84 + 12
-        = 96. Each group check opens h = f and finds h_1 * G among the
-        epoch's commitments."""
+        multiplications in one batch, 33 + 33 + 32 = 98 points (no zero
+        digit among the 33, 33 and 32), no doublings. The levels add 48,
+        24 and 12 pairs, leaving 5, 5 and 4 points (6 pairs, below 8),
+        which 14 mixed additions finish: 84 + 14 = 98. Each group check
+        opens h = f and finds h_1 * G among the epoch's commitments."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_batch": 84, "_add_affine": 12, "_double": 0,
+            "_add_batch": 84, "_add_affine": 14, "_double": 0,
         }
 
     def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
         """Every delta of user 2's group is shifted by 1, so h = f + 1 still
         opens the commitments and h(0) = 1 refuses all three children. The
-        shift moves only h_0, so the count is the parents' 84 + 12."""
+        shift moves only h_0, so the count is the parents' 84 + 14."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_batch": 84, "_add_affine": 12, "_double": 0,
+            "_add_batch": 84, "_add_affine": 14, "_double": 0,
         }
 
     def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
         """User 2's C_1 is moved, so its commitments do not open to h (h_1 * G,
         read from the epoch's map, differs from C_1) and each of its three
         children runs its own check: delta * G from the base-point table
-        (98 mixed additions for the three deltas) and one Straus pass over
-        C_1's 16-multiple window table (149 mixed additions and 755
-        doublings for the three x_j mod n). Each window table takes 1 + 2 +
-        4 + 8 = 15 batched pairs. The parents' 84 pairs plus 3 * 15 make
-        129, and their 12 mixed additions plus the passes' 98 + 149 make
-        259."""
+        (98 mixed additions for the three deltas' 33 + 32 + 33 nonzero
+        digits) and one Straus pass over C_1's 16-multiple window table
+        (149 mixed additions and 755 doublings for the three x_j mod n).
+        Each window table takes 1 + 2 + 4 + 8 = 15 batched pairs. The
+        parents' 84 pairs plus 3 * 15 make 129, and their 14 mixed
+        additions plus the passes' 98 + 149 make 261."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
-            "_add_batch": 129, "_add_affine": 259, "_double": 755,
+            "_add_batch": 129, "_add_affine": 261, "_double": 755,
         }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
@@ -1025,23 +1147,23 @@ class TestCheckCounts:
         Straus passes); the opened polynomial refuses all four with no work beyond
         the parents' commitments: k = 2, 1, 1, 2, 3 for the root's group of
         four and the groups of 2-5, one batch of 9 base multiplications
-        over 292 table points (31 to 33 nonzero digits each), no doubling.
-        The levels add 143, 72, 36, 18 and 9 pairs (278), an odd point
+        over 293 table points (32 or 33 nonzero digits each), no doubling.
+        The levels add 144, 72, 36, 18 and 9 pairs (279), an odd point
         carrying each time a scalar's count is odd, and stop with 14
         points left over the 9 scalars (5 pairs); 14 mixed additions
-        finish them: 278 + 14 = 292."""
+        finish them: 279 + 14 = 293."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=3, spec=self.RENEW_SECP_SPEC
         )
         assert sorted(c.claimer for c in outcome.claims) == [10, 11, 12, 13]
         assert counts == {
             "verify_renewal": 0, "base_mul_equals": 0, "_straus": 0,
-            "_add_batch": 278, "_add_affine": 14, "_double": 0,
+            "_add_batch": 279, "_add_affine": 14, "_double": 0,
         }
 
     def test_one_inversion_per_group_and_per_deal(self, monkeypatch):
         """The renew-secp epoch above commits all nine coefficients in one
-        batch: one inversion per level of 143, 72, 36, 18 and 9 pairs and
+        batch: one inversion per level of 144, 72, 36, 18 and 9 pairs and
         one to convert the nine results, six in all where one batch per
         group took five conversions of 2, 1, 1, 2, 3. A deal's 18 round
         keys are one batch of 581 points: levels of 287, 144, 72, 36 and
@@ -1059,7 +1181,7 @@ class TestCheckCounts:
             curve_module, "_to_affine", lambda P, p: converted.append(len(P)) or convert(P, p)
         )
         renewal_round(tree, shares, tree.groups(shares), rng)
-        assert inversions == [143, 72, 36, 18, 9, 9]
+        assert inversions == [144, 72, 36, 18, 9, 9]
         assert converted == [9]
         converted.clear()
         inversions.clear()

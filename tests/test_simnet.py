@@ -1273,7 +1273,7 @@ class TestSnapshotSize:
     @pytest.mark.parametrize(
         "load, epoch, size",
         [
-            (lambda: load_bundled_scenario("bench-63"), 1, 28_111),
+            (lambda: load_bundled_scenario("bench-63"), 1, 28_110),
             (lambda: parse_scenario(benchmark_workloads().churn_redeal(1)), 20, 384_745),
         ],
         ids=["bench-63-epoch-1", "churn-redeal-midpoint"],
@@ -1339,14 +1339,15 @@ class TestDeepTrees:
 
 
 class TestStepOrder:
-    """``step_epoch`` runs only on a dealt world and only up to the
-    scenario's last epoch; a refused call names itself and its reason and
+    """``initial_deal`` runs only on a blank world, ``step_epoch`` only on a
+    dealt one and only up to the scenario's last epoch, and ``finalize``
+    only on a dealt one; a refused call names itself and its reason and
     leaves the world as it was."""
 
-    def refused(self, world):
+    def refused(self, world, call="step_epoch"):
         before = world_facts(world)
         with pytest.raises(StepOutOfOrder) as info:
-            world.step_epoch()
+            getattr(world, call)()
         assert isinstance(info.value, HierShareError)
         assert world_facts(world) == before
         return str(info.value)
@@ -1381,9 +1382,30 @@ class TestStepOrder:
         for _ in range(saved_at):
             world.step_epoch()
         resumed = restored(world, tmp_path)
+        assert self.refused(resumed, "initial_deal").startswith("initial_deal")
         while world.epoch < epochs:
             assert resumed.step_epoch() == world.step_epoch()
         self.refused(resumed)
+
+    @pytest.mark.parametrize("name", ["demo-7user", "figure2-leave"])
+    def test_a_second_deal_is_refused(self, name):
+        world = World(load_bundled_scenario(name))
+        world.initial_deal()
+        nodes = len(world.tree.nodes)
+        assert self.refused(world, "initial_deal") == "initial_deal on a world already dealt"
+        assert len(world.tree.nodes) == nodes and len(world.report.rows) == 1
+
+    def test_a_second_run_is_refused(self):
+        world = World(scenario(epochs=2))
+        world.run()
+        assert self.refused(world, "run") == "initial_deal on a world already dealt"
+        assert len(world.report.rows) == 3
+
+    def test_finalize_before_the_deal_is_refused(self):
+        world = World(scenario())
+        message = self.refused(world, "finalize")
+        assert message.startswith("finalize") and "initial_deal" in message
+        assert world.report.final == {}
 
 
 class TestInvariants:
@@ -1418,6 +1440,17 @@ class TestInvariants:
         )
         nodes = world.tree.nodes
         nodes[2].group_key = nodes[1].group_key
+        assert self.violated(world).invariant == "group-key-x-distinct"
+
+    def test_group_key_x_distinct_refuses_a_negated_key(self):
+        """A key and its negation are two points with one x-coordinate."""
+        world = self.dealt_world(
+            field_mode="curve-order", curve="toy", field_prime=None,
+            eval_mode="round-key", secret="3",
+        )
+        nodes = world.tree.nodes
+        nodes[3].group_key = -nodes[1].group_key
+        assert nodes[3].group_key != nodes[1].group_key
         assert self.violated(world).invariant == "group-key-x-distinct"
 
     def test_no_oracle_leakage_tokens(self):
