@@ -15,7 +15,8 @@ one SHAKE-256 digest keyed by (round entropy, subtree root)
 (``keyed_polynomial``), so a group's renewal does not depend on which
 other groups renew or in what order. The round draws every group's
 polynomial, then commits the epoch's coefficients in one ``base_muls``
-batch: a map f_i -> f_i·G for the round.
+batch: a map f_i -> f_i·G for the round. Bundles exist only where a
+tamper hook or the curve check reads them.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator opens each group's commitments once instead: when all m
@@ -255,7 +256,9 @@ def renewal_round(
     The round takes one ``getrandbits(64)`` from ``rng``, its entropy e,
     and the group under root r draws its polynomial (free coefficient
     zero, the group's dealt degree) by ``keyed_polynomial`` under
-    ``renewal_key(e, r)``.
+    ``renewal_key(e, r)``. Bundles are built only where they are read,
+    when ``perturb`` is set (it then gets every bundle) or the tree has a
+    curve; otherwise each child's value gains f(x) mod p directly.
 
     A subtree commits only if none of its children's verifications failed
     (one ``group_refusals`` per group, then ``accepts_renewal`` per child
@@ -295,24 +298,33 @@ def renewal_round(
 
     for root, kids in groups.items():
         group = shares[kids[0]]
-        bundles = generate_renewal(tree, group, kids, polys[root], committed)
-
         if on_message is not None:
             if tree.curve is not None:
                 on_message("commitments", 1)
             on_message("renewal-delta", kids)
-        delivered = bundles if perturb is None else [perturb(bundle) for bundle in bundles]
-
-        refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve, committed)
-        if refused is None:
-            refused = [
-                bundle.recipient for bundle in delivered
-                if not accepts_renewal(bundle, group, tree.curve)
-            ]
-        if refused:
-            claims.extend(file_claim(tree, child, root) for child in refused)
-            continue
-        renewed = apply_renewal(group, delivered, p)
+        if perturb is None and tree.curve is None:
+            # Nothing reads the bundles: add f(x), by Horner reduced once.
+            old, members, top_first = group.members, {}, polys[root][::-1]
+            for kid in kids:
+                x, value = old[kid]
+                acc = 0
+                for coeff in top_first:
+                    acc = acc * x + coeff
+                members[kid] = (x, (value + acc) % p)
+            renewed = GroupShares(group.epoch + 1, group.threshold, members)
+        else:
+            bundles = generate_renewal(tree, group, kids, polys[root], committed)
+            delivered = bundles if perturb is None else [perturb(bundle) for bundle in bundles]
+            refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve, committed)
+            if refused is None:
+                refused = [
+                    bundle.recipient for bundle in delivered
+                    if not accepts_renewal(bundle, group, tree.curve)
+                ]
+            if refused:
+                claims.extend(file_claim(tree, child, root) for child in refused)
+                continue
+            renewed = apply_renewal(group, delivered, p)
         for kid in kids:
             new_shares[kid] = renewed
 

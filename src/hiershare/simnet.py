@@ -60,8 +60,8 @@ from .sharing import (
 
 class StepOutOfOrder(HierShareError):
     """A ``World`` call out of order: ``initial_deal`` on a dealt world,
-    ``step_epoch`` or ``finalize`` before the deal, or ``step_epoch`` past
-    the last epoch."""
+    ``step_epoch`` or ``finalize`` before the deal, ``step_epoch`` past
+    the last epoch, or ``finalize`` on a finished world."""
 
 
 # Toy-curve rounds collide often (9 usable x-coordinates, two of them on
@@ -401,9 +401,12 @@ class World:
         self._run_epoch()
 
     def finalize(self) -> dict:
-        """Final reconstruction check and adversary outcome."""
+        """Final reconstruction check and adversary outcome, once per world
+        (snapshots do not store it, so a restored world finalizes once)."""
         if not self.report.rows:
             raise StepOutOfOrder("finalize before initial_deal: nothing is dealt yet")
+        if self.report.final:
+            raise StepOutOfOrder("finalize on a finished world")
         correct, note = self._reconstruct_all(self.tree.groups(self.shares))
         self.report.final = {
             "reconstruction_correct": correct,

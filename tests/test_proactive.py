@@ -507,6 +507,100 @@ class TestDrawsMatchOneGeneratorPerGroup:
         assert rng.getstate() == reference_rng.getstate()
 
 
+def counted_calls(monkeypatch, names):
+    """Wrap each of ``proactive``'s functions ``names`` to count its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(proactive, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(proactive, name, counting)
+    return counts
+
+
+class TestUnreadGroupShortcut:
+    """With no tamper hook and no curve nobody reads a group's bundles, so
+    ``renewal_round`` renews it in one loop without building them; the
+    identity hook forces the bundle path, which must give the same round."""
+
+    @pytest.mark.parametrize("prime", [1009, STANDARD_CURVE.order], ids=["p1009", "secp-order"])
+    def test_matches_the_bundle_path(self, prime):
+        shape_rng = random.Random(prime % 997)
+        left = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            count = shape_rng.randint(1, 30)
+            tree = make_tree([], rng, prime=prime)
+            tree.register([rng.randrange(uid) for uid in range(1, count + 1)], rng)
+            _dealer, _state, shares = deal(tree, 5, tf(shape_rng.randint(1, 3), 3), rng)
+            forced_rng = random.Random()
+            forced_rng.setstate(rng.getstate())
+            forced = shares
+            for round_index in range(3):
+                claimer = shape_rng.choice(active_users(tree))
+                lies = [file_claim(tree, claimer, tree.nodes[claimer].parent)]
+                sent, forced_sent = [], []
+                outcome = renewal_round(
+                    tree, shares, tree.groups(shares), rng,
+                    extra_claims=lies, on_message=lambda *m: sent.append(m),
+                )
+                expected = renewal_round(
+                    tree, forced, tree.groups(forced), forced_rng, perturb=lambda b: b,
+                    extra_claims=lies, on_message=lambda *m: forced_sent.append(m),
+                )
+                assert outcome == expected
+                assert sent == forced_sent
+                assert rng.getstate() == forced_rng.getstate()
+                shares, forced = outcome.shares, expected.shares
+                if round_index == 0 and count > 1 and seed % 3 == 0:
+                    tree.leave(shape_rng.randint(2, count))
+                    left += 1
+        assert left >= 1
+
+    def test_honest_no_curve_round_builds_no_bundle(self, monkeypatch):
+        rng = random.Random(7)
+        tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
+        _dealer, _state, shares = deal(tree, 5, tf(2, 3), rng)
+        counts = counted_calls(monkeypatch, ("generate_renewal", "apply_renewal", "poly_eval"))
+        renewal_round(tree, shares, tree.groups(shares), rng)
+        assert counts == {"generate_renewal": 0, "apply_renewal": 0, "poly_eval": 0}
+
+    def test_toy_curve_round_still_builds_bundles(self, monkeypatch):
+        rng = random.Random(7)
+        tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[[], []], [[], []]], tf(1, 2))
+        counts = counted_calls(monkeypatch, ("generate_renewal", "apply_renewal"))
+        renewal_round(tree, shares, tree.groups(shares), rng)
+        assert counts == {"generate_renewal": 3, "apply_renewal": 3}
+
+    def test_no_curve_tamper_hook_corrupts_its_group(self):
+        """No child can check a delta without commitments, so a no-curve
+        parent's tampering goes unnoticed and its children renew to values
+        off by the tamper."""
+        rng = random.Random(13)
+        tree = make_tree([[[], []], [[], [], []], []], rng, prime=1009)
+        _dealer, _state, shares = deal(tree, 5, tf(2, 3), rng)
+        honest_rng = random.Random()
+        honest_rng.setstate(rng.getstate())
+
+        def bump_two(bundle):
+            if bundle.sender != 2:
+                return bundle
+            return bundle._replace(delta=(bundle.delta + 1) % 1009)
+
+        tampered = renewal_round(tree, shares, tree.groups(shares), rng, perturb=bump_two)
+        honest = renewal_round(tree, shares, tree.groups(shares), honest_rng)
+        assert tampered.claims == () and tampered.verdicts == ()
+        for uid in active_users(tree):
+            (x, value), (honest_x, honest_value) = (
+                outcome.shares[uid].members[uid] for outcome in (tampered, honest)
+            )
+            assert x == honest_x and tampered.shares[uid].epoch == 1
+            assert value == (honest_value + (tree.nodes[uid].parent == 2)) % 1009
+
+
 class TestKeyedPolynomial:
     """``algebra.keyed_polynomial`` under ``proactive.renewal_key`` against
     ``keyed_draws``, the construction written from its definition."""

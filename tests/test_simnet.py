@@ -1341,7 +1341,7 @@ class TestDeepTrees:
 class TestStepOrder:
     """``initial_deal`` runs only on a blank world, ``step_epoch`` only on a
     dealt one and only up to the scenario's last epoch, and ``finalize``
-    only on a dealt one; a refused call names itself and its reason and
+    only once on a dealt one; a refused call names itself and its reason and
     leaves the world as it was."""
 
     def refused(self, world, call="step_epoch"):
@@ -1400,6 +1400,23 @@ class TestStepOrder:
         world.run()
         assert self.refused(world, "run") == "initial_deal on a world already dealt"
         assert len(world.report.rows) == 3
+
+    @pytest.mark.parametrize("via_run", [True, False], ids=["after-run", "after-finalize"])
+    def test_a_second_finalize_is_refused(self, tmp_path, via_run):
+        """Snapshots do not store the final result, so a finished world
+        restored from one finalizes once more, to the same result."""
+        world = World(scenario(epochs=2))
+        if via_run:
+            world.run()
+        else:
+            world.initial_deal()
+            world.step_epoch()
+            world.finalize()
+        final = dict(world.report.final)
+        assert self.refused(world, "finalize") == "finalize on a finished world"
+        assert world.report.final == final
+        resumed = restored(world, tmp_path)
+        assert resumed.report.final == {} and resumed.finalize() == final
 
     def test_finalize_before_the_deal_is_refused(self):
         world = World(scenario())
