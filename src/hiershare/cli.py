@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, verify curve profiles, snapshot
 and resume runs.
 
-``run`` executes register (all users in one batch) -> round -> distribute
--> epochs -> final reconstruction and writes two report files per run:
+``run`` drives ``World.run``, fresh or resumed: register (all users in one
+batch) -> round -> distribute -> epochs -> final reconstruction. It writes
 ``<name>.report`` (JSON, schema-versioned) and ``<name>.txt`` (fixed-width
 summary table). Exit codes: 0 success, 1 configuration error, 2 invariant
 violation or failed final reconstruction.
@@ -115,9 +115,13 @@ def cmd_run(args) -> int:
             return 1
         world = World(_with_overrides(_resolve_scenario(args.scenario), args, args.scenario))
 
+    if args.save_at is not None and not 0 <= args.save_at <= world.config.epochs:
+        raise ConfigError(
+            f"--save-at {args.save_at}: the run's epoch boundaries are 0..{world.config.epochs}"
+        )
     snapshot_path = None
 
-    def save_if_due() -> None:
+    def save_if_due(world: World) -> None:
         """Snapshot the --save-at boundary when this run reaches it."""
         nonlocal snapshot_path
         if args.save_at == world.epoch:
@@ -125,13 +129,7 @@ def cmd_run(args) -> int:
             snapshot_path = os.path.join(out_dir, f"{world.config.name}.epoch{world.epoch}.snapshot")
             save_world(world, snapshot_path)
 
-    if not args.resume:
-        world.initial_deal()
-        save_if_due()
-    while world.epoch < world.config.epochs:
-        world.step_epoch()
-        save_if_due()
-    final = world.finalize()
+    final = world.run(save_if_due).final
 
     report_path, table_path = write_reports(world.report, out_dir)
     sys.stdout.write(render_table(world.report))

@@ -215,7 +215,8 @@ class HierarchyTree:
         if not self.is_active(slot.parent):
             raise ParentInactive(f"parent {slot.parent} is inactive")
         [(slot.reg_token, slot.group_key)] = self._sample_tokens(1, rng)
-        for node in self.nodes.values():
+        for uid in self.subtree(position):
+            node = self.nodes[uid]
             if node.deactivated_by == position:
                 node.deactivated_by = None
         return position

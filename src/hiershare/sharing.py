@@ -7,7 +7,8 @@ retains as the free coefficient of that node's own child polynomial, and
 leaves keep their evaluation whole. Reconstruction runs the other way:
 each sibling group interpolates the retained part of its parent, the
 parent adds its own kept part, and the climb repeats until the root
-recovers the secret.
+recovers the secret. One walk orders that climb, children first and left
+to right, for reconstruction and for a coalition's knowledge closure alike.
 
 Shares are stored once per sibling group (``GroupShares``): the group's
 epoch and threshold sit on the group record, next to each member's
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import lagrange_weights, poly_eval, sample_polynomial
 from .errors import HierShareError
@@ -230,20 +231,17 @@ def recover_group_secret(
     shares; ``split`` holds the users dealt as internal nodes (the round's
     ``dealer.split``).
 
-    Groups hanging from parent_id through participating split members are
-    interpolated children first, each from its first threshold-many
-    contributions (evaluation points are stored reduced mod p). Raises
-    InsufficientShares naming the first sibling group that fell below
-    threshold on the path that was needed, as a recursive climb meets it.
+    One children-first pass interpolates each group hanging from parent_id
+    through participating split members from its first threshold-many
+    contributions (evaluation points are stored reduced mod p), and notes
+    the first group to fall short, which InsufficientShares names; a split
+    member with no participating child heads an empty group of threshold 1.
     """
-    climb = [parent_id] if parent_id in groups else []
-    for gid in climb:
-        climb += [kid for kid in groups[gid] if kid in groups and kid in split]
     p = tree.field.modulus
     values: dict[int, int] = {}
-    for gid in reversed(climb):
-        kids = groups[gid]
-        need = shares[kids[0]].threshold
+    short = None
+    for gid, kids in _children_first(groups, split, parent_id):
+        need = shares[kids[0]].threshold if kids else 1
         xs, ys = [], []
         for kid in kids:
             x, y = shares[kid].members[kid]
@@ -256,35 +254,27 @@ def recover_group_secret(
             if len(xs) == need:
                 values[gid] = sum([w * v for w, v in zip(lagrange_weights(tuple(xs), p), ys)]) % p
                 break
+        else:
+            short = short or (gid, len(xs), need)
     if parent_id in values:
         return values[parent_id]
-    # The walk ends at parent_id's own group, which fell short, so it breaks.
-    eligible = {uid for kids in groups.values() for uid in kids}
-    for gid, kids in _groups_children_first(tree, split, parent_id, eligible):
-        have = sum(kid not in split or kid in values for kid in kids)
-        need = shares[kids[0]].threshold if kids else 1
-        if have < need:
-            break
-    raise InsufficientShares(gid, have, need)
+    raise InsufficientShares(*short)
 
 
-def _groups_children_first(
-    tree: HierarchyTree,
-    split: Container[int],
-    top: int,
-    eligible: Collection[int],
-) -> list[tuple[int, list[int]]]:
-    """(group parent, its children in ``eligible``) for ``top`` and for
-    every split member below it, children before parents: the order a
-    left-to-right recursive climb finishes groups in. Iterative, so tree
-    depth is not bounded by the interpreter's stack."""
-    order: list[tuple[int, list[int]]] = []
+def _children_first(
+    groups: Mapping[int, Sequence[int]], split: Container[int], top: int
+) -> list[tuple[int, Sequence[int]]]:
+    """(group parent, its children in ``groups``, none if absent) for ``top``
+    and every split child below it, in the order a left-to-right recursive
+    climb finishes them. Iterative, so tree depth is not bounded by the
+    interpreter's stack."""
+    order: list[tuple[int, Sequence[int]]] = []
     pending = [top]
     while pending:
         gid = pending.pop()
-        kids = [c for c in tree.children_of(gid) if c in eligible]
+        kids = groups.get(gid, ())
         order.append((gid, kids))
-        pending.extend(kid for kid in kids if kid in split)
+        pending += [kid for kid in kids if kid in split]
     order.reverse()
     return order
 
@@ -305,7 +295,8 @@ def knowledge_closure(tree: HierarchyTree, coalition: Mapping[int, HeldShare]) -
     """Whether a coalition can derive the root secret from its copies of
     shares of one round and epoch alone, keyed by owner.
 
-    One children-first pass over the coalition's groups: a group's value
+    One children-first pass over the coalition's groups (its members by
+    parent link, in id order), as in reconstruction: a group's value
     (its parent's retained part, or the secret at the root) is known once
     threshold-many of its coalition children contribute, where an unsplit
     child contributes its share and a split child contributes once its own
@@ -314,8 +305,11 @@ def knowledge_closure(tree: HierarchyTree, coalition: Mapping[int, HeldShare]) -
     their share was taken. No server-retained values are assumed.
     """
     split = {uid for uid, share in coalition.items() if share.split}
+    groups: dict[int, list[int]] = {}
+    for uid in sorted(coalition):
+        groups.setdefault(tree.nodes[uid].parent, []).append(uid)
     known: set[int] = set()
-    for gid, kids in _groups_children_first(tree, split, ROOT_ID, coalition):
+    for gid, kids in _children_first(groups, split, ROOT_ID):
         contributors = [kid for kid in kids if kid not in split or kid in known]
         if contributors and len(contributors) >= coalition[contributors[0]].threshold:
             known.add(gid)

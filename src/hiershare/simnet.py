@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .config import ScenarioConfig, adversary_plan
 from .errors import HierShareError, InvariantViolation
@@ -418,9 +419,14 @@ class World:
             self.report.final["reconstruction_note"] = note
         return self.report.final
 
-    def run(self) -> SimReport:
-        self.initial_deal()
-        for _ in range(self.config.epochs):
-            self.step_epoch()
+    def run(self, on_boundary: Callable[[World], None] | None = None) -> SimReport:
+        """The deal if the world is blank, each remaining epoch, then
+        ``finalize`` (which refuses a finished world); ``on_boundary(world)``
+        runs at each epoch boundary reached, not at the one resumed from."""
+        steps = [self.step_epoch] * (self.config.epochs - self.epoch)
+        for step in ([] if self.report.rows else [self.initial_deal]) + steps:
+            step()
+            if on_boundary is not None:
+                on_boundary(self)
         self.finalize()
         return self.report

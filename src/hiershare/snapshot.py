@@ -2,11 +2,11 @@
 
 A snapshot embeds the scenario, the RNG state, and every piece of world
 state a continuation needs, so a resumed run produces a report identical
-to an uninterrupted one. Snapshots are only taken (and only accepted)
-at epoch boundaries, where the per-epoch message counts are empty, so
-no message count is stored.
+to an uninterrupted one. Every ``World`` call returns at an epoch
+boundary, so a snapshot is always taken at one and stores no phase; the
+per-epoch message counts are empty there, so none is stored either.
 
-Format 10 stores each fact once and nothing derivable. The tree is kept
+Format 11 stores each fact once and nothing derivable. The tree is kept
 in the node list alone: the embedded scenario leaves its ``tree`` out, and
 a restore rebuilds it from the nodes' parent links. A restore builds
 the blank ``World(config)`` of the embedded scenario, which supplies the
@@ -22,7 +22,7 @@ row's ``compromised``. Shares are stored once per sibling-group record
 that some host holds: its epoch, its threshold, each member's (owner,
 evaluation point, value) and the hosts that hold it; its parent is its
 holders' parent. Round keys are not stored: they live only while a deal
-attempt computes evaluation points. Formats 1-9 are refused.
+attempt computes evaluation points. Formats 1-10 are refused.
 
 The file is compact JSON, ``{"body": ..., "checksum": ...}``: the sha256
 of the body's canonical form (sorted keys, no spaces). The body is
@@ -53,7 +53,7 @@ from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import GroupShares, HeldShare
 from .simnet import World
 
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 11
 
 
 class VersionMismatch(HierShareError):
@@ -62,10 +62,6 @@ class VersionMismatch(HierShareError):
 
 class CorruptSnapshot(HierShareError):
     """Snapshot failed its checksum or cannot be decoded."""
-
-
-class ResumeRefused(HierShareError):
-    """Snapshot is not at an epoch boundary."""
 
 
 def _field_in(text: str, world: World) -> int:
@@ -195,7 +191,6 @@ def world_to_dict(world: World) -> dict:
     rng_version, rng_internal, rng_gauss = world.rng.getstate()
     return {
         "snapshot_version": SNAPSHOT_VERSION,
-        "phase": "epoch-boundary",
         "epoch": world.epoch,
         "scenario": serialize_settings(world.config),
         "rng_state": [rng_version, list(rng_internal), rng_gauss],
@@ -325,8 +320,6 @@ def load_world(path: str) -> World:
             f"{path}: snapshot version {body.get('snapshot_version')}, "
             f"supported {SNAPSHOT_VERSION}"
         )
-    if body.get("phase") != "epoch-boundary":
-        raise ResumeRefused(f"{path}: snapshot phase {body.get('phase')!r}")
     try:
         return world_from_dict(body)
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

@@ -11,7 +11,6 @@ from hiershare.config import ConfigError, load_bundled_scenario, serialize_scena
 from hiershare.simnet import World
 from hiershare.snapshot import (
     CorruptSnapshot,
-    ResumeRefused,
     VersionMismatch,
     _checksum,
     load_world,
@@ -303,6 +302,38 @@ class TestSnapshots:
             printed = f"snapshot: {expected}" in capsys.readouterr().out
             assert (printed, expected.exists()) == (written, written)
 
+    @pytest.mark.parametrize("save_at", ["99", "-1", "6"])
+    def test_save_at_outside_the_runs_boundaries_exits_one(
+        self, tmp_path, demo_file, capsys, save_at
+    ):
+        # demo-7user has 5 epochs, so its boundaries are 0..5.
+        out = tmp_path / "out"
+        assert main(["run", str(demo_file), "--out", str(out), "--save-at", save_at]) == 1
+        message = f"config error: --save-at {save_at}: the run's epoch boundaries are 0..5"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_save_at_is_checked_after_the_epochs_override(self, tmp_path, demo_file, capsys):
+        out = tmp_path / "out"
+        argv = ["run", str(demo_file), "--out", str(out), "--save-at", "3"]
+        assert main(argv + ["--epochs", "2"]) == 1
+        assert "the run's epoch boundaries are 0..2" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--epochs", "3"]) == 0
+        assert (out / "demo-7user.epoch3.snapshot").exists()
+
+    def test_resume_save_at_outside_the_runs_boundaries_exits_one(
+        self, tmp_path, demo_file, capsys
+    ):
+        halted = tmp_path / "halted"
+        main(["run", str(demo_file), "--out", str(halted), "--save-at", "3"])
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["run", "--resume", str(halted / "demo-7user.epoch3.snapshot"),
+                     "--out", str(out), "--save-at", "6"]) == 1
+        assert "--save-at 6: the run's epoch boundaries are 0..5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("epochs", ["1", "-1"])
     def test_resume_epochs_override_is_validated(self, tmp_path, capsys, epochs):
         # The snapshot is at epoch 0; figure2-leave's leave is at epoch 2.
@@ -365,7 +396,7 @@ class TestSnapshots:
             load_world(path)
 
     def test_format_1_snapshot_refused(self, tmp_path):
-        """Formats 1 to 9 are all refused."""
+        """Formats 1 to 10 are all refused."""
         import hashlib
 
         world = World(load_bundled_scenario("figure2-leave"))
@@ -383,7 +414,8 @@ class TestSnapshots:
         # format 7 stored each node's round key; format 8 stored the tree
         # a second time, as the embedded scenario's nested spec; format 9
         # stored each node's group key, every dealing polynomial and the
-        # adversary's occupied and ever-compromised sets.
+        # adversary's occupied and ever-compromised sets; format 10 stored
+        # a constant phase.
         old_fields = {
             1: {"redacted": False},
             2: {"tree": dict(current["tree"], server_group_keys={})},
@@ -427,6 +459,7 @@ class TestSnapshots:
                 "dealer": {"polynomials": {}},
                 "adversary": dict(current["adversary"], occupied=[], ever_compromised=[]),
             },
+            10: {"phase": "epoch-boundary"},
         }
         for version, extra in old_fields.items():
             body = dict(current, snapshot_version=version, **extra)
@@ -487,19 +520,4 @@ class TestSnapshots:
             body["scenario"]["epochs"] = -1
         path.write_text(json.dumps({"body": body, "checksum": _checksum(body)}))
         with pytest.raises(error):
-            load_world(path)
-
-    def test_mid_epoch_snapshot_refused(self, tmp_path):
-        import hashlib
-
-        world = World(load_bundled_scenario("figure2-leave"))
-        world.initial_deal()
-        path = tmp_path / "w.snapshot"
-        save_world(world, path)
-        data = json.loads(path.read_text())
-        data["body"]["phase"] = "mid-epoch"
-        canonical = json.dumps(data["body"], sort_keys=True, separators=(",", ":"))
-        data["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
-        path.write_text(json.dumps(data))
-        with pytest.raises(ResumeRefused):
             load_world(path)

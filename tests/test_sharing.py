@@ -1,6 +1,7 @@
 """Dealing, reconstruction, and coalition-knowledge tests."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
 )
 
 from hiershare import sharing
-from hiershare.algebra import poly_eval
+from hiershare.algebra import interpolate, poly_eval
 from hiershare.hierarchy import ROOT_ID
 from hiershare.sharing import (
     DealerState,
@@ -254,6 +255,65 @@ class TestReconstruct:
         with pytest.raises(InsufficientShares) as exc:
             reconstruct(tree, shares, [1, 2, 3], dealer.split)
         assert (exc.value.have, exc.value.need) == (1, 2)
+
+
+def recursive_climb(tree, shares, holders, split, top):
+    """Reference reconstruction: a recursive left-to-right climb from
+    ``top`` over the active ``holders``. Every split child's own group is
+    climbed first, whether or not its parent needs it; a group's value is
+    the interpolation of its first threshold-many contributions. Returns
+    the value, or the (group parent, have, need) of the first group the
+    climb finishes short; a split child with no holding child heads an
+    empty group of threshold 1."""
+    p = tree.field.modulus
+    shortfalls = []
+
+    def climb(gid):
+        kids = [c for c in tree.children[gid] if c in holders and tree.nodes[c].active]
+        points = []
+        for kid in kids:
+            x, y = shares[kid].members[kid]
+            if kid in split:
+                below = climb(kid)
+                if below is None:
+                    continue
+                y += below
+            points.append((x, y))
+        need = shares[kids[0]].threshold if kids else 1
+        if len(points) < need:
+            shortfalls.append((gid, len(points), need))
+            return None
+        return interpolate(points[:need], p)[0]
+
+    value = climb(top)
+    return shortfalls[0] if value is None else value
+
+
+class TestReconstructAgainstRecursiveClimb:
+    def test_random_trees_leaves_and_participants(self):
+        rng = random.Random(33)
+        outcomes = Counter()
+        for _ in range(60):
+            tree = make_tree(random_tree_spec(rng, max_depth=4, max_fanout=4), rng, prime=1009)
+            dealer, _state, shares = deal(tree, rng.randrange(1009), tf(rng.randint(1, 4), 4), rng)
+            for _ in range(rng.randint(0, 2)):
+                uid = rng.choice(sorted(shares))
+                if tree.nodes[uid].active:
+                    tree.leave(uid)
+            internal = sorted(dealer.split) or [ROOT_ID]
+            for _ in range(10):
+                keep = rng.uniform(0.5, 1)
+                holders = {uid for uid in shares if rng.random() < keep}
+                top = ROOT_ID if rng.random() < 0.5 else rng.choice(internal)
+                expected = recursive_climb(tree, shares, holders, dealer.split, top)
+                groups = tree.groups(holders)
+                try:
+                    got = recover_group_secret(tree, shares, groups, top, dealer.split)
+                except InsufficientShares as exc:
+                    got = (exc.group_parent, exc.have, exc.need)
+                assert got == expected
+                outcomes[type(expected)] += 1
+        assert outcomes[int] > 100 and outcomes[tuple] > 100
 
 
 class TestGroupThresholdExactness:

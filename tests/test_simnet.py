@@ -1051,6 +1051,17 @@ class TestRestore:
         assert straight.tree.nodes[1].active
         assert straight.finalize() == resumed.finalize()
 
+    def test_restored_run_hooks_only_the_boundaries_after_its_own(self, tmp_path):
+        straight = World(self.CHURN).run()
+        halted = World(self.CHURN)
+        halted.initial_deal()
+        halted.step_epoch()
+        halted.step_epoch()
+        resumed = restored(halted, tmp_path)
+        reached = []
+        assert resumed.run(lambda world: reached.append(world.epoch)) == straight
+        assert reached == [3, 4, 5, 6]
+
     @pytest.mark.parametrize(
         "edit, field",
         [
@@ -1273,8 +1284,8 @@ class TestSnapshotSize:
     @pytest.mark.parametrize(
         "load, epoch, size",
         [
-            (lambda: load_bundled_scenario("bench-63"), 1, 28_110),
-            (lambda: parse_scenario(benchmark_workloads().churn_redeal(1)), 20, 384_745),
+            (lambda: load_bundled_scenario("bench-63"), 1, 28_085),
+            (lambda: parse_scenario(benchmark_workloads().churn_redeal(1)), 20, 384_720),
         ],
         ids=["bench-63-epoch-1", "churn-redeal-midpoint"],
     )
@@ -1342,7 +1353,8 @@ class TestStepOrder:
     """``initial_deal`` runs only on a blank world, ``step_epoch`` only on a
     dealt one and only up to the scenario's last epoch, and ``finalize``
     only once on a dealt one; a refused call names itself and its reason and
-    leaves the world as it was."""
+    leaves the world as it was. ``run`` drives a world on from wherever it
+    is, so only a finished world refuses it, through its ``finalize``."""
 
     def refused(self, world, call="step_epoch"):
         before = world_facts(world)
@@ -1398,8 +1410,24 @@ class TestStepOrder:
     def test_a_second_run_is_refused(self):
         world = World(scenario(epochs=2))
         world.run()
-        assert self.refused(world, "run") == "initial_deal on a world already dealt"
+        assert self.refused(world, "run") == "finalize on a finished world"
         assert len(world.report.rows) == 3
+
+    def test_run_calls_the_hook_at_every_boundary(self):
+        world = World(scenario(epochs=3))
+        reached = []
+        world.run(lambda w: reached.append((w.epoch, len(w.report.rows), bool(w.report.final))))
+        assert reached == [(0, 1, False), (1, 2, False), (2, 3, False), (3, 4, False)]
+        assert world.report.final["epochs_run"] == 3
+
+    @pytest.mark.parametrize("stepped", [0, 2])
+    def test_a_dealt_world_runs_on_to_the_straight_report(self, stepped):
+        straight = World(scenario()).run()
+        world = World(scenario())
+        world.initial_deal()
+        for _ in range(stepped):
+            world.step_epoch()
+        assert world.run() == straight
 
     @pytest.mark.parametrize("via_run", [True, False], ids=["after-run", "after-finalize"])
     def test_a_second_finalize_is_refused(self, tmp_path, via_run):
