@@ -172,20 +172,32 @@ def poly_eval(q: Polynomial, x: int, p: int) -> int:
     return acc
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """The first ``rng.getrandbits(n.bit_length())`` below n >= 1: the value
+    and generator state of ``randrange(n)``, as ``1 + randbelow(rng, n - 1)``
+    is ``randrange(1, n)``. Every bounded draw in the package is one."""
+    bits = n.bit_length()
+    draw = rng.getrandbits(bits)
+    while draw >= n:
+        draw = rng.getrandbits(bits)
+    return draw
+
+
 def sample_polynomial(rng: random.Random, degree: int, free: int, p: int) -> Polynomial:
     """Random polynomial mod p with the given free coefficient and exact
-    degree.
-
-    A zero leading coefficient would silently lower the effective threshold,
-    so for degree >= 1 the top coefficient is resampled until nonzero.
+    degree. Each coefficient, from the lowest power up, is ``randbelow(rng,
+    p)``, its loop inlined on one ``getrandbits``. A zero leading
+    coefficient would silently lower the effective threshold, so for
+    degree >= 1 the top one is drawn again until nonzero.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
+    getrandbits, bits = rng.getrandbits, p.bit_length()
     coeffs = [free]
-    coeffs.extend(rng.randrange(p) for _ in range(degree))
-    if degree >= 1:
-        while coeffs[-1] == 0:
-            coeffs[-1] = rng.randrange(p)
+    while len(coeffs) <= degree:
+        draw = getrandbits(bits)
+        if draw < p and (draw or len(coeffs) < degree):
+            coeffs.append(draw)
     return tuple(coeffs)
 
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Container, Sequence
 
-from .algebra import FieldParams
+from .algebra import FieldParams, randbelow
 from .curve import CurveParams, CurvePoint, base_muls, scalar_mul
 from .errors import HierShareError
 
@@ -145,14 +145,14 @@ class HierarchyTree:
         any other is that user's miss. So each draw is kept or missed just
         as if the users drew one at a time, and the generator ends alike."""
         if self.curve is None:
-            return [(rng.randrange(1, self.field.modulus), None) for _ in range(count)]
+            return [(1 + randbelow(rng, self.field.modulus - 1), None) for _ in range(count)]
         order, out, misses = self.curve.order, [], 0
         used = {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
         while len(out) < count:
             # Each x serves at most two points, so 2*order misses in a row
             # mean the space is exhausted at toy scale; draw no further.
             batch = min(count - len(out), 2 * order - misses)
-            tokens = [rng.randrange(1, order) for _ in range(batch)]
+            tokens = [1 + randbelow(rng, order - 1) for _ in range(batch)]
             for token, key in zip(tokens, base_muls(tokens, self.curve)):
                 if key.x in used:
                     misses += 1
@@ -232,7 +232,7 @@ class HierarchyTree:
         if not any(node.active for node in self.nodes.values()):
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
-        return None if self.curve is None else rng.randrange(1, self.curve.order)
+        return None if self.curve is None else 1 + randbelow(rng, self.curve.order - 1)
 
     def assign_round_keys(self, secret: int | None) -> dict[int, CurvePoint]:
         """Each active user's round key for the round whose scalar is

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import lagrange_weights, poly_eval, sample_polynomial
+from .algebra import lagrange_weights, randbelow, sample_polynomial
 from .errors import HierShareError
 from .hierarchy import ROOT_ID, HierarchyTree
 
@@ -82,10 +82,11 @@ def split(value: int, p: int, rng: random.Random) -> tuple[int, int]:
     mod p.
 
     The first part is uniform over the nonzero elements whose complement is
-    also nonzero; resampling always terminates for modulus > 2.
+    also nonzero, drawn as ``1 + randbelow(rng, p - 1)``; resampling always
+    terminates for modulus > 2.
     """
     while True:
-        first = rng.randrange(1, p)
+        first = 1 + randbelow(rng, p - 1)
         second = (value - first) % p
         if second != 0:
             return first, second
@@ -177,9 +178,11 @@ def distribute(
     ``begin_round`` returned; it fixes the evaluation points.
 
     A parent's id is below its children's, so its polynomial is drawn
-    before its own group is dealt, and is dropped once it is. The field
-    modulus is the same at every level; a group's threshold is its
-    polynomial's length. Sets ``dealer.split``. Raises InactiveSubtree when
+    (``sample_polynomial``) before its own group is dealt, and is dropped
+    once it is. Each member's evaluation is inline Horner reduced at every
+    step, since curve-mode points are as wide as p. The field modulus is
+    the same at every level; a group's threshold is its polynomial's
+    length. Sets ``dealer.split``. Raises InactiveSubtree when
     a leave has blocked the round (no level-1 users, or an internal node
     with children but none active).
     """
@@ -201,9 +204,12 @@ def distribute(
     shares: dict[int, GroupShares] = {}
     for parent, kids in groups.items():
         polynomial = polynomials.pop(parent)
+        high_first = polynomial[::-1]
         members: dict[int, tuple[int, int]] = {}
         for uid in kids:
-            evaluation = poly_eval(polynomial, points[uid], p)
+            x, evaluation = points[uid], 0
+            for coeff in high_first:
+                evaluation = (evaluation * x + coeff) % p
             if uid in groups:
                 kept, retained = split(evaluation, p, rng)
                 polynomials[uid] = sample_polynomial(
@@ -211,7 +217,7 @@ def distribute(
                 )
             else:
                 kept = evaluation
-            members[uid] = (points[uid], kept)
+            members[uid] = (x, kept)
         group = GroupShares(0, len(polynomial), members)
         shares.update(dict.fromkeys(kids, group))
     dealer.split = frozenset(groups.keys() - {ROOT_ID})

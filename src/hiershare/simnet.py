@@ -184,10 +184,12 @@ class World:
         self.send("leave")
         return self.tree.leave(uid)
 
-    def deal(self, mid_round_leaves: tuple[int, ...] = ()) -> None:
+    def deal(self, mid_round_leaves: tuple[int, ...] = ()) -> dict[int, list[int]] | None:
         """One full distribution round, including the mid-round leave
         policy: 'abort' applies the leave and restarts cleanly, 'finish'
-        completes dealing to the pre-leave membership first."""
+        completes dealing to the pre-leave membership first. Returns the
+        deal's group view, which is the holders' view, or None when a
+        'finish' leave followed the deal and changed the membership."""
         pending = list(mid_round_leaves)
         if pending and self.config.leave_policy == "abort":
             # The aborted partial round still produced traffic.
@@ -195,11 +197,12 @@ class World:
             for uid in pending:
                 self._leave(uid)
             pending = []
-        self._deal_once()
+        groups = self._deal_once()
         for uid in pending:
             self._leave(uid)
+        return None if pending else groups
 
-    def _deal_once(self) -> None:
+    def _deal_once(self) -> dict[int, list[int]]:
         last_error: Exception | None = None
         groups = self.tree.groups()
         members = sum(map(len, groups.values()))
@@ -214,13 +217,14 @@ class World:
                 continue
             self.shares = shares
             self.send("share", sorted(shares))
-            return
+            return groups
         raise last_error
 
     # -- epoch stepping -------------------------------------------------------
 
-    def _process_events(self, epoch: int) -> list[str]:
-        notes = []
+    def _process_events(self, epoch: int) -> tuple[list[str], dict[int, list[int]] | None]:
+        """The epoch's events: their notes, and the view a deal returned."""
+        notes, view = [], None
         redeal = epoch == 0
         mid_round: list[int] = []
         for event in self.config.events:
@@ -241,9 +245,9 @@ class World:
             elif event["kind"] == "redeal":
                 redeal = True
         if redeal or mid_round:
-            self.deal(mid_round_leaves=tuple(mid_round))
+            view = self.deal(mid_round_leaves=tuple(mid_round))
             notes.append(f"{'redeal' if epoch else 'deal'}:round={self.round_id}")
-        return notes
+        return notes, view
 
     def adversary_can_reconstruct(self) -> bool:
         """Whether any single-(round, epoch) slice of the stolen shares
@@ -272,12 +276,13 @@ class World:
         """Every epoch's step, epoch 0 included: events (at epoch 0 ending
         in the deal), the adversary's move, the holders' group view, from
         epoch 1 on renewal and claim resolution, then steal, cleanse,
-        invariants, report row."""
-        notes = self._process_events(self.epoch)
+        invariants, report row. A dealing epoch reuses the deal's view,
+        unless a 'finish' leave after the deal makes it build a new one."""
+        notes, view = self._process_events(self.epoch)
         plan = adversary_plan(self.config, self.epoch)
         self.adversary.occupied = set(plan["compromise"])
         self.adversary.ever_compromised.update(plan["compromise"])
-        groups = self.tree.groups(self.shares)
+        groups = view or self.tree.groups(self.shares)
 
         verdicts, claims = [], 0
         if self.epoch and self.config.renewal_enabled:
@@ -326,7 +331,7 @@ class World:
     def _herzberg_count(self) -> int:
         """All-pairs renewal traffic of the flat baseline on the same
         membership: every node sends every other node a polynomial."""
-        n = sum(node.active for node in self.tree.nodes.values()) + 1
+        n = [node.deactivated_by for node in self.tree.nodes.values()].count(None) + 1
         return n * (n - 1)
 
     def _reconstruct_all(self, groups: dict[int, list[int]]) -> tuple[bool, str]:

@@ -24,8 +24,12 @@ from hiershare.algebra import (
     lagrange_at_zero,
     lagrange_weights,
     poly_eval,
+    randbelow,
     sample_polynomial,
 )
+
+# Draw bounds from 1 to the secp256k1 group order.
+DRAW_BOUNDS = [1, 2, 3, 13, 1009, 2**61 - 1, STANDARD_CURVE.order]
 
 
 class TestFieldParams:
@@ -170,7 +174,33 @@ class TestPolyEval:
             assert poly_eval(q, 0, 19) == q[0]
 
 
+class TestRandbelow:
+    @pytest.mark.parametrize("n", DRAW_BOUNDS)
+    def test_draws_as_randrange(self, n):
+        """randbelow(n) is randrange(n), and 1 + randbelow(n - 1) is
+        randrange(1, n): equal values, and equal generator states after."""
+        ours, reference = random.Random(n), random.Random(n)
+        for _ in range(200):
+            assert randbelow(ours, n) == reference.randrange(n)
+            if n > 1:
+                assert 1 + randbelow(ours, n - 1) == reference.randrange(1, n)
+            assert ours.getstate() == reference.getstate()
+
+
 class TestSamplePolynomial:
+    @pytest.mark.parametrize("p", [n for n in DRAW_BOUNDS if n > 2])
+    def test_draws_as_randrange(self, p):
+        """Each coefficient is randrange(p), and a zero top one is drawn
+        again, so the polynomials and the generator states match a
+        randrange reference. p = 3 makes a zero top coefficient common."""
+        ours, reference = random.Random(p), random.Random(p)
+        for degree in list(range(6)) * 20:
+            expected = [1] + [reference.randrange(p) for _ in range(degree)]
+            while degree and expected[-1] == 0:
+                expected[-1] = reference.randrange(p)
+            assert sample_polynomial(ours, degree, 1, p) == tuple(expected)
+            assert ours.getstate() == reference.getstate()
+
     def test_degree_zero_is_constant(self, rng):
         q = sample_polynomial(rng, 0, 7, 19)
         assert len(q) == 1

@@ -34,7 +34,9 @@ def level(tree, user_id):
 
 
 class QueuedRandom(random.Random):
-    """Deterministic stand-in that serves preset randrange results."""
+    """Deterministic stand-in whose draws in [1, n) are preset values: the
+    package draws one as ``1 + randbelow(rng, n - 1)``, so each
+    ``getrandbits`` call serves the next value less one."""
 
     def __new__(cls, values):
         return super().__new__(cls, 0)
@@ -43,8 +45,8 @@ class QueuedRandom(random.Random):
         super().__init__(0)
         self._queue = list(values)
 
-    def randrange(self, *args, **kwargs):
-        return self._queue.pop(0)
+    def getrandbits(self, _bits):
+        return self._queue.pop(0) - 1
 
 
 def register_one_at_a_time(tree, parents, rng):

@@ -20,13 +20,16 @@ from conftest import (
 
 from hiershare import sharing
 from hiershare.algebra import interpolate, poly_eval
-from hiershare.hierarchy import ROOT_ID
+from hiershare.curve import STANDARD_CURVE, TOY_CURVE
+from hiershare.hierarchy import ROOT_ID, TreeFull
 from hiershare.sharing import (
     DealerState,
     EvalPointCollision,
+    GroupShares,
     InactiveSubtree,
     InsufficientShares,
     ThresholdFactor,
+    assign_eval_points,
     compute_threshold,
     distribute,
     knowledge_closure,
@@ -168,6 +171,93 @@ class TestDistribute:
         round_secret = tree.begin_round(rng)
         with pytest.raises(EvalPointCollision):
             distribute(tree, tree.groups(), dealer, tf(1, 2), rng, round_secret)
+
+
+def randrange_distribute(tree, groups, dealer, factor, rng, round_secret):
+    """Reference deal over a dealable ``groups``: ``distribute`` with every
+    draw a ``randrange`` call (each coefficient ``randrange(p)``, a zero
+    top one drawn again; ``split``'s first part ``randrange(1, p)``) and
+    each member's evaluation a ``poly_eval`` call."""
+    points = assign_eval_points(tree, groups, round_secret)
+    p = tree.field.modulus
+
+    def polynomial(size, free):
+        coeffs = [free] + [rng.randrange(p) for _ in range(size - 1)]
+        while size > 1 and coeffs[-1] == 0:
+            coeffs[-1] = rng.randrange(p)
+        return tuple(coeffs)
+
+    polynomials = {ROOT_ID: polynomial(compute_threshold(factor, len(groups[ROOT_ID])), dealer.secret)}
+    shares = {}
+    for parent, kids in groups.items():
+        dealt = polynomials.pop(parent)
+        members = {}
+        for uid in kids:
+            kept = evaluation = poly_eval(dealt, points[uid], p)
+            if uid in groups:
+                while True:
+                    kept = rng.randrange(1, p)
+                    retained = (evaluation - kept) % p
+                    if retained:
+                        break
+                polynomials[uid] = polynomial(compute_threshold(factor, len(groups[uid])), retained)
+            members[uid] = (points[uid], kept)
+        shares.update(dict.fromkeys(kids, GroupShares(0, len(dealt), members)))
+    dealer.split = frozenset(groups.keys() - {ROOT_ID})
+    return shares
+
+
+class TestDistributeAgainstRandrangeReference:
+    """``distribute`` deals what the reference deals from the same
+    generator, and leaves the generator in the same state."""
+
+    @staticmethod
+    def both_deals(tree, secret, factor, rng):
+        """(shares or the refusal's type, split, generator state) from each
+        deal of one round, each from a copy of ``rng``."""
+        round_secret = tree.begin_round(rng)
+        outcomes = []
+        for deal_fn in (distribute, randrange_distribute):
+            draws = random.Random()
+            draws.setstate(rng.getstate())
+            dealer = DealerState(secret)
+            try:
+                shares = deal_fn(tree, tree.groups(), dealer, factor, draws, round_secret)
+            except EvalPointCollision as exc:
+                shares = type(exc)
+            outcomes.append((shares, dealer.split, draws.getstate()))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0][0]
+
+    # The toy curve has 9 group-key x-coordinates, so its trees are small.
+    @pytest.mark.parametrize("curve, prime, fanout", [
+        (None, 13, 4), (None, 1009, 4), (None, STANDARD_CURVE.order, 4), (TOY_CURVE, None, 2),
+    ], ids=["p13", "p1009", "secp256k1-order", "toy-curve"])
+    def test_random_trees(self, curve, prime, fanout):
+        rng = random.Random(prime or curve.order)
+        outcomes = Counter()
+        for _ in range(40):
+            try:
+                tree = make_tree(random_tree_spec(rng, 3, fanout), rng, curve=curve, prime=prime)
+            except TreeFull:
+                continue
+            secret = rng.randrange(tree.field.modulus)
+            factor = tf(rng.randint(1, 4), 4)
+            # A curve round that collides is followed by a fresh one; a
+            # no-curve collision would only repeat.
+            for _ in range(8):
+                shares = self.both_deals(tree, secret, factor, rng)
+                outcomes[isinstance(shares, dict)] += 1
+                if curve is None or shares is not EvalPointCollision:
+                    break
+        assert outcomes[True] >= 10
+        assert outcomes[False] or prime in (1009, STANDARD_CURVE.order)
+
+    def test_one_wide_curve_group(self):
+        rng = random.Random(100)
+        tree = make_tree([[] for _ in range(100)], rng, curve=STANDARD_CURVE)
+        shares = self.both_deals(tree, rng.randrange(STANDARD_CURVE.order), tf(2, 3), rng)
+        assert shares[1].threshold == 67
 
 
 class TestReconstruct:

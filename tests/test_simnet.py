@@ -960,8 +960,8 @@ class TestLoadAndDealCost:
         """Renewal changes neither the holders nor the membership, so an
         epoch builds its holders' view once, after its events, for the
         round and the row's intact check. A dealing epoch (0, and the
-        epoch-2 redeal) also builds the deal's view of every active user
-        first: 2. The final check builds its own."""
+        epoch-2 redeal) builds only the deal's view of every active user,
+        which is its holders' view too. The final check builds its own."""
         views = self.count_calls(monkeypatch, "groups")
         world = World(scenario(
             tree=self.FOUR_GROUPS, epochs=3, events=[{"epoch": 2, "kind": "redeal"}],
@@ -971,9 +971,38 @@ class TestLoadAndDealCost:
             views.clear()
             step()
             per_epoch.append([len(args) for args in views])
-        assert per_epoch == [[0, 1], [1], [0, 1], [1], [1]]
+        assert per_epoch == [[0], [1], [0], [1], [1]]
         assert world.report.rows[2]["events"] == ["redeal:round=2"]
         assert all(row["secret_intact"] for row in world.report.rows)
+
+    @pytest.mark.parametrize("policy, built", [("abort", [0]), ("finish", [0, 1])])
+    def test_mid_round_leave_epoch_view(self, monkeypatch, policy, built):
+        """An 'abort' leave comes before the deal, so its epoch reuses the
+        deal's view. A 'finish' leave of user 7 follows the deal, so its
+        epoch builds the holders' view again after the leave: the renewal
+        reaches the 7 members left. Either way the report equals a run
+        that builds the holders' view in every epoch."""
+        config = scenario(tree=self.FOUR_GROUPS, epochs=2, leave_policy=policy, events=[
+            {"epoch": 2, "kind": "leave", "user": 7, "mid_round": True},
+        ])
+        original = World.deal
+
+        def viewless(world, mid_round_leaves=()):
+            original(world, mid_round_leaves)
+
+        monkeypatch.setattr(World, "deal", viewless)
+        rebuilt = World(config).run()
+        monkeypatch.setattr(World, "deal", original)
+        world = World(config)
+        world.initial_deal()
+        world.step_epoch()
+        views = self.count_calls(monkeypatch, "groups")
+        row = world.step_epoch()
+        assert [len(args) for args in views] == built
+        assert row["messages"]["renewal-delta"] == 7
+        assert row["secret_intact"]
+        world.finalize()
+        assert canonical(world.report) == canonical(rebuilt)
 
     def test_renewal_epoch_asks_once_per_group(self, monkeypatch):
         world = World(scenario(tree=self.FOUR_GROUPS))

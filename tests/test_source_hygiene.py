@@ -2,11 +2,13 @@
 ``ast`` (no linter is needed): every name a module or test file imports is
 used there, every parameter of a package function is read, the package
 imports nothing outside the standard library, every name
-``hiershare.__all__`` exports exists, and only ``config`` reads an
-adversary's strategy.
+``hiershare.__all__`` exports exists, only ``config`` reads an
+adversary's strategy, and only ``algebra`` draws other than by
+``getrandbits``.
 """
 
 import ast
+import random
 import sys
 from pathlib import Path
 
@@ -169,3 +171,26 @@ def test_only_config_reads_the_strategy():
         if isinstance(node, ast.Attribute) and node.attr == "strategy"
     ]
     assert readers == []
+
+
+# ``random.Random`` methods that draw or reseed: all its public ones but
+# ``getrandbits`` and the two that save and restore its state.
+DRAWING_METHODS = {
+    name for name in dir(random.Random)
+    if not name.startswith("_") and callable(getattr(random.Random, name))
+} - {"getrandbits", "getstate", "setstate"}
+
+
+def test_only_algebra_draws_other_than_getrandbits():
+    """Every bounded draw goes through ``algebra.randbelow`` (or its loop,
+    inlined in ``algebra``), which makes the same draws as ``randrange``
+    from ``getrandbits`` alone; a call to another ``random.Random`` method
+    elsewhere would be a second way to draw."""
+    callers = [
+        f"{path.name} (line {node.lineno}): {node.func.attr}"
+        for path in MODULES if path.name != "algebra.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DRAWING_METHODS
+    ]
+    assert callers == []
