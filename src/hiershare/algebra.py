@@ -227,10 +227,12 @@ def keyed_polynomial(key: bytes, degree: int, free: int, p: int) -> Polynomial:
     return tuple(coeffs)
 
 
-# Abscissa sets whose Lagrange weights ``lagrange_weights`` keeps. A
-# no-curve tree's groups keep their ids across epochs and redeals, so the
-# bound holds every group of a large tree (341 in a 1,364-user one) with
-# room for curve rounds, whose evaluation points change with each deal.
+# Abscissa sets whose Lagrange weights ``lagrange_weights`` keeps. The
+# intact check interpolates once per round and holders' view, and only the
+# groups the root needs (121 of a 1,364-user tree's 341). A no-curve
+# group's points are its members' ids, so after a redeal most sets are
+# hits. The bound holds every group of such a tree with room for curve
+# rounds, whose evaluation points change with each deal.
 WEIGHT_CACHE_SIZE = 4096
 
 

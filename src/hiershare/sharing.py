@@ -10,6 +10,16 @@ parent adds its own kept part, and the climb repeats until the root
 recovers the secret. One walk orders that climb, children first and left
 to right, for reconstruction and for a coalition's knowledge closure alike.
 
+Reconstruction is split into a form and a dot product. The form is a
+list of owners and one weight per owner: a children-first pass picks each
+group's first threshold-many contributors, with no arithmetic, and a
+top-down pass multiplies the Lagrange weights along the path of every
+picked group the top needs. So only those groups are interpolated. The
+form depends on the holders' view, the split set, the groups' thresholds
+and the picked owners' evaluation points, never on the kept values; a
+caller that keeps it (``simnet``'s intact check, per round and view)
+reads the values live.
+
 Shares are stored once per sibling group (``GroupShares``): the group's
 epoch and threshold sit on the group record, next to each member's
 evaluation point and kept value. The round is the world's, and a member's
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import lagrange_weights, randbelow, sample_polynomial
@@ -224,6 +235,57 @@ def distribute(
     return shares
 
 
+def reconstruction_form(
+    tree: HierarchyTree,
+    shares: Mapping[int, GroupShares],
+    groups: Mapping[int, Sequence[int]],
+    parent_id: int,
+    split: Container[int],
+) -> tuple[list[int], list[int]]:
+    """The owners whose kept values recover ``parent_id``'s group value,
+    and one weight per owner, so the value is their dot product mod p.
+    Arguments as for ``recover_group_secret``.
+
+    Pass 1 walks children first and does no arithmetic: each group hanging
+    from parent_id through participating split members picks its first
+    threshold-many contributors, where a split member contributes once
+    its own group has picked; the first group to fall short is the one
+    InsufficientShares names. A split member with no participating child
+    heads an empty group of threshold 1. Pass 2 goes top-down over the
+    picked groups that the top needs, and only those: it multiplies the
+    Lagrange weights of each group's picked evaluation points (stored
+    reduced mod p) along the path into one weight per owner, since a split
+    member's contribution is its kept value plus its own group's value.
+    """
+    picked: dict[int, list[int]] = {}
+    short = None
+    for gid, kids in _children_first(groups, split, parent_id):
+        need = shares[kids[0]].threshold if kids else 1
+        contributors = [kid for kid in kids if kid not in split or kid in picked]
+        if len(contributors) >= need:
+            picked[gid] = contributors[:need]
+        else:
+            short = short or (gid, len(contributors), need)
+    if parent_id not in picked:
+        raise InsufficientShares(*short)
+
+    p = tree.field.modulus
+    owners: list[int] = []
+    weights: list[int] = []
+    pending = [(parent_id, 1)]
+    while pending:
+        gid, scale = pending.pop()
+        kids = picked[gid]
+        points = tuple([shares[kid].members[kid][0] for kid in kids])
+        for kid, weight in zip(kids, lagrange_weights(points, p)):
+            weight = weight * scale % p
+            owners.append(kid)
+            weights.append(weight)
+            if kid in split:
+                pending.append((kid, weight))
+    return owners, weights
+
+
 def recover_group_secret(
     tree: HierarchyTree,
     shares: Mapping[int, GroupShares],
@@ -237,34 +299,13 @@ def recover_group_secret(
     shares; ``split`` holds the users dealt as internal nodes (the round's
     ``dealer.split``).
 
-    One children-first pass interpolates each group hanging from parent_id
-    through participating split members from its first threshold-many
-    contributions (evaluation points are stored reduced mod p), and notes
-    the first group to fall short, which InsufficientShares names; a split
-    member with no participating child heads an empty group of threshold 1.
+    Two passes build the ``reconstruction_form`` (which owners, with which
+    weights; it raises InsufficientShares), and the value is the dot
+    product of its weights with the owners' kept values.
     """
-    p = tree.field.modulus
-    values: dict[int, int] = {}
-    short = None
-    for gid, kids in _children_first(groups, split, parent_id):
-        need = shares[kids[0]].threshold if kids else 1
-        xs, ys = [], []
-        for kid in kids:
-            x, y = shares[kid].members[kid]
-            if kid in split:
-                if kid not in values:
-                    continue
-                y += values[kid]
-            xs.append(x)
-            ys.append(y)
-            if len(xs) == need:
-                values[gid] = sum([w * v for w, v in zip(lagrange_weights(tuple(xs), p), ys)]) % p
-                break
-        else:
-            short = short or (gid, len(xs), need)
-    if parent_id in values:
-        return values[parent_id]
-    raise InsufficientShares(*short)
+    owners, weights = reconstruction_form(tree, shares, groups, parent_id, split)
+    values = [shares[uid].members[uid][1] for uid in owners]
+    return sum(map(mul, weights, values)) % tree.field.modulus
 
 
 def _children_first(

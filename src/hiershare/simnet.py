@@ -41,7 +41,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import attrgetter, getitem, itemgetter, mul
+from typing import Callable, Mapping, NamedTuple
 
 from .config import ScenarioConfig, adversary_plan
 from .errors import HierShareError, InvariantViolation
@@ -55,7 +56,7 @@ from .sharing import (
     InsufficientShares,
     distribute,
     knowledge_closure,
-    recover_group_secret,
+    reconstruction_form,
 )
 
 
@@ -115,6 +116,41 @@ def adversary_act(tree: HierarchyTree, shares: dict[int, GroupShares], plan: dic
     return (perturb if tampered_pairs else None), claims
 
 
+class IntactForm(NamedTuple):
+    """The intact check's ``reconstruction_form`` of the root secret for one
+    round and holders' view, with each owner's evaluation point and group
+    threshold as it was built from them."""
+
+    round_id: int
+    view: dict[int, list[int]]
+    owners: list[int]
+    points: list[int]
+    thresholds: list[int]
+    weights: list[int]
+
+    @classmethod
+    def build(cls, world: World, view: dict[int, list[int]]) -> IntactForm:
+        """The form over ``world``'s shares; raises InsufficientShares."""
+        shares = world.shares
+        owners, weights = reconstruction_form(world.tree, shares, view, ROOT_ID, world.dealer.split)
+        points = [shares[uid].members[uid][0] for uid in owners]
+        thresholds = [shares[uid].threshold for uid in owners]
+        return cls(world.round_id, view, owners, points, thresholds, weights)
+
+    def value(self, shares: Mapping[int, GroupShares]) -> int | None:
+        """The weights' dot product with the owners' kept values, read live
+        and not reduced; None when an owner's evaluation point or group
+        threshold is not the one the form was built from."""
+        records = list(map(shares.__getitem__, self.owners))
+        pairs = list(map(getitem, map(attrgetter("members"), records), self.owners))
+        if (
+            list(map(itemgetter(0), pairs)) != self.points
+            or list(map(attrgetter("threshold"), records)) != self.thresholds
+        ):
+            return None
+        return sum(map(mul, self.weights, map(itemgetter(1), pairs)))
+
+
 @dataclass
 class SimReport:
     """Per-epoch accounting plus the final outcome; a pure function of
@@ -150,6 +186,10 @@ class World:
         self.envelopes: Counter[str] = Counter()
         self.report = SimReport(scenario=config.name, seed=config.seed)
         self.adversary = AdversaryState()
+        # The (round, epoch) slices of stolen shares that gained a copy
+        # since the last report row; empty at every epoch boundary.
+        self.grown_slices: set[tuple[int, int]] = set()
+        self.intact_form: IntactForm | None = None
 
     @property
     def round_id(self) -> int:
@@ -169,7 +209,7 @@ class World:
         self.envelopes[kind] += to if isinstance(to, int) else len(to)
         if kind == "share":
             for uid in sorted(self.adversary.occupied.intersection(to)):
-                self.adversary.stolen_shares[(self.round_id, 0, uid)] = self._held_share(uid)
+                self._steal_share(uid, 0)
 
     # -- dealing ------------------------------------------------------------
 
@@ -251,10 +291,16 @@ class World:
 
     def adversary_can_reconstruct(self) -> bool:
         """Whether any single-(round, epoch) slice of the stolen shares
-        reaches the secret via the knowledge closure."""
+        reaches the secret via the knowledge closure. A slice only grows
+        and the closure is monotone, so a slice that gained no copy since
+        the last report row keeps its verdict: only ``grown_slices`` are
+        judged again, and the others answer with the last row's value."""
+        if self.report.rows and self.report.rows[-1]["adversary_can_reconstruct"]:
+            return True
         slices: dict[tuple[int, int], dict[int, HeldShare]] = {}
         for (round_id, epoch, owner), record in self.adversary.stolen_shares.items():
-            slices.setdefault((round_id, epoch), {})[owner] = record
+            if (round_id, epoch) in self.grown_slices:
+                slices.setdefault((round_id, epoch), {})[owner] = record
         return any(
             knowledge_closure(self.tree, members)
             for _key, members in sorted(slices.items())
@@ -326,6 +372,7 @@ class World:
             "events": events,
         }
         self.report.rows.append(row)
+        self.grown_slices.clear()
         return row
 
     def _herzberg_count(self) -> int:
@@ -336,12 +383,27 @@ class World:
 
     def _reconstruct_all(self, groups: dict[int, list[int]]) -> tuple[bool, str]:
         """Whether every active share-holder (``groups``, the holders' view)
-        together recovers the secret, and the reason when they fall short."""
-        try:
-            value = recover_group_secret(self.tree, self.shares, groups, ROOT_ID, self.dealer.split)
-        except InsufficientShares as exc:
-            return False, str(exc)
-        return value == self.dealer.secret, ""
+        together recovers the secret, and the reason when they fall short.
+
+        ``intact_form`` is kept while the round and the view stay the same.
+        Each call reads every used owner's kept value live, and builds the
+        form again when any owner's evaluation point or group threshold is
+        not the one the form was built from; a view that falls short keeps
+        no form."""
+        form = self.intact_form
+        if (
+            form is None
+            or (form.round_id, form.view) != (self.round_id, groups)
+            or (value := form.value(self.shares)) is None
+        ):
+            try:
+                form = IntactForm.build(self, groups)
+            except InsufficientShares as exc:
+                self.intact_form = None
+                return False, str(exc)
+            self.intact_form = form
+            value = form.value(self.shares)
+        return value % self.config.field.modulus == self.dealer.secret, ""
 
     def _held_share(self, uid: int) -> HeldShare:
         """The host's own copy of the share it holds in the live round."""
@@ -353,8 +415,15 @@ class World:
             if node.reg_token is not None:
                 self.adversary.stolen_tokens[uid] = node.reg_token
             if uid in self.shares:
-                key = (self.round_id, self.shares[uid].epoch, uid)
-                self.adversary.stolen_shares[key] = self._held_share(uid)
+                self._steal_share(uid, self.shares[uid].epoch)
+
+    def _steal_share(self, uid: int, epoch: int) -> None:
+        """Copy ``uid``'s share of the live round at ``epoch``; a new copy
+        grows its slice."""
+        key = (self.round_id, epoch, uid)
+        if key not in self.adversary.stolen_shares:
+            self.grown_slices.add(key[:2])
+        self.adversary.stolen_shares[key] = self._held_share(uid)
 
     def _cleanse(self, verdicts) -> list[int]:
         cleansed = []

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from hiershare import sharing
-from hiershare.algebra import FieldParams, sample_polynomial
+from hiershare.algebra import FieldParams, lagrange_at_zero, sample_polynomial
 from hiershare.curve import TOY_CURVE, base_muls
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.proactive import generate_renewal
@@ -172,3 +172,35 @@ def minimal_reconstructing_set(tree, shares):
             [uid for _, chosen in priced[:need] for uid in chosen],
         )
     return sorted(quorum[ROOT_ID][1])
+
+
+def every_group_recover(tree, shares, groups, parent_id, split):
+    """Reference reconstruction, the one-pass climb of earlier releases:
+    children first, it interpolates every group hanging from ``parent_id``
+    through participating split members, needed or not, from its first
+    threshold-many contributions, and notes the first group to fall short.
+    Returns the value, or that group's (group parent, have, need); a split
+    member with no participating child heads an empty group of threshold 1."""
+    order, pending = [], [parent_id]
+    while pending:
+        gid = pending.pop()
+        kids = groups.get(gid, ())
+        order.append((gid, kids))
+        pending += [kid for kid in kids if kid in split]
+    values, short = {}, None
+    for gid, kids in reversed(order):
+        need = shares[kids[0]].threshold if kids else 1
+        points = []
+        for kid in kids:
+            x, y = shares[kid].members[kid]
+            if kid in split:
+                if kid not in values:
+                    continue
+                y += values[kid]
+            points.append((x, y))
+            if len(points) == need:
+                values[gid] = lagrange_at_zero(points, tree.field.modulus)
+                break
+        else:
+            short = short or (gid, len(points), need)
+    return values[parent_id] if parent_id in values else short

@@ -10,6 +10,7 @@ from conftest import (
     deal,
     deal_recorded,
     eval_point,
+    every_group_recover,
     held_copies,
     kept,
     make_tree,
@@ -305,20 +306,23 @@ class TestReconstruct:
 
     def test_groups_cut_off_by_an_absent_parent_are_not_interpolated(self, rng, monkeypatch):
         # Same tree; 4 heads 7 and 8 but does not take part, so of the four
-        # groups only those under 0, 1 and 2 hang from the root.
+        # groups only those under 0, 1 and 2 hang from the root. At tf 1/2
+        # every threshold is 1: the root picks user 1 alone, so only the
+        # groups under 0 and 1 are interpolated, top-down, each over its
+        # first contributor (no-curve points are ids).
         tree = make_tree([[[], [[], []]], [[], []]], rng, prime=1009)
         dealer, _state, shares = deal(tree, 9, tf(1, 2), rng)
         interpolated = []
         original = sharing.lagrange_weights
 
         def counting(xs, p):
-            interpolated.append(len(xs))
+            interpolated.append(xs)
             return original(xs, p)
 
         monkeypatch.setattr(sharing, "lagrange_weights", counting)
         participants = [uid for uid in shares if uid != 4]
         assert reconstruct(tree, shares, participants, dealer.split) == 9
-        assert interpolated == [1, 1, 1]
+        assert interpolated == [(1,), (3,)]
 
     def test_internal_node_recovery_library_call(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
@@ -380,7 +384,19 @@ def recursive_climb(tree, shares, holders, split, top):
 
 
 class TestReconstructAgainstRecursiveClimb:
-    def test_random_trees_leaves_and_participants(self):
+    def test_random_trees_leaves_and_participants(self, monkeypatch):
+        """The two-pass form gives what both references give, the recursive
+        climb and the every-group climb of earlier releases: the same value,
+        or the same shortfall. It interpolates each group at most once, and
+        none when it falls short."""
+        interpolated = []
+        original = sharing.lagrange_weights
+
+        def counting(xs, p):
+            interpolated.append(xs)
+            return original(xs, p)
+
+        monkeypatch.setattr(sharing, "lagrange_weights", counting)
         rng = random.Random(33)
         outcomes = Counter()
         for _ in range(60):
@@ -397,13 +413,30 @@ class TestReconstructAgainstRecursiveClimb:
                 top = ROOT_ID if rng.random() < 0.5 else rng.choice(internal)
                 expected = recursive_climb(tree, shares, holders, dealer.split, top)
                 groups = tree.groups(holders)
+                assert every_group_recover(tree, shares, groups, top, dealer.split) == expected
+                interpolated.clear()
                 try:
                     got = recover_group_secret(tree, shares, groups, top, dealer.split)
                 except InsufficientShares as exc:
                     got = (exc.group_parent, exc.have, exc.need)
+                    assert interpolated == []
                 assert got == expected
+                assert len(interpolated) == len(set(interpolated)) <= len(groups)
                 outcomes[type(expected)] += 1
         assert outcomes[int] > 100 and outcomes[tuple] > 100
+
+
+class TestReconstructionForm:
+    def test_form_weights_times_kept_values_give_the_secret(self, rng):
+        tree = make_tree([[[], [], []], [[], []], [[[], []]]], rng, prime=1009)
+        dealer, _state, shares = deal(tree, 321, tf(2, 3), rng)
+        owners, weights = sharing.reconstruction_form(
+            tree, shares, tree.groups(shares), ROOT_ID, dealer.split
+        )
+        # The root picks 1 and 2; group 1 picks 4 and 5, group 2 picks 7
+        # and 8. Users 3, 6, 9, 10 and 11 are not read.
+        assert sorted(owners) == [1, 2, 4, 5, 7, 8]
+        assert sum(w * kept(shares, uid) for uid, w in zip(owners, weights)) % 1009 == 321
 
 
 class TestGroupThresholdExactness:

@@ -9,17 +9,18 @@ import pytest
 from conftest import (
     active_users,
     benchmark_workloads,
+    every_group_recover,
     minimal_reconstructing_set,
     random_tree_spec,
     renewal_bundles,
 )
 
-from hiershare import algebra, curve
+from hiershare import algebra, curve, sharing, simnet
 from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
-from hiershare.hierarchy import HierarchyTree, PositionOccupied
+from hiershare.hierarchy import ROOT_ID, HierarchyTree, PositionOccupied
 from hiershare.proactive import RenewalBundle
-from hiershare.sharing import GroupShares, HeldShare
+from hiershare.sharing import GroupShares, HeldShare, knowledge_closure
 from hiershare.simnet import StepOutOfOrder, World, adversary_act
 from hiershare.snapshot import (
     CorruptSnapshot,
@@ -1303,6 +1304,195 @@ class TestRestore:
         while resumed.epoch < resumed.config.epochs:
             resumed.step_epoch()
         assert resumed.report.rows == straight.report.rows
+
+
+def every_group_intact(world, groups):
+    """``World._reconstruct_all`` over the every-group reference climb, with
+    no form kept: the intact check as earlier releases made it."""
+    got = every_group_recover(world.tree, world.shares, groups, ROOT_ID, world.dealer.split)
+    if isinstance(got, tuple):
+        return False, str(sharing.InsufficientShares(*got))
+    return got == world.dealer.secret, ""
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of each call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestIntactForm:
+    """The intact check keeps its reconstruction form per (round, holders'
+    view) and reads the used owners' values live each row, so a report
+    equals one whose every row interpolates every group afresh, and no
+    edit to a used share hides behind the kept form."""
+
+    # 1 -> {4, 5}, 2 -> {6, 7}, 6 -> {8}; at tf 2/3 every group of two or
+    # three has threshold 2, the root's too.
+    TREE = spec_dict([[[], []], [[[]], []], []])
+    QUIET = scenario(
+        tree=TREE, field_prime="2305843009213693951", secret="123456789",
+        renewal_enabled=False, epochs=3,
+    )
+
+    def edited(self, world, uid, point=None, value=None, threshold=None):
+        """Replace ``uid``'s group record with one whose ``uid`` entry or
+        threshold is changed, for every holder of the record."""
+        record = world.shares[uid]
+        x, y = record.members[uid]
+        new = record._replace(
+            members={**record.members, uid: (x if point is None else point, y if value is None else value)},
+            threshold=record.threshold if threshold is None else threshold,
+        )
+        for member in record.members:
+            world.shares[member] = new
+
+    @pytest.mark.parametrize("edit", ["value", "point", "threshold"])
+    def test_an_edited_used_holder_reads_not_intact(self, edit):
+        world = World(self.QUIET)
+        world.initial_deal()
+        assert world.step_epoch()["secret_intact"]
+        # User 1 is used, since the root picks 1 and 2. Its point is its id;
+        # 50 collides with no sibling. Renewal is off, so without the
+        # re-check a kept form would still read the old point's weights
+        # and the old threshold's picks, and the values would fit them.
+        assert 1 in world.intact_form.owners
+        _x, y = held_share(world, 1)
+        change = {
+            "value": {"value": (y + 1) % world.config.field.modulus},
+            "point": {"point": 50},
+            "threshold": {"threshold": 1},
+        }
+        self.edited(world, 1, **change[edit])
+        row = world.step_epoch()
+        assert row["secret_intact"] is False
+        assert world.finalize()["reconstruction_correct"] is False
+
+    def test_leave_and_rejoin_without_redeal_rows_match_the_reference(self, monkeypatch):
+        # A leave of leaf 5 starves group 1, so the root turns to 2 and 3;
+        # the rejoined 5 holds no share, so the view stays; the leave of 3
+        # starves the root, and the redeal restores it.
+        config = scenario(tree=self.TREE, epochs=6, events=[
+            {"epoch": 2, "kind": "leave", "user": 5},
+            {"epoch": 3, "kind": "rejoin", "user": 5},
+            {"epoch": 4, "kind": "leave", "user": 3},
+            {"epoch": 6, "kind": "redeal"},
+        ])
+        builds = count_calls(monkeypatch, simnet, "reconstruction_form")
+        kept = World(config).run()
+        assert [row["secret_intact"] for row in kept.rows] == [True] * 4 + [False] * 2 + [True]
+        # Epoch 0, the leave, then each short row and the redeal; the
+        # rejoin and the final check reuse the form.
+        assert len(builds) == 1 + 1 + 2 + 1
+        monkeypatch.setattr(World, "_reconstruct_all", every_group_intact)
+        assert canonical(kept) == canonical(World(config).run())
+
+    def test_one_form_per_round_and_view(self, monkeypatch):
+        """A static tree builds one form per run; each deal or change of
+        the holders' view adds one."""
+        builds = count_calls(monkeypatch, simnet, "reconstruction_form")
+        World(scenario(tree=self.TREE, epochs=4)).run()
+        assert len(builds) == 1
+        builds.clear()
+        World(scenario(tree=self.TREE, epochs=4, events=[
+            {"epoch": 1, "kind": "redeal"},
+            {"epoch": 2, "kind": "leave", "user": 7},
+            {"epoch": 3, "kind": "redeal"},
+        ])).run()
+        assert len(builds) == 4
+
+    @pytest.mark.parametrize(
+        "name, builds, weights",
+        [("scale-nocurve", 1, 121), ("churn-redeal", 41, 4571)],
+    )
+    def test_benchmark_runs_interpolate_only_needed_groups(self, monkeypatch, name, builds, weights):
+        """scale-nocurve's 1,364-user tree at seed 1 builds its form once:
+        its 121 interpolations are the groups on the chosen paths (1 + 3 +
+        9 + 27 + 81 of 341, over 363 owners). churn-redeal builds one per
+        deal."""
+        built = count_calls(monkeypatch, simnet, "reconstruction_form")
+        interpolated = count_calls(monkeypatch, sharing, "lagrange_weights")
+        world = World(parse_scenario(getattr(benchmark_workloads(), name.replace("-", "_"))(1)))
+        world.run()
+        assert (len(built), len(interpolated)) == (builds, weights)
+        if name == "scale-nocurve":
+            assert len(world.intact_form.owners) == 363
+        assert world.report.final["reconstruction_correct"]
+
+
+def all_slices_can_reconstruct(world):
+    """Reference adversary check: every (round, epoch) slice of the stolen
+    shares judged afresh by the knowledge closure."""
+    slices = {}
+    for (round_id, epoch, owner), record in world.adversary.stolen_shares.items():
+        slices.setdefault((round_id, epoch), {})[owner] = record
+    return any(knowledge_closure(world.tree, members) for members in slices.values())
+
+
+class TestAdversaryCheck:
+    """A row judges again only the stolen slices that gained a copy since
+    the last row, and keeps the last row's verdict for the rest."""
+
+    def test_random_scenarios_match_the_all_slices_reference(self):
+        rng = random.Random(35)
+        verdicts = Counter()
+        for _ in range(40):
+            epochs = rng.randint(2, 6)
+            config = scenario(
+                tree=spec_dict(random_tree_spec(rng, max_depth=3, max_fanout=4)),
+                tf={"num": rng.randint(1, 3), "den": 3},
+                renewal_enabled=rng.random() < 0.5,
+                epochs=epochs,
+                seed=str(rng.getrandbits(32)),
+                events=[{"epoch": e, "kind": "redeal"} for e in range(1, epochs + 1) if rng.random() < 0.3],
+                adversary={"strategy": "passive-stealer", "budget": rng.randint(1, 4)},
+            )
+
+            def judged(world):
+                assert world.grown_slices == set()
+                expected = all_slices_can_reconstruct(world)
+                assert world.report.rows[-1]["adversary_can_reconstruct"] is expected
+                verdicts[expected] += 1
+
+            world = World(config)
+            world.run(on_boundary=judged)
+            assert world.report.final["secret_recovered_by_adversary"] is all_slices_can_reconstruct(world)
+        assert verdicts[True] > 20 and verdicts[False] > 20
+
+    def test_one_closure_per_grown_slice(self, monkeypatch):
+        """scale-nocurve at seed 1 steals 8 copies of the epoch's shares per
+        row, one new slice each: one closure per row and none at the final
+        check, where every one of the 1 + 2 + ... + 41 slices used to be
+        judged again (902 calls)."""
+        closures = count_calls(monkeypatch, simnet, "knowledge_closure")
+        per_row = []
+
+        def judged(world):
+            per_row.append(len(closures))
+            closures.clear()
+
+        world = World(parse_scenario(benchmark_workloads().scale_nocurve(1)))
+        world.run(on_boundary=judged)
+        assert per_row == [1] * 41
+        assert closures == []
+
+    def test_a_won_slice_stays_won_without_a_closure(self, monkeypatch):
+        config = scenario(
+            renewal_enabled=False, epochs=3,
+            adversary={"strategy": "scripted", "script": [{"epoch": 0, "compromise": [1, 2]},
+                                                          {"epoch": 2, "compromise": [3]}]},
+        )
+        closures = count_calls(monkeypatch, simnet, "knowledge_closure")
+        report = World(config).run()
+        assert [row["adversary_can_reconstruct"] for row in report.rows] == [True] * 4
+        assert len(closures) == 1
 
 
 class TestSnapshotSize:
