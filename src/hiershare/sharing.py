@@ -8,17 +8,18 @@ leaves keep their evaluation whole. Reconstruction runs the other way:
 each sibling group interpolates the retained part of its parent, the
 parent adds its own kept part, and the climb repeats until the root
 recovers the secret. One walk orders that climb, children first and left
-to right, for reconstruction and for a coalition's knowledge closure alike.
+to right, for a coalition's knowledge closure and for naming the group a
+failed reconstruction falls short at.
 
 Reconstruction is split into a form and a dot product. The form is a
-list of owners and one weight per owner: a children-first pass picks each
-group's first threshold-many contributors, with no arithmetic, and a
-top-down pass multiplies the Lagrange weights along the path of every
-picked group the top needs. So only those groups are interpolated. The
-form depends on the holders' view, the split set, the groups' thresholds
-and the picked owners' evaluation points, never on the kept values; a
-caller that keeps it (``simnet``'s intact check, per round and view)
-reads the values live.
+list of owners and one weight per owner: an on-demand pass picks, top
+down, each needed group's first threshold-many contributors with no
+arithmetic, and a second pass multiplies the Lagrange weights along the
+path of every picked group. So only the groups the top needs are read or
+interpolated. The form depends on the holders' view, the split set, the
+groups' thresholds and the picked owners' evaluation points, never on
+the kept values; a caller that keeps it (``simnet``'s intact check, per
+round and view) reads the values live.
 
 Shares are stored once per sibling group (``GroupShares``): the group's
 epoch and threshold sit on the group record, next to each member's
@@ -190,10 +191,12 @@ def distribute(
 
     A parent's id is below its children's, so its polynomial is drawn
     (``sample_polynomial``) before its own group is dealt, and is dropped
-    once it is. Each member's evaluation is inline Horner reduced at every
-    step, since curve-mode points are as wide as p. The field modulus is
-    the same at every level; a group's threshold is its polynomial's
-    length. Sets ``dealer.split``. Raises InactiveSubtree when
+    once it is. Each member's evaluation is inline Horner. It is reduced
+    mod p once when the widest point's bit length times the degree stays
+    within p's (no-curve points are small user ids), and at every step
+    otherwise (curve points are as wide as p). The field modulus is the
+    same at every level; a group's threshold is its polynomial's length.
+    Sets ``dealer.split``. Raises InactiveSubtree when
     a leave has blocked the round (no level-1 users, or an internal node
     with children but none active).
     """
@@ -212,15 +215,23 @@ def distribute(
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
     polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
 
+    # Bits an unreduced Horner value gains per degree, at the widest point.
+    width = max(points.values()).bit_length()
     shares: dict[int, GroupShares] = {}
     for parent, kids in groups.items():
         polynomial = polynomials.pop(parent)
         high_first = polynomial[::-1]
+        once = (len(polynomial) - 1) * width <= p.bit_length()
         members: dict[int, tuple[int, int]] = {}
         for uid in kids:
             x, evaluation = points[uid], 0
-            for coeff in high_first:
-                evaluation = (evaluation * x + coeff) % p
+            if once:
+                for coeff in high_first:
+                    evaluation = evaluation * x + coeff
+                evaluation %= p
+            else:
+                for coeff in high_first:
+                    evaluation = (evaluation * x + coeff) % p
             if uid in groups:
                 kept, retained = split(evaluation, p, rng)
                 polynomials[uid] = sample_polynomial(
@@ -230,7 +241,8 @@ def distribute(
                 kept = evaluation
             members[uid] = (x, kept)
         group = GroupShares(0, len(polynomial), members)
-        shares.update(dict.fromkeys(kids, group))
+        for uid in kids:
+            shares[uid] = group
     dealer.split = frozenset(groups.keys() - {ROOT_ID})
     return shares
 
@@ -246,28 +258,48 @@ def reconstruction_form(
     and one weight per owner, so the value is their dot product mod p.
     Arguments as for ``recover_group_secret``.
 
-    Pass 1 walks children first and does no arithmetic: each group hanging
-    from parent_id through participating split members picks its first
-    threshold-many contributors, where a split member contributes once
-    its own group has picked; the first group to fall short is the one
-    InsufficientShares names. A split member with no participating child
-    heads an empty group of threshold 1. Pass 2 goes top-down over the
-    picked groups that the top needs, and only those: it multiplies the
+    Pass 1 picks top-down from parent_id, with an explicit stack and no
+    arithmetic: each group takes its children in id order until it has
+    threshold-many contributors, where an unsplit child counts at once and
+    a split child once its own group, picked when reached, has picked; no
+    group past the last needed contributor is read. A split member with no
+    participating child heads an empty group of threshold 1. When the top
+    falls short, InsufficientShares names the first group the
+    children-first climb finishes short, which pass 1 may not have read.
+    Pass 2 goes top-down over the picked groups: it multiplies the
     Lagrange weights of each group's picked evaluation points (stored
     reduced mod p) along the path into one weight per owner, since a split
     member's contribution is its kept value plus its own group's value.
     """
+
+    def frame(gid):
+        """(group parent, threshold, children left to read, picks so far)."""
+        kids = groups.get(gid, ())
+        return gid, shares[kids[0]].threshold if kids else 1, iter(kids), []
+
     picked: dict[int, list[int]] = {}
-    short = None
-    for gid, kids in _children_first(groups, split, parent_id):
-        need = shares[kids[0]].threshold if kids else 1
-        contributors = [kid for kid in kids if kid not in split or kid in picked]
-        if len(contributors) >= need:
-            picked[gid] = contributors[:need]
+    stack = [frame(parent_id)]
+    while stack:
+        gid, need, kids, chosen = stack[-1]
+        kid = next(kids, None) if len(chosen) < need else None
+        if kid in split:
+            stack.append(frame(kid))
+        elif kid is not None:
+            chosen.append(kid)
         else:
-            short = short or (gid, len(contributors), need)
+            stack.pop()
+            if len(chosen) == need:
+                picked[gid] = chosen
+                if stack:
+                    stack[-1][3].append(gid)
     if parent_id not in picked:
-        raise InsufficientShares(*short)
+        # Groups picked above stand; the climb reads the rest.
+        for gid, kids in _children_first(groups, split, parent_id):
+            need = shares[kids[0]].threshold if kids else 1
+            have = [kid for kid in kids if kid not in split or kid in picked]
+            if len(have) < need:
+                raise InsufficientShares(gid, len(have), need)
+            picked[gid] = have
 
     p = tree.field.modulus
     owners: list[int] = []

@@ -14,8 +14,8 @@ epoch's report row reads its ``messages`` from it and resets it.
 
 ``World.shares`` maps each share holder to its sibling group's record,
 shared with its siblings. A committed renewal moves the group's active
-members to a new record and adds no holder, so one group view serves the
-epoch; a departed host keeps its last record until a rejoin or a redeal.
+members to a new record and adds no holder, so a group view lasts until
+an event; a departed host keeps its last record until a rejoin or redeal.
 
 Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
 the deal) before the adversary moves to its plan's hosts
@@ -323,11 +323,14 @@ class World:
         in the deal), the adversary's move, the holders' group view, from
         epoch 1 on renewal and claim resolution, then steal, cleanse,
         invariants, report row. A dealing epoch reuses the deal's view,
-        unless a 'finish' leave after the deal makes it build a new one."""
+        unless a 'finish' leave after the deal makes it build a new one; an
+        epoch with no event keeps the intact form's view of the live round."""
         notes, view = self._process_events(self.epoch)
         plan = adversary_plan(self.config, self.epoch)
         self.adversary.occupied = set(plan["compromise"])
         self.adversary.ever_compromised.update(plan["compromise"])
+        if not notes and (form := self.intact_form) is not None and form.round_id == self.round_id:
+            view = form.view
         groups = view or self.tree.groups(self.shares)
 
         verdicts, claims = [], 0

@@ -1,7 +1,9 @@
 """Dealing, reconstruction, and coalition-knowledge tests."""
 
 import random
+import sys
 from collections import Counter
+from collections.abc import Mapping
 from itertools import combinations
 
 import pytest
@@ -20,9 +22,9 @@ from conftest import (
 )
 
 from hiershare import sharing
-from hiershare.algebra import interpolate, poly_eval
+from hiershare.algebra import FieldParams, interpolate, poly_eval
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE
-from hiershare.hierarchy import ROOT_ID, TreeFull
+from hiershare.hierarchy import ROOT_ID, HierarchyTree, TreeFull
 from hiershare.sharing import (
     DealerState,
     EvalPointCollision,
@@ -304,6 +306,28 @@ class TestReconstruct:
             reconstruct(tree, shares, participants, dealer.split)
         assert (exc.value.group_parent, exc.value.have, exc.value.need) == (1, 1, 2)
 
+    def test_shortfall_hidden_behind_a_picked_group_is_named_first(self, rng):
+        # 1 -> {3, 4, 5}, 2 -> {6, 7}, 5 -> {8, 9}, tf 2/3: without 6 and
+        # 8 the groups under 5 and 2 fall short. Group 1 picks 3 and 4
+        # without reading 5's group, yet a left-to-right climb finishes
+        # 5's group first, so it is the one named, not 2's.
+        tree = make_tree([[[], [], [[], []]], [[], []]], rng, prime=1009)
+        dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
+        participants = [uid for uid in shares if uid not in (6, 8)]
+        with pytest.raises(InsufficientShares) as exc:
+            reconstruct(tree, shares, participants, dealer.split)
+        assert (exc.value.group_parent, exc.value.have, exc.value.need) == (5, 1, 2)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        depth = 3000
+        assert depth > sys.getrecursionlimit()
+        rng = random.Random(5)
+        tree = HierarchyTree(None, FieldParams(STANDARD_CURVE.order))
+        tree.register(range(depth), rng)
+        dealer, _state, shares = deal(tree, 77, tf(1, 1), rng)
+        assert len(dealer.split) == depth - 1
+        assert recover_group_secret(tree, shares, tree.groups(shares), ROOT_ID, dealer.split) == 77
+
     def test_groups_cut_off_by_an_absent_parent_are_not_interpolated(self, rng, monkeypatch):
         # Same tree; 4 heads 7 and 8 but does not take part, so of the four
         # groups only those under 0, 1 and 2 hang from the root. At tf 1/2
@@ -437,6 +461,39 @@ class TestReconstructionForm:
         # and 8. Users 3, 6, 9, 10 and 11 are not read.
         assert sorted(owners) == [1, 2, 4, 5, 7, 8]
         assert sum(w * kept(shares, uid) for uid, w in zip(owners, weights)) % 1009 == 321
+
+    def test_reads_only_the_groups_the_root_needs(self):
+        """On the complete 4-ary tree of depth 5 (1,364 users, 341 groups)
+        at tf 2/3, each group needs 3 of its 4 children, so the picks
+        reach 1 + 3 + 9 + 27 + 81 = 121 groups and no other is read."""
+        spec = []
+        for _ in range(5):
+            spec = [spec] * 4
+        rng = random.Random(6)
+        tree = make_tree(spec, rng, prime=STANDARD_CURVE.order)
+        dealer, _state, shares = deal(tree, 321, tf(2, 3), rng)
+        groups = tree.groups(shares)
+        read = []
+
+        class Counting(Mapping):
+            def __getitem__(self, gid):
+                read.append(gid)
+                return groups[gid]
+
+            def __iter__(self):
+                return iter(groups)
+
+            def __len__(self):
+                return len(groups)
+
+        owners, weights = sharing.reconstruction_form(
+            tree, shares, Counting(), ROOT_ID, dealer.split
+        )
+        assert (len(shares), len(groups)) == (1364, 341)
+        assert len(read) == len(set(read)) == 121
+        assert len(owners) == 3 * 121
+        p = tree.field.modulus
+        assert sum(w * kept(shares, uid) for uid, w in zip(owners, weights)) % p == 321
 
 
 class TestGroupThresholdExactness:

@@ -959,10 +959,10 @@ class TestLoadAndDealCost:
 
     def test_one_group_view_per_epoch(self, monkeypatch):
         """Renewal changes neither the holders nor the membership, so an
-        epoch builds its holders' view once, after its events, for the
-        round and the row's intact check. A dealing epoch (0, and the
-        epoch-2 redeal) builds only the deal's view of every active user,
-        which is its holders' view too. The final check builds its own."""
+        epoch with no event keeps the intact form's view and builds none.
+        A dealing epoch (0, and the epoch-2 redeal) builds only the deal's
+        view of every active user, which is its holders' view too. The
+        final check builds its own."""
         views = self.count_calls(monkeypatch, "groups")
         world = World(scenario(
             tree=self.FOUR_GROUPS, epochs=3, events=[{"epoch": 2, "kind": "redeal"}],
@@ -972,7 +972,7 @@ class TestLoadAndDealCost:
             views.clear()
             step()
             per_epoch.append([len(args) for args in views])
-        assert per_epoch == [[0], [1], [0], [1], [1]]
+        assert per_epoch == [[0], [], [0], [], [1]]
         assert world.report.rows[2]["events"] == ["redeal:round=2"]
         assert all(row["secret_intact"] for row in world.report.rows)
 
@@ -1002,6 +1002,32 @@ class TestLoadAndDealCost:
         assert [len(args) for args in views] == built
         assert row["messages"]["renewal-delta"] == 7
         assert row["secret_intact"]
+        world.finalize()
+        assert canonical(world.report) == canonical(rebuilt)
+
+    @pytest.mark.parametrize("events, built", [
+        ([{"epoch": 1, "kind": "leave", "user": 2}, {"epoch": 2, "kind": "rejoin", "user": 2}], [1]),
+        ([{"epoch": 2, "kind": "leave", "user": 7}], [1]),
+        ([{"epoch": 2, "kind": "leave", "user": 7, "mid_round": True}], [0, 1]),
+    ], ids=["rejoin", "leave", "finish-mid-round-leave"])
+    def test_event_epoch_builds_the_view_again(self, monkeypatch, events, built):
+        """An epoch-2 event changes who is active or holds a share, so that
+        epoch builds its holders' view again (after the deal's, for a
+        'finish' leave), and quiet epoch 3 keeps it. The rejoin of 2 brings
+        6, 7 and 8 back with their shares. The report equals a run that
+        drops the intact form at every boundary, so builds every view."""
+        config = scenario(tree=self.FOUR_GROUPS, epochs=3, leave_policy="finish", events=events)
+        rebuilt = World(config).run(lambda world: setattr(world, "intact_form", None))
+        world = World(config)
+        world.initial_deal()
+        world.step_epoch()
+        views = self.count_calls(monkeypatch, "groups")
+        per_epoch = []
+        for _ in range(2):
+            views.clear()
+            world.step_epoch()
+            per_epoch.append([len(args) for args in views])
+        assert per_epoch == [built, []]
         world.finalize()
         assert canonical(world.report) == canonical(rebuilt)
 
