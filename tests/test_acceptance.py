@@ -15,6 +15,7 @@ from conftest import (
     deal,
     deal_recorded,
     eval_point,
+    kept,
     make_tree,
     minimal_reconstructing_set,
     random_tree_spec,
@@ -80,6 +81,12 @@ def test_criterion_2_threshold_exactness_and_perfect_secrecy():
         evaluations = {
             uid: poly_eval(poly, eval_point(shares, uid), 31) for uid in kids
         }
+        # The dealt values are the evaluations: a leaf keeps its own, and a
+        # split member's kept part plus its retained part (its own
+        # polynomial's free coefficient) makes up its own.
+        for uid in kids:
+            retained = polynomials[uid][0] if uid in dealer.split else 0
+            assert (kept(shares, uid) + retained) % 31 == evaluations[uid], (gid, uid)
         for quorum in combinations(kids, need):
             pts = [(eval_point(shares, u), evaluations[u]) for u in quorum]
             assert lagrange_at_zero(pts, 31) == group_value

@@ -7,22 +7,116 @@ was fixed. A change meant to preserve behaviour keeps these digests;
 at any epoch boundary and resumed must write the same bytes, and the
 restore must rebuild the state a snapshot does not store as the straight
 run holds it.
+
+The state digests see what a report does not: every share value, stolen
+copy, token and generator state. ``GOLDEN_STATE_SHA256`` holds, per
+scenario, the sha256 of the canonical ``snapshot.world_to_dict`` (sorted
+keys, no spaces) at each epoch boundary, 0 to the last. A change that
+moves a draw or a dealt or renewed value fails one of them even when
+every report stays the same.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from hiershare.cli import main, report_json
-from hiershare.config import load_bundled_scenario
+from hiershare.config import load_bundled_scenario, parse_scenario
 from hiershare.simnet import World
-from hiershare.snapshot import load_world, save_world
+from hiershare.snapshot import load_world, save_world, world_to_dict
 
 GOLDEN_REPORT_SHA256 = {
     "bench-63": "19954d80ba4b3b9cbc48a5715f03745d4fdcc25bae42d285be42be61077c0211",
     "demo-7user": "b8bc54d96e3d688a0b652855d962aa5206b536d39c12e5f53fadaae908a88293",
     "figure2-leave": "9cd01956c543ad9e70889b99512b8ccd7381d01c4c91c4671b996c488851457d",
 }
+
+
+
+def spec(nested):
+    return {"children": [spec(child) for child in nested]}
+
+
+# No curve, so a tampered delta is applied unchecked. 1 -> {4, 5},
+# 2 -> {6, 7, 8}, 3 -> {9}: a plain leave of 2 takes its subtree out, its
+# rejoin brings 6, 7 and 8 back with their shares and 2 with none, and a
+# 'finish' mid-round leave of 7 follows the redeal, which meets the host 6
+# the adversary occupied the epoch before. Then 2 tampers with its delta
+# to 6 and 4 falsely accuses 1.
+VIEW_PATHS = {
+    "schema_version": 1,
+    "name": "view-paths",
+    "field_mode": "no-curve",
+    "field_prime": "1009",
+    "tf": {"num": 2, "den": 3},
+    "tree": spec([[[], []], [[], [], []], [[]]]),
+    "secret": "5",
+    "eval_mode": "user-id",
+    "epochs": 5,
+    "seed": "7",
+    "leave_policy": "finish",
+    "events": [
+        {"epoch": 1, "kind": "leave", "user": 2},
+        {"epoch": 2, "kind": "rejoin", "user": 2},
+        {"epoch": 3, "kind": "leave", "user": 7, "mid_round": True},
+    ],
+    "adversary": {"strategy": "scripted", "budget": 1, "script": [
+        {"epoch": 2, "compromise": [6]},
+        {"epoch": 4, "compromise": [2], "tamper": [{"parent": 2, "children": [6]}]},
+        {"epoch": 5, "compromise": [4], "false_claims": [{"accused": 1, "claimers": [4]}]},
+    ]},
+}
+
+GOLDEN_STATE_SHA256 = {
+    "bench-63": [
+        "0a2f63f9740e808bfbed8f465a2c9178aa36da96c02cae4d008d785d2a6cb3d1",
+        "b7490e6ff6b430ca0976077fdd8c813f79f73bd04c185a23e7a189419f1f620f",
+        "0d1779fe8e6129fefb6c2197ea35379ad5bac9f59ed1076d8be48e3d54219330",
+    ],
+    "demo-7user": [
+        "57393b2ab1a86d4bfa2bf25adf8f99ec0157df3fbcac81b28e72624c582825a9",
+        "0c29a8e49e1d77f5ca367608a4623471427c28bf025562f234fee1900ca75655",
+        "c924e243cde0ea83e51672defbb30aee1eecf80c7ed696ee21df373fd7ab1707",
+        "78321d6a63617d9039665ac01cef2abbb433ca55e3306b49b6499bad5eb58e80",
+        "3b85a59e89f946d1ad072d11f07b979441f7a2bb29e963b905d725dd93ec5fbb",
+        "0d5e193e8fbbaa845547cc0ed32bffe87598140a62a9a1be101dfdfedd63133c",
+    ],
+    "figure2-leave": [
+        "961fee98f38feb87b87528b6a3f262ccbf375b86122d7304afc80eebb2c2e3f8",
+        "c10fbdcad5fa19248991d97d495920db026bfc3b6cfe7c78caeff7dbae6e71eb",
+        "e507d5a069219ca7e4ded1402b8101dce5592b39c6e201e1a5b04258a3ac707e",
+        "d7c103fa60a94c437a819ab627a3000c9205d1db197ee523151d1b3ae55d351f",
+        "f44b972e0a266ef3559590e90f58a8e8e40ac691992c66695bb0494904079bf9",
+        "d7c74466d6fe8dd4408bd95995b45be8c43e753bfa91811a62ec0694f6ea36b6",
+    ],
+    "view-paths": [
+        "f097d53e094cd5229844ab7ab74745e56a8992550c23ab7849b549f4422cb483",
+        "fcb41365625fdc9e091fe8a9cde0d5a9451b2911b16776ed1638026d4fd41d0d",
+        "ca2cbd64e1c975f9559643c75d2cce658944add6a317ec2b8422652eedd458e3",
+        "8e37cf32e1b3b5b19e39b93accd1a5f418cdd1e433801c24fcfc233175b74815",
+        "5fa69d8a403bbc07b79678927b5a6d09d1447891fda1478463b211363d0b2f3c",
+        "140f8b6550729165f74468131c63ecbd5c2572d5ac62c4104af8649f0663310d",
+    ],
+}
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def state_digests(config):
+    """sha256 of the canonical ``world_to_dict`` at each epoch boundary of
+    a full run of ``config``."""
+    digests = []
+    World(config).run(lambda world: digests.append(
+        hashlib.sha256(_CANONICAL(world_to_dict(world)).encode()).hexdigest()
+    ))
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STATE_SHA256))
+def test_state_digest_at_every_boundary(name):
+    config = parse_scenario(VIEW_PATHS) if name == "view-paths" else load_bundled_scenario(name)
+    assert state_digests(config) == GOLDEN_STATE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))

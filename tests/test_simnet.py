@@ -741,6 +741,23 @@ class TestEvents:
         assert all(row["secret_intact"] for row in report.rows)
         assert report.final["reconstruction_correct"] is True
 
+    def test_an_empty_holders_view_sends_nothing(self):
+        """Both level-1 users leave at epoch 1, so no active user holds a
+        share: every later epoch renews no group, sends no message of any
+        kind, and drops the false claimers' claims."""
+        cfg = scenario(
+            tree=spec_dict([[[], []], [[]]]),
+            events=[
+                {"epoch": 1, "kind": "leave", "user": 1},
+                {"epoch": 1, "kind": "leave", "user": 2},
+            ],
+            adversary={"strategy": "false-claimer", "budget": 2},
+            epochs=3,
+        )
+        rows = World(cfg).run().rows
+        assert rows[1]["messages"] == {"leave": 2}
+        assert [(row["messages"], row["claims"]) for row in rows[2:]] == [({}, 0)] * 2
+
     def test_mid_round_leave_abort_policy(self):
         cfg = scenario(
             tree=spec_dict([[], [], []]),
