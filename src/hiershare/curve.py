@@ -81,14 +81,6 @@ class CurvePoint:
     def is_identity(self) -> bool:
         return self.x is None
 
-    def __add__(self, other: "CurvePoint") -> "CurvePoint":
-        return point_add(self, other)
-
-    def __neg__(self) -> "CurvePoint":
-        if self.is_identity:
-            return self
-        return CurvePoint(self.curve, self.x, (-self.y) % self.curve.p)
-
 
 def point_add(P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     """Group law. The identity is neutral and P + (-P) is the identity."""

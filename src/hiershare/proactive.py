@@ -16,7 +16,8 @@ one SHAKE-256 digest keyed by (round entropy, subtree root)
 other groups renew or in what order. The round draws every group's
 polynomial, then commits the epoch's coefficients in one ``base_muls``
 batch: a map f_i -> f_i·G for the round. Bundles exist only where a
-tamper hook or the curve check reads them.
+tamper hook or the curve check reads them. A round returns its traffic as
+one count per message kind, which the caller sends as one batch each.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator opens each group's commitments once instead: when all m
@@ -217,11 +218,13 @@ def resolve_claims(
 
 @dataclass
 class RenewalOutcome:
-    """Everything one renewal round produced."""
+    """Everything one renewal round produced, its traffic as one count per
+    message kind."""
 
     shares: dict[int, GroupShares]
     claims: tuple[ClaimRecord, ...]
     verdicts: tuple[Verdict, ...]
+    messages: dict[str, int]
 
 
 def renewal_key(entropy: int, root: int) -> bytes:
@@ -232,7 +235,6 @@ def renewal_key(entropy: int, root: int) -> bytes:
     return entropy.to_bytes(8, "little") + b"%d" % root
 
 
-MessageHook = Callable[[str, int | list[int]], None]
 PerturbHook = Callable[[RenewalBundle], RenewalBundle]
 
 
@@ -244,7 +246,6 @@ def renewal_round(
     *,
     perturb: PerturbHook | None = None,
     extra_claims: Iterable[ClaimRecord] = (),
-    on_message: MessageHook | None = None,
 ) -> RenewalOutcome:
     """Run one renewal epoch across every 2-leveled subtree: each parent
     with at least one dealt active child, in id order.
@@ -271,19 +272,17 @@ def renewal_round(
     round. Verdicts are returned for the caller to act on (cleansing is the
     simulation's job, since it owns the adversary).
 
-    Traffic goes through ``on_message(kind, to)``, one call per batch of
-    one kind: per subtree root, in curve mode one ``commitments`` multicast
-    (``to`` is 1) and then its sealed ``renewal-delta``s (``to`` is its
-    dealt children, in id order); after every group, if there are claims,
-    one ``claim`` per claim, ``extra_claims`` first, in one batch (``to``
-    is their count).
+    The outcome's ``messages`` count the round's traffic per kind: in
+    curve mode one ``commitments`` multicast per subtree root, one sealed
+    ``renewal-delta`` per dealt child, and one ``claim`` per claim,
+    ``extra_claims`` included, when there are any.
 
     With no subtree to renew the round is empty: the shares come back
     unchanged with no claims (``extra_claims`` included), no traffic, and
     nothing drawn from ``rng``.
     """
     if not groups:
-        return RenewalOutcome(shares=dict(shares), claims=(), verdicts=())
+        return RenewalOutcome(shares=dict(shares), claims=(), verdicts=(), messages={})
 
     entropy = rng.getrandbits(64)
     new_shares = dict(shares)
@@ -298,10 +297,6 @@ def renewal_round(
 
     for root, kids in groups.items():
         group = shares[kids[0]]
-        if on_message is not None:
-            if tree.curve is not None:
-                on_message("commitments", 1)
-            on_message("renewal-delta", kids)
         if perturb is None and tree.curve is None:
             # Nothing reads the bundles: add f(x), by Horner reduced once.
             old, members, top_first = group.members, {}, polys[root][::-1]
@@ -328,11 +323,13 @@ def renewal_round(
         for kid in kids:
             new_shares[kid] = renewed
 
-    if on_message is not None and claims:
-        on_message("claim", len(claims))
-
+    messages = {} if tree.curve is None else {"commitments": len(groups)}
+    messages["renewal-delta"] = sum(map(len, groups.values()))
+    if claims:
+        messages["claim"] = len(claims)
     return RenewalOutcome(
         shares=new_shares,
         claims=tuple(claims),
         verdicts=resolve_claims(claims, groups, shares),
+        messages=messages,
     )

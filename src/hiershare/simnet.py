@@ -1,21 +1,23 @@
 """Deterministic simulated network and mobile adversary.
 
-Messages are counted, not stored: a message is its kind, plus its
-addressee when sealed, and ``World.send`` counts a batch of one kind.
+Messages are counted, not stored: ``World.send`` counts a batch of one
+kind, and a renewal round returns its traffic as one count per kind.
 Sealed messages reach only their addressee (the secure channel is
 axiomatic); broadcasts, requests, claims and commitment multicasts are
 public, and each kind fixes its sender and audience. Delivery is reliable
-and immediate: ``World.send`` lets the adversary read a dealt share in the
-same call when it occupies the addressee's host, so every message lands
+and immediate: the deal lets the adversary read a dealt share as it is
+sent when it occupies the addressee's host, so every message lands
 within its sending epoch, which is what the per-subtree synchronization
 assumption demands of the transport.
 ``World.envelopes`` counts the current epoch's messages by kind; the
 epoch's report row reads its ``messages`` from it and resets it.
 
 ``World.shares`` maps each share holder to its sibling group's record,
-shared with its siblings. A committed renewal moves the group's active
-members to a new record and adds no holder, so a group view lasts until
-an event; a departed host keeps its last record until a rejoin or redeal.
+shared with its siblings; a departed host keeps its last record until a
+rejoin or redeal. ``World.view`` is the holders' view, the tree's
+``groups(shares)``: a committed renewal moves the group's active members
+to a new record and adds no holder, so the view is kept until a deal
+replaces it, or a leave or a rejoin drops it and the epoch builds it again.
 
 Every epoch, epoch 0 included, runs its events (at epoch 0 they end in
 the deal) before the adversary moves to its plan's hosts
@@ -129,9 +131,10 @@ class IntactForm(NamedTuple):
     weights: list[int]
 
     @classmethod
-    def build(cls, world: World, view: dict[int, list[int]]) -> IntactForm:
-        """The form over ``world``'s shares; raises InsufficientShares."""
-        shares = world.shares
+    def build(cls, world: World) -> IntactForm:
+        """The form over ``world``'s shares and holders' view; raises
+        InsufficientShares."""
+        shares, view = world.shares, world.view
         owners, weights = reconstruction_form(world.tree, shares, view, ROOT_ID, world.dealer.split)
         points = [shares[uid].members[uid][0] for uid in owners]
         thresholds = [shares[uid].threshold for uid in owners]
@@ -172,8 +175,8 @@ class SimReport:
 
 
 class World:
-    """The whole simulation: tree, dealer, shares, adversary, the current
-    epoch's message counts, and the report."""
+    """The whole simulation: tree, dealer, shares and their holders' view,
+    adversary, the current epoch's message counts, and the report."""
 
     def __init__(self, config: ScenarioConfig):
         """The blank world: no user registered yet, nothing dealt."""
@@ -182,6 +185,9 @@ class World:
         self.tree = HierarchyTree(config.curve, config.field)
         self.dealer = DealerState(secret=config.secret % config.field.modulus)
         self.shares: dict[int, GroupShares] = {}
+        # The holders' view, tree.groups(shares); None once a leave or a
+        # rejoin changes who is active, until the epoch builds it again.
+        self.view: dict[int, list[int]] | None = None
         self.epoch = 0
         self.envelopes: Counter[str] = Counter()
         self.report = SimReport(scenario=config.name, seed=config.seed)
@@ -198,18 +204,9 @@ class World:
 
     # -- messaging ----------------------------------------------------------
 
-    def send(self, kind: str, to: int | list[int] = 1) -> None:
-        """Count a batch of messages of one kind: ``to`` is how many public
-        ones, or the addressees of sealed ones (``share``,
-        ``renewal-delta``) in ascending id order. A dealt share is the one
-        message the adversary keeps, and only when it occupies the
-        addressee's host: it stores each such host's copy at epoch 0 of the
-        live round, in ascending id order. Public messages yield nothing
-        (commitments are points, not coefficients)."""
-        self.envelopes[kind] += to if isinstance(to, int) else len(to)
-        if kind == "share":
-            for uid in sorted(self.adversary.occupied.intersection(to)):
-                self._steal_share(uid, 0)
+    def send(self, kind: str, count: int = 1) -> None:
+        """Count a batch of ``count`` messages of one kind."""
+        self.envelopes[kind] += count
 
     # -- dealing ------------------------------------------------------------
 
@@ -222,14 +219,13 @@ class World:
 
     def _leave(self, uid: int) -> set[int]:
         self.send("leave")
+        self.view = None
         return self.tree.leave(uid)
 
-    def deal(self, mid_round_leaves: tuple[int, ...] = ()) -> dict[int, list[int]] | None:
+    def deal(self, mid_round_leaves: tuple[int, ...] = ()) -> None:
         """One full distribution round, including the mid-round leave
         policy: 'abort' applies the leave and restarts cleanly, 'finish'
-        completes dealing to the pre-leave membership first. Returns the
-        deal's group view, which is the holders' view, or None when a
-        'finish' leave followed the deal and changed the membership."""
+        completes dealing to the pre-leave membership first."""
         pending = list(mid_round_leaves)
         if pending and self.config.leave_policy == "abort":
             # The aborted partial round still produced traffic.
@@ -237,12 +233,17 @@ class World:
             for uid in pending:
                 self._leave(uid)
             pending = []
-        groups = self._deal_once()
+        self._deal_once()
         for uid in pending:
             self._leave(uid)
-        return None if pending else groups
 
-    def _deal_once(self) -> dict[int, list[int]]:
+    def _deal_once(self) -> None:
+        """Deal to every active user, whose group view is then the holders'
+        view. A dealt share is the one message the adversary keeps, and
+        only when it occupies the addressee's host: it stores each such
+        host's copy at epoch 0 of the live round, in ascending id order.
+        Public messages yield nothing (commitments are points, not
+        coefficients)."""
         last_error: Exception | None = None
         groups = self.tree.groups()
         members = sum(map(len, groups.values()))
@@ -255,16 +256,18 @@ class World:
             except EvalPointCollision as exc:
                 last_error = exc
                 continue
-            self.shares = shares
-            self.send("share", sorted(shares))
-            return groups
+            self.shares, self.view = shares, groups
+            self.send("share", len(shares))
+            for uid in sorted(self.adversary.occupied.intersection(shares)):
+                self._steal_share(uid, 0)
+            return
         raise last_error
 
     # -- epoch stepping -------------------------------------------------------
 
-    def _process_events(self, epoch: int) -> tuple[list[str], dict[int, list[int]] | None]:
-        """The epoch's events: their notes, and the view a deal returned."""
-        notes, view = [], None
+    def _process_events(self, epoch: int) -> list[str]:
+        """Run the epoch's events; returns their notes."""
+        notes = []
         redeal = epoch == 0
         mid_round: list[int] = []
         for event in self.config.events:
@@ -281,13 +284,14 @@ class World:
                 self.tree.rejoin(event["user"], self.rng)
                 # The fresh member holds no share until the next deal.
                 self.shares.pop(event["user"], None)
+                self.view = None
                 notes.append(f"rejoin:{event['user']}")
             elif event["kind"] == "redeal":
                 redeal = True
         if redeal or mid_round:
-            view = self.deal(mid_round_leaves=tuple(mid_round))
+            self.deal(mid_round_leaves=tuple(mid_round))
             notes.append(f"{'redeal' if epoch else 'deal'}:round={self.round_id}")
-        return notes, view
+        return notes
 
     def adversary_can_reconstruct(self) -> bool:
         """Whether any single-(round, epoch) slice of the stolen shares
@@ -320,26 +324,25 @@ class World:
 
     def _run_epoch(self) -> dict:
         """Every epoch's step, epoch 0 included: events (at epoch 0 ending
-        in the deal), the adversary's move, the holders' group view, from
-        epoch 1 on renewal and claim resolution, then steal, cleanse,
-        invariants, report row. A dealing epoch reuses the deal's view,
-        unless a 'finish' leave after the deal makes it build a new one; an
-        epoch with no event keeps the intact form's view of the live round."""
-        notes, view = self._process_events(self.epoch)
+        in the deal), the adversary's move, the holders' view (built only
+        when an event dropped it), from epoch 1 on renewal and claim
+        resolution, then steal, cleanse, invariants, report row."""
+        notes = self._process_events(self.epoch)
         plan = adversary_plan(self.config, self.epoch)
         self.adversary.occupied = set(plan["compromise"])
         self.adversary.ever_compromised.update(plan["compromise"])
-        if not notes and (form := self.intact_form) is not None and form.round_id == self.round_id:
-            view = form.view
-        groups = view or self.tree.groups(self.shares)
+        if self.view is None:
+            self.view = self.tree.groups(self.shares)
 
         verdicts, claims = [], 0
         if self.epoch and self.config.renewal_enabled:
             perturb, false_claims = adversary_act(self.tree, self.shares, plan)
             outcome = renewal_round(
-                self.tree, self.shares, groups, self.rng,
-                perturb=perturb, extra_claims=false_claims, on_message=self.send,
+                self.tree, self.shares, self.view, self.rng,
+                perturb=perturb, extra_claims=false_claims,
             )
+            for kind, count in outcome.messages.items():
+                self.send(kind, count)
             self.shares = outcome.shares
             claims = len(outcome.claims)
             verdicts = list(outcome.verdicts)
@@ -347,11 +350,11 @@ class World:
         self._steal_state()
         cleansed = self._cleanse(verdicts)
         self._check_invariants()
-        return self._write_row(claims, verdicts, cleansed, notes, groups)
+        return self._write_row(claims, verdicts, cleansed, notes)
 
-    def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str], groups) -> dict:
+    def _write_row(self, claims: int, verdicts, cleansed: list[int], events: list[str]) -> dict:
         """Append the epoch's report row; its ``messages`` are the epoch's
-        message counts, which it then resets; ``groups`` is the epoch's view."""
+        message counts, which it then resets."""
         messages, self.envelopes = self.envelopes, Counter()
         row = {
             "epoch": self.epoch,
@@ -371,7 +374,7 @@ class World:
             "cleansed": cleansed,
             "adversary_can_reconstruct": self.adversary_can_reconstruct(),
             "herzberg_all_pairs": self._herzberg_count(),
-            "secret_intact": self._reconstruct_all(groups)[0],
+            "secret_intact": self._reconstruct_all()[0],
             "events": events,
         }
         self.report.rows.append(row)
@@ -384,8 +387,8 @@ class World:
         n = [node.deactivated_by for node in self.tree.nodes.values()].count(None) + 1
         return n * (n - 1)
 
-    def _reconstruct_all(self, groups: dict[int, list[int]]) -> tuple[bool, str]:
-        """Whether every active share-holder (``groups``, the holders' view)
+    def _reconstruct_all(self) -> tuple[bool, str]:
+        """Whether every active share-holder (``view``, the holders' view)
         together recovers the secret, and the reason when they fall short.
 
         ``intact_form`` is kept while the round and the view stay the same.
@@ -396,11 +399,11 @@ class World:
         form = self.intact_form
         if (
             form is None
-            or (form.round_id, form.view) != (self.round_id, groups)
+            or (form.round_id, form.view) != (self.round_id, self.view)
             or (value := form.value(self.shares)) is None
         ):
             try:
-                form = IntactForm.build(self, groups)
+                form = IntactForm.build(self)
             except InsufficientShares as exc:
                 self.intact_form = None
                 return False, str(exc)
@@ -485,7 +488,7 @@ class World:
             raise StepOutOfOrder("finalize before initial_deal: nothing is dealt yet")
         if self.report.final:
             raise StepOutOfOrder("finalize on a finished world")
-        correct, note = self._reconstruct_all(self.tree.groups(self.shares))
+        correct, note = self._reconstruct_all()
         self.report.final = {
             "reconstruction_correct": correct,
             "secret_recovered_by_adversary": self.adversary_can_reconstruct(),

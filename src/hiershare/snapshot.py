@@ -15,8 +15,8 @@ it. Child lists come from the parent links, the live round from the
 tree's round count, a node's activity from its ``deactivated_by``, the
 next user id from the node count, and each group key from its token
 (token * G, one batch of base-point multiplications for the whole tree),
-and the intact check's reconstruction form from the holders' view, as
-the last row built it.
+the holders' view from the shares, and the intact check's reconstruction
+form from that view, as the last row built them.
 The dealer keeps only its split set. The adversary's plan is a function
 of the scenario and the epoch, so the nodes it ever compromised are the
 union of its plans so far, and the hosts it occupies are the last report
@@ -267,7 +267,8 @@ def world_from_dict(data: dict) -> World:
         where = f"adversary.stolen_tokens[{uid!r}]"
         owner = _stolen_from(_decimal, uid, where, ever)
         adversary.stolen_tokens[owner] = _typed(_decimal, tok, where)
-    world._reconstruct_all(world.tree.groups(world.shares))
+    world.view = world.tree.groups(world.shares)
+    world._reconstruct_all()
     return world
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hiershare import sharing
 from hiershare.algebra import FieldParams, lagrange_at_zero, sample_polynomial
-from hiershare.curve import TOY_CURVE, base_muls
+from hiershare.curve import TOY_CURVE, CurvePoint, base_muls
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.proactive import generate_renewal
 from hiershare.sharing import (
@@ -42,6 +42,13 @@ def toy():
 def tree_for_curve(curve):
     """An empty tree whose share field is the curve's group order."""
     return HierarchyTree(curve, FieldParams(curve.order))
+
+
+def negated(point):
+    """-P: the identity is its own negation, else (x, -y)."""
+    if point.is_identity:
+        return point
+    return CurvePoint(point.curve, point.x, -point.y % point.curve.p)
 
 
 def active_users(tree):

@@ -26,7 +26,7 @@ from conftest import (
 
 from hiershare.algebra import lagrange_at_zero, poly_eval
 from hiershare.config import parse_scenario
-from hiershare.curve import TOY_CURVE, scalar_mul
+from hiershare.curve import TOY_CURVE, point_add, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import RenewalBundle, renewal_round, verify_renewal
 from hiershare.sharing import reconstruct
@@ -200,7 +200,7 @@ def test_criterion_5_detection_complete_and_sound():
             shift = scalar_mul(rng.randrange(1, 19), G)
             bad = bundle._replace(
                 commitments=bundle.commitments[:idx]
-                + (bundle.commitments[idx] + shift,)
+                + (point_add(bundle.commitments[idx], shift),)
                 + bundle.commitments[idx + 1 :],
             )
         if not verify_renewal(bad, point, TOY_CURVE):

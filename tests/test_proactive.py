@@ -10,7 +10,7 @@ import hiershare.algebra as algebra
 import hiershare.curve as curve_module
 import hiershare.proactive as proactive
 from hiershare.algebra import keyed_polynomial, poly_eval, sample_polynomial
-from hiershare.curve import STANDARD_CURVE, TOY_CURVE, scalar_mul
+from hiershare.curve import STANDARD_CURVE, TOY_CURVE, point_add, scalar_mul
 from hiershare.hierarchy import ROOT_ID
 from hiershare.proactive import (
     ACCUSED_COMPROMISED,
@@ -29,15 +29,6 @@ from hiershare.proactive import (
     verify_renewal,
 )
 from hiershare.sharing import GroupShares, reconstruct
-
-
-def message_counts(sent):
-    """Messages per kind in the (kind, to) batches a renewal round's hook
-    received: ``to`` is a count, or the addressees of sealed messages."""
-    counts = {}
-    for kind, to in sent:
-        counts[kind] = counts.get(kind, 0) + (to if isinstance(to, int) else len(to))
-    return counts
 
 
 def counted_multiples(monkeypatch):
@@ -121,7 +112,7 @@ class TestVerifyRenewal:
         G = tree.curve.base_point
         for bundle in renewal_bundles(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
-            moved = bundle.commitments[0] + G
+            moved = point_add(bundle.commitments[0], G)
             bad = bundle._replace(commitments=(moved,) + bundle.commitments[1:])
             assert verify_renewal(bad, point, tree.curve) is False
 
@@ -167,7 +158,7 @@ class TestVerifyRenewal:
                 shift = scalar_mul(rng.randrange(1, 19), G)
                 new = (
                     bundle.commitments[:idx]
-                    + (bundle.commitments[idx] + shift,)
+                    + (point_add(bundle.commitments[idx], shift),)
                     + bundle.commitments[idx + 1 :]
                 )
                 bad = bundle._replace(commitments=new)
@@ -258,12 +249,9 @@ class TestRenewalRound:
         tree, dealer, shares, secret = toy_dealt_tree(
             rng, [[[], []], [[], []]], tf(1, 2), secret_value=3
         )
-        sent = []
-        outcome = renewal_round(
-            tree, shares, tree.groups(shares), rng, on_message=lambda *m: sent.append(m)
-        )
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng)
         # 6 users -> 6 sealed deltas; 3 subtree roots -> 3 multicasts.
-        assert message_counts(sent) == {"renewal-delta": 6, "commitments": 3}
+        assert outcome.messages == {"renewal-delta": 6, "commitments": 3}
         assert outcome.verdicts == ()
         assert outcome.claims == ()
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
@@ -313,6 +301,8 @@ class TestRenewalRound:
         assert verdict.accused == 1
         assert verdict.outcome == ACCUSED_COMPROMISED
         assert verdict.claimers == (2, 3, 4)
+        # A discarded group's deltas and commitments were still sent.
+        assert outcome.messages == {"commitments": 2, "renewal-delta": 4, "claim": 3}
         # The victimized group kept its old shares; everyone else moved on.
         for uid in (2, 3, 4):
             assert outcome.shares[uid].epoch == 0
@@ -366,25 +356,17 @@ class TestRenewalRound:
         random stream."""
         tree, _dealer, _shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
         lies = [file_claim(tree, 2, ROOT_ID)]
-        sent = []
         before = rng.getstate()
-        outcome = renewal_round(
-            tree, {}, {}, rng, extra_claims=lies, on_message=lambda *m: sent.append(m)
-        )
-        assert (outcome.shares, outcome.claims, outcome.verdicts) == ({}, (), ())
-        assert sent == []
+        outcome = renewal_round(tree, {}, {}, rng, extra_claims=lies)
+        assert (outcome.shares, outcome.claims, outcome.verdicts, outcome.messages) == ({}, (), (), {})
         assert rng.getstate() == before
 
     def test_no_curve_round_counts_deltas_only(self, rng):
         tree = make_tree([[[], []], []], rng, prime=1009)
         secret = 400
         dealer, _state, shares = deal(tree, secret, tf(1, 2), rng)
-        sent = []
-        outcome = renewal_round(
-            tree, shares, tree.groups(shares), rng, on_message=lambda *m: sent.append(m)
-        )
-        assert message_counts(sent) == {"renewal-delta": len(shares)}
-        assert sorted(uid for _kind, to in sent for uid in to) == sorted(shares)
+        outcome = renewal_round(tree, shares, tree.groups(shares), rng)
+        assert outcome.messages == {"renewal-delta": len(shares)}
         assert reconstruct(tree, outcome.shares, list(outcome.shares), dealer.split) == secret
 
 
@@ -542,17 +524,14 @@ class TestUnreadGroupShortcut:
             for round_index in range(3):
                 claimer = shape_rng.choice(active_users(tree))
                 lies = [file_claim(tree, claimer, tree.nodes[claimer].parent)]
-                sent, forced_sent = [], []
                 outcome = renewal_round(
-                    tree, shares, tree.groups(shares), rng,
-                    extra_claims=lies, on_message=lambda *m: sent.append(m),
+                    tree, shares, tree.groups(shares), rng, extra_claims=lies,
                 )
                 expected = renewal_round(
                     tree, forced, tree.groups(forced), forced_rng, perturb=lambda b: b,
-                    extra_claims=lies, on_message=lambda *m: forced_sent.append(m),
+                    extra_claims=lies,
                 )
                 assert outcome == expected
-                assert sent == forced_sent
                 assert rng.getstate() == forced_rng.getstate()
                 shares, forced = outcome.shares, expected.shares
                 if round_index == 0 and count > 1 and seed % 3 == 0:
@@ -962,7 +941,7 @@ class TestBatchCheck:
         tree, shares = self.dealt_group(27, 5, curve=curve)
 
         def shift_first(bundle):
-            moved = (bundle.commitments[0] + curve.base_point,) + bundle.commitments[1:]
+            moved = (point_add(bundle.commitments[0], curve.base_point),) + bundle.commitments[1:]
             return bundle._replace(commitments=moved)
 
         outcome, seen = self.run_tampered(tree, shares, shift_first)
@@ -995,7 +974,7 @@ class TestBatchCheck:
             if bundle.recipient != 4:
                 return bundle
             if not consistent:
-                moved = (bundle.commitments[0] + G,) + bundle.commitments[1:]
+                moved = (point_add(bundle.commitments[0], G),) + bundle.commitments[1:]
                 return bundle._replace(commitments=moved)
             return bundle._replace(
                 delta=poly_eval(other, eval_point(shares, 4), tree.curve.order),
@@ -1066,7 +1045,7 @@ class TestBatchCheck:
                     bundle = bundle._replace(
                         delta=(bundle.delta + poly_eval(offset, x, n)) % n,
                         commitments=tuple(
-                            C + D for C, D in zip(bundle.commitments, offset_points)
+                            point_add(C, D) for C, D in zip(bundle.commitments, offset_points)
                         ),
                     )
                 kind = kinds.get(bundle.recipient)
@@ -1081,7 +1060,7 @@ class TestBatchCheck:
                 if kind == "commitment":
                     idx = rng.randrange(degree)
                     new = list(bundle.commitments)
-                    new[idx] = new[idx] + G
+                    new[idx] = point_add(new[idx], G)
                     return bundle._replace(commitments=tuple(new))
                 if kind == "length":
                     return bundle._replace(commitments=bundle.commitments[:-1])
@@ -1171,7 +1150,7 @@ class TestCheckCounts:
             if bundle.sender != tampered_parent:
                 return bundle
             if move_commitment:
-                moved = (bundle.commitments[0] + curve.base_point,) + bundle.commitments[1:]
+                moved = (point_add(bundle.commitments[0], curve.base_point),) + bundle.commitments[1:]
                 return bundle._replace(commitments=moved)
             return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
 

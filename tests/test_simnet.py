@@ -11,6 +11,7 @@ from conftest import (
     benchmark_workloads,
     every_group_recover,
     minimal_reconstructing_set,
+    negated,
     random_tree_spec,
     renewal_bundles,
 )
@@ -947,39 +948,49 @@ class TestLoadAndDealCost:
     def test_one_send_per_batch(self, monkeypatch):
         # Hosts 6 and 2 are occupied from the epoch-0 hop to the epoch-1
         # hop, so the epoch-1 redeal's shares meet them; the renewal that
-        # follows sends one batch of deltas per sibling group.
+        # follows sends one batch per message kind, on a curve the
+        # commitments first. A renewal epoch of scale-nocurve's 341 groups
+        # sends its 1,364 deltas in one call.
         calls = []
         original = World.send
 
-        def recording(world, kind, to=1):
-            calls.append((kind, to))
-            original(world, kind, to)
+        def recording(world, kind, count=1):
+            calls.append((kind, count))
+            original(world, kind, count)
 
         monkeypatch.setattr(World, "send", recording)
-        world = World(scenario(
-            tree=self.FOUR_GROUPS, events=[{"epoch": 1, "kind": "redeal"}],
-            adversary={"strategy": "scripted", "budget": 2,
-                       "script": [{"epoch": 0, "compromise": [6, 2]}]},
-        ))
+        for curved in (False, True):
+            overrides = {"field_mode": "curve-order", "curve": "standard",
+                         "field_prime": None, "eval_mode": None} if curved else {}
+            world = World(scenario(
+                tree=self.FOUR_GROUPS, events=[{"epoch": 1, "kind": "redeal"}],
+                adversary={"strategy": "scripted", "budget": 2,
+                           "script": [{"epoch": 0, "compromise": [6, 2]}]},
+                **overrides,
+            ))
+            calls.clear()
+            world.initial_deal()
+            deal = ([("round-key", 1)] if curved else []) + [("reqm", 8), ("share", 8)]
+            assert calls == deal
+            calls.clear()
+            row = world.step_epoch()
+            renewal = ([("commitments", 4)] if curved else []) + [("renewal-delta", 8)]
+            assert calls == deal + renewal
+            assert row["messages"] == dict(sorted(deal + renewal))
+            redealt = [key for key in world.adversary.stolen_shares if key[0] == 2]
+            assert redealt == [(2, 0, 2), (2, 0, 6)]
+        world = World(parse_scenario(benchmark_workloads().scale_nocurve(1)))
         world.initial_deal()
-        assert calls == [("reqm", 8), ("share", [1, 2, 3, 4, 5, 6, 7, 8])]
         calls.clear()
-        row = world.step_epoch()
-        assert calls == [
-            ("reqm", 8), ("share", [1, 2, 3, 4, 5, 6, 7, 8]),
-            ("renewal-delta", [1, 2, 3]), ("renewal-delta", [4, 5]),
-            ("renewal-delta", [6, 7]), ("renewal-delta", [8]),
-        ]
-        assert row["messages"] == {"renewal-delta": 8, "reqm": 8, "share": 8}
-        redealt = [key for key in world.adversary.stolen_shares if key[0] == 2]
-        assert redealt == [(2, 0, 2), (2, 0, 6)]
+        world.step_epoch()
+        assert calls == [("renewal-delta", 1364)]
 
     def test_one_group_view_per_epoch(self, monkeypatch):
         """Renewal changes neither the holders nor the membership, so an
-        epoch with no event keeps the intact form's view and builds none.
-        A dealing epoch (0, and the epoch-2 redeal) builds only the deal's
+        epoch with no event keeps the world's view and builds none. A
+        dealing epoch (0, and the epoch-2 redeal) builds only the deal's
         view of every active user, which is its holders' view too. The
-        final check builds its own."""
+        final check reads the kept view."""
         views = self.count_calls(monkeypatch, "groups")
         world = World(scenario(
             tree=self.FOUR_GROUPS, epochs=3, events=[{"epoch": 2, "kind": "redeal"}],
@@ -989,7 +1000,7 @@ class TestLoadAndDealCost:
             views.clear()
             step()
             per_epoch.append([len(args) for args in views])
-        assert per_epoch == [[0], [], [0], [], [1]]
+        assert per_epoch == [[0], [], [0], [], []]
         assert world.report.rows[2]["events"] == ["redeal:round=2"]
         assert all(row["secret_intact"] for row in world.report.rows)
 
@@ -1007,9 +1018,10 @@ class TestLoadAndDealCost:
 
         def viewless(world, mid_round_leaves=()):
             original(world, mid_round_leaves)
+            world.view = None
 
         monkeypatch.setattr(World, "deal", viewless)
-        rebuilt = World(config).run()
+        rebuilt = World(config).run(drop_view_and_form)
         monkeypatch.setattr(World, "deal", original)
         world = World(config)
         world.initial_deal()
@@ -1032,9 +1044,9 @@ class TestLoadAndDealCost:
         epoch builds its holders' view again (after the deal's, for a
         'finish' leave), and quiet epoch 3 keeps it. The rejoin of 2 brings
         6, 7 and 8 back with their shares. The report equals a run that
-        drops the intact form at every boundary, so builds every view."""
+        builds the view and the intact form in every epoch."""
         config = scenario(tree=self.FOUR_GROUPS, epochs=3, leave_policy="finish", events=events)
-        rebuilt = World(config).run(lambda world: setattr(world, "intact_form", None))
+        rebuilt = World(config).run(drop_view_and_form)
         world = World(config)
         world.initial_deal()
         world.step_epoch()
@@ -1349,9 +1361,20 @@ class TestRestore:
         assert resumed.report.rows == straight.report.rows
 
 
-def every_group_intact(world, groups):
-    """``World._reconstruct_all`` over the every-group reference climb, with
-    no form kept: the intact check as earlier releases made it."""
+def drop_view_and_form(world):
+    """Forget the intact form, and the holders' view before the last
+    epoch, so each epoch builds both afresh; the final check reads the
+    last epoch's view."""
+    world.intact_form = None
+    if world.epoch < world.config.epochs:
+        world.view = None
+
+
+def every_group_intact(world):
+    """``World._reconstruct_all`` over the every-group reference climb on
+    a holders' view built afresh, with no form kept: the intact check as
+    earlier releases made it."""
+    groups = world.tree.groups(world.shares)
     got = every_group_recover(world.tree, world.shares, groups, ROOT_ID, world.dealer.split)
     if isinstance(got, tuple):
         return False, str(sharing.InsufficientShares(*got))
@@ -1756,7 +1779,7 @@ class TestInvariants:
             eval_mode="round-key", secret="3",
         )
         nodes = world.tree.nodes
-        nodes[3].group_key = -nodes[1].group_key
+        nodes[3].group_key = negated(nodes[1].group_key)
         assert nodes[3].group_key != nodes[1].group_key
         assert self.violated(world).invariant == "group-key-x-distinct"
 
