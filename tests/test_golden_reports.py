@@ -68,6 +68,37 @@ VIEW_PATHS = {
     ]},
 }
 
+# No curve, no renewal, unanimity. 0 -> {1, 2, 3}, 1 -> {4, 5}. 3's plain
+# leave leaves its host holding its round-1 share, which the budget-2
+# thief takes at epoch 1; round 1's copies of 2, 3 and 4 never reach the
+# root. The epoch-2 redeal's mail meets 2, the epoch-2 hop takes 1 and 5,
+# and 4's copy at epoch 3 grows round 2's slice to the secret.
+THIEF_WINS = {
+    "schema_version": 1,
+    "name": "thief-wins",
+    "field_mode": "no-curve",
+    "field_prime": "1009",
+    "tf": {"num": 1, "den": 1},
+    "tree": spec([[[], []], [], []]),
+    "secret": "5",
+    "eval_mode": "user-id",
+    "epochs": 4,
+    "renewal_enabled": False,
+    "seed": "3",
+    "events": [
+        {"epoch": 1, "kind": "leave", "user": 3},
+        {"epoch": 2, "kind": "redeal"},
+    ],
+    "adversary": {"strategy": "scripted", "budget": 2, "script": [
+        {"epoch": 0, "compromise": [4]},
+        {"epoch": 1, "compromise": [3, 2]},
+        {"epoch": 2, "compromise": [1, 5]},
+        {"epoch": 3, "compromise": [4]},
+    ]},
+}
+
+INLINE_SCENARIOS = {"thief-wins": THIEF_WINS, "view-paths": VIEW_PATHS}
+
 GOLDEN_STATE_SHA256 = {
     "bench-63": [
         "0a2f63f9740e808bfbed8f465a2c9178aa36da96c02cae4d008d785d2a6cb3d1",
@@ -89,6 +120,13 @@ GOLDEN_STATE_SHA256 = {
         "d7c103fa60a94c437a819ab627a3000c9205d1db197ee523151d1b3ae55d351f",
         "f44b972e0a266ef3559590e90f58a8e8e40ac691992c66695bb0494904079bf9",
         "d7c74466d6fe8dd4408bd95995b45be8c43e753bfa91811a62ec0694f6ea36b6",
+    ],
+    "thief-wins": [
+        "b2ac88ab4a95eb6738d71184e72da2b7dbddc0816c7b52ad43d51eae64c2fa01",
+        "f13f8f6acb38abf6743f10dfa5079b7b5dc14fc749ea56f45fe950e2acd26a8d",
+        "5359d444755c7bf972e00306efbd59f041e6c0fdcb71c778528f3634b0f23db4",
+        "bf0dc42c0fd79870cdb89af86b77ac1e92fa3b10f58dfd6c37e8cafcf0c77d74",
+        "36f1dd5b4fcc5c0cb70409b8fbc95ac9da8c0117091ebb8f664e412f5d4a777d",
     ],
     "view-paths": [
         "f097d53e094cd5229844ab7ab74745e56a8992550c23ab7849b549f4422cb483",
@@ -115,7 +153,10 @@ def state_digests(config):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_STATE_SHA256))
 def test_state_digest_at_every_boundary(name):
-    config = parse_scenario(VIEW_PATHS) if name == "view-paths" else load_bundled_scenario(name)
+    if name in INLINE_SCENARIOS:
+        config = parse_scenario(INLINE_SCENARIOS[name])
+    else:
+        config = load_bundled_scenario(name)
     assert state_digests(config) == GOLDEN_STATE_SHA256[name]
 
 
@@ -159,3 +200,19 @@ def test_resume_at_every_boundary_writes_the_golden_report(tmp_path, name):
         resumed.finalize()
         digest = hashlib.sha256(report_json(resumed.report).encode()).hexdigest()
         assert (path.name, digest) == (path.name, GOLDEN_REPORT_SHA256[name])
+
+
+def test_winning_thief_resumed_at_every_boundary_writes_the_straight_report(tmp_path):
+    saved = []
+
+    def save(world):
+        saved.append((tmp_path / f"epoch{world.epoch}.snapshot", derived_state(world)))
+        save_world(world, saved[-1][0])
+
+    straight = report_json(World(parse_scenario(THIEF_WINS)).run(save))
+    verdicts = [row["adversary_can_reconstruct"] for row in json.loads(straight)["rows"]]
+    assert verdicts == [False, False, False, True, True]
+    for path, derived in saved:
+        resumed = load_world(path)
+        assert (path.name, derived_state(resumed)) == (path.name, derived)
+        assert (path.name, report_json(resumed.run())) == (path.name, straight)
