@@ -7,19 +7,21 @@ retains as the free coefficient of that node's own child polynomial, and
 leaves keep their evaluation whole. Reconstruction runs the other way:
 each sibling group interpolates the retained part of its parent, the
 parent adds its own kept part, and the climb repeats until the root
-recovers the secret. One walk orders that climb, children first and left
-to right, for a coalition's knowledge closure and for naming the group a
-failed reconstruction falls short at.
+recovers the secret. One threshold walk decides which groups are
+recovered: top down, each needed group takes its first threshold-many
+contributors, a split child counting once its own group is taken.
+Reconstruction, the shortfall it reports and a coalition's knowledge
+closure all read that walk.
 
 Reconstruction is split into a form and a dot product. The form is a
-list of owners and one weight per owner: an on-demand pass picks, top
-down, each needed group's first threshold-many contributors with no
-arithmetic, and a second pass multiplies the Lagrange weights along the
-path of every picked group. So only the groups the top needs are read or
-interpolated. The form depends on the holders' view, the split set, the
-groups' thresholds and the picked owners' evaluation points, never on
-the kept values; a caller that keeps it (``simnet``'s intact check, per
-round and view) reads the values live.
+list of owners and one weight per owner: the walk picks the
+contributors with no arithmetic, and a second pass multiplies the
+Lagrange weights along the path of every picked group. So only the
+groups the top needs are read or interpolated. The form depends on the
+holders' view, the split set, the groups' thresholds and the picked
+owners' evaluation points, never on the kept values; a caller that keeps
+it (``simnet``'s intact check, per round and view) reads the values
+live.
 
 Shares are stored once per sibling group (``GroupShares``): the group's
 epoch and threshold sit on the group record, next to each member's
@@ -247,38 +249,33 @@ def distribute(
     return shares
 
 
-def reconstruction_form(
-    tree: HierarchyTree,
-    shares: Mapping[int, GroupShares],
+def _pick(
+    records: Mapping[int, GroupShares | HeldShare],
     groups: Mapping[int, Sequence[int]],
-    parent_id: int,
+    top: int,
     split: Container[int],
-) -> tuple[list[int], list[int]]:
-    """The owners whose kept values recover ``parent_id``'s group value,
-    and one weight per owner, so the value is their dot product mod p.
-    Arguments as for ``recover_group_secret``.
+) -> tuple[dict[int, list[int]], tuple[int, int, int] | None]:
+    """The threshold walk: each group read from ``top`` that reached its
+    threshold, mapped to its contributors, and the first group it finished
+    short as (group parent, contributors, threshold), or None.
 
-    Pass 1 picks top-down from parent_id, with an explicit stack and no
-    arithmetic: each group takes its children in id order until it has
+    Top down from ``top`` with an explicit stack and no arithmetic: each
+    group takes its children in ``groups`` in order until it has
     threshold-many contributors, where an unsplit child counts at once and
-    a split child once its own group, picked when reached, has picked; no
-    group past the last needed contributor is read. A split member with no
-    participating child heads an empty group of threshold 1. When the top
-    falls short, InsufficientShares names the first group the
-    children-first climb finishes short, which pass 1 may not have read.
-    Pass 2 goes top-down over the picked groups: it multiplies the
-    Lagrange weights of each group's picked evaluation points (stored
-    reduced mod p) along the path into one weight per owner, since a split
-    member's contribution is its kept value plus its own group's value.
+    a split child once its own group, walked when reached, is picked; no
+    group past the last needed contributor is read. A group's threshold is
+    its first child's record's; a split child with no child in ``groups``
+    heads an empty group of threshold 1.
     """
 
     def frame(gid):
         """(group parent, threshold, children left to read, picks so far)."""
         kids = groups.get(gid, ())
-        return gid, shares[kids[0]].threshold if kids else 1, iter(kids), []
+        return gid, records[kids[0]].threshold if kids else 1, iter(kids), []
 
     picked: dict[int, list[int]] = {}
-    stack = [frame(parent_id)]
+    short = None
+    stack = [frame(top)]
     while stack:
         gid, need, kids, chosen = stack[-1]
         kid = next(kids, None) if len(chosen) < need else None
@@ -292,14 +289,32 @@ def reconstruction_form(
                 picked[gid] = chosen
                 if stack:
                     stack[-1][3].append(gid)
+            elif short is None:
+                short = gid, len(chosen), need
+    return picked, short
+
+
+def reconstruction_form(
+    tree: HierarchyTree,
+    shares: Mapping[int, GroupShares],
+    groups: Mapping[int, Sequence[int]],
+    parent_id: int,
+    split: Container[int],
+) -> tuple[list[int], list[int]]:
+    """The owners whose kept values recover ``parent_id``'s group value,
+    and one weight per owner, so the value is their dot product mod p.
+    Arguments as for ``recover_group_secret``.
+
+    ``_pick`` walks from parent_id; when its group falls short,
+    InsufficientShares names the first group the walk finished short.
+    Then a top-down pass over the picked groups multiplies the Lagrange
+    weights of each group's picked evaluation points (stored reduced mod
+    p) along the path into one weight per owner, since a split member's
+    contribution is its kept value plus its own group's value.
+    """
+    picked, short = _pick(shares, groups, parent_id, split)
     if parent_id not in picked:
-        # Groups picked above stand; the climb reads the rest.
-        for gid, kids in _children_first(groups, split, parent_id):
-            need = shares[kids[0]].threshold if kids else 1
-            have = [kid for kid in kids if kid not in split or kid in picked]
-            if len(have) < need:
-                raise InsufficientShares(gid, len(have), need)
-            picked[gid] = have
+        raise InsufficientShares(*short)
 
     p = tree.field.modulus
     owners: list[int] = []
@@ -340,24 +355,6 @@ def recover_group_secret(
     return sum(map(mul, weights, values)) % tree.field.modulus
 
 
-def _children_first(
-    groups: Mapping[int, Sequence[int]], split: Container[int], top: int
-) -> list[tuple[int, Sequence[int]]]:
-    """(group parent, its children in ``groups``, none if absent) for ``top``
-    and every split child below it, in the order a left-to-right recursive
-    climb finishes them. Iterative, so tree depth is not bounded by the
-    interpreter's stack."""
-    order: list[tuple[int, Sequence[int]]] = []
-    pending = [top]
-    while pending:
-        gid = pending.pop()
-        kids = groups.get(gid, ())
-        order.append((gid, kids))
-        pending += [kid for kid in kids if kid in split]
-    order.reverse()
-    return order
-
-
 def reconstruct(
     tree: HierarchyTree,
     shares: Mapping[int, GroupShares],
@@ -372,24 +369,15 @@ def reconstruct(
 
 def knowledge_closure(tree: HierarchyTree, coalition: Mapping[int, HeldShare]) -> bool:
     """Whether a coalition can derive the root secret from its copies of
-    shares of one round and epoch alone, keyed by owner.
-
-    One children-first pass over the coalition's groups (its members by
-    parent link, in id order), as in reconstruction: a group's value
-    (its parent's retained part, or the secret at the root) is known once
-    threshold-many of its coalition children contribute, where an unsplit
-    child contributes its share and a split child contributes once its own
-    group is known. Thresholds and splits are the copies' own, those of the
-    round they were dealt in. Members count even if they have left since
-    their share was taken. No server-retained values are assumed.
+    shares of one round and epoch alone, keyed by owner: whether the
+    threshold walk over its members, grouped by parent link in id order,
+    picks the root's group. Thresholds and splits are the copies' own,
+    those of the round they were dealt in. Members count even if they have
+    left since their share was taken. No server-retained values are
+    assumed.
     """
     split = {uid for uid, share in coalition.items() if share.split}
     groups: dict[int, list[int]] = {}
     for uid in sorted(coalition):
         groups.setdefault(tree.nodes[uid].parent, []).append(uid)
-    known: set[int] = set()
-    for gid, kids in _children_first(groups, split, ROOT_ID):
-        contributors = [kid for kid in kids if kid not in split or kid in known]
-        if contributors and len(contributors) >= coalition[contributors[0]].threshold:
-            known.add(gid)
-    return ROOT_ID in known
+    return ROOT_ID in _pick(coalition, groups, ROOT_ID, split)[0]

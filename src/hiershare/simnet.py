@@ -80,13 +80,14 @@ class AdversaryState:
     knowledge persists across cleanses (what was copied stays copied);
     tokens and shares may only ever belong to nodes in
     ``ever_compromised``, which the run asserts every epoch. Stolen shares
-    are the hosts' own copies, keyed by (round, epoch, owner); each keeps
-    the threshold and split of its round.
+    are the hosts' own copies, kept per (round, epoch) slice, the unit the
+    knowledge closure judges, and keyed by owner within it; each keeps the
+    threshold and split of its round.
     """
 
     occupied: set[int] = field(default_factory=set)
     ever_compromised: set[int] = field(default_factory=set)
-    stolen_shares: dict[tuple[int, int, int], HeldShare] = field(default_factory=dict)
+    stolen_shares: dict[tuple[int, int], dict[int, HeldShare]] = field(default_factory=dict)
     stolen_tokens: dict[int, int] = field(default_factory=dict)
 
 
@@ -301,14 +302,8 @@ class World:
         judged again, and the others answer with the last row's value."""
         if self.report.rows and self.report.rows[-1]["adversary_can_reconstruct"]:
             return True
-        slices: dict[tuple[int, int], dict[int, HeldShare]] = {}
-        for (round_id, epoch, owner), record in self.adversary.stolen_shares.items():
-            if (round_id, epoch) in self.grown_slices:
-                slices.setdefault((round_id, epoch), {})[owner] = record
-        return any(
-            knowledge_closure(self.tree, members)
-            for _key, members in sorted(slices.items())
-        )
+        stolen = self.adversary.stolen_shares
+        return any(knowledge_closure(self.tree, stolen[key]) for key in sorted(self.grown_slices))
 
     def step_epoch(self) -> dict:
         """Advance to the next epoch and run it (on a dealt world, see
@@ -426,10 +421,11 @@ class World:
     def _steal_share(self, uid: int, epoch: int) -> None:
         """Copy ``uid``'s share of the live round at ``epoch``; a new copy
         grows its slice."""
-        key = (self.round_id, epoch, uid)
-        if key not in self.adversary.stolen_shares:
-            self.grown_slices.add(key[:2])
-        self.adversary.stolen_shares[key] = self._held_share(uid)
+        key = (self.round_id, epoch)
+        copies = self.adversary.stolen_shares.setdefault(key, {})
+        if uid not in copies:
+            self.grown_slices.add(key)
+        copies[uid] = self._held_share(uid)
 
     def _cleanse(self, verdicts) -> list[int]:
         cleansed = []
@@ -463,8 +459,8 @@ class World:
             raise InvariantViolation(
                 "no-oracle-leakage", "token of a never-compromised node"
             )
-        for _round, _epoch, owner in self.adversary.stolen_shares:
-            if owner not in ever:
+        for copies in self.adversary.stolen_shares.values():
+            if not copies.keys() <= ever:
                 raise InvariantViolation(
                     "no-oracle-leakage", "share of a never-compromised node"
                 )

@@ -203,7 +203,8 @@ def world_to_dict(world: World) -> dict:
             "stolen_shares": [
                 [round_id, epoch, owner, str(copy.eval_point), str(copy.value),
                  copy.threshold, copy.split]
-                for (round_id, epoch, owner), copy in sorted(adv.stolen_shares.items())
+                for (round_id, epoch), copies in sorted(adv.stolen_shares.items())
+                for owner, copy in sorted(copies.items())
             ],
             "stolen_tokens": {
                 str(uid): str(tok) for uid, tok in sorted(adv.stolen_tokens.items())
@@ -257,9 +258,9 @@ def world_from_dict(data: dict) -> World:
         key = (
             _bounded(round_id, f"{where}.round", 1, world.tree.round_count),
             _bounded(epoch, f"{where}.epoch", 0, world.epoch),
-            _stolen_from(_int, owner, f"{where}.owner", ever),
         )
-        adversary.stolen_shares[key] = HeldShare(
+        owner = _stolen_from(_int, owner, f"{where}.owner", ever)
+        adversary.stolen_shares.setdefault(key, {})[owner] = HeldShare(
             _field_in(x, world), _field_in(value, world),
             _bounded(threshold, f"{where}.threshold", 1), _typed(_flag, split, f"{where}.split"),
         )

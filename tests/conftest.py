@@ -185,16 +185,17 @@ def every_group_recover(tree, shares, groups, parent_id, split):
     """Reference reconstruction, the one-pass climb of earlier releases:
     children first, it interpolates every group hanging from ``parent_id``
     through participating split members, needed or not, from its first
-    threshold-many contributions, and notes the first group to fall short.
-    Returns the value, or that group's (group parent, have, need); a split
-    member with no participating child heads an empty group of threshold 1."""
+    threshold-many contributions, and notes each group that falls short.
+    Returns the value, or those groups' (group parent, have, need) in the
+    order the climb finishes them; a split member with no participating
+    child heads an empty group of threshold 1."""
     order, pending = [], [parent_id]
     while pending:
         gid = pending.pop()
         kids = groups.get(gid, ())
         order.append((gid, kids))
         pending += [kid for kid in kids if kid in split]
-    values, short = {}, None
+    values, short = {}, []
     for gid, kids in reversed(order):
         need = shares[kids[0]].threshold if kids else 1
         points = []
@@ -209,5 +210,5 @@ def every_group_recover(tree, shares, groups, parent_id, split):
                 values[gid] = lagrange_at_zero(points, tree.field.modulus)
                 break
         else:
-            short = short or (gid, len(points), need)
+            short.append((gid, len(points), need))
     return values[parent_id] if parent_id in values else short

@@ -199,8 +199,8 @@ class TestAdversaryObservation:
         world = World(cfg)
         world.run()
         stolen = world.adversary.stolen_shares
-        assert sorted(stolen) == [(1, 0, 2), (2, 0, 2)]
-        assert stolen[(2, 0, 2)] == HeldShare(
+        assert {key: list(copies) for key, copies in stolen.items()} == {(1, 0): [2], (2, 0): [2]}
+        assert stolen[(2, 0)][2] == HeldShare(
             *held_share(world, 2), world.shares[2].threshold, True
         )
 
@@ -235,7 +235,7 @@ class TestAdversaryObservation:
         world = World(cfg)
         report = world.run()
         assert report.rows[2]["compromised"] == []
-        assert (2, 0, 2) in world.adversary.stolen_shares
+        assert 2 in world.adversary.stolen_shares[(2, 0)]
 
     def test_stolen_tokens_only_from_compromised(self):
         cfg = scenario(adversary={"strategy": "passive-stealer", "budget": 1})
@@ -270,8 +270,8 @@ class TestStolenShares:
         assert world.shares[3].epoch == 3
         assert world.shares[4].epoch == 1
         stolen = world.adversary.stolen_shares
-        assert list(stolen) == [(1, 1, 4)]
-        assert (stolen[(1, 1, 4)].eval_point, stolen[(1, 1, 4)].value) == held
+        assert {key: list(copies) for key, copies in stolen.items()} == {(1, 1): [4]}
+        assert (stolen[(1, 1)][4].eval_point, stolen[(1, 1)][4].value) == held
         assert world_facts(restored(world, tmp_path)) == world_facts(world)
 
     def test_older_round_judged_with_its_own_group_facts(self):
@@ -300,8 +300,8 @@ class TestStolenShares:
         assert world.shares[2].threshold == 1
         assert world.dealer.split == frozenset()
         stolen = world.adversary.stolen_shares
-        assert sorted(stolen) == [(1, 0, 1), (1, 0, 2)]
-        assert [(c.threshold, c.split) for _key, c in sorted(stolen.items())] == [
+        assert list(stolen) == [(1, 0)]
+        assert [(c.threshold, c.split) for _uid, c in sorted(stolen[(1, 0)].items())] == [
             (2, True), (2, False)
         ]
         assert report.final["secret_recovered_by_adversary"] is False
@@ -977,8 +977,7 @@ class TestLoadAndDealCost:
             renewal = ([("commitments", 4)] if curved else []) + [("renewal-delta", 8)]
             assert calls == deal + renewal
             assert row["messages"] == dict(sorted(deal + renewal))
-            redealt = [key for key in world.adversary.stolen_shares if key[0] == 2]
-            assert redealt == [(2, 0, 2), (2, 0, 6)]
+            assert sorted(world.adversary.stolen_shares[(2, 0)]) == [2, 6]
         world = World(parse_scenario(benchmark_workloads().scale_nocurve(1)))
         world.initial_deal()
         calls.clear()
@@ -1376,8 +1375,8 @@ def every_group_intact(world):
     earlier releases made it."""
     groups = world.tree.groups(world.shares)
     got = every_group_recover(world.tree, world.shares, groups, ROOT_ID, world.dealer.split)
-    if isinstance(got, tuple):
-        return False, str(sharing.InsufficientShares(*got))
+    if isinstance(got, list):
+        return False, str(sharing.InsufficientShares(*got[0]))
     return got == world.dealer.secret, ""
 
 
@@ -1496,10 +1495,8 @@ class TestIntactForm:
 def all_slices_can_reconstruct(world):
     """Reference adversary check: every (round, epoch) slice of the stolen
     shares judged afresh by the knowledge closure."""
-    slices = {}
-    for (round_id, epoch, owner), record in world.adversary.stolen_shares.items():
-        slices.setdefault((round_id, epoch), {})[owner] = record
-    return any(knowledge_closure(world.tree, members) for members in slices.values())
+    slices = world.adversary.stolen_shares.values()
+    return any(knowledge_closure(world.tree, members) for members in slices)
 
 
 class TestAdversaryCheck:
@@ -1792,7 +1789,7 @@ class TestInvariants:
 
     def test_no_oracle_leakage_shares(self):
         world = self.dealt_world()
-        world.adversary.stolen_shares[(world.round_id, 0, 1)] = world._held_share(1)
+        world.adversary.stolen_shares[(world.round_id, 0)] = {1: world._held_share(1)}
         violation = self.violated(world)
         assert violation.invariant == "no-oracle-leakage"
         assert "share" in violation.detail
