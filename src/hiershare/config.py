@@ -1,9 +1,11 @@
 """Scenario files: parsing, validation, and serialization.
 
 Scenarios are JSON with an explicit schema version. Every big integer is a
-decimal string so no reader can lose precision. Validation checks every
-module precondition before a run starts and rejects unknown fields
-outright; diagnostics name the offending field.
+decimal string so no reader can lose precision. Validation checks the module
+preconditions before a run starts and rejects unknown fields outright;
+diagnostics name the offending field. One gap is open: the event list is not
+replayed, so a leave that strands an internal node (no active child left)
+and a redeal after it parse, and the run stops with ``InactiveSubtree``.
 """
 
 from __future__ import annotations
@@ -171,8 +173,30 @@ def tree_spec(parents: tuple[int, ...]) -> dict:
     return specs[0]
 
 
+def _spec_children(node) -> list | None:
+    """The ``children`` list of a well-formed spec node (empty when absent),
+    None for any other value: a node is an object with no other field."""
+    children = node.get("children", []) if isinstance(node, dict) else None
+    return children if isinstance(children, list) and node.keys() <= {"children"} else None
+
+
+def _tree_parents(tree, where: str) -> tuple[int, ...]:
+    """``expand_tree``'s parents, in one breadth-first walk that checks every
+    node on the way. A malformed node hands over to ``_parse_tree``, which
+    names the first error in document order."""
+    nodes, parents = [tree], []
+    for uid, node in enumerate(nodes):
+        children = _spec_children(node)
+        if children is None:
+            _parse_tree(tree, where)
+        if children:
+            nodes += children
+            parents += [uid] * len(children)
+    return tuple(parents)
+
+
 def _parse_tree(data, where: str) -> None:
-    """Validate the nested tree spec, parents before children and in
+    """The error path of ``_tree_parents``: check the spec parents first, in
     document order, so the first error reported is the first in the file.
     Iterative: any depth parses. A pending node carries its parent's entry
     and its index there; its path is spelled out only if it is refused."""
@@ -180,8 +204,8 @@ def _parse_tree(data, where: str) -> None:
     while pending:
         entry = pending.pop()
         node = entry[0]
-        children = node.get("children", []) if isinstance(node, dict) else None
-        if not (isinstance(children, list) and node.keys() <= {"children"}):
+        children = _spec_children(node)
+        if children is None:
             indices = []
             while entry[1] is not None:
                 indices.append(entry[2])
@@ -211,7 +235,7 @@ def parse_curve_inline(data: dict, where: str) -> CurveParams:
     )
 
 
-def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: dict[int, int], max_epoch: int) -> AdversaryConfig:
+def _parse_adversary(data: dict, where: str, user_ids: range, parents: tuple[int, ...], max_epoch: int) -> AdversaryConfig:
     _take(data, where, {"strategy": False, "budget": False, "targets": False, "script": False})
     strategy = data.get("strategy", "passive-stealer")
     _require(strategy in STRATEGIES, f"{where}.strategy", f"must be one of {STRATEGIES}")
@@ -254,7 +278,7 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
                 _require(parent in compromised, tw, f"tampering parent {parent} is not compromised that epoch")
                 kids = _ids(tam.get("children", []), f"{tw}.children")
                 for kid in kids:
-                    _require(id_to_parent.get(kid) == parent, tw, f"{kid} is not a child of {parent}")
+                    _require(kid in user_ids and parents[kid - 1] == parent, tw, f"{kid} is not a child of {parent}")
                 clean_tampers.append({"parent": parent, "children": sorted(kids)})
             clean["tamper"] = clean_tampers
         if "false_claims" in entry:
@@ -266,7 +290,7 @@ def _parse_adversary(data: dict, where: str, user_ids: set[int], id_to_parent: d
                 accused = _int(fc["accused"], f"{fw}.accused")
                 claimers = _ids(fc["claimers"], f"{fw}.claimers")
                 for claimer in claimers:
-                    _require(id_to_parent.get(claimer) == accused, fw, f"{claimer} is not a child of {accused}")
+                    _require(claimer in user_ids and parents[claimer - 1] == accused, fw, f"{claimer} is not a child of {accused}")
                     _require(claimer in compromised, fw, f"false claimer {claimer} is not compromised that epoch")
                 clean_claims.append({"accused": accused, "claimers": sorted(claimers)})
             clean["false_claims"] = clean_claims
@@ -341,11 +365,9 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"{source}.tf: {exc}") from None
 
-    _parse_tree(data["tree"], f"{source}.tree")
-    pairs = expand_tree(data["tree"])
-    _require(bool(pairs), f"{source}.tree", "hierarchy needs at least one user")
-    user_ids = {uid for uid, _ in pairs}
-    id_to_parent = dict(pairs)
+    parents = _tree_parents(data["tree"], f"{source}.tree")
+    _require(bool(parents), f"{source}.tree", "hierarchy needs at least one user")
+    user_ids = range(1, len(parents) + 1)
 
     # The field mode fixes the evaluation points; older files may name them.
     eval_points = "round-key" if field_mode == "curve-order" else "user-id"
@@ -358,9 +380,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     secret = _decimal(data["secret"], f"{source}.secret")
     seed = _decimal(data["seed"], f"{source}.seed")
     events = _parse_events(data.get("events", []), f"{source}.events", user_ids, epochs)
-    adversary = _parse_adversary(
-        data.get("adversary", {}), f"{source}.adversary", user_ids, id_to_parent, epochs
-    )
+    adversary = _parse_adversary(data.get("adversary", {}), f"{source}.adversary", user_ids, parents, epochs)
     leave_policy = data.get("leave_policy", "abort")
     _require(leave_policy in LEAVE_POLICIES, f"{source}.leave_policy", f"must be one of {LEAVE_POLICIES}")
 
@@ -374,7 +394,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         field=field,
         curve=curve,
         tf=tf,
-        parents=tuple(parent for _uid, parent in pairs),
+        parents=parents,
         secret=secret,
         epochs=epochs,
         renewal_enabled=_flag(data.get("renewal_enabled", True), f"{source}.renewal_enabled"),
@@ -422,7 +442,7 @@ def _zero_x_pairs(curve: CurveParams) -> int:
     )
 
 
-def _parse_events(data, where: str, user_ids: set[int], max_epoch: int) -> tuple[dict, ...]:
+def _parse_events(data, where: str, user_ids: range, max_epoch: int) -> tuple[dict, ...]:
     _require(isinstance(data, list), where, "must be a list")
     events = []
     for i, entry in enumerate(data):

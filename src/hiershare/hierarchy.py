@@ -185,8 +185,9 @@ class HierarchyTree:
         for uid, parent in enumerate(parents, start=first):
             if not (first <= parent < uid or parent in self.children and self.is_active(parent)):
                 raise ParentInactive(f"parent {parent} is missing or inactive")
-        for parent, (token, key) in zip(parents, self._sample_tokens(len(parents), rng)):
-            self.insert(HierarchyNode(len(self.nodes) + 1, parent, reg_token=token, group_key=key))
+        drawn = self._sample_tokens(len(parents), rng)
+        for uid, (parent, (token, key)) in enumerate(zip(parents, drawn), first):
+            self.insert(HierarchyNode(uid, parent, token, key))
         return [self.nodes[uid] for uid in range(first, len(self.nodes) + 1)]
 
     def leave(self, user_id: int) -> set[int]:

@@ -1,9 +1,12 @@
 import importlib.util
 import random
+import shutil
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hiershare import sharing
 from hiershare.algebra import FieldParams, lagrange_at_zero, sample_polynomial
@@ -18,6 +21,20 @@ from hiershare.sharing import (
 )
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Hypothesis keeps its storage (the example database and the literals
+    it collects from source modules) in a temporary directory for the
+    session, so a test run writes nothing under the checkout."""
+    config.stash[HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.stash[HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.stash[HYPOTHESIS_HOME], ignore_errors=True)
 
 
 def benchmark_workloads():

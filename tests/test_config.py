@@ -4,8 +4,9 @@ import json
 import random
 
 import pytest
-from conftest import benchmark_workloads
+from conftest import benchmark_workloads, random_tree_spec
 
+from hiershare import config as config_module
 from hiershare.config import (
     ConfigError,
     bundled_scenario_names,
@@ -94,6 +95,15 @@ class TestParsing:
         with pytest.raises(ConfigError) as refused:
             parse_scenario(base_scenario(tree=tree), "s.json")
         assert str(refused.value) == f"s.json.tree.children[1].children[0].children[2]: {message}"
+
+    def test_first_bad_node_in_document_order_though_breadth_first_meets_another(self):
+        """The numbering walk is breadth first and meets the level-1
+        ``{"kids": []}`` first; the error still names the node earlier in
+        the file."""
+        tree = {"children": [{"children": [{"children": 5}]}, {"kids": []}]}
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(base_scenario(tree=tree), "s.json")
+        assert str(refused.value) == "s.json.tree.children[0].children[0]: 'children' must be a list"
 
     def test_refused_root_names_the_tree(self):
         with pytest.raises(ConfigError) as refused:
@@ -536,6 +546,30 @@ class TestExpandTree:
         assert config.parents == tuple(parent for _uid, parent in expand_tree(spec))
         assert tree_spec(config.parents) == spec
         assert serialize_scenario(config)["tree"] == spec
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_checking_walk_numbers_like_expand_tree(self, seed):
+        """The walk that checks and numbers the spec in ``parse_scenario``
+        gives ``expand_tree``'s pairs; leaves come with and without their
+        empty ``children``."""
+        rng = random.Random(seed)
+
+        def spec(shape):
+            return {"children": [spec(child) for child in shape]} if shape or rng.random() < 0.5 else {}
+
+        tree = spec(random_tree_spec(rng))
+        parents = config_module._tree_parents(tree, "tree")
+        assert list(enumerate(parents, start=1)) == expand_tree(tree)
+
+    def test_valid_specs_never_take_the_error_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(config_module, "_parse_tree", lambda *args: calls.append(args))
+        for name in bundled_scenario_names():
+            load_bundled_scenario(name)
+        rng = random.Random(5)
+        for users in (1, 60, 400):
+            parse_scenario(base_scenario(tree=self.random_spec(rng, users)))
+        assert calls == []
 
     def test_600_deep_chain_round_trips(self):
         spec = {"children": []}
