@@ -288,29 +288,3 @@ def lagrange_at_zero(points: Sequence[tuple[int, int]], p: int) -> int:
     """
     weights = lagrange_weights(tuple([x % p for x, _ in points]), p)
     return sum(map(operator.mul, weights, [y for _, y in points])) % p
-
-
-def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:
-    """Monomial coefficients mod p of the polynomial of degree below
-    len(points) through the given points, whose abscissas must be distinct
-    mod p (zero is allowed). Like ``lagrange_at_zero`` it sums the terms as
-    one running fraction, so the whole interpolation costs one inversion."""
-    if not points:
-        raise ValueError("interpolation needs at least one point")
-    xs = [x % p for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa(f"abscissas {xs} are not distinct")
-    product = [1]  # Π (x - x_j), ascending powers
-    for x_j in xs:
-        product = [(lo - x_j * hi) % p for lo, hi in zip([0] + product, product + [0])]
-    total, total_den = [0] * len(xs), 1
-    for x_i, (_, y_i) in zip(xs, points):
-        # basis = product / (x - x_i) by synthetic division, den = basis(x_i)
-        basis, carry, den = [0] * len(xs), 0, 0
-        for h in reversed(range(len(xs))):
-            carry = basis[h] = (product[h + 1] + x_i * carry) % p
-            den = (den * x_i + carry) % p
-        total = [(t * den + y_i * total_den * b) % p for t, b in zip(total, basis)]
-        total_den = total_den * den % p
-    inverse = field_inverse(total_den, p)
-    return tuple(c * inverse % p for c in total)

@@ -7,11 +7,12 @@ inside on Jacobian (X, Y, Z) integer tuples (Cohen, Miyaji and Ono 1998)
 and convert back to affine at the end, with one inversion per batch of
 results (Montgomery 1987): ``base_muls`` sums a batch's table points in
 levels of affine additions, one inversion per level, and converts its
-results at once; ``base_mul_equals`` compares in Jacobian form and
-converts nothing. Both kernels read a scalar in signed-digit windows, so a
-negative digit costs only the negation of a table point: a multiple of the
-base point adds one entry per digit of a precomputed table of d · 256^i · G
-(fixed-base windowing; Brickell, Gordon, McCurley and Wilson 1992), and
+results at once; ``base_mul_equals`` adds -s·G to the other side in one
+Straus pass and asks whether the sum's Z is 0, converting nothing. Both
+kernels read a scalar in signed-digit windows, so a negative digit costs
+only the negation of a table point: a multiple of the base point adds one
+entry per digit of a precomputed table of d · 256^i · G (fixed-base
+windowing; Brickell, Gordon, McCurley and Wilson 1992), and
 ``multi_scalar_mul`` interleaves the windows of any other points over one
 shared doubling chain (Straus; Möller 2001). Both tables are built by
 batched affine additions, one inversion per batch. Written for simulation
@@ -249,18 +250,6 @@ def _base_table(curve: CurveParams) -> _Table:
     return tuple(map(tuple, _multiple_rows(_to_affine(bases, p), 1 << (_BASE_WIDTH - 1), a, p)))
 
 
-def _mul_base(digits: list[int], table: _Table, curve: CurveParams) -> tuple[int, int, int]:
-    """Σ d_i * 256^i * G over signed base-width digits, one per row of the
-    base-point table: one mixed addition per nonzero digit, no doublings."""
-    acc, a, p = _JACOBIAN_IDENTITY, curve.a, curve.p
-    for row, d in zip(table, digits):
-        point = row[abs(d) - 1] if d else None
-        if point is not None:
-            x, y = point
-            acc = _add_affine(acc, x, y if d > 0 else -y % p, a, p)
-    return acc
-
-
 def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tuple[int, int, int]:
     """Σ s_i * P_i over (scalar, point) pairs, interleaving signed windows
     (Möller 2001); zero scalars and identity points add nothing, negative
@@ -368,16 +357,9 @@ def base_mul_equals(
     s: int, pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams
 ) -> bool:
     """Whether s * G = ``multi_scalar_mul(pairs, curve)`` for a base point
-    of order ``curve.order``. Both sides stay Jacobian: X1·Z2² = X2·Z1² and
-    Y1·Z2³ = Y2·Z1³, with no inversion."""
-    digits = _signed_digits(s % curve.order, _BASE_WIDTH)
-    X1, Y1, Z1 = _mul_base(digits, _base_table(curve), curve)
-    X2, Y2, Z2 = _straus(pairs, curve)
-    if not (Z1 and Z2):
-        return not (Z1 or Z2)
-    ZZ1, ZZ2 = Z1 * Z1, Z2 * Z2
-    p = curve.p
-    return (X1 * ZZ2 - X2 * ZZ1) % p == 0 and (Y1 * ZZ2 * Z2 - Y2 * ZZ1 * Z1) % p == 0
+    of order ``curve.order``: one Straus pass over (-(s mod n), G) and the
+    pairs, whose sum is the identity (Z = 0) exactly then. No inversion."""
+    return _straus([(-(s % curve.order), curve.base_point), *pairs], curve)[2] == 0
 
 
 @dataclass

@@ -20,20 +20,8 @@ tamper hook or the curve check reads them. A round returns its traffic as
 one count per message kind, which the caller sends as one batch each.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
-The simulator opens each group's commitments once instead: when all m
-bundles carry one vector of the dealt degree k and m >= k, it interpolates
-h of degree <= k mod n through the first k + 1 points (x_j, δ_j), or (0, 0)
-and the k points when m = k, and checks h_i·G = C_i. It reads h_i·G from
-that map when h_i is a committed coefficient; looked up by scalar and
-compared by position, so exact. Then child j refuses exactly when δ_j ≠
-h(x_j) − h(0) mod n, since its check's right side is (h(x_j) − h(0))·G and
-G has prime order n (``validate_curve`` checks it). An honest group's
-zero-free polynomial f gives h = f, so it passes; a parent shifting every
-delta by s opens to h = f + s and is refused by all; as h_i = f_i for
-i >= 1, either costs only the parent's k base multiplications. Otherwise
-(mixed vectors, a wrong length, m < k, or commitments that do not open to
-h) each child checks alone, so claims always come out as if every child
-had checked alone.
+The simulator reaches the same verdicts by comparing each child's bundle
+with the one its parent generated (``refuses_renewal``).
 """
 
 from __future__ import annotations
@@ -42,11 +30,17 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .algebra import interpolate, keyed_polynomial, poly_eval
+from .algebra import keyed_polynomial, poly_eval
 from .curve import CurveParams, CurvePoint, base_mul_equals, base_muls, scalar_mul
 from .errors import HierShareError
 from .hierarchy import HierarchyTree
 from .sharing import GroupShares
+
+# ``scalar_mul`` is re-exported, uncalled: the benchmark tracer patches it here too.
+__all__ = ["NoChildren", "ACCUSED_COMPROMISED", "CLAIMERS_COMPROMISED", "RenewalBundle",
+           "ClaimRecord", "Verdict", "generate_renewal", "verify_renewal", "accepts_renewal",
+           "refuses_renewal", "apply_renewal", "file_claim", "resolve_claims",
+           "RenewalOutcome", "renewal_key", "PerturbHook", "renewal_round", "scalar_mul"]
 
 
 class NoChildren(HierShareError):
@@ -112,29 +106,20 @@ def generate_renewal(
     ]
 
 
-def verify_renewal(
-    bundle: RenewalBundle, eval_point: int, curve: CurveParams
-) -> bool:
-    """Check delta*G against the committed polynomial at eval_point, in
-    Jacobian form.
+def verify_renewal(bundle: RenewalBundle, eval_point: int, curve: CurveParams) -> bool:
+    """Check delta*G against the committed polynomial at eval_point, in one
+    Straus pass (``base_mul_equals``).
 
     Complete (honest bundles always pass) and sound at the recorded degree:
     any mismatch between delta and the committed coefficients, including a
     smuggled nonzero free coefficient, shifts the left side off the right.
     """
-    return base_mul_equals(
-        bundle.delta,
-        (
-            (pow(eval_point, h, curve.order), commitment)
-            for h, commitment in enumerate(bundle.commitments, start=1)
-        ),
-        curve,
-    )
+    n = curve.order
+    pairs = ((pow(eval_point, h, n), C) for h, C in enumerate(bundle.commitments, start=1))
+    return base_mul_equals(bundle.delta, pairs, curve)
 
 
-def accepts_renewal(
-    bundle: RenewalBundle, group: GroupShares, curve: CurveParams
-) -> bool:
+def accepts_renewal(bundle: RenewalBundle, group: GroupShares, curve: CurveParams) -> bool:
     """A child's check of its bundle: one commitment per nonzero
     coefficient of the group's dealt degree (threshold - 1), and a delta
     that matches them at the child's point. A longer commitment vector
@@ -146,31 +131,21 @@ def accepts_renewal(
     )
 
 
-def group_refusals(
-    group: GroupShares, delivered: Sequence[RenewalBundle], curve: CurveParams,
-    committed: Mapping[int, CurvePoint],
-) -> list[int] | None:
-    """The module docstring's opened-polynomial check of the bundles a
-    group's members received, in id order: the children whose own
-    ``accepts_renewal`` fails, or None when the commitments do not open to
-    the interpolated h and each child must check alone. h_i·G is read from
-    ``committed`` (scalar -> its multiple of G: the epoch's commitments)
-    when h_i is a key."""
-    n, commitments = curve.order, delivered[0].commitments
-    k = len(commitments)
-    if k != group.threshold - 1 or len(delivered) < k or any(
-        bundle.commitments != commitments for bundle in delivered
-    ):
-        return None
-    points = [(group.members[b.recipient][0], b.delta) for b in delivered]
-    h = interpolate(points[: k + 1] if len(points) > k else [(0, 0)] + points, n)
-    multiples = (committed[c] if c in committed else scalar_mul(c, curve.base_point) for c in h[1:])
-    if any(hG != C for hG, C in zip(multiples, commitments)):
-        return None
-    return [
-        bundle.recipient for bundle, (x, delta) in zip(delivered, points)
-        if (poly_eval(h, x, n) - h[0] - delta) % n
-    ]
+def refuses_renewal(
+    sent: RenewalBundle, got: RenewalBundle, group: GroupShares, curve: CurveParams
+) -> bool:
+    """Whether the recipient of ``got`` refuses it, ``sent`` being the
+    bundle the parent generated in its place. ``sent`` passes its own check
+    (k = threshold - 1 commitments f_i·G, δ = f(x) mod n, as the tree's
+    field is the curve order's), so an unchanged bundle is accepted; one
+    changed only in its delta is refused iff the delta moved mod n, as G
+    has prime order n (``validate_curve``); any other change goes to
+    ``accepts_renewal``."""
+    if got == sent:
+        return False
+    if got._replace(delta=sent.delta) == sent:
+        return (got.delta - sent.delta) % curve.order != 0
+    return not accepts_renewal(got, group, curve)
 
 
 def apply_renewal(
@@ -179,7 +154,7 @@ def apply_renewal(
     """The group's record one epoch on: each recipient's value plus its
     delta mod p, evaluation points untouched. Members with no bundle (those
     who left) are not in it. The caller has already checked the bundles
-    (``group_refusals``) in curve mode."""
+    (``refuses_renewal``) in curve mode."""
     old = group.members
     members = {uid: (old[uid][0], (old[uid][1] + delta) % p) for _, uid, delta, _ in delivered}
     return GroupShares(group.epoch + 1, group.threshold, members)
@@ -261,12 +236,12 @@ def renewal_round(
     when ``perturb`` is set (it then gets every bundle) or the tree has a
     curve; otherwise each child's value gains f(x) mod p directly.
 
-    A subtree commits only if none of its children's verifications failed
-    (one ``group_refusals`` per group, then ``accepts_renewal`` per child
-    only if that cannot decide); its active children then hold one new
-    record, and members who left keep the old one. A genuine failure means
-    tampering somewhere, so the whole subtree's renewal is discarded for
-    the epoch and the refusing children's claims go to the administrator.
+    A subtree commits only if none of its children refuses its bundle
+    (``refuses_renewal``, against the bundle the parent generated); its
+    active children then hold one new record, and members who left keep
+    the old one. A genuine failure means tampering somewhere, so the whole
+    subtree's renewal is discarded for the epoch and the refusing
+    children's claims go to the administrator.
     One ``resolve_claims`` pass then judges all of the epoch's claims,
     ``extra_claims`` included, against the groups as they stood before the
     round. Verdicts are returned for the caller to act on (cleansing is the
@@ -310,12 +285,10 @@ def renewal_round(
         else:
             bundles = generate_renewal(tree, group, kids, polys[root], committed)
             delivered = bundles if perturb is None else [perturb(bundle) for bundle in bundles]
-            refused = [] if tree.curve is None else group_refusals(group, delivered, tree.curve, committed)
-            if refused is None:
-                refused = [
-                    bundle.recipient for bundle in delivered
-                    if not accepts_renewal(bundle, group, tree.curve)
-                ]
+            refused = [] if tree.curve is None else [
+                got.recipient for sent, got in zip(bundles, delivered)
+                if refuses_renewal(sent, got, group, tree.curve)
+            ]
             if refused:
                 claims.extend(file_claim(tree, child, root) for child in refused)
                 continue

@@ -3,13 +3,20 @@ import random
 import shutil
 import tempfile
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from hiershare import sharing
-from hiershare.algebra import FieldParams, lagrange_at_zero, sample_polynomial
+from hiershare import algebra, sharing
+from hiershare.algebra import (
+    DuplicateAbscissa,
+    FieldParams,
+    Polynomial,
+    lagrange_at_zero,
+    sample_polynomial,
+)
 from hiershare.curve import TOY_CURVE, CurvePoint, base_muls
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.proactive import generate_renewal
@@ -44,6 +51,34 @@ def benchmark_workloads():
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def interpolate(points: Sequence[tuple[int, int]], p: int) -> Polynomial:
+    """Monomial coefficients mod p of the polynomial of degree below
+    len(points) through the given points, whose abscissas must be distinct
+    mod p (zero is allowed). Like ``lagrange_at_zero`` it sums the terms as
+    one running fraction, so the whole interpolation costs one inversion.
+    The package needs only the free coefficient (``lagrange_at_zero``);
+    the tests use the whole polynomial as a reference."""
+    if not points:
+        raise ValueError("interpolation needs at least one point")
+    xs = [x % p for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa(f"abscissas {xs} are not distinct")
+    product = [1]  # Π (x - x_j), ascending powers
+    for x_j in xs:
+        product = [(lo - x_j * hi) % p for lo, hi in zip([0] + product, product + [0])]
+    total, total_den = [0] * len(xs), 1
+    for x_i, (_, y_i) in zip(xs, points):
+        # basis = product / (x - x_i) by synthetic division, den = basis(x_i)
+        basis, carry, den = [0] * len(xs), 0, 0
+        for h in reversed(range(len(xs))):
+            carry = basis[h] = (product[h + 1] + x_i * carry) % p
+            den = (den * x_i + carry) % p
+        total = [(t * den + y_i * total_den * b) % p for t, b in zip(total, basis)]
+        total_den = total_den * den % p
+    inverse = algebra.field_inverse(total_den, p)
+    return tuple(c * inverse % p for c in total)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deal, make_tree, tf
+from conftest import deal, interpolate, make_tree, tf
 from hiershare import algebra
 from hiershare.curve import STANDARD_CURVE
 from hiershare.sharing import reconstruct
@@ -19,7 +19,6 @@ from hiershare.algebra import (
     ZeroAbscissa,
     ZeroInverse,
     field_inverse,
-    interpolate,
     is_prime,
     lagrange_at_zero,
     lagrange_weights,

@@ -544,8 +544,9 @@ class TestMultiScalarMul:
 
 
 class TestBaseMulEquals:
-    """``base_mul_equals(s, pairs)`` compares s * G with the pairs' sum in
-    Jacobian form; it must agree with comparing the affine results."""
+    """``base_mul_equals(s, pairs)`` asks whether one Straus pass over
+    (-(s mod n), G) and the pairs sums to the identity; it must agree with
+    comparing the affine results."""
 
     def test_toy_agrees_with_affine_comparison(self, toy):
         rng = random.Random(14)
@@ -582,6 +583,18 @@ class TestBaseMulEquals:
     def test_mixed_curves_rejected(self):
         with pytest.raises(OffCurve):
             base_mul_equals(1, [(1, TOY_CURVE.base_point)], STANDARD_CURVE)
+
+    def test_scalar_is_reduced_before_the_pass(self, monkeypatch, toy):
+        """s is read mod n: a toy-curve s = 3 + 2^70 * n is the residue 3's
+        short bit-by-bit term, so the pass builds no window table."""
+        built = []
+        multiples = curve_module._multiple_rows
+        monkeypatch.setattr(
+            curve_module, "_multiple_rows",
+            lambda P, count, a, p: built.append(len(P)) or multiples(P, count, a, p),
+        )
+        assert base_mul_equals(3 + 2**70 * toy.order, [(3, toy.base_point)], toy)
+        assert built == []
 
 
 class TestValidateCurve:

@@ -734,9 +734,10 @@ class TestStalenessAcrossEpochs:
 
 
 class TestBatchCheck:
-    """A group's renewal is checked as one batch, by one exact
-    interpolation; the verdicts must be those of each child checking
-    alone."""
+    """A group's renewal is judged child by child against the bundles its
+    parent generated: a bundle changed only in its delta is decided in the
+    field, any other change by the child's own check. The verdicts must be
+    those of each child checking alone."""
 
     def dealt_group(self, seed, size, factor=tf(2, 3), curve=STANDARD_CURVE):
         rng = random.Random(seed)
@@ -825,8 +826,8 @@ class TestBatchCheck:
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_child_beyond_the_interpolated_ones_is_refused(self, curve):
-        """Five children, threshold 4: f comes from (0, 0) and children
-        1-3, so child 5's delta is checked only against f(x_5)."""
+        """Five children, threshold 4: the last child's delta alone is
+        bumped, beyond the first threshold-many, and it alone refuses."""
         tree, shares = self.dealt_group(25, 5, curve=curve)
         assert shares[5].threshold == 4
 
@@ -839,12 +840,10 @@ class TestBatchCheck:
         assert self.claimers(outcome) == [5] == self.alone(tree, shares, seen)
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
-    def test_same_shift_for_every_child_is_refused_by_the_opened_polynomial(
-        self, monkeypatch, curve
-    ):
-        """Every delta is shifted by 5: h = f + 5 opens the honest
-        commitments and h(0) = 5, so all five children refuse and none runs
-        its own check."""
+    def test_same_shift_for_every_child_is_refused_in_the_field(self, monkeypatch, curve):
+        """Every delta is shifted by 5 and nothing else changes, so each
+        delta moved mod n: all five children refuse and none runs its own
+        check."""
         tree, shares = self.dealt_group(30, 5, curve=curve)
         checks = self.counted_checks(monkeypatch)
 
@@ -857,10 +856,10 @@ class TestBatchCheck:
         assert all(rec.epoch == 0 for rec in outcome.shares.values())
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
-    def test_shift_among_the_interpolated_children_falls_back(self, monkeypatch, curve):
-        """Threshold 4: h comes from children 1-4, so shifting child 2
-        alone adds a multiple of its degree-3 Lagrange basis to h, and
-        h_1..h_3 no longer match C_1..C_3; each child checks alone."""
+    def test_one_shifted_child_is_refused_in_the_field(self, monkeypatch, curve):
+        """Threshold 4: child 2's delta alone is shifted by 5. Only its
+        delta moved, so child 2 refuses in the field, its siblings accept
+        their unchanged bundles, and no child runs its own check."""
         tree, shares = self.dealt_group(31, 5, curve=curve)
         assert shares[2].threshold == 4
         checks = self.counted_checks(monkeypatch)
@@ -871,15 +870,16 @@ class TestBatchCheck:
             return bundle._replace(delta=(bundle.delta + 5) % curve.order)
 
         outcome, seen = self.run_tampered(tree, shares, bump)
-        assert len(checks) == 5
+        assert len(checks) == 0
         assert self.claimers(outcome) == [2] == self.alone(tree, shares, seen)
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["honest", "shifted"])
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_group_of_exactly_its_degree(self, monkeypatch, curve, shifted):
-        """Four children at threshold 4 and one leaves: three points and
-        (0, 0) fix h. Honest, h = f opens the commitments; with every delta
-        shifted, h(0) = 0 forces h != f, so each child checks alone."""
+        """Four children at threshold 4 and one leaves, so the group has
+        only as many children as its degree. Honest, every child accepts;
+        with every delta shifted by 1, every child refuses in the field.
+        Neither runs a child's own check."""
         tree, shares = self.dealt_group(32, 4, tf(3, 3), curve=curve)
         tree.leave(4)
         assert tree.groups(shares) == {ROOT_ID: [1, 2, 3]}
@@ -890,7 +890,7 @@ class TestBatchCheck:
             return bundle._replace(delta=(bundle.delta + shifted) % curve.order)
 
         outcome, seen = self.run_tampered(tree, shares, shift)
-        assert len(checks) == (3 if shifted else 0)
+        assert len(checks) == 0
         assert self.claimers(outcome) == self.alone(tree, shares, seen)
         assert self.claimers(outcome) == ([1, 2, 3] if shifted else [])
 
@@ -907,12 +907,53 @@ class TestBatchCheck:
         assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242 % curve.order
 
     @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_delta_raised_by_the_order_is_accepted_without_a_check(self, monkeypatch, curve):
+        """Child 3's delta is raised by exactly n and left unreduced. It
+        differs from the parent's only by a multiple of n, so its own check
+        would pass: no child refuses, none runs its check, and the group
+        renews."""
+        tree, shares = self.dealt_group(33, 5, curve=curve)
+        checks = self.counted_checks(monkeypatch)
+
+        def raise_by_order(bundle):
+            if bundle.recipient != 3:
+                return bundle
+            return bundle._replace(delta=bundle.delta + curve.order)
+
+        outcome, seen = self.run_tampered(tree, shares, raise_by_order)
+        assert seen[2].delta >= curve.order and len(checks) == 0
+        assert self.claimers(outcome) == [] == self.alone(tree, shares, seen)
+        assert all(rec.epoch == 1 for rec in outcome.shares.values())
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242 % curve.order
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
+    def test_swapped_bundles_are_judged_at_their_recipients(self, monkeypatch, curve):
+        """Children 2 and 4 swap their bundles whole, each still addressed
+        to the child its delta was computed for. Each bundle passes its
+        recipient's own check, so no child refuses and the group renews.
+        A check that compared bundles by position and ignored the recipient
+        would see two moved deltas and refuse both."""
+        tree, shares = self.dealt_group(34, 5, curve=curve)
+        _outcome, sent = self.run_tampered(tree, shares, lambda bundle: bundle)
+        swapped = {2: sent[3], 4: sent[1]}
+        checks = self.counted_checks(monkeypatch)
+
+        def swap(bundle):
+            return swapped.get(bundle.recipient, bundle)
+
+        outcome, seen = self.run_tampered(tree, shares, swap)
+        assert [b.recipient for b in seen] == [1, 4, 3, 2, 5]
+        assert len(checks) == 2
+        assert self.claimers(outcome) == [] == self.alone(tree, shares, seen)
+        assert all(rec.epoch == 1 for rec in outcome.shares.values())
+        assert reconstruct(tree, outcome.shares, list(outcome.shares), ()) == 4242 % curve.order
+
+    @pytest.mark.parametrize("curve", [STANDARD_CURVE, TOY_CURVE], ids=["secp", "toy"])
     def test_swapped_commitments_fall_back_and_are_refused_by_all(self, monkeypatch, curve):
-        """C_1 and C_2 swapped in every bundle of a degree-3 group: the
-        deltas open h = f, and h_1 * G and h_2 * G are both among the
-        parent's commitments, each under the other coefficient. The check
-        compares by position, so it falls back, and every child refuses
-        as it would alone. Only the parent multiplies G: its three
+        """C_1 and C_2 swapped in every bundle of a degree-3 group: both
+        points are among the parent's commitments, each under the other
+        coefficient. The commitments changed, so every child runs its own
+        check and refuses. Only the parent multiplies G: its three
         coefficients, in one batch."""
         tree, shares = self.dealt_group(28, 5, curve=curve)
         assert shares[1].threshold - 1 == 3
@@ -1108,8 +1149,10 @@ class TestCheckCounts:
     additions (``_add_affine``, the first of each scalar's from the
     identity) finish each scalar. So a batch of n points over m scalars
     makes n additions in all. On the toy curve each scalar names one
-    point and the batch makes no level. The group check reads h_i * G
-    from the epoch's commitments and adds nothing of its own."""
+    point and the batch makes no level. A bundle that reaches its child
+    unchanged, or changed only in its delta, is judged without a curve
+    operation; only one whose commitments changed runs the child's own
+    check, one Straus pass."""
 
     # Users 1-3 at level 1; 1 -> {4, 5}, 2 -> {6, 7, 8}: three groups of
     # threshold 2 (k = 1), 8 dealt children.
@@ -1162,8 +1205,8 @@ class TestCheckCounts:
         multiplications in one batch, 33 + 33 + 32 = 98 points (no zero
         digit among the 33, 33 and 32), no doublings. The levels add 48,
         24 and 12 pairs, leaving 5, 5 and 4 points (6 pairs, below 8),
-        which 14 mixed additions finish: 84 + 14 = 98. Each group check
-        opens h = f and finds h_1 * G among the epoch's commitments."""
+        which 14 mixed additions finish: 84 + 14 = 98. Every child gets
+        the bundle its parent generated, so none runs its own check."""
         _tree, outcome, counts = self.counted_round(monkeypatch, STANDARD_CURVE)
         assert outcome.claims == ()
         assert counts == {
@@ -1172,9 +1215,9 @@ class TestCheckCounts:
         }
 
     def test_shifted_group_is_refused_without_a_pass(self, monkeypatch):
-        """Every delta of user 2's group is shifted by 1, so h = f + 1 still
-        opens the commitments and h(0) = 1 refuses all three children. The
-        shift moves only h_0, so the count is the parents' 84 + 14."""
+        """Every delta of user 2's group is shifted by 1 and nothing else
+        changes, so each of its three children refuses in the field. The
+        count is the parents' 84 + 14."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2
         )
@@ -1185,22 +1228,22 @@ class TestCheckCounts:
         }
 
     def test_moved_commitment_falls_back_to_one_pass_per_child(self, monkeypatch):
-        """User 2's C_1 is moved, so its commitments do not open to h (h_1 * G,
-        read from the epoch's map, differs from C_1) and each of its three
-        children runs its own check: delta * G from the base-point table
-        (98 mixed additions for the three deltas' 33 + 32 + 33 nonzero
-        digits) and one Straus pass over C_1's 16-multiple window table
-        (149 mixed additions and 755 doublings for the three x_j mod n).
-        Each window table takes 1 + 2 + 4 + 8 = 15 batched pairs. The
-        parents' 84 pairs plus 3 * 15 make 129, and their 14 mixed
-        additions plus the passes' 98 + 149 make 261."""
+        """User 2's C_1 is moved, so each of its three children runs its
+        own check: one Straus pass over (-delta mod n, G) and (x_j, C_1).
+        All six scalars have 254 to 256 bits, so each pass builds the
+        16-multiple window tables of G and C_1 together, 2 + 4 + 8 + 16 =
+        30 batched pairs; adds one point per nonzero width-5 digit of
+        delta and x_j, 101, 102 and 101 for the three children (304); and
+        doubles 5 * 51 = 255 times, the longer scalar having 52 digits.
+        The parents' 84 pairs plus 3 * 30 make 174, their 14 mixed
+        additions plus 304 make 318, and the doublings 3 * 255 = 765."""
         _tree, outcome, counts = self.counted_round(
             monkeypatch, STANDARD_CURVE, tampered_parent=2, move_commitment=True
         )
         assert sorted(c.claimer for c in outcome.claims) == [6, 7, 8]
         assert counts == {
             "verify_renewal": 3, "base_mul_equals": 3, "_straus": 3,
-            "_add_batch": 129, "_add_affine": 261, "_double": 755,
+            "_add_batch": 174, "_add_affine": 318, "_double": 765,
         }
 
     def test_honest_toy_epoch_makes_no_pass(self, monkeypatch, toy):
@@ -1215,10 +1258,9 @@ class TestCheckCounts:
 
     def test_renew_secp_shaped_epoch_makes_no_pass(self, monkeypatch):
         """The renew-secp tree: level-1 users 1-4 with 2, 3, 4 and 5
-        children; user 3's group of four is shifted. The four children's own
-        checks would make 534 mixed additions and 1020 doublings here (four
-        Straus passes); the opened polynomial refuses all four with no work beyond
-        the parents' commitments: k = 2, 1, 1, 2, 3 for the root's group of
+        children; user 3's group of four is shifted. Only the deltas moved,
+        so all four refuse in the field with no work beyond the parents'
+        commitments: k = 2, 1, 1, 2, 3 for the root's group of
         four and the groups of 2-5, one batch of 9 base multiplications
         over 293 table points (32 or 33 nonzero digits each), no doubling.
         The levels add 144, 72, 36, 18 and 9 pairs (279), an odd point
@@ -1263,13 +1305,12 @@ class TestCheckCounts:
         assert converted == [len(tree.nodes)] == [18]
 
     def test_no_multiple_outlives_its_round(self, monkeypatch):
-        """Two identical rounds in one process add as many points, and a
-        parent replaying the previous round's bundles makes each group
-        check multiply its h_1 * G afresh: 3 multiplications for the
-        parents (the epoch's one batch of three k = 1 coefficients) and 3
-        single ones for the replayed polynomials, where an honest round
-        makes 3 in all. Were a multiple kept past its round, the replay
-        would read h_1 * G from it and make 3."""
+        """Two identical rounds in one process add as many points, so no
+        multiple of G is kept past its round. A parent replaying the
+        previous round's bundles changes every commitment, so each child
+        runs its own check, a Straus pass that multiplies nothing through
+        ``proactive``: the epoch's one batch of three k = 1 coefficients
+        is all."""
         rng = random.Random(41)
         tree = make_tree(self.SPEC, rng, curve=STANDARD_CURVE)
         _dealer, _state, shares = deal(tree, 9, tf(2, 3), rng)
@@ -1299,21 +1340,21 @@ class TestCheckCounts:
         )
         # A replay passes every child's own check: bundles carry no epoch.
         assert outcome.claims == ()
-        assert [len(batch) for batch in calls] == [3, 1, 1, 1]
+        assert [len(batch) for batch in calls] == [3]
 
     @pytest.mark.parametrize(
         "curve, tables",
-        [(TOY_CURVE, []), (STANDARD_CURVE, [(3, 16)])],
+        [(TOY_CURVE, []), (STANDARD_CURVE, [(4, 16)])],
         ids=["toy", "standard"],
     )
     def test_child_check_builds_a_window_table_only_for_long_scalars(
         self, monkeypatch, curve, tables
     ):
-        """A child's check compares delta * G with the Straus sum in
-        Jacobian form, converting neither. Every toy-curve scalar has at most
-        5 bits, so its Straus terms go bit by bit and build no table; the
-        three secp256k1 terms x^h mod n build their tables of 16 affine
-        multiples together."""
+        """A child's check adds -delta * G to the Straus sum of its terms in
+        one pass and converts nothing. Every toy-curve scalar has at most
+        5 bits, so its terms go bit by bit and build no table; on
+        secp256k1, G's term and the three terms x^h mod n build their
+        tables of 16 affine multiples together."""
         rng = random.Random(3)
         coeffs = [rng.randrange(1, curve.order) for _ in range(3)]
         x = rng.randrange(2, curve.order)

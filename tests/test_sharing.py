@@ -14,6 +14,7 @@ from conftest import (
     eval_point,
     every_group_recover,
     held_copies,
+    interpolate,
     kept,
     make_tree,
     minimal_reconstructing_set,
@@ -22,7 +23,7 @@ from conftest import (
 )
 
 from hiershare import sharing
-from hiershare.algebra import FieldParams, interpolate, poly_eval
+from hiershare.algebra import FieldParams, poly_eval
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree, TreeFull
 from hiershare.sharing import (
