@@ -31,20 +31,21 @@ class ConfigError(HierShareError):
     """Scenario rejected; the message names the field at fault."""
 
 
-def _require(condition: bool, where: str, message: str) -> None:
+def _require(condition: bool, where: str, message: str, *args) -> None:
+    """Refuse unless ``condition``, with ``message % args``, formatted only then."""
     if not condition:
-        raise ConfigError(f"{where}: {message}")
+        raise ConfigError(f"{where}: {message % args if args else message}")
 
 
 def _take(data: dict, where: str, allowed: dict[str, bool]) -> None:
     """Reject unknown keys and missing required ones. ``allowed`` maps key
     name to whether it is required."""
     _require(isinstance(data, dict), where, "expected an object")
-    unknown = set(data) - set(allowed)
-    _require(not unknown, where, f"unknown field(s) {sorted(unknown)}")
+    if not data.keys() <= allowed.keys():
+        raise ConfigError(f"{where}: unknown field(s) {sorted(set(data) - set(allowed))}")
     for key, required in allowed.items():
-        if required:
-            _require(key in data, where, f"missing required field {key!r}")
+        if required and key not in data:
+            raise ConfigError(f"{where}: missing required field {key!r}")
 
 
 def _decimal(value, where: str) -> int:
@@ -238,63 +239,75 @@ def parse_curve_inline(data: dict, where: str) -> CurveParams:
 def _parse_adversary(data: dict, where: str, user_ids: range, parents: tuple[int, ...], max_epoch: int) -> AdversaryConfig:
     _take(data, where, {"strategy": False, "budget": False, "targets": False, "script": False})
     strategy = data.get("strategy", "passive-stealer")
-    _require(strategy in STRATEGIES, f"{where}.strategy", f"must be one of {STRATEGIES}")
+    _require(strategy in STRATEGIES, f"{where}.strategy", "must be one of %s", STRATEGIES)
     budget = _int(data.get("budget", 0), f"{where}.budget", minimum=0)
     targets = tuple(_ids(data.get("targets", []), f"{where}.targets"))
     for t in targets:
-        _require(t in user_ids, f"{where}.targets", f"unknown user {t}")
+        _require(t in user_ids, f"{where}.targets", "unknown user %d", t)
 
     script_raw = data.get("script", [])
     _require(isinstance(script_raw, list), f"{where}.script", "must be a list")
-    _require(
-        not script_raw or strategy == "scripted",
-        f"{where}.script",
-        "script entries require the 'scripted' strategy",
-    )
+    _require(not script_raw or strategy == "scripted", f"{where}.script",
+             "script entries require the 'scripted' strategy")
+    # An entry's checks name fields relative to it ("" for the entry itself)
+    # and build a message only on failure; the error raised gets its path.
     script: list[dict] = []
     compromised_at: dict[int, set[int]] = {}
     for i, entry in enumerate(script_raw):
-        w = f"{where}.script[{i}]"
-        _take(entry, w, {"epoch": True, "compromise": False, "tamper": False, "false_claims": False})
-        epoch = _int(entry["epoch"], f"{w}.epoch", minimum=0)
-        _require(epoch <= max_epoch, f"{w}.epoch", f"beyond scenario epochs ({max_epoch})")
-        comp = _ids(entry.get("compromise", []), f"{w}.compromise")
-        for uid in comp:
-            _require(uid in user_ids, f"{w}.compromise", f"unknown user {uid}")
-        compromised_at.setdefault(epoch, set()).update(comp)
-        _require(budget == 0 or len(compromised_at[epoch]) <= budget, f"{w}.compromise", "exceeds budget")
+        try:
+            _take(entry, "", {"epoch": True, "compromise": False, "tamper": False, "false_claims": False})
+            epoch = _int(entry["epoch"], ".epoch", minimum=0)
+            _require(epoch <= max_epoch, ".epoch", "beyond scenario epochs (%d)", max_epoch)
+            comp = _ids(entry.get("compromise", []), ".compromise")
+            for uid in comp:
+                _require(uid in user_ids, ".compromise", "unknown user %d", uid)
+            compromised_at.setdefault(epoch, set()).update(comp)
+            _require(budget == 0 or len(compromised_at[epoch]) <= budget, ".compromise", "exceeds budget")
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.script[{i}]{exc}") from None
         script.append({"epoch": epoch, "compromise": sorted(comp)})
     # Tampers and claims need their epoch's whole union, so entry order is free.
     for i, (entry, clean) in enumerate(zip(script_raw, script)):
-        w = f"{where}.script[{i}]"
         compromised = compromised_at[clean["epoch"]]
-        if "tamper" in entry:
-            clean_tampers = []
-            _require(isinstance(entry["tamper"], list), f"{w}.tamper", "must be a list")
-            for j, tam in enumerate(entry["tamper"]):
-                tw = f"{w}.tamper[{j}]"
-                _take(tam, tw, {"parent": True, "children": False})
-                parent = _int(tam["parent"], f"{tw}.parent")
-                _require(parent in compromised, tw, f"tampering parent {parent} is not compromised that epoch")
-                kids = _ids(tam.get("children", []), f"{tw}.children")
-                for kid in kids:
-                    _require(kid in user_ids and parents[kid - 1] == parent, tw, f"{kid} is not a child of {parent}")
-                clean_tampers.append({"parent": parent, "children": sorted(kids)})
-            clean["tamper"] = clean_tampers
-        if "false_claims" in entry:
-            clean_claims = []
-            _require(isinstance(entry["false_claims"], list), f"{w}.false_claims", "must be a list")
-            for j, fc in enumerate(entry["false_claims"]):
-                fw = f"{w}.false_claims[{j}]"
-                _take(fc, fw, {"accused": True, "claimers": True})
-                accused = _int(fc["accused"], f"{fw}.accused")
-                claimers = _ids(fc["claimers"], f"{fw}.claimers")
-                for claimer in claimers:
-                    _require(claimer in user_ids and parents[claimer - 1] == accused, fw, f"{claimer} is not a child of {accused}")
-                    _require(claimer in compromised, fw, f"false claimer {claimer} is not compromised that epoch")
-                clean_claims.append({"accused": accused, "claimers": sorted(claimers)})
-            clean["false_claims"] = clean_claims
+        try:
+            if "tamper" in entry:
+                _require(isinstance(entry["tamper"], list), ".tamper", "must be a list")
+                clean["tamper"] = [_tamper(t, j, compromised, parents) for j, t in enumerate(entry["tamper"])]
+            if "false_claims" in entry:
+                _require(isinstance(entry["false_claims"], list), ".false_claims", "must be a list")
+                claims = enumerate(entry["false_claims"])
+                clean["false_claims"] = [_claim(c, j, compromised, parents) for j, c in claims]
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.script[{i}]{exc}") from None
     return AdversaryConfig(strategy=strategy, budget=budget, targets=targets, script=tuple(script))
+
+
+def _tamper(tam, j: int, compromised: set[int], parents: tuple[int, ...]) -> dict:
+    try:
+        _take(tam, "", {"parent": True, "children": False})
+        parent = _int(tam["parent"], ".parent")
+        _require(parent in compromised, "", "tampering parent %d is not compromised that epoch", parent)
+        kids = _ids(tam.get("children", []), ".children")
+        for kid in kids:
+            _require(0 < kid <= len(parents) and parents[kid - 1] == parent, "",
+                     "%d is not a child of %d", kid, parent)
+    except ConfigError as exc:
+        raise ConfigError(f".tamper[{j}]{exc}") from None
+    return {"parent": parent, "children": sorted(kids)}
+
+
+def _claim(fc, j: int, compromised: set[int], parents: tuple[int, ...]) -> dict:
+    try:
+        _take(fc, "", {"accused": True, "claimers": True})
+        accused = _int(fc["accused"], ".accused")
+        claimers = _ids(fc["claimers"], ".claimers")
+        for claimer in claimers:
+            _require(0 < claimer <= len(parents) and parents[claimer - 1] == accused, "",
+                     "%d is not a child of %d", claimer, accused)
+            _require(claimer in compromised, "", "false claimer %d is not compromised that epoch", claimer)
+    except ConfigError as exc:
+        raise ConfigError(f".false_claims[{j}]{exc}") from None
+    return {"accused": accused, "claimers": sorted(claimers)}
 
 
 def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
@@ -371,11 +384,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
 
     # The field mode fixes the evaluation points; older files may name them.
     eval_points = "round-key" if field_mode == "curve-order" else "user-id"
-    _require(
-        data.get("eval_mode", eval_points) == eval_points,
-        f"{source}.eval_mode",
-        f"{field_mode} evaluation points are {eval_points!r}, not {data.get('eval_mode')!r}",
-    )
+    _require(data.get("eval_mode", eval_points) == eval_points, f"{source}.eval_mode",
+             "%s evaluation points are %r, not %r", field_mode, eval_points, data.get("eval_mode"))
     epochs = _int(data["epochs"], f"{source}.epochs", minimum=0)
     secret = _decimal(data["secret"], f"{source}.secret")
     seed = _decimal(data["seed"], f"{source}.seed")
@@ -405,27 +415,15 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     )
 
     modulus = field.modulus
-    _require(
-        0 <= secret < modulus,
-        f"{source}.secret",
-        f"must lie in [0, {modulus})",
-    )
+    _require(0 <= secret < modulus, f"{source}.secret", "must lie in [0, %d)", modulus)
     if curve is None:
-        _require(
-            len(user_ids) < modulus,
-            f"{source}.tree",
-            f"user-id eval points need fewer than {modulus} users",
-        )
+        _require(len(user_ids) < modulus, f"{source}.tree", "user-id eval points need fewer than %d users", modulus)
     else:
         # The order's n - 1 nonidentity points pair up as ±P on one x. A
         # round key on an x that is 0 mod n would give evaluation point 0.
         distinct_x = (curve.order - 1) // 2 - _zero_x_pairs(curve)
-        _require(
-            len(user_ids) <= distinct_x,
-            f"{source}.tree",
-            f"{len(user_ids)} users need distinct round-key x-coordinates "
-            f"nonzero mod the order; curve {curve.name!r} has {distinct_x}",
-        )
+        _require(len(user_ids) <= distinct_x, f"{source}.tree", "%d users need distinct round-key "
+                 "x-coordinates nonzero mod the order; curve %r has %d", len(user_ids), curve.name, distinct_x)
     return config
 
 
@@ -446,23 +444,24 @@ def _parse_events(data, where: str, user_ids: range, max_epoch: int) -> tuple[di
     _require(isinstance(data, list), where, "must be a list")
     events = []
     for i, entry in enumerate(data):
-        w = f"{where}[{i}]"
-        _take(entry, w, {"epoch": True, "kind": True, "user": False, "mid_round": False})
-        kind = entry["kind"]
-        _require(kind in EVENT_KINDS, f"{w}.kind", f"must be one of {EVENT_KINDS}")
-        epoch = _int(entry["epoch"], f"{w}.epoch", minimum=0)
-        _require(epoch <= max_epoch, f"{w}.epoch", f"beyond scenario epochs ({max_epoch})")
-        clean = {"epoch": epoch, "kind": kind}
-        if kind in ("leave", "rejoin"):
-            _require("user" in entry, w, f"{kind} event needs a user")
-            user = _int(entry["user"], f"{w}.user")
-            _require(user in user_ids, f"{w}.user", f"unknown user {user}")
-            clean["user"] = user
-            if kind == "leave":
-                clean["mid_round"] = _flag(entry.get("mid_round", False), f"{w}.mid_round")
-        else:
-            _require("user" not in entry, w, "redeal events take no user")
-            _require("mid_round" not in entry, w, "redeal events take no mid_round flag")
+        try:
+            _take(entry, "", {"epoch": True, "kind": True, "user": False, "mid_round": False})
+            kind = entry["kind"]
+            _require(kind in EVENT_KINDS, ".kind", "must be one of %s", EVENT_KINDS)
+            epoch = _int(entry["epoch"], ".epoch", minimum=0)
+            _require(epoch <= max_epoch, ".epoch", "beyond scenario epochs (%d)", max_epoch)
+            clean = {"epoch": epoch, "kind": kind}
+            if kind in ("leave", "rejoin"):
+                _require("user" in entry, "", "%s event needs a user", kind)
+                clean["user"] = user = _int(entry["user"], ".user")
+                _require(user in user_ids, ".user", "unknown user %d", user)
+                if kind == "leave":
+                    clean["mid_round"] = _flag(entry.get("mid_round", False), ".mid_round")
+            else:
+                _require("user" not in entry, "", "redeal events take no user")
+                _require("mid_round" not in entry, "", "redeal events take no mid_round flag")
+        except ConfigError as exc:
+            raise ConfigError(f"{where}[{i}]{exc}") from None
         events.append(clean)
     return tuple(events)
 

@@ -254,34 +254,34 @@ def _straus(pairs: Iterable[tuple[int, CurvePoint]], curve: CurveParams) -> tupl
     """Σ s_i * P_i over (scalar, point) pairs, interleaving signed windows
     (Möller 2001); zero scalars and identity points add nothing, negative
     scalars use the group inverse. A scalar of more than 64 bits is read
-    in width-5 digits from a table of its point's first 16 multiples (the
-    tables of all such terms take four batched additions together); a
-    shorter one is tested bit by bit, with no table. One doubling per bit
-    of the widest scalar, shared by all terms, and one mixed addition per
-    nonzero digit or set bit."""
-    a, p = curve.a, curve.p
+    in width-5 digits from a table of its point's first 16 multiples (G's
+    is read from ``_base_table``; the others take four batched additions
+    together); a shorter one is tested bit by bit, with no table. One
+    doubling per bit of the widest scalar, shared by all terms, and one
+    mixed addition per nonzero digit or set bit."""
+    a, p, count = curve.a, curve.p, 1 << (_STRAUS_WIDTH - 1)
     short, windowed, due, top = [], [], {}, 0  # due: bit -> window points to add there
     for s, P in pairs:
         if P.curve != curve:
             raise OffCurve("points on different curves")
         if not s or P.is_identity:
             continue
-        x, y, s = P.x, P.y if s > 0 else -P.y % p, abs(s)
-        bits = s.bit_length()
+        bits = abs(s).bit_length()
         if bits <= _SHORT_BITS:
-            short.append((s, x, y))
+            short.append((abs(s), P.x, P.y if s > 0 else -P.y % p))
             top = max(top, bits)
         else:
-            windowed.append((s, (x, y)))
-    tables = []
-    if windowed:
-        tables = _multiple_rows([P for _, P in windowed], 1 << (_STRAUS_WIDTH - 1), a, p)
-    for (s, _), table in zip(windowed, tables):
-        for i, d in enumerate(_signed_digits(s, _STRAUS_WIDTH)):
+            windowed.append((s, (P.x, P.y)))
+    g = curve.gx, curve.gy
+    others = [P for _, P in windowed if P != g]
+    built = iter(_multiple_rows(others, count, a, p) if others else ())
+    for s, P in windowed:
+        table = _base_table(curve)[0][:count] if P == g else next(built)
+        for i, d in enumerate(_signed_digits(abs(s), _STRAUS_WIDTH)):
             point = table[abs(d) - 1] if d else None
             if point is not None:
                 due.setdefault(_STRAUS_WIDTH * i, []).append(
-                    point if d > 0 else (point[0], -point[1] % p)
+                    point if d * s > 0 else (point[0], -point[1] % p)
                 )
     if due:
         top = max(top, max(due) + 1)

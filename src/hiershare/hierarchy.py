@@ -4,8 +4,8 @@ The server sits at the root (level 0) and every user hangs below it; a
 child's level is its parent's plus one. Registration-token delivery is out
 of band by definition (it never crosses the simulated network), so
 ``register`` writes a batch of users' tokens straight into their nodes.
-The group key is stored once, on the node; the server reads it there. Round
-keys are computed per deal attempt (``assign_round_keys``) and never stored.
+Group keys token·G are never computed: their distinct x-coordinates are
+read off the tokens. Round keys are computed per deal and never stored.
 
 The tree is a single mutable state owned by the simulation loop; all
 mutations happen on one logical thread.
@@ -22,11 +22,15 @@ from .curve import CurveParams, CurvePoint, base_muls, scalar_mul
 from .errors import HierShareError
 
 # ``scalar_mul`` is re-exported, uncalled: the benchmark tracer patches it here too.
-__all__ = ["ROOT_ID", "HierarchyNode", "HierarchyTree", "ParentInactive", "TreeFull",
+__all__ = ["ROOT_ID", "HierarchyNode", "HierarchyTree", "FieldMismatch", "ParentInactive", "TreeFull",
            "EmptyHierarchy", "UnknownUser", "AlreadyInactive", "PositionOccupied", "scalar_mul"]
 
 # Parent marker for level-1 users. The server is not a user; ids start at 1.
 ROOT_ID = 0
+
+
+class FieldMismatch(HierShareError):
+    """A curve given with a share field other than its order's."""
 
 
 class ParentInactive(HierShareError):
@@ -55,13 +59,12 @@ class PositionOccupied(HierShareError):
 
 @dataclass(slots=True)
 class HierarchyNode:
-    """One user slot: identity, secret token, group key, and parent link.
-    A slot is vacant (its member left) while its token is None."""
+    """One user slot: identity, secret token, and parent link. A slot is
+    vacant (its member left) while its token is None."""
 
     id: int
     parent: int
     reg_token: int | None = None
-    group_key: CurvePoint | None = None
     deactivated_by: int | None = None
 
     @property
@@ -72,9 +75,12 @@ class HierarchyNode:
 
 
 class HierarchyTree:
-    """Server plus user nodes, keyed by id, with level-0 root semantics."""
+    """Server plus user nodes, keyed by id, with level-0 root semantics. On
+    a curve the share field is the order's, and any other is refused."""
 
     def __init__(self, curve: CurveParams | None, field_params: FieldParams):
+        if curve is not None and field_params.modulus != curve.order:
+            raise FieldMismatch(f"share field {field_params.modulus} is not the order of {curve.name!r}")
         self.curve = curve
         self.field = field_params
         self.nodes: dict[int, HierarchyNode] = {}
@@ -137,33 +143,29 @@ class HierarchyTree:
 
     # -- token sampling ---------------------------------------------------
 
-    def _sample_tokens(self, count: int, rng: random.Random) -> list[tuple[int, CurvePoint | None]]:
-        """Registration tokens and group keys for ``count`` users. In curve
-        mode, each batch draws a token per unfilled user, computes their
-        keys in one ``base_muls`` call, and walks the draws in order: one
-        whose key's x-coordinate is unused tree-wide fills the next user,
-        any other is that user's miss. So each draw is kept or missed just
-        as if the users drew one at a time, and the generator ends alike."""
+    def _sample_tokens(self, count: int, rng: random.Random) -> list[int]:
+        """Registration tokens for ``count`` users, drawn in turn. In curve
+        mode a draw is kept only if its group key's x-coordinate is unused
+        tree-wide, else it is that user's miss. G has prime order n
+        (``validate_curve``), so x(t·G) = x(t'·G) iff t' = ±t mod n, and
+        the test reads min(t, n - t) off the tokens."""
+        p = self.field.modulus
         if self.curve is None:
-            return [(1 + randbelow(rng, self.field.modulus - 1), None) for _ in range(count)]
-        order, out, misses = self.curve.order, [], 0
-        used = {n.group_key.x for n in self.nodes.values() if n.group_key is not None}
+            return [1 + randbelow(rng, p - 1) for _ in range(count)]
+        out, misses = [], 0
+        used = {min(n.reg_token, p - n.reg_token) for n in self.nodes.values() if n.reg_token}
         while len(out) < count:
-            # Each x serves at most two points, so 2*order misses in a row
-            # mean the space is exhausted at toy scale; draw no further.
-            batch = min(count - len(out), 2 * order - misses)
-            tokens = [1 + randbelow(rng, order - 1) for _ in range(batch)]
-            for token, key in zip(tokens, base_muls(tokens, self.curve)):
-                if key.x in used:
-                    misses += 1
-                    continue
-                used.add(key.x)
-                out.append((token, key))
-                misses = 0
-            if misses >= 2 * order:
-                raise TreeFull(
-                    f"no unused group-key x-coordinate left on curve {self.curve.name!r}"
-                )
+            token = 1 + randbelow(rng, p - 1)
+            if min(token, p - token) in used:
+                # Each x serves at most two points, so 2*order misses in a
+                # row mean the space is exhausted at toy scale; draw no more.
+                misses += 1
+                if misses >= 2 * p:
+                    raise TreeFull(f"no unused group-key x-coordinate left on curve {self.curve.name!r}")
+                continue
+            used.add(min(token, p - token))
+            out.append(token)
+            misses = 0
         return out
 
     # -- membership operations --------------------------------------------
@@ -178,7 +180,7 @@ class HierarchyTree:
     def register(self, parents: Sequence[int], rng: random.Random) -> list[HierarchyNode]:
         """Join one user under each of ``parents`` (each active or an earlier
         user of the batch, checked before any draw), in id order: fresh ids,
-        fresh secret tokens, and the group keys the nodes and the server
+        fresh secret tokens, whose group keys the nodes and the server
         both know. All are drawn before any node is added, so a refused
         batch adds nothing. Ids run 1..n and nodes are never removed."""
         first = len(self.nodes) + 1
@@ -186,8 +188,8 @@ class HierarchyTree:
             if not (first <= parent < uid or parent in self.children and self.is_active(parent)):
                 raise ParentInactive(f"parent {parent} is missing or inactive")
         drawn = self._sample_tokens(len(parents), rng)
-        for uid, (parent, (token, key)) in enumerate(zip(parents, drawn), first):
-            self.insert(HierarchyNode(uid, parent, token, key))
+        for uid, (parent, token) in enumerate(zip(parents, drawn), first):
+            self.insert(HierarchyNode(uid, parent, token))
         return [self.nodes[uid] for uid in range(first, len(self.nodes) + 1)]
 
     def leave(self, user_id: int) -> set[int]:
@@ -203,7 +205,6 @@ class HierarchyTree:
                 node.deactivated_by = user_id
                 deactivated.add(uid)
         leaver.reg_token = None
-        leaver.group_key = None
         return deactivated
 
     def rejoin(self, position: int, rng: random.Random) -> int:
@@ -215,7 +216,7 @@ class HierarchyTree:
             raise PositionOccupied(f"slot {position} is not vacant")
         if not self.is_active(slot.parent):
             raise ParentInactive(f"parent {slot.parent} is inactive")
-        [(slot.reg_token, slot.group_key)] = self._sample_tokens(1, rng)
+        [slot.reg_token] = self._sample_tokens(1, rng)
         for uid in self.subtree(position):
             node = self.nodes[uid]
             if node.deactivated_by == position:

@@ -13,11 +13,11 @@ Renewal rounds are deterministic: a round takes 64 bits of entropy from
 its caller's generator, and each subtree root's polynomial is read from
 one SHAKE-256 digest keyed by (round entropy, subtree root)
 (``keyed_polynomial``), so a group's renewal does not depend on which
-other groups renew or in what order. The round draws every group's
-polynomial, then commits the epoch's coefficients in one ``base_muls``
-batch: a map f_i -> f_i·G for the round. Bundles exist only where a
-tamper hook or the curve check reads them. A round returns its traffic as
-one count per message kind, which the caller sends as one batch each.
+other groups renew or in what order. A group's commitments are computed
+only where something reads a point (``Commitments``), and bundles only
+where a tamper hook or the curve check reads them. A round returns its
+traffic as one count per message kind, which the caller sends as one
+batch each, and counts the points committed and the children's checks.
 
 In the protocol each child checks its own bundle: δ_j·G = Σ_h x_j^h·C_h.
 The simulator reaches the same verdicts by comparing each child's bundle
@@ -26,6 +26,7 @@ with the one its parent generated (``refuses_renewal``).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -37,7 +38,7 @@ from .hierarchy import HierarchyTree
 from .sharing import GroupShares
 
 # ``scalar_mul`` is re-exported, uncalled: the benchmark tracer patches it here too.
-__all__ = ["NoChildren", "ACCUSED_COMPROMISED", "CLAIMERS_COMPROMISED", "RenewalBundle",
+__all__ = ["NoChildren", "ACCUSED_COMPROMISED", "CLAIMERS_COMPROMISED", "Commitments", "RenewalBundle",
            "ClaimRecord", "Verdict", "generate_renewal", "verify_renewal", "accepts_renewal",
            "refuses_renewal", "apply_renewal", "file_claim", "resolve_claims",
            "RenewalOutcome", "renewal_key", "PerturbHook", "renewal_round", "scalar_mul"]
@@ -51,19 +52,48 @@ ACCUSED_COMPROMISED = "accused-compromised"
 CLAIMERS_COMPROMISED = "claimers-compromised"
 
 
+class Commitments(Sequence):
+    """The points f_1·G, ..., f_k·G a subtree root multicasts, kept as the
+    coefficients f_1..f_k mod n. The first read of a point (iteration,
+    indexing, or comparison with a tuple) computes all k in one
+    ``base_muls`` call. Two ``Commitments`` compare by their coefficients,
+    as G has prime order n (``validate_curve``)."""
+
+    def __init__(self, coefficients: Sequence[int], curve: CurveParams):
+        self.coefficients, self.curve = tuple(c % curve.order for c in coefficients), curve
+
+    @functools.cached_property
+    def points(self) -> tuple[CurvePoint, ...]:
+        return tuple(base_muls(self.coefficients, self.curve))
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, index):
+        return self.points[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Commitments):
+            return (self.curve, self.coefficients) == (other.curve, other.coefficients)
+        return self.points == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+
 class RenewalBundle(NamedTuple):
     """One child's renewal delivery for one epoch.
 
     ``delta`` is sealed to the recipient; ``commitments`` are the multicast
-    curve points for coefficients 1..k (empty in no-curve mode and for
-    degree-0 groups). The generating polynomial always has free
-    coefficient zero.
+    curve points for coefficients 1..k (empty in no-curve mode, and a
+    ``Commitments`` as the parent generates them). The generating
+    polynomial always has free coefficient zero.
     """
 
     sender: int
     recipient: int
     delta: int
-    commitments: tuple[CurvePoint, ...]
+    commitments: Sequence[CurvePoint]
 
 
 @dataclass(frozen=True)
@@ -86,20 +116,18 @@ def generate_renewal(
     group: GroupShares,
     owners: Sequence[int],
     delta_poly: Sequence[int],
-    committed: Mapping[int, CurvePoint],
 ) -> list[RenewalBundle]:
     """The renewal bundles ``group``'s parent (its members' tree parent)
     sends the members ``owners`` (its active ones, in id order) for the
     polynomial ``delta_poly``: free coefficient zero and the group's dealt
     degree (threshold - 1), so a single-child threshold-1 group gets the
-    zero polynomial and an empty commitment list. In curve mode the k
-    commitments f_i·G are read from ``committed`` (scalar -> its multiple
-    of G), which holds the epoch's coefficients."""
+    zero polynomial and an empty commitment list. In curve mode every
+    bundle carries one ``Commitments`` of the k coefficients."""
     sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
         raise NoChildren(f"subtree root {sender} has no dealt active children")
     p = tree.field.modulus
-    commitments = () if tree.curve is None else tuple(committed[c] for c in delta_poly[1:])
+    commitments = () if tree.curve is None else Commitments(delta_poly[1:], tree.curve)
     return [
         RenewalBundle(sender, owner, poly_eval(delta_poly, group.members[owner][0], p), commitments)
         for owner in owners
@@ -140,7 +168,8 @@ def refuses_renewal(
     field is the curve order's), so an unchanged bundle is accepted; one
     changed only in its delta is refused iff the delta moved mod n, as G
     has prime order n (``validate_curve``); any other change goes to
-    ``accepts_renewal``."""
+    ``accepts_renewal``. A bundle that keeps the parent's ``Commitments``
+    (as ``_replace`` of the delta does) is judged computing no point."""
     if got == sent:
         return False
     if got._replace(delta=sent.delta) == sent:
@@ -194,12 +223,15 @@ def resolve_claims(
 @dataclass
 class RenewalOutcome:
     """Everything one renewal round produced, its traffic as one count per
-    message kind."""
+    message kind, and in curve mode the points committed (threshold - 1
+    per group) and the child checks (one per dealt child), computed or not."""
 
     shares: dict[int, GroupShares]
     claims: tuple[ClaimRecord, ...]
     verdicts: tuple[Verdict, ...]
     messages: dict[str, int]
+    committed_points: int = 0
+    child_checks: int = 0
 
 
 def renewal_key(entropy: int, root: int) -> bytes:
@@ -267,8 +299,6 @@ def renewal_round(
         root: keyed_polynomial(renewal_key(entropy, root), shares[kids[0]].threshold - 1, 0, p)
         for root, kids in groups.items()
     }
-    scalars = [] if tree.curve is None else [c for f in polys.values() for c in f[1:]]
-    committed = dict(zip(scalars, base_muls(scalars, tree.curve))) if scalars else {}
 
     for root, kids in groups.items():
         group = shares[kids[0]]
@@ -283,7 +313,7 @@ def renewal_round(
                 members[kid] = (x, (value + acc) % p)
             renewed = GroupShares(group.epoch + 1, group.threshold, members)
         else:
-            bundles = generate_renewal(tree, group, kids, polys[root], committed)
+            bundles = generate_renewal(tree, group, kids, polys[root])
             delivered = bundles if perturb is None else [perturb(bundle) for bundle in bundles]
             refused = [] if tree.curve is None else [
                 got.recipient for sent, got in zip(bundles, delivered)
@@ -305,4 +335,6 @@ def renewal_round(
         claims=tuple(claims),
         verdicts=resolve_claims(claims, groups, shares),
         messages=messages,
+        committed_points=0 if tree.curve is None else sum(len(f) - 1 for f in polys.values()),
+        child_checks=0 if tree.curve is None else messages["renewal-delta"],
     )

@@ -451,7 +451,8 @@ class World:
                     "single-field-modulus", f"share of {uid} outside the field"
                 )
         if self.tree.curve is not None:
-            xs = [n.group_key.x for n in self.tree.nodes.values() if n.group_key is not None]
+            # x(t·G) = x(t'·G) iff t' = ±t mod n (``HierarchyTree._sample_tokens``).
+            xs = [min(t, p - t) for t in (n.reg_token for n in self.tree.nodes.values()) if t]
             if len(xs) != len(set(xs)):
                 raise InvariantViolation("group-key-x-distinct")
         ever = self.adversary.ever_compromised

@@ -13,10 +13,9 @@ the blank ``World(config)`` of the embedded scenario, which supplies the
 dealer secret and the adversary's settings, and sets the stored facts on
 it. Child lists come from the parent links, the live round from the
 tree's round count, a node's activity from its ``deactivated_by``, the
-next user id from the node count, and each group key from its token
-(token * G, one batch of base-point multiplications for the whole tree),
-the holders' view from the shares, and the intact check's reconstruction
-form from that view, as the last row built them.
+next user id from the node count (no group key is computed: a token
+stands for its key), the holders' view from the shares, and the intact
+check's reconstruction form from that view, as the last row built them.
 The dealer keeps only its split set. The adversary's plan is a function
 of the scenario and the epoch, so the nodes it ever compromised are the
 union of its plans so far, and the hosts it occupies are the last report
@@ -49,7 +48,6 @@ from .config import (
     ConfigError, _decimal, _flag, _int, adversary_plan, parse_scenario, read_json,
     serialize_settings, tree_spec,
 )
-from .curve import base_muls
 from .errors import HierShareError
 from .hierarchy import HierarchyNode, HierarchyTree
 from .sharing import GroupShares, HeldShare
@@ -113,10 +111,8 @@ def _blocker_in(node: dict, tree: HierarchyTree) -> int | None:
 def _nodes_in(nodes: list[dict], world: World) -> None:
     """Insert the stored nodes into the world's tree. A registration token
     is null exactly on a vacant slot (one its own leave blocks), otherwise
-    in 1..order-1 on a curve and 1..p-1 without one. On a curve each
-    token's group key, token * G, is computed in one ``base_muls`` batch."""
-    curve = world.config.curve
-    high = (world.config.field.modulus if curve is None else curve.order) - 1
+    in 1..p-1, p being the curve's order on a curve."""
+    high = world.config.field.modulus - 1
     for node_data in nodes:
         uid, token = node_data["id"], node_data["reg_token"]
         where = f"tree.nodes[{uid - 1}]"
@@ -126,11 +122,7 @@ def _nodes_in(nodes: list[dict], world: World) -> None:
         if token is not None:
             at = f"{where}.reg_token"
             token = _bounded(_typed(_decimal, token, at), at, 1, high)
-        world.tree.insert(HierarchyNode(uid, node_data["parent"], token, None, blocker))
-    if curve is not None:
-        keyed = [node for node in world.tree.nodes.values() if node.reg_token is not None]
-        for node, key in zip(keyed, base_muls([node.reg_token for node in keyed], curve)):
-            node.group_key = key
+        world.tree.insert(HierarchyNode(uid, node_data["parent"], token, blocker))
 
 
 def _groups_out(shares: dict[int, GroupShares]) -> list[dict]:

@@ -17,7 +17,7 @@ from hiershare.algebra import (
     lagrange_at_zero,
     sample_polynomial,
 )
-from hiershare.curve import TOY_CURVE, CurvePoint, base_muls
+from hiershare.curve import TOY_CURVE, CurvePoint
 from hiershare.hierarchy import ROOT_ID, HierarchyTree
 from hiershare.proactive import generate_renewal
 from hiershare.sharing import (
@@ -182,11 +182,9 @@ def tf(num, den):
 def renewal_bundles(tree, group, owners, rng):
     """One group's renewal on its own, as ``renewal_round`` makes it inside
     an epoch: a polynomial of the group's dealt degree with free
-    coefficient zero drawn from ``rng``, its coefficients committed in
-    one ``base_muls`` batch in curve mode, then ``generate_renewal``."""
+    coefficient zero drawn from ``rng``, then ``generate_renewal``."""
     poly = sample_polynomial(rng, group.threshold - 1, 0, tree.field.modulus)
-    committed = {} if tree.curve is None else dict(zip(poly[1:], base_muls(poly[1:], tree.curve)))
-    return generate_renewal(tree, group, owners, poly, committed)
+    return generate_renewal(tree, group, owners, poly)
 
 
 def root_group(tree, shares):

@@ -442,6 +442,70 @@ class TestAdversaryValidation:
             parse_scenario(bad)
 
 
+def events(*entries):
+    return {"events": list(entries)}
+
+
+def script(*entries):
+    return {"adversary": {"strategy": "scripted", "budget": 2, "script": list(entries)}}
+
+
+class TestEntryDiagnostics:
+    """Each event and script entry is checked with its fields named relative
+    to it, and a message is built only for the check that fails: the texts
+    are the ones the checks always gave. Users 1 and 2 at level 1, 1 -> {3,
+    4}."""
+
+    TREE = {"children": [{"children": [{}, {}]}, {"children": []}]}
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (events({"epoch": 1, "kind": "redeal"}, {"epoch": 1, "kind": "leave", "user": 1, "color": 1, "age": 2}),
+             "events[1]: unknown field(s) ['age', 'color']"),
+            (events({"epoch": 1}), "events[0]: missing required field 'kind'"),
+            (events({"epoch": 1, "kind": "join"}),
+             "events[0].kind: must be one of ('leave', 'rejoin', 'redeal')"),
+            (events({"epoch": 4, "kind": "redeal"}), "events[0].epoch: beyond scenario epochs (3)"),
+            (events({"epoch": 1, "kind": "rejoin"}), "events[0]: rejoin event needs a user"),
+            (events({"epoch": 1, "kind": "leave", "user": 9}), "events[0].user: unknown user 9"),
+            (events({"epoch": 1, "kind": "redeal", "user": 1}), "events[0]: redeal events take no user"),
+            (events({"epoch": 1, "kind": "redeal", "mid_round": True}),
+             "events[0]: redeal events take no mid_round flag"),
+            (script({"epoch": 1, "compromise": [1], "color": 0}),
+             "adversary.script[0]: unknown field(s) ['color']"),
+            (script({"epoch": 4}), "adversary.script[0].epoch: beyond scenario epochs (3)"),
+            (script({"epoch": 1, "compromise": [1, 9]}), "adversary.script[0].compromise: unknown user 9"),
+            (script({"epoch": 1, "compromise": [1, 2]}, {"epoch": 1, "compromise": [3]}),
+             "adversary.script[1].compromise: exceeds budget"),
+            (script({"epoch": 1, "compromise": [1], "tamper": [{"parent": 1}, {"parent": 1, "children": [3, 5]}]}),
+             "adversary.script[0].tamper[1]: 5 is not a child of 1"),
+            (script({"epoch": 1, "compromise": [3], "false_claims": [{"accused": 1, "claimers": [3, 4]}]}),
+             "adversary.script[0].false_claims[0]: false claimer 4 is not compromised that epoch"),
+            (script({"epoch": 1, "compromise": [3], "false_claims": [{"accused": 1, "claimers": [3], "why": 0}]}),
+             "adversary.script[0].false_claims[0]: unknown field(s) ['why']"),
+        ],
+    )
+    def test_message_names_the_entry(self, overrides, message):
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(base_scenario(tree=self.TREE, **overrides))
+        assert str(refused.value) == f"<scenario>.{message}"
+
+    def test_valid_entries_sort_no_unknown_fields(self, monkeypatch):
+        """``_take`` sorts the unknown fields only to name them, so 100
+        valid events and script entries sort nothing but the compromised
+        hosts."""
+        sorts = []
+        monkeypatch.setattr(config_module, "sorted", lambda *a, **k: sorts.append(a) or sorted(*a, **k), raising=False)
+        kinds = [{"kind": "leave", "user": 3, "mid_round": True}, {"kind": "rejoin", "user": 3}, {"kind": "redeal"}]
+        parse_scenario(base_scenario(
+            tree=self.TREE, epochs=100,
+            events=[{"epoch": e, **kinds[e % 3]} for e in range(100)],
+            adversary={"strategy": "scripted", "script": [{"epoch": e, "compromise": [1]} for e in range(100)]},
+        ))
+        assert sorts == [([1],)] * 100
+
+
 def scripted(entry):
     """An adversary of one epoch-1 script entry on the base tree."""
     return {"adversary": {"strategy": "scripted", "script": [{"epoch": 1, **entry}]}}

@@ -169,12 +169,11 @@ def test_bundled_report_digest(tmp_path, name):
 
 def derived_state(world):
     """What a restore derives instead of reading: the adversary's occupied
-    and ever-compromised sets, the dealer's split set and every group key."""
+    and ever-compromised sets and the dealer's split set."""
     return (
         set(world.adversary.occupied),
         set(world.adversary.ever_compromised),
         world.dealer.split,
-        {uid: node.group_key for uid, node in world.tree.nodes.items()},
     )
 
 

@@ -9,11 +9,12 @@ from conftest import active_users, tree_for_curve
 from hiershare import curve as curve_module
 from hiershare import hierarchy
 from hiershare.algebra import FieldParams
-from hiershare.curve import PROFILES, STANDARD_CURVE, scalar_mul
+from hiershare.curve import PROFILES, STANDARD_CURVE, base_muls, scalar_mul
 from hiershare.hierarchy import (
     ROOT_ID,
     AlreadyInactive,
     EmptyHierarchy,
+    FieldMismatch,
     HierarchyNode,
     HierarchyTree,
     ParentInactive,
@@ -49,28 +50,36 @@ class QueuedRandom(random.Random):
         return self._queue.pop(0) - 1
 
 
+def group_keys(tree):
+    """Each held token's group key token·G, by user id, computed here in one
+    ``base_muls`` batch: the tree stores only the tokens, and a vacant
+    slot (token None) has no key."""
+    held = [n for n in tree.nodes.values() if n.reg_token is not None]
+    return dict(zip((n.id for n in held), base_muls([n.reg_token for n in held], tree.curve)))
+
+
 def register_one_at_a_time(tree, parents, rng):
-    """The reference for batched registration: each user in turn redraws
-    its token until its group key's x-coordinate is unused tree-wide
-    (2 * order draws at most), and is added before the next one draws."""
+    """The reference for registration: each user in turn redraws its token
+    until its group key's x-coordinate, computed as a point, is unused
+    tree-wide (2 * order draws at most), and is added before the next one
+    draws."""
     for parent in parents:
         if tree.curve is None:
-            token, key = rng.randrange(1, tree.field.modulus), None
+            token = rng.randrange(1, tree.field.modulus)
         else:
-            used = {n.group_key.x for n in tree.nodes.values() if n.group_key is not None}
+            used = {key.x for key in group_keys(tree).values()}
             for _ in range(2 * tree.curve.order):
                 token = rng.randrange(1, tree.curve.order)
-                key = scalar_mul(token, tree.curve.base_point)
-                if key.x not in used:
+                if scalar_mul(token, tree.curve.base_point).x not in used:
                     break
             else:
                 raise TreeFull(f"no unused group-key x-coordinate left on {tree.curve.name!r}")
-        tree.insert(HierarchyNode(len(tree.nodes) + 1, parent, reg_token=token, group_key=key))
+        tree.insert(HierarchyNode(len(tree.nodes) + 1, parent, reg_token=token))
 
 
 def registered(tree):
-    """(id, parent, token, group key) of every node, in id order."""
-    return [(n.id, n.parent, n.reg_token, n.group_key) for n in tree.nodes.values()]
+    """(id, parent, token) of every node, in id order."""
+    return [(n.id, n.parent, n.reg_token) for n in tree.nodes.values()]
 
 
 def random_parents(rng, count):
@@ -117,12 +126,13 @@ class TestRegister:
         [node] = toy_tree.register([ROOT_ID], rng)
         assert node.id == 1
         assert level(toy_tree, node.id) == 1
-        assert node.group_key == scalar_mul(node.reg_token, toy_tree.curve.base_point)
+        assert 1 <= node.reg_token < toy_tree.curve.order
 
     def test_group_key_x_coordinates_distinct(self, toy_tree, rng):
         [a] = toy_tree.register([ROOT_ID], rng)
         [b] = toy_tree.register([ROOT_ID], rng)
-        assert a.group_key.x != b.group_key.x
+        keys = group_keys(toy_tree)
+        assert keys[a.id].x != keys[b.id].x
 
     def test_reproducible_token_sequence(self, toy):
         runs = []
@@ -144,16 +154,42 @@ class TestRegister:
         with pytest.raises(TreeFull):
             toy_tree.register([ROOT_ID], rng)
 
+    def test_group_key_x_is_decided_by_the_token_up_to_sign(self, toy):
+        """x(t·G) = x(t'·G) iff t' = ±t mod 19, over every pair of tokens
+        on the toy curve, the points computed here: the fact registration
+        and the group-key invariant read off the tokens."""
+        n = toy.order
+        xs = {t: scalar_mul(t, toy.base_point).x for t in range(1, n)}
+        for t in range(1, n):
+            for u in range(1, n):
+                assert (xs[t] == xs[u]) == (u in (t, n - t)), (t, u)
+
+    def test_full_toy_tree_gives_up_at_the_same_draw(self, toy_tree, rng):
+        """With all 9 x-coordinates held every token misses, and a tenth
+        user gives up after 2 * 19 = 38 draws in a row, the count at which
+        registration gave up while it computed the keys."""
+        toy_tree.register([ROOT_ID] * 9, rng)
+        draws = QueuedRandom([1 + i % 18 for i in range(40)])
+        with pytest.raises(TreeFull):
+            toy_tree.register([ROOT_ID], draws)
+        assert len(draws._queue) == 2
+
+    def test_curve_tree_refuses_another_share_field(self, toy):
+        with pytest.raises(FieldMismatch, match="share field 13 is not the order of 'toy'"):
+            HierarchyTree(toy, FieldParams(13))
+        assert HierarchyTree(toy, FieldParams(toy.order)).field.modulus == toy.order
+
     def test_no_curve_mode_has_no_keys(self, rng):
         tree = HierarchyTree(None, FieldParams(31))
         [node] = tree.register([ROOT_ID], rng)
-        assert node.group_key is None
         assert 1 <= node.reg_token < 31
+        assert tree.assign_round_keys(tree.begin_round(rng)) == {}
 
 
 class TestBatchedRegistration:
-    """``register`` samples a whole batch with one ``base_muls`` call per
-    pass, and must give what registering user by user gave."""
+    """``register`` samples a whole batch, deciding each group key's
+    x-coordinate from its token, and must give what registering user by
+    user, with the keys computed as points, gave."""
 
     def assert_matches_reference(self, make, seed, parents, split):
         """Register ``parents[:split]`` and then the rest, batched on one
@@ -242,23 +278,23 @@ class TestBatchedRegistration:
         )
         return batches, conversions
 
-    def test_renew_secp_shape_is_one_pass(self, monkeypatch):
-        """The 18 users of renew-secp make one ``base_muls`` call and one
-        conversion; one at a time, they made 18 of each."""
+    def test_renew_secp_shape_multiplies_nothing(self, monkeypatch):
+        """The 18 users of renew-secp make no ``base_muls`` call and no
+        conversion: their keys' x-coordinates are decided by the tokens."""
         tree = tree_for_curve(STANDARD_CURVE)
         batches, conversions = self.count_passes(monkeypatch)
         tree.register(RENEW_SECP_PARENTS, random.Random(1))
-        assert (batches, conversions) == ([18], [18])
+        assert (batches, conversions) == ([], [])
         assert len(tree.nodes) == 18
 
-    def test_curve_rejoin_is_one_single_scalar_pass(self, monkeypatch):
+    def test_curve_rejoin_multiplies_nothing(self, monkeypatch):
         tree = tree_for_curve(STANDARD_CURVE)
         rng = random.Random(2)
         tree.register(RENEW_SECP_PARENTS, rng)
         tree.leave(3)
         batches, conversions = self.count_passes(monkeypatch)
         tree.rejoin(3, rng)
-        assert (batches, conversions) == ([1], [1])
+        assert (batches, conversions) == ([], [])
 
     @pytest.mark.parametrize(
         "parents",
@@ -375,7 +411,8 @@ class TestRoundKeys:
     def test_server_unit_secret_returns_group_key(self, toy_tree, rng):
         [node] = toy_tree.register([ROOT_ID], rng)
         secret = toy_tree.begin_round(QueuedRandom([1]))
-        assert derive_round_key_server(secret, node.group_key) == node.group_key
+        key = group_keys(toy_tree)[node.id]
+        assert derive_round_key_server(secret, key) == key
 
     def test_identity_group_key_gives_identity(self, toy_tree, rng):
         toy_tree.register([ROOT_ID], rng)
@@ -386,29 +423,31 @@ class TestRoundKeys:
         # Every node, many rounds: token*(secret*G) == secret*(token*G).
         rng = random.Random(13)
         nodes = toy_tree.register([ROOT_ID] * 8, rng)
+        keys = group_keys(toy_tree)
         for _ in range(10):
             secret = toy_tree.begin_round(rng)
             public = public_round_key(toy_tree, secret)
             for node in nodes:
                 user_side = derive_round_key_user(toy_tree, node.id, public)
-                server_side = derive_round_key_server(secret, node.group_key)
+                server_side = derive_round_key_server(secret, keys[node.id])
                 assert user_side == server_side
 
     @pytest.mark.parametrize("curve_name", ["toy", "standard"])
     def test_returned_key_matches_both_derivations(self, curve_name):
         # The returned (token*secret mod n)*G equals token*R and
-        # secret*groupKey for every active user.
+        # secret*groupKey for every active user, groupKey = token*G.
         tree = tree_for_curve(PROFILES[curve_name])
         rng = random.Random(29)
         tree.register([ROOT_ID] * 6 + [2, 3], rng)
         tree.leave(3)
+        group = group_keys(tree)
         for _ in range(4):
             secret = tree.begin_round(rng)
             keys = tree.assign_round_keys(secret)
             public = public_round_key(tree, secret)
             for uid, key in keys.items():
                 assert key == derive_round_key_user(tree, uid, public)
-                assert key == derive_round_key_server(secret, tree.node(uid).group_key)
+                assert key == derive_round_key_server(secret, group[uid])
 
 
 class TestLeaveAndRejoin:
@@ -440,9 +479,10 @@ class TestLeaveAndRejoin:
     def test_server_drops_group_key(self, toy_tree, rng):
         [node] = toy_tree.register([ROOT_ID], rng)
         toy_tree.register([ROOT_ID], rng)
-        assert node.group_key is not None
+        assert node.id in group_keys(toy_tree)
         toy_tree.leave(node.id)
-        assert node.group_key is None
+        assert node.id not in group_keys(toy_tree)
+        assert group_keys(toy_tree).keys() == {2}
 
     def test_unknown_and_double_leave(self, toy_tree, rng):
         with pytest.raises(UnknownUser):
@@ -580,5 +620,5 @@ class TestInvariants:
             elif departed:
                 uid = departed.pop(rng.randrange(len(departed)))
                 tree.rejoin(uid, rng)
-            xs = [n.group_key.x for n in tree.nodes.values() if n.group_key is not None]
+            xs = [key.x for key in group_keys(tree).values()]
             assert len(xs) == len(set(xs))

@@ -1,5 +1,6 @@
 """World stepping, adversary strategies, and report determinism."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,7 +17,8 @@ from conftest import (
     renewal_bundles,
 )
 
-from hiershare import algebra, curve, sharing, simnet
+from hiershare import algebra, curve, proactive, sharing, simnet
+from hiershare.algebra import FieldParams
 from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import ROOT_ID, HierarchyTree, PositionOccupied
@@ -114,7 +116,9 @@ class TestDeterminism:
     def test_identical_runs_make_the_same_base_multiplications(self, monkeypatch):
         """Nothing remembers a multiple of G across runs: a second identical
         secp256k1 run in the same process multiplies G as often, epoch by
-        epoch, as the first."""
+        epoch, as the first. The deal multiplies G once per round key, one
+        for each of the 7 users; a renewal epoch, whose tamper shifts only
+        deltas, reads no commitment, so it multiplies G not at all."""
         calls = []
         original = curve._signed_digits
 
@@ -140,7 +144,7 @@ class TestDeterminism:
 
         first = per_epoch()
         assert first == per_epoch()
-        assert all(first)
+        assert first == [7, 0, 0, 0]
 
     def test_different_seed_different_dealing(self):
         w1 = World(scenario())
@@ -522,6 +526,9 @@ class TestAdversaryStrategies:
         assert type(tampered) is RenewalBundle and tampered is not original
         assert tampered.delta == (original.delta + 1) % world.tree.field.modulus
         assert tampered._replace(delta=original.delta) == original
+        # The copy keeps the parent's commitments object, so comparing the
+        # two bundles computes no point.
+        assert tampered.commitments is original.commitments
         assert tuple(original) == before
         # The root's bundles are not the occupied parent's to tamper with.
         root = world.shares[1]
@@ -902,8 +909,9 @@ class TestLoadAndDealCost:
         assert active_children == []
 
     def test_curve_deal_multiplies_only_the_base_point(self, monkeypatch):
-        # Group keys and every round key read the base-point table; any
-        # other point's multiple (here a group key's) is a Straus pass.
+        # Every round key reads the base-point table and no group key is
+        # computed; any other point's multiple (here a group key's, token·G
+        # computed here) is a Straus pass.
         config = scenario(
             field_mode="curve-order", curve="standard", field_prime=None,
             eval_mode=None, tree=self.FOUR_GROUPS,
@@ -920,7 +928,9 @@ class TestLoadAndDealCost:
         world.initial_deal()
         assert len(world.shares) == 8
         assert passes == []
-        curve.scalar_mul(3, world.tree.nodes[1].group_key)
+        group_key = curve.scalar_mul(world.tree.nodes[1].reg_token, curve.STANDARD_CURVE.base_point)
+        assert passes == []
+        curve.scalar_mul(3, group_key)
         assert passes == [1]
 
     @pytest.mark.parametrize("curved", [False, True])
@@ -1280,8 +1290,8 @@ class TestRestore:
         user registered, node 1 holding token 9; figure2-leave has no curve
         (prime 101) and its user 2 left, so slot 2 is vacant. A token must
         be null exactly on a vacant slot and lie in 1..order-1 (1..p-1
-        without a curve). No group key is stored: a restore computes each
-        as token * G."""
+        without a curve). No group key is stored, and a restore computes
+        none."""
         world = World(load_bundled_scenario(scenario_name))
         world.initial_deal()
         world.step_epoch()
@@ -1735,6 +1745,48 @@ class TestStepOrder:
         assert world.report.final == {}
 
 
+class TestOneFieldPerCurve:
+    def test_curve_world_with_another_share_field_is_refused(self):
+        """A toy-curve world (order 19) whose shares live mod 13 drew its
+        renewal deltas mod 13 while each child's own check works mod 19,
+        and judged against its parents' bundles it renewed three epochs
+        with no claim. A curved tree takes the order's field and refuses
+        any other."""
+        config = dataclasses.replace(
+            scenario(field_mode="curve-order", curve="toy", field_prime=None,
+                     eval_mode="round-key", secret="3", epochs=3),
+            field=FieldParams(13),
+        )
+        with pytest.raises(HierShareError, match="share field 13 is not the order of 'toy'"):
+            World(config).run()
+
+
+class TestRenewalCost:
+    def test_renew_secp_counts_the_protocols_curve_work(self, monkeypatch):
+        """Every renew-secp epoch at seed 1: its roots commit to 9 points
+        (threshold - 1 per group: 2, 1, 1, 2, 3) and its 18 children each
+        check a bundle, one per ``renewal-delta``. The one tamper shifts
+        deltas only, so no commitment is read and none is computed."""
+        outcomes, batches = [], []
+        original, batch = simnet.renewal_round, proactive.base_muls
+        monkeypatch.setattr(
+            simnet, "renewal_round", lambda *a, **k: outcomes.append(original(*a, **k)) or outcomes[-1]
+        )
+        monkeypatch.setattr(proactive, "base_muls", lambda s, c: batches.append(s) or batch(s, c))
+        config = parse_scenario(benchmark_workloads().renew_secp(1))
+        World(config).run()
+        assert [(o.committed_points, o.child_checks) for o in outcomes] == [(9, 18)] * config.epochs
+        assert all(o.messages["renewal-delta"] == o.child_checks for o in outcomes)
+        assert batches == []
+
+    def test_no_curve_round_counts_no_curve_work(self):
+        world = World(scenario(epochs=1))
+        world.initial_deal()
+        outcome = proactive.renewal_round(world.tree, world.shares, world.view, random.Random(1))
+        assert (outcome.committed_points, outcome.child_checks) == (0, 0)
+        assert outcome.messages == {"renewal-delta": 3}
+
+
 class TestInvariants:
     """Each rule of ``World._check_invariants`` fails on the one piece of
     corrupted state it guards."""
@@ -1766,18 +1818,20 @@ class TestInvariants:
             eval_mode="round-key", secret="3",
         )
         nodes = world.tree.nodes
-        nodes[2].group_key = nodes[1].group_key
+        nodes[2].reg_token = nodes[1].reg_token
         assert self.violated(world).invariant == "group-key-x-distinct"
 
     def test_group_key_x_distinct_refuses_a_negated_key(self):
-        """A key and its negation are two points with one x-coordinate."""
+        """A key and its negation are two points with one x-coordinate: the
+        token n - t keys -(t·G), computed here."""
         world = self.dealt_world(
             field_mode="curve-order", curve="toy", field_prime=None,
             eval_mode="round-key", secret="3",
         )
-        nodes = world.tree.nodes
-        nodes[3].group_key = negated(nodes[1].group_key)
-        assert nodes[3].group_key != nodes[1].group_key
+        nodes, G = world.tree.nodes, curve.TOY_CURVE.base_point
+        nodes[3].reg_token = curve.TOY_CURVE.order - nodes[1].reg_token
+        key, other = curve.scalar_mul(nodes[1].reg_token, G), curve.scalar_mul(nodes[3].reg_token, G)
+        assert other == negated(key) and other != key
         assert self.violated(world).invariant == "group-key-x-distinct"
 
     def test_no_oracle_leakage_tokens(self):
