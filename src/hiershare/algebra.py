@@ -2,9 +2,10 @@
 
 All share and renewal math lives in a single prime field: the order of the
 curve's base-point subgroup in curve mode, or a standalone small prime in
-"no-curve" test mode (which enables exhaustive secrecy checks). Either must
-pass ``is_prime``: exact below psi_13 (about 3.3e24), and above it
-Baillie-PSW, which no known composite passes.
+"no-curve" test mode (which enables exhaustive secrecy checks). Each is
+proven prime once, where it enters: the order by ``curve.validate_curve``,
+the prime by ``config.parse_scenario``. ``is_prime`` is exact below psi_13
+(about 3.3e24), and above it Baillie-PSW, which no known composite passes.
 
 Field values are plain ints in [0, p); every function takes the modulus p
 explicitly and returns reduced values. A polynomial is its coefficient
@@ -23,7 +24,6 @@ import hashlib
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import HierShareError
@@ -138,18 +138,12 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """The prime field all shares and renewal values live in. Field values
-    themselves are plain ints in [0, modulus)."""
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 2:
-            raise ValueError(f"field modulus must exceed 2, got {self.modulus}")
-        if not is_prime(self.modulus):
-            raise ValueError(f"field modulus {self.modulus} is not prime")
+def modulus_refusal(n: int) -> str | None:
+    """Why ``n`` cannot be a share field's modulus, or None if it can: it
+    must be a prime above 2."""
+    if n <= 2:
+        return f"field modulus must exceed 2, got {n}"
+    return None if is_prime(n) else f"field modulus {n} is not prime"
 
 
 def field_inverse(a: int, p: int) -> int:

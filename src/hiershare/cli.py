@@ -72,7 +72,7 @@ def write_reports(report: SimReport, out_dir: str) -> tuple[str, str]:
 
 
 def _resolve_scenario(ref: str):
-    if os.path.exists(ref):
+    if os.path.isfile(ref):
         return load_scenario(ref)
     if ref in bundled_scenario_names():
         return load_bundled_scenario(ref)

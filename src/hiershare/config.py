@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-from .algebra import FieldParams
+from .algebra import modulus_refusal
 from .curve import PROFILES, CurveParams, validate_curve
 from .errors import HierShareError
 from .sharing import ThresholdFactor
@@ -91,7 +91,8 @@ class AdversaryConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario; ``curve`` is None in no-curve mode. The field
+    """A validated scenario: shares live mod ``curve``'s order, or without a
+    curve (``curve`` None) mod ``field_prime``, None on a curve. The field
     mode fixes the evaluation points: round-key x-coordinates on a curve,
     user ids without one. The tree is ``parents``: user i + 1 hangs below
     ``parents[i]`` (0 is the root server), in the breadth-first numbering
@@ -103,7 +104,7 @@ class ScenarioConfig:
     secret: int
     epochs: int
     seed: int
-    field: FieldParams
+    field_prime: int | None
     curve: CurveParams | None = None
     renewal_enabled: bool = True
     leave_policy: str = "abort"
@@ -346,16 +347,13 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     field_mode = data["field_mode"]
     _require(field_mode in FIELD_MODES, f"{source}.field_mode", f"must be one of {FIELD_MODES}")
 
-    curve = None
-    field = None
+    curve = field_prime = None
     if field_mode == "no-curve":
         _require("curve" not in data, f"{source}.curve", "not allowed in no-curve mode")
         _require("field_prime" in data, f"{source}.field_prime", "required in no-curve mode")
         field_prime = _decimal(data["field_prime"], f"{source}.field_prime")
-        try:
-            field = FieldParams(field_prime)
-        except ValueError as exc:
-            raise ConfigError(f"{source}.field_prime: {exc}") from None
+        if refusal := modulus_refusal(field_prime):
+            raise ConfigError(f"{source}.field_prime: {refusal}")
     else:
         _require("field_prime" not in data, f"{source}.field_prime", "only allowed in no-curve mode")
         _require("curve" in data, f"{source}.curve", "required in curve-order mode")
@@ -397,11 +395,10 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
     if curve is not None:
         report = validate_curve(curve)
         _require(report.ok, f"{source}.curve", "; ".join(report.failures) or "invalid")
-        field = report.field_params
 
     config = ScenarioConfig(
         name=name,
-        field=field,
+        field_prime=field_prime,
         curve=curve,
         tf=tf,
         parents=parents,
@@ -414,7 +411,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> ScenarioConfig:
         adversary=adversary,
     )
 
-    modulus = field.modulus
+    modulus = field_prime if curve is None else curve.order
     _require(0 <= secret < modulus, f"{source}.secret", "must lie in [0, %d)", modulus)
     if curve is None:
         _require(len(user_ids) < modulus, f"{source}.tree", "user-id eval points need fewer than %d users", modulus)
@@ -499,7 +496,7 @@ def serialize_settings(config: ScenarioConfig) -> dict:
     c = config.curve
     profiles = [name for name, curve in PROFILES.items() if curve == c]
     if c is None:
-        data["field_prime"] = str(config.field.modulus)
+        data["field_prime"] = str(config.field_prime)
     elif profiles:
         data["curve"] = profiles[0]
     else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .algebra import FieldParams, is_prime
+from .algebra import is_prime, modulus_refusal
 from .errors import HierShareError
 
 
@@ -364,12 +364,9 @@ def base_mul_equals(
 
 @dataclass
 class CurveValidation:
-    """Itemized validation outcome; empty failure list means valid.
-    ``field_params`` is the share field of the order, when the order is a
-    prime above 2."""
+    """Itemized validation outcome; empty failure list means valid."""
 
     failures: list[str] = field(default_factory=list)
-    field_params: FieldParams | None = None
 
     @property
     def ok(self) -> bool:
@@ -391,10 +388,8 @@ def validate_curve(params: CurveParams) -> CurveValidation:
     on_curve = p_prime and params.contains(params.gx, params.gy)
     if p_prime and not on_curve:
         report.failures.append("base point not on curve")
-    try:
-        report.field_params = FieldParams(params.order)
-    except ValueError as exc:
-        report.failures.append(f"subgroup order: {exc}")
+    if refusal := modulus_refusal(params.order):
+        report.failures.append(f"subgroup order: {refusal}")
     if on_curve:
         if not scalar_mul(params.order, params.base_point).is_identity:
             report.failures.append("order * G is not the identity")

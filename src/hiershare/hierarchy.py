@@ -17,20 +17,16 @@ import random
 from dataclasses import dataclass
 from typing import Container, Sequence
 
-from .algebra import FieldParams, randbelow
+from .algebra import randbelow
 from .curve import CurveParams, CurvePoint, base_muls, scalar_mul
 from .errors import HierShareError
 
 # ``scalar_mul`` is re-exported, uncalled: the benchmark tracer patches it here too.
-__all__ = ["ROOT_ID", "HierarchyNode", "HierarchyTree", "FieldMismatch", "ParentInactive", "TreeFull",
+__all__ = ["ROOT_ID", "HierarchyNode", "HierarchyTree", "ParentInactive", "TreeFull",
            "EmptyHierarchy", "UnknownUser", "AlreadyInactive", "PositionOccupied", "scalar_mul"]
 
 # Parent marker for level-1 users. The server is not a user; ids start at 1.
 ROOT_ID = 0
-
-
-class FieldMismatch(HierShareError):
-    """A curve given with a share field other than its order's."""
 
 
 class ParentInactive(HierShareError):
@@ -75,14 +71,14 @@ class HierarchyNode:
 
 
 class HierarchyTree:
-    """Server plus user nodes, keyed by id, with level-0 root semantics. On
-    a curve the share field is the order's, and any other is refused."""
+    """Server plus user nodes, keyed by id, with level-0 root semantics.
+    ``field`` is a curve, whose order is then the share modulus p, or p
+    itself. The tree trusts p: ``parse_scenario`` and ``validate_curve``
+    prove it where it enters, and a tree built by hand is taken at its word."""
 
-    def __init__(self, curve: CurveParams | None, field_params: FieldParams):
-        if curve is not None and field_params.modulus != curve.order:
-            raise FieldMismatch(f"share field {field_params.modulus} is not the order of {curve.name!r}")
-        self.curve = curve
-        self.field = field_params
+    def __init__(self, field: CurveParams | int):
+        self.curve = field if isinstance(field, CurveParams) else None
+        self.p: int = field if self.curve is None else self.curve.order
         self.nodes: dict[int, HierarchyNode] = {}
         # Children of every node (the root included), in id order.
         self.children: dict[int, list[int]] = {ROOT_ID: []}
@@ -149,7 +145,7 @@ class HierarchyTree:
         tree-wide, else it is that user's miss. G has prime order n
         (``validate_curve``), so x(t·G) = x(t'·G) iff t' = ±t mod n, and
         the test reads min(t, n - t) off the tokens."""
-        p = self.field.modulus
+        p = self.p
         if self.curve is None:
             return [1 + randbelow(rng, p - 1) for _ in range(count)]
         out, misses = [], 0
@@ -234,7 +230,7 @@ class HierarchyTree:
         if not any(node.active for node in self.nodes.values()):
             raise EmptyHierarchy("no active users to deal to")
         self.round_count += 1
-        return None if self.curve is None else 1 + randbelow(rng, self.curve.order - 1)
+        return None if self.curve is None else 1 + randbelow(rng, self.p - 1)
 
     def assign_round_keys(self, secret: int | None) -> dict[int, CurvePoint]:
         """Each active user's round key for the round whose scalar is
@@ -247,5 +243,5 @@ class HierarchyTree:
         if self.curve is None:
             return {}
         active = [node for node in self.nodes.values() if node.active]
-        scalars = [node.reg_token * secret % self.curve.order for node in active]
+        scalars = [node.reg_token * secret % self.p for node in active]
         return {node.id: key for node, key in zip(active, base_muls(scalars, self.curve))}

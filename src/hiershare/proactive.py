@@ -126,7 +126,7 @@ def generate_renewal(
     sender = tree.nodes[next(iter(group.members))].parent
     if not owners:
         raise NoChildren(f"subtree root {sender} has no dealt active children")
-    p = tree.field.modulus
+    p = tree.p
     commitments = () if tree.curve is None else Commitments(delta_poly[1:], tree.curve)
     return [
         RenewalBundle(sender, owner, poly_eval(delta_poly, group.members[owner][0], p), commitments)
@@ -294,7 +294,7 @@ def renewal_round(
     entropy = rng.getrandbits(64)
     new_shares = dict(shares)
     claims: list[ClaimRecord] = list(extra_claims)
-    p = tree.field.modulus
+    p = tree.p
     polys = {
         root: keyed_polynomial(renewal_key(entropy, root), shares[kids[0]].threshold - 1, 0, p)
         for root, kids in groups.items()

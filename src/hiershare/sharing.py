@@ -160,7 +160,7 @@ def assign_eval_points(
     EvalPointCollision: on a curve a fresh round fixes it, without one it
     is a configuration error.
     """
-    p = tree.field.modulus
+    p = tree.p
     keys = tree.assign_round_keys(round_secret)
     points: dict[int, int] = {}
     for group in groups.values():
@@ -212,7 +212,7 @@ def distribute(
                 )
 
     points = assign_eval_points(tree, groups, round_secret)
-    p = tree.field.modulus
+    p = tree.p
 
     root_degree = compute_threshold(tf, len(groups[ROOT_ID])) - 1
     polynomials = {ROOT_ID: sample_polynomial(rng, root_degree, dealer.secret, p)}
@@ -316,7 +316,7 @@ def reconstruction_form(
     if parent_id not in picked:
         raise InsufficientShares(*short)
 
-    p = tree.field.modulus
+    p = tree.p
     owners: list[int] = []
     weights: list[int] = []
     pending = [(parent_id, 1)]
@@ -352,7 +352,7 @@ def recover_group_secret(
     """
     owners, weights = reconstruction_form(tree, shares, groups, parent_id, split)
     values = [shares[uid].members[uid][1] for uid in owners]
-    return sum(map(mul, weights, values)) % tree.field.modulus
+    return sum(map(mul, weights, values)) % tree.p
 
 
 def reconstruct(

@@ -114,7 +114,7 @@ def adversary_act(tree: HierarchyTree, shares: dict[int, GroupShares], plan: dic
     def perturb(bundle: RenewalBundle) -> RenewalBundle:
         if (bundle.sender, bundle.recipient) not in tampered_pairs:
             return bundle
-        return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
+        return bundle._replace(delta=(bundle.delta + 1) % tree.p)
 
     return (perturb if tampered_pairs else None), claims
 
@@ -183,8 +183,8 @@ class World:
         """The blank world: no user registered yet, nothing dealt."""
         self.config = config
         self.rng = random.Random(config.seed)
-        self.tree = HierarchyTree(config.curve, config.field)
-        self.dealer = DealerState(secret=config.secret % config.field.modulus)
+        self.tree = HierarchyTree(config.curve or config.field_prime)
+        self.dealer = DealerState(secret=config.secret % self.tree.p)
         self.shares: dict[int, GroupShares] = {}
         # The holders' view, tree.groups(shares); None once a leave or a
         # rejoin changes who is active, until the epoch builds it again.
@@ -404,7 +404,7 @@ class World:
                 return False, str(exc)
             self.intact_form = form
             value = form.value(self.shares)
-        return value % self.config.field.modulus == self.dealer.secret, ""
+        return value % self.tree.p == self.dealer.secret, ""
 
     def _held_share(self, uid: int) -> HeldShare:
         """The host's own copy of the share it holds in the live round."""
@@ -443,7 +443,7 @@ class World:
     # -- invariants ------------------------------------------------------------
 
     def _check_invariants(self) -> None:
-        p = self.config.field.modulus
+        p = self.tree.p
         for uid, group in self.shares.items():
             eval_point, value = group.members[uid]
             if not (0 <= value < p and 0 < eval_point < p):

@@ -65,7 +65,7 @@ class CorruptSnapshot(HierShareError):
 
 
 def _field_in(text: str, world: World) -> int:
-    return int(text) % world.config.field.modulus
+    return int(text) % world.tree.p
 
 
 def _typed(read, value, where: str, *args):
@@ -112,7 +112,7 @@ def _nodes_in(nodes: list[dict], world: World) -> None:
     """Insert the stored nodes into the world's tree. A registration token
     is null exactly on a vacant slot (one its own leave blocks), otherwise
     in 1..p-1, p being the curve's order on a curve."""
-    high = world.config.field.modulus - 1
+    high = world.tree.p - 1
     for node_data in nodes:
         uid, token = node_data["id"], node_data["reg_token"]
         where = f"tree.nodes[{uid - 1}]"

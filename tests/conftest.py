@@ -12,7 +12,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from hiershare import algebra, sharing
 from hiershare.algebra import (
     DuplicateAbscissa,
-    FieldParams,
     Polynomial,
     lagrange_at_zero,
     sample_polynomial,
@@ -93,7 +92,7 @@ def toy():
 
 def tree_for_curve(curve):
     """An empty tree whose share field is the curve's group order."""
-    return HierarchyTree(curve, FieldParams(curve.order))
+    return HierarchyTree(curve)
 
 
 def negated(point):
@@ -115,7 +114,7 @@ def make_tree(spec, rng, curve=None, prime=None):
     if curve is not None:
         tree = tree_for_curve(curve)
     else:
-        tree = HierarchyTree(None, FieldParams(prime))
+        tree = HierarchyTree(prime)
     queue = [(child, ROOT_ID) for child in spec]
     for uid, (children, _parent) in enumerate(queue, start=1):
         queue.extend((grand, uid) for grand in children)
@@ -183,7 +182,7 @@ def renewal_bundles(tree, group, owners, rng):
     """One group's renewal on its own, as ``renewal_round`` makes it inside
     an epoch: a polynomial of the group's dealt degree with free
     coefficient zero drawn from ``rng``, then ``generate_renewal``."""
-    poly = sample_polynomial(rng, group.threshold - 1, 0, tree.field.modulus)
+    poly = sample_polynomial(rng, group.threshold - 1, 0, tree.p)
     return generate_renewal(tree, group, owners, poly)
 
 
@@ -257,7 +256,7 @@ def every_group_recover(tree, shares, groups, parent_id, split):
                 y += values[kid]
             points.append((x, y))
             if len(points) == need:
-                values[gid] = lagrange_at_zero(points, tree.field.modulus)
+                values[gid] = lagrange_at_zero(points, tree.p)
                 break
         else:
             short.append((gid, len(points), need))

@@ -129,13 +129,13 @@ def test_criterion_3_storage_and_field_size():
     for tree, shares in ((toy_tree, toy_shares), (flat_tree, flat_shares)):
         assert sorted(shares) == active_users(tree)
         assert all(uid in group.members for uid, group in shares.items())
-        p = tree.field.modulus
+        p = tree.p
         for uid, group in shares.items():
             x, value = group.members[uid]
             assert 0 <= value < p
             assert 0 < x < p
     assert all(
-        0 <= c < flat_tree.field.modulus
+        0 <= c < flat_tree.p
         for poly in polynomials.values()
         for c in poly
     )

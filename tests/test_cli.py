@@ -56,6 +56,14 @@ class TestRunCommand:
     def test_bundled_name_accepted(self, tmp_path):
         assert main(["run", "figure2-leave", "--out", str(tmp_path)]) == 0
 
+    def test_directory_does_not_hide_a_bundled_name(self, tmp_path, monkeypatch, capsys):
+        """An earlier ``--out demo-7user`` leaves a folder of that name; a
+        run of the bundled scenario from the same directory still finds it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo-7user").mkdir()
+        assert main(["run", "demo-7user", "--out", "out"]) == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "demo-7user.report").exists()
+
     def test_identical_runs_byte_identical_reports(self, tmp_path, demo_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", str(demo_file), "--out", str(out1)])

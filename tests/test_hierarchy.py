@@ -8,13 +8,11 @@ from conftest import active_users, tree_for_curve
 
 from hiershare import curve as curve_module
 from hiershare import hierarchy
-from hiershare.algebra import FieldParams
 from hiershare.curve import PROFILES, STANDARD_CURVE, base_muls, scalar_mul
 from hiershare.hierarchy import (
     ROOT_ID,
     AlreadyInactive,
     EmptyHierarchy,
-    FieldMismatch,
     HierarchyNode,
     HierarchyTree,
     ParentInactive,
@@ -65,7 +63,7 @@ def register_one_at_a_time(tree, parents, rng):
     draws."""
     for parent in parents:
         if tree.curve is None:
-            token = rng.randrange(1, tree.field.modulus)
+            token = rng.randrange(1, tree.p)
         else:
             used = {key.x for key in group_keys(tree).values()}
             for _ in range(2 * tree.curve.order):
@@ -174,13 +172,13 @@ class TestRegister:
             toy_tree.register([ROOT_ID], draws)
         assert len(draws._queue) == 2
 
-    def test_curve_tree_refuses_another_share_field(self, toy):
-        with pytest.raises(FieldMismatch, match="share field 13 is not the order of 'toy'"):
-            HierarchyTree(toy, FieldParams(13))
-        assert HierarchyTree(toy, FieldParams(toy.order)).field.modulus == toy.order
+    def test_share_field_is_the_curve_order_or_the_prime(self, toy):
+        curved, plain = HierarchyTree(toy), HierarchyTree(13)
+        assert (curved.curve, curved.p) == (toy, toy.order)
+        assert (plain.curve, plain.p) == (None, 13)
 
     def test_no_curve_mode_has_no_keys(self, rng):
-        tree = HierarchyTree(None, FieldParams(31))
+        tree = HierarchyTree(31)
         [node] = tree.register([ROOT_ID], rng)
         assert 1 <= node.reg_token < 31
         assert tree.assign_round_keys(tree.begin_round(rng)) == {}
@@ -242,7 +240,7 @@ class TestBatchedRegistration:
             parents = random_parents(shape_rng, shape_rng.randint(1, 40))
             split = shape_rng.randint(0, len(parents))
             outcome = self.assert_matches_reference(
-                lambda: HierarchyTree(None, FieldParams(31)), seed, parents, split
+                lambda: HierarchyTree(31), seed, parents, split
             )
             assert outcome is None
 
@@ -350,7 +348,7 @@ class TestBeginRound:
         assert calls == []
 
     def test_no_curve_round_draws_nothing(self, rng):
-        tree = HierarchyTree(None, FieldParams(31))
+        tree = HierarchyTree(31)
         tree.register([ROOT_ID], rng)
         before = rng.getstate()
         assert tree.begin_round(rng) is None
@@ -396,7 +394,7 @@ class TestRoundKeys:
     def test_writes_nothing_and_keys_exactly_the_active_users(self, curve_name):
         # Without a curve there are no round keys at all.
         if curve_name is None:
-            tree = HierarchyTree(None, FieldParams(31))
+            tree = HierarchyTree(31)
         else:
             tree = tree_for_curve(PROFILES[curve_name])
         rng = random.Random(31)
@@ -470,7 +468,7 @@ class TestLeaveAndRejoin:
         assert toy_tree.nodes[top.id].active
 
     def test_figure2_shape(self):
-        tree = HierarchyTree(None, FieldParams(101))
+        tree = HierarchyTree(101)
         build_figure2_tree(tree, random.Random(1))
         gone = tree.leave(2)
         assert gone == {2, 6, 7, 9, 10, 11, 12, 13, 14}
@@ -524,7 +522,7 @@ class TestLeaveAndRejoin:
 
     def test_rejoin_under_inactive_parent_refused(self, rng):
         # 1 -> {3 -> {5}, 4}, 2: 3 leaves, then its parent 1 leaves.
-        tree = HierarchyTree(None, FieldParams(1009))
+        tree = HierarchyTree(1009)
         tree.register([ROOT_ID, ROOT_ID, 1, 1, 3], rng)
         tree.leave(3)
         tree.leave(1)
@@ -559,7 +557,7 @@ class TestGroupView:
     def test_matches_per_parent_reference_under_churn(self):
         for seed in range(20):
             rng = random.Random(seed)
-            tree = HierarchyTree(None, FieldParams(1009))
+            tree = HierarchyTree(1009)
             vacant = []
             for _ in range(60):
                 active = active_users(tree)
@@ -583,7 +581,7 @@ class TestGroupView:
                 assert tree.levels() == reference_levels(tree)
 
     def test_figure2_leave_drops_blocked_groups(self, rng):
-        tree = build_figure2_tree(HierarchyTree(None, FieldParams(1009)), rng)
+        tree = build_figure2_tree(HierarchyTree(1009), rng)
         tree.leave(2)
         assert tree.groups() == {ROOT_ID: [1, 3], 1: [4, 5], 3: [8]}
         assert tree.groups({1, 5, 8}) == {ROOT_ID: [1], 1: [5], 3: [8]}

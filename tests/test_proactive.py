@@ -105,7 +105,7 @@ class TestVerifyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], [], []], tf(1, 1))
         for bundle in renewal_bundles(tree, *root_group(tree, shares), rng):
             point = eval_point(shares, bundle.recipient)
-            bad = bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
+            bad = bundle._replace(delta=(bundle.delta + 1) % tree.p)
             assert verify_renewal(bad, point, tree.curve) is False
 
     def test_tampered_commitment_fails(self, rng):
@@ -185,7 +185,7 @@ class TestLazyCommitments:
         """Each root's f_1·G..f_k·G for the round whose generator is
         ``random.Random(seed)``."""
         entropy = random.Random(seed).getrandbits(64)
-        G, p = tree.curve.base_point, tree.field.modulus
+        G, p = tree.curve.base_point, tree.p
         return {
             root: tuple(
                 scalar_mul(c, G)
@@ -262,7 +262,7 @@ class TestApplyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[]], tf(1, 1))
         group, kids = root_group(tree, shares)
         bundles = renewal_bundles(tree, group, kids, rng)
-        renewed = apply_renewal(group, bundles, tree.field.modulus)
+        renewed = apply_renewal(group, bundles, tree.p)
         assert renewed.members == group.members
         assert (renewed.epoch, renewed.threshold) == (1, 1)
 
@@ -271,7 +271,7 @@ class TestApplyRenewal:
             rng, [[], [], []], tf(2, 3)
         )
         group, kids = root_group(tree, shares)
-        renewed = apply_renewal(group, renewal_bundles(tree, group, kids, rng), tree.field.modulus)
+        renewed = apply_renewal(group, renewal_bundles(tree, group, kids, rng), tree.p)
         shares = dict.fromkeys(kids, renewed)
         assert reconstruct(tree, shares, kids, dealer.split) == secret
 
@@ -279,7 +279,7 @@ class TestApplyRenewal:
         tree, _dealer, shares, _secret = toy_dealt_tree(rng, [[], []], tf(1, 1))
         group, kids = root_group(tree, shares)
         bundles = renewal_bundles(tree, group, kids, rng)
-        renewed = apply_renewal(group, bundles[1:], tree.field.modulus)
+        renewed = apply_renewal(group, bundles[1:], tree.p)
         assert list(renewed.members) == [2]
         assert renewed.members[2][0] == group.members[2][0]
 
@@ -383,7 +383,7 @@ class TestRenewalRound:
 
         def corrupt_node_one(bundle):
             if bundle.sender == 1:
-                return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
+                return bundle._replace(delta=(bundle.delta + 1) % tree.p)
             return bundle
 
         outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=corrupt_node_one)
@@ -412,7 +412,7 @@ class TestRenewalRound:
         secret = 1234567
         dealer, _state, shares = deal(tree, secret, tf(2, 3), rng)
         assert {rec.threshold for rec in shares.values()} == {2}
-        raised = sample_polynomial(random.Random(5), 3, 0, tree.field.modulus)
+        raised = sample_polynomial(random.Random(5), 3, 0, tree.p)
         commitments = tuple(
             scalar_mul(c, tree.curve.base_point) for c in raised[1:]
         )
@@ -420,7 +420,7 @@ class TestRenewalRound:
         def raise_degree(bundle):
             point = eval_point(shares, bundle.recipient)
             return bundle._replace(
-                delta=poly_eval(raised, point, tree.field.modulus),
+                delta=poly_eval(raised, point, tree.p),
                 commitments=commitments,
             )
 
@@ -494,7 +494,7 @@ def renewal_round_one_digest_per_group(tree, shares, rng, perturb):
     if not groups:
         return dict(shares), ()
     entropy = rng.getrandbits(64)
-    p = tree.field.modulus
+    p = tree.p
     polys = {
         root: keyed_draws(entropy, root, shares[kids[0]].threshold - 1, p)
         for root, kids in groups.items()
@@ -542,7 +542,7 @@ class TestDrawsMatchOneGeneratorPerGroup:
             _dealer, _state, shares = deal(tree, 5, tf(shape_rng.randint(1, 3), 3), rng)
             tampered = shape_rng.choice([None, ROOT_ID] + sorted(tree.groups()))
 
-            def perturb(bundle, sender=tampered, p=tree.field.modulus):
+            def perturb(bundle, sender=tampered, p=tree.p):
                 if bundle.sender != sender:
                     return bundle
                 return bundle._replace(delta=(bundle.delta + 1) % p)
@@ -1289,7 +1289,7 @@ class TestCheckCounts:
             if move_commitment:
                 moved = (point_add(bundle.commitments[0], curve.base_point),) + bundle.commitments[1:]
                 return bundle._replace(commitments=moved)
-            return bundle._replace(delta=(bundle.delta + 1) % tree.field.modulus)
+            return bundle._replace(delta=(bundle.delta + 1) % tree.p)
 
         outcome = renewal_round(tree, shares, tree.groups(shares), rng, perturb=bump)
         return tree, outcome, counts

@@ -23,7 +23,7 @@ from conftest import (
 )
 
 from hiershare import sharing
-from hiershare.algebra import FieldParams, poly_eval
+from hiershare.algebra import poly_eval
 from hiershare.curve import STANDARD_CURVE, TOY_CURVE
 from hiershare.hierarchy import ROOT_ID, HierarchyTree, TreeFull
 from hiershare.sharing import (
@@ -128,7 +128,7 @@ class TestDistribute:
     def test_single_field_modulus_everywhere(self, rng):
         tree = make_tree([[[], []], [[]]], rng, prime=1009)
         _dealer, shares, polynomials = deal_recorded(tree, 3, tf(2, 3), rng)
-        p = tree.field.modulus
+        p = tree.p
         for uid in shares:
             assert 0 <= kept(shares, uid) < p
             assert 0 < eval_point(shares, uid) < p
@@ -183,7 +183,7 @@ def randrange_distribute(tree, groups, dealer, factor, rng, round_secret):
     top one drawn again; ``split``'s first part ``randrange(1, p)``) and
     each member's evaluation a ``poly_eval`` call."""
     points = assign_eval_points(tree, groups, round_secret)
-    p = tree.field.modulus
+    p = tree.p
 
     def polynomial(size, free):
         coeffs = [free] + [rng.randrange(p) for _ in range(size - 1)]
@@ -245,7 +245,7 @@ class TestDistributeAgainstRandrangeReference:
                 tree = make_tree(random_tree_spec(rng, 3, fanout), rng, curve=curve, prime=prime)
             except TreeFull:
                 continue
-            secret = rng.randrange(tree.field.modulus)
+            secret = rng.randrange(tree.p)
             factor = tf(rng.randint(1, 4), 4)
             # A curve round that collides is followed by a fresh one; a
             # no-curve collision would only repeat.
@@ -324,7 +324,7 @@ class TestReconstruct:
         depth = 3000
         assert depth > sys.getrecursionlimit()
         rng = random.Random(5)
-        tree = HierarchyTree(None, FieldParams(STANDARD_CURVE.order))
+        tree = HierarchyTree(STANDARD_CURVE.order)
         tree.register(range(depth), rng)
         dealer, _state, shares = deal(tree, 77, tf(1, 1), rng)
         assert len(dealer.split) == depth - 1
@@ -385,7 +385,7 @@ def recursive_climb(tree, shares, holders, split, top):
     the value, or the (group parent, have, need) of every group the climb
     finishes short, in the order it finishes them; a split child with no
     holding child heads an empty group of threshold 1."""
-    p = tree.field.modulus
+    p = tree.p
     shortfalls = []
 
     def climb(gid):
@@ -495,7 +495,7 @@ class TestReconstructionForm:
         assert (len(shares), len(groups)) == (1364, 341)
         assert len(read) == len(set(read)) == 121
         assert len(owners) == 3 * 121
-        p = tree.field.modulus
+        p = tree.p
         assert sum(w * kept(shares, uid) for uid, w in zip(owners, weights)) % p == 321
 
 

@@ -18,11 +18,10 @@ from conftest import (
 )
 
 from hiershare import algebra, curve, proactive, sharing, simnet
-from hiershare.algebra import FieldParams
 from hiershare.config import adversary_plan, expand_tree, load_bundled_scenario, parse_scenario
 from hiershare.errors import HierShareError, InvariantViolation
 from hiershare.hierarchy import ROOT_ID, HierarchyTree, PositionOccupied
-from hiershare.proactive import RenewalBundle
+from hiershare.proactive import RenewalBundle, accepts_renewal
 from hiershare.sharing import GroupShares, HeldShare, knowledge_closure
 from hiershare.simnet import StepOutOfOrder, World, adversary_act
 from hiershare.snapshot import (
@@ -524,7 +523,7 @@ class TestAdversaryStrategies:
 
         tampered = perturb(original)
         assert type(tampered) is RenewalBundle and tampered is not original
-        assert tampered.delta == (original.delta + 1) % world.tree.field.modulus
+        assert tampered.delta == (original.delta + 1) % world.tree.p
         assert tampered._replace(delta=original.delta) == original
         # The copy keeps the parent's commitments object, so comparing the
         # two bundles computes no point.
@@ -844,11 +843,13 @@ class TestLoadAndDealCost:
         [
             # The field prime, once.
             ({}, 1),
-            # validate_curve's p, then its order, whose test builds the field.
+            # validate_curve's p, then its order.
             ({"field_mode": "curve-order", "curve": "toy", "field_prime": None, "eval_mode": None}, 2),
         ],
     )
     def test_primality_tests_per_scenario_load(self, monkeypatch, overrides, tests_per_load):
+        """``parse_scenario`` proves each prime it reads once, and a world
+        built from its config proves none."""
         calls = []
         original = algebra.is_prime
 
@@ -858,7 +859,9 @@ class TestLoadAndDealCost:
 
         monkeypatch.setattr(algebra, "is_prime", counting)
         monkeypatch.setattr(curve, "is_prime", counting)
-        world = World(scenario(**overrides))
+        config = scenario(**overrides)
+        assert len(calls) == tests_per_load
+        world = World(config)
         assert len(calls) == tests_per_load
         world.initial_deal()
         calls.clear()
@@ -1441,7 +1444,7 @@ class TestIntactForm:
         assert 1 in world.intact_form.owners
         _x, y = held_share(world, 1)
         change = {
-            "value": {"value": (y + 1) % world.config.field.modulus},
+            "value": {"value": (y + 1) % world.tree.p},
             "point": {"point": 50},
             "threshold": {"threshold": 1},
         }
@@ -1746,19 +1749,35 @@ class TestStepOrder:
 
 
 class TestOneFieldPerCurve:
-    def test_curve_world_with_another_share_field_is_refused(self):
-        """A toy-curve world (order 19) whose shares live mod 13 drew its
-        renewal deltas mod 13 while each child's own check works mod 19,
-        and judged against its parents' bundles it renewed three epochs
-        with no claim. A curved tree takes the order's field and refuses
-        any other."""
+    def test_curve_world_computes_mod_the_order_whatever_the_field_prime(self, monkeypatch):
+        """A toy-curve config (order 19) that also names the field prime 13.
+        Were its shares mod 13, renewal would draw deltas mod 13 while each
+        child's own check works mod 19, and judged against its parents'
+        bundles it would renew with no claim. The world reads its field off
+        the curve, so every bundle ``refuses_renewal`` lets through passes
+        the child's own ``accepts_renewal``, in every epoch."""
         config = dataclasses.replace(
             scenario(field_mode="curve-order", curve="toy", field_prime=None,
                      eval_mode="round-key", secret="3", epochs=3),
-            field=FieldParams(13),
+            field_prime=13,
         )
-        with pytest.raises(HierShareError, match="share field 13 is not the order of 'toy'"):
-            World(config).run()
+        world = World(config)
+        let_through, judge = [], proactive.refuses_renewal
+
+        def refuses(sent, got, group, curve):
+            refused = judge(sent, got, group, curve)
+            if not refused:
+                let_through.append((world.epoch, got, group, curve))
+            return refused
+
+        monkeypatch.setattr(proactive, "refuses_renewal", refuses)
+        values = []
+        report = world.run(lambda w: values.extend(v for g in w.shares.values() for _, v in g.members.values()))
+        assert world.tree.p == 19 and 13 <= max(values) < 19
+        assert report.final["reconstruction_correct"]
+        assert sorted({epoch for epoch, *_ in let_through}) == [1, 2, 3]
+        for epoch, got, group, curve in let_through:
+            assert accepts_renewal(got, group, curve), (epoch, got.recipient)
 
 
 class TestRenewalCost:
@@ -1804,7 +1823,7 @@ class TestInvariants:
 
     def test_single_field_modulus(self):
         world = self.dealt_world()
-        p = world.config.field.modulus
+        p = world.tree.p
         honest = world.shares[1]
         eval_point, value = honest.members[1]
         world.shares[1] = honest._replace(members={**honest.members, 1: (eval_point, p)})

@@ -2,17 +2,19 @@
 ``ast`` (no linter is needed): every name a module or test file imports is
 used there, every parameter of a package function is read, the package
 imports nothing outside the standard library, every name
-``hiershare.__all__`` exports exists, only ``config`` reads an
-adversary's strategy, and only ``algebra`` draws other than by
-``getrandbits``.
+``hiershare.__all__`` exports exists, every public function and method is
+read somewhere in the package, only ``config`` reads an adversary's
+strategy, and only ``algebra`` draws other than by ``getrandbits``.
 """
 
 import ast
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_tracer_names import traced_table
 
 import hiershare
 
@@ -128,6 +130,49 @@ def test_every_error_class_is_raised():
             elif isinstance(target, ast.Attribute):
                 constructed.add(target.attr)
     assert sorted(errors - {"HierShareError"} - constructed) == []
+
+
+def public_definitions(tree: ast.Module):
+    """Each public top-level function and public method of a public class,
+    as (qualified name, its node)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def name_reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a plain name or as an
+    attribute; a string that spells a name does not count."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+# ``expand_tree`` documents the scenario numbering and is kept on purpose.
+KEPT_UNREAD = {"hiershare.config.expand_tree"}
+
+
+def test_every_public_function_is_read():
+    """Every public function and method is read in the package outside its
+    own definition. The names perfbench's tracer wraps are exempt: the
+    tracer reads them by name."""
+    trees = {f"hiershare.{path.stem}": ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    reads = sum((name_reads(tree) for tree in trees.values()), Counter())
+    traced = {f"{module}.{path}" for module, path in traced_table().values()}
+    unread = [
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in public_definitions(tree)
+        if reads[node.name] == name_reads(node)[node.name]
+    ]
+    assert sorted(set(unread) - traced - KEPT_UNREAD) == []
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
